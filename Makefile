@@ -1,12 +1,13 @@
 # Verification gate for gpssn. `make check` is the single entry CI runs:
-# vet, lint, build, the tier-1 tests, then a race-detector pass (short mode
-# so the heavy bench package stays fast). See docs/CONCURRENCY.md §5.
+# vet, lint, build, the tier-1 tests, a race-detector pass (short mode so
+# the heavy bench package stays fast; see docs/CONCURRENCY.md §5), then the
+# benchmark harness built and smoke-run against this tree.
 
 GO ?= go
 
-.PHONY: check vet lint build test race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-parallel bench-smoke bench-churn bench-serve bench-scale bench-guard
+.PHONY: check vet lint build test race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
 
-check: vet lint build test race
+check: vet lint build test race bench-check
 
 vet:
 	$(GO) vet ./...
@@ -41,7 +42,7 @@ examples:
 # Broken relative links (file or heading anchor) in the markdown docs
 # fail the build; CI runs this in the lint job.
 docs-lint:
-	$(GO) run ./cmd/docs-lint README.md docs/*.md
+	$(GO) run ./cmd/docs-lint README.md DESIGN.md EXPERIMENTS.md docs/*.md benchmark/README.md
 
 # End-to-end smoke test of the shipped gpssn-serve binary: build, serve a
 # generated dataset, health-check and query over real HTTP, drain on
@@ -80,27 +81,28 @@ crash-suite:
 	$(GO) test -run 'TestWAL|TestSnapshotFoldsPendingDeltas|TestOverlayAutoCompact|TestDBClose' -count=1 -v .
 	$(GO) test -count=1 -v ./internal/wal
 
-# The parallel-refinement speedup table (recorded in EXPERIMENTS.md).
-bench-parallel:
-	$(GO) run ./cmd/gpssn-bench -exp parallel
+# benchmark/ is a module of its own, so `go build ./... && go test ./...`
+# never compiles it: this target does, and then runs the shortest traced
+# workload the harness accepts (3 s; its p95 sample guard refuses 2) — the
+# traced run calls the widest product API — requiring exit 0 and
+# "correct":true on the last line. Under a minute of wall time.
+bench-check:
+	$(GO) -C benchmark vet ./...
+	$(GO) -C benchmark test ./...
+	@mkdir -p benchmark/out
+	bash benchmark/run.sh --workload uni_cold --seed 1 --seconds 3 --trace 1 > benchmark/out/bench-check.log || { tail -n 20 benchmark/out/bench-check.log; exit 1; }
+	tail -n 1 benchmark/out/bench-check.log | grep -q '"correct":true'
 
-# Quick distance-oracle smoke benchmarks: CH vs Dijkstra, then hub labels
-# vs both, each with query CPU plus the point-to-point microbenchmark on
-# the paper-scale road network and a machine-readable report
-# (BENCH_choracle.json / BENCH_hublabel.json, recorded in EXPERIMENTS.md).
-bench-smoke:
-	$(GO) run ./cmd/gpssn-bench -exp choracle -scale 0.05 -queries 4 -jsonout BENCH_choracle.json
-	$(GO) run ./cmd/gpssn-bench -exp hublabel -scale 0.05 -queries 4 -jsonout BENCH_hublabel.json
-
-# Road-churn benchmark: query latency against the static oracle, against
-# the delta-overlay after a burst of AddRoadVertex/AddRoadEdge writes,
-# concurrently with the background Compact re-contraction, and after the
-# swap — plus the same churned workload on an oracle-free DB, the
-# fallback-to-Dijkstra cliff the overlay removes (BENCH_churn.json,
-# recorded in EXPERIMENTS.md).
-bench-churn:
-	$(GO) run ./cmd/gpssn-bench -exp churn -scale 0.05 -queries 48 -jsonout BENCH_churn.json
-	$(GO) run ./cmd/gpssn-bench -exp walchurn -scale 0.05 -jsonout BENCH_wal.json
+# The repository's benchmark (BENCHMARK.json, benchmark/README.md): the four
+# workloads at seed 1 for 12 s each, one JSON line per run appended to
+# benchmark/out/<commit>.jsonl. Compare two such files with
+# `bash benchmark/run.sh --compare parent.jsonl change.jsonl`.
+bench:
+	@out=benchmark/out/$$(git rev-parse --short HEAD).jsonl; \
+	for w in uni_cold zipf_hot churn_wal serve_open; do \
+		bash benchmark/run.sh --workload $$w --seed 1 --seconds 12 --trace 0 --out $$out || exit 1; \
+	done; \
+	echo "bench: results appended to $$out"
 
 # The million-scale tier: generate ~1M road vertices / ~1M users with the
 # streaming lattice generator, build CH + hub labels, run the default query
@@ -109,18 +111,3 @@ bench-churn:
 # ~18 min and ~11 GB peak on one core at full scale.
 bench-scale:
 	$(GO) run ./cmd/gpssn-bench -exp scale1m -scale 1.0 -queries 16 -jsonout BENCH_scale1m.json
-
-# Regression guard: re-run the smoke benchmarks and compare p50-class
-# latencies against the committed BENCH_*.json; fails past 2x. CI runs it
-# as a non-blocking job (shared-runner noise is real).
-bench-guard:
-	./scripts/bench-guard.sh
-
-# The serving load test: 1000 concurrent zipf-skewed clients against an
-# in-process gpssn-serve over loopback TCP; reports p50/p99 latency,
-# throughput, shed rate and the coalescing/caching win. -compare drives
-# the same load twice — shared-work memo off (BENCH_serve_nomemo.json)
-# then on (BENCH_serve.json) — so the two reports are a before/after pair
-# for the cross-query batching layer (recorded in docs/SERVING.md).
-bench-serve:
-	$(GO) run ./cmd/gpssn-bench -exp serve -scale 0.05 -warmup 1000 -compare -jsonout BENCH_serve.json

@@ -115,33 +115,3 @@ func BenchmarkIndexBuild(b *testing.B) {
 
 func BenchmarkExtMetrics(b *testing.B) { runExperiment(b, "ext-metrics") }
 func BenchmarkExtTopK(b *testing.B)    { runExperiment(b, "ext-topk") }
-
-// BenchmarkParallelSpeedup measures per-query wall time at refinement
-// worker counts 1 and GOMAXPROCS on one shared environment (run with
-// `go test -bench=ParallelSpeedup`; sub-benchmark names carry the worker
-// count). Speedup is capped by min(workers, GOMAXPROCS) — see the
-// "parallel" experiment and EXPERIMENTS.md for recorded numbers.
-func BenchmarkParallelSpeedup(b *testing.B) {
-	p := core.Params{Gamma: 0.5, Tau: 5, Theta: 0.5, R: 2, Metric: core.MetricDotProduct}
-	for _, par := range []int{1, 0} {
-		name := "workers=auto"
-		if par == 1 {
-			name = "workers=1"
-		}
-		b.Run(name, func(b *testing.B) {
-			env, err := bench.GetEnv(bench.EnvSpec{
-				Kind: bench.UNI, Scale: 0.1, Seed: 1, Parallelism: par,
-			})
-			if err != nil {
-				b.Fatal(err)
-			}
-			users := env.QueryUsers(16, 5)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, _, err := env.Engine.Query(users[i%len(users)], p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

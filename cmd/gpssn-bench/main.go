@@ -21,25 +21,16 @@ import (
 	"time"
 
 	"gpssn/internal/bench"
-	"gpssn/internal/serve"
 )
 
 func main() {
-	// The serving load generator and the road-churn benchmark live outside
-	// internal/bench (they drive the public facade); register them so
-	// -exp serve/churn and -list see them.
-	bench.Register(serve.LoadExperiment())
-	bench.Register(serve.ChurnExperiment())
-	bench.Register(serve.WALChurnExperiment())
 	var (
-		exp     = flag.String("exp", "all", "experiment name, comma-separated list, or 'all'")
+		exp     = flag.String("exp", "all", "experiment name, comma-separated list, or 'all' (everything -list does not mark opt-in)")
 		scale   = flag.Float64("scale", 0.1, "dataset scale relative to the paper (1.0 = published sizes)")
 		queries = flag.Int("queries", 8, "query issuers per configuration")
 		seed    = flag.Int64("seed", 1, "generation seed")
 		samples = flag.Int("samples", 20, "Baseline estimator samples (paper: 100)")
-		jsonOut = flag.String("jsonout", "", "file for the JSON report of JSON-capable experiments (e.g. choracle)")
-		warmup  = flag.Int("warmup", 0, "serve: leading requests excluded from latency percentiles")
-		compare = flag.Bool("compare", false, "serve: run memo-off then memo-on over the same seed and report both")
+		jsonOut = flag.String("jsonout", "", "file for the JSON report of JSON-capable experiments (scale1m)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -48,12 +39,15 @@ func main() {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-22s %s\n", e.Name, e.Description)
 		}
+		for _, e := range bench.OptIn() {
+			fmt.Printf("%-22s %s [opt-in: not part of -exp all]\n", e.Name, e.Description)
+		}
 		return
 	}
 
 	cfg := bench.RunConfig{
 		Scale: *scale, Queries: *queries, Seed: *seed, BaselineSamples: *samples,
-		JSONOut: *jsonOut, Warmup: *warmup, Compare: *compare,
+		JSONOut: *jsonOut,
 	}
 	run := func(e bench.Experiment) error {
 		start := time.Now()

@@ -140,11 +140,11 @@ type Config struct {
 	// hub labels from it, turning point-to-point dist_RN evaluations into
 	// sub-µs sorted-array merges and switching refinement to the batched
 	// label kernel; "ch" stops at the contraction hierarchy (about 4x
-	// cheaper preprocessing, slower queries — BENCH_hublabel.json measures
-	// both, which is how this default was chosen); "dijkstra" keeps the
-	// plain heap searches. All three are exact and return identical
-	// answers; see docs/ALGORITHMS.md. Surfaced as the ablation-choracle
-	// and hublabel experiments.
+	// cheaper preprocessing, slower queries — the benchmark's
+	// roadnet.{hl,ch}.* and core.query_ms / core.query_ch_ms metrics
+	// measure both); "dijkstra" keeps the plain heap searches. All three
+	// are exact and return identical answers; see docs/ALGORITHMS.md and
+	// the ablation-choracle experiment.
 	//
 	// All three backends return identical answers, so a failure to build
 	// the requested one is not fatal: Open falls back down the chain
@@ -160,20 +160,10 @@ type Config struct {
 	// (anchor balls and per-user sweep state computed once and shared
 	// across concurrent queries — docs/CONCURRENCY.md §6). On by default
 	// because answers are bit-identical either way; disabling it is
-	// mainly useful for A/B measurement (make bench-serve does exactly
-	// that) and for memory-constrained embedders.
+	// mainly useful for A/B measurement (the benchmark's dijkstra
+	// reference replay does exactly that) and for memory-constrained
+	// embedders.
 	DisableSharedWork bool
-	// DisableRefineArena turns off the per-worker refinement arenas (the
-	// grow-only scratch buffers the hot path reuses across anchors).
-	// Answers are bit-identical either way; disabling is an A/B seam for
-	// allocation measurement, not a tuning knob.
-	DisableRefineArena bool
-	// DisableSweepFold turns off folding of refinement's one-to-all
-	// sweeps into batched multi-source passes. Folding already excludes
-	// itself wherever it could alter an answer or a budget trip point
-	// (budgeted queries, label oracles, shared-work engines), so this
-	// too exists for A/B measurement.
-	DisableSweepFold bool
 	// WALPath enables the write-ahead log: every successful dynamic update
 	// is appended (and fsynced per WALSync) to this file before it is
 	// applied, and Open/OpenSnapshot replay the surviving log so committed
@@ -186,7 +176,8 @@ type Config struct {
 	// "batch" (group-commit: appends return after the OS write, a
 	// background flusher fsyncs once per WALFlushWindow, bounding loss to
 	// one window), or "none" (the OS decides; a crash may lose everything
-	// since the last checkpoint). BENCH_wal.json measures the cost of each.
+	// since the last checkpoint). The benchmark's
+	// wal.append_{always,batch,none}_us measure the cost of each.
 	WALSync string
 	// WALFlushWindow is the "batch" group-commit interval; default 2ms.
 	WALFlushWindow time.Duration
@@ -601,12 +592,10 @@ func buildDB(net *Network, c Config) (*DB, error) {
 		return nil, fmt.Errorf("gpssn: building social index: %w", err)
 	}
 	engine := core.NewEngine(ds, road, social, core.Options{
-		SamplingRefine:     c.Sampling,
-		UseCorollary2:      c.Corollary2,
-		Parallelism:        c.Parallelism,
-		SharedWork:         !c.DisableSharedWork,
-		DisableRefineArena: c.DisableRefineArena,
-		DisableSweepFold:   c.DisableSweepFold,
+		SamplingRefine: c.Sampling,
+		UseCorollary2:  c.Corollary2,
+		Parallelism:    c.Parallelism,
+		SharedWork:     !c.DisableSharedWork,
 	})
 	return &DB{
 		net: net, engine: engine, cfg: c,

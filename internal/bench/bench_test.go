@@ -123,28 +123,39 @@ func TestAggExcludesCacheHits(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	want := []string{
+	all := []string{
 		"table2", "fig7a", "fig7b", "fig7c", "fig7d", "fig8",
 		"fig9", "fig10", "fig11",
 		"appP-gamma", "appP-theta", "appP-r", "appP-pivots", "appP-vs",
 		"ablation-pivots", "ablation-indexpruning", "ablation-distance",
 		"ablation-rtree", "ablation-sampling", "ablation-choracle",
-		"choracle", "hublabel", "scale1m", "ext-metrics", "ext-topk",
-		"parallel",
+		"ext-metrics", "ext-topk",
 	}
-	for _, name := range want {
+	for _, name := range all {
 		if _, ok := Find(name); !ok {
 			t.Errorf("experiment %q missing from registry", name)
 		}
 	}
-	if len(Experiments()) != len(want) {
-		t.Errorf("registry has %d experiments, want %d", len(Experiments()), len(want))
+	if len(Experiments()) != len(all) {
+		t.Errorf("registry has %d experiments, want %d", len(Experiments()), len(all))
 	}
-	if len(SortedNames()) != len(want) {
+	// The million-scale tier runs only when named: findable, listed in the
+	// CLI help, never part of the set `-exp all` iterates.
+	if _, ok := Find("scale1m"); !ok {
+		t.Error("opt-in experiment scale1m must be findable by name")
+	}
+	for _, e := range Experiments() {
+		if e.Name == "scale1m" {
+			t.Error("scale1m must not be in the -exp all set")
+		}
+	}
+	if len(SortedNames()) != len(all)+1 {
 		t.Error("SortedNames incomplete")
 	}
-	if _, ok := Find("nope"); ok {
-		t.Error("Find should miss unknown names")
+	for _, gone := range []string{"choracle", "hublabel", "parallel", "serve", "churn", "walchurn", "nope"} {
+		if _, ok := Find(gone); ok {
+			t.Errorf("Find(%q) should miss", gone)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"gpssn/internal/pivot"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/roadnet/ch"
-	"gpssn/internal/roadnet/hl"
 	"gpssn/internal/socialnet"
 )
 
@@ -75,12 +74,9 @@ type EnvSpec struct {
 	DisableIndexPruning    bool
 	DisableDistancePruning bool
 	SamplingRefine         bool
-	// Parallelism is the refinement worker count (0 = GOMAXPROCS, 1 =
-	// sequential). Any value returns identical answers; only CPU time moves.
-	Parallelism int
-	// DistanceOracle selects the road-distance backend: "ch" (default),
-	// "hl" or "dijkstra". All are exact; the ablation-choracle and hublabel
-	// experiments compare them.
+	// DistanceOracle selects the road-distance backend: "ch" (default) or
+	// "dijkstra". Both are exact; the ablation-choracle experiment compares
+	// them.
 	DistanceOracle string
 }
 
@@ -189,8 +185,6 @@ func buildEnv(spec EnvSpec) (*Env, error) {
 	switch spec.DistanceOracle {
 	case "ch":
 		ds.Road.SetDistanceOracle(ch.Build(ds.Road))
-	case "hl":
-		ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 	case "dijkstra":
 		ds.Road.SetDistanceOracle(nil)
 	default:
@@ -223,7 +217,6 @@ func buildEnv(spec EnvSpec) (*Env, error) {
 		DisableIndexPruning:    spec.DisableIndexPruning,
 		DisableDistancePruning: spec.DisableDistancePruning,
 		SamplingRefine:         spec.SamplingRefine,
-		Parallelism:            spec.Parallelism,
 		// The paper's refinement samples candidate groups; a generous
 		// branch-and-bound budget is strictly more exact than sampling
 		// while bounding worst-case latency on adversarial issuers.

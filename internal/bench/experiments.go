@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -26,17 +25,9 @@ type RunConfig struct {
 	// estimator (the paper uses 100; default 20).
 	BaselineSamples int
 	// JSONOut, when non-empty, is a file path where experiments that
-	// support machine-readable output (currently choracle) also write a
-	// JSON report. Stdout carries the human tables either way.
+	// support machine-readable output (scale1m) also write a JSON report.
+	// Stdout carries the human tables either way.
 	JSONOut string
-	// Warmup is the number of leading logical requests excluded from the
-	// serve experiment's latency percentiles, so cold-cache and
-	// oracle-build transients stop skewing p50/p90/p99. Default 0.
-	Warmup int
-	// Compare makes the serve experiment run twice on the same seed and
-	// workload — shared-work memo off, then on — and report both (the
-	// memo-off JSON lands next to JSONOut with a "_nomemo" suffix).
-	Compare bool
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -64,20 +55,10 @@ type Experiment struct {
 	Run         func(w io.Writer, cfg RunConfig) error
 }
 
-// registered holds experiments contributed from outside this package.
-// The serving load generator lives in internal/serve (it drives the
-// public gpssn facade, which this package must not import — the root
-// package's tests import bench), and cmd/gpssn-bench registers it here.
-var registered []Experiment
-
-// Register appends an externally defined experiment to the registry.
-// Call it before Experiments/Find; not safe for concurrent use.
-func Register(e Experiment) { registered = append(registered, e) }
-
-// Experiments returns the registry of all reproducible tables and figures,
-// in presentation order, followed by any Register-ed extras.
+// Experiments returns every paper table and figure, ablation and
+// extension, in presentation order: the set `-exp all` runs.
 func Experiments() []Experiment {
-	return append([]Experiment{
+	return []Experiment{
 		{"table2", "Table 2: dataset statistics", runTable2},
 		{"fig7a", "Fig 7(a): index-level vs object-level pruning power", runFig7a},
 		{"fig7b", "Fig 7(b): user pruning breakdown on social networks", runFig7b},
@@ -98,18 +79,23 @@ func Experiments() []Experiment {
 		{"ablation-rtree", "Ablation: R* split vs quadratic split", runAblationRTree},
 		{"ablation-sampling", "Ablation: exact refinement vs sampling", runAblationSampling},
 		{"ablation-choracle", "Ablation: CH distance oracle vs plain Dijkstra", runAblationChOracle},
-		{"choracle", "Distance oracle: CH vs Dijkstra (query CPU + p2p microbench, JSON-capable)", runChoracle},
-		{"hublabel", "Distance oracle: hub labels vs CH vs Dijkstra (query CPU + p2p microbench, JSON-capable)", runHublabel},
-		{"scale1m", "Million-scale tier: 1M-vertex/1M-user end-to-end build + query latency + memory (JSON-capable)", runScale1m},
 		{"ext-metrics", "Extension: Jaccard/Hamming interest metrics", runExtMetrics},
 		{"ext-topk", "Extension: top-k GP-SSN", runExtTopK},
-		{"parallel", "Extension: parallel refinement speedup vs worker count", runParallel},
-	}, registered...)
+	}
 }
 
-// Find returns the experiment with the given name.
+// OptIn returns the experiments that run only when named: the
+// million-scale tier takes ~18 min and ~11 GB at -scale 1.0, so `-exp all`
+// leaves it out.
+func OptIn() []Experiment {
+	return []Experiment{
+		{"scale1m", "Million-scale tier: 1M-vertex/1M-user end-to-end build + query latency + memory (JSON-capable)", runScale1m},
+	}
+}
+
+// Find returns the experiment with the given name, opt-in ones included.
 func Find(name string) (Experiment, bool) {
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), OptIn()...) {
 		if e.Name == name {
 			return e, true
 		}
@@ -492,6 +478,19 @@ func runAblationSampling(w io.Writer, cfg RunConfig) error {
 	})
 }
 
+func runAblationChOracle(w io.Writer, cfg RunConfig) error {
+	fmt.Fprintf(w, "# Ablation: CH distance oracle (baseline) vs plain Dijkstra (variant)\n")
+	return compare(w, cfg, "distance-oracle", func(k DatasetKind, variant bool) EnvSpec {
+		spec := specFor(k, cfg.withDefaults())
+		if variant {
+			spec.DistanceOracle = "dijkstra"
+		} else {
+			spec.DistanceOracle = "ch"
+		}
+		return spec
+	})
+}
+
 // scaleCount scales a paper-sized count by the run scale, with a floor.
 func scaleCount(v, scale float64) int {
 	n := int(v * scale)
@@ -512,10 +511,10 @@ func maxInt(a, b int) int {
 // large" pair-space size (the fraction then underflows to 0).
 func pow2(lg float64) float64 { return math.Exp2(lg) }
 
-// SortedNames lists experiment names (for CLI help).
+// SortedNames lists experiment names, opt-in ones included (for CLI help).
 func SortedNames() []string {
 	var names []string
-	for _, e := range Experiments() {
+	for _, e := range append(Experiments(), OptIn()...) {
 		names = append(names, e.Name)
 	}
 	sort.Strings(names)
@@ -553,51 +552,6 @@ func runExtMetrics(w io.Writer, cfg RunConfig) error {
 				int(pct(agg.Found, agg.Queries)))
 		}
 	}
-	return nil
-}
-
-// runParallel measures refinement wall time as the per-query worker count
-// grows, verifying along the way that every setting returns the same
-// answers (the determinism contract of docs/CONCURRENCY.md). Speedup is
-// bounded above by min(workers, GOMAXPROCS); on a single-CPU host all
-// rows collapse to ~1x by construction.
-func runParallel(w io.Writer, cfg RunConfig) error {
-	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "# Extension: parallel refinement (GOMAXPROCS=%d)\n", runtime.GOMAXPROCS(0))
-	fmt.Fprintf(w, "%-9s %8s %14s %10s %10s\n", "dataset", "workers", "CPU", "I/O", "speedup")
-	workerCounts := []int{1, 2, 4, 0} // 0 = GOMAXPROCS
-	for _, k := range synthKinds {
-		var seqCPU time.Duration
-		var seqFound int
-		for _, par := range workerCounts {
-			spec := specFor(k, cfg)
-			spec.Parallelism = par
-			env, err := GetEnv(spec)
-			if err != nil {
-				return err
-			}
-			users := env.QueryUsers(cfg.Queries, cfg.Seed+100)
-			agg, err := env.RunQueries(defaultParams(), users)
-			if err != nil {
-				return err
-			}
-			label := fmt.Sprintf("%d", par)
-			if par == 0 {
-				label = fmt.Sprintf("auto(%d)", runtime.GOMAXPROCS(0))
-			}
-			if par == 1 {
-				seqCPU = agg.AvgCPU
-				seqFound = agg.Found
-			} else if agg.Found != seqFound {
-				return fmt.Errorf("parallel: found-count diverged at %d workers (%d vs %d)",
-					par, agg.Found, seqFound)
-			}
-			speedup := float64(seqCPU) / float64(agg.AvgCPU)
-			fmt.Fprintf(w, "%-9s %8s %14s %10.0f %9.2fx\n",
-				k, label, agg.AvgCPU.Round(time.Microsecond), agg.AvgIO, speedup)
-		}
-	}
-	fmt.Fprintln(w, "# answers are identical at every worker count; only wall time moves")
 	return nil
 }
 

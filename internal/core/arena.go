@@ -14,27 +14,22 @@ import (
 // that worker processes, so after the first few anchors the steady state
 // allocates nothing per anchor and nothing per user evaluation:
 //
-//   - atts/out back makeMOf's ball attachment list and distance output
-//     (previously one make per anchor each),
+//   - atts/out back makeMOf's ball attachment list and distance output,
 //   - lbl is the source attachment-label scratch the label kernel merges
-//     from (previously a sync.Pool Get/Put per user evaluation),
-//   - kws is the ball keyword set (previously one bitset per anchor),
-//   - comps/users/prefold back processAnchor's companion bookkeeping.
+//     from,
+//   - kws is the ball keyword set,
+//   - comps/users back processAnchor's companion bookkeeping.
 //
 // Arenas are engine-owned (arenaPool) and recycled across queries, so the
-// steady-state per-query cost is a pool pop and push. Opts.DisableRefineArena
-// turns all of this off — callers then allocate exactly as before — which is
-// the A/B seam the equality gates and the benchmarks use; answers are
-// bit-identical either way because the arena only changes where scratch
-// memory lives, never what is computed.
+// steady-state per-query cost is a pool pop and push. The arena only
+// changes where scratch memory lives, never what is computed.
 type refineArena struct {
-	atts    []roadnet.Attach
-	out     []float64
-	lbl     roadnet.HubLabel
-	kws     TopicSet
-	comps   []anchorComp
-	users   []socialnet.UserID
-	prefold []socialnet.UserID
+	atts  []roadnet.Attach
+	out   []float64
+	lbl   roadnet.HubLabel
+	kws   TopicSet
+	comps []anchorComp
+	users []socialnet.UserID
 
 	owner    *arenaPool
 	retained int64 // bytes currently held by the slices above
@@ -125,19 +120,6 @@ func (a *refineArena) userBuf(n int) []socialnet.UserID {
 	return a.users[:n]
 }
 
-// prefoldBuf returns the empty prefold scratch slice (see keepPrefold).
-func (a *refineArena) prefoldBuf() []socialnet.UserID {
-	return a.prefold[:0]
-}
-
-// keepPrefold is keepComps for the prefold user list.
-func (a *refineArena) keepPrefold(s []socialnet.UserID) {
-	if cap(s) > cap(a.prefold) {
-		a.account(int64(cap(s)-cap(a.prefold)) * int64(userIDSize))
-	}
-	a.prefold = s
-}
-
 // Element sizes for the byte gauge. Attach is (EdgeID int32, T float64)
 // padded to 16; UserID is an int32; anchorComp is (int32 pad + float64).
 const (
@@ -163,12 +145,8 @@ type arenaPool struct {
 // of wide queries does not pin its high-water scratch forever.
 const arenaMaxFree = 32
 
-// acquire returns a recycled or fresh arena; nil when the arena layer is
-// disabled (the caller then allocates per anchor exactly as before).
+// acquireArena returns a recycled or fresh arena.
 func (e *Engine) acquireArena() *refineArena {
-	if e.Opts.DisableRefineArena {
-		return nil
-	}
 	p := &e.arenas
 	p.mu.Lock()
 	if n := len(p.free); n > 0 {
@@ -181,11 +159,8 @@ func (e *Engine) acquireArena() *refineArena {
 	return &refineArena{owner: p}
 }
 
-// releaseArena returns an arena to the free list. nil-safe.
+// releaseArena returns an arena to the free list.
 func (e *Engine) releaseArena(a *refineArena) {
-	if a == nil {
-		return
-	}
 	p := &e.arenas
 	p.mu.Lock()
 	if len(p.free) < arenaMaxFree {

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"gpssn/internal/model"
-	"gpssn/internal/roadnet"
 	"gpssn/internal/roadnet/ch"
 	"gpssn/internal/roadnet/hl"
 	"gpssn/internal/socialnet"
@@ -12,8 +12,8 @@ import (
 
 // sameResults compares two top-k answer lists bit-for-bit: identical
 // costs (exact float equality, not tolerance), anchors, groups and balls.
-// This is the contract the arena and fold layers must meet — they move
-// scratch memory and batch searches, they never change a computed value.
+// This is the contract the arena layer must meet — it moves scratch
+// memory, it never changes a computed value.
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
 	if len(got) != len(want) {
@@ -42,10 +42,10 @@ func sameResults(t *testing.T, label string, got, want []Result) {
 	}
 }
 
-// TestArenaFoldTogglesBitIdentical is the PR's equality gate: every
-// combination of {arena on/off} x {fold on/off} x {P=1, P=8} must return
-// byte-identical top-k answers under each oracle family (plain Dijkstra,
-// CH, HL). The reference is the everything-off sequential engine.
+// TestArenaFoldTogglesBitIdentical is the arena's equality gate: P=1,
+// P=8 and the shared-work memo must return byte-identical top-k answers
+// under each oracle family (plain Dijkstra, CH, HL), where workers recycle
+// arenas in different orders. The reference is the sequential engine.
 func TestArenaFoldTogglesBitIdentical(t *testing.T) {
 	ds := smallDataset(t, 23)
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
@@ -63,19 +63,14 @@ func TestArenaFoldTogglesBitIdentical(t *testing.T) {
 		name string
 		opts Options
 	}{
-		{"arena+fold", Options{}},
-		{"arena-only", Options{DisableSweepFold: true}},
-		{"fold-only", Options{DisableRefineArena: true}},
-		{"arena+fold-p8", Options{Parallelism: 8}},
-		{"none-p8", Options{Parallelism: 8, DisableRefineArena: true, DisableSweepFold: true}},
-		{"arena+fold+memo", Options{SharedWork: true}},
+		{"p1", Options{Parallelism: 1}},
+		{"p8", Options{Parallelism: 8}},
+		{"memo", Options{SharedWork: true}},
 	}
 	defer ds.Road.SetDistanceOracle(nil)
 	for _, o := range oracles {
 		o.attach()
-		ref := buildEngine(t, ds, Options{
-			Parallelism: 1, DisableRefineArena: true, DisableSweepFold: true,
-		})
+		ref := buildEngine(t, ds, Options{Parallelism: 1})
 		for _, uq := range queryUsers {
 			want, _, err := ref.QueryTopK(uq, p, 2)
 			if err != nil {
@@ -122,33 +117,47 @@ func TestLabelEvalZeroAllocsWithArena(t *testing.T) {
 	}
 }
 
-// TestQueryAllocsDropWithArena compares whole-query allocation counts with
-// the arena on and off over the same engine state: the arena path must
-// allocate measurably less, and rebuilding the evaluator per anchor must
-// not allocate per ball entry.
+// TestQueryAllocsDropWithArena pins the whole-query allocation count: a
+// warm sequential query on this dataset allocates 788 objects (1,048 when
+// every anchor and evaluation allocated its own scratch), and the ceiling
+// of 788 + 10% fails the test if scratch stops coming from the arena.
 func TestQueryAllocsDropWithArena(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the race detector's own allocations (and its lossy sync.Pool) make absolute counts meaningless")
+	}
 	ds := smallDataset(t, 25)
 	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 	defer ds.Road.SetDistanceOracle(nil)
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
 
-	measure := func(opts Options) float64 {
-		e := buildEngine(t, ds, opts)
-		if _, _, err := e.Query(19, p); err != nil { // warm arenas + pools
+	e := buildEngine(t, ds, Options{Parallelism: 1})
+	if _, _, err := e.Query(19, p); err != nil { // warm arenas + pools
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, _, err := e.Query(19, p); err != nil {
 			t.Fatal(err)
 		}
-		return testing.AllocsPerRun(10, func() {
-			if _, _, err := e.Query(19, p); err != nil {
-				t.Fatal(err)
-			}
-		})
+	})
+	const ceiling = 866
+	if allocs > ceiling {
+		t.Errorf("query allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}
-	with := measure(Options{Parallelism: 1})
-	without := measure(Options{Parallelism: 1, DisableRefineArena: true})
-	if with >= without {
-		t.Errorf("arena query allocates %.0f objects, no-arena %.0f: arena must allocate less", with, without)
+	t.Logf("allocs per query: %.0f", allocs)
+}
+
+// raceBuild reports whether this test binary was built with -race.
+func raceBuild() bool {
+	bi, _ := debug.ReadBuildInfo()
+	if bi == nil {
+		return false
 	}
-	t.Logf("allocs per query: arena=%.0f no-arena=%.0f", with, without)
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
 }
 
 // TestArenaByteAccounting checks the telemetry gauge against hand-computed
@@ -157,9 +166,6 @@ func TestArenaByteAccounting(t *testing.T) {
 	ds := smallDataset(t, 26)
 	e := buildEngine(t, ds, Options{})
 	ar := e.acquireArena()
-	if ar == nil {
-		t.Fatal("arena disabled by default options")
-	}
 	ar.attachBuf(10)
 	ar.floatBuf(10)
 	ar.userBuf(4)
@@ -228,41 +234,3 @@ func TestEngineMemoryStats(t *testing.T) {
 		t.Errorf("MemoryStats.ArenaBytes %d != ArenaBytes() %d", ms.ArenaBytes, e.ArenaBytes())
 	}
 }
-
-// TestPrefoldRespectsCacheCaps forces a cache with almost no room and
-// checks the fold still never overfills it — folded arrays are capped to
-// the slots left, and answers are unchanged (covered by the gate above).
-func TestPrefoldRespectsCacheCaps(t *testing.T) {
-	ds := smallDataset(t, 28)
-	e := buildEngine(t, ds, Options{})
-	cache := newVertexDistCacheWith(3, 1<<30)
-	keeper := newSharedKeeper(1)
-	kws := NewTopicSet(ds.NumTopics)
-	for o := range ds.POIs {
-		for _, k := range ds.POIs[o].Keywords {
-			kws.Add(k)
-		}
-	}
-	var cand []socialnet.UserID
-	for u := range ds.Users {
-		cand = append(cand, socialnet.UserID(u))
-	}
-	e.prefoldArrays(cache, cand, kws, 0, keeper, nil, nil)
-	if got := cache.entries(); got > 3 {
-		t.Fatalf("fold overfilled the cache: %d entries, cap 3", got)
-	}
-	if got := cache.entries(); got != 3 {
-		t.Fatalf("fold should fill the remaining %d slots, stored %d", 3, got)
-	}
-	// Folded arrays must equal the solo sweeps bit for bit.
-	for u, dv := range cache.arrays {
-		solo := e.userVertexDist(u, nil)
-		for v := range solo {
-			if dv[v] != solo[v] {
-				t.Fatalf("user %d vertex %d: folded %v != solo %v", u, v, dv[v], solo[v])
-			}
-		}
-	}
-}
-
-var _ = roadnet.Seed{} // keep the roadnet import when builds strip tests

@@ -24,13 +24,13 @@ func TestVertexDistCacheCaps(t *testing.T) {
 	}
 	c.putArray(2, make([]float64, 10))
 	lbl := &roadnet.HubLabel{Hubs: []int32{0, 5}, Dist: []float64{0, 1}}
-	if !c.putLabel(3, lbl) {
+	if !c.putLabelCopy(3, lbl) {
 		t.Fatal("label put rejected below cap")
 	}
 	if c.putArray(4, make([]float64, 10)) {
 		t.Fatal("put accepted beyond the entry cap")
 	}
-	if c.putLabel(5, lbl) {
+	if c.putLabelCopy(5, lbl) {
 		t.Fatal("label put accepted beyond the entry cap")
 	}
 	if got := c.entries(); got != 3 {
@@ -52,7 +52,7 @@ func TestVertexDistCacheCaps(t *testing.T) {
 	if c2.putArray(2, make([]float64, 10)) {
 		t.Fatal("put accepted beyond the byte cap")
 	}
-	if !c2.putLabel(3, &roadnet.HubLabel{Hubs: []int32{1}, Dist: []float64{2}}) {
+	if !c2.putLabelCopy(3, &roadnet.HubLabel{Hubs: []int32{1}, Dist: []float64{2}}) {
 		t.Fatal("12-byte label rejected with 20 bytes of headroom")
 	}
 	if got := c2.sizeBytes(); got > 100 {
@@ -79,8 +79,10 @@ func TestMOfHonorsCacheCaps(t *testing.T) {
 	}
 
 	const cap = 8
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
 	cache := newVertexDistCacheWith(cap, 1<<26)
-	mOf := e.makeMOf(cache, ball, nil, nil, nil, nil)
+	mOf := e.makeMOf(cache, ball, nil, nil, nil, ar)
 	for u := range ds.Users {
 		if got := mOf(socialnet.UserID(u)); math.Abs(got-want[u]) > 1e-9 {
 			t.Fatalf("array mode: mOf(%d) = %v, want %v", u, got, want[u])
@@ -97,7 +99,7 @@ func TestMOfHonorsCacheCaps(t *testing.T) {
 	// and byte usage reflecting label-sized entries rather than O(V) arrays.
 	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 	lcache := newVertexDistCacheWith(cap, 1<<26)
-	mOfL := e.makeMOf(lcache, ball, nil, nil, nil, nil)
+	mOfL := e.makeMOf(lcache, ball, nil, nil, nil, ar)
 	for u := range ds.Users {
 		got := mOfL(socialnet.UserID(u))
 		if math.Abs(got-want[u]) > 1e-9*math.Max(1, want[u]) {

@@ -60,22 +60,6 @@ type Options struct {
 	// once per query. Answers are bit-identical either way; see
 	// docs/CONCURRENCY.md §6 for the invalidation and copy-on-read rules.
 	SharedWork bool
-	// DisableRefineArena turns off the per-worker refinement arenas: every
-	// anchor and user evaluation allocates its transient scratch exactly as
-	// before (per-anchor makes, pooled labels). The arena only changes
-	// where scratch memory lives, never what is computed, so answers are
-	// bit-identical either way; the switch exists for A/B measurement and
-	// the equality gates.
-	DisableRefineArena bool
-	// DisableSweepFold turns off the folded batch sweeps: refinement's
-	// array-strategy path computes each per-user one-to-all array with its
-	// own solo search instead of folding the batch into one shared
-	// downward sweep (roadnet.BatchOracle). Folding charges the checkpoint
-	// at solo rates and produces bit-identical arrays, so unbudgeted
-	// answers are identical either way; budgeted queries skip folding
-	// entirely (see Checkpoint.Budgeted), so even truncated answers never
-	// depend on this switch.
-	DisableSweepFold bool
 }
 
 // Engine answers GP-SSN queries over a dataset through the I_R and I_S
@@ -109,8 +93,7 @@ type Engine struct {
 	// the per-update-kind hooks in dynamic.go.
 	shared *sharedWork
 
-	// arenas recycles the per-worker refinement scratch (see arena.go);
-	// unused when Opts.DisableRefineArena is set.
+	// arenas recycles the per-worker refinement scratch (see arena.go).
 	arenas arenaPool
 }
 

@@ -217,6 +217,44 @@ func TestEngineTauOne(t *testing.T) {
 	}
 }
 
+// TestProbeIncumbentSound pins the probe (which grows its group through
+// greedyGroup) against the Baseline at τ=1 and τ=3: whatever it finds is a
+// feasible pair costing no less than the optimum, and the query seeded with
+// it still returns the optimum.
+func TestProbeIncumbentSound(t *testing.T) {
+	for _, tau := range []int{1, 3} {
+		p := Params{Gamma: 0.2, Tau: tau, Theta: 0.3, R: 2, Metric: MetricDotProduct}
+		found := 0
+		for seed := int64(1); seed <= 3; seed++ {
+			ds := smallDataset(t, seed)
+			e := buildEngine(t, ds, Options{})
+			oracle := &Baseline{DS: ds}
+			for _, uq := range []socialnet.UserID{0, 7, 33} {
+				want, _ := oracle.Query(uq, p)
+				var st Stats
+				pr := e.probe(uq, p, e.newQctx(&st))
+				if pr.res.Found {
+					found++
+					checkFeasible(t, ds, uq, p, pr.res)
+					if !want.Found || pr.res.MaxDist < want.MaxDist-1e-9 {
+						t.Fatalf("tau %d seed %d uq %d: probe cost %v beats the optimum %+v", tau, seed, uq, pr.res.MaxDist, want)
+					}
+				}
+				got, _, err := e.Query(uq, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Found != want.Found || (got.Found && math.Abs(got.MaxDist-want.MaxDist) > 1e-6) {
+					t.Fatalf("tau %d seed %d uq %d: %+v, oracle %+v", tau, seed, uq, got, want)
+				}
+			}
+		}
+		if found == 0 {
+			t.Fatalf("tau %d: the probe never found an incumbent; the test checks nothing", tau)
+		}
+	}
+}
+
 func TestEngineInfeasibleGamma(t *testing.T) {
 	ds := smallDataset(t, 12)
 	e := buildEngine(t, ds, Options{})

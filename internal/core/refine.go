@@ -57,55 +57,10 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 		if mUq >= pr.res.MaxDist {
 			return
 		}
-		cur := []socialnet.UserID{uq}
-		inCur := map[socialnet.UserID]bool{uq: true}
-		curMax := mUq
-		evals := 0
-		for len(cur) < p.Tau {
-			// Frontier: eligible friends of the current group, cheapest
-			// (smallest M) first; cap the per-step distance evaluations so
-			// the probe stays cheap on hub users.
-			var bestU socialnet.UserID = -1
-			bestM := math.Inf(1)
-			checked := 0
-			for _, u := range cur {
-				for _, v := range ds.Social.Friends(u) {
-					if inCur[v] || checked >= 16 {
-						continue
-					}
-					compatible := true
-					for _, w := range cur {
-						if Similarity(p.Metric, ds.Users[w].Interests, ds.Users[v].Interests) < p.Gamma {
-							compatible = false
-							break
-						}
-					}
-					if !compatible || MatchScoreSet(ds.Users[v].Interests, kws) < p.Theta {
-						continue
-					}
-					checked++
-					evals++
-					m := mOf(v)
-					if m < bestM {
-						bestM, bestU = m, v
-					}
-				}
-			}
-			if bestU < 0 || evals > 16*p.Tau {
-				break
-			}
-			cur = append(cur, bestU)
-			inCur[bestU] = true
-			if bestM > curMax {
-				curMax = bestM
-			}
-		}
-		if len(cur) == p.Tau && curMax < pr.res.MaxDist {
-			s := append([]socialnet.UserID(nil), cur...)
-			sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
+		if cur, curMax, ok := e.greedyGroup(uq, p, ball, kws, mUq, mOf); ok && curMax < pr.res.MaxDist {
 			r := append([]model.POIID(nil), ball...)
 			sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-			pr.res = Result{Found: true, S: s, R: r, Anchor: anchor, MaxDist: curMax}
+			pr.res = Result{Found: true, S: sortedUsers(cur), R: r, Anchor: anchor, MaxDist: curMax}
 		}
 	}
 	for _, nb := range nn {
@@ -322,29 +277,10 @@ func (c *vertexDistCache) getLabel(u socialnet.UserID) (*roadnet.HubLabel, bool)
 	return l, ok
 }
 
-// putLabel stores u's attachment label unless u is already present or the
-// caps would be exceeded. On true the cache owns l (it must not be
-// released to the pool); on false the caller keeps ownership.
-func (c *vertexDistCache) putLabel(u socialnet.UserID, l *roadnet.HubLabel) bool {
-	nb := int64(12 * l.Len())
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.labels[u]; ok {
-		return false
-	}
-	if len(c.arrays)+len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
-		c.rejected++
-		return false
-	}
-	c.labels[u] = l
-	c.bytes += nb
-	return true
-}
-
-// putLabelCopy stores an owned copy of l under the same caps as putLabel.
-// The copy is made only once admission is certain, so a full cache costs
-// nothing. Arena-backed labels go through here: the cache must own its
-// entries, and the arena scratch is overwritten by the next evaluation.
+// putLabelCopy stores an owned copy of u's attachment label unless u is
+// already present or the caps would be exceeded. The copy is made only
+// once admission is certain, so a full cache costs nothing. The cache must
+// own its entries: l is arena scratch, overwritten by the next evaluation.
 func (c *vertexDistCache) putLabelCopy(u socialnet.UserID, l *roadnet.HubLabel) bool {
 	nb := int64(12 * l.Len())
 	c.mu.Lock()
@@ -364,23 +300,6 @@ func (c *vertexDistCache) putLabelCopy(u socialnet.UserID, l *roadnet.HubLabel) 
 	return true
 }
 
-// arrayCapacityLeft reports how many more one-to-all arrays of nb bytes
-// each the cache can admit right now. Advisory under concurrency (putArray
-// re-checks under the lock); the fold path uses it to size batches so that
-// every folded array is guaranteed a cache slot when workers don't race.
-func (c *vertexDistCache) arrayCapacityLeft(nb int64) int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	left := c.maxEntries - (len(c.arrays) + len(c.labels))
-	if byBytes := int((c.maxBytes - c.bytes) / nb); byBytes < left {
-		left = byBytes
-	}
-	if left < 0 {
-		left = 0
-	}
-	return left
-}
-
 // entries and sizeBytes report occupancy (for tests and tracing).
 func (c *vertexDistCache) entries() int {
 	c.mu.Lock()
@@ -394,53 +313,38 @@ func (c *vertexDistCache) sizeBytes() int64 {
 	return c.bytes
 }
 
-// userLabelWith returns u's attachment hub label through the cache,
-// computing it on a miss. The second result reports whether the caller
-// must release the label back to the pool (true exactly when neither the
-// cache, the memo, nor the arena owns it). Only call under a label oracle.
+// userLabelWith returns u's attachment hub label through the cache, then
+// the shared sweep memo, computing it on a miss. Only call under a label
+// oracle.
 //
-// With an arena, the miss path computes into the arena's reusable label
-// scratch — no pool traffic at all — and offers the cache an owned copy
-// (the scratch itself is overwritten by the next evaluation, so the cache
-// can never hold it directly). The returned scratch is valid until the
-// next userLabelWith call on the same arena, which is exactly the one-
-// user-at-a-time lifetime the evaluation loop needs.
-func (e *Engine) userLabelWith(c *vertexDistCache, u socialnet.UserID, ar *refineArena) (*roadnet.HubLabel, bool) {
+// The miss path computes into the arena's reusable label scratch — no pool
+// traffic at all — and offers the cache an owned copy (the scratch itself
+// is overwritten by the next evaluation, so the cache can never hold it
+// directly). The returned label is read-only and valid until the next
+// userLabelWith call on the same arena, which is exactly the one-user-at-
+// a-time lifetime the evaluation loop needs.
+func (e *Engine) userLabelWith(c *vertexDistCache, u socialnet.UserID, ar *refineArena) *roadnet.HubLabel {
 	if l, ok := c.getLabel(u); ok {
-		return l, false
+		return l
 	}
-	// Shared sweep memo next: the label is computed once per user across
-	// all concurrent queries and owned by the memo (never pooled), so it
-	// is read-only here just like a cache-owned label.
+	// The memo computes the label once per user across all concurrent
+	// queries and owns it, like a cache-owned label.
 	if l, ok := e.sharedUserLabel(u); ok {
-		return l, false
+		return l
 	}
-	if ar != nil {
-		l := ar.label()
-		before := cap(l.Hubs)
-		e.DS.Road.AttachLabel(e.DS.Users[u].At, l)
-		ar.labelGrew(before)
-		c.putLabelCopy(u, l)
-		return l, false
-	}
-	l := roadnet.AcquireLabel()
+	l := ar.label()
+	before := cap(l.Hubs)
 	e.DS.Road.AttachLabel(e.DS.Users[u].At, l)
-	if c.putLabel(u, l) {
-		return l, false
-	}
-	return l, true
+	ar.labelGrew(before)
+	c.putLabelCopy(u, l)
+	return l
 }
 
-// ballKeywords collects the union of a ball's POI keywords, into the
-// arena's reusable bitset when one is available. The set is valid until
-// the next ballKeywords call on the same arena (one anchor at a time).
+// ballKeywords collects the union of a ball's POI keywords into the
+// arena's reusable bitset. The set is valid until the next ballKeywords
+// call on the same arena (one anchor at a time).
 func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicSet {
-	var kws TopicSet
-	if ar != nil {
-		kws = ar.keywords(ds.NumTopics)
-	} else {
-		kws = NewTopicSet(ds.NumTopics)
-	}
+	kws := ar.keywords(ds.NumTopics)
 	for _, o := range ball {
 		for _, k := range ds.POIs[o].Keywords {
 			kws.Add(k)
@@ -454,7 +358,7 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 //
 // Under a hub-label oracle it returns the batched label kernel: the ball's
 // target labels are flattened and sorted once (PrepareTargetLabels), and
-// each evaluation is a single simultaneous merge of the user's pooled
+// each evaluation is a single simultaneous merge of the user's
 // attachment label against them (roadnet.LabelDists) — no per-pair graph
 // search, no O(V) state. Otherwise it falls back to the array strategy:
 // exact cached one-to-all arrays while no incumbent exists, bound-truncated
@@ -473,20 +377,15 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // locally yields the same flattened label set, so the two paths are
 // interchangeable — the memo just skips the rebuild.
 //
-// ar, when non-nil, is the calling worker's arena: the attachment list,
-// the output buffer, and the source-label scratch come from it instead of
-// fresh allocations, so the steady state allocates nothing per anchor.
+// ar is the calling worker's arena: the attachment list, the output
+// buffer, and the source-label scratch come from it, so the steady state
+// allocates nothing per anchor.
 // The evaluator is only valid until the same worker builds its next one
 // (they share the arena's buffers), which the one-anchor-at-a-time worker
 // loop guarantees.
 func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet.TargetLabels, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) func(socialnet.UserID) float64 {
 	ds := e.DS
-	var ballAtts []roadnet.Attach
-	if ar != nil {
-		ballAtts = ar.attachBuf(len(ball))
-	} else {
-		ballAtts = make([]roadnet.Attach, len(ball))
-	}
+	ballAtts := ar.attachBuf(len(ball))
 	for i, o := range ball {
 		ballAtts[i] = ds.POIs[o].At
 	}
@@ -500,18 +399,10 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 		tl = ds.Road.PrepareTargetLabels(ballAtts)
 	}
 	if tl != nil {
-		var out []float64
-		if ar != nil {
-			out = ar.floatBuf(len(ballAtts))
-		} else {
-			out = make([]float64, len(ballAtts))
-		}
+		out := ar.floatBuf(len(ballAtts))
 		return func(u socialnet.UserID) float64 {
-			lbl, pooled := e.userLabelWith(cache, u, ar)
+			lbl := e.userLabelWith(cache, u, ar)
 			ds.Road.LabelDistsCk(lbl, ds.Users[u].At, tl, bound(), out, ck)
-			if pooled {
-				roadnet.ReleaseLabel(lbl)
-			}
 			m := 0.0
 			for _, d := range out {
 				if math.IsInf(d, 1) {
@@ -565,75 +456,6 @@ func (e *Engine) userArray(c *vertexDistCache, u socialnet.UserID, ck *roadnet.C
 	return dv
 }
 
-// prefoldArrays runs the solo one-to-all sweeps the companion loop is
-// about to issue — one per θ-matching candidate missing from the cache —
-// as a single folded batch (DijkstraMultiBatchCk: k upward frontiers, one
-// shared scan), and parks the resulting arrays in the per-query cache so
-// the loop's evaluations all hit.
-//
-// Folding must never change an answer or a budget trip point, so it only
-// fires when it provably cannot:
-//
-//   - only on the no-incumbent array path (no labels attached, keeper
-//     bound still +Inf) — exactly the path where the loop would run one
-//     full unbounded Dijkstra per user, and where a cached exact array is
-//     what the evaluator reads first anyway;
-//   - never on budgeted queries: the batch charges the checkpoint k units
-//     per swept vertex, the sum of what the solo sweeps would charge, but
-//     in a different interleaving — equal totals, different trip points.
-//     Unbudgeted checkpoints only trip on cancellation, where the query
-//     errors out and no truncated answer exists to compare;
-//   - never when the cross-query memo is on (e.shared) — the memo already
-//     shares sweeps at user granularity and owns its arrays;
-//   - batches are capped to the cache slots actually left, so every folded
-//     array is admitted and consumed — no speculative work the solo path
-//     would not also have done (the SettledWork-parity argument at P=1).
-func (e *Engine) prefoldArrays(cache *vertexDistCache, cand []socialnet.UserID, kws TopicSet, theta float64, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) {
-	ds := e.DS
-	if e.Opts.DisableSweepFold || e.shared != nil || ck.Budgeted() || ds.Road.HasLabels() {
-		return
-	}
-	if keeper == nil || !math.IsInf(keeper.Bound(), 1) {
-		return
-	}
-	var miss []socialnet.UserID
-	if ar != nil {
-		miss = ar.prefoldBuf()
-		defer func() { ar.keepPrefold(miss) }()
-	}
-	for _, u := range cand {
-		if MatchScoreSet(ds.Users[u].Interests, kws) < theta {
-			continue
-		}
-		if _, ok := cache.getArray(u); ok {
-			continue
-		}
-		miss = append(miss, u)
-	}
-	if room := cache.arrayCapacityLeft(int64(8 * ds.Road.NumVertices())); len(miss) > room {
-		miss = miss[:room]
-	}
-	if len(miss) < 2 {
-		return // nothing to fold; a solo sweep is already optimal
-	}
-	seeds := make([][]roadnet.Seed, len(miss))
-	for i, u := range miss {
-		at := ds.Users[u].At
-		edge := ds.Road.EdgeAt(at.Edge)
-		seeds[i] = []roadnet.Seed{
-			{Vertex: edge.U, Dist: at.T * edge.Weight},
-			{Vertex: edge.V, Dist: (1 - at.T) * edge.Weight},
-		}
-	}
-	dvs := ds.Road.DijkstraMultiBatchCk(seeds, ck)
-	if ck.Stopped() {
-		return // all-+Inf arrays must not be cached (userVertexDist rule)
-	}
-	for i, u := range miss {
-		cache.putArray(u, dvs[i])
-	}
-}
-
 // refine is Algorithm 2 lines 29-31: exact filtering of the candidate sets
 // and enumeration of the user-POI group pairs (S, R'(o_i)) to produce the
 // actual GP-SSN answers. R is materialized as the road-network ball of
@@ -684,7 +506,9 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	if distCache == nil {
 		distCache = newVertexDistCache()
 	}
-	duqs := e.anchorDists(distCache, uq, tr.candAnchors, q.ck)
+	ar := e.acquireArena()
+	duqs := e.anchorDists(distCache, uq, tr.candAnchors, q.ck, ar)
+	e.releaseArena(ar)
 	type anchorCand struct {
 		id  model.POIID
 		duq float64
@@ -749,11 +573,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 
 		// Eligible companions for this anchor: θ-match the ball and have a
 		// useful group cost.
-		var comps []anchorComp
-		if ar != nil {
-			comps = ar.compsBuf()
-			defer func() { ar.keepComps(comps) }()
-		}
+		comps := ar.compsBuf()
+		defer func() { ar.keepComps(comps) }()
 		anchorRD := e.poiRDOf(ac.id)
 		// Cheap feasibility count first: without tau-1 theta-matching
 		// candidates the anchor is dead, no distance work needed.
@@ -766,10 +587,6 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		if matching < p.Tau-1 {
 			return
 		}
-		// Fold the one-to-all sweeps the loop below is about to run solo
-		// into one batched downward pass (no-op except on the unbudgeted
-		// no-incumbent array path; see prefoldArrays for the parity rules).
-		e.prefoldArrays(distCache, cand, kws, p.Theta, keeper, q.ck, ar)
 		for _, u := range cand {
 			if MatchScoreSet(ds.Users[u].Interests, kws) < p.Theta {
 				continue
@@ -792,12 +609,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			return
 		}
 		sort.Slice(comps, func(i, j int) bool { return comps[i].m < comps[j].m })
-		var users []socialnet.UserID
-		if ar != nil {
-			users = ar.userBuf(len(comps))
-		} else {
-			users = make([]socialnet.UserID, len(comps))
-		}
+		users := ar.userBuf(len(comps))
 		mv := map[socialnet.UserID]float64{uq: mUq}
 		for i, c := range comps {
 			users[i] = c.u
@@ -1066,13 +878,13 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 }
 
 // anchorDists computes exact dist_RN(u_q, anchor) for every candidate
-// anchor. Under a label oracle this is one batched merge of u_q's pooled
+// anchor. Under a label oracle this is one batched merge of u_q's
 // attachment label against the anchors' prepared target labels — no O(V)
 // array is ever materialized; otherwise it reads a cached one-to-all array.
 // Both paths apply the same-edge direct route, so the value is the true
 // network distance and hence a sound lower bound on any group cost the
 // anchor can produce (the anchor is in its own ball).
-func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint) []float64 {
+func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint, ar *refineArena) []float64 {
 	ds := e.DS
 	atts := make([]roadnet.Attach, len(anchors))
 	for i, a := range anchors {
@@ -1080,11 +892,8 @@ func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchor
 	}
 	out := make([]float64, len(anchors))
 	if tl := ds.Road.PrepareTargetLabels(atts); tl != nil {
-		lbl, pooled := e.userLabelWith(cache, uq, nil)
+		lbl := e.userLabelWith(cache, uq, ar)
 		ds.Road.LabelDistsCk(lbl, ds.Users[uq].At, tl, math.Inf(1), out, ck)
-		if pooled {
-			roadnet.ReleaseLabel(lbl)
-		}
 		return out
 	}
 	uqDist, ok := cache.getArray(uq)

@@ -346,121 +346,7 @@ func (o *Oracle) oneToAll(sources []roadnet.Seed, ck *roadnet.Checkpoint) []floa
 	return res
 }
 
-// OneToAllBatchCk implements roadnet.BatchOracle: k one-to-all scans
-// folded into one PHAST pass. Each seed set runs its own upward search
-// (identical, step for step, to the solo oneToAll upward phase), then a
-// single downward sweep walks the rank-descending vertex order once and
-// relaxes all k result arrays per vertex visit — the down-adjacency of v
-// is read once for the whole batch instead of k times. Per array the
-// relaxation order equals the solo sweep's exactly, so every returned
-// array is bit-identical to the corresponding OneToAllCk call; only the
-// memory traffic changes. Work is charged to ck at solo rates (k per
-// swept vertex), keeping budget accounting independent of folding. Once
-// ck trips, all arrays are unspecified and the caller must discard them
-// (ck.Stopped()), exactly like the solo contract.
-func (o *Oracle) OneToAllBatchCk(sources [][]roadnet.Seed, ck *roadnet.Checkpoint) [][]float64 {
-	inf := math.Inf(1)
-	res := make([][]float64, len(sources))
-	for i := range res {
-		r := make([]float64, o.n)
-		for j := range r {
-			r[j] = inf
-		}
-		res[i] = r
-	}
-	if o.n == 0 || len(sources) == 0 {
-		return res
-	}
-	sc := o.getScratch()
-	for si, seeds := range sources {
-		if len(seeds) == 0 {
-			continue // solo contract: no seeds ⇒ all-+Inf, no search
-		}
-		if ck.Stopped() {
-			o.putScratch(sc)
-			return res
-		}
-		r := res[si]
-		h := &sc.heap
-		h.reset()
-		for _, s := range seeds {
-			v := int32(s.Vertex)
-			if s.Dist < r[v] {
-				r[v] = s.Dist
-				h.push(v, s.Dist)
-			}
-		}
-		sinceCheck := 0
-		for h.len() > 0 {
-			v, d := h.pop()
-			if d > r[v] {
-				continue
-			}
-			if ck != nil {
-				if sinceCheck++; sinceCheck >= ckStride {
-					if ck.Spend(sinceCheck) {
-						o.putScratch(sc)
-						return res
-					}
-					sinceCheck = 0
-				}
-			}
-			stalled := false
-			for i := o.up.off[v]; i < o.up.off[v+1]; i++ {
-				if r[o.up.to[i]]+o.up.w[i] < d {
-					stalled = true
-					break
-				}
-			}
-			if stalled {
-				continue
-			}
-			for i := o.up.off[v]; i < o.up.off[v+1]; i++ {
-				w := o.up.to[i]
-				if nd := d + o.up.w[i]; nd < r[w] {
-					r[w] = nd
-					h.push(w, nd)
-				}
-			}
-		}
-		ck.Spend(sinceCheck)
-	}
-	o.putScratch(sc)
-	if ck.Stopped() {
-		return res
-	}
-
-	k := len(sources)
-	sinceCheck := 0
-	for _, v := range o.byRankDesc {
-		if ck != nil {
-			if sinceCheck += k; sinceCheck >= ckStride {
-				if ck.Spend(sinceCheck) {
-					return res
-				}
-				sinceCheck = 0
-			}
-		}
-		lo, hi := o.down.off[v], o.down.off[v+1]
-		for _, r := range res {
-			d := r[v]
-			if math.IsInf(d, 1) {
-				continue
-			}
-			for i := lo; i < hi; i++ {
-				w := o.down.to[i]
-				if nd := d + o.down.w[i]; nd < r[w] {
-					r[w] = nd
-				}
-			}
-		}
-	}
-	ck.Spend(sinceCheck)
-	return res
-}
-
 var (
 	_ roadnet.DistanceOracle = (*Oracle)(nil)
 	_ roadnet.CheckedOracle  = (*Oracle)(nil)
-	_ roadnet.BatchOracle    = (*Oracle)(nil)
 )

@@ -114,15 +114,6 @@ func (c *Checkpoint) Stopped() bool {
 	return c != nil && c.state.Load() != ckRunning
 }
 
-// Budgeted reports whether the checkpoint enforces a work budget. Folded
-// batch searches consult it: a budgeted query runs its sweeps solo so the
-// budget trips at exactly the same point in the work sequence it would
-// have without folding, keeping truncated answers independent of the
-// folding decision.
-func (c *Checkpoint) Budgeted() bool {
-	return c != nil && c.limited
-}
-
 // Exhausted reports whether the trip was caused by the work budget.
 func (c *Checkpoint) Exhausted() bool {
 	return c != nil && c.state.Load() == ckBudget

@@ -153,41 +153,6 @@ func (g *Graph) DijkstraMultiCk(seeds []Seed, ck *Checkpoint) []float64 {
 	return dist
 }
 
-// DijkstraMultiBatchCk answers several DijkstraMulti shapes at once. When
-// the attached oracle supports batch folding (BatchOracle) and the batch
-// is non-trivial, the whole request runs as one folded sweep — k upward
-// searches sharing a single downward pass — otherwise it degrades to one
-// DijkstraMultiCk per seed set. Either way every returned array is
-// bit-identical to the solo call for the same seed set, and an aborted
-// batch reports all-+Inf in every array (the all-or-nothing contract of
-// DijkstraMultiCk, applied batch-wide).
-func (g *Graph) DijkstraMultiBatchCk(seedSets [][]Seed, ck *Checkpoint) [][]float64 {
-	if bo, ok := g.oracle.(BatchOracle); ok && len(seedSets) > 1 {
-		for _, seeds := range seedSets {
-			for _, s := range seeds {
-				g.checkVertex(s.Vertex)
-				if s.Dist < 0 {
-					panic(fmt.Sprintf("roadnet: negative seed distance %v", s.Dist))
-				}
-			}
-		}
-		res := bo.OneToAllBatchCk(seedSets, ck)
-		if ck.Stopped() {
-			for _, r := range res {
-				for i := range r {
-					r[i] = math.Inf(1)
-				}
-			}
-		}
-		return res
-	}
-	out := make([][]float64, len(seedSets))
-	for i, seeds := range seedSets {
-		out[i] = g.DijkstraMultiCk(seeds, ck)
-	}
-	return out
-}
-
 // boundedSearch runs a multi-seed Dijkstra into sc.dist, stopping once every
 // target vertex is settled or the heap top exceeds bound. Distances for
 // settled vertices are exact; others are +Inf (labels beyond the bound are

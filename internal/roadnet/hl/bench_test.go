@@ -13,7 +13,7 @@ import (
 // sparse sprinkle of extra edges — hierarchy-based oracles degrade on
 // dense random graphs, which no road network is) for the package
 // microbenchmarks (run with `go test -bench . ./internal/roadnet/hl`; the
-// committed BENCH_hublabel.json holds the paper-scale numbers).
+// benchmark's roadnet.hl.* metrics are the committed numbers).
 func benchGraph(b *testing.B, n int) (*roadnet.Graph, *ch.Oracle) {
 	b.Helper()
 	rng := rand.New(rand.NewSource(1))

@@ -418,12 +418,6 @@ func (o *Oracle) OneToAllCk(sources []roadnet.Seed, ck *roadnet.Checkpoint) []fl
 	return o.cho.OneToAllCk(sources, ck)
 }
 
-// OneToAllBatchCk implements roadnet.BatchOracle by delegating to the CH's
-// folded PHAST sweep.
-func (o *Oracle) OneToAllBatchCk(sources [][]roadnet.Seed, ck *roadnet.Checkpoint) [][]float64 {
-	return o.cho.OneToAllBatchCk(sources, ck)
-}
-
 var (
 	_ roadnet.LabelOracle   = (*Oracle)(nil)
 	_ roadnet.CheckedOracle = (*Oracle)(nil)

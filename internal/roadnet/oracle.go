@@ -41,20 +41,6 @@ type CheckedOracle interface {
 	OneToAllCk(sources []Seed, ck *Checkpoint) []float64
 }
 
-// BatchOracle is the optional extension a DistanceOracle implements to
-// fold several one-to-all scans into one sweep. The CH oracle implements
-// it with a shared PHAST pass: each seed set still pays its own upward
-// search, but the linear downward sweep over the vertex array — the
-// dominant cost at scale — runs once for the whole batch, relaxing every
-// result array per vertex visit. Each returned array is bit-identical to
-// the corresponding solo OneToAllCk call (per array, relaxations happen in
-// exactly the solo order), so callers may mix folded and solo scans
-// freely. The abort contract matches OneToAllCk: once ck trips, every
-// array is unspecified and must be discarded wholesale.
-type BatchOracle interface {
-	OneToAllBatchCk(sources [][]Seed, ck *Checkpoint) [][]float64
-}
-
 // SetDistanceOracle attaches (or, with nil, detaches) a distance oracle.
 // The oracle must answer for this graph's current topology; it is detached
 // automatically if the graph mutates afterwards. Attach before building

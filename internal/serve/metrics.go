@@ -35,7 +35,7 @@ type metrics struct {
 }
 
 // metricsSnapshot is the JSON shape of GET /statsz (assembled by
-// Server.snapshot, which also feeds the loadgen's server_statsz capture).
+// Server.snapshot).
 type metricsSnapshot struct {
 	UptimeMs      int64 `json:"uptime_ms"`
 	Requests      int64 `json:"requests_total"`
@@ -127,8 +127,7 @@ type walJSON struct {
 }
 
 // sharedWorkJSON mirrors gpssn.SharedWorkStats for /statsz. HitRate is
-// the combined ball+sweep memo hit rate — the headline number the
-// bench-serve before/after comparison gates on.
+// the combined ball+sweep memo hit rate.
 type sharedWorkJSON struct {
 	RoadVersion   uint64  `json:"road_version"`
 	BallHits      int64   `json:"ball_hits_total"`

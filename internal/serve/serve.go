@@ -222,8 +222,7 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 
 // snapshot assembles the full /statsz payload: the server's own atomic
 // counters, the live coalescing depth, the gather-window tallies, and the
-// engine's shared-work memo counters. The loadgen captures the same
-// struct into BENCH_serve.json, so the two always agree field for field.
+// engine's shared-work memo counters.
 func (s *Server) snapshot() metricsSnapshot {
 	m := &s.met
 	flKeys, flWaiters, flMax := s.fl.snapshot()
