@@ -1,13 +1,17 @@
 # Verification gate for gpssn. `make check` is the single entry CI runs:
-# vet, lint, build, the tier-1 tests, a race-detector pass (short mode so
-# the heavy bench package stays fast; see docs/CONCURRENCY.md §5), then the
-# benchmark harness built and smoke-run against this tree.
+# gofmt, vet, lint, build, the tier-1 tests, a race-detector pass (short
+# mode so the heavy bench package stays fast; see docs/CONCURRENCY.md §5),
+# then the benchmark harness built and smoke-run against this tree.
 
 GO ?= go
 
-.PHONY: check vet lint build test race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
+.PHONY: check fmt vet lint build test race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
 
-check: vet lint build test race bench-check
+check: fmt vet lint build test race bench-check
+
+# Unformatted files fail the build; the offenders are listed.
+fmt:
+	@out="$$(gofmt -l .)"; test -z "$$out" || { echo "fmt: gofmt -l . lists:"; echo "$$out"; exit 1; }
 
 vet:
 	$(GO) vet ./...

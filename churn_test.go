@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -86,6 +87,27 @@ func compareVsFreshTwin(t *testing.T, db *DB, label string) {
 				t.Fatalf("%s user=%d: cost %v != Baseline %v",
 					label, user, liveAns.MaxDistance, want.MaxDist)
 			}
+			// Top-k rank by rank on cost: which of several equal-cost
+			// anchors fills a rank is ROADMAP item 1's open question.
+			liveTop, _, err := db.QueryTopK(user, q, 3)
+			if err != nil {
+				t.Fatalf("%s user=%d: QueryTopK: %v", label, user, err)
+			}
+			twinTop, _, err := twin.QueryTopK(user, q, 3)
+			if err != nil {
+				t.Fatalf("%s user=%d: twin QueryTopK: %v", label, user, err)
+			}
+			wantTop, _ := oracle.QueryTopK(socialnet.UserID(user), p, 3)
+			if len(liveTop) != len(twinTop) || len(liveTop) != len(wantTop) {
+				t.Fatalf("%s user=%d q=%+v: top-k sizes live=%d twin=%d Baseline=%d",
+					label, user, q, len(liveTop), len(twinTop), len(wantTop))
+			}
+			for i := range liveTop {
+				if c := liveTop[i].MaxDistance; !sameCost(c, twinTop[i].MaxDistance) || !sameCost(c, wantTop[i].MaxDist) {
+					t.Fatalf("%s user=%d q=%+v: top-k rank %d cost live=%v twin=%v Baseline=%v",
+						label, user, q, i, c, twinTop[i].MaxDistance, wantTop[i].MaxDist)
+				}
+			}
 		}
 	}
 }
@@ -154,6 +176,27 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 		t.Fatal(err)
 	}
 
+	// The POI label table's lifecycle rides the same script: built at Open
+	// under hl, one row per AddPOI, released by the first road mutation,
+	// rebuilt by Compact and by OpenSnapshot; never held under ch/dijkstra.
+	labels := kind == "hl"
+	checkPOILabelTable(t, db, labels, kind+"/open")
+	// Three POIs at the home of the user farthest from every existing POI:
+	// their ball holds nothing else, and one of them must win as anchor.
+	issuer, x, y := remotestUser(db.Network())
+	firstNew := db.Network().NumPOIs()
+	for i := 0; i < 3; i++ {
+		if _, err := db.AddPOI(x+0.01*float64(i), y, 0, 1, 2, 3, 4, 5); err != nil {
+			t.Fatalf("AddPOI: %v", err)
+		}
+	}
+	checkPOILabelTable(t, db, labels, kind+"/poi-delta")
+	near := Query{GroupSize: 2, Gamma: 0.2, Theta: 0.3, Radius: 0.5}
+	if ans, _, err := db.Query(issuer, near); err != nil || ans.Anchor < firstNew {
+		t.Fatalf("a POI appended at user %d's home should anchor their answer, got %+v (%v)", issuer, ans, err)
+	}
+	compareVsFreshTwin(t, db, kind+"/poi-delta")
+
 	churnScript(t, db, 3)
 	if kind != "dijkstra" {
 		ov := db.RoadOverlayStats()
@@ -161,6 +204,7 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 			t.Fatalf("overlay should be active after road churn: %+v", ov)
 		}
 	}
+	checkPOILabelTable(t, db, false, kind+"/pre-compact")
 	compareVsFreshTwin(t, db, kind+"/pre-compact")
 
 	// During: queries race the background re-contraction. Answers
@@ -179,12 +223,66 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 	if ov := db.RoadOverlayStats(); ov.Active {
 		t.Fatalf("Compact should drain the overlay: %+v", ov)
 	}
+	checkPOILabelTable(t, db, labels, kind+"/post-compact")
 	compareVsFreshTwin(t, db, kind+"/post-compact")
+
+	path := filepath.Join(t.TempDir(), "churn.gpssn")
+	if err := db.Snapshot(path); err != nil {
+		t.Fatalf("Snapshot: %v", err)
+	}
+	re, err := OpenSnapshot(path, cfg)
+	if err != nil {
+		t.Fatalf("OpenSnapshot: %v", err)
+	}
+	checkPOILabelTable(t, re, labels, kind+"/reopened")
+	compareVsFreshTwin(t, re, kind+"/reopened")
 
 	// Churn again on the compacted world: the overlay must re-arm
 	// over the freshly contracted base and stay exact.
 	churnScript(t, db, 2)
+	checkPOILabelTable(t, db, false, kind+"/post-compact-churn")
 	compareVsFreshTwin(t, db, kind+"/post-compact-churn")
+}
+
+// remotestUser returns the user whose home is farthest (Euclidean) from
+// every POI, with that home's coordinates.
+func remotestUser(n *Network) (user int, x, y float64) {
+	best := -1.0
+	for u := 0; u < n.NumUsers(); u++ {
+		ux, uy := n.UserLocation(u)
+		nearest := math.Inf(1)
+		for p := 0; p < n.NumPOIs(); p++ {
+			px, py := n.POILocation(p)
+			nearest = math.Min(nearest, math.Hypot(ux-px, uy-py))
+		}
+		if nearest > best {
+			best, user, x, y = nearest, u, ux, uy
+		}
+	}
+	return user, x, y
+}
+
+// checkPOILabelTable asserts whether db's engine holds the POI label table
+// right now and, when it does, that it has one well-formed row per POI and
+// that MemoryStats accounts for it.
+func checkPOILabelTable(t *testing.T, db *DB, held bool, label string) {
+	t.Helper()
+	tab, bytes := db.Engine().POILabels(), db.MemoryStats().POILabelBytes
+	if !held {
+		if tab != nil || bytes != 0 {
+			t.Fatalf("%s: POI label table held (%d bytes), want none", label, bytes)
+		}
+		return
+	}
+	if tab == nil || bytes <= 0 {
+		t.Fatalf("%s: no POI label table (%d bytes)", label, bytes)
+	}
+	if n := db.Network().NumPOIs(); tab.NumRows() != n {
+		t.Fatalf("%s: POI label table has %d rows for %d POIs", label, tab.NumRows(), n)
+	}
+	if err := tab.CheckInvariants(); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
 }
 
 // TestAddFriendshipInvalidInput pins the facade panic-guard regression:

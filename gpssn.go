@@ -432,14 +432,16 @@ func (db *DB) SharedWorkStats() SharedWorkStats {
 // MemoryStats reports where a DB's memory lives: the preprocessed oracle
 // structures (the dominant resident cost at scale — the capacity table in
 // the README is derived from OracleBytes), the refinement arenas, the
-// shared-work sweep memo, and the Go heap as the runtime sees it. Safe to
+// shared-work sweep memo, the POI label table, and the Go heap as the
+// runtime sees it. Safe to
 // call concurrently with queries; gpssn-serve surfaces it under /statsz.
 type MemoryStats struct {
-	// OracleBytes, ArenaBytes and MemoBytes are the engine's own
-	// accounting — see core.MemoryStats for exactly what each covers.
-	OracleBytes int64
-	ArenaBytes  int64
-	MemoBytes   int64
+	// OracleBytes, ArenaBytes, MemoBytes and POILabelBytes are the engine's
+	// own accounting — see core.MemoryStats for exactly what each covers.
+	OracleBytes   int64
+	ArenaBytes    int64
+	MemoBytes     int64
+	POILabelBytes int64
 	// HeapAlloc and HeapSys are runtime.MemStats.HeapAlloc/HeapSys:
 	// live heap bytes and heap address space obtained from the OS.
 	HeapAlloc uint64
@@ -456,12 +458,13 @@ func (db *DB) MemoryStats() MemoryStats {
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return MemoryStats{
-		OracleBytes: es.OracleBytes,
-		ArenaBytes:  es.ArenaBytes,
-		MemoBytes:   es.MemoBytes,
-		HeapAlloc:   m.HeapAlloc,
-		HeapSys:     m.HeapSys,
-		NumGC:       m.NumGC,
+		OracleBytes:   es.OracleBytes,
+		ArenaBytes:    es.ArenaBytes,
+		MemoBytes:     es.MemoBytes,
+		POILabelBytes: es.POILabelBytes,
+		HeapAlloc:     m.HeapAlloc,
+		HeapSys:       m.HeapSys,
+		NumGC:         m.NumGC,
 	}
 }
 

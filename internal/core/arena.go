@@ -14,7 +14,8 @@ import (
 // that worker processes, so after the first few anchors the steady state
 // allocates nothing per anchor and nothing per user evaluation:
 //
-//   - atts/out back makeMOf's ball attachment list and distance output,
+//   - atts/out back the attachment lists and distance outputs of makeMOf
+//     and anchorDists, rows the label-table row lists (poiRows),
 //   - lbl is the source attachment-label scratch the label kernel merges
 //     from,
 //   - kws is the ball keyword set,
@@ -26,6 +27,7 @@ import (
 type refineArena struct {
 	atts  []roadnet.Attach
 	out   []float64
+	rows  []int32
 	lbl   roadnet.HubLabel
 	kws   TopicSet
 	comps []anchorComp
@@ -66,6 +68,15 @@ func (a *refineArena) floatBuf(n int) []float64 {
 		a.out = make([]float64, n)
 	}
 	return a.out[:n]
+}
+
+// rowBuf returns a length-n row-index buffer under the same contract.
+func (a *refineArena) rowBuf(n int) []int32 {
+	if cap(a.rows) < n {
+		a.account(int64(n-cap(a.rows)) * 4)
+		a.rows = make([]int32, n)
+	}
+	return a.rows[:n]
 }
 
 // label returns the reusable attachment-label scratch, emptied. The label
@@ -192,12 +203,15 @@ type MemoryStats struct {
 	// the memo is disabled). The ball memo is entry-capped, not
 	// byte-metered, so it is not included here.
 	MemoBytes int64
+	// POILabelBytes is the resident size of the POI label table (0 without
+	// a label oracle, and after a road mutation released the table).
+	POILabelBytes int64
 }
 
 // MemoryStats snapshots the engine's memory accounting. Safe for
 // concurrent use with queries.
 func (e *Engine) MemoryStats() MemoryStats {
-	ms := MemoryStats{ArenaBytes: e.ArenaBytes()}
+	ms := MemoryStats{ArenaBytes: e.ArenaBytes(), POILabelBytes: e.POILabels().MemoryBytes()}
 	if o, ok := e.DS.Road.Oracle().(interface{ MemoryBytes() int64 }); ok {
 		ms.OracleBytes = o.MemoryBytes()
 	}

@@ -63,6 +63,14 @@ func (e *Engine) AddPOI(p model.POI) error {
 		}
 	}
 	e.DS.POIs = append(e.DS.POIs, p)
+	// The new POI's id is its row. A table that no longer matches (another
+	// engine over the same dataset moved the oracle or the POI count) can
+	// never catch up, so it is dropped and readers build rows on demand.
+	if e.poiLabels.ValidFor(e.DS.Road, len(e.DS.POIs)-1) {
+		e.poiLabels.Append(e.DS.Road, p.At)
+	} else {
+		e.poiLabels = nil
+	}
 	// Selective shared-work invalidation: only balls the new POI could
 	// have joined. AddUser/AddFriendship leave the memo alone (balls are
 	// POI-only; sweep state is per-user and immutable) — the
@@ -124,7 +132,8 @@ func (e *Engine) AddFriendship(a, b socialnet.UserID) (bool, error) {
 
 // AddRoadVertex appends an isolated road intersection. It cannot change
 // any distance (no incident edges yet), so no pruning state, memo entry,
-// or cached answer is invalidated — the cheapest possible update.
+// or cached answer is invalidated. The POI label table is released: the
+// graph now answers through the delta-overlay, which exposes no labels.
 func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -133,6 +142,7 @@ func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 	}
 	v := e.DS.Road.AddVertex(p)
 	e.dyn.roadVerts++
+	e.poiLabels = nil
 	return v, nil
 }
 
@@ -161,6 +171,7 @@ func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	id := e.DS.Road.AddEdge(u, v)
 	e.dyn.roadEdges++
 	e.shared.noteRoadChange()
+	e.poiLabels = nil // the overlay exposes no labels; see AddRoadVertex
 	return id, nil
 }
 

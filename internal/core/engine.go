@@ -95,6 +95,14 @@ type Engine struct {
 
 	// arenas recycles the per-worker refinement scratch (see arena.go).
 	arenas arenaPool
+
+	// poiLabels is the forward table of POI attachment hub labels: row i is
+	// POI i's label. Built here when the attached oracle exposes labels,
+	// appended to by AddPOI and dropped by the road mutations (the overlay
+	// they install exposes none), all under mu's write side; queries read it
+	// under the read side through poiRows, which checks it still answers
+	// for the attached oracle and the current POI count.
+	poiLabels *roadnet.LabelTable
 }
 
 // NewEngine wires a dataset with its two indexes.
@@ -107,7 +115,49 @@ func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialInd
 		e.shared = newSharedWork()
 	}
 	e.initDynamic()
+	if ds.Road.HasLabels() {
+		atts := make([]roadnet.Attach, len(ds.POIs))
+		for i := range ds.POIs {
+			atts[i] = ds.POIs[i].At
+		}
+		e.poiLabels = ds.Road.NewLabelTable(atts)
+	}
 	return e
+}
+
+// poiRows resolves POI ids to rows of a label table for the two label
+// kernels: the engine's own table when it is valid, otherwise the same rows
+// built on the spot for just these POIs — an engine wired before its oracle
+// was attached, or one sharing its dataset with an engine that has since
+// appended a POI. A nil table means no label oracle is attached; callers
+// then use the array strategy. rows is arena scratch.
+func (e *Engine) poiRows(ids []model.POIID, ar *refineArena) (*roadnet.LabelTable, []int32) {
+	ds := e.DS
+	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
+		rows := ar.rowBuf(len(ids))
+		for i, id := range ids {
+			rows[i] = int32(id)
+		}
+		return t, rows
+	}
+	if !ds.Road.HasLabels() {
+		return nil, nil
+	}
+	rows, atts := ar.rowBuf(len(ids)), ar.attachBuf(len(ids))
+	for i, id := range ids {
+		atts[i] = ds.POIs[id].At
+		rows[i] = int32(i)
+	}
+	return ds.Road.NewLabelTable(atts), rows
+}
+
+// POILabels returns the engine's POI label table, nil when none is held
+// (no label oracle, or released by a road mutation). For telemetry and
+// tests; the table must not be read concurrently with updates.
+func (e *Engine) POILabels() *roadnet.LabelTable {
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	return e.poiLabels
 }
 
 // Result is a GP-SSN answer: the user group S (always containing the query

@@ -44,7 +44,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 			return
 		}
 		tried[anchor] = true
-		ball, tl := e.anchorBall(anchor, p.R, q.ck)
+		ball, tl := e.anchorBall(anchor, p.R, q.ck, ar)
 		if q.ck.Stopped() {
 			return // degenerate ball (see refine's processAnchor)
 		}
@@ -356,11 +356,11 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // makeMOf builds the M(u) evaluator for one anchor ball:
 // M(u) = max over ball POIs o of dist_RN(u, o).
 //
-// Under a hub-label oracle it returns the batched label kernel: the ball's
-// target labels are flattened and sorted once (PrepareTargetLabels), and
-// each evaluation is a single simultaneous merge of the user's
-// attachment label against them (roadnet.LabelDists) — no per-pair graph
-// search, no O(V) state. Otherwise it falls back to the array strategy:
+// Under a hub-label oracle it returns the batched label kernel: the ball
+// members' label rows are flattened once (prepareBallLabels), and each
+// evaluation is a single simultaneous merge of the user's attachment label
+// against them (roadnet.LabelDists) — no per-pair graph search, no O(V)
+// state. Otherwise it falls back to the array strategy:
 // exact cached one-to-all arrays while no incumbent exists, bound-truncated
 // searches afterwards.
 //
@@ -375,20 +375,16 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // tl, when non-nil, is the ball's prepared target-label set from the
 // shared-work memo (anchorBall); nil means prepare one here. Preparing
 // locally yields the same flattened label set, so the two paths are
-// interchangeable — the memo just skips the rebuild.
+// interchangeable — the memo just skips the flatten.
 //
 // ar is the calling worker's arena: the attachment list, the output
 // buffer, and the source-label scratch come from it, so the steady state
-// allocates nothing per anchor.
+// allocates nothing per evaluation.
 // The evaluator is only valid until the same worker builds its next one
 // (they share the arena's buffers), which the one-anchor-at-a-time worker
 // loop guarantees.
 func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet.TargetLabels, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) func(socialnet.UserID) float64 {
 	ds := e.DS
-	ballAtts := ar.attachBuf(len(ball))
-	for i, o := range ball {
-		ballAtts[i] = ds.POIs[o].At
-	}
 	bound := func() float64 {
 		if keeper == nil {
 			return math.Inf(1)
@@ -396,10 +392,10 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 		return keeper.Bound()
 	}
 	if tl == nil {
-		tl = ds.Road.PrepareTargetLabels(ballAtts)
+		tl = e.prepareBallLabels(ball, ar)
 	}
 	if tl != nil {
-		out := ar.floatBuf(len(ballAtts))
+		out := ar.floatBuf(len(ball))
 		return func(u socialnet.UserID) float64 {
 			lbl := e.userLabelWith(cache, u, ar)
 			ds.Road.LabelDistsCk(lbl, ds.Users[u].At, tl, bound(), out, ck)
@@ -414,6 +410,10 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 			}
 			return m
 		}
+	}
+	ballAtts := ar.attachBuf(len(ball))
+	for i, o := range ball {
+		ballAtts[i] = ds.POIs[o].At
 	}
 	return func(u socialnet.UserID) float64 {
 		if b := bound(); !math.IsInf(b, 1) {
@@ -498,17 +498,17 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	st.CandUsers = len(cand)
 	st.CandAnchors = len(tr.candAnchors)
 
-	// Exact distances from u_q to every candidate anchor (one batched label
-	// merge under a label oracle, one cached one-to-all otherwise); anchors
-	// are then processed in ascending exact distance so the search can stop
-	// as soon as the next anchor's lower bound meets the incumbent.
+	// Exact distances from u_q to every candidate anchor (one merge per
+	// anchor label row under a label oracle, one cached one-to-all
+	// otherwise); anchors are then processed in ascending exact distance so
+	// the search can stop as soon as the next anchor's lower bound meets the
+	// incumbent.
 	distCache := probe.cache
 	if distCache == nil {
 		distCache = newVertexDistCache()
 	}
 	ar := e.acquireArena()
 	duqs := e.anchorDists(distCache, uq, tr.candAnchors, q.ck, ar)
-	e.releaseArena(ar)
 	type anchorCand struct {
 		id  model.POIID
 		duq float64
@@ -517,6 +517,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	for i, a := range tr.candAnchors {
 		anchors = append(anchors, anchorCand{id: a, duq: duqs[i]})
 	}
+	e.releaseArena(ar) // duqs is arena memory: released only once copied out
 	sort.Slice(anchors, func(i, j int) bool {
 		if anchors[i].duq != anchors[j].duq {
 			return anchors[i].duq < anchors[j].duq
@@ -531,7 +532,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	var pairs atomic.Int64
 
 	processAnchor := func(ac anchorCand, ar *refineArena) {
-		ball, tl := e.anchorBall(ac.id, p.R, q.ck)
+		ball, tl := e.anchorBall(ac.id, p.R, q.ck, ar)
 		// A trip during ball construction leaves a degenerate ball; cached
 		// exact arrays could still price it finitely, so bail before any
 		// result can be built on the wrong R set.
@@ -878,23 +879,20 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 }
 
 // anchorDists computes exact dist_RN(u_q, anchor) for every candidate
-// anchor. Under a label oracle this is one batched merge of u_q's
-// attachment label against the anchors' prepared target labels — no O(V)
-// array is ever materialized; otherwise it reads a cached one-to-all array.
-// Both paths apply the same-edge direct route, so the value is the true
-// network distance and hence a sound lower bound on any group cost the
-// anchor can produce (the anchor is in its own ball).
+// anchor. Under a label oracle this is one two-pointer merge of u_q's
+// attachment label against each anchor's row of the POI label table — no
+// per-query preparation, no O(V) array; otherwise it reads a cached
+// one-to-all array. Both paths apply the same-edge direct route, so the
+// value is the true network distance and hence a sound lower bound on any
+// group cost the anchor can produce (the anchor is in its own ball). The
+// result is arena memory, valid until ar's next float buffer request.
 func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint, ar *refineArena) []float64 {
 	ds := e.DS
-	atts := make([]roadnet.Attach, len(anchors))
-	for i, a := range anchors {
-		atts[i] = ds.POIs[a].At
-	}
-	out := make([]float64, len(anchors))
-	if tl := ds.Road.PrepareTargetLabels(atts); tl != nil {
+	uqAt := ds.Users[uq].At
+	out := ar.floatBuf(len(anchors))
+	if t, rows := e.poiRows(anchors, ar); t != nil {
 		lbl := e.userLabelWith(cache, uq, ar)
-		ds.Road.LabelDistsCk(lbl, ds.Users[uq].At, tl, math.Inf(1), out, ck)
-		return out
+		return ds.Road.RowDistsCk(lbl, uqAt, t, rows, math.Inf(1), out, ck)
 	}
 	uqDist, ok := cache.getArray(uq)
 	if !ok {
@@ -906,8 +904,8 @@ func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchor
 			return out
 		}
 	}
-	uqAt := ds.Users[uq].At
-	for i, at := range atts {
+	for i, a := range anchors {
+		at := ds.POIs[a].At
 		d := e.attachDistVia(at, uqDist)
 		if uqAt.Edge == at.Edge {
 			edge := ds.Road.EdgeAt(at.Edge)

@@ -171,7 +171,7 @@ func (e *Engine) SharedWorkStats() SharedWorkStats {
 // same way when every checked distance comes back +Inf), and a memo hit
 // charges the entry's metered build cost, tripping the budget at the same
 // logical work a solo build would have consumed.
-func (e *Engine) anchorBall(anchor model.POIID, radius float64, ck *roadnet.Checkpoint) ([]model.POIID, *roadnet.TargetLabels) {
+func (e *Engine) anchorBall(anchor model.POIID, radius float64, ck *roadnet.Checkpoint, ar *refineArena) ([]model.POIID, *roadnet.TargetLabels) {
 	sw := e.shared
 	if sw == nil {
 		return e.ballAround(anchor, radius, ck), nil
@@ -223,7 +223,7 @@ func (e *Engine) anchorBall(anchor model.POIID, radius float64, ck *roadnet.Chec
 	mck := roadnet.NewCheckpoint(nil, nil, 0) // metering only: never trips
 	ball := e.ballAround(anchor, radius, mck)
 	ent.ball = ball
-	ent.tl = e.prepareBallLabels(ball)
+	ent.tl = e.prepareBallLabels(ball, ar)
 	ent.work = mck.Spent()
 	ent.ok = true
 	completed = true
@@ -235,14 +235,15 @@ func (e *Engine) anchorBall(anchor model.POIID, radius float64, ck *roadnet.Chec
 	return append([]model.POIID(nil), ball...), ent.tl
 }
 
-// prepareBallLabels flattens the ball's target labels once; nil under
-// non-label oracles (same seam makeMOf uses to pick its strategy).
-func (e *Engine) prepareBallLabels(ball []model.POIID) *roadnet.TargetLabels {
-	atts := make([]roadnet.Attach, len(ball))
-	for i, o := range ball {
-		atts[i] = e.DS.POIs[o].At
+// prepareBallLabels flattens the ball members' label rows into the ball's
+// merge-ready target set; nil under non-label oracles (the seam makeMOf
+// uses to pick its strategy).
+func (e *Engine) prepareBallLabels(ball []model.POIID, ar *refineArena) *roadnet.TargetLabels {
+	t, rows := e.poiRows(ball, ar)
+	if t == nil {
+		return nil
 	}
-	return e.DS.Road.PrepareTargetLabels(atts)
+	return t.Flatten(rows)
 }
 
 // removeBallLocked unlinks a ball entry; callers hold sw.mu. In-flight

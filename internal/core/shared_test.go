@@ -28,7 +28,7 @@ func TestBallMemoSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			balls[i], _ = e.anchorBall(0, 2, nil)
+			balls[i], _ = e.anchorBall(0, 2, nil, e.acquireArena())
 		}(i)
 	}
 	wg.Wait()
@@ -47,7 +47,7 @@ func TestBallMemoSingleflight(t *testing.T) {
 
 	// Copy-on-read: clobber a returned ball, refetch, must be pristine.
 	balls[0][0] = -999
-	again, _ := e.anchorBall(0, 2, nil)
+	again, _ := e.anchorBall(0, 2, nil, e.acquireArena())
 	if !reflect.DeepEqual(again, want) {
 		t.Fatalf("memo poisoned by caller mutation: %v, want %v", again, want)
 	}
@@ -62,7 +62,7 @@ func TestBallMemoInvalidation(t *testing.T) {
 	e := buildEngine(t, ds, Options{SharedWork: true})
 	anchor := model.POIID(0)
 	loc := ds.POIs[anchor].Loc
-	before, _ := e.anchorBall(anchor, 2, nil)
+	before, _ := e.anchorBall(anchor, 2, nil, e.acquireArena())
 
 	// A POI Euclidean-far from the anchor: the memoized ball must survive
 	// (no eviction) and stay correct — the new POI cannot be a member.
@@ -90,7 +90,7 @@ func TestBallMemoInvalidation(t *testing.T) {
 	if st.BallEvictions != 0 {
 		t.Fatalf("far POI evicted %d balls; Euclidean prefilter should keep them", st.BallEvictions)
 	}
-	if got, _ := e.anchorBall(anchor, 2, nil); !reflect.DeepEqual(got, before) {
+	if got, _ := e.anchorBall(anchor, 2, nil, e.acquireArena()); !reflect.DeepEqual(got, before) {
 		t.Fatalf("ball changed after far AddPOI: %v, want %v", got, before)
 	}
 
@@ -112,7 +112,7 @@ func TestBallMemoInvalidation(t *testing.T) {
 		t.Fatal("near POI evicted nothing; stale ball would be served")
 	}
 	want := e.ballAround(anchor, 2, nil)
-	got, _ := e.anchorBall(anchor, 2, nil)
+	got, _ := e.anchorBall(anchor, 2, nil, e.acquireArena())
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("post-update ball = %v, want fresh %v", got, want)
 	}
@@ -136,7 +136,7 @@ func TestBallMemoBudgetDiscipline(t *testing.T) {
 	e := buildEngine(t, ds, Options{SharedWork: true})
 	anchor, full := model.POIID(-1), []model.POIID(nil)
 	for a := range ds.POIs {
-		if b, _ := e.anchorBall(model.POIID(a), 4, nil); len(b) >= 2 {
+		if b, _ := e.anchorBall(model.POIID(a), 4, nil, e.acquireArena()); len(b) >= 2 {
 			anchor, full = model.POIID(a), b
 			break
 		}
@@ -146,7 +146,7 @@ func TestBallMemoBudgetDiscipline(t *testing.T) {
 	}
 
 	tiny := roadnet.NewCheckpoint(nil, nil, 1)
-	got, _ := e.anchorBall(anchor, 4, tiny)
+	got, _ := e.anchorBall(anchor, 4, tiny, e.acquireArena())
 	if len(got) != 1 || got[0] != anchor {
 		t.Fatalf("budget-tripped hit returned %v, want degenerate [%d]", got, anchor)
 	}
@@ -154,7 +154,7 @@ func TestBallMemoBudgetDiscipline(t *testing.T) {
 		t.Fatal("1-work budget did not trip on the memo charge")
 	}
 	// The entry itself must still be canonical for the next caller.
-	again, _ := e.anchorBall(anchor, 4, roadnet.NewCheckpoint(nil, nil, 1<<40))
+	again, _ := e.anchorBall(anchor, 4, roadnet.NewCheckpoint(nil, nil, 1<<40), e.acquireArena())
 	if !reflect.DeepEqual(again, full) {
 		t.Fatalf("entry degraded after tripped hit: %v, want %v", again, full)
 	}
@@ -256,7 +256,7 @@ func TestSweepMemoLabels(t *testing.T) {
 func TestSharedWorkDisabled(t *testing.T) {
 	ds := smallDataset(t, 4)
 	e := buildEngine(t, ds, Options{})
-	ball, tl := e.anchorBall(0, 2, nil)
+	ball, tl := e.anchorBall(0, 2, nil, e.acquireArena())
 	if tl != nil {
 		t.Fatal("disabled anchorBall returned shared labels")
 	}

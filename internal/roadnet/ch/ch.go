@@ -395,8 +395,8 @@ type heap64 struct {
 	d []float64
 }
 
-func (h *heap64) len() int       { return len(h.v) }
-func (h *heap64) reset()         { h.v, h.d = h.v[:0], h.d[:0] }
+func (h *heap64) len() int        { return len(h.v) }
+func (h *heap64) reset()          { h.v, h.d = h.v[:0], h.d[:0] }
 func (h *heap64) topKey() float64 { return h.d[0] }
 
 func (h *heap64) push(v int32, d float64) {

@@ -142,17 +142,22 @@ func TestStatszSharedWork(t *testing.T) {
 	}
 
 	var mem struct {
-		OracleBytes int64  `json:"oracle_bytes"`
-		ArenaBytes  int64  `json:"arena_bytes"`
-		HeapAlloc   uint64 `json:"heap_alloc_bytes"`
+		OracleBytes   int64  `json:"oracle_bytes"`
+		ArenaBytes    int64  `json:"arena_bytes"`
+		POILabelBytes int64  `json:"poi_label_bytes"`
+		HeapAlloc     uint64 `json:"heap_alloc_bytes"`
 	}
 	if err := json.Unmarshal(m["memory"], &mem); err != nil {
 		t.Fatalf("decoding memory block: %v", err)
 	}
 	// The test server runs with the default hl oracle and has answered
-	// real queries, so both the label store and the heap must be nonzero.
+	// real queries, so the label store, the POI label table and the heap
+	// must all be nonzero.
 	if mem.OracleBytes <= 0 {
 		t.Errorf("memory.oracle_bytes = %d, want > 0: %s", mem.OracleBytes, m["memory"])
+	}
+	if mem.POILabelBytes <= 0 {
+		t.Errorf("memory.poi_label_bytes = %d, want > 0: %s", mem.POILabelBytes, m["memory"])
 	}
 	if mem.HeapAlloc == 0 {
 		t.Errorf("memory.heap_alloc_bytes = 0: %s", m["memory"])
@@ -174,6 +179,15 @@ func TestStatszSharedWork(t *testing.T) {
 	}
 	if st.BallHits+st.SweepHits == 0 {
 		t.Fatalf("no shared-work hits after overlapping queries: %+v", st)
+	}
+
+	// A road mutation puts the overlay in front of the labels: the POI
+	// label table is released and /statsz must say so.
+	if _, err := db.AddRoadEdge(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	if got := srv.snapshot().Memory.POILabelBytes; got != 0 {
+		t.Errorf("memory.poi_label_bytes = %d after AddRoadEdge, want 0", got)
 	}
 }
 

@@ -85,15 +85,17 @@ type metricsSnapshot struct {
 // memoryJSON mirrors gpssn.MemoryStats for /statsz: where the process's
 // memory actually lives. oracle_bytes is the capacity-planning headline
 // (the preprocessed label store dominates at scale); arena_bytes and
-// memo_bytes are the engine's recycled scratch; the heap fields are the
-// runtime's own view for cross-checking against RSS.
+// memo_bytes are the engine's recycled scratch; poi_label_bytes is the POI
+// label table (0 without hub labels or while road deltas are pending); the
+// heap fields are the runtime's own view for cross-checking against RSS.
 type memoryJSON struct {
-	OracleBytes int64  `json:"oracle_bytes"`
-	ArenaBytes  int64  `json:"arena_bytes"`
-	MemoBytes   int64  `json:"memo_bytes"`
-	HeapAlloc   uint64 `json:"heap_alloc_bytes"`
-	HeapSys     uint64 `json:"heap_sys_bytes"`
-	NumGC       uint32 `json:"gc_cycles_total"`
+	OracleBytes   int64  `json:"oracle_bytes"`
+	ArenaBytes    int64  `json:"arena_bytes"`
+	MemoBytes     int64  `json:"memo_bytes"`
+	POILabelBytes int64  `json:"poi_label_bytes"`
+	HeapAlloc     uint64 `json:"heap_alloc_bytes"`
+	HeapSys       uint64 `json:"heap_sys_bytes"`
+	NumGC         uint32 `json:"gc_cycles_total"`
 }
 
 // roadOverlayJSON mirrors gpssn.RoadOverlayStats for /statsz: how far the

@@ -86,8 +86,8 @@ func (c Config) logf(format string, args ...any) {
 // Handler on an http.Server, and call Drain before exiting. Safe for
 // concurrent use by any number of connections.
 type Server struct {
-	db    *gpssn.DB
-	cfg   Config
+	db     *gpssn.DB
+	cfg    Config
 	mux    *http.ServeMux
 	slots  chan struct{}
 	fl     *flight
@@ -293,12 +293,13 @@ func (s *Server) snapshot() metricsSnapshot {
 	}
 	ms := s.db.MemoryStats()
 	snap.Memory = &memoryJSON{
-		OracleBytes: ms.OracleBytes,
-		ArenaBytes:  ms.ArenaBytes,
-		MemoBytes:   ms.MemoBytes,
-		HeapAlloc:   ms.HeapAlloc,
-		HeapSys:     ms.HeapSys,
-		NumGC:       ms.NumGC,
+		OracleBytes:   ms.OracleBytes,
+		ArenaBytes:    ms.ArenaBytes,
+		MemoBytes:     ms.MemoBytes,
+		POILabelBytes: ms.POILabelBytes,
+		HeapAlloc:     ms.HeapAlloc,
+		HeapSys:       ms.HeapSys,
+		NumGC:         ms.NumGC,
 	}
 	return snap
 }
@@ -351,7 +352,7 @@ func (s *Server) handleQueryEndpoint(w http.ResponseWriter, r *http.Request, top
 	switch {
 	case res.status == http.StatusTooManyRequests:
 		s.met.Shed.Add(1)
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter + time.Second - 1) / time.Second)))
+		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
 	case res.status >= 400 && res.status != http.StatusNotFound:
 		s.met.Errors.Add(1)
 	}

@@ -40,11 +40,11 @@ func fuzzSeedLog(tb testing.TB) []byte {
 func FuzzWALReplay(f *testing.F) {
 	seed := fuzzSeedLog(f)
 	f.Add(seed)
-	f.Add(seed[:0])                 // empty file
-	f.Add(seed[:headerLen-3])       // torn header
-	f.Add(seed[:headerLen])         // empty log
-	f.Add(seed[:headerLen+2])       // torn length prefix
-	f.Add(seed[:len(seed)-5])       // torn tail
+	f.Add(seed[:0])           // empty file
+	f.Add(seed[:headerLen-3]) // torn header
+	f.Add(seed[:headerLen])   // empty log
+	f.Add(seed[:headerLen+2]) // torn length prefix
+	f.Add(seed[:len(seed)-5]) // torn tail
 	flip := append([]byte(nil), seed...)
 	flip[headerLen+6] ^= 0x40 // corrupt first record
 	f.Add(flip)

@@ -253,6 +253,10 @@ func TestSharedWorkRaceStress(t *testing.T) {
 		t.FailNow()
 	}
 
+	// Every AddPOI appended its label row under the write lock while the
+	// queriers merged against the table under the read lock.
+	checkPOILabelTable(t, on, true, "quiesced")
+
 	// Two AddPOIs ran after the Compact reset the memo, so the rebuilt
 	// memo must have observed their version bumps — the signal that no
 	// pre-update ball can have survived.
