@@ -1,13 +1,14 @@
 # Verification gate for gpssn. `make check` is the single entry CI runs:
-# gofmt, vet, lint, build, the tier-1 tests, a race-detector pass (short
+# gofmt, vet, lint, build, the tier-1 tests, the tie gates repeated ten
+# times (tie-check), a race-detector pass (short
 # mode so the heavy bench package stays fast; see docs/CONCURRENCY.md §5),
 # then the benchmark harness built and smoke-run against this tree.
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
+.PHONY: check fmt vet lint build test tie-check race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
 
-check: fmt vet lint build test race bench-check
+check: fmt vet lint build test tie-check race bench-check
 
 # Unformatted files fail the build; the offenders are listed.
 fmt:
@@ -30,6 +31,13 @@ build:
 
 test:
 	$(GO) test -timeout 10m ./...
+
+# The equal-cost tie gates, ten times over: engine answers must match the
+# memo-off twin, the Dijkstra reference and the churn twins on every run,
+# so a tie that flips with worker timing fails here instead of passing
+# one run in N by luck.
+tie-check:
+	$(GO) test -count=10 -timeout 10m -run '^(TestSharedWorkEquality|TestSharedWorkCancellation|TestOracleEqualityQueries|TestHLOracleEqualityQueries|TestSharedWorkRaceStress|TestRoadChurnEqualityGates)$$' .
 
 race:
 	$(GO) test -race -short -timeout 10m ./...

@@ -157,7 +157,7 @@ type Config struct {
 	// the fallback chain.
 	StrictOracle bool
 	// DisableSharedWork turns off the cross-query shared-work memo
-	// (anchor balls and per-user sweep state computed once and shared
+	// (anchor balls and per-user hub labels computed once and shared
 	// across concurrent queries — docs/CONCURRENCY.md §6). On by default
 	// because answers are bit-identical either way; disabling it is
 	// mainly useful for A/B measurement (the benchmark's dijkstra

@@ -199,9 +199,10 @@ type MemoryStats struct {
 	OracleBytes int64
 	// ArenaBytes is the total retained by the refinement arenas.
 	ArenaBytes int64
-	// MemoBytes is the shared-work sweep memo's byte occupancy (0 when
-	// the memo is disabled). The ball memo is entry-capped, not
-	// byte-metered, so it is not included here.
+	// MemoBytes is the resident size of the shared-work memo's user
+	// labels (0 when the memo is disabled, and under oracles without
+	// labels, which memoize no per-user state). The ball memo is
+	// entry-capped, not byte-metered, so it is not included here.
 	MemoBytes int64
 	// POILabelBytes is the resident size of the POI label table (0 without
 	// a label oracle, and after a road mutation released the table).

@@ -215,9 +215,9 @@ func TestArenaByteAccounting(t *testing.T) {
 
 // TestEngineMemoryStats checks the engine-level rollup: oracle bytes only
 // when an oracle reports them, arena bytes after a query warmed the pool,
-// and the POI label table's bytes exactly while an engine holds one — built
+// the POI label table's bytes exactly while an engine holds one — built
 // under hub labels, grown by AddPOI, released by a road mutation, absent
-// under plain Dijkstra.
+// under plain Dijkstra — and the sweep memo's resident label bytes.
 func TestEngineMemoryStats(t *testing.T) {
 	ds := smallDataset(t, 27)
 	e := buildEngine(t, ds, Options{})
@@ -240,10 +240,22 @@ func TestEngineMemoryStats(t *testing.T) {
 		t.Errorf("POILabelBytes = %d on an engine wired before its oracle, want 0", ms.POILabelBytes)
 	}
 
-	labelled := buildEngine(t, ds, Options{})
+	labelled := buildEngine(t, ds, Options{SharedWork: true})
 	built := labelled.MemoryStats().POILabelBytes
 	if built <= 0 {
 		t.Fatalf("POILabelBytes = %d under hub labels, want > 0", built)
+	}
+	// The sweep memo charges each label what it keeps resident, so
+	// MemoBytes (and SweepBytes, /statsz's sweep_bytes) is exactly the
+	// memo's label payload.
+	for _, u := range []socialnet.UserID{2, 7, 11} {
+		if _, _, err := labelled.Query(u, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if memo, resident := labelled.MemoryStats().MemoBytes, memoResidentBytes(labelled); memo <= 0 || memo != resident || memo != labelled.SharedWorkStats().SweepBytes {
+		t.Errorf("MemoBytes = %d, resident label bytes %d, SweepBytes %d: want all equal and > 0",
+			memo, resident, labelled.SharedWorkStats().SweepBytes)
 	}
 	poi := ds.POIs[0]
 	poi.ID = model.POIID(len(ds.POIs))
@@ -262,7 +274,29 @@ func TestEngineMemoryStats(t *testing.T) {
 	if got := labelled.MemoryStats().POILabelBytes; got != 0 {
 		t.Errorf("POILabelBytes = %d after AddRoadEdge, want 0 (table released)", got)
 	}
+	// The overlay exposes no labels: the reset memo stays empty through a
+	// query, and so does its byte count.
+	if _, _, err := labelled.Query(2, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := labelled.MemoryStats().MemoBytes; got != 0 {
+		t.Errorf("MemoBytes = %d under the overlay, want 0", got)
+	}
 	if ms.ArenaBytes != e.ArenaBytes() {
 		t.Errorf("MemoryStats.ArenaBytes %d != ArenaBytes() %d", ms.ArenaBytes, e.ArenaBytes())
 	}
+}
+
+// memoResidentBytes sums the backing arrays the sweep memo holds.
+func memoResidentBytes(e *Engine) int64 {
+	sw := e.shared
+	sw.mu.Lock()
+	defer sw.mu.Unlock()
+	var n int64
+	for _, ent := range sw.users {
+		if ent.ok {
+			n += int64(cap(ent.label.Hubs))*4 + int64(cap(ent.label.Dist))*8
+		}
+	}
+	return n
 }

@@ -55,9 +55,9 @@ type Options struct {
 	// docs/ALGORITHMS.md for the soundness and determinism arguments.
 	Parallelism int
 	// SharedWork enables the cross-query shared-work memo: anchor balls
-	// and per-user sweep state (one-to-all arrays / attachment labels)
-	// are computed once and shared across concurrent queries instead of
-	// once per query. Answers are bit-identical either way; see
+	// and, under a label oracle, per-user attachment labels are computed
+	// once and shared across concurrent queries instead of once per
+	// query. Answers are bit-identical either way; see
 	// docs/CONCURRENCY.md §6 for the invalidation and copy-on-read rules.
 	SharedWork bool
 }
@@ -130,7 +130,7 @@ func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialInd
 // built on the spot for just these POIs — an engine wired before its oracle
 // was attached, or one sharing its dataset with an engine that has since
 // appended a POI. A nil table means no label oracle is attached; callers
-// then use the array strategy. rows is arena scratch.
+// then search the graph instead. rows is arena scratch.
 func (e *Engine) poiRows(ids []model.POIID, ar *refineArena) (*roadnet.LabelTable, []int32) {
 	ds := e.DS
 	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
@@ -511,7 +511,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 			if q.cancelled() {
 				return nil
 			}
-			if !e.Opts.DisableDistancePruning && roadLB && he.key > tr.delta {
+			if !e.Opts.DisableDistancePruning && roadLB && prunes(he.key, tr.delta) {
 				// Lines 13-14: everything remaining is prunable.
 				for _, rest := range cur[i:] {
 					cnt := e.Road.Meta(rest.node).POICount
@@ -536,7 +536,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 					matchPrune := matchUbVec(uqUser.Interests, e.Road.POISupVec(id)) < p.Theta
 					distPrune := false
 					if !e.Opts.DisableDistancePruning && roadLB {
-						distPrune = roadnet.LowerBound(uqRD, e.Road.POIDist(id)) > tr.delta
+						distPrune = prunes(roadnet.LowerBound(uqRD, e.Road.POIDist(id)), tr.delta)
 					}
 					if matchPrune {
 						st.RNObjPrunedMatch++
@@ -578,8 +578,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 					}
 					if !e.Opts.DisableDistancePruning && roadLB {
 						// Lemma 7 / Eq. 17: distance lower bound vs δ.
-						lb := nodeDistLb(uqRD, m.LbDist, m.UbDist)
-						if lb > tr.delta {
+						if prunes(nodeDistLb(uqRD, m.LbDist, m.UbDist), tr.delta) {
 							st.RNIndexPruned += m.POICount
 							st.RNIndexPrunedDist += m.POICount
 							continue
@@ -753,6 +752,18 @@ func nodeDistLb(uqRD, lb, ub []float64) float64 {
 	}
 	return best
 }
+
+// prunes reports whether a derived road lower bound lb rules a candidate
+// out against bound. Pivot bounds (Lemmas 5 and 7, the I_R heap key, the
+// companion test) and δ itself are sums of independently rounded floats,
+// so a bound whose true value equals an exact tied cost can land an ulp
+// above it; a bare lb > bound would then drop a tied candidate depending
+// on which tie set the bound first, i.e. on worker timing. The relative
+// slack of 1e-9 is far above that rounding and far below any real gap.
+// Bounds are ≥ 0, and +Inf stays +Inf. Comparisons between two exact
+// costs (the keeper, enumerateGroups, the duq cut-off) stay strict and
+// never go through here.
+func prunes(lb, bound float64) bool { return lb > bound*(1+1e-9) }
 
 // kSmallest tracks the k smallest values pushed; its threshold (the k-th
 // smallest, or +Inf until k values arrive) is the top-k pruning bound δ.

@@ -17,7 +17,7 @@ import (
 )
 
 // probeResult carries the incumbent found by the pre-traversal probe and
-// the per-user distance cache it warmed up (reused by refinement).
+// the per-user label cache it warmed up (reused by refinement).
 type probeResult struct {
 	res   Result
 	cache *vertexDistCache
@@ -203,28 +203,24 @@ func (sk *sharedKeeper) add(r Result) {
 	}
 }
 
-// Capacity bounds for the per-query distance cache. Before these bounds a
-// single wide query could pin O(touched-users · V) float64 in memory; with
-// a hub-label oracle attached the cache holds label-sized entries (tens of
-// pairs per user) instead of O(V) arrays, and either way the caps below
-// hold. Rejected puts are benign: callers recompute, and recomputation
-// yields bit-identical values, so answers never depend on cache occupancy.
+// Capacity bounds for the per-query label cache. Rejected puts are benign:
+// callers recompute, and recomputation yields bit-identical values, so
+// answers never depend on cache occupancy.
 const (
 	distCacheMaxEntries = 512
 	distCacheMaxBytes   = 32 << 20
 )
 
-// vertexDistCache shares per-user distance state across the probe and the
-// refinement workers: full one-to-all arrays under plain oracles, hub
-// labels (roadnet.HubLabel) under a label oracle. Entries are
-// first-write-wins — two workers may race to compute the same user's
-// entry; both compute identical values, so keeping the first is benign —
-// and puts beyond the entry or byte cap are rejected rather than evicted
-// (the cache is per-query and short-lived; eviction bookkeeping would cost
-// more than the recomputation it saves).
+// vertexDistCache shares per-user attachment hub labels (roadnet.HubLabel)
+// across the probe and the refinement workers under a label oracle; other
+// oracles price users through bounded ball searches and never touch it.
+// Entries are first-write-wins — two workers may race to compute the same
+// user's label; both compute identical values, so keeping the first is
+// benign — and puts beyond the entry or byte cap are rejected rather than
+// evicted (the cache is per-query and short-lived; eviction bookkeeping
+// would cost more than the recomputation it saves).
 type vertexDistCache struct {
 	mu         sync.Mutex
-	arrays     map[socialnet.UserID][]float64
 	labels     map[socialnet.UserID]*roadnet.HubLabel
 	bytes      int64
 	maxEntries int
@@ -238,36 +234,10 @@ func newVertexDistCache() *vertexDistCache {
 
 func newVertexDistCacheWith(maxEntries int, maxBytes int64) *vertexDistCache {
 	return &vertexDistCache{
-		arrays:     map[socialnet.UserID][]float64{},
 		labels:     map[socialnet.UserID]*roadnet.HubLabel{},
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
 	}
-}
-
-func (c *vertexDistCache) getArray(u socialnet.UserID) ([]float64, bool) {
-	c.mu.Lock()
-	dv, ok := c.arrays[u]
-	c.mu.Unlock()
-	return dv, ok
-}
-
-// putArray stores u's one-to-all array unless u is already present or the
-// caps would be exceeded. Reports whether the entry was stored.
-func (c *vertexDistCache) putArray(u socialnet.UserID, dv []float64) bool {
-	nb := int64(8 * len(dv))
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.arrays[u]; ok {
-		return false
-	}
-	if len(c.arrays)+len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
-		c.rejected++
-		return false
-	}
-	c.arrays[u] = dv
-	c.bytes += nb
-	return true
 }
 
 func (c *vertexDistCache) getLabel(u socialnet.UserID) (*roadnet.HubLabel, bool) {
@@ -282,29 +252,39 @@ func (c *vertexDistCache) getLabel(u socialnet.UserID) (*roadnet.HubLabel, bool)
 // once admission is certain, so a full cache costs nothing. The cache must
 // own its entries: l is arena scratch, overwritten by the next evaluation.
 func (c *vertexDistCache) putLabelCopy(u socialnet.UserID, l *roadnet.HubLabel) bool {
-	nb := int64(12 * l.Len())
+	nb := labelBytes(l)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.labels[u]; ok {
 		return false
 	}
-	if len(c.arrays)+len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
+	if len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
 		c.rejected++
 		return false
 	}
-	c.labels[u] = &roadnet.HubLabel{
-		Hubs: append([]int32(nil), l.Hubs...),
-		Dist: append([]float64(nil), l.Dist...),
-	}
+	c.labels[u] = copyLabel(l)
 	c.bytes += nb
 	return true
 }
+
+// copyLabel returns an owned copy of l with capacity equal to length, so
+// labelBytes is what the copy keeps resident.
+func copyLabel(l *roadnet.HubLabel) *roadnet.HubLabel {
+	c := &roadnet.HubLabel{Hubs: make([]int32, l.Len()), Dist: make([]float64, l.Len())}
+	copy(c.Hubs, l.Hubs)
+	copy(c.Dist, l.Dist)
+	return c
+}
+
+// labelBytes is a label's entry payload: a 4-byte hub and an 8-byte
+// distance per entry.
+func labelBytes(l *roadnet.HubLabel) int64 { return int64(12 * l.Len()) }
 
 // entries and sizeBytes report occupancy (for tests and tracing).
 func (c *vertexDistCache) entries() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.arrays) + len(c.labels)
+	return len(c.labels)
 }
 
 func (c *vertexDistCache) sizeBytes() int64 {
@@ -360,15 +340,21 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // members' label rows are flattened once (prepareBallLabels), and each
 // evaluation is a single simultaneous merge of the user's attachment label
 // against them (roadnet.LabelDists) — no per-pair graph search, no O(V)
-// state. Otherwise it falls back to the array strategy:
-// exact cached one-to-all arrays while no incumbent exists, bound-truncated
-// searches afterwards.
+// state. Under every other oracle (CH, plain Dijkstra, the road delta
+// overlay) each evaluation is one bounded source-to-ball call,
+// DistAttachWithinCk: the bucket many-to-many under CH and the overlay, a
+// bounded search that stops once the ball is settled under Dijkstra. Both
+// kernels are all-or-nothing on a checkpoint trip, and each oracle has
+// exactly one of them — no cached alternative whose use depends on timing
+// — so a user's M(u) is summed one way per oracle.
 //
 // With a keeper, evaluations are clamped at the current shared bound: a
 // ball POI beyond the bound proves M(u) > bound, so the user cannot be in
 // an answer that survives the keeper and +Inf is a sound stand-in
 // (distances exactly at the bound stay exact, so ties survive the strict
-// pruning). keeper == nil (the probe) means unbounded exact evaluation.
+// pruning). keeper == nil (the probe), and a keeper with no incumbent yet,
+// mean unbounded exact evaluation. Every finite value is independent of
+// the bound: a bound only decides which values come back +Inf.
 // The returned closure reuses one output buffer and must not be called
 // concurrently; build one evaluator per worker/anchor.
 //
@@ -398,17 +384,7 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 		out := ar.floatBuf(len(ball))
 		return func(u socialnet.UserID) float64 {
 			lbl := e.userLabelWith(cache, u, ar)
-			ds.Road.LabelDistsCk(lbl, ds.Users[u].At, tl, bound(), out, ck)
-			m := 0.0
-			for _, d := range out {
-				if math.IsInf(d, 1) {
-					return math.Inf(1)
-				}
-				if d > m {
-					m = d
-				}
-			}
-			return m
+			return ballMax(ds.Road.LabelDistsCk(lbl, ds.Users[u].At, tl, bound(), out, ck))
 		}
 	}
 	ballAtts := ar.attachBuf(len(ball))
@@ -416,44 +392,23 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 		ballAtts[i] = ds.POIs[o].At
 	}
 	return func(u socialnet.UserID) float64 {
-		if b := bound(); !math.IsInf(b, 1) {
-			if dv, ok := cache.getArray(u); ok {
-				return mFromVertexDist(e, u, ball, dv)
-			}
-			dists := ds.Road.DistAttachWithinCk(ds.Users[u].At, b, ballAtts, ck)
-			m := 0.0
-			for _, d := range dists {
-				if math.IsInf(d, 1) {
-					return math.Inf(1)
-				}
-				if d > m {
-					m = d
-				}
-			}
-			return m
-		}
-		return mFromVertexDist(e, u, ball, e.userArray(cache, u, ck))
+		return ballMax(ds.Road.DistAttachWithinCk(ds.Users[u].At, bound(), ballAtts, ck))
 	}
 }
 
-// userArray returns u's exact one-to-all array through the per-query
-// cache, then the shared sweep memo, falling back to a solo Dijkstra. On
-// a checkpoint trip the result is all-+Inf and is not cached — the
-// userVertexDist discipline, which the memo preserves by charging the
-// metered sweep cost on hits and handing back all-+Inf when that charge
-// trips the budget.
-func (e *Engine) userArray(c *vertexDistCache, u socialnet.UserID, ck *roadnet.Checkpoint) []float64 {
-	if dv, ok := c.getArray(u); ok {
-		return dv
+// ballMax folds one user's distances to the ball members into M(u): +Inf
+// as soon as one member is beyond the bound (or the evaluation tripped).
+func ballMax(dists []float64) float64 {
+	m := 0.0
+	for _, d := range dists {
+		if math.IsInf(d, 1) {
+			return math.Inf(1)
+		}
+		if d > m {
+			m = d
+		}
 	}
-	dv, ok := e.sharedUserArray(u, ck)
-	if !ok {
-		dv = e.userVertexDist(u, ck)
-	}
-	if !ck.Stopped() {
-		c.putArray(u, dv)
-	}
-	return dv
+	return m
 }
 
 // refine is Algorithm 2 lines 29-31: exact filtering of the candidate sets
@@ -499,7 +454,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	st.CandAnchors = len(tr.candAnchors)
 
 	// Exact distances from u_q to every candidate anchor (one merge per
-	// anchor label row under a label oracle, one cached one-to-all
+	// anchor label row under a label oracle, one one-to-all sweep
 	// otherwise); anchors are then processed in ascending exact distance so
 	// the search can stop as soon as the next anchor's lower bound meets the
 	// incumbent.
@@ -533,9 +488,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 
 	processAnchor := func(ac anchorCand, ar *refineArena) {
 		ball, tl := e.anchorBall(ac.id, p.R, q.ck, ar)
-		// A trip during ball construction leaves a degenerate ball; cached
-		// exact arrays could still price it finitely, so bail before any
-		// result can be built on the wrong R set.
+		// A trip during ball construction leaves a degenerate ball; bail
+		// before any result can be built on the wrong R set.
 		if q.ck.Stopped() {
 			return
 		}
@@ -544,8 +498,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			return
 		}
 		// M(u) = max_{o in ball} dist_RN(u, o); the group cost is
-		// max_{u in S} M(u). See makeMOf for the label-kernel and
-		// bound-truncation strategies and their soundness.
+		// max_{u in S} M(u). See makeMOf for the two kernels and the
+		// soundness of bound truncation.
 		mOf := e.makeMOf(distCache, ball, tl, keeper, q.ck, ar)
 		mUq := mOf(uq)
 		// Strict comparison: a cost exactly equal to the bound may still
@@ -554,50 +508,48 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		if math.IsInf(mUq, 1) || mUq > keeper.Bound() {
 			return
 		}
-		// No incumbent yet (the probe failed): grow one greedy feasible
-		// group on this anchor first, so every later distance computation
-		// runs as a bounded Dijkstra instead of a full one. Sound — the
-		// greedy result is feasible and the exact enumeration below still
-		// sees this anchor, replacing the greedy entry with the anchor's
-		// canonical best (so whether the seeding ran never shows in the
-		// answer).
-		if math.IsInf(keeper.Bound(), 1) && p.Tau > 1 {
-			if S, cost, ok := e.greedyGroup(uq, p, ball, kws, mUq, mOf); ok && !math.IsInf(cost, 1) {
-				keeper.add(Result{Found: true, S: sortedUsers(S), R: ball, Anchor: ac.id, MaxDist: cost})
-			}
-		}
 		if p.Tau == 1 {
 			pairs.Add(1)
 			keeper.add(Result{Found: true, S: []socialnet.UserID{uq}, R: ball, Anchor: ac.id, MaxDist: mUq})
 			return
 		}
 
+		// Sound necessary conditions before any companion distance work:
+		// every member of a feasible group θ-matches the ball and reaches
+		// u_q through other members, so without τ-1 θ-matching candidates
+		// reachable that way the anchor is dead. Checking this first costs
+		// a dead anchor no evaluation at all — while no incumbent exists
+		// each one is an unbounded search.
+		match := ar.userBuf(len(cand))[:0]
+		for _, u := range cand {
+			if MatchScoreSet(ds.Users[u].Interests, kws) >= p.Theta {
+				match = append(match, u)
+			}
+		}
+		if len(match) < p.Tau-1 || !reachableEnough(ds, uq, match, p.Tau) {
+			return
+		}
+		// No incumbent yet (the probe failed): grow one greedy feasible
+		// group on this anchor first, so every later distance computation
+		// runs bounded instead of unbounded. Sound — the
+		// greedy result is feasible and the exact enumeration below still
+		// sees this anchor, replacing the greedy entry with the anchor's
+		// canonical best (so whether the seeding ran never shows in the
+		// answer).
+		if math.IsInf(keeper.Bound(), 1) {
+			if S, cost, ok := e.greedyGroup(uq, p, ball, kws, mUq, mOf); ok && !math.IsInf(cost, 1) {
+				keeper.add(Result{Found: true, S: sortedUsers(S), R: ball, Anchor: ac.id, MaxDist: cost})
+			}
+		}
+
 		// Eligible companions for this anchor: θ-match the ball and have a
-		// useful group cost.
+		// useful group cost. (match shares the arena's user buffer with
+		// users below; it is dead once this loop ends.)
 		comps := ar.compsBuf()
 		defer func() { ar.keepComps(comps) }()
 		anchorRD := e.poiRDOf(ac.id)
-		// Cheap feasibility count first: without tau-1 theta-matching
-		// candidates the anchor is dead, no distance work needed.
-		matching := 0
-		for _, u := range cand {
-			if MatchScoreSet(ds.Users[u].Interests, kws) >= p.Theta {
-				matching++
-			}
-		}
-		if matching < p.Tau-1 {
-			return
-		}
-		for _, u := range cand {
-			if MatchScoreSet(ds.Users[u].Interests, kws) < p.Theta {
-				continue
-			}
-			// Pivot lower bound of dist(u, anchor) before paying for the
-			// exact per-user Dijkstra: M(u) >= dist(u, anchor). Gated off
-			// once road edges have been appended — stored pivot rows then
-			// overestimate and the "lower bound" could prune a true
-			// companion (roadPivotSafe).
-			if e.roadPivotSafe() && roadnet.LowerBound(e.userRDOf(u), anchorRD) > keeper.Bound() {
+		for _, u := range match {
+			if e.companionPruned(u, anchorRD, keeper.Bound()) {
 				continue
 			}
 			m := mOf(u)
@@ -703,24 +655,16 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	return items
 }
 
-// mFromVertexDist evaluates M(u) from a full per-user vertex distance
-// array.
-func mFromVertexDist(e *Engine, u socialnet.UserID, ball []model.POIID, dv []float64) float64 {
-	ds := e.DS
-	m := 0.0
-	for _, o := range ball {
-		d := e.attachDistVia(ds.POIs[o].At, dv)
-		if ds.Users[u].At.Edge == ds.POIs[o].At.Edge {
-			edge := ds.Road.EdgeAt(ds.Users[u].At.Edge)
-			if direct := math.Abs(ds.Users[u].At.T-ds.POIs[o].At.T) * edge.Weight; direct < d {
-				d = direct
-			}
-		}
-		if d > m {
-			m = d
-		}
-	}
-	return m
+// companionPruned is processAnchor's pivot test before it pays for an
+// exact evaluation: M(u) >= dist(u, anchor) >= the pivot lower bound, so a
+// bound beyond the keeper's rules u out. The lower bound is a derived
+// float (|d(u,p) − d(a,p)| over two independently rounded sums) and can
+// exceed an exact tied cost by an ulp, hence prunes rather than a bare >.
+// Gated off once road edges have been appended — stored pivot rows then
+// overestimate and the "lower bound" could prune a true companion
+// (roadPivotSafe).
+func (e *Engine) companionPruned(u socialnet.UserID, anchorRD []float64, bound float64) bool {
+	return e.roadPivotSafe() && prunes(roadnet.LowerBound(e.userRDOf(u), anchorRD), bound)
 }
 
 // reachableEnough reports whether at least need-1 of the eligible users
@@ -881,11 +825,13 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 // anchorDists computes exact dist_RN(u_q, anchor) for every candidate
 // anchor. Under a label oracle this is one two-pointer merge of u_q's
 // attachment label against each anchor's row of the POI label table — no
-// per-query preparation, no O(V) array; otherwise it reads a cached
-// one-to-all array. Both paths apply the same-edge direct route, so the
+// per-query preparation, no O(V) array; otherwise it is one uncached
+// one-to-all sweep from u_q, the right kernel for one source against
+// nearly every anchor. Both paths apply the same-edge direct route, so the
 // value is the true network distance and hence a sound lower bound on any
-// group cost the anchor can produce (the anchor is in its own ball). The
-// result is arena memory, valid until ar's next float buffer request.
+// group cost the anchor can produce (the anchor is in its own ball). A
+// tripped checkpoint yields all-+Inf. The result is arena memory, valid
+// until ar's next float buffer request.
 func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint, ar *refineArena) []float64 {
 	ds := e.DS
 	uqAt := ds.Users[uq].At
@@ -894,21 +840,16 @@ func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchor
 		lbl := e.userLabelWith(cache, uq, ar)
 		return ds.Road.RowDistsCk(lbl, uqAt, t, rows, math.Inf(1), out, ck)
 	}
-	uqDist, ok := cache.getArray(uq)
-	if !ok {
-		uqDist = e.userArray(cache, uq, ck)
-		if ck.Stopped() {
-			for i := range out {
-				out[i] = math.Inf(1)
-			}
-			return out
-		}
-	}
+	edge := ds.Road.EdgeAt(uqAt.Edge)
+	uqDist := ds.Road.DijkstraMultiCk([]roadnet.Seed{
+		{Vertex: edge.U, Dist: uqAt.T * edge.Weight},
+		{Vertex: edge.V, Dist: (1 - uqAt.T) * edge.Weight},
+	}, ck)
+	tripped := ck.Stopped()
 	for i, a := range anchors {
 		at := ds.POIs[a].At
-		d := e.attachDistVia(at, uqDist)
-		if uqAt.Edge == at.Edge {
-			edge := ds.Road.EdgeAt(at.Edge)
+		d := ds.Road.DistToVertexVia(at, uqDist) // all-+Inf once tripped
+		if uqAt.Edge == at.Edge && !tripped {
 			if direct := math.Abs(uqAt.T-at.T) * edge.Weight; direct < d {
 				d = direct
 			}
@@ -916,24 +857,6 @@ func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchor
 		out[i] = d
 	}
 	return out
-}
-
-// userVertexDist returns exact road distances from the user's home to every
-// vertex (one Dijkstra). With a tripped checkpoint the result is all-+Inf
-// and must not be cached.
-func (e *Engine) userVertexDist(u socialnet.UserID, ck *roadnet.Checkpoint) []float64 {
-	at := e.DS.Users[u].At
-	edge := e.DS.Road.EdgeAt(at.Edge)
-	return e.DS.Road.DijkstraMultiCk([]roadnet.Seed{
-		{Vertex: edge.U, Dist: at.T * edge.Weight},
-		{Vertex: edge.V, Dist: (1 - at.T) * edge.Weight},
-	}, ck)
-}
-
-// attachDistVia evaluates dist_RN from the Dijkstra source to an attachment
-// through its edge endpoints.
-func (e *Engine) attachDistVia(at roadnet.Attach, dist []float64) float64 {
-	return e.DS.Road.DistToVertexVia(at, dist)
 }
 
 // enumerateGroups finds the connected τ-subset S containing u_q with

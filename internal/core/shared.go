@@ -2,7 +2,6 @@ package core
 
 import (
 	"container/list"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -14,11 +13,12 @@ import (
 
 // The shared-work layer memoizes the two expensive building blocks that
 // concurrent queries recompute over and over under load: anchor balls
-// (ballAround + the ball's prepared target labels) and per-user sweep
-// state (one-to-all arrays under plain oracles, attachment hub labels
-// under a label oracle). PR 6's singleflight only coalesces bit-identical
-// requests; this layer shares work between *different* queries that touch
-// the same anchor or user.
+// (ballAround + the ball's prepared target labels) and, under a label
+// oracle, per-user attachment hub labels (the "sweep" memo; other oracles
+// price users with bounded ball searches and keep no per-user state). The
+// facade's singleflight only coalesces bit-identical requests; this layer
+// shares work between *different* queries that touch the same anchor or
+// user.
 //
 // Ownership and correctness rules (docs/CONCURRENCY.md §6):
 //
@@ -27,12 +27,12 @@ import (
 //   - Entries are built under a fresh metering Checkpoint that never
 //     trips, so a memo entry is always canonical — a budget- or
 //     cancel-tripped query can never poison the memo with a degenerate
-//     ball or an all-+Inf array. The build cost is recorded and charged
-//     to every query that consumes the entry (Checkpoint.Spend), so
-//     budget exhaustion still reflects logical work consumed.
+//     ball. The build cost is recorded and charged to every query that
+//     consumes the entry (Checkpoint.Spend), so budget exhaustion still
+//     reflects logical work consumed.
 //   - Ball slices are handed out copy-on-read: refinement sorts result R
 //     sets in place, so sharing the backing array across queries would
-//     race. Target-label sets and one-to-all arrays are read-only by
+//     race. Target-label sets and attachment labels are read-only by
 //     contract and are shared directly.
 //   - Builds are singleflighted: the first query to miss becomes the
 //     leader and builds outside the memo lock; waiters block on the
@@ -45,24 +45,21 @@ import (
 //     distance never undercuts Euclidean distance, the same argument
 //     EuclidBall and deltaBallMembers rely on) and bumps the road
 //     version. AddUser/AddFriendship don't touch the memo at all: balls
-//     are POI-only, and a user's sweep state depends only on the road
-//     topology and their home attachment, neither of which those updates
-//     can change. AddRoadEdge is the other extreme — a full reset
-//     (noteRoadChange), because every memoized array and ball bakes the
+//     are POI-only, and a user's label depends only on the road topology
+//     and their home attachment, neither of which those updates can
+//     change. AddRoadEdge is the other extreme — a full reset
+//     (noteRoadChange), because every memoized label and ball bakes the
 //     old topology in. AddRoadVertex sits in the middle: an isolated
 //     vertex changes no distance, so it touches nothing.
 
-// Capacity bounds for the shared memo. Balls are LRU-evicted; user sweep
+// Capacity bounds for the shared memo. Balls are LRU-evicted; user label
 // entries are reject-on-full like the per-query vertexDistCache (the
 // per-query path still works when the memo is full, so occupancy never
-// affects answers). Array bytes are checked up front (the size is known
-// before the sweep runs); labels are tiny and only bounded by the entry
-// cap.
+// affects answers). Labels are tens of entries each, so the entry cap is
+// the only bound; their bytes are metered, not capped.
 const (
-	sharedBallMaxEntries  = 4096
-	sharedUserMaxEntries  = 16384
-	sharedUserMaxBytes    = 256 << 20
-	sharedLabelBytesGuess = 512 // accounting estimate before a label is built
+	sharedBallMaxEntries = 4096
+	sharedUserMaxEntries = 16384
 )
 
 type ballKey struct {
@@ -84,14 +81,11 @@ type ballEntry struct {
 	ok   bool
 }
 
-// userEntry is one memoized per-user sweep: the exact one-to-all array
-// (plain oracles) or the attachment hub label (label oracles). Same
+// userEntry is one memoized attachment hub label. Same
 // write-once-then-close discipline as ballEntry.
 type userEntry struct {
 	done  chan struct{}
-	array []float64
 	label *roadnet.HubLabel // owned by the memo, never pooled
-	work  int64
 	ok    bool
 }
 
@@ -103,7 +97,7 @@ type sharedWork struct {
 	ballLRU *list.List // front = most recently used; values are ballKey
 
 	users     map[socialnet.UserID]*userEntry
-	userBytes int64
+	userBytes int64 // Σ labelBytes over published labels
 
 	ballHits, ballMisses, ballEvict   atomic.Int64
 	sweepHits, sweepMisses, sweepFull atomic.Int64
@@ -279,11 +273,10 @@ func (sw *sharedWork) noteAddPOI(loc geo.Point) {
 
 // noteRoadChange is the road-topology invalidation hook (AddRoadEdge),
 // called with the engine lock held exclusively. Unlike noteAddPOI's
-// selective eviction this is a full reset: memoized one-to-all arrays
-// are sized to the vertex count at build time and memoized balls bake in
-// old reachability, so after a topology change stale entries would be
-// *wrong* — a new-edge attachment indexing past the end of a stale
-// array, a ball missing a now-reachable POI — not merely conservative.
+// selective eviction this is a full reset: memoized labels and balls bake
+// in the old distances and reachability, so after a topology change stale
+// entries would be *wrong* — a label missing a new shortcut, a ball
+// missing a now-reachable POI — not merely conservative.
 // In-flight leaders are unharmed: eviction only unlinks map entries, and
 // waiters already holding an entry pointer still see a result computed
 // for the pre-change topology their query no longer uses (they were
@@ -303,109 +296,60 @@ func (sw *sharedWork) noteRoadChange() {
 	sw.mu.Unlock()
 }
 
-// userSweep returns u's memoized sweep entry, singleflight-building it
-// with build on a miss. build runs outside the memo lock and must fill
-// the entry and return true; returning false (or panicking) unpublishes
-// the entry. A nil return means the memo is at capacity — the caller runs
-// the per-query path, exactly as if the memo were disabled.
-func (sw *sharedWork) userSweep(u socialnet.UserID, arrayBytes int64, build func(*userEntry) bool) *userEntry {
+// sharedUserLabel returns u's attachment hub label through the memo,
+// singleflight-building it on a miss (outside the memo lock) into an
+// owned copy charged its labelBytes. The label is owned by the memo
+// (never returned to the pool). ok false means the caller must run the
+// per-query path, exactly as if the memo were disabled: memo disabled or
+// at capacity, no label oracle, or a build abandoned by a panic (which
+// unpublishes the entry).
+func (e *Engine) sharedUserLabel(u socialnet.UserID) (*roadnet.HubLabel, bool) {
+	sw := e.shared
+	if sw == nil {
+		return nil, false
+	}
 	sw.mu.Lock()
 	ent, ok := sw.users[u]
 	if ok {
 		sw.mu.Unlock()
 		<-ent.done
 		if !ent.ok {
-			return nil
+			return nil, false
 		}
 		sw.sweepHits.Add(1)
-		return ent
+		return ent.label, true
 	}
-	nb := arrayBytes
-	if nb == 0 {
-		nb = sharedLabelBytesGuess
-	}
-	if len(sw.users) >= sharedUserMaxEntries || sw.userBytes+nb > sharedUserMaxBytes {
+	if len(sw.users) >= sharedUserMaxEntries {
 		sw.mu.Unlock()
 		sw.sweepFull.Add(1)
-		return nil
+		return nil, false
 	}
 	ent = &userEntry{done: make(chan struct{})}
 	sw.users[u] = ent
-	sw.userBytes += nb
 	sw.mu.Unlock()
 	sw.sweepMisses.Add(1)
 
-	completed := false
 	defer func() {
-		if !completed {
+		if !ent.ok {
 			sw.mu.Lock()
 			if sw.users[u] == ent {
 				delete(sw.users, u)
-				sw.userBytes -= nb
 			}
 			sw.mu.Unlock()
-			close(ent.done)
 		}
+		close(ent.done)
 	}()
-	if !build(ent) {
-		return nil
+	l := roadnet.AcquireLabel()
+	defer roadnet.ReleaseLabel(l)
+	if !e.DS.Road.AttachLabel(e.DS.Users[u].At, l) {
+		return nil, false
 	}
+	ent.label = copyLabel(l)
 	ent.ok = true
-	completed = true
-	close(ent.done)
-	return ent
-}
-
-// sharedUserArray returns u's exact one-to-all array through the memo,
-// charging the metered sweep cost to ck. ok false means the caller must
-// compute per-query (memo disabled, full, or abandoned build). A true
-// return with a tripped ck hands back an all-+Inf array, matching the
-// solo all-or-nothing abort discipline.
-func (e *Engine) sharedUserArray(u socialnet.UserID, ck *roadnet.Checkpoint) ([]float64, bool) {
-	sw := e.shared
-	if sw == nil {
-		return nil, false
+	sw.mu.Lock()
+	if sw.users[u] == ent {
+		sw.userBytes += labelBytes(ent.label)
 	}
-	nv := e.DS.Road.NumVertices()
-	ent := sw.userSweep(u, int64(8*nv), func(ent *userEntry) bool {
-		mck := roadnet.NewCheckpoint(nil, nil, 0)
-		ent.array = e.userVertexDist(u, mck)
-		ent.work = mck.Spent()
-		return true
-	})
-	if ent == nil {
-		return nil, false
-	}
-	if ck.Spend(int(ent.work)) {
-		return allInf(nv), true
-	}
-	return ent.array, true
-}
-
-// sharedUserLabel returns u's attachment hub label through the memo. The
-// label is owned by the memo (never returned to the pool). ok false means
-// the caller must run the per-query path.
-func (e *Engine) sharedUserLabel(u socialnet.UserID) (*roadnet.HubLabel, bool) {
-	sw := e.shared
-	if sw == nil {
-		return nil, false
-	}
-	ent := sw.userSweep(u, 0, func(ent *userEntry) bool {
-		l := new(roadnet.HubLabel)
-		e.DS.Road.AttachLabel(e.DS.Users[u].At, l)
-		ent.label = l
-		return true
-	})
-	if ent == nil || ent.label == nil {
-		return nil, false
-	}
+	sw.mu.Unlock()
 	return ent.label, true
-}
-
-func allInf(n int) []float64 {
-	dv := make([]float64, n)
-	for i := range dv {
-		dv[i] = math.Inf(1)
-	}
-	return dv
 }

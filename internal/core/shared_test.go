@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"reflect"
 	"sync"
 	"testing"
@@ -160,52 +159,60 @@ func TestBallMemoBudgetDiscipline(t *testing.T) {
 	}
 }
 
-// TestSweepMemoArrays checks the user one-to-all memo against direct
-// Dijkstra, the hit accounting, and the reject-on-full path.
-func TestSweepMemoArrays(t *testing.T) {
+// TestSweepMemoCapacity checks the label memo's accounting: a miss then a
+// hit sharing one instance, the reject-on-full path once the entry cap is
+// reached (counted, and the per-query path still yields the exact label),
+// and no per-user state at all under an oracle without labels.
+func TestSweepMemoCapacity(t *testing.T) {
 	ds := smallDataset(t, 4)
 	e := buildEngine(t, ds, Options{SharedWork: true})
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
 
+	// Plain Dijkstra: refinement prices users by ball searches, so a query
+	// leaves the sweep memo untouched.
+	if _, _, err := e.Query(3, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.SharedWorkStats(); st.SweepEntries+int(st.SweepMisses+st.SweepHits) != 0 {
+		t.Fatalf("plain oracle touched the sweep memo: %+v", st)
+	}
+
+	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+	defer ds.Road.SetDistanceOracle(nil)
 	u := socialnet.UserID(3)
-	want := e.userVertexDist(u, nil)
-	got, ok := e.sharedUserArray(u, nil)
+	got, ok := e.sharedUserLabel(u)
 	if !ok {
-		t.Fatal("sharedUserArray miss-path failed")
+		t.Fatal("sharedUserLabel miss-path failed")
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatal("memoized array differs from direct Dijkstra")
+	if again, ok := e.sharedUserLabel(u); !ok || again != got {
+		t.Fatal("second fetch did not share the memoized label")
 	}
-	if st := e.SharedWorkStats(); st.SweepMisses != 1 || st.SweepHits != 0 {
-		t.Fatalf("after first fetch: hits=%d misses=%d, want 0/1", st.SweepHits, st.SweepMisses)
-	}
-	if again, ok := e.sharedUserArray(u, nil); !ok || &again[0] != &got[0] {
-		t.Fatal("second fetch did not share the memoized array")
-	}
-	if st := e.SharedWorkStats(); st.SweepHits != 1 {
-		t.Fatalf("sweep hits = %d, want 1", st.SweepHits)
+	if st := e.SharedWorkStats(); st.SweepMisses != 1 || st.SweepHits != 1 {
+		t.Fatalf("hits=%d misses=%d, want 1/1", st.SweepHits, st.SweepMisses)
 	}
 
-	// A budget too small for the metered sweep yields all-+Inf (the solo
-	// all-or-nothing abort), not the shared exact array.
-	tiny := roadnet.NewCheckpoint(nil, nil, 1)
-	dv, ok := e.sharedUserArray(u, tiny)
-	if !ok {
-		t.Fatal("budgeted fetch fell off the memo path")
-	}
-	for _, d := range dv {
-		if !math.IsInf(d, 1) {
-			t.Fatal("budget-tripped hit leaked finite distances")
-		}
-	}
-
-	// Reject-on-full: an entry claiming more bytes than the cap is turned
-	// away and counted; the memo stays usable.
+	// Reject-on-full: fill the memo to its entry cap with placeholder
+	// entries; a new user is turned away and counted, and the per-query
+	// path still computes the exact label.
 	sw := e.shared
-	if ent := sw.userSweep(socialnet.UserID(9), sharedUserMaxBytes+1, func(*userEntry) bool { return true }); ent != nil {
-		t.Fatal("over-cap sweep entry admitted")
+	sw.mu.Lock()
+	for id := len(ds.Users); len(sw.users) < sharedUserMaxEntries; id++ {
+		sw.users[socialnet.UserID(id)] = &userEntry{}
+	}
+	sw.mu.Unlock()
+	v := socialnet.UserID(9)
+	if _, ok := e.sharedUserLabel(v); ok {
+		t.Fatal("entry admitted beyond the cap")
 	}
 	if st := e.SharedWorkStats(); st.SweepRejected != 1 {
 		t.Fatalf("sweep rejected = %d, want 1", st.SweepRejected)
+	}
+	want := roadnet.AcquireLabel()
+	defer roadnet.ReleaseLabel(want)
+	ds.Road.AttachLabel(ds.Users[v].At, want)
+	if l := e.userLabelWith(newVertexDistCache(), v, ar); !reflect.DeepEqual(l.Hubs, want.Hubs) || !reflect.DeepEqual(l.Dist, want.Dist) {
+		t.Fatal("per-query path behind a full memo returned a different label")
 	}
 }
 
@@ -262,9 +269,6 @@ func TestSharedWorkDisabled(t *testing.T) {
 	}
 	if want := e.ballAround(0, 2, nil); !reflect.DeepEqual(ball, want) {
 		t.Fatalf("disabled anchorBall = %v, want %v", ball, want)
-	}
-	if _, ok := e.sharedUserArray(1, nil); ok {
-		t.Fatal("disabled sharedUserArray claimed a hit")
 	}
 	if _, ok := e.sharedUserLabel(1); ok {
 		t.Fatal("disabled sharedUserLabel claimed a hit")

@@ -330,8 +330,21 @@ func (g *Graph) distAttachBatch(a Attach, bound float64, cands []Attach, ck *Che
 		return out
 	}
 
+	// The candidates' edge endpoints double as early-exit targets while
+	// boundedSearch can track them all (≤ 64): an unbounded evaluation
+	// against a small ball then stops once the ball is settled instead of
+	// sweeping the whole graph. Settled distances are final either way, so
+	// the early exit changes only the work, never a value.
+	var tbuf [64]VertexID
+	targets := tbuf[:0]
+	if 2*len(cands) <= len(tbuf) {
+		for _, c := range cands {
+			cu, cv, _, _ := g.attachEnds(c)
+			targets = append(targets, cu, cv)
+		}
+	}
 	sc := acquireScratch(len(g.pts))
-	g.boundedSearch(sc, seeds, nil, bound, ck)
+	g.boundedSearch(sc, seeds, targets, bound, ck)
 	if ck.Stopped() {
 		sc.release()
 		for i := range out {

@@ -43,9 +43,9 @@ import (
 // composed OneToAll at most two base sweeps. The overlay implements
 // CheckedOracle so cancellation and work budgets thread through to the
 // base calls, but deliberately not LabelOracle: label attach assumes frozen
-// topology, so those callers degrade to the (still exact, still
-// oracle-backed) array strategies until the next re-contraction swaps in
-// a fresh static oracle.
+// topology, so those callers degrade to the composed (still exact, still
+// oracle-backed) SeedDistances and OneToAll until the next re-contraction
+// swaps in a fresh static oracle.
 type overlayOracle struct {
 	base     DistanceOracle
 	baseN    int // |V(G0)|: vertices the base oracle answers for

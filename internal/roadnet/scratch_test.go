@@ -53,6 +53,35 @@ func TestBoundedSearchTargetsStop(t *testing.T) {
 	}
 }
 
+// TestDistAttachBatchStopsAtBall: without an oracle, a batch whose edge
+// endpoints fit the 64 tracked targets stops once they are settled. It must
+// return bit-identical distances to a search with no target list — bounded
+// and unbounded — while settling fewer vertices.
+func TestDistAttachBatchStopsAtBall(t *testing.T) {
+	g := gridGraph(12)
+	a := g.AttachAt(0, 0.5)
+	cands := []Attach{g.AttachAt(0, 0.9), g.AttachAt(1, 0.25), g.AttachAt(3, 0.5), g.AttachAt(6, 0.75)}
+	au, av, dau, dav := g.attachEnds(a)
+	for _, bound := range []float64{math.Inf(1), 6} {
+		early := NewCheckpoint(nil, nil, 0)
+		got := g.DistAttachWithinCk(a, bound, cands, early)
+
+		full := NewCheckpoint(nil, nil, 0)
+		sc := acquireScratch(g.NumVertices())
+		g.boundedSearch(sc, []Seed{{au, dau}, {av, dav}}, nil, bound, full)
+		for i, c := range cands {
+			want := g.finishAttachDist(a, c, g.DistToVertexVia(c, sc.dist), bound)
+			if math.Float64bits(got[i]) != math.Float64bits(want) {
+				t.Fatalf("bound %v, candidate %d: %v with early exit, %v without", bound, i, got[i], want)
+			}
+		}
+		sc.release()
+		if early.Spent() >= full.Spent() {
+			t.Fatalf("bound %v: early exit settled %d vertices, not fewer than %d", bound, early.Spent(), full.Spent())
+		}
+	}
+}
+
 // TestScratchReuseIsClean ensures a released scratch comes back with an
 // all-+Inf dist array even after bound- and target-limited searches.
 func TestScratchReuseIsClean(t *testing.T) {
