@@ -2,13 +2,14 @@
 # gofmt, vet, lint, build, the tier-1 tests, the tie gates repeated ten
 # times (tie-check), a race-detector pass (short
 # mode so the heavy bench package stays fast; see docs/CONCURRENCY.md §5),
-# then the benchmark harness built and smoke-run against this tree.
+# every runnable example, then the benchmark harness built and smoke-run
+# against this tree.
 
 GO ?= go
 
 .PHONY: check fmt vet lint build test tie-check race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
 
-check: fmt vet lint build test tie-check race bench-check
+check: fmt vet lint build test tie-check race examples bench-check
 
 # Unformatted files fail the build; the offenders are listed.
 fmt:

@@ -157,12 +157,12 @@ type Config struct {
 	// the fallback chain.
 	StrictOracle bool
 	// DisableSharedWork turns off the cross-query shared-work memo
-	// (anchor balls and per-user hub labels computed once and shared
-	// across concurrent queries — docs/CONCURRENCY.md §6). On by default
-	// because answers are bit-identical either way; disabling it is
-	// mainly useful for A/B measurement (the benchmark's dijkstra
-	// reference replay does exactly that) and for memory-constrained
-	// embedders.
+	// (per-user hub labels computed once and shared across concurrent
+	// queries under the "hl" oracle; it holds nothing under "ch" and
+	// "dijkstra" — docs/CONCURRENCY.md §6). On by default because answers
+	// are bit-identical either way; disabling it is mainly useful for A/B
+	// measurement (the benchmark's dijkstra reference replay does exactly
+	// that) and for memory-constrained embedders.
 	DisableSharedWork bool
 	// WALPath enables the write-ahead log: every successful dynamic update
 	// is appended (and fsynced per WALSync) to this file before it is
@@ -414,10 +414,10 @@ func (db *DB) Health() Health {
 }
 
 // SharedWorkStats is a snapshot of the cross-query shared-work memo
-// counters (ball-memo hits/misses/evictions, sweep-memo occupancy, the
-// road-data version observed by invalidation). Zero-valued with Enabled
-// false when Config.DisableSharedWork is set. gpssn-serve surfaces it
-// under /statsz.
+// counters: label-memo hits, misses, refusals and occupancy (the Ball*
+// fields are deprecated and always 0). Zero-valued with Enabled false
+// when Config.DisableSharedWork is set. gpssn-serve surfaces it under
+// /statsz.
 type SharedWorkStats = core.SharedWorkStats
 
 // SharedWorkStats snapshots the shared-work memo. Safe to call

@@ -200,9 +200,8 @@ type MemoryStats struct {
 	// ArenaBytes is the total retained by the refinement arenas.
 	ArenaBytes int64
 	// MemoBytes is the resident size of the shared-work memo's user
-	// labels (0 when the memo is disabled, and under oracles without
-	// labels, which memoize no per-user state). The ball memo is
-	// entry-capped, not byte-metered, so it is not included here.
+	// labels — everything the memo retains (0 when the memo is disabled,
+	// and under oracles without labels, which memoize no per-user state).
 	MemoBytes int64
 	// POILabelBytes is the resident size of the POI label table (0 without
 	// a label oracle, and after a road mutation released the table).

@@ -71,11 +71,6 @@ func (e *Engine) AddPOI(p model.POI) error {
 	} else {
 		e.poiLabels = nil
 	}
-	// Selective shared-work invalidation: only balls the new POI could
-	// have joined. AddUser/AddFriendship leave the memo alone (balls are
-	// POI-only; sweep state is per-user and immutable) — the
-	// per-update-kind discipline from docs/CONCURRENCY.md §6.
-	e.shared.noteAddPOI(p.Loc)
 	return nil
 }
 
@@ -152,9 +147,9 @@ func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 // go stale and are handled here: pivot-table road *lower* bounds (gated
 // off engine-wide via roadPivotSafe until the next compaction — stored
 // upper bounds remain sound because shrinking true distances only widen
-// their slack) and the shared-work memo (fully reset: its one-to-all
-// arrays are sized to the old vertex count and its balls assume frozen
-// reachability, so stale entries would be wrong, not just loose).
+// their slack) and the shared-work label memo (fully reset: every label
+// bakes in the old distances, so stale entries would be wrong, not just
+// loose).
 func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -54,11 +54,11 @@ type Options struct {
 	// Any setting returns identical answers; see docs/CONCURRENCY.md and
 	// docs/ALGORITHMS.md for the soundness and determinism arguments.
 	Parallelism int
-	// SharedWork enables the cross-query shared-work memo: anchor balls
-	// and, under a label oracle, per-user attachment labels are computed
-	// once and shared across concurrent queries instead of once per
-	// query. Answers are bit-identical either way; see
-	// docs/CONCURRENCY.md §6 for the invalidation and copy-on-read rules.
+	// SharedWork enables the cross-query shared-work memo: under a label
+	// oracle, per-user attachment labels are computed once and shared
+	// across concurrent queries instead of once per query (other oracles
+	// keep no per-user state, so the memo stays empty). Answers are
+	// bit-identical either way; see docs/CONCURRENCY.md §6.
 	SharedWork bool
 }
 
@@ -322,8 +322,8 @@ func (e *Engine) QueryCtx(ctx context.Context, uq socialnet.UserID, p Params) (R
 	// the pruning threshold δ with the cost of a verified feasible
 	// solution, so distance pruning is armed from the first index level.
 	probe := e.probe(uq, p, q)
-	q.tracef("probe: found=%v cost=%.4f", probe.res.Found, probe.res.MaxDist)
-	trav := e.traverse(uq, p, 1, probe.res.MaxDist, q)
+	q.tracef("probe: found=%v cost=%.4f", probe.Found, probe.MaxDist)
+	trav := e.traverse(uq, p, 1, probe.MaxDist, q)
 	q.tracef("traversal: %d candidate users, %d candidate anchors, delta=%.4f",
 		len(trav.candUsers), len(trav.candAnchors), trav.delta)
 	var res []Result
@@ -379,7 +379,7 @@ func (e *Engine) QueryTopKCtx(ctx context.Context, uq socialnet.UserID, p Params
 	probe := e.probe(uq, p, q)
 	delta0 := math.Inf(1)
 	if k == 1 {
-		delta0 = probe.res.MaxDist
+		delta0 = probe.MaxDist
 	}
 	trav := e.traverse(uq, p, k, delta0, q)
 	var res []Result

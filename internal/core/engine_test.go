@@ -233,11 +233,11 @@ func TestProbeIncumbentSound(t *testing.T) {
 				want, _ := oracle.Query(uq, p)
 				var st Stats
 				pr := e.probe(uq, p, e.newQctx(&st))
-				if pr.res.Found {
+				if pr.Found {
 					found++
-					checkFeasible(t, ds, uq, p, pr.res)
-					if !want.Found || pr.res.MaxDist < want.MaxDist-1e-9 {
-						t.Fatalf("tau %d seed %d uq %d: probe cost %v beats the optimum %+v", tau, seed, uq, pr.res.MaxDist, want)
+					checkFeasible(t, ds, uq, p, pr)
+					if !want.Found || pr.MaxDist < want.MaxDist-1e-9 {
+						t.Fatalf("tau %d seed %d uq %d: probe cost %v beats the optimum %+v", tau, seed, uq, pr.MaxDist, want)
 					}
 				}
 				got, _, err := e.Query(uq, p)

@@ -44,13 +44,12 @@ func TestCompanionPruneKeepsExactTies(t *testing.T) {
 	e := NewEngine(ds, road, social, Options{})
 	ar := e.acquireArena()
 	defer e.releaseArena(ar)
-	cache := newVertexDistCache()
 	for a := range ds.POIs {
 		anchor := model.POIID(a)
 		anchorRD := e.poiRDOf(anchor)
 		// M(u) over the one-POI ball {anchor} is dist(u, anchor) through the
 		// label kernel, bit for bit what processAnchor compares against.
-		dist := e.makeMOf(cache, []model.POIID{anchor}, nil, nil, nil, ar)
+		dist := e.makeMOf([]model.POIID{anchor}, nil, nil, ar)
 		for u := range ds.Users {
 			d := dist(socialnet.UserID(u))
 			if e.companionPruned(socialnet.UserID(u), anchorRD, d) {

@@ -16,22 +16,12 @@ import (
 	"gpssn/internal/socialnet"
 )
 
-// probeResult carries the incumbent found by the pre-traversal probe and
-// the per-user label cache it warmed up (reused by refinement).
-type probeResult struct {
-	res   Result
-	cache *vertexDistCache
-}
-
 // probe searches for one feasible solution around the issuer's nearest
 // anchor POIs by greedy connected group growth. Its cost, when found, is a
 // sound upper bound on the optimum (it is the cost of an actual feasible
 // pair), so it can seed δ and the refinement incumbent.
-func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
-	pr := probeResult{
-		res:   Result{MaxDist: math.Inf(1)},
-		cache: newVertexDistCache(),
-	}
+func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
+	best := Result{MaxDist: math.Inf(1)}
 	ds := e.DS
 	uqW := ds.Users[uq].Interests
 	ar := e.acquireArena()
@@ -44,7 +34,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 			return
 		}
 		tried[anchor] = true
-		ball, tl := e.anchorBall(anchor, p.R, q.ck, ar)
+		ball := e.ballAround(anchor, p.R, q.ck)
 		if q.ck.Stopped() {
 			return // degenerate ball (see refine's processAnchor)
 		}
@@ -52,15 +42,15 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 		if MatchScoreSet(uqW, kws) < p.Theta {
 			return
 		}
-		mOf := e.makeMOf(pr.cache, ball, tl, nil, q.ck, ar)
+		mOf := e.makeMOf(ball, nil, q.ck, ar)
 		mUq := mOf(uq)
-		if mUq >= pr.res.MaxDist {
+		if mUq >= best.MaxDist {
 			return
 		}
-		if cur, curMax, ok := e.greedyGroup(uq, p, ball, kws, mUq, mOf); ok && curMax < pr.res.MaxDist {
+		if cur, curMax, ok := e.greedyGroup(uq, p, ball, kws, mUq, mOf); ok && curMax < best.MaxDist {
 			r := append([]model.POIID(nil), ball...)
 			sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
-			pr.res = Result{Found: true, S: sortedUsers(cur), R: r, Anchor: anchor, MaxDist: curMax}
+			best = Result{Found: true, S: sortedUsers(cur), R: r, Anchor: anchor, MaxDist: curMax}
 		}
 	}
 	for _, nb := range nn {
@@ -69,18 +59,18 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) probeResult {
 	// Second round: anchors near the found group's centroid usually beat
 	// anchors near the issuer alone, and a tighter incumbent is the main
 	// lever on δ-pruning.
-	if pr.res.Found {
+	if best.Found {
 		var cx, cy float64
-		for _, u := range pr.res.S {
+		for _, u := range best.S {
 			cx += ds.Users[u].Loc.X
 			cy += ds.Users[u].Loc.Y
 		}
-		n := float64(len(pr.res.S))
+		n := float64(len(best.S))
 		for _, nb := range e.Road.Tree.Nearest(geo.Pt(cx/n, cy/n), probeAnchors) {
 			tryAnchor(model.POIID(nb.Item.ID))
 		}
 	}
-	return pr
+	return best
 }
 
 // lexLessUsers compares two sorted user groups lexicographically.
@@ -203,112 +193,13 @@ func (sk *sharedKeeper) add(r Result) {
 	}
 }
 
-// Capacity bounds for the per-query label cache. Rejected puts are benign:
-// callers recompute, and recomputation yields bit-identical values, so
-// answers never depend on cache occupancy.
-const (
-	distCacheMaxEntries = 512
-	distCacheMaxBytes   = 32 << 20
-)
-
-// vertexDistCache shares per-user attachment hub labels (roadnet.HubLabel)
-// across the probe and the refinement workers under a label oracle; other
-// oracles price users through bounded ball searches and never touch it.
-// Entries are first-write-wins — two workers may race to compute the same
-// user's label; both compute identical values, so keeping the first is
-// benign — and puts beyond the entry or byte cap are rejected rather than
-// evicted (the cache is per-query and short-lived; eviction bookkeeping
-// would cost more than the recomputation it saves).
-type vertexDistCache struct {
-	mu         sync.Mutex
-	labels     map[socialnet.UserID]*roadnet.HubLabel
-	bytes      int64
-	maxEntries int
-	maxBytes   int64
-	rejected   int64
-}
-
-func newVertexDistCache() *vertexDistCache {
-	return newVertexDistCacheWith(distCacheMaxEntries, distCacheMaxBytes)
-}
-
-func newVertexDistCacheWith(maxEntries int, maxBytes int64) *vertexDistCache {
-	return &vertexDistCache{
-		labels:     map[socialnet.UserID]*roadnet.HubLabel{},
-		maxEntries: maxEntries,
-		maxBytes:   maxBytes,
-	}
-}
-
-func (c *vertexDistCache) getLabel(u socialnet.UserID) (*roadnet.HubLabel, bool) {
-	c.mu.Lock()
-	l, ok := c.labels[u]
-	c.mu.Unlock()
-	return l, ok
-}
-
-// putLabelCopy stores an owned copy of u's attachment label unless u is
-// already present or the caps would be exceeded. The copy is made only
-// once admission is certain, so a full cache costs nothing. The cache must
-// own its entries: l is arena scratch, overwritten by the next evaluation.
-func (c *vertexDistCache) putLabelCopy(u socialnet.UserID, l *roadnet.HubLabel) bool {
-	nb := labelBytes(l)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.labels[u]; ok {
-		return false
-	}
-	if len(c.labels) >= c.maxEntries || c.bytes+nb > c.maxBytes {
-		c.rejected++
-		return false
-	}
-	c.labels[u] = copyLabel(l)
-	c.bytes += nb
-	return true
-}
-
-// copyLabel returns an owned copy of l with capacity equal to length, so
-// labelBytes is what the copy keeps resident.
-func copyLabel(l *roadnet.HubLabel) *roadnet.HubLabel {
-	c := &roadnet.HubLabel{Hubs: make([]int32, l.Len()), Dist: make([]float64, l.Len())}
-	copy(c.Hubs, l.Hubs)
-	copy(c.Dist, l.Dist)
-	return c
-}
-
-// labelBytes is a label's entry payload: a 4-byte hub and an 8-byte
-// distance per entry.
-func labelBytes(l *roadnet.HubLabel) int64 { return int64(12 * l.Len()) }
-
-// entries and sizeBytes report occupancy (for tests and tracing).
-func (c *vertexDistCache) entries() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.labels)
-}
-
-func (c *vertexDistCache) sizeBytes() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.bytes
-}
-
-// userLabelWith returns u's attachment hub label through the cache, then
-// the shared sweep memo, computing it on a miss. Only call under a label
-// oracle.
-//
-// The miss path computes into the arena's reusable label scratch — no pool
-// traffic at all — and offers the cache an owned copy (the scratch itself
-// is overwritten by the next evaluation, so the cache can never hold it
-// directly). The returned label is read-only and valid until the next
+// userLabelWith returns u's attachment hub label through the shared
+// label memo, computing it on a miss (memo disabled or full) into the
+// arena's reusable label scratch — no pool traffic at all. Only call under
+// a label oracle. The returned label is read-only and valid until the next
 // userLabelWith call on the same arena, which is exactly the one-user-at-
 // a-time lifetime the evaluation loop needs.
-func (e *Engine) userLabelWith(c *vertexDistCache, u socialnet.UserID, ar *refineArena) *roadnet.HubLabel {
-	if l, ok := c.getLabel(u); ok {
-		return l
-	}
-	// The memo computes the label once per user across all concurrent
-	// queries and owns it, like a cache-owned label.
+func (e *Engine) userLabelWith(u socialnet.UserID, ar *refineArena) *roadnet.HubLabel {
 	if l, ok := e.sharedUserLabel(u); ok {
 		return l
 	}
@@ -316,7 +207,6 @@ func (e *Engine) userLabelWith(c *vertexDistCache, u socialnet.UserID, ar *refin
 	before := cap(l.Hubs)
 	e.DS.Road.AttachLabel(e.DS.Users[u].At, l)
 	ar.labelGrew(before)
-	c.putLabelCopy(u, l)
 	return l
 }
 
@@ -358,18 +248,13 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // The returned closure reuses one output buffer and must not be called
 // concurrently; build one evaluator per worker/anchor.
 //
-// tl, when non-nil, is the ball's prepared target-label set from the
-// shared-work memo (anchorBall); nil means prepare one here. Preparing
-// locally yields the same flattened label set, so the two paths are
-// interchangeable — the memo just skips the flatten.
-//
 // ar is the calling worker's arena: the attachment list, the output
 // buffer, and the source-label scratch come from it, so the steady state
 // allocates nothing per evaluation.
 // The evaluator is only valid until the same worker builds its next one
 // (they share the arena's buffers), which the one-anchor-at-a-time worker
 // loop guarantees.
-func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet.TargetLabels, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) func(socialnet.UserID) float64 {
+func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.Checkpoint, ar *refineArena) func(socialnet.UserID) float64 {
 	ds := e.DS
 	bound := func() float64 {
 		if keeper == nil {
@@ -377,13 +262,10 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 		}
 		return keeper.Bound()
 	}
-	if tl == nil {
-		tl = e.prepareBallLabels(ball, ar)
-	}
-	if tl != nil {
+	if tl := e.prepareBallLabels(ball, ar); tl != nil {
 		out := ar.floatBuf(len(ball))
 		return func(u socialnet.UserID) float64 {
-			lbl := e.userLabelWith(cache, u, ar)
+			lbl := e.userLabelWith(u, ar)
 			return ballMax(ds.Road.LabelDistsCk(lbl, ds.Users[u].At, tl, bound(), out, ck))
 		}
 	}
@@ -394,6 +276,17 @@ func (e *Engine) makeMOf(cache *vertexDistCache, ball []model.POIID, tl *roadnet
 	return func(u socialnet.UserID) float64 {
 		return ballMax(ds.Road.DistAttachWithinCk(ds.Users[u].At, bound(), ballAtts, ck))
 	}
+}
+
+// prepareBallLabels flattens the ball members' label rows into the ball's
+// merge-ready target set; nil under non-label oracles (the seam makeMOf
+// uses to pick its strategy).
+func (e *Engine) prepareBallLabels(ball []model.POIID, ar *refineArena) *roadnet.TargetLabels {
+	t, rows := e.poiRows(ball, ar)
+	if t == nil {
+		return nil
+	}
+	return t.Flatten(rows)
 }
 
 // ballMax folds one user's distances to the ball members into M(u): +Inf
@@ -425,7 +318,7 @@ func ballMax(dists []float64) float64 {
 // bound survive, and ties are resolved by the keeper's canonical order —
 // that is why any worker schedule returns identical answers (the
 // determinism argument in docs/ALGORITHMS.md).
-func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe probeResult, q *qctx) []Result {
+func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe Result, q *qctx) []Result {
 	st := q.st
 	ds := e.DS
 	uqUser := ds.User(uq)
@@ -458,12 +351,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	// otherwise); anchors are then processed in ascending exact distance so
 	// the search can stop as soon as the next anchor's lower bound meets the
 	// incumbent.
-	distCache := probe.cache
-	if distCache == nil {
-		distCache = newVertexDistCache()
-	}
 	ar := e.acquireArena()
-	duqs := e.anchorDists(distCache, uq, tr.candAnchors, q.ck, ar)
+	duqs := e.anchorDists(uq, tr.candAnchors, q.ck, ar)
 	type anchorCand struct {
 		id  model.POIID
 		duq float64
@@ -481,13 +370,13 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	})
 
 	keeper := newSharedKeeper(k)
-	if probe.res.Found {
-		keeper.add(probe.res) // feasible: a sound incumbent
+	if probe.Found {
+		keeper.add(probe) // feasible: a sound incumbent
 	}
 	var pairs atomic.Int64
 
 	processAnchor := func(ac anchorCand, ar *refineArena) {
-		ball, tl := e.anchorBall(ac.id, p.R, q.ck, ar)
+		ball := e.ballAround(ac.id, p.R, q.ck)
 		// A trip during ball construction leaves a degenerate ball; bail
 		// before any result can be built on the wrong R set.
 		if q.ck.Stopped() {
@@ -500,7 +389,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		// M(u) = max_{o in ball} dist_RN(u, o); the group cost is
 		// max_{u in S} M(u). See makeMOf for the two kernels and the
 		// soundness of bound truncation.
-		mOf := e.makeMOf(distCache, ball, tl, keeper, q.ck, ar)
+		mOf := e.makeMOf(ball, keeper, q.ck, ar)
 		mUq := mOf(uq)
 		// Strict comparison: a cost exactly equal to the bound may still
 		// tie the k-th best and win the canonical tie-break, so it must
@@ -832,12 +721,12 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 // group cost the anchor can produce (the anchor is in its own ball). A
 // tripped checkpoint yields all-+Inf. The result is arena memory, valid
 // until ar's next float buffer request.
-func (e *Engine) anchorDists(cache *vertexDistCache, uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint, ar *refineArena) []float64 {
+func (e *Engine) anchorDists(uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint, ar *refineArena) []float64 {
 	ds := e.DS
 	uqAt := ds.Users[uq].At
 	out := ar.floatBuf(len(anchors))
 	if t, rows := e.poiRows(anchors, ar); t != nil {
-		lbl := e.userLabelWith(cache, uq, ar)
+		lbl := e.userLabelWith(uq, ar)
 		return ds.Road.RowDistsCk(lbl, uqAt, t, rows, math.Inf(1), out, ck)
 	}
 	edge := ds.Road.EdgeAt(uqAt.Edge)

@@ -11,158 +11,11 @@ import (
 	"gpssn/internal/socialnet"
 )
 
-// TestBallMemoSingleflight hammers one anchor from many goroutines: the
-// build must run exactly once (one miss, the rest hits), every caller must
-// receive the same ball as a solo ballAround, and the copy-on-read rule
-// must hold — mutating a returned slice cannot leak into the memo.
-func TestBallMemoSingleflight(t *testing.T) {
-	ds := smallDataset(t, 4)
-	e := buildEngine(t, ds, Options{SharedWork: true})
-	want := e.ballAround(0, 2, nil) // memo-off ground truth (direct build)
-
-	const callers = 16
-	balls := make([][]model.POIID, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			balls[i], _ = e.anchorBall(0, 2, nil, e.acquireArena())
-		}(i)
-	}
-	wg.Wait()
-	for i, b := range balls {
-		if !reflect.DeepEqual(b, want) {
-			t.Fatalf("caller %d ball = %v, want %v", i, b, want)
-		}
-	}
-	st := e.SharedWorkStats()
-	if st.BallMisses != 1 {
-		t.Fatalf("ball misses = %d, want 1 (singleflight)", st.BallMisses)
-	}
-	if st.BallHits != callers-1 {
-		t.Fatalf("ball hits = %d, want %d", st.BallHits, callers-1)
-	}
-
-	// Copy-on-read: clobber a returned ball, refetch, must be pristine.
-	balls[0][0] = -999
-	again, _ := e.anchorBall(0, 2, nil, e.acquireArena())
-	if !reflect.DeepEqual(again, want) {
-		t.Fatalf("memo poisoned by caller mutation: %v, want %v", again, want)
-	}
-}
-
-// TestBallMemoInvalidation adds POIs near and far from memoized anchors:
-// only balls the new POI could join (Euclidean prefilter) may be evicted,
-// the road version must bump on every AddPOI, and a post-update fetch must
-// return the fresh ball — the no-stale-ball guarantee.
-func TestBallMemoInvalidation(t *testing.T) {
-	ds := smallDataset(t, 4)
-	e := buildEngine(t, ds, Options{SharedWork: true})
-	anchor := model.POIID(0)
-	loc := ds.POIs[anchor].Loc
-	before, _ := e.anchorBall(anchor, 2, nil, e.acquireArena())
-
-	// A POI Euclidean-far from the anchor: the memoized ball must survive
-	// (no eviction) and stay correct — the new POI cannot be a member.
-	// Borrow the attachment of the existing POI farthest from the anchor.
-	farSrc, farDist := anchor, 0.0
-	for id := range ds.POIs {
-		if d := ds.POIs[id].Loc.Dist(loc); d > farDist {
-			farSrc, farDist = model.POIID(id), d
-		}
-	}
-	if farDist <= 2 {
-		t.Skipf("no POI farther than the radius (max %v)", farDist)
-	}
-	far := model.POI{
-		ID: model.POIID(len(ds.POIs)), At: ds.POIs[farSrc].At,
-		Loc: ds.POIs[farSrc].Loc, Keywords: []int{0},
-	}
-	if err := e.AddPOI(far); err != nil {
-		t.Fatalf("AddPOI(far): %v", err)
-	}
-	st := e.SharedWorkStats()
-	if st.RoadVersion != 1 {
-		t.Fatalf("road version = %d after one AddPOI, want 1", st.RoadVersion)
-	}
-	if st.BallEvictions != 0 {
-		t.Fatalf("far POI evicted %d balls; Euclidean prefilter should keep them", st.BallEvictions)
-	}
-	if got, _ := e.anchorBall(anchor, 2, nil, e.acquireArena()); !reflect.DeepEqual(got, before) {
-		t.Fatalf("ball changed after far AddPOI: %v, want %v", got, before)
-	}
-
-	// A POI right on the anchor: its ball entry must be evicted and the
-	// refetched ball must match a fresh solo build (which includes the
-	// new POI through the delta scan) — never the stale memo entry.
-	near := model.POI{
-		ID: model.POIID(len(ds.POIs)), At: ds.POIs[anchor].At,
-		Loc: loc, Keywords: []int{0},
-	}
-	if err := e.AddPOI(near); err != nil {
-		t.Fatalf("AddPOI(near): %v", err)
-	}
-	st = e.SharedWorkStats()
-	if st.RoadVersion != 2 {
-		t.Fatalf("road version = %d after two AddPOIs, want 2", st.RoadVersion)
-	}
-	if st.BallEvictions == 0 {
-		t.Fatal("near POI evicted nothing; stale ball would be served")
-	}
-	want := e.ballAround(anchor, 2, nil)
-	got, _ := e.anchorBall(anchor, 2, nil, e.acquireArena())
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("post-update ball = %v, want fresh %v", got, want)
-	}
-	member := false
-	for _, id := range got {
-		if id == near.ID {
-			member = true
-		}
-	}
-	if !member {
-		t.Fatalf("new POI %d missing from its anchor's refetched ball %v", near.ID, got)
-	}
-}
-
-// TestBallMemoBudgetDiscipline: a memo hit charges the metered build cost,
-// and a budget too small for that charge yields the same degenerate
-// {anchor} ball a solo tripped build would — never a full ball the query
-// didn't pay for, and never a degenerate entry in the memo.
-func TestBallMemoBudgetDiscipline(t *testing.T) {
-	ds := smallDataset(t, 4)
-	e := buildEngine(t, ds, Options{SharedWork: true})
-	anchor, full := model.POIID(-1), []model.POIID(nil)
-	for a := range ds.POIs {
-		if b, _ := e.anchorBall(model.POIID(a), 4, nil, e.acquireArena()); len(b) >= 2 {
-			anchor, full = model.POIID(a), b
-			break
-		}
-	}
-	if anchor < 0 {
-		t.Fatal("no anchor with a non-trivial radius-4 ball")
-	}
-
-	tiny := roadnet.NewCheckpoint(nil, nil, 1)
-	got, _ := e.anchorBall(anchor, 4, tiny, e.acquireArena())
-	if len(got) != 1 || got[0] != anchor {
-		t.Fatalf("budget-tripped hit returned %v, want degenerate [%d]", got, anchor)
-	}
-	if !tiny.Exhausted() {
-		t.Fatal("1-work budget did not trip on the memo charge")
-	}
-	// The entry itself must still be canonical for the next caller.
-	again, _ := e.anchorBall(anchor, 4, roadnet.NewCheckpoint(nil, nil, 1<<40), e.acquireArena())
-	if !reflect.DeepEqual(again, full) {
-		t.Fatalf("entry degraded after tripped hit: %v, want %v", again, full)
-	}
-}
-
 // TestSweepMemoCapacity checks the label memo's accounting: a miss then a
 // hit sharing one instance, the reject-on-full path once the entry cap is
-// reached (counted, and the per-query path still yields the exact label),
-// and no per-user state at all under an oracle without labels.
+// reached (counted, and the per-query arena path still yields the exact
+// label and a bit-identical M(u)), and no per-user state at all under an
+// oracle without labels.
 func TestSweepMemoCapacity(t *testing.T) {
 	ds := smallDataset(t, 4)
 	e := buildEngine(t, ds, Options{SharedWork: true})
@@ -211,8 +64,29 @@ func TestSweepMemoCapacity(t *testing.T) {
 	want := roadnet.AcquireLabel()
 	defer roadnet.ReleaseLabel(want)
 	ds.Road.AttachLabel(ds.Users[v].At, want)
-	if l := e.userLabelWith(newVertexDistCache(), v, ar); !reflect.DeepEqual(l.Hubs, want.Hubs) || !reflect.DeepEqual(l.Dist, want.Dist) {
+	if l := e.userLabelWith(v, ar); !reflect.DeepEqual(l.Hubs, want.Hubs) || !reflect.DeepEqual(l.Dist, want.Dist) {
 		t.Fatal("per-query path behind a full memo returned a different label")
+	}
+
+	// M(u) behind the full memo (arena label scratch) equals M(u) through a
+	// fresh memo bit for bit, and every refused evaluation is counted.
+	ball := []model.POIID{0, 3, 7, 11, 19}
+	fresh := buildEngine(t, ds, Options{SharedWork: true})
+	far := fresh.acquireArena()
+	defer fresh.releaseArena(far)
+	viaMemo := fresh.makeMOf(ball, nil, nil, far)
+	viaArena := e.makeMOf(ball, nil, nil, ar)
+	users := []socialnet.UserID{1, 5, 9, 13}
+	for _, w := range users {
+		if a, m := viaArena(w), viaMemo(w); a != m {
+			t.Fatalf("user %d: M = %v behind a full memo, %v through the memo", w, a, m)
+		}
+	}
+	if st := fresh.SharedWorkStats(); st.SweepMisses != int64(len(users)) {
+		t.Fatalf("fresh memo misses = %d, want %d", st.SweepMisses, len(users))
+	}
+	if st := e.SharedWorkStats(); st.SweepRejected != int64(2+len(users)) {
+		t.Fatalf("sweep rejected = %d, want %d", st.SweepRejected, 2+len(users))
 	}
 }
 
@@ -258,22 +132,25 @@ func TestSweepMemoLabels(t *testing.T) {
 	}
 }
 
-// TestSharedWorkDisabled: with Options.SharedWork off the helpers must be
-// transparent passthroughs — no memo, zero stats, identical values.
+// TestSharedWorkDisabled: with Options.SharedWork off the memo is a
+// transparent passthrough — no memo, zero stats, identical labels.
 func TestSharedWorkDisabled(t *testing.T) {
 	ds := smallDataset(t, 4)
+	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+	defer ds.Road.SetDistanceOracle(nil)
 	e := buildEngine(t, ds, Options{})
-	ball, tl := e.anchorBall(0, 2, nil, e.acquireArena())
-	if tl != nil {
-		t.Fatal("disabled anchorBall returned shared labels")
-	}
-	if want := e.ballAround(0, 2, nil); !reflect.DeepEqual(ball, want) {
-		t.Fatalf("disabled anchorBall = %v, want %v", ball, want)
-	}
 	if _, ok := e.sharedUserLabel(1); ok {
 		t.Fatal("disabled sharedUserLabel claimed a hit")
 	}
-	if st := e.SharedWorkStats(); st.Enabled || st.BallMisses != 0 {
+	want := roadnet.AcquireLabel()
+	defer roadnet.ReleaseLabel(want)
+	ds.Road.AttachLabel(ds.Users[1].At, want)
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
+	if l := e.userLabelWith(1, ar); !reflect.DeepEqual(l.Hubs, want.Hubs) || !reflect.DeepEqual(l.Dist, want.Dist) {
+		t.Fatal("disabled memo changed the user's label")
+	}
+	if st := e.SharedWorkStats(); st != (SharedWorkStats{}) {
 		t.Fatalf("disabled stats = %+v, want zero", st)
 	}
 }

@@ -17,6 +17,8 @@ import (
 type HubLabel struct {
 	Hubs []int32
 	Dist []float64
+
+	seeds [2]Seed // seedAttach's scratch (see there)
 }
 
 // Len returns the number of (hub, distance) entries.
@@ -82,9 +84,17 @@ func (g *Graph) AttachLabel(a Attach, dst *HubLabel) bool {
 	if !ok {
 		return false
 	}
-	u, v, du, dv := g.attachEnds(a)
-	lo.SeedLabel([]Seed{{Vertex: u, Dist: du}, {Vertex: v, Dist: dv}}, dst)
+	g.seedAttach(lo, a, dst)
 	return true
+}
+
+// seedAttach writes the merged label of a's two edge endpoints into dst.
+// The seeds live in dst's own scratch: a slice literal would escape
+// through the interface call and cost an allocation per label.
+func (g *Graph) seedAttach(lo LabelOracle, a Attach, dst *HubLabel) {
+	u, v, du, dv := g.attachEnds(a)
+	dst.seeds = [2]Seed{{Vertex: u, Dist: du}, {Vertex: v, Dist: dv}}
+	lo.SeedLabel(dst.seeds[:], dst)
 }
 
 // LabelTable is a forward table of attachment hub labels: row i is the
@@ -131,8 +141,7 @@ func (t *LabelTable) Append(g *Graph, a Attach) {
 }
 
 func (t *LabelTable) appendRow(g *Graph, a Attach, lbl *HubLabel) {
-	u, v, du, dv := g.attachEnds(a)
-	t.oracle.SeedLabel([]Seed{{Vertex: u, Dist: du}, {Vertex: v, Dist: dv}}, lbl)
+	g.seedAttach(t.oracle, a, lbl)
 	t.atts = append(t.atts, a)
 	t.hubs = append(t.hubs, lbl.Hubs...)
 	t.dist = append(t.dist, lbl.Dist...)

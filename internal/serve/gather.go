@@ -10,10 +10,10 @@ import (
 // gatherer implements the gather window: a short, configurable hold that
 // releases queued query requests in aligned batches instead of letting
 // them trickle into the engine one by one. Released together, overlapping
-// queries hit the engine's shared-work memo while their twins' ball and
-// sweep builds are still in flight, so the singleflight there folds them
-// into one batched construction pass — the window does not itself merge
-// work, it lines requests up so the memo can.
+// queries hit the engine's shared-work label memo while their twins' label
+// builds are still in flight, so the singleflight there folds them into
+// one build — the window does not itself merge work, it lines requests up
+// so the memo can.
 //
 // The hold costs every request up to one window of added latency, which
 // is why it is off by default in the library (Config.GatherWindow 0) and

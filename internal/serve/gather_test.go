@@ -85,8 +85,9 @@ func TestGathererReleasesAbandoningClient(t *testing.T) {
 
 // TestStatszSharedWork drives identical queries through a server with the
 // gather window enabled and checks the /statsz additions of this layer:
-// the shared_work block with nonzero memo traffic, the gather counters,
-// and the flight snapshot fields.
+// the shared_work block with nonzero label-memo traffic and a hit rate
+// that is the label counters' own, the gather counters, and the flight
+// snapshot fields.
 func TestStatszSharedWork(t *testing.T) {
 	db := testDB(t, gpssn.Config{})
 	srv := New(db, Config{GatherWindow: time.Millisecond})
@@ -126,19 +127,30 @@ func TestStatszSharedWork(t *testing.T) {
 		}
 	}
 
-	var sw struct {
-		RoadVersion int64   `json:"road_version"`
-		BallHits    int64   `json:"ball_hits_total"`
-		BallMisses  int64   `json:"ball_misses_total"`
-		SweepHits   int64   `json:"sweep_hits_total"`
-		SweepMisses int64   `json:"sweep_misses_total"`
-		HitRate     float64 `json:"hit_rate"`
-	}
+	var sw map[string]json.RawMessage
 	if err := json.Unmarshal(m["shared_work"], &sw); err != nil {
 		t.Fatalf("decoding shared_work block: %v", err)
 	}
-	if sw.BallMisses+sw.SweepMisses == 0 {
-		t.Fatalf("shared_work shows no memo traffic: %s", m["shared_work"])
+	for _, gone := range []string{"road_version", "ball_hits_total", "ball_misses_total", "ball_evictions_total", "ball_entries"} {
+		if _, ok := sw[gone]; ok {
+			t.Errorf("shared_work still reports the removed ball memo's %q: %s", gone, m["shared_work"])
+		}
+	}
+	var lm struct {
+		SweepHits    int64   `json:"sweep_hits_total"`
+		SweepMisses  int64   `json:"sweep_misses_total"`
+		SweepEntries int     `json:"sweep_entries"`
+		SweepBytes   int64   `json:"sweep_bytes"`
+		HitRate      float64 `json:"hit_rate"`
+	}
+	if err := json.Unmarshal(m["shared_work"], &lm); err != nil {
+		t.Fatalf("decoding shared_work block: %v", err)
+	}
+	if lm.SweepMisses == 0 || lm.SweepEntries == 0 || lm.SweepBytes <= 0 {
+		t.Fatalf("shared_work shows no label-memo traffic: %s", m["shared_work"])
+	}
+	if want := float64(lm.SweepHits) / float64(lm.SweepHits+lm.SweepMisses); lm.HitRate != want {
+		t.Errorf("shared_work.hit_rate = %v, want the label memo's %v", lm.HitRate, want)
 	}
 
 	var mem struct {
@@ -177,8 +189,8 @@ func TestStatszSharedWork(t *testing.T) {
 	if !st.Enabled {
 		t.Fatal("DB opened by the server has the memo disabled")
 	}
-	if st.BallHits+st.SweepHits == 0 {
-		t.Fatalf("no shared-work hits after overlapping queries: %+v", st)
+	if st.SweepHits == 0 {
+		t.Fatalf("no label-memo hits after overlapping queries: %+v", st)
 	}
 
 	// A road mutation puts the overlay in front of the labels: the POI

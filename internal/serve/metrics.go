@@ -84,8 +84,9 @@ type metricsSnapshot struct {
 
 // memoryJSON mirrors gpssn.MemoryStats for /statsz: where the process's
 // memory actually lives. oracle_bytes is the capacity-planning headline
-// (the preprocessed label store dominates at scale); arena_bytes and
-// memo_bytes are the engine's recycled scratch; poi_label_bytes is the POI
+// (the preprocessed label store dominates at scale); arena_bytes is the
+// engine's recycled scratch and memo_bytes the label memo's resident
+// labels; poi_label_bytes is the POI
 // label table (0 without hub labels or while road deltas are pending); the
 // heap fields are the runtime's own view for cross-checking against RSS.
 type memoryJSON struct {
@@ -129,13 +130,8 @@ type walJSON struct {
 }
 
 // sharedWorkJSON mirrors gpssn.SharedWorkStats for /statsz. HitRate is
-// the combined ball+sweep memo hit rate.
+// the label memo's hit rate.
 type sharedWorkJSON struct {
-	RoadVersion   uint64  `json:"road_version"`
-	BallHits      int64   `json:"ball_hits_total"`
-	BallMisses    int64   `json:"ball_misses_total"`
-	BallEvictions int64   `json:"ball_evictions_total"`
-	BallEntries   int     `json:"ball_entries"`
 	SweepHits     int64   `json:"sweep_hits_total"`
 	SweepMisses   int64   `json:"sweep_misses_total"`
 	SweepRejected int64   `json:"sweep_rejected_total"`

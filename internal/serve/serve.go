@@ -251,19 +251,14 @@ func (s *Server) snapshot() metricsSnapshot {
 	}
 	if sw := s.db.SharedWorkStats(); sw.Enabled {
 		j := sharedWorkJSON{
-			RoadVersion:   sw.RoadVersion,
-			BallHits:      sw.BallHits,
-			BallMisses:    sw.BallMisses,
-			BallEvictions: sw.BallEvictions,
-			BallEntries:   sw.BallEntries,
 			SweepHits:     sw.SweepHits,
 			SweepMisses:   sw.SweepMisses,
 			SweepRejected: sw.SweepRejected,
 			SweepEntries:  sw.SweepEntries,
 			SweepBytes:    sw.SweepBytes,
 		}
-		if n := j.BallHits + j.BallMisses + j.SweepHits + j.SweepMisses; n > 0 {
-			j.HitRate = float64(j.BallHits+j.SweepHits) / float64(n)
+		if n := j.SweepHits + j.SweepMisses; n > 0 {
+			j.HitRate = float64(j.SweepHits) / float64(n)
 		}
 		snap.SharedWork = &j
 	}

@@ -54,7 +54,7 @@ echo "$topk" | grep -q '"answers":'
 echo "== shared-work memo is live"
 # Re-issue the query as different users so the requests miss the answer
 # cache and flight coalescer but overlap in the engine: /statsz must show
-# the shared-work memo (ball or sweep) taking hits.
+# the shared-work label memo taking hits.
 for u in 42 43 44 45; do
     curl -sf -o /dev/null -d '{"user":'"$u"',"group_size":3,"gamma":0.3,"theta":0.3,"radius":2}' \
         "http://$addr/v1/query"
@@ -62,13 +62,12 @@ done
 statsz=$(curl -sf "http://$addr/statsz")
 echo "statsz: $statsz"
 echo "$statsz" | grep -q '"shared_work"'
-hits=$(echo "$statsz" | sed -n 's/.*"ball_hits_total":\([0-9]*\).*/\1/p')
 sweep=$(echo "$statsz" | sed -n 's/.*"sweep_hits_total":\([0-9]*\).*/\1/p')
-if [ "${hits:-0}" -eq 0 ] && [ "${sweep:-0}" -eq 0 ]; then
-    echo "shared-work memo took no hits (ball=$hits sweep=$sweep)" >&2
+if [ "${sweep:-0}" -eq 0 ]; then
+    echo "shared-work label memo took no hits (sweep_hits_total=${sweep:-missing})" >&2
     exit 1
 fi
-echo "memo hits: ball=$hits sweep=$sweep"
+echo "memo hits: sweep=$sweep"
 
 echo "== invalid input is 400"
 code=$(curl -s -o /dev/null -w '%{http_code}' -d '{"user":42,"bogus":1}' \
