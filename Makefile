@@ -34,7 +34,8 @@ test:
 	$(GO) test -timeout 10m ./...
 
 # The equal-cost tie gates, ten times over: engine answers must match the
-# memo-off twin, the Dijkstra reference and the churn twins on every run,
+# sequential (Parallelism 1) twin, the Dijkstra reference and the churn
+# twins on every run,
 # so a tie that flips with worker timing fails here instead of passing
 # one run in N by luck.
 tie-check:

@@ -48,8 +48,6 @@ func main() {
 		maxTO    = flag.Duration("max-timeout", 30*time.Second, "cap on every request's effective deadline (0 = none)")
 		retry    = flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses")
 		drainTO  = flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests before exiting anyway")
-		gather   = flag.Duration("gather-window", time.Millisecond, "hold each query up to this long so overlapping requests fold into one shared ball/sweep pass (0 disables)")
-		noShared = flag.Bool("no-shared-work", false, "disable the cross-query shared-work memo (answers are identical either way; for A/B measurement)")
 		walPath  = flag.String("wal", "", "write-ahead log path: every accepted update is durable before it is acknowledged, and a crash replays the log on restart (see docs/ROBUSTNESS.md)")
 		walSync  = flag.String("wal-sync", "always", "WAL fsync policy: always (fsync per update), batch (group commit, see -wal-flush), none (OS page cache only)")
 		walFlush = flag.Duration("wal-flush", 0, "group-commit window for -wal-sync batch (0 = the library default)")
@@ -70,7 +68,6 @@ func main() {
 	cfg.StrictOracle = *strict
 	cfg.CacheSize = *cache
 	cfg.Parallelism = *par
-	cfg.DisableSharedWork = *noShared
 	cfg.Logf = logger.Printf
 	cfg.WALPath = *walPath
 	cfg.WALSync = *walSync
@@ -94,7 +91,6 @@ func main() {
 		DefaultTimeout: *defTO,
 		MaxTimeout:     *maxTO,
 		RetryAfter:     *retry,
-		GatherWindow:   *gather,
 		Logf:           logger.Printf,
 	})
 	httpSrv := &http.Server{

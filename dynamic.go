@@ -310,8 +310,8 @@ func (db *DB) applyAddRoadVertex(x, y float64) (int, error) {
 // plain Dijkstra under write traffic. Self-loops, out-of-range
 // endpoints, and duplicate edges return an error matching
 // ErrInvalidInput (the internal roadnet panic is reserved for misuse of
-// the internal API). The answer cache and the shared-work memo are
-// flushed: a new segment can shorten any distance. Call Compact
+// the internal API). The answer cache is flushed: a new segment can
+// shorten any distance. Call Compact
 // periodically under sustained churn — or set
 // Config.OverlayCompactPortals to have it triggered automatically — to
 // re-contract the oracle and re-arm pivot-based distance pruning. Safe

@@ -156,13 +156,7 @@ type Config struct {
 	// DistanceOracle cannot be built, instead of serving degraded through
 	// the fallback chain.
 	StrictOracle bool
-	// DisableSharedWork turns off the cross-query shared-work memo
-	// (per-user hub labels computed once and shared across concurrent
-	// queries under the "hl" oracle; it holds nothing under "ch" and
-	// "dijkstra" — docs/CONCURRENCY.md §6). On by default because answers
-	// are bit-identical either way; disabling it is mainly useful for A/B
-	// measurement (the benchmark's dijkstra reference replay does exactly
-	// that) and for memory-constrained embedders.
+	// Deprecated: no effect; kept because benchmark/gate.go uses it
 	DisableSharedWork bool
 	// WALPath enables the write-ahead log: every successful dynamic update
 	// is appended (and fsynced per WALSync) to this file before it is
@@ -413,35 +407,28 @@ func (db *DB) Health() Health {
 	return h
 }
 
-// SharedWorkStats is a snapshot of the cross-query shared-work memo
-// counters: label-memo hits, misses, refusals and occupancy (the Ball*
-// fields are deprecated and always 0). Zero-valued with Enabled false
-// when Config.DisableSharedWork is set. gpssn-serve surfaces it under
-// /statsz.
-type SharedWorkStats = core.SharedWorkStats
-
-// SharedWorkStats snapshots the shared-work memo. Safe to call
-// concurrently with queries and updates; counters reset on Compact (the
-// rebuilt engine starts with an empty memo).
-func (db *DB) SharedWorkStats() SharedWorkStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.engine.SharedWorkStats()
+// Deprecated: no effect; kept because benchmark/probes.go uses it
+type SharedWorkStats struct {
+	BallHits, BallMisses, BallEvictions int64
+	SweepHits, SweepMisses              int64
 }
+
+// Deprecated: no effect; kept because benchmark/probes.go uses it
+func (db *DB) SharedWorkStats() SharedWorkStats { return SharedWorkStats{} }
 
 // MemoryStats reports where a DB's memory lives: the preprocessed oracle
 // structures (the dominant resident cost at scale — the capacity table in
-// the README is derived from OracleBytes), the refinement arenas, the
-// shared-work sweep memo, the POI label table, and the Go heap as the
-// runtime sees it. Safe to
-// call concurrently with queries; gpssn-serve surfaces it under /statsz.
+// the README is derived from OracleBytes), the refinement arenas, the POI
+// label table, and the Go heap as the runtime sees it. Safe to call
+// concurrently with queries; gpssn-serve surfaces it under /statsz.
 type MemoryStats struct {
-	// OracleBytes, ArenaBytes, MemoBytes and POILabelBytes are the engine's
-	// own accounting — see core.MemoryStats for exactly what each covers.
+	// OracleBytes, ArenaBytes and POILabelBytes are the engine's own
+	// accounting — see core.MemoryStats for exactly what each covers.
 	OracleBytes   int64
 	ArenaBytes    int64
-	MemoBytes     int64
 	POILabelBytes int64
+	// Deprecated: no effect; kept because benchmark/run.go uses it
+	MemoBytes int64
 	// HeapAlloc and HeapSys are runtime.MemStats.HeapAlloc/HeapSys:
 	// live heap bytes and heap address space obtained from the OS.
 	HeapAlloc uint64
@@ -460,7 +447,6 @@ func (db *DB) MemoryStats() MemoryStats {
 	return MemoryStats{
 		OracleBytes:   es.OracleBytes,
 		ArenaBytes:    es.ArenaBytes,
-		MemoBytes:     es.MemoBytes,
 		POILabelBytes: es.POILabelBytes,
 		HeapAlloc:     m.HeapAlloc,
 		HeapSys:       m.HeapSys,
@@ -598,7 +584,6 @@ func buildDB(net *Network, c Config) (*DB, error) {
 		SamplingRefine: c.Sampling,
 		UseCorollary2:  c.Corollary2,
 		Parallelism:    c.Parallelism,
-		SharedWork:     !c.DisableSharedWork,
 	})
 	return &DB{
 		net: net, engine: engine, cfg: c,

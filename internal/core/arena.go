@@ -199,10 +199,6 @@ type MemoryStats struct {
 	OracleBytes int64
 	// ArenaBytes is the total retained by the refinement arenas.
 	ArenaBytes int64
-	// MemoBytes is the resident size of the shared-work memo's user
-	// labels — everything the memo retains (0 when the memo is disabled,
-	// and under oracles without labels, which memoize no per-user state).
-	MemoBytes int64
 	// POILabelBytes is the resident size of the POI label table (0 without
 	// a label oracle, and after a road mutation released the table).
 	POILabelBytes int64
@@ -214,11 +210,6 @@ func (e *Engine) MemoryStats() MemoryStats {
 	ms := MemoryStats{ArenaBytes: e.ArenaBytes(), POILabelBytes: e.POILabels().MemoryBytes()}
 	if o, ok := e.DS.Road.Oracle().(interface{ MemoryBytes() int64 }); ok {
 		ms.OracleBytes = o.MemoryBytes()
-	}
-	if sw := e.shared; sw != nil {
-		sw.mu.Lock()
-		ms.MemoBytes = sw.userBytes
-		sw.mu.Unlock()
 	}
 	return ms
 }

@@ -46,8 +46,7 @@ func sameResults(t *testing.T, label string, got, want []Result) {
 // TestArenaFoldTogglesBitIdentical is the arena's equality gate: P=1 and
 // P=8 must return byte-identical top-k answers under each oracle family
 // (plain Dijkstra, CH, HL), where workers recycle arenas in different
-// orders, and so must the shared-work label memo under HL (the only oracle
-// it holds anything for). The reference is the sequential engine.
+// orders. The reference is the sequential engine.
 func TestArenaFoldTogglesBitIdentical(t *testing.T) {
 	ds := smallDataset(t, 23)
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
@@ -61,28 +60,23 @@ func TestArenaFoldTogglesBitIdentical(t *testing.T) {
 		{"ch", func() { ds.Road.SetDistanceOracle(ch.Build(ds.Road)) }},
 		{"hl", func() { ds.Road.SetDistanceOracle(hl.Build(ds.Road)) }},
 	}
-	type variant struct {
+	variants := []struct {
 		name string
 		opts Options
-	}
-	variants := []variant{
+	}{
 		{"p1", Options{Parallelism: 1}},
 		{"p8", Options{Parallelism: 8}},
 	}
 	defer ds.Road.SetDistanceOracle(nil)
 	for _, o := range oracles {
 		o.attach()
-		vs := variants
-		if o.name == "hl" {
-			vs = append(vs, variant{"memo", Options{SharedWork: true}})
-		}
 		ref := buildEngine(t, ds, Options{Parallelism: 1})
 		for _, uq := range queryUsers {
 			want, _, err := ref.QueryTopK(uq, p, 2)
 			if err != nil {
 				t.Fatalf("%s ref uq %d: %v", o.name, uq, err)
 			}
-			for _, v := range vs {
+			for _, v := range variants {
 				e := buildEngine(t, ds, v.opts)
 				got, _, err := e.QueryTopK(uq, p, 2)
 				if err != nil {
@@ -96,34 +90,31 @@ func TestArenaFoldTogglesBitIdentical(t *testing.T) {
 
 // TestLabelEvalZeroAllocsWithArena pins the arena's core claim with the
 // allocator's own counter: once warm, evaluating M(u) through the label
-// kernel allocates nothing at all — with the label memo off (every user's
-// label merged into the arena's scratch) and on (labels read from the
-// memo).
+// kernel allocates nothing at all: every user's label is merged into the
+// arena's scratch.
 func TestLabelEvalZeroAllocsWithArena(t *testing.T) {
+	if raceBuild() {
+		t.Skip("the oracle's merge scratch comes from a sync.Pool, which -race makes lossy")
+	}
 	ds := smallDataset(t, 24)
 	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 	defer ds.Road.SetDistanceOracle(nil)
-	for _, opts := range []Options{{}, {SharedWork: true}} {
-		if !opts.SharedWork && raceBuild() {
-			continue // the oracle's merge scratch comes from a sync.Pool, which -race makes lossy
-		}
-		e := buildEngine(t, ds, opts)
-		ar := e.acquireArena()
-		ball := []model.POIID{0, 1, 2, 3, 4}
-		mOf := e.makeMOf(ball, nil, nil, ar)
-		users := []socialnet.UserID{1, 5, 9, 13, 17}
+	e := buildEngine(t, ds, Options{})
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
+	ball := []model.POIID{0, 1, 2, 3, 4}
+	mOf := e.makeMOf(ball, nil, nil, ar)
+	users := []socialnet.UserID{1, 5, 9, 13, 17}
+	for _, u := range users {
+		mOf(u) // warm: the label scratch grows
+	}
+	allocs := testing.AllocsPerRun(100, func() {
 		for _, u := range users {
-			mOf(u) // warm: the label scratch grows, the memo fills
+			mOf(u)
 		}
-		allocs := testing.AllocsPerRun(100, func() {
-			for _, u := range users {
-				mOf(u)
-			}
-		})
-		if allocs != 0 {
-			t.Errorf("SharedWork=%v: warm label evaluation allocates %.1f objects per run, want 0", opts.SharedWork, allocs)
-		}
-		e.releaseArena(ar)
+	})
+	if allocs != 0 {
+		t.Errorf("warm label evaluation allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
@@ -228,8 +219,7 @@ func TestArenaByteAccounting(t *testing.T) {
 // when an oracle reports them, arena bytes after a query warmed the pool,
 // the POI label table's bytes exactly while an engine holds one — built
 // under hub labels, grown by AddPOI, released by a road mutation, absent
-// under plain Dijkstra — and the memo's bytes, which are everything the
-// label memo retains.
+// under plain Dijkstra.
 func TestEngineMemoryStats(t *testing.T) {
 	ds := smallDataset(t, 27)
 	e := buildEngine(t, ds, Options{})
@@ -252,22 +242,10 @@ func TestEngineMemoryStats(t *testing.T) {
 		t.Errorf("POILabelBytes = %d on an engine wired before its oracle, want 0", ms.POILabelBytes)
 	}
 
-	labelled := buildEngine(t, ds, Options{SharedWork: true})
+	labelled := buildEngine(t, ds, Options{})
 	built := labelled.MemoryStats().POILabelBytes
 	if built <= 0 {
 		t.Fatalf("POILabelBytes = %d under hub labels, want > 0", built)
-	}
-	// The label memo charges each label what it keeps resident, and labels
-	// are all it keeps, so MemoBytes (and SweepBytes, /statsz's
-	// sweep_bytes) is exactly the backing arrays of every memo entry.
-	for _, u := range []socialnet.UserID{2, 7, 11} {
-		if _, _, err := labelled.Query(u, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if memo, resident := labelled.MemoryStats().MemoBytes, memoResidentBytes(labelled); memo <= 0 || memo != resident || memo != labelled.SharedWorkStats().SweepBytes {
-		t.Errorf("MemoBytes = %d, resident label bytes %d, SweepBytes %d: want all equal and > 0",
-			memo, resident, labelled.SharedWorkStats().SweepBytes)
 	}
 	poi := ds.POIs[0]
 	poi.ID = model.POIID(len(ds.POIs))
@@ -286,30 +264,7 @@ func TestEngineMemoryStats(t *testing.T) {
 	if got := labelled.MemoryStats().POILabelBytes; got != 0 {
 		t.Errorf("POILabelBytes = %d after AddRoadEdge, want 0 (table released)", got)
 	}
-	// The overlay exposes no labels: the reset memo stays empty through a
-	// query, and so does its byte count.
-	if _, _, err := labelled.Query(2, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if got := labelled.MemoryStats().MemoBytes; got != 0 {
-		t.Errorf("MemoBytes = %d under the overlay, want 0", got)
-	}
 	if ms.ArenaBytes != e.ArenaBytes() {
 		t.Errorf("MemoryStats.ArenaBytes %d != ArenaBytes() %d", ms.ArenaBytes, e.ArenaBytes())
 	}
-}
-
-// memoResidentBytes sums the backing arrays of every label the memo
-// holds.
-func memoResidentBytes(e *Engine) int64 {
-	sw := e.shared
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	var n int64
-	for _, ent := range sw.users {
-		if ent.ok {
-			n += int64(cap(ent.label.Hubs))*4 + int64(cap(ent.label.Dist))*8
-		}
-	}
-	return n
 }

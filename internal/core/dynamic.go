@@ -126,8 +126,8 @@ func (e *Engine) AddFriendship(a, b socialnet.UserID) (bool, error) {
 }
 
 // AddRoadVertex appends an isolated road intersection. It cannot change
-// any distance (no incident edges yet), so no pruning state, memo entry,
-// or cached answer is invalidated. The POI label table is released: the
+// any distance (no incident edges yet), so no pruning state or cached
+// answer is invalidated. The POI label table is released: the
 // graph now answers through the delta-overlay, which exposes no labels.
 func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 	e.mu.Lock()
@@ -147,9 +147,8 @@ func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 // go stale and are handled here: pivot-table road *lower* bounds (gated
 // off engine-wide via roadPivotSafe until the next compaction — stored
 // upper bounds remain sound because shrinking true distances only widen
-// their slack) and the shared-work label memo (fully reset: every label
-// bakes in the old distances, so stale entries would be wrong, not just
-// loose).
+// their slack) and the POI label table (released: the overlay exposes no
+// labels).
 func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -165,7 +164,6 @@ func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	}
 	id := e.DS.Road.AddEdge(u, v)
 	e.dyn.roadEdges++
-	e.shared.noteRoadChange()
 	e.poiLabels = nil // the overlay exposes no labels; see AddRoadVertex
 	return id, nil
 }

@@ -54,12 +54,6 @@ type Options struct {
 	// Any setting returns identical answers; see docs/CONCURRENCY.md and
 	// docs/ALGORITHMS.md for the soundness and determinism arguments.
 	Parallelism int
-	// SharedWork enables the cross-query shared-work memo: under a label
-	// oracle, per-user attachment labels are computed once and shared
-	// across concurrent queries instead of once per query (other oracles
-	// keep no per-user state, so the memo stays empty). Answers are
-	// bit-identical either way; see docs/CONCURRENCY.md §6.
-	SharedWork bool
 }
 
 // Engine answers GP-SSN queries over a dataset through the I_R and I_S
@@ -88,11 +82,6 @@ type Engine struct {
 	// dyn tracks the main+delta boundaries for dynamic updates.
 	dyn dynamicState
 
-	// shared is the cross-query shared-work memo (nil when
-	// Opts.SharedWork is off). Internally synchronized; invalidated by
-	// the per-update-kind hooks in dynamic.go.
-	shared *sharedWork
-
 	// arenas recycles the per-worker refinement scratch (see arena.go).
 	arenas arenaPool
 
@@ -111,9 +100,6 @@ func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialInd
 		opts.SampleCount = 64
 	}
 	e := &Engine{DS: ds, Road: road, Social: social, Opts: opts}
-	if opts.SharedWork {
-		e.shared = newSharedWork()
-	}
 	e.initDynamic()
 	if ds.Road.HasLabels() {
 		atts := make([]roadnet.Attach, len(ds.POIs))

@@ -62,10 +62,10 @@ func TestEngineMatchesBaselineUnderHL(t *testing.T) {
 // bit, as the engine that holds a valid table.
 func TestPOILabelTableFallback(t *testing.T) {
 	ds := smallDataset(t, 31)
-	early := buildEngine(t, ds, Options{Parallelism: 1, SharedWork: true})
+	early := buildEngine(t, ds, Options{Parallelism: 1})
 	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 	defer ds.Road.SetDistanceOracle(nil)
-	holder := buildEngine(t, ds, Options{Parallelism: 1, SharedWork: true})
+	holder := buildEngine(t, ds, Options{Parallelism: 1})
 	stale := buildEngine(t, ds, Options{Parallelism: 1})
 	if early.POILabels() != nil || holder.POILabels() == nil || stale.POILabels() == nil {
 		t.Fatal("only engines wired under the label oracle hold a table")

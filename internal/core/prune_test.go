@@ -24,7 +24,7 @@ import (
 // 8 ulps above the exact distance.
 func TestCompanionPruneKeepsExactTies(t *testing.T) {
 	ds, err := gen.Synthetic(gen.Config{
-		Name: "sharedwork", Seed: 7,
+		Name: "paralleltwin", Seed: 7,
 		RoadVertices: 120, SocialUsers: 60, POIs: 40, Topics: 6,
 	})
 	if err != nil {

@@ -193,16 +193,12 @@ func (sk *sharedKeeper) add(r Result) {
 	}
 }
 
-// userLabelWith returns u's attachment hub label through the shared
-// label memo, computing it on a miss (memo disabled or full) into the
+// userLabelWith returns u's attachment hub label, computed into the
 // arena's reusable label scratch — no pool traffic at all. Only call under
 // a label oracle. The returned label is read-only and valid until the next
 // userLabelWith call on the same arena, which is exactly the one-user-at-
 // a-time lifetime the evaluation loop needs.
 func (e *Engine) userLabelWith(u socialnet.UserID, ar *refineArena) *roadnet.HubLabel {
-	if l, ok := e.sharedUserLabel(u); ok {
-		return l
-	}
 	l := ar.label()
 	before := cap(l.Hubs)
 	e.DS.Road.AttachLabel(e.DS.Users[u].At, l)

@@ -138,3 +138,54 @@ func TestFlightTimeoutReachesExecution(t *testing.T) {
 		t.Fatalf("ok=%v status=%d, want timed-out execution", ok, r.status)
 	}
 }
+
+// TestFlightSnapshot checks the live coalescing-depth readout: a blocked
+// leader with joined waiters shows up in keys/waiters/maxWaiters, and a
+// drained flight reads back as empty.
+func TestFlightSnapshot(t *testing.T) {
+	f := newFlight()
+	block := make(chan struct{})
+	leaderIn := make(chan struct{})
+	exec := func(context.Context) flightResult {
+		close(leaderIn)
+		<-block
+		return flightResult{status: 200}
+	}
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		f.do("k", context.Background(), 0, exec)
+	}()
+	<-leaderIn
+	const joiners = 3
+	for i := 0; i < joiners; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.do("k", context.Background(), 0, func(context.Context) flightResult {
+				return flightResult{status: 200}
+			})
+		}()
+	}
+	// Wait for the joiners to register on the key.
+	deadline := time.Now().Add(time.Second)
+	for f.pending("k") < joiners+1 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	keys, waiters, maxW := f.snapshot()
+	if keys != 1 {
+		t.Fatalf("in-flight keys = %d, want 1", keys)
+	}
+	if waiters != joiners+1 {
+		t.Fatalf("waiters = %d, want %d", waiters, joiners+1)
+	}
+	if maxW != joiners+1 {
+		t.Fatalf("max waiters on one key = %d, want %d", maxW, joiners+1)
+	}
+	close(block)
+	wg.Wait()
+	if keys, waiters, _ := f.snapshot(); keys != 0 || waiters != 0 {
+		t.Fatalf("drained flight reports keys=%d waiters=%d, want 0/0", keys, waiters)
+	}
+}

@@ -57,16 +57,6 @@ type metricsSnapshot struct {
 	FlightWaiters    int `json:"flight_waiters"`
 	FlightMaxWaiters int `json:"flight_max_waiters_one_key"`
 
-	// Gather-window tallies (zero when Config.GatherWindow is off).
-	GatherWindowMs float64 `json:"gather_window_ms"`
-	GatherBatches  int64   `json:"gather_batches_total"`
-	GatherBatched  int64   `json:"gather_batched_requests_total"`
-	GatherMaxBatch int64   `json:"gather_max_batch"`
-
-	// Engine shared-work memo counters; omitted when the layer is
-	// disabled (Config.DisableSharedWork at the facade).
-	SharedWork *sharedWorkJSON `json:"shared_work,omitempty"`
-
 	// Road delta-overlay state; omitted while the oracle is static (no
 	// road mutation since Open or the last Compact).
 	RoadOverlay *roadOverlayJSON `json:"road_overlay,omitempty"`
@@ -85,14 +75,12 @@ type metricsSnapshot struct {
 // memoryJSON mirrors gpssn.MemoryStats for /statsz: where the process's
 // memory actually lives. oracle_bytes is the capacity-planning headline
 // (the preprocessed label store dominates at scale); arena_bytes is the
-// engine's recycled scratch and memo_bytes the label memo's resident
-// labels; poi_label_bytes is the POI
-// label table (0 without hub labels or while road deltas are pending); the
-// heap fields are the runtime's own view for cross-checking against RSS.
+// engine's recycled scratch; poi_label_bytes is the POI label table (0
+// without hub labels or while road deltas are pending); the heap fields
+// are the runtime's own view for cross-checking against RSS.
 type memoryJSON struct {
 	OracleBytes   int64  `json:"oracle_bytes"`
 	ArenaBytes    int64  `json:"arena_bytes"`
-	MemoBytes     int64  `json:"memo_bytes"`
 	POILabelBytes int64  `json:"poi_label_bytes"`
 	HeapAlloc     uint64 `json:"heap_alloc_bytes"`
 	HeapSys       uint64 `json:"heap_sys_bytes"`
@@ -127,15 +115,4 @@ type walJSON struct {
 	Appends          int64  `json:"appends_total"`
 	Fsyncs           int64  `json:"fsyncs_total"`
 	TornBytesDropped int64  `json:"torn_bytes_dropped"`
-}
-
-// sharedWorkJSON mirrors gpssn.SharedWorkStats for /statsz. HitRate is
-// the label memo's hit rate.
-type sharedWorkJSON struct {
-	SweepHits     int64   `json:"sweep_hits_total"`
-	SweepMisses   int64   `json:"sweep_misses_total"`
-	SweepRejected int64   `json:"sweep_rejected_total"`
-	SweepEntries  int     `json:"sweep_entries"`
-	SweepBytes    int64   `json:"sweep_bytes"`
-	HitRate       float64 `json:"hit_rate"`
 }

@@ -54,12 +54,7 @@ type Config struct {
 	MaxTimeout time.Duration
 	// RetryAfter is the hint sent with 429 responses. Default 1s.
 	RetryAfter time.Duration
-	// GatherWindow holds each parsed query request up to this long so
-	// that overlapping requests enter the engine together and fold into
-	// one shared ball/sweep construction pass (docs/SERVING.md §4a).
-	// 0 (the default) disables the hold; gpssn-serve enables ~1ms via
-	// its -gather-window flag. Costs up to one window of added latency
-	// per request — keep it well under typical engine latency.
+	// Deprecated: no effect; kept because benchmark/run.go uses it
 	GatherWindow time.Duration
 	// Logf, when set, receives one diagnostic line per lifecycle event
 	// (drain begin/end) and per internal error. nil discards them.
@@ -86,14 +81,13 @@ func (c Config) logf(format string, args ...any) {
 // Handler on an http.Server, and call Drain before exiting. Safe for
 // concurrent use by any number of connections.
 type Server struct {
-	db     *gpssn.DB
-	cfg    Config
-	mux    *http.ServeMux
-	slots  chan struct{}
-	fl     *flight
-	gather *gatherer
-	met    metrics
-	start  time.Time
+	db    *gpssn.DB
+	cfg   Config
+	mux   *http.ServeMux
+	slots chan struct{}
+	fl    *flight
+	met   metrics
+	start time.Time
 
 	draining atomic.Bool
 	wg       sync.WaitGroup // in-flight query-endpoint requests
@@ -108,13 +102,12 @@ type Server struct {
 func New(db *gpssn.DB, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
-		db:     db,
-		cfg:    cfg,
-		mux:    http.NewServeMux(),
-		slots:  make(chan struct{}, cfg.MaxInFlight),
-		fl:     newFlight(),
-		gather: newGatherer(cfg.GatherWindow),
-		start:  time.Now(),
+		db:    db,
+		cfg:   cfg,
+		mux:   http.NewServeMux(),
+		slots: make(chan struct{}, cfg.MaxInFlight),
+		fl:    newFlight(),
+		start: time.Now(),
 	}
 	s.execQuery = db.QueryCtx
 	s.execTopK = db.QueryTopKCtx
@@ -221,8 +214,8 @@ func (s *Server) handleStatsz(w http.ResponseWriter, r *http.Request) {
 }
 
 // snapshot assembles the full /statsz payload: the server's own atomic
-// counters, the live coalescing depth, the gather-window tallies, and the
-// engine's shared-work memo counters.
+// counters, the live coalescing depth, and the DB's overlay, WAL and
+// memory state.
 func (s *Server) snapshot() metricsSnapshot {
 	m := &s.met
 	flKeys, flWaiters, flMax := s.fl.snapshot()
@@ -244,23 +237,6 @@ func (s *Server) snapshot() metricsSnapshot {
 		FlightKeys:       flKeys,
 		FlightWaiters:    flWaiters,
 		FlightMaxWaiters: flMax,
-		GatherWindowMs:   float64(s.cfg.GatherWindow) / float64(time.Millisecond),
-		GatherBatches:    s.gather.batches.Load(),
-		GatherBatched:    s.gather.batched.Load(),
-		GatherMaxBatch:   s.gather.maxBatch.Load(),
-	}
-	if sw := s.db.SharedWorkStats(); sw.Enabled {
-		j := sharedWorkJSON{
-			SweepHits:     sw.SweepHits,
-			SweepMisses:   sw.SweepMisses,
-			SweepRejected: sw.SweepRejected,
-			SweepEntries:  sw.SweepEntries,
-			SweepBytes:    sw.SweepBytes,
-		}
-		if n := j.SweepHits + j.SweepMisses; n > 0 {
-			j.HitRate = float64(j.SweepHits) / float64(n)
-		}
-		snap.SharedWork = &j
 	}
 	if ov := s.db.RoadOverlayStats(); ov.Active {
 		snap.RoadOverlay = &roadOverlayJSON{
@@ -290,7 +266,6 @@ func (s *Server) snapshot() metricsSnapshot {
 	snap.Memory = &memoryJSON{
 		OracleBytes:   ms.OracleBytes,
 		ArenaBytes:    ms.ArenaBytes,
-		MemoBytes:     ms.MemoBytes,
 		POILabelBytes: ms.POILabelBytes,
 		HeapAlloc:     ms.HeapAlloc,
 		HeapSys:       ms.HeapSys,
@@ -324,11 +299,6 @@ func (s *Server) handleQueryEndpoint(w http.ResponseWriter, r *http.Request, top
 		return
 	}
 	timeout := s.effectiveTimeout(req.TimeoutMs)
-
-	// Gather window: hold parsed requests briefly so overlapping queries
-	// enter the engine together and fold their ball/sweep builds through
-	// the shared-work memo. No-op unless Config.GatherWindow is set.
-	s.gather.hold(r.Context())
 
 	res, coalesced, ok := s.fl.do(req.flightKey(topk, timeout), r.Context(), timeout,
 		func(ctx context.Context) flightResult {

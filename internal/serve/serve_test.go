@@ -648,3 +648,93 @@ func TestStatszWAL(t *testing.T) {
 		t.Fatalf("WAL-less DB should surface no wal block: %s", m2["wal"])
 	}
 }
+
+// TestStatszSharedWork checks the /statsz shape after real queries:
+// the flight snapshot and the memory block are present with the label
+// store, POI label table and heap accounted for, no key of the removed
+// gather window or label memo remains, and the POI label table's bytes
+// drop to 0 once a road mutation puts the overlay in front of the labels.
+func TestStatszSharedWork(t *testing.T) {
+	db := testDB(t, gpssn.Config{})
+	srv := New(db, Config{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	for i := 0; i < 4; i++ {
+		if resp, _ := post(t, ts, "/v1/query", feasibleBody); resp.StatusCode != 200 {
+			t.Fatalf("query %d: status %d", i, resp.StatusCode)
+		}
+	}
+	statsz := func() (map[string]json.RawMessage, []byte) {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/statsz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("/statsz status %d err %v", resp.StatusCode, err)
+		}
+		var m map[string]json.RawMessage
+		if err := json.Unmarshal(body, &m); err != nil {
+			t.Fatalf("decoding /statsz: %v", err)
+		}
+		return m, body
+	}
+	m, body := statsz()
+	for _, field := range []string{"flight_in_flight_keys", "flight_waiters", "flight_max_waiters_one_key", "memory"} {
+		if _, ok := m[field]; !ok {
+			t.Errorf("/statsz missing %q: %s", field, body)
+		}
+	}
+	for _, gone := range []string{"gather_window_ms", "gather_batches_total", "gather_batched_requests_total", "gather_max_batch", "shared_work"} {
+		if _, ok := m[gone]; ok {
+			t.Errorf("/statsz still reports the removed %q: %s", gone, body)
+		}
+	}
+	var mem map[string]json.RawMessage
+	if err := json.Unmarshal(m["memory"], &mem); err != nil {
+		t.Fatalf("decoding memory block: %v", err)
+	}
+	if _, ok := mem["memo_bytes"]; ok {
+		t.Errorf("memory still reports the removed memo_bytes: %s", m["memory"])
+	}
+	var mj memoryJSON
+	if err := json.Unmarshal(m["memory"], &mj); err != nil {
+		t.Fatalf("decoding memory block: %v", err)
+	}
+	// The test server runs with the default hl oracle and has answered
+	// real queries, so the label store, the POI label table and the heap
+	// must all be nonzero.
+	if mj.OracleBytes <= 0 || mj.POILabelBytes <= 0 || mj.HeapAlloc == 0 {
+		t.Errorf("memory block has a zero headline: %s", m["memory"])
+	}
+
+	if _, err := db.AddRoadEdge(0, 5); err != nil {
+		t.Fatal(err)
+	}
+	m, _ = statsz()
+	if err := json.Unmarshal(m["memory"], &mj); err != nil {
+		t.Fatal(err)
+	}
+	if mj.POILabelBytes != 0 {
+		t.Errorf("memory.poi_label_bytes = %d after AddRoadEdge, want 0", mj.POILabelBytes)
+	}
+}
+
+// TestGatherWindowIsInert: the deprecated GatherWindow field no longer
+// holds requests, so a server configured with a one-second window answers
+// a query in a small fraction of it.
+func TestGatherWindowIsInert(t *testing.T) {
+	srv := New(testDB(t, gpssn.Config{}), Config{GatherWindow: time.Second})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	start := time.Now()
+	if resp, body := post(t, ts, "/v1/query", feasibleBody); resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if took := time.Since(start); took > 250*time.Millisecond {
+		t.Fatalf("query took %s under a 1s GatherWindow, want well under the window", took)
+	}
+}

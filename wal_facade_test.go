@@ -152,8 +152,8 @@ func TestWALCheckpointTruncatesAndPairs(t *testing.T) {
 
 // TestWALRejectionAtomicity is the update-path error-atomicity gate:
 // every ErrInvalidInput rejection leaves the WAL, the answer cache, and
-// the shared-work memo exactly as they were — no record, no flush, no
-// memo churn.
+// the POI label table exactly as they were — no record, no flush, no
+// released table.
 func TestWALRejectionAtomicity(t *testing.T) {
 	cfg := walConfig(t)
 	cfg.CacheSize = 32
@@ -171,7 +171,7 @@ func TestWALRejectionAtomicity(t *testing.T) {
 	}
 
 	walBefore := db.WALStats()
-	memoBefore := db.SharedWorkStats()
+	labelsBefore := db.MemoryStats().POILabelBytes
 
 	rejections := []struct {
 		name string
@@ -200,8 +200,8 @@ func TestWALRejectionAtomicity(t *testing.T) {
 		if st := db.WALStats(); st.LastLSN != walBefore.LastLSN || st.Appends != walBefore.Appends {
 			t.Fatalf("%s: rejection appended to the WAL: before=%+v after=%+v", rj.name, walBefore, st)
 		}
-		if memo := db.SharedWorkStats(); memo != memoBefore {
-			t.Fatalf("%s: rejection churned the shared-work memo: before=%+v after=%+v", rj.name, memoBefore, memo)
+		if labels := db.MemoryStats().POILabelBytes; labels != labelsBefore {
+			t.Fatalf("%s: rejection changed the POI label table: %d bytes before, %d after", rj.name, labelsBefore, labels)
 		}
 		if _, st, err := db.Query(3, q); err == nil || errors.Is(err, ErrNoAnswer) {
 			if !st.CacheHit {
