@@ -2,14 +2,14 @@
 # gofmt, vet, lint, build, the tier-1 tests, the tie gates repeated ten
 # times (tie-check), a race-detector pass (short
 # mode so the heavy bench package stays fast; see docs/CONCURRENCY.md §5),
-# every runnable example, then the benchmark harness built and smoke-run
-# against this tree.
+# every runnable example, the kernel benchmarks run once (kernel-bench), then
+# the benchmark harness built and smoke-run against this tree.
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test tie-check race examples docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
+.PHONY: check fmt vet lint build test tie-check race examples kernel-bench docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
 
-check: fmt vet lint build test tie-check race examples bench-check
+check: fmt vet lint build test tie-check race examples kernel-bench bench-check
 
 # Unformatted files fail the build; the offenders are listed.
 fmt:
@@ -52,6 +52,12 @@ examples:
 	$(GO) run ./examples/marketing
 	$(GO) run ./examples/importcsv
 	$(GO) run ./examples/serve
+
+# The in-package kernel benchmarks, one iteration each, so they keep
+# compiling and running (BenchmarkGroupSearch: the per-anchor group search
+# at τ = 4, 5 and 7, about a second in all).
+kernel-bench:
+	$(GO) test -run '^$$' -bench GroupSearch -benchtime 1x ./internal/core
 
 # Broken relative links (file or heading anchor) in the markdown docs
 # fail the build; CI runs this in the lint job.

@@ -19,7 +19,9 @@ import (
 //   - lbl is the source attachment-label scratch the label kernel merges
 //     from,
 //   - kws is the ball keyword set,
-//   - comps/users back processAnchor's companion bookkeeping.
+//   - comps/users back processAnchor's companion bookkeeping,
+//   - seen/queue are the connectivity checks' visited set and queue,
+//   - gs is the group search with its ordinals and rows (groups.go).
 //
 // Arenas are engine-owned (arenaPool) and recycled across queries, so the
 // steady-state per-query cost is a pool pop and push. The arena only
@@ -32,6 +34,9 @@ type refineArena struct {
 	kws   TopicSet
 	comps []anchorComp
 	users []socialnet.UserID
+	seen  []uint64
+	queue []int32
+	gs    groupSearch
 
 	owner    *arenaPool
 	retained int64 // bytes currently held by the slices above
@@ -51,32 +56,33 @@ func (a *refineArena) account(delta int64) {
 	a.owner.bytes.Add(delta)
 }
 
-// attachBuf returns a zeroed length-n attachment buffer, growing the
-// backing array only when n exceeds every previous request.
+// grow returns s resliced to length n, replacing its backing array (and
+// accounting the extra size-byte elements) only when n exceeds every
+// previous request. A reused buffer keeps its old contents.
+func grow[T any](a *refineArena, s []T, n, size int) []T {
+	if cap(s) < n {
+		a.account(int64(n-cap(s)) * int64(size))
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
+// attachBuf returns a length-n attachment buffer.
 func (a *refineArena) attachBuf(n int) []roadnet.Attach {
-	if cap(a.atts) < n {
-		a.account(int64(n-cap(a.atts)) * int64(attachSize))
-		a.atts = make([]roadnet.Attach, n)
-	}
-	return a.atts[:n]
+	a.atts = grow(a, a.atts, n, attachSize)
+	return a.atts
 }
 
-// floatBuf returns a length-n float64 buffer under the same contract.
+// floatBuf returns a length-n float64 buffer.
 func (a *refineArena) floatBuf(n int) []float64 {
-	if cap(a.out) < n {
-		a.account(int64(n-cap(a.out)) * 8)
-		a.out = make([]float64, n)
-	}
-	return a.out[:n]
+	a.out = grow(a, a.out, n, 8)
+	return a.out
 }
 
-// rowBuf returns a length-n row-index buffer under the same contract.
+// rowBuf returns a length-n row-index buffer.
 func (a *refineArena) rowBuf(n int) []int32 {
-	if cap(a.rows) < n {
-		a.account(int64(n-cap(a.rows)) * 4)
-		a.rows = make([]int32, n)
-	}
-	return a.rows[:n]
+	a.rows = grow(a, a.rows, n, 4)
+	return a.rows
 }
 
 // label returns the reusable attachment-label scratch, emptied. The label
@@ -122,13 +128,19 @@ func (a *refineArena) keepComps(s []anchorComp) {
 	a.comps = s
 }
 
-// userBuf returns a length-n user-ID buffer under the attachBuf contract.
+// userBuf returns a length-n user-ID buffer.
 func (a *refineArena) userBuf(n int) []socialnet.UserID {
-	if cap(a.users) < n {
-		a.account(int64(n-cap(a.users)) * int64(userIDSize))
-		a.users = make([]socialnet.UserID, n)
-	}
-	return a.users[:n]
+	a.users = grow(a, a.users, n, userIDSize)
+	return a.users
+}
+
+// reachScratch returns a cleared visited bitset over n users and an empty
+// queue that holds all n.
+func (a *refineArena) reachScratch(n int) ([]uint64, []int32) {
+	a.seen = grow(a, a.seen, (n+63)>>6, 8)
+	clear(a.seen)
+	a.queue = grow(a, a.queue, n, 4)
+	return a.seen, a.queue[:0]
 }
 
 // Element sizes for the byte gauge. Attach is (EdgeID int32, T float64)

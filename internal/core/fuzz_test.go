@@ -36,7 +36,7 @@ func TestEngineOracleFuzz(t *testing.T) {
 		for q := 0; q < 3; q++ {
 			p := Params{
 				Gamma:  rng.Float64() * 0.6,
-				Tau:    1 + rng.Intn(3),
+				Tau:    1 + rng.Intn(5),
 				Theta:  rng.Float64() * 0.6,
 				R:      0.5 + rng.Float64()*3,
 				Metric: MetricDotProduct,
