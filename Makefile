@@ -2,14 +2,15 @@
 # gofmt, vet, lint, build, the tier-1 tests, the tie gates repeated ten
 # times (tie-check), a race-detector pass (short
 # mode so the heavy bench package stays fast; see docs/CONCURRENCY.md §5),
-# every runnable example, the kernel benchmarks run once (kernel-bench), then
-# the benchmark harness built and smoke-run against this tree.
+# every runnable example, the kernel benchmarks run once (kernel-bench), every
+# paper figure and the 1M tier at a tiny scale (figures-smoke), then the
+# benchmark harness built and smoke-run against this tree.
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test tie-check race examples kernel-bench docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
+.PHONY: check fmt vet lint build test tie-check race examples kernel-bench figures-smoke docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
 
-check: fmt vet lint build test tie-check race examples kernel-bench bench-check
+check: fmt vet lint build test tie-check race examples kernel-bench figures-smoke bench-check
 
 # Unformatted files fail the build; the offenders are listed.
 fmt:
@@ -58,6 +59,13 @@ examples:
 # at τ = 4, 5 and 7, about a second in all).
 kernel-bench:
 	$(GO) test -run '^$$' -bench GroupSearch -benchtime 1x ./internal/core
+
+# Every experiment of the figure harness end to end at a tiny scale (the
+# harness tests run only some of them), plus the opt-in 1M tier, which
+# builds through the same constructor. A couple of seconds.
+figures-smoke:
+	$(GO) run ./cmd/gpssn-bench -exp all -scale 0.01 -queries 3 > /dev/null
+	$(GO) run ./cmd/gpssn-bench -exp scale1m -scale 0.002 -queries 4 > /dev/null
 
 # Broken relative links (file or heading anchor) in the markdown docs
 # fail the build; CI runs this in the lint job.

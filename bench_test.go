@@ -58,8 +58,7 @@ func BenchmarkAblationNoIndexPruning(b *testing.B) {
 }
 func BenchmarkAblationNoPivots(b *testing.B)   { runExperiment(b, "ablation-distance") }
 func BenchmarkAblationRTreeSplit(b *testing.B) { runExperiment(b, "ablation-rtree") }
-func BenchmarkAblationSampling(b *testing.B)   { runExperiment(b, "ablation-sampling") }
-func BenchmarkAblationChOracle(b *testing.B)   { runExperiment(b, "ablation-choracle") }
+func BenchmarkAblationOracle(b *testing.B)     { runExperiment(b, "ablation-oracle") }
 
 // BenchmarkQueryDefault measures one GP-SSN query at the Table 3 defaults
 // against a cached environment (the per-query cost the paper's Figures

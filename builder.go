@@ -243,16 +243,3 @@ func (b *Builder) Build() (*Network, error) {
 	}
 	return &Network{ds: ds}, nil
 }
-
-// attachObjects lists every POI and user attachment, the object population
-// the road pivot cost model optimizes over.
-func attachObjects(ds *model.Dataset) []roadnet.Attach {
-	out := make([]roadnet.Attach, 0, len(ds.POIs)+len(ds.Users))
-	for i := range ds.POIs {
-		out = append(out, ds.POIs[i].At)
-	}
-	for i := range ds.Users {
-		out = append(out, ds.Users[i].At)
-	}
-	return out
-}

@@ -68,14 +68,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"gpssn/internal/build"
 	"gpssn/internal/core"
-	"gpssn/internal/failpoint"
-	"gpssn/internal/index"
 	"gpssn/internal/model"
-	"gpssn/internal/pivot"
-	"gpssn/internal/roadnet"
-	"gpssn/internal/roadnet/ch"
-	"gpssn/internal/roadnet/hl"
 	"gpssn/internal/socialnet"
 	"gpssn/internal/wal"
 )
@@ -110,9 +105,6 @@ type Config struct {
 	// RMin and RMax bound the query radius served by the index; defaults
 	// 0.5 and 4 (the paper's Table 3 range).
 	RMin, RMax float64
-	// CostModelPivots selects pivots with the Algorithm 1 local search
-	// instead of uniformly at random. Slower build, better pruning.
-	CostModelPivots bool
 	// LeafSize and Fanout shape the social index I_S; defaults 64 and 8.
 	LeafSize, Fanout int
 	// MaxEntries is the R*-tree node capacity of I_R; default 16.
@@ -122,11 +114,6 @@ type Config struct {
 	PageSize, PoolPages int
 	// Seed drives pivot selection.
 	Seed int64
-	// Sampling switches refinement to approximate random-expansion group
-	// sampling (the paper's future-work extension).
-	Sampling bool
-	// Corollary2 enables the second user-pruning pass during refinement.
-	Corollary2 bool
 	// CacheSize enables an LRU cache of query answers (entries; 0 = off).
 	// The cache is invalidated by any dynamic update and by Compact.
 	CacheSize int
@@ -144,7 +131,7 @@ type Config struct {
 	// roadnet.{hl,ch}.* and core.query_ms / core.query_ch_ms metrics
 	// measure both); "dijkstra" keeps the plain heap searches. All three
 	// are exact and return identical answers; see docs/ALGORITHMS.md and
-	// the ablation-choracle experiment.
+	// the ablation-oracle experiment.
 	//
 	// All three backends return identical answers, so a failure to build
 	// the requested one is not fatal: Open falls back down the chain
@@ -454,69 +441,19 @@ func (db *DB) MemoryStats() MemoryStats {
 	}
 }
 
-// oracleChain returns the fallback order for a requested backend, or nil
-// for an unknown one. Plain Dijkstra terminates every chain: it needs no
-// preprocessing, so it cannot fail to build.
-func oracleChain(kind string) []string {
-	switch kind {
-	case "hl":
-		return []string{"hl", "ch", "dijkstra"}
-	case "ch":
-		return []string{"ch", "dijkstra"}
-	case "dijkstra":
-		return []string{"dijkstra"}
-	}
-	return nil
-}
-
-// buildOracle builds one oracle backend, converting a build panic — or an
-// armed failpoint at "oracle.build.<kind>" — into an error the fallback
-// chain can absorb. A nil oracle with nil error means plain Dijkstra.
-func buildOracle(g *roadnet.Graph, kind string) (o roadnet.DistanceOracle, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			o, err = nil, fmt.Errorf("build panicked: %v", r)
-		}
-	}()
-	if err := failpoint.Error("oracle.build." + kind); err != nil {
-		return nil, err
-	}
-	switch kind {
-	case "hl":
-		return hl.Build(g), nil
-	case "ch":
-		return ch.Build(g), nil
-	}
-	return nil, nil
-}
-
 // attachOracle walks the fallback chain for the configured backend and
 // attaches the first oracle that builds, reporting what happened through
-// the returned Health. With Config.StrictOracle a build failure becomes
-// an error instead of a fallback.
+// the returned Health and logging each fallback. With Config.StrictOracle
+// a build failure becomes an error instead of a fallback.
 func attachOracle(ds *model.Dataset, c Config) (Health, error) {
-	h := Health{OracleRequested: c.DistanceOracle}
-	chain := oracleChain(c.DistanceOracle)
-	if chain == nil {
-		return h, fmt.Errorf("gpssn: unknown DistanceOracle %q (want \"ch\", \"hl\" or \"dijkstra\")", c.DistanceOracle)
+	active, notes, err := build.AttachOracle(ds.Road, c.DistanceOracle, c.StrictOracle)
+	for _, n := range notes {
+		c.logf("gpssn: %s", n)
 	}
-	for _, kind := range chain {
-		o, err := buildOracle(ds.Road, kind)
-		if err != nil {
-			if c.StrictOracle {
-				return h, fmt.Errorf("gpssn: building %s oracle: %w", kind, err)
-			}
-			note := fmt.Sprintf("%s oracle build failed (%v); falling back", kind, err)
-			h.Degraded = true
-			h.Notes = append(h.Notes, note)
-			c.logf("gpssn: %s", note)
-			continue
-		}
-		ds.Road.SetDistanceOracle(o)
-		h.OracleActive = kind
-		return h, nil
+	if err != nil {
+		return Health{}, fmt.Errorf("gpssn: %w", err)
 	}
-	return h, fmt.Errorf("gpssn: no distance oracle could be built")
+	return Health{OracleRequested: c.DistanceOracle, OracleActive: active, Degraded: len(notes) > 0, Notes: notes}, nil
 }
 
 // Open builds the I_R and I_S indexes over the network and returns a
@@ -557,34 +494,16 @@ func Open(net *Network, cfg Config) (*DB, error) {
 // oracle is already attached (by attachOracle or snapshot restore). The
 // caller fills in health and BuildTime.
 func buildDB(net *Network, c Config) (*DB, error) {
-	ds := net.ds
-	roadPivots := pivot.RandomRoad(ds.Road, c.RoadPivots, c.Seed+1)
-	socialPivots := pivot.RandomSocial(ds.Social, c.SocialPivots, c.Seed+2)
-	if c.CostModelPivots {
-		roadPivots = pivot.SelectRoad(ds.Road, attachObjects(ds), c.RoadPivots, pivot.Options{Seed: c.Seed + 1})
-		socialPivots = pivot.SelectSocial(ds.Social, c.SocialPivots, pivot.Options{Seed: c.Seed + 2})
-	}
-
-	road, err := index.BuildRoad(ds, index.RoadConfig{
-		Pivots: roadPivots, RMin: c.RMin, RMax: c.RMax,
-		MaxEntries: c.MaxEntries, PageSize: c.PageSize, PoolPages: c.PoolPages,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("gpssn: building road index: %w", err)
-	}
-	social, err := index.BuildSocial(ds, index.SocialConfig{
-		RoadPivots: road.Pivots, SocialPivots: socialPivots,
-		LeafSize: c.LeafSize, Fanout: c.Fanout,
+	engine, err := build.Engine(net.ds, build.Options{
+		RoadPivots: c.RoadPivots, SocialPivots: c.SocialPivots,
+		RMin: c.RMin, RMax: c.RMax,
+		LeafSize: c.LeafSize, Fanout: c.Fanout, MaxEntries: c.MaxEntries,
 		PageSize: c.PageSize, PoolPages: c.PoolPages,
+		Seed: c.Seed, Parallelism: c.Parallelism,
 	})
 	if err != nil {
-		return nil, fmt.Errorf("gpssn: building social index: %w", err)
+		return nil, fmt.Errorf("gpssn: %w", err)
 	}
-	engine := core.NewEngine(ds, road, social, core.Options{
-		SamplingRefine: c.Sampling,
-		UseCorollary2:  c.Corollary2,
-		Parallelism:    c.Parallelism,
-	})
 	return &DB{
 		net: net, engine: engine, cfg: c,
 		cache:    newAnswerCache(c.CacheSize),

@@ -82,8 +82,8 @@ func TestRunQueriesAggregates(t *testing.T) {
 	if agg.Queries != 4 {
 		t.Errorf("Queries = %d", agg.Queries)
 	}
-	if agg.AvgCPU <= 0 {
-		t.Error("AvgCPU missing")
+	if d, cut := agg.CPU.Quantile(0.5); d <= 0 || cut {
+		t.Errorf("CPU median = %s (censored %v)", d, cut)
 	}
 	if agg.AvgIO <= 0 {
 		t.Error("AvgIO missing")
@@ -110,9 +110,15 @@ func TestAggExcludesCacheHits(t *testing.T) {
 	if agg.CacheHits != 1 {
 		t.Errorf("CacheHits = %d, want 1", agg.CacheHits)
 	}
-	// Averages are over the 2 real queries, not 3.
-	if agg.AvgCPU != 200*time.Millisecond {
-		t.Errorf("AvgCPU = %s, want 200ms (hit excluded)", agg.AvgCPU)
+	// Quantiles and averages are over the 2 real queries, not 3: with the
+	// hit's zero the lower quartile would read 0.
+	for _, q := range []struct {
+		p    float64
+		want time.Duration
+	}{{0.25, 100 * time.Millisecond}, {0.5, 100 * time.Millisecond}, {0.75, 300 * time.Millisecond}} {
+		if d, _ := agg.CPU.Quantile(q.p); d != q.want {
+			t.Errorf("CPU p%.0f = %s, want %s (hit excluded)", 100*q.p, d, q.want)
+		}
 	}
 	if agg.AvgIO != 60 {
 		t.Errorf("AvgIO = %v, want 60 (hit excluded)", agg.AvgIO)
@@ -128,7 +134,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"fig9", "fig10", "fig11",
 		"appP-gamma", "appP-theta", "appP-r", "appP-pivots", "appP-vs",
 		"ablation-pivots", "ablation-indexpruning", "ablation-distance",
-		"ablation-rtree", "ablation-sampling", "ablation-choracle",
+		"ablation-rtree", "ablation-oracle",
 		"ext-metrics", "ext-topk",
 	}
 	for _, name := range all {
@@ -152,7 +158,8 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	if len(SortedNames()) != len(all)+1 {
 		t.Error("SortedNames incomplete")
 	}
-	for _, gone := range []string{"choracle", "hublabel", "parallel", "serve", "churn", "walchurn", "nope"} {
+	for _, gone := range []string{"choracle", "hublabel", "parallel", "serve", "churn", "walchurn",
+		"ablation-sampling", "ablation-choracle", "nope"} {
 		if _, ok := Find(gone); ok {
 			t.Errorf("Find(%q) should miss", gone)
 		}
@@ -216,7 +223,9 @@ func TestRunAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations build several environments")
 	}
-	for _, name := range []string{"ablation-indexpruning", "ablation-sampling"} {
+	// ablation-pivots and ablation-oracle are build-time options: they go
+	// through the product's constructor, not just the engine switches.
+	for _, name := range []string{"ablation-indexpruning", "ablation-pivots", "ablation-oracle"} {
 		exp, _ := Find(name)
 		var buf bytes.Buffer
 		if err := exp.Run(&buf, tinyCfg()); err != nil {
@@ -225,5 +234,65 @@ func TestRunAblations(t *testing.T) {
 		if !strings.Contains(buf.String(), "variant") {
 			t.Errorf("%s output missing variant rows:\n%s", name, buf.String())
 		}
+	}
+}
+
+// TestNearestRank pins the quantile rule shared by the harness columns and
+// scale1m: index ⌈p·n⌉−1, so the top percentiles of a small sample reach
+// its maximum.
+func TestNearestRank(t *testing.T) {
+	for _, c := range []struct {
+		n    int
+		p    float64
+		want int
+	}{
+		{1, 0.25, 0}, {1, 0.5, 0}, {1, 0.99, 0},
+		{4, 0.25, 0}, {4, 0.5, 1}, {4, 0.75, 2}, {4, 0.9, 3}, {4, 0.99, 3},
+		{8, 0.25, 1}, {8, 0.5, 3}, {8, 0.75, 5}, {8, 0.9, 7}, {8, 0.99, 7},
+		{100, 0.25, 24}, {100, 0.5, 49}, {100, 0.75, 74}, {100, 0.9, 89}, {100, 0.99, 98}, {100, 1, 99},
+	} {
+		if got := nearestRank(c.p, c.n); got != c.want {
+			t.Errorf("nearestRank(%v, %d) = %d, want %d", c.p, c.n, got, c.want)
+		}
+	}
+}
+
+// TestSampleCensoredQuantiles: censored issuers rank above every completed
+// one, and a quantile landing on one reports it instead of a number.
+func TestSampleCensoredQuantiles(t *testing.T) {
+	var agg Agg
+	for _, ms := range []int{40, 10, 30, 20, 50, 60} {
+		agg.Add(true, core.Stats{CPUTime: time.Duration(ms) * time.Millisecond, PageReads: 10})
+	}
+	agg.AddCensored()
+	agg.AddCensored()
+	if agg.Queries != 8 || agg.Completed() != 6 || agg.Censored != 2 {
+		t.Fatalf("Queries/Completed/Censored = %d/%d/%d", agg.Queries, agg.Completed(), agg.Censored)
+	}
+	if agg.AvgIO != 10 {
+		t.Errorf("AvgIO = %v, want 10 (censored issuers excluded)", agg.AvgIO)
+	}
+	for _, c := range []struct {
+		p    float64
+		want time.Duration
+		cut  bool
+	}{{0.25, 20 * time.Millisecond, false}, {0.5, 40 * time.Millisecond, false}, {0.75, 60 * time.Millisecond, false}, {0.9, QueryDeadline, true}} {
+		if d, cut := agg.CPU.Quantile(c.p); d != c.want || cut != c.cut {
+			t.Errorf("p%.0f = %s (cut %v), want %s (cut %v)", 100*c.p, d, cut, c.want, c.cut)
+		}
+	}
+	if got, want := agg.CPU.String(), "40ms [20ms, 60ms]"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	agg.AddCensored()
+	agg.AddCensored()
+	if got, want := agg.CPU.String(), "50ms [30ms, ≥1s]"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
+	}
+	for i := 0; i < 5; i++ {
+		agg.AddCensored()
+	}
+	if got, want := agg.CPU.String(), "≥1s [40ms, ≥1s]"; got != want {
+		t.Errorf("String = %q, want %q", got, want)
 	}
 }

@@ -7,20 +7,20 @@
 package bench
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
 
+	"gpssn/internal/build"
 	"gpssn/internal/core"
 	"gpssn/internal/gen"
-	"gpssn/internal/index"
 	"gpssn/internal/model"
-	"gpssn/internal/pivot"
-	"gpssn/internal/roadnet"
-	"gpssn/internal/roadnet/ch"
 	"gpssn/internal/socialnet"
 )
 
@@ -73,10 +73,9 @@ type EnvSpec struct {
 	// Engine options.
 	DisableIndexPruning    bool
 	DisableDistancePruning bool
-	SamplingRefine         bool
-	// DistanceOracle selects the road-distance backend: "ch" (default) or
-	// "dijkstra". Both are exact; the ablation-choracle experiment compares
-	// them.
+	// DistanceOracle selects the road-distance backend: "hl" (the default,
+	// as in gpssn.DefaultConfig), "ch" or "dijkstra". All are exact; the
+	// ablation-oracle experiment compares hl with dijkstra.
 	DistanceOracle string
 }
 
@@ -113,7 +112,7 @@ func (s EnvSpec) withDefaults() EnvSpec {
 		s.RMax = 4
 	}
 	if s.DistanceOracle == "" {
-		s.DistanceOracle = "ch"
+		s.DistanceOracle = "hl"
 	}
 	return s
 }
@@ -156,86 +155,50 @@ func DropEnvCache() {
 
 func buildEnv(spec EnvSpec) (*Env, error) {
 	start := time.Now()
-	var ds *model.Dataset
-	var err error
+	ds, err := Dataset(spec)
+	if err != nil {
+		return nil, err
+	}
+	// The product's constructor, strict: a harness run must measure the
+	// oracle it names, never a fallback.
+	if _, _, err := build.AttachOracle(ds.Road, spec.DistanceOracle, true); err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	engine, err := build.Engine(ds, build.Options{
+		RoadPivots: spec.RoadPivots, SocialPivots: spec.SocialPivots,
+		RMin: spec.RMin, RMax: spec.RMax, Seed: spec.Seed,
+		CostModelPivots:        spec.CostModelPivots,
+		QuadraticSplit:         spec.QuadraticSplit,
+		DisableIndexPruning:    spec.DisableIndexPruning,
+		DisableDistancePruning: spec.DisableDistancePruning,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("bench: %w", err)
+	}
+	return &Env{Spec: spec, DS: ds, Engine: engine, BuildTime: time.Since(start)}, nil
+}
+
+// Dataset generates the dataset of a spec, with no oracle attached; the
+// same spec always yields the same dataset.
+func Dataset(spec EnvSpec) (*model.Dataset, error) {
+	spec = spec.withDefaults()
 	switch spec.Kind {
 	case UNI, ZIPF:
 		dist := gen.Uniform
 		if spec.Kind == ZIPF {
 			dist = gen.Zipf
 		}
-		ds, err = gen.Synthetic(gen.Config{
+		return gen.Synthetic(gen.Config{
 			Name: spec.Kind.String(), Seed: spec.Seed,
 			RoadVertices: spec.RoadVertices, SocialUsers: spec.Users,
 			POIs: spec.POIs, Dist: dist,
 		})
 	case BriCal:
-		ds, err = gen.RealLike(gen.BrightkiteCalifornia(spec.Seed, spec.Scale))
+		return gen.RealLike(gen.BrightkiteCalifornia(spec.Seed, spec.Scale))
 	case GowCol:
-		ds, err = gen.RealLike(gen.GowallaColorado(spec.Seed, spec.Scale))
-	default:
-		return nil, fmt.Errorf("bench: unknown dataset kind %d", int(spec.Kind))
+		return gen.RealLike(gen.GowallaColorado(spec.Seed, spec.Scale))
 	}
-	if err != nil {
-		return nil, err
-	}
-
-	// Attach the distance oracle before pivot selection so the pivot cost
-	// model and pivot-table construction run through it, mirroring Open.
-	switch spec.DistanceOracle {
-	case "ch":
-		ds.Road.SetDistanceOracle(ch.Build(ds.Road))
-	case "dijkstra":
-		ds.Road.SetDistanceOracle(nil)
-	default:
-		return nil, fmt.Errorf("bench: unknown DistanceOracle %q", spec.DistanceOracle)
-	}
-
-	roadPivots := pivot.RandomRoad(ds.Road, spec.RoadPivots, spec.Seed+1)
-	socialPivots := pivot.RandomSocial(ds.Social, spec.SocialPivots, spec.Seed+2)
-	if spec.CostModelPivots {
-		roadPivots = pivot.SelectRoad(ds.Road, allAttaches(ds), spec.RoadPivots,
-			pivot.Options{Seed: spec.Seed + 1, SamplePairs: 100, SwapIter: 10, GlobalIter: 2})
-		socialPivots = pivot.SelectSocial(ds.Social, spec.SocialPivots,
-			pivot.Options{Seed: spec.Seed + 2, SamplePairs: 100, SwapIter: 10, GlobalIter: 2})
-	}
-
-	road, err := index.BuildRoad(ds, index.RoadConfig{
-		Pivots: roadPivots, RMin: spec.RMin, RMax: spec.RMax,
-		SplitQuadratic: spec.QuadraticSplit,
-	})
-	if err != nil {
-		return nil, err
-	}
-	social, err := index.BuildSocial(ds, index.SocialConfig{
-		RoadPivots: road.Pivots, SocialPivots: socialPivots,
-	})
-	if err != nil {
-		return nil, err
-	}
-	engine := core.NewEngine(ds, road, social, core.Options{
-		DisableIndexPruning:    spec.DisableIndexPruning,
-		DisableDistancePruning: spec.DisableDistancePruning,
-		SamplingRefine:         spec.SamplingRefine,
-		// The paper's refinement samples candidate groups; a generous
-		// branch-and-bound budget is strictly more exact than sampling
-		// while bounding worst-case latency on adversarial issuers.
-		RefineBudget: 200000,
-	})
-	return &Env{Spec: spec, DS: ds, Engine: engine, BuildTime: time.Since(start)}, nil
-}
-
-// allAttaches lists every POI and user attachment for the road pivot cost
-// model.
-func allAttaches(ds *model.Dataset) []roadnet.Attach {
-	out := make([]roadnet.Attach, 0, len(ds.POIs)+len(ds.Users))
-	for i := range ds.POIs {
-		out = append(out, ds.POIs[i].At)
-	}
-	for i := range ds.Users {
-		out = append(out, ds.Users[i].At)
-	}
-	return out
+	return nil, fmt.Errorf("bench: unknown dataset kind %d", int(spec.Kind))
 }
 
 // QueryUsers picks n deterministic query issuers that have at least one
@@ -259,29 +222,81 @@ func (e *Env) QueryUsers(n int, seed int64) []socialnet.UserID {
 	return out
 }
 
+// QueryDeadline is how long the harness lets one query run. A query cut
+// off by it is censored: it ranks above every completed query in the
+// quantiles and contributes to no counter.
+const QueryDeadline = time.Second
+
+// Sample is one timing column over a row's issuers: the completed times
+// and the count censored at QueryDeadline.
+type Sample struct {
+	done     []time.Duration
+	censored int
+}
+
+// nearestRank is the index of the p-quantile among n ascending values by
+// the nearest-rank rule, ⌈p·n⌉−1, clamped to [0, n−1]. The slack keeps
+// p·n from rounding up past an exact integer (0.9·100).
+func nearestRank(p float64, n int) int {
+	i := int(math.Ceil(p*float64(n)-1e-9)) - 1
+	return min(max(i, 0), n-1)
+}
+
+// Quantile returns the nearest-rank p-quantile and whether it landed on a
+// censored issuer (then the value is only known to be ≥ QueryDeadline).
+func (s *Sample) Quantile(p float64) (time.Duration, bool) {
+	n := len(s.done) + s.censored
+	if n == 0 {
+		return 0, false
+	}
+	slices.Sort(s.done)
+	i := nearestRank(p, n)
+	if i >= len(s.done) {
+		return QueryDeadline, true
+	}
+	return s.done[i], false
+}
+
+// quantile formats one quantile, "≥1s" when it is censored.
+func (s *Sample) quantile(p float64) string {
+	d, cut := s.Quantile(p)
+	if cut {
+		return "≥" + QueryDeadline.String()
+	}
+	return d.Round(time.Microsecond).String()
+}
+
+// String is the column as the tables print it: median, then the
+// quartiles.
+func (s *Sample) String() string {
+	return fmt.Sprintf("%s [%s, %s]", s.quantile(0.5), s.quantile(0.25), s.quantile(0.75))
+}
+
 // Agg aggregates query statistics across issuers.
 type Agg struct {
 	Queries int
 	Found   int
 	// CacheHits counts queries answered from an answer cache. Hits carry
 	// zeroed cost counters, so Add excludes them from every cost figure —
-	// AvgCPU/AvgIO measure actual query work, never cache lookups.
+	// CPU and AvgIO measure actual query work, never cache lookups.
 	CacheHits int
-	AvgCPU    time.Duration
+	// Censored counts the issuers cut off at QueryDeadline.
+	Censored int
+	// Answers sums the results of completed queries (top-k may return
+	// fewer than k).
+	Answers   int
+	CPU       Sample
 	AvgIO     float64
 	Sum       core.Stats
-	AvgDelta  float64
 	PairsEval int64
 	// PairsTotalLog2 of the (identical) pair space.
 	PairsTotalLog2 float64
 
-	cpu time.Duration
-	io  int64
+	io int64
 }
 
-// Add folds one query's outcome into the aggregate and refreshes the
-// averages. Cache hits bump Queries/Found/CacheHits but contribute nothing
-// to the cost sums.
+// Add folds one completed query's outcome into the aggregate. Cache hits
+// bump Queries/Found/CacheHits but contribute nothing to the cost figures.
 func (agg *Agg) Add(found bool, st core.Stats) {
 	agg.Queries++
 	if found {
@@ -289,29 +304,61 @@ func (agg *Agg) Add(found bool, st core.Stats) {
 	}
 	if st.CacheHit {
 		agg.CacheHits++
-	} else {
-		agg.cpu += st.CPUTime
-		agg.io += st.PageReads
-		addStats(&agg.Sum, st)
-		agg.PairsEval += st.PairsEvaluated
-		agg.PairsTotalLog2 = st.PairsTotalLog2
+		return
 	}
-	if n := agg.Queries - agg.CacheHits; n > 0 {
-		agg.AvgCPU = agg.cpu / time.Duration(n)
-		agg.AvgIO = float64(agg.io) / float64(n)
-	}
+	agg.CPU.done = append(agg.CPU.done, st.CPUTime)
+	agg.io += st.PageReads
+	addStats(&agg.Sum, st)
+	agg.PairsEval += st.PairsEvaluated
+	agg.PairsTotalLog2 = st.PairsTotalLog2
+	agg.AvgIO = float64(agg.io) / float64(len(agg.CPU.done))
 }
+
+// AddCensored records an issuer cut off at QueryDeadline.
+func (agg *Agg) AddCensored() {
+	agg.Queries++
+	agg.Censored++
+	agg.CPU.censored++
+}
+
+// Completed is the number of issuers that finished within QueryDeadline,
+// the denominator of every found-% and per-query counter.
+func (agg *Agg) Completed() int { return agg.Queries - agg.Censored }
 
 // RunQueries executes the parameterized query for every issuer and
 // aggregates costs and pruning counters.
 func (e *Env) RunQueries(p core.Params, users []socialnet.UserID) (Agg, error) {
+	return e.runTopK(p, users, 1)
+}
+
+// runTopK runs one query per issuer under QueryDeadline: Query for k = 1,
+// QueryTopK otherwise.
+func (e *Env) runTopK(p core.Params, users []socialnet.UserID, k int) (Agg, error) {
 	var agg Agg
 	for _, u := range users {
-		res, st, err := e.Engine.Query(u, p)
-		if err != nil {
-			return agg, fmt.Errorf("query user %d: %w", u, err)
+		ctx, cancel := context.WithTimeout(context.Background(), QueryDeadline)
+		var results []core.Result
+		var st core.Stats
+		var err error
+		if k == 1 {
+			var res core.Result
+			res, st, err = e.Engine.QueryCtx(ctx, u, p)
+			if res.Found {
+				results = []core.Result{res}
+			}
+		} else {
+			results, st, err = e.Engine.QueryTopKCtx(ctx, u, p, k)
 		}
-		agg.Add(res.Found, st)
+		cancel()
+		switch {
+		case errors.Is(err, core.ErrDeadlineExceeded):
+			agg.AddCensored()
+		case err != nil:
+			return agg, fmt.Errorf("query user %d: %w", u, err)
+		default:
+			agg.Answers += len(results)
+			agg.Add(len(results) > 0, st)
+		}
 	}
 	return agg, nil
 }

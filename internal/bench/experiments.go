@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"time"
 
 	"gpssn/internal/core"
 )
@@ -43,6 +42,9 @@ func (c RunConfig) withDefaults() RunConfig {
 	return c
 }
 
+// cutHeader heads the column counting issuers cut off at QueryDeadline.
+var cutHeader = "cut@" + QueryDeadline.String()
+
 // defaultParams are the Table 3 bold defaults.
 func defaultParams() core.Params {
 	return core.Params{Gamma: 0.5, Tau: 5, Theta: 0.5, R: 2, Metric: core.MetricDotProduct}
@@ -77,8 +79,7 @@ func Experiments() []Experiment {
 		{"ablation-indexpruning", "Ablation: index-level pruning on vs off", runAblationIndexPruning},
 		{"ablation-distance", "Ablation: pivot distance pruning on vs off", runAblationDistance},
 		{"ablation-rtree", "Ablation: R* split vs quadratic split", runAblationRTree},
-		{"ablation-sampling", "Ablation: exact refinement vs sampling", runAblationSampling},
-		{"ablation-choracle", "Ablation: CH distance oracle vs plain Dijkstra", runAblationChOracle},
+		{"ablation-oracle", "Ablation: hub-label distance oracle vs plain Dijkstra", runAblationOracle},
 		{"ext-metrics", "Extension: Jaccard/Hamming interest metrics", runExtMetrics},
 		{"ext-topk", "Extension: top-k GP-SSN", runExtTopK},
 	}
@@ -248,7 +249,7 @@ func runFig7d(w io.Writer, cfg RunConfig) error {
 		// Total pair space per query is 2^PairsTotalLog2; across queries it
 		// is queries x that. Pruning power = 1 - evaluated/total.
 		totalLog2 := agg.PairsTotalLog2
-		evaluated := float64(agg.PairsEval) / float64(maxInt(agg.Queries, 1))
+		evaluated := float64(agg.PairsEval) / float64(max(agg.Completed(), 1))
 		perQueryEval := evaluated
 		frac := perQueryEval / pow2(totalLog2)
 		fmt.Fprintf(w, "%-9s %16.0f   1 - %.3e (>= %.5f%%)\n",
@@ -260,9 +261,9 @@ func runFig7d(w io.Writer, cfg RunConfig) error {
 
 func runFig8(w io.Writer, cfg RunConfig) error {
 	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "# Fig 8: GP-SSN vs Baseline (per-query averages)\n")
-	fmt.Fprintf(w, "%-9s %14s %10s %22s %18s\n",
-		"dataset", "GP-SSN CPU", "GP-SSN IO", "Baseline CPU (est.)", "speedup (x)")
+	fmt.Fprintf(w, "# Fig 8: GP-SSN vs Baseline (GP-SSN CPU: median [quartiles]; I/O: mean; speedup over the median)\n")
+	fmt.Fprintf(w, "%-9s %32s %10s %6s %22s %18s\n",
+		"dataset", "GP-SSN CPU", "GP-SSN IO", cutHeader, "Baseline CPU (est.)", "speedup (x)")
 	for _, k := range allKinds {
 		env, err := GetEnv(specFor(k, cfg))
 		if err != nil {
@@ -275,9 +276,13 @@ func runFig8(w io.Writer, cfg RunConfig) error {
 		base := &core.Baseline{DS: env.DS}
 		uq := env.QueryUsers(1, cfg.Seed+100)[0]
 		est := base.EstimateCost(uq, defaultParams(), cfg.BaselineSamples, cfg.Seed+7)
-		speedup := est.EstimatedHours * 3600 / agg.AvgCPU.Seconds()
-		fmt.Fprintf(w, "%-9s %14s %10.0f %17.3e hrs %18.3e\n",
-			k, agg.AvgCPU.Round(time.Microsecond), agg.AvgIO, est.EstimatedHours, speedup)
+		med, cut := agg.CPU.Quantile(0.5)
+		speedup := fmt.Sprintf("%.3e", est.EstimatedHours*3600/med.Seconds())
+		if cut {
+			speedup = "≤" + speedup // the median is only known to be ≥ QueryDeadline
+		}
+		fmt.Fprintf(w, "%-9s %32s %10.0f %6d %17.3e hrs %18s\n",
+			k, &agg.CPU, agg.AvgIO, agg.Censored, est.EstimatedHours, speedup)
 	}
 	fmt.Fprintln(w, "# paper: GP-SSN 0.017-0.035 s and 201-303 I/Os; Baseline ~1.9e13 days")
 	return nil
@@ -288,7 +293,7 @@ func sweep(w io.Writer, cfg RunConfig, header string, values []float64,
 	format func(v float64) string,
 	mk func(kind DatasetKind, v float64) (EnvSpec, core.Params)) error {
 	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "%-9s %10s %14s %10s %8s\n", "dataset", header, "CPU", "I/O", "found")
+	fmt.Fprintf(w, "%-9s %10s %32s %10s %8s %6s\n", "dataset", header, "CPU", "I/O", "found", cutHeader)
 	for _, k := range synthKinds {
 		for _, v := range values {
 			spec, params := mk(k, v)
@@ -301,9 +306,9 @@ func sweep(w io.Writer, cfg RunConfig, header string, values []float64,
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-9s %10s %14s %10.0f %7d%%\n",
-				k, format(v), agg.AvgCPU.Round(time.Microsecond), agg.AvgIO,
-				int(pct(agg.Found, agg.Queries)))
+			fmt.Fprintf(w, "%-9s %10s %32s %10.0f %7d%% %6d\n",
+				k, format(v), &agg.CPU, agg.AvgIO,
+				int(pct(agg.Found, agg.Completed())), agg.Censored)
 		}
 	}
 	return nil
@@ -409,7 +414,7 @@ func runAppPVs(w io.Writer, cfg RunConfig) error {
 // compare runs the default workload under two specs and prints both rows.
 func compare(w io.Writer, cfg RunConfig, label string, mk func(kind DatasetKind, variant bool) EnvSpec) error {
 	cfg = cfg.withDefaults()
-	fmt.Fprintf(w, "%-9s %-22s %14s %10s\n", "dataset", label, "CPU", "I/O")
+	fmt.Fprintf(w, "%-9s %-22s %32s %10s %6s\n", "dataset", label, "CPU", "I/O", cutHeader)
 	for _, k := range synthKinds {
 		for _, variant := range []bool{false, true} {
 			spec := mk(k, variant)
@@ -426,8 +431,8 @@ func compare(w io.Writer, cfg RunConfig, label string, mk func(kind DatasetKind,
 			if variant {
 				name = "variant"
 			}
-			fmt.Fprintf(w, "%-9s %-22s %14s %10.0f\n",
-				k, name, agg.AvgCPU.Round(time.Microsecond), agg.AvgIO)
+			fmt.Fprintf(w, "%-9s %-22s %32s %10.0f %6d\n",
+				k, name, &agg.CPU, agg.AvgIO, agg.Censored)
 		}
 	}
 	return nil
@@ -469,23 +474,12 @@ func runAblationRTree(w io.Writer, cfg RunConfig) error {
 	})
 }
 
-func runAblationSampling(w io.Writer, cfg RunConfig) error {
-	fmt.Fprintf(w, "# Ablation: exact branch-and-bound refinement (baseline) vs random-expansion sampling (variant)\n")
-	return compare(w, cfg, "refinement", func(k DatasetKind, variant bool) EnvSpec {
-		spec := specFor(k, cfg.withDefaults())
-		spec.SamplingRefine = variant
-		return spec
-	})
-}
-
-func runAblationChOracle(w io.Writer, cfg RunConfig) error {
-	fmt.Fprintf(w, "# Ablation: CH distance oracle (baseline) vs plain Dijkstra (variant)\n")
+func runAblationOracle(w io.Writer, cfg RunConfig) error {
+	fmt.Fprintf(w, "# Ablation: hub-label distance oracle, the product's (baseline) vs plain Dijkstra (variant)\n")
 	return compare(w, cfg, "distance-oracle", func(k DatasetKind, variant bool) EnvSpec {
 		spec := specFor(k, cfg.withDefaults())
 		if variant {
 			spec.DistanceOracle = "dijkstra"
-		} else {
-			spec.DistanceOracle = "ch"
 		}
 		return spec
 	})
@@ -498,13 +492,6 @@ func scaleCount(v, scale float64) int {
 		n = 20
 	}
 	return n
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // pow2 is math.Exp2 with +Inf treated as the intended "astronomically
@@ -527,7 +514,7 @@ func SortedNames() []string {
 func runExtMetrics(w io.Writer, cfg RunConfig) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(w, "# Extension: interest metrics (dot product = paper's Eq. 1)\n")
-	fmt.Fprintf(w, "%-9s %-9s %14s %10s %8s\n", "dataset", "metric", "CPU", "I/O", "found")
+	fmt.Fprintf(w, "%-9s %-9s %32s %10s %8s %6s\n", "dataset", "metric", "CPU", "I/O", "found", cutHeader)
 	for _, k := range synthKinds {
 		env, err := GetEnv(specFor(k, cfg))
 		if err != nil {
@@ -547,9 +534,9 @@ func runExtMetrics(w io.Writer, cfg RunConfig) error {
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "%-9s %-9s %14s %10.0f %7d%%\n",
-				k, m, agg.AvgCPU.Round(time.Microsecond), agg.AvgIO,
-				int(pct(agg.Found, agg.Queries)))
+			fmt.Fprintf(w, "%-9s %-9s %32s %10.0f %7d%% %6d\n",
+				k, m, &agg.CPU, agg.AvgIO,
+				int(pct(agg.Found, agg.Completed())), agg.Censored)
 		}
 	}
 	return nil
@@ -559,7 +546,7 @@ func runExtMetrics(w io.Writer, cfg RunConfig) error {
 func runExtTopK(w io.Writer, cfg RunConfig) error {
 	cfg = cfg.withDefaults()
 	fmt.Fprintf(w, "# Extension: top-k GP-SSN (distinct anchors)\n")
-	fmt.Fprintf(w, "%-9s %4s %14s %10s %10s\n", "dataset", "k", "CPU", "I/O", "answers")
+	fmt.Fprintf(w, "%-9s %4s %32s %10s %10s %6s\n", "dataset", "k", "CPU", "I/O", "answers", cutHeader)
 	for _, kind := range synthKinds {
 		env, err := GetEnv(specFor(kind, cfg))
 		if err != nil {
@@ -567,22 +554,13 @@ func runExtTopK(w io.Writer, cfg RunConfig) error {
 		}
 		users := env.QueryUsers(cfg.Queries, cfg.Seed+100)
 		for _, k := range []int{1, 3, 5} {
-			var cpu time.Duration
-			var io int64
-			answers := 0
-			for _, u := range users {
-				res, st, err := env.Engine.QueryTopK(u, defaultParams(), k)
-				if err != nil {
-					return err
-				}
-				cpu += st.CPUTime
-				io += st.PageReads
-				answers += len(res)
+			agg, err := env.runTopK(defaultParams(), users, k)
+			if err != nil {
+				return err
 			}
-			n := len(users)
-			fmt.Fprintf(w, "%-9s %4d %14s %10.0f %10.1f\n",
-				kind, k, (cpu / time.Duration(n)).Round(time.Microsecond),
-				float64(io)/float64(n), float64(answers)/float64(n))
+			fmt.Fprintf(w, "%-9s %4d %32s %10.0f %10.1f %6d\n",
+				kind, k, &agg.CPU, agg.AvgIO,
+				float64(agg.Answers)/float64(max(agg.Completed(), 1)), agg.Censored)
 		}
 	}
 	return nil

@@ -6,15 +6,13 @@ import (
 	"io"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
-	"gpssn/internal/core"
+	"gpssn/internal/build"
 	"gpssn/internal/gen"
-	"gpssn/internal/index"
-	"gpssn/internal/pivot"
 	"gpssn/internal/roadnet/ch"
 	"gpssn/internal/roadnet/hl"
 )
@@ -98,19 +96,10 @@ func runScale1m(w io.Writer, cfg RunConfig) error {
 		report.AvgLabelSize, report.MaxLabelSize, hlo.MemoryBytes()>>20)
 
 	start = time.Now()
-	road, err := index.BuildRoad(ds, index.RoadConfig{
-		Pivots: pivot.RandomRoad(ds.Road, 5, cfg.Seed+1), RMin: 0.5, RMax: 4,
-	})
+	engine, err := build.Engine(ds, build.Options{RoadPivots: 5, SocialPivots: 5, RMin: 0.5, RMax: 4, Seed: cfg.Seed})
 	if err != nil {
 		return err
 	}
-	social, err := index.BuildSocial(ds, index.SocialConfig{
-		RoadPivots: road.Pivots, SocialPivots: pivot.RandomSocial(ds.Social, 5, cfg.Seed+2),
-	})
-	if err != nil {
-		return err
-	}
-	engine := core.NewEngine(ds, road, social, core.Options{RefineBudget: 200000})
 	report.IndexSec = time.Since(start).Seconds()
 	fmt.Fprintf(w, "# indexes built in %.1fs\n", report.IndexSec)
 
@@ -128,13 +117,12 @@ func runScale1m(w io.Writer, cfg RunConfig) error {
 			report.Found++
 		}
 	}
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	slices.Sort(lat)
 	pctl := func(p float64) float64 {
 		if len(lat) == 0 {
 			return 0
 		}
-		i := int(p * float64(len(lat)-1))
-		return float64(lat[i]) / float64(time.Millisecond)
+		return float64(lat[nearestRank(p, len(lat))]) / float64(time.Millisecond)
 	}
 	report.P50Ms, report.P90Ms, report.P99Ms = pctl(0.50), pctl(0.90), pctl(0.99)
 

@@ -27,28 +27,10 @@ type Options struct {
 	// DisableDistancePruning skips the pivot-based distance pruning (δ and
 	// Lemma 5/7): candidates are filtered by score predicates only.
 	DisableDistancePruning bool
-	// UseCorollary2 enables the second user-pruning pass (Corollary 2)
-	// during refinement.
-	UseCorollary2 bool
-	// SamplingRefine replaces the exact branch-and-bound group enumeration
-	// with the random-expansion subset sampling the paper sketches as
-	// future work; results become approximate.
-	SamplingRefine bool
-	// SampleCount is the number of random expansions when SamplingRefine
-	// is on (default 64).
-	SampleCount int
 	// Trace, when non-nil, receives a line-oriented log of the query's
 	// phases: probe outcome, per-level candidate counts, δ evolution, and
 	// refinement effort. For debugging and teaching; adds minor overhead.
 	Trace io.Writer
-	// RefineBudget caps the branch-and-bound expansions per anchor during
-	// refinement (0 = unlimited, the default). On adversarially dense
-	// social graphs a cap bounds query latency at the cost of exactness:
-	// the answer is still feasible but may not be optimal. With a budget
-	// set and Parallelism > 1, where the budget cuts off depends on how
-	// fast the shared incumbent tightened, so budget-capped answers may
-	// vary slightly across runs (unbudgeted answers never do).
-	RefineBudget int
 	// Parallelism is the number of worker goroutines refinement fans
 	// anchor candidates over (0 = runtime.GOMAXPROCS(0), 1 = sequential).
 	// Any setting returns identical answers; see docs/CONCURRENCY.md and
@@ -96,9 +78,6 @@ type Engine struct {
 
 // NewEngine wires a dataset with its two indexes.
 func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialIndex, opts Options) *Engine {
-	if opts.SampleCount == 0 {
-		opts.SampleCount = 64
-	}
 	e := &Engine{DS: ds, Road: road, Social: social, Opts: opts}
 	e.initDynamic()
 	if ds.Road.HasLabels() {

@@ -149,7 +149,6 @@ func TestEngineAblationsStayExact(t *testing.T) {
 	variants := map[string]Options{
 		"no-index-pruning":    {DisableIndexPruning: true},
 		"no-distance-pruning": {DisableDistancePruning: true},
-		"corollary2":          {UseCorollary2: true},
 		"both-off":            {DisableIndexPruning: true, DisableDistancePruning: true},
 	}
 	for _, uq := range []socialnet.UserID{2, 19, 44} {
@@ -168,29 +167,6 @@ func TestEngineAblationsStayExact(t *testing.T) {
 			}
 			if got.Found && math.Abs(got.MaxDist-want.MaxDist) > 1e-6 {
 				t.Fatalf("%s uq %d: cost %v, want %v", name, uq, got.MaxDist, want.MaxDist)
-			}
-		}
-	}
-}
-
-func TestEngineSamplingRefineFeasibleNotBetter(t *testing.T) {
-	ds := smallDataset(t, 10)
-	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
-	exact := buildEngine(t, ds, Options{})
-	sampling := buildEngine(t, ds, Options{SamplingRefine: true, SampleCount: 32})
-	for _, uq := range []socialnet.UserID{1, 25} {
-		want, _, err := exact.Query(uq, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := sampling.Query(uq, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Found {
-			checkFeasible(t, ds, uq, p, got)
-			if want.Found && got.MaxDist < want.MaxDist-1e-9 {
-				t.Fatalf("sampling found a better-than-optimal cost %v < %v", got.MaxDist, want.MaxDist)
 			}
 		}
 	}
@@ -429,28 +405,5 @@ func TestQueryTrace(t *testing.T) {
 	b, _, _ := e.Query(3, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2})
 	if a.Found != b.Found || (a.Found && a.MaxDist != b.MaxDist) {
 		t.Error("tracing changed the result")
-	}
-}
-
-func TestRefineBudgetBoundsWorkAndStaysFeasible(t *testing.T) {
-	ds := smallDataset(t, 42)
-	exact := buildEngine(t, ds, Options{})
-	budgeted := buildEngine(t, ds, Options{RefineBudget: 3})
-	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
-	for _, uq := range []socialnet.UserID{2, 17} {
-		want, _, err := exact.Query(uq, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := budgeted.Query(uq, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Found {
-			checkFeasible(t, ds, uq, p, got)
-			if want.Found && got.MaxDist < want.MaxDist-1e-9 {
-				t.Fatal("budgeted result beat the optimum")
-			}
-		}
 	}
 }

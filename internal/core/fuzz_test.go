@@ -109,31 +109,6 @@ func TestEngineIsolatedIssuer(t *testing.T) {
 	}
 }
 
-// TestEngineCorollary2KeepsOptimum: the Corollary 2 filter must never
-// remove a user that belongs to the optimal group.
-func TestEngineCorollary2KeepsOptimum(t *testing.T) {
-	for seed := int64(33); seed < 36; seed++ {
-		ds := smallDataset(t, seed)
-		plain := buildEngine(t, ds, Options{})
-		filtered := buildEngine(t, ds, Options{UseCorollary2: true})
-		p := Params{Gamma: 0.3, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
-		for _, uq := range []socialnet.UserID{1, 20, 50} {
-			a, _, err := plain.Query(uq, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			b, _, err := filtered.Query(uq, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if a.Found != b.Found || (a.Found && math.Abs(a.MaxDist-b.MaxDist) > 1e-9) {
-				t.Fatalf("seed %d uq %d: corollary2 changed the answer: %v vs %v",
-					seed, uq, a.MaxDist, b.MaxDist)
-			}
-		}
-	}
-}
-
 // TestEngineConcurrentQueries: an Engine may be shared across goroutines
 // (queries serialize internally); results must match the sequential run.
 func TestEngineConcurrentQueries(t *testing.T) {

@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"math"
 	"math/bits"
-	"math/rand"
 	"slices"
 	"sync/atomic"
 
@@ -66,7 +65,6 @@ func reachableEnough(ds *model.Dataset, uq socialnet.UserID, eligible []socialne
 func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, kws TopicSet, mUq float64, mOf func(socialnet.UserID) float64) ([]socialnet.UserID, float64, bool) {
 	ds := e.DS
 	cur := []socialnet.UserID{uq}
-	inCur := map[socialnet.UserID]bool{uq: true}
 	curMax := mUq
 	evals := 0
 	for len(cur) < p.Tau {
@@ -75,7 +73,7 @@ func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, 
 		checked := 0
 		for _, u := range cur {
 			for _, v := range ds.Social.Friends(u) {
-				if inCur[v] || checked >= 16 {
+				if checked >= 16 || slices.Contains(cur, v) {
 					continue
 				}
 				compatible := true
@@ -99,7 +97,6 @@ func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, 
 			return nil, 0, false
 		}
 		cur = append(cur, bestU)
-		inCur[bestU] = true
 		if bestM > curMax {
 			curMax = bestM
 		}
@@ -142,7 +139,6 @@ type groupSearch struct {
 	// Per-enumeration state.
 	curMax, bestCost float64
 	found            bool
-	budget           int
 	expansions       int
 	leaves           int64
 	ck               *roadnet.Checkpoint
@@ -291,10 +287,10 @@ func (g *groupSearch) level(d int) (ext, excl, mask []uint64) {
 // lexicographically smallest sorted S, so the returned group is the
 // anchor's canonical optimum — independent of the bound snapshot the
 // caller passed (as long as it is >= the optimum) and hence of worker
-// timing. budget > 0 caps the expansions (Options.RefineBudget). The
-// group is returned sorted, in the only memory the search allocates.
-func (g *groupSearch) enumerateGroups(bound float64, budget int, pairs *atomic.Int64, ck *roadnet.Checkpoint) ([]socialnet.UserID, float64) {
-	g.bestCost, g.found, g.budget, g.expansions, g.leaves, g.ck = bound, false, budget, 0, 0, ck
+// timing. The group is returned sorted, in the only memory the search
+// allocates.
+func (g *groupSearch) enumerateGroups(bound float64, pairs *atomic.Int64, ck *roadnet.Checkpoint) ([]socialnet.UserID, float64) {
+	g.bestCost, g.found, g.expansions, g.leaves, g.ck = bound, false, 0, 0, ck
 	g.curMax = g.mUq
 	g.grp = append(g.grp[:0], g.uq)
 	ext, excl, mask := g.level(0)
@@ -319,9 +315,6 @@ func (g *groupSearch) enumerateGroups(bound float64, budget int, pairs *atomic.I
 // ((ext after v) ∪ friends(v)) \ excl — ESU's extension set — and
 // mask ∩ compatible(v).
 func (g *groupSearch) extend(d int) {
-	if g.budget > 0 && g.expansions > g.budget {
-		return // budget exhausted: keep the best found so far
-	}
 	// Cancellation poll every 256 expansions: the enumeration is pure
 	// CPU (no road searches), so without this a dense social ball could
 	// delay a cancel by seconds. The partial best is discarded anyway —
@@ -407,78 +400,4 @@ func (g *groupSearch) remove(u socialnet.UserID) {
 		i++
 	}
 	g.grp = append(g.grp[:i], g.grp[i+1:]...)
-}
-
-// sampleGroups is the random-expansion subset sampling the paper sketches
-// as future work: grow SampleCount random connected groups from u_q and
-// keep the best feasible one. Approximate. The rng is seeded from (uq, τ)
-// only and ties are tie-broken canonically, so the trial sequence and the
-// returned group do not depend on which worker runs the anchor. ids and ms
-// are the companions and their costs. The group is returned sorted.
-func (e *Engine) sampleGroups(uq socialnet.UserID, p Params, ids []socialnet.UserID, ms []float64, mUq float64, bound float64, pairs *atomic.Int64, ck *roadnet.Checkpoint) ([]socialnet.UserID, float64) {
-	ds := e.DS
-	mv := make(map[socialnet.UserID]float64, len(ids)+1)
-	for i, u := range ids {
-		mv[u] = ms[i]
-	}
-	mv[uq] = mUq
-	rng := rand.New(rand.NewSource(int64(uq)*1000003 + int64(p.Tau)))
-
-	bestCost := bound
-	var bestS []socialnet.UserID
-	for trial := 0; trial < e.Opts.SampleCount; trial++ {
-		if ck.Cancelled() {
-			break
-		}
-		cur := []socialnet.UserID{uq}
-		inCur := map[socialnet.UserID]bool{uq: true}
-		curMax := mv[uq]
-		for len(cur) < p.Tau {
-			// Random eligible, compatible neighbour of the current set.
-			var frontier []socialnet.UserID
-			for _, u := range cur {
-				for _, v := range ds.Social.Friends(u) {
-					if _, eligible := mv[v]; !eligible || inCur[v] {
-						continue
-					}
-					compatible := true
-					for _, w := range cur {
-						if Similarity(p.Metric, ds.Users[w].Interests, ds.Users[v].Interests) < p.Gamma {
-							compatible = false
-							break
-						}
-					}
-					if compatible {
-						frontier = append(frontier, v)
-					}
-				}
-			}
-			if len(frontier) == 0 {
-				break
-			}
-			v := frontier[rng.Intn(len(frontier))]
-			cur = append(cur, v)
-			inCur[v] = true
-			if mv[v] > curMax {
-				curMax = mv[v]
-			}
-		}
-		if len(cur) == p.Tau {
-			pairs.Add(1)
-			if !math.IsInf(curMax, 1) {
-				if curMax < bestCost {
-					bestCost = curMax
-					bestS = sortedUsers(cur)
-				} else if curMax == bestCost {
-					if s := sortedUsers(cur); bestS == nil || lexLessUsers(s, bestS) {
-						bestS = s
-					}
-				}
-			}
-		}
-	}
-	if bestS == nil {
-		return nil, math.Inf(1)
-	}
-	return bestS, bestCost
 }

@@ -176,20 +176,20 @@ func TestGroupSearchMatchesBruteForce(t *testing.T) {
 						t.Fatalf("%s: reachable = %v, u_q reaches %d companions", name, got, reach)
 					}
 					if wantS == nil {
-						if s, cost := g.enumerateGroups(math.Inf(1), 0, &pairs, nil); s != nil {
+						if s, cost := g.enumerateGroups(math.Inf(1), &pairs, nil); s != nil {
 							t.Fatalf("%s: found %v at %v, brute force finds no group", name, s, cost)
 						}
 						continue
 					}
 					found++
 					for _, bound := range []float64{math.Inf(1), wantCost} {
-						s, cost := g.enumerateGroups(bound, 0, &pairs, nil)
+						s, cost := g.enumerateGroups(bound, &pairs, nil)
 						if cost != wantCost || !slices.Equal(s, wantS) {
 							t.Fatalf("%s bound %v: got %v at %v, want %v at %v", name, bound, s, cost, wantS, wantCost)
 						}
 					}
 					below := math.Nextafter(wantCost, 0)
-					if s, cost := g.enumerateGroups(below, 0, &pairs, nil); s != nil {
+					if s, cost := g.enumerateGroups(below, &pairs, nil); s != nil {
 						t.Fatalf("%s bound %v: got %v at %v, want nothing below the optimum %v", name, below, s, cost, wantCost)
 					}
 				}
@@ -222,7 +222,7 @@ func TestGroupSearchWarmArenaAllocs(t *testing.T) {
 		if !g.reachable() {
 			t.Fatal("unreachable")
 		}
-		if s, _ := g.enumerateGroups(math.Inf(1), 0, &pairs, nil); s == nil {
+		if s, _ := g.enumerateGroups(math.Inf(1), &pairs, nil); s == nil {
 			t.Fatal("no group")
 		}
 	}
@@ -266,7 +266,7 @@ func BenchmarkGroupSearch(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				g := ar.groups(ds, p, uq, anchor.Dist(ds.Users[uq].Loc), comps)
 				if g.reachable() {
-					g.enumerateGroups(math.Inf(1), 0, &pairs, nil)
+					g.enumerateGroups(math.Inf(1), &pairs, nil)
 				}
 			}
 			b.ReportMetric(float64(pairs.Load())/float64(b.N), "groups/op")

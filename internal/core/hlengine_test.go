@@ -23,7 +23,6 @@ func TestEngineMatchesBaselineUnderHL(t *testing.T) {
 		"default":             {},
 		"no-index-pruning":    {DisableIndexPruning: true},
 		"no-distance-pruning": {DisableDistancePruning: true},
-		"corollary2":          {UseCorollary2: true},
 		"both-off":            {DisableIndexPruning: true, DisableDistancePruning: true},
 		"parallel-8":          {Parallelism: 8},
 	}

@@ -184,8 +184,7 @@ func ballMax(dists []float64) float64 {
 // and enumeration of the user-POI group pairs (S, R'(o_i)) to produce the
 // actual GP-SSN answers. R is materialized as the road-network ball of
 // radius r around each candidate anchor POI; S is found by branch-and-bound
-// enumeration of connected τ-subsets containing u_q (or by the
-// random-expansion sampling extension when Opts.SamplingRefine is set).
+// enumeration of connected τ-subsets containing u_q.
 // It returns the best k results with distinct anchors, cheapest first.
 //
 // Anchors are independent given the shared incumbent, so they are fanned
@@ -215,9 +214,6 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			continue
 		}
 		cand = append(cand, u)
-	}
-	if e.Opts.UseCorollary2 && p.Metric == MetricDotProduct {
-		cand = e.corollary2Filter(uq, p, cand, st)
 	}
 	// Ascending ids: reachableEnough binary-searches each anchor's matching
 	// subset of cand.
@@ -337,14 +333,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			return
 		}
 
-		var S []socialnet.UserID
-		var cost float64
-		if e.Opts.SamplingRefine {
-			S, cost = e.sampleGroups(uq, p, g.ids, g.ms, mUq, keeper.Bound(), &pairs, q.ck)
-		} else {
-			S, cost = g.enumerateGroups(keeper.Bound(), e.Opts.RefineBudget, &pairs, q.ck)
-		}
-		if S != nil {
+		if S, cost := g.enumerateGroups(keeper.Bound(), &pairs, q.ck); S != nil {
 			keeper.add(Result{Found: true, S: S, R: ball, Anchor: ac.id, MaxDist: cost})
 		}
 	}
@@ -427,51 +416,6 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 // (roadPivotSafe).
 func (e *Engine) companionPruned(u socialnet.UserID, anchorRD []float64, bound float64) bool {
 	return e.roadPivotSafe() && prunes(roadnet.LowerBound(e.userRDOf(u), anchorRD), bound)
-}
-
-// corollary2Filter applies Corollary 2: a candidate u_k lying in the
-// pruning regions of at least |S'|-τ+1 other candidates cannot belong to
-// any feasible group and is dropped. The pass iterates until fixpoint,
-// since removals shrink S'.
-func (e *Engine) corollary2Filter(uq socialnet.UserID, p Params, cand []socialnet.UserID, st *Stats) []socialnet.UserID {
-	ds := e.DS
-	for {
-		// S' = {u_q} ∪ cand.
-		sPrime := len(cand) + 1
-		threshold := sPrime - p.Tau + 1
-		if threshold <= 0 {
-			return cand
-		}
-		var kept []socialnet.UserID
-		removed := false
-		for _, uk := range cand {
-			wk := ds.Users[uk].Interests
-			inRegions := 0
-			// Regions of the query user and of every other candidate.
-			if InterestScore(ds.Users[uq].Interests, wk) < p.Gamma {
-				inRegions++
-			}
-			for _, ul := range cand {
-				if ul == uk {
-					continue
-				}
-				if InterestScore(ds.Users[ul].Interests, wk) < p.Gamma {
-					inRegions++
-				}
-			}
-			if inRegions >= threshold {
-				st.SNObjPruned++
-				st.SNObjPrunedInterest++
-				removed = true
-				continue
-			}
-			kept = append(kept, uk)
-		}
-		cand = kept
-		if !removed {
-			return cand
-		}
-	}
 }
 
 // ballAround returns the POIs within road distance radius of the anchor
