@@ -56,9 +56,10 @@ examples:
 
 # The in-package kernel benchmarks, one iteration each, so they keep
 # compiling and running (BenchmarkGroupSearch: the per-anchor group search
-# at τ = 4, 5 and 7, about a second in all).
+# at τ = 4, 5 and 7; BenchmarkAnchorOrder: refinement's lazy anchor order
+# over 1,054 candidates; about a second in all).
 kernel-bench:
-	$(GO) test -run '^$$' -bench GroupSearch -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'GroupSearch|AnchorOrder' -benchtime 1x ./internal/core
 
 # Every experiment of the figure harness end to end at a tiny scale (the
 # harness tests run only some of them), plus the opt-in 1M tier, which

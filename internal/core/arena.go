@@ -15,13 +15,14 @@ import (
 // allocates nothing per anchor and nothing per user evaluation:
 //
 //   - atts/out back the attachment lists and distance outputs of makeMOf
-//     and anchorDists, rows the label-table row lists (poiRows),
+//     and the anchor order, rows the label-table row lists (poiRows),
 //   - lbl is the source attachment-label scratch the label kernel merges
 //     from,
 //   - kws is the ball keyword set,
 //   - comps/users back processAnchor's companion bookkeeping,
 //   - seen/queue are the connectivity checks' visited set and queue,
-//   - gs is the group search with its ordinals and rows (groups.go).
+//   - gs is the group search with its ordinals and rows (groups.go),
+//   - anchs is refinement's anchor heap (anchorOrder).
 //
 // Arenas are engine-owned (arenaPool) and recycled across queries, so the
 // steady-state per-query cost is a pool pop and push. The arena only
@@ -37,6 +38,7 @@ type refineArena struct {
 	seen  []uint64
 	queue []int32
 	gs    groupSearch
+	anchs []anchorEntry
 
 	owner    *arenaPool
 	retained int64 // bytes currently held by the slices above
@@ -128,6 +130,12 @@ func (a *refineArena) keepComps(s []anchorComp) {
 	a.comps = s
 }
 
+// anchorBuf returns a length-n anchor heap buffer.
+func (a *refineArena) anchorBuf(n int) []anchorEntry {
+	a.anchs = grow(a, a.anchs, n, anchorEntrySize)
+	return a.anchs
+}
+
 // userBuf returns a length-n user-ID buffer.
 func (a *refineArena) userBuf(n int) []socialnet.UserID {
 	a.users = grow(a, a.users, n, userIDSize)
@@ -144,11 +152,13 @@ func (a *refineArena) reachScratch(n int) ([]uint64, []int32) {
 }
 
 // Element sizes for the byte gauge. Attach is (EdgeID int32, T float64)
-// padded to 16; UserID is an int32; anchorComp is (int32 pad + float64).
+// padded to 16; UserID is an int32; anchorComp is (int32 pad + float64);
+// anchorEntry is (float64, int32, bool) padded to 16.
 const (
-	attachSize     = 16
-	userIDSize     = 4
-	anchorCompSize = 16
+	attachSize      = 16
+	userIDSize      = 4
+	anchorCompSize  = 16
+	anchorEntrySize = 16
 )
 
 // arenaPool recycles refineArenas across queries. A bounded free list

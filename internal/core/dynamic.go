@@ -223,10 +223,12 @@ func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, region *PruneRegi
 
 // scanDeltaAnchors appends every delta POI as a candidate anchor. Without
 // a sup_K superset no matching bound exists for them, so they skip both
-// score and distance pruning — trivially sound.
+// score and distance pruning — trivially sound — and carry no distance
+// lower bound.
 func (e *Engine) scanDeltaAnchors(tr *traversal) {
 	for id := e.dyn.indexedPOIs; id < len(e.DS.POIs); id++ {
 		tr.candAnchors = append(tr.candAnchors, model.POIID(id))
+		tr.candLB = append(tr.candLB, 0)
 	}
 }
 

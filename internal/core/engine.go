@@ -166,6 +166,11 @@ type Stats struct {
 	// Candidates surviving the traversal.
 	CandUsers   int
 	CandAnchors int
+	// AnchorDistances counts the exact dist_RN(u_q, anchor) values
+	// refinement computed to order the candidate anchors: every candidate
+	// without the POI label table, only those reaching the lazy order's
+	// front with it (≤ CandAnchors either way).
+	AnchorDistances int
 
 	// Refinement effort: user-POI group pairs actually evaluated, and the
 	// total pair count C(m-1, τ-1)·n of the brute-force space (Fig 7(d)).
@@ -361,9 +366,14 @@ func (e *Engine) QueryTopKCtx(ctx context.Context, uq socialnet.UserID, p Params
 }
 
 // traversal is the intermediate state Algorithm 2 hands to refinement.
+// candLB[i] is the Lemma 5 pivot lower bound on dist_RN(u_q, candAnchors[i])
+// the traversal computed for its δ test, 0 where none was computed (delta
+// POIs, unsafe road pivots, DisableDistancePruning); refinement keys its
+// lazy anchor order by it.
 type traversal struct {
 	candUsers   []socialnet.UserID
 	candAnchors []model.POIID
+	candLB      []float64
 	delta       float64
 }
 
@@ -499,9 +509,10 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 					// hashed V_sup signature (a sound overestimate).
 					// Distance: Lemma 5 via the pivot lower bound vs δ.
 					matchPrune := matchUbVec(uqUser.Interests, e.Road.POISupVec(id)) < p.Theta
-					distPrune := false
+					lb, distPrune := 0.0, false
 					if !e.Opts.DisableDistancePruning && roadLB {
-						distPrune = prunes(roadnet.LowerBound(uqRD, e.Road.POIDist(id)), tr.delta)
+						lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
+						distPrune = prunes(lb, tr.delta)
 					}
 					if matchPrune {
 						st.RNObjPrunedMatch++
@@ -514,6 +525,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 						continue
 					}
 					tr.candAnchors = append(tr.candAnchors, id)
+					tr.candLB = append(tr.candLB, lb)
 					// δ update (line 20), guarded by the Eq. 18
 					// feasibility lower bound over sub_K. For top-k, δ is
 					// the k-th smallest feasible upper bound seen, so the
@@ -634,7 +646,8 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 }
 
 // interestPrunable applies the user interest pruning for the configured
-// metric: the paper's pruning region for the dot product, and a direct
+// metric: the paper's pruning region for the dot product (in its score
+// form, the same predicate refinement and Baseline check), and a direct
 // similarity threshold test otherwise.
 func interestPrunable(p Params, region *PruneRegion, anchor, w []float64) bool {
 	if p.Metric == MetricDotProduct {

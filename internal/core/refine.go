@@ -4,7 +4,6 @@ import (
 	"math"
 	"runtime"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -28,12 +27,13 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 	defer e.releaseArena(ar)
 	const probeAnchors = 3
 	nn := e.Road.Tree.Nearest(ds.Users[uq].Loc, probeAnchors)
-	tried := map[model.POIID]bool{}
+	// At most 2·probeAnchors anchors are tried, so a scan beats a set.
+	tried := make([]model.POIID, 0, 2*probeAnchors)
 	tryAnchor := func(anchor model.POIID) {
-		if tried[anchor] || q.ck.Stopped() {
+		if slices.Contains(tried, anchor) || q.ck.Stopped() {
 			return
 		}
-		tried[anchor] = true
+		tried = append(tried, anchor)
 		ball := e.ballAround(anchor, p.R, q.ck)
 		if q.ck.Stopped() {
 			return // degenerate ball (see refine's processAnchor)
@@ -48,8 +48,8 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 			return
 		}
 		if cur, curMax, ok := e.greedyGroup(uq, p, ball, kws, mUq, mOf); ok && curMax < best.MaxDist {
-			r := append([]model.POIID(nil), ball...)
-			sort.Slice(r, func(i, j int) bool { return r[i] < r[j] })
+			r := slices.Clone(ball)
+			slices.Sort(r)
 			best = Result{Found: true, S: sortedUsers(cur), R: r, Anchor: anchor, MaxDist: curMax}
 		}
 	}
@@ -188,7 +188,7 @@ func ballMax(dists []float64) float64 {
 // It returns the best k results with distinct anchors, cheapest first.
 //
 // Anchors are independent given the shared incumbent, so they are fanned
-// out over Opts.Parallelism workers pulling from the duq-sorted list. All
+// out over Opts.Parallelism workers claiming from the anchor order. All
 // pruning against the shared bound is strict (>), so candidates tying the
 // bound survive, and ties are resolved by the keeper's canonical order —
 // that is why any worker schedule returns identical answers (the
@@ -198,19 +198,15 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	ds := e.DS
 	uqUser := ds.User(uq)
 
-	// Exact user filtering (line 29): hop distance within τ-1 of u_q and
-	// exact interest similarity >= γ.
+	// Exact user filtering (line 29): hop distance within τ-1 of u_q. The
+	// exact interest test (similarity >= γ) already ran on every candidate
+	// in the traversal — interestPrunable is that very predicate.
 	hops := ds.Social.BFSHopsBounded(uq, int32(p.Tau-1))
 	var cand []socialnet.UserID
 	for _, u := range tr.candUsers {
 		if hops[u] == socialnet.Unreachable {
 			st.SNObjPruned++
 			st.SNObjPrunedDist++
-			continue
-		}
-		if Similarity(p.Metric, uqUser.Interests, ds.Users[u].Interests) < p.Gamma {
-			st.SNObjPruned++
-			st.SNObjPrunedInterest++
 			continue
 		}
 		cand = append(cand, u)
@@ -221,28 +217,14 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	st.CandUsers = len(cand)
 	st.CandAnchors = len(tr.candAnchors)
 
-	// Exact distances from u_q to every candidate anchor (one merge per
-	// anchor label row under a label oracle, one one-to-all sweep
-	// otherwise); anchors are then processed in ascending exact distance so
-	// the search can stop as soon as the next anchor's lower bound meets the
-	// incumbent.
-	ar := e.acquireArena()
-	duqs := e.anchorDists(uq, tr.candAnchors, q.ck, ar)
-	type anchorCand struct {
-		id  model.POIID
-		duq float64
-	}
-	anchors := make([]anchorCand, 0, len(tr.candAnchors))
-	for i, a := range tr.candAnchors {
-		anchors = append(anchors, anchorCand{id: a, duq: duqs[i]})
-	}
-	e.releaseArena(ar) // duqs is arena memory: released only once copied out
-	sort.Slice(anchors, func(i, j int) bool {
-		if anchors[i].duq != anchors[j].duq {
-			return anchors[i].duq < anchors[j].duq
-		}
-		return anchors[i].id < anchors[j].id
-	})
+	// Anchors are processed in ascending exact distance from u_q so the
+	// search can stop as soon as the next anchor's distance exceeds the
+	// incumbent; the order resolves that distance only for anchors that
+	// reach its front (anchorOrder). qar holds u_q's label and the heap for
+	// the whole query.
+	qar := e.acquireArena()
+	defer e.releaseArena(qar)
+	order := e.newAnchorOrder(uq, tr, q.ck, qar)
 
 	keeper := newSharedKeeper(k)
 	if probe.Found {
@@ -250,7 +232,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	}
 	var pairs atomic.Int64
 
-	processAnchor := func(ac anchorCand, ar *refineArena) {
+	processAnchor := func(ac anchorEntry, ar *refineArena) {
 		ball := e.ballAround(ac.id, p.R, q.ck)
 		// A trip during ball construction leaves a degenerate ball; bail
 		// before any result can be built on the wrong R set.
@@ -338,8 +320,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		}
 	}
 
-	// Fan the duq-sorted anchors over the worker pool. Workers pull the
-	// next anchor through an atomic index; a worker stops pulling once the
+	// Fan the anchors over the worker pool. Workers claim the next anchor
+	// in (duq, id) order under orderMu; a worker stops claiming once the
 	// next anchor's duq exceeds the bound — duq lower-bounds the group
 	// cost (the anchor is in its own ball) and later anchors are farther
 	// still, so nothing those anchors could produce survives the keeper.
@@ -347,10 +329,16 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > len(anchors) {
-		par = len(anchors)
+	if par > len(tr.candAnchors) {
+		par = len(tr.candAnchors)
 	}
-	var next atomic.Int64
+	var orderMu sync.Mutex
+	claim := func() (anchorEntry, int, bool) {
+		orderMu.Lock()
+		defer orderMu.Unlock()
+		ac, ok := order.next(keeper.Bound())
+		return ac, order.pops - 1, ok
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < par; w++ {
 		wg.Add(1)
@@ -363,12 +351,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			ar := e.acquireArena()
 			defer e.releaseArena(ar)
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(anchors) {
-					return
-				}
-				ac := anchors[i]
-				if math.IsInf(ac.duq, 1) || ac.duq > keeper.Bound() {
+				ac, i, ok := claim()
+				if !ok {
 					return
 				}
 				// Per-work-item cancellation/budget check: every worker
@@ -376,7 +360,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 				// whole pool drains within one anchor's work. A budget trip
 				// is already recorded on the checkpoint; the anchor cap is
 				// noted here, and only for an anchor that would otherwise
-				// have been processed (the duq guard above ran first).
+				// have been processed (the duq guard in next ran first).
 				if q.ck.Stopped() {
 					return
 				}
@@ -398,12 +382,140 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	q.rethrow()
 
 	st.PairsEvaluated = pairs.Load()
+	st.AnchorDistances = order.resolved
 	items := keeper.rk.items
 	for i := range items {
-		sort.Slice(items[i].S, func(a, b int) bool { return items[i].S[a] < items[i].S[b] })
-		sort.Slice(items[i].R, func(a, b int) bool { return items[i].R[a] < items[i].R[b] })
+		slices.Sort(items[i].S)
+		slices.Sort(items[i].R)
 	}
 	return items
+}
+
+// anchorEntry is one candidate anchor in refinement's order. Once resolved,
+// key is the exact dist_RN(u_q, id) (duq); before that it is a lower bound
+// on duq.
+type anchorEntry struct {
+	key      float64
+	id       model.POIID
+	resolved bool
+}
+
+// before is the heap order: key ascending, then unresolved before resolved
+// at an equal key, then id.
+func (a *anchorEntry) before(b *anchorEntry) bool {
+	if a.key != b.key {
+		return a.key < b.key
+	}
+	if a.resolved != b.resolved {
+		return !a.resolved
+	}
+	return a.id < b.id
+}
+
+// anchorOrder yields the candidate anchors in ascending (duq, id) order
+// while computing duq only for the anchors that reach its front: a binary
+// min-heap over anchorEntry.before whose unresolved keys lower-bound their
+// duq. An unresolved top is resolved and sifted back in. A resolved top
+// is popped: every unresolved key is strictly above its duq (at an equal
+// key the unresolved entry would be on top), and an unresolved key never
+// exceeds the duq it bounds, so no unresolved anchor precedes it in
+// (duq, id) order. The pops are therefore exactly the eager sort,
+// truncated at the stop rule. Not safe for concurrent use; refine guards
+// it with a mutex.
+type anchorOrder struct {
+	h        []anchorEntry
+	resolve  func(model.POIID) float64
+	ck       *roadnet.Checkpoint
+	resolved int // exact u_q-anchor distances computed
+	pops     int
+}
+
+// newAnchorOrder builds the order over tr's candidate anchors. Under the
+// engine's POI label table every key starts as the traversal's pivot lower
+// bound, shrunk by the same relative slack prunes allows (a bound that
+// rounded up past a tied exact distance must not reorder anchors), and is
+// resolved on demand with one row merge against u_q's label, which lives
+// in ar for the query. Without the table (no label oracle, the road delta
+// overlay, an engine sharing its dataset) every key is filled up front
+// with anchorDists' exact distances, already resolved.
+func (e *Engine) newAnchorOrder(uq socialnet.UserID, tr traversal, ck *roadnet.Checkpoint, ar *refineArena) *anchorOrder {
+	ds := e.DS
+	o := &anchorOrder{h: ar.anchorBuf(len(tr.candAnchors)), ck: ck}
+	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
+		lbl, uqAt := e.userLabelWith(uq, ar), ds.Users[uq].At
+		row, out := ar.rowBuf(1), ar.floatBuf(1)
+		o.resolve = func(id model.POIID) float64 {
+			row[0] = int32(id)
+			return ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, ck)[0]
+		}
+		for i, a := range tr.candAnchors {
+			o.h[i] = anchorEntry{key: tr.candLB[i] * (1 - 1e-9), id: a}
+		}
+	} else {
+		duqs := e.anchorDists(uq, tr.candAnchors, ck, ar)
+		for i, a := range tr.candAnchors {
+			o.h[i] = anchorEntry{key: duqs[i], id: a, resolved: true}
+		}
+		o.resolved = len(o.h)
+	}
+	o.heapify()
+	return o
+}
+
+// heapify establishes the heap order over o.h.
+func (o *anchorOrder) heapify() {
+	for i := len(o.h)/2 - 1; i >= 0; i-- {
+		o.down(i)
+	}
+}
+
+// next pops the next anchor in (duq, id) order, or reports false once that
+// anchor's duq is +Inf or exceeds bound (or the checkpoint tripped while
+// resolving). An unresolved top whose key already exceeds bound stops the
+// order without being resolved.
+func (o *anchorOrder) next(bound float64) (anchorEntry, bool) {
+	for len(o.h) > 0 {
+		top := &o.h[0]
+		if math.IsInf(top.key, 1) || top.key > bound {
+			return anchorEntry{}, false
+		}
+		if !top.resolved {
+			top.key, top.resolved = o.resolve(top.id), true
+			o.resolved++
+			if o.ck.Stopped() {
+				return anchorEntry{}, false
+			}
+			o.down(0)
+			continue
+		}
+		ac := *top
+		last := len(o.h) - 1
+		o.h[0] = o.h[last]
+		o.h = o.h[:last]
+		o.down(0)
+		o.pops++
+		return ac, true
+	}
+	return anchorEntry{}, false
+}
+
+// down sifts entry i down to its place.
+func (o *anchorOrder) down(i int) {
+	h := o.h
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && h[r].before(&h[c]) {
+			c = r
+		}
+		if !h[c].before(&h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // companionPruned is processAnchor's pivot test before it pays for an
@@ -450,9 +562,10 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 }
 
 // anchorDists computes exact dist_RN(u_q, anchor) for every candidate
-// anchor. Under a label oracle this is one two-pointer merge of u_q's
-// attachment label against each anchor's row of the POI label table — no
-// per-query preparation, no O(V) array; otherwise it is one uncached
+// anchor, the anchor order's keys when the engine has no POI label table
+// of its own. Under a label oracle (an engine sharing its dataset) this is
+// one two-pointer merge of u_q's attachment label against each anchor's
+// row of a table built on the spot; otherwise it is one uncached
 // one-to-all sweep from u_q, the right kernel for one source against
 // nearly every anchor. Both paths apply the same-edge direct route, so the
 // value is the true network distance and hence a sound lower bound on any

@@ -67,40 +67,25 @@ func VecNorm2(w []float64) float64 {
 
 // PruneRegion is the user pruning region PR(u_j) of Section 3.2: the
 // halfplane of interest vectors w with Interest_Score(u_j, w) < γ, which
-// can be pruned safely (Lemma 3 / Corollary 1). The region is materialized
-// the way the paper constructs it, through the point B = u_j.w and its
-// mirror B' across the separating hyperplane, so that membership is a
-// distance comparison between w and the pair (B, B'):
-//
-//	Case 1 (||B||² ≥ γ):  prune w iff dist(w, B') < dist(w, B)
-//	Case 2 (||B||² < γ):  prune w iff dist(w, B') > dist(w, B)
-//
-// with B'[i] = B[i] · (2γ − ||B||²) / ||B||². Both cases are equivalent to
-// the direct test Interest_Score(B, w) < γ; the distance form is what the
-// index evaluates against node MBRs.
+// can be pruned safely (Lemma 3 / Corollary 1). The paper constructs it
+// geometrically, through the point B = u_j.w and its mirror B' across the
+// separating hyperplane, so that membership is a distance comparison
+// between w and the pair (B, B'). Both of its cases are the score test
+// Interest_Score(B, w) < γ in exact arithmetic, but in floating point the
+// two squared distances can prune a vector scoring exactly γ. Contains
+// evaluates the score test itself: one dot product, and the very
+// predicate Baseline applies. The B/B' form is the property-tested
+// reference in the package's tests.
 type PruneRegion struct {
 	gamma float64
 	b     []float64
-	bp    []float64
-	norm2 float64
-	case1 bool
 }
 
 // NewPruneRegion builds PR(anchor) for the given interest vector and
 // threshold γ. A zero anchor vector makes every score zero; the region then
 // covers everything when γ > 0 and nothing otherwise.
 func NewPruneRegion(anchor []float64, gamma float64) *PruneRegion {
-	b := append([]float64(nil), anchor...)
-	n2 := VecNorm2(b)
-	pr := &PruneRegion{gamma: gamma, b: b, norm2: n2, case1: n2 >= gamma}
-	if n2 > 0 {
-		scale := (2*gamma - n2) / n2
-		pr.bp = make([]float64, len(b))
-		for i := range b {
-			pr.bp[i] = b[i] * scale
-		}
-	}
-	return pr
+	return &PruneRegion{gamma: gamma, b: append([]float64(nil), anchor...)}
 }
 
 // Gamma returns the region's interest threshold.
@@ -108,26 +93,9 @@ func (pr *PruneRegion) Gamma() float64 { return pr.gamma }
 
 // Contains reports whether w falls in the pruning region, i.e. whether a
 // user with interest vector w can be pruned with respect to the anchor
-// (Corollary 1). Implemented with the paper's B/B' distance comparison.
+// (Corollary 1): Interest_Score(anchor, w) < γ. A vector exactly on the
+// hyperplane (score == γ) is kept.
 func (pr *PruneRegion) Contains(w []float64) bool {
-	if len(w) != len(pr.b) {
-		panic(fmt.Sprintf("core: vector length mismatch %d != %d", len(w), len(pr.b)))
-	}
-	if pr.norm2 == 0 {
-		return pr.gamma > 0 // all scores are 0
-	}
-	dB := dist2(w, pr.b)
-	dBp := dist2(w, pr.bp)
-	if pr.case1 {
-		return dBp < dB
-	}
-	return dBp > dB
-}
-
-// ContainsScore is the direct algebraic form of Contains: the score test
-// Interest_Score(anchor, w) < γ. Contains and ContainsScore agree except
-// exactly on the hyperplane (score == γ), where neither prunes.
-func (pr *PruneRegion) ContainsScore(w []float64) bool {
 	return InterestScore(pr.b, w) < pr.gamma
 }
 
@@ -152,19 +120,11 @@ func (pr *PruneRegion) ContainsMBR(lb, ub []float64) bool {
 	return s < pr.gamma
 }
 
-func dist2(a, b []float64) float64 {
-	s := 0.0
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s
-}
-
 // InterestMetric selects how user similarity is computed. DotProduct is the
 // paper's Eq. (1); Jaccard and Hamming are the extensions the paper leaves
-// as future work (supported by threshold checks in refinement; the pruning
-// region applies to DotProduct only).
+// as future work (supported by direct threshold tests on leaf users and
+// SimilarityUpperBound on index nodes; the pruning region applies to
+// DotProduct only).
 type InterestMetric int
 
 const (

@@ -168,8 +168,31 @@ func randInterest(rng *rand.Rand, d int) []float64 {
 	return w
 }
 
-// Property (Corollary 1 soundness): the B/B' distance-form pruning region
-// agrees with the direct score test Interest_Score < γ.
+// bbContains is the paper's geometric reading of the pruning region
+// (Section 3.2), the reference Contains is checked against: B = anchor and
+// its mirror B' = B·(2γ − ‖B‖²)/‖B‖² across the hyperplane score = γ, and
+//
+//	Case 1 (‖B‖² ≥ γ):  prune w iff dist(w, B') < dist(w, B)
+//	Case 2 (‖B‖² < γ):  prune w iff dist(w, B') > dist(w, B).
+func bbContains(anchor []float64, gamma float64, w []float64) bool {
+	n2 := VecNorm2(anchor)
+	if n2 == 0 {
+		return gamma > 0 // all scores are 0
+	}
+	scale := (2*gamma - n2) / n2
+	dB, dBp := 0.0, 0.0
+	for i, b := range anchor {
+		dB += (w[i] - b) * (w[i] - b)
+		dBp += (w[i] - b*scale) * (w[i] - b*scale)
+	}
+	if n2 >= gamma {
+		return dBp < dB
+	}
+	return dBp > dB
+}
+
+// Property (Corollary 1 soundness): the score form Contains agrees with the
+// paper's B/B' distance form.
 func TestPruneRegionMatchesScoreTest(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 2000; trial++ {
@@ -182,21 +205,22 @@ func TestPruneRegionMatchesScoreTest(t *testing.T) {
 			continue // degenerate anchor tested separately
 		}
 		got := pr.Contains(w)
-		want := pr.ContainsScore(w)
+		want := bbContains(anchor, gamma, w)
 		if got != want {
-			t.Fatalf("trial %d: Contains=%v ContainsScore=%v anchor=%v gamma=%v w=%v",
+			t.Fatalf("trial %d: Contains=%v B/B'=%v anchor=%v gamma=%v w=%v",
 				trial, got, want, anchor, gamma, w)
 		}
 	}
 }
 
 func TestPruneRegionZeroAnchor(t *testing.T) {
-	pr := NewPruneRegion([]float64{0, 0}, 0.5)
-	if !pr.Contains([]float64{0.9, 0.9}) {
+	zero, w := []float64{0, 0}, []float64{0.9, 0.9}
+	pr := NewPruneRegion(zero, 0.5)
+	if !pr.Contains(w) || !bbContains(zero, 0.5, w) {
 		t.Error("zero anchor with gamma>0: everything scores 0 < gamma, prune")
 	}
-	pr0 := NewPruneRegion([]float64{0, 0}, 0)
-	if pr0.Contains([]float64{0.9, 0.9}) {
+	pr0 := NewPruneRegion(zero, 0)
+	if pr0.Contains(w) || bbContains(zero, 0, w) {
 		t.Error("gamma=0: score 0 >= 0, keep")
 	}
 }
@@ -209,8 +233,24 @@ func TestPruneRegionBoundaryKept(t *testing.T) {
 	if pr.Contains(onPlane) {
 		t.Error("boundary vector must be kept")
 	}
-	if pr.ContainsScore(onPlane) {
-		t.Error("boundary vector must be kept by score form too")
+	if bbContains(anchor, 0.5, onPlane) {
+		t.Error("boundary vector must be kept by the B/B' form too")
+	}
+
+	// Interest vectors of the real-like datasets are quantized (k/22 and
+	// k/3 here), so scores land exactly on γ. This pair scores exactly 0.5,
+	// yet rounding in the two squared distances makes the B/B' form prune
+	// it; the score form keeps it, as the predicate requires.
+	anchor = []float64{0.2727272727272727, 0, 0, 0, 0.36363636363636365, 0.18181818181818182, 0.22727272727272727, 0.18181818181818182, 0, 0, 0, 0.2727272727272727, 0, 0.36363636363636365, 0, 0, 0, 0, 0.3181818181818182, 0, 0, 0.2727272727272727, 0, 0, 0, 0.22727272727272727, 0, 0, 0, 0, 0, 0}
+	onPlane = []float64{0.3333333333333333, 0, 0, 0, 0.3333333333333333, 0, 0, 0, 0, 0, 0, 0.6666666666666666, 0, 0, 0, 0, 0, 0, 0.3333333333333333, 0.3333333333333333, 0.3333333333333333, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0.3333333333333333, 0}
+	if got := InterestScore(anchor, onPlane); got != 0.5 {
+		t.Fatalf("score %v, want exactly 0.5", got)
+	}
+	if NewPruneRegion(anchor, 0.5).Contains(onPlane) {
+		t.Error("a vector scoring exactly γ must be kept")
+	}
+	if !bbContains(anchor, 0.5, onPlane) {
+		t.Error("the B/B' form no longer prunes this tie; the example has gone stale")
 	}
 }
 
@@ -249,7 +289,7 @@ func TestContainsMBRSoundProperty(t *testing.T) {
 			for i := range w {
 				w[i] = lb[i] + rng.Float64()*(ub[i]-lb[i])
 			}
-			if !pr.ContainsScore(w) {
+			if !pr.Contains(w) {
 				t.Fatalf("trial %d: MBR pruned but interior vector %v scores >= gamma", trial, w)
 			}
 		}
