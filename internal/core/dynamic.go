@@ -2,8 +2,10 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"gpssn/internal/geo"
+	"gpssn/internal/index"
 	"gpssn/internal/model"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/socialnet"
@@ -22,9 +24,12 @@ import (
 type dynamicState struct {
 	indexedUsers int
 	indexedPOIs  int
-	touched      map[socialnet.UserID]bool
-	roadVerts    int // road vertices appended since construction
-	roadEdges    int // road edges appended since construction
+	// touched holds the I_S leaf positions of the indexed users whose
+	// stored hop rows new friendship edges may have made overestimate,
+	// ascending: a subtree is hop-unsafe iff its position range holds one.
+	touched   []int32
+	roadVerts int // road vertices appended since construction
+	roadEdges int // road edges appended since construction
 }
 
 // initDynamic records the indexed prefix sizes at engine construction.
@@ -32,7 +37,6 @@ func (e *Engine) initDynamic() {
 	e.dyn = dynamicState{
 		indexedUsers: len(e.DS.Users),
 		indexedPOIs:  len(e.DS.POIs),
-		touched:      map[socialnet.UserID]bool{},
 	}
 }
 
@@ -91,7 +95,11 @@ func (e *Engine) AddUser(u model.User) error {
 			return fmt.Errorf("core: interest %v outside [0,1]", p)
 		}
 	}
+	if got := e.topics.rows(); got != int(u.ID) {
+		return fmt.Errorf("core: user topic table has %d rows, new user %d would not sit at its id", got, u.ID)
+	}
 	e.DS.Users = append(e.DS.Users, u)
+	e.topics.add(u.Interests)
 	if got := e.DS.Social.AddUser(); got != u.ID {
 		return fmt.Errorf("core: social graph id %d diverged from dataset id %d", got, u.ID)
 	}
@@ -116,13 +124,21 @@ func (e *Engine) AddFriendship(a, b socialnet.UserID) (bool, error) {
 	if !e.DS.Social.AddFriendship(a, b) {
 		return false, nil
 	}
-	if int(a) < e.dyn.indexedUsers {
-		e.dyn.touched[a] = true
-	}
-	if int(b) < e.dyn.indexedUsers {
-		e.dyn.touched[b] = true
-	}
+	e.touch(a)
+	e.touch(b)
 	return true, nil
+}
+
+// touch records that indexed user u's hop row may now overestimate, keeping
+// dyn.touched sorted; delta users have no stored row.
+func (e *Engine) touch(u socialnet.UserID) {
+	if int(u) >= e.dyn.indexedUsers {
+		return
+	}
+	at := int32(e.Social.Pos(u))
+	if i, found := slices.BinarySearch(e.dyn.touched, at); !found {
+		e.dyn.touched = slices.Insert(e.dyn.touched, i, at)
+	}
 }
 
 // AddRoadVertex appends an isolated road intersection. It cannot change
@@ -176,10 +192,25 @@ func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 // only sit on edges), so roadVerts does not participate.
 func (e *Engine) roadPivotSafe() bool { return e.dyn.roadEdges == 0 }
 
-// pivotPruningSafe reports whether the stored hop-pivot vector of an
-// indexed user is still a sound lower bound.
+// pivotPruningSafe reports whether u is indexed and its stored hop-pivot
+// vector is still a sound lower bound.
 func (e *Engine) pivotPruningSafe(u socialnet.UserID) bool {
-	return int(u) < e.dyn.indexedUsers && !e.dyn.touched[u]
+	return int(u) < e.dyn.indexedUsers && !e.touchedAt(e.Social.Pos(u))
+}
+
+// touchedAt reports whether the indexed user at leaf position at has a
+// hop row new friendship edges may have invalidated.
+func (e *Engine) touchedAt(at int) bool {
+	_, found := slices.BinarySearch(e.dyn.touched, int32(at))
+	return found
+}
+
+// hopUnsafe reports whether n's subtree holds a user touchedAt reports:
+// the node's hop bounds (Lemma 9) may then overestimate. One binary search
+// for the first touched position at or after the subtree's range start.
+func (e *Engine) hopUnsafe(n *index.SNode) bool {
+	i, _ := slices.BinarySearch(e.dyn.touched, int32(n.First))
+	return i < len(e.dyn.touched) && n.Holds(int(e.dyn.touched[i]))
 }
 
 // userRDOf returns the road pivot distance vector of any user, computing
@@ -206,15 +237,11 @@ func (e *Engine) poiRDOf(id model.POIID) []float64 {
 // anchor may tighten δ) covers the delta; hop filtering happens exactly in
 // refinement. Indexed users touched by new edges stay in the index
 // traversal — only their hop-pivot rule is disabled there.
-func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, region *PruneRegion, tr *traversal) {
-	ds := e.DS
-	uqW := ds.Users[uq].Interests
-	for id := e.dyn.indexedUsers; id < len(ds.Users); id++ {
+func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, uqRow topicRow, tr *traversal) {
+	ut := e.topics
+	for id := e.dyn.indexedUsers; id < len(e.DS.Users); id++ {
 		u := socialnet.UserID(id)
-		if u == uq {
-			continue
-		}
-		if interestPrunable(p, region, uqW, ds.Users[u].Interests) {
+		if u == uq || ut.interestPrunable(p, uqRow, ut.user(u)) {
 			continue
 		}
 		tr.candUsers = append(tr.candUsers, u)

@@ -191,3 +191,24 @@ func TestDynamicValidation(t *testing.T) {
 		t.Errorf("failed updates must not count as pending: %d", e.PendingUpdates())
 	}
 }
+
+// TestAddUserRejectsForeignDelta pins the user topic table's row = id
+// invariant: once another engine over the same dataset has appended a
+// user, this engine's table has no row for it, so its own AddUser must
+// fail instead of filing the next user's interests under the wrong row.
+func TestAddUserRejectsForeignDelta(t *testing.T) {
+	ds := smallDataset(t, 57)
+	a, b := buildEngine(t, ds, Options{}), buildEngine(t, ds, Options{})
+	u := ds.Users[0]
+	u.ID = socialnet.UserID(len(ds.Users))
+	if err := a.AddUser(u); err != nil {
+		t.Fatal(err)
+	}
+	u.ID++
+	if err := b.AddUser(u); err == nil {
+		t.Fatal("an engine whose table lacks the first delta user accepted the second")
+	}
+	if b.topics.rows() != len(ds.Users)-1 || len(ds.Users) != int(u.ID) {
+		t.Fatalf("the rejected AddUser changed state: %d rows, %d users", b.topics.rows(), len(ds.Users))
+	}
+}

@@ -44,8 +44,10 @@ type Options struct {
 // Concurrency: Query and QueryTopK may be called from any number of
 // goroutines — they take the read side of mu and keep all per-query
 // mutable state (I/O trackers, stats, trace buffer) in a query context.
-// AddPOI, AddUser, and AddFriendship take the write side, so updates are
-// serialized against in-flight queries. See docs/CONCURRENCY.md.
+// The dynamic updates — AddPOI, AddUser and AddFriendship, and the road
+// mutations AddRoadVertex and AddRoadEdge — take the write side, so
+// updates are serialized against in-flight queries. See
+// docs/CONCURRENCY.md.
 type Engine struct {
 	DS     *model.Dataset
 	Road   *index.RoadIndex
@@ -67,6 +69,14 @@ type Engine struct {
 	// arenas recycles the per-worker refinement scratch (see arena.go).
 	arenas arenaPool
 
+	// topics is the user topic table every interest and matching score
+	// reads (usertopics.go): built here over the dataset's users, indexed
+	// ones in I_S leaf order, and appended to by AddUser under mu's write
+	// side. It covers exactly the users this engine has seen, so users
+	// must be appended through the engine that queries them; AddUser
+	// refuses a user another engine's append left it no row for.
+	topics *userTopics
+
 	// poiLabels is the forward table of POI attachment hub labels: row i is
 	// POI i's label. Built here when the attached oracle exposes labels,
 	// appended to by AddPOI and dropped by the road mutations (the overlay
@@ -80,6 +90,7 @@ type Engine struct {
 func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialIndex, opts Options) *Engine {
 	e := &Engine{DS: ds, Road: road, Social: social, Opts: opts}
 	e.initDynamic()
+	e.topics = newUserTopics(ds, social)
 	if ds.Road.HasLabels() {
 		atts := make([]roadnet.Attach, len(ds.POIs))
 		for i := range ds.POIs {
@@ -384,13 +395,21 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 	st := q.st
 	uqUser := e.DS.User(uq)
 	region := NewPruneRegion(uqUser.Interests, p.Gamma)
+	ut := e.topics
+	uqRow := ut.user(uq)
 	uqRD := e.userRDOf(uq)
+	// The nodes on u_q's root-to-leaf path must never be pruned (u_q ∈ S
+	// by definition): they are the nodes whose leaf range holds u_q's
+	// position. A delta issuer is on no path.
+	uqPos := -1
+	if int(uq) < e.dyn.indexedUsers {
+		uqPos = e.Social.Pos(uq)
+	}
 	// Hop-pivot pruning is sound only while u_q's own stored hop vector is
-	// valid (u_q indexed and untouched by new edges).
-	uqHopSafe := e.pivotPruningSafe(uq)
+	// valid (u_q indexed and untouched by new edges); nil disables it.
 	var uqHops []int32
-	if uqHopSafe {
-		uqHops = e.Social.UserHops(uq)
+	if e.pivotPruningSafe(uq) {
+		uqHops = e.Social.HopsAt(uqPos)
 	}
 	h := e.Road.Pivots.NumPivots()
 
@@ -400,23 +419,12 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 		tr.delta = guardUBs.push(initDelta)
 	}
 
-	// The nodes on u_q's root-to-leaf path must never be pruned (u_q ∈ S
-	// by definition); mark them once.
-	uqPath := map[*index.SNode]bool{}
-	markUQPath(e.Social.Root, uq, uqPath)
-	// Nodes containing users whose hop bounds were invalidated by new
-	// friendship edges must not be distance-pruned.
-	hopUnsafePath := map[*index.SNode]bool{}
-	for u := range e.dyn.touched {
-		markUQPath(e.Social.Root, u, hopUnsafePath)
-	}
-
 	// S_cand: current frontier of I_S nodes, plus users already collected
 	// from processed leaves. Delta users join up front so every δ-guard
 	// evaluation covers them.
 	sNodes := []*index.SNode{e.Social.Root}
 	e.Social.AccessTracked(e.Social.Root, q.social)
-	e.scanDeltaUsers(uq, p, region, &tr)
+	e.scanDeltaUsers(uq, p, uqRow, &tr)
 
 	// maxUbRD[k] = max over S_cand entries of ub dist_RN(·, rp_k); feeds
 	// Eq. (16). Recomputed after every I_S level.
@@ -447,7 +455,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 	// θ-matches the ball ⊙(anchor, r) — the feasibility condition that
 	// makes δ updates sound (the Eq. 18 lower bound over sub_K).
 	guardMatch := func(sub TopicSet) bool {
-		if MatchScoreSet(uqUser.Interests, sub) < p.Theta {
+		if uqRow.match(sub) < p.Theta {
 			return false
 		}
 		for _, n := range sNodes {
@@ -456,7 +464,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 			}
 		}
 		for _, u := range tr.candUsers {
-			if MatchScoreSet(e.DS.Users[u].Interests, sub) < p.Theta {
+			if ut.user(u).match(sub) < p.Theta {
 				return false
 			}
 		}
@@ -508,7 +516,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 					// Fig. 7(c) reports them. Matching: Lemma 1 via the
 					// hashed V_sup signature (a sound overestimate).
 					// Distance: Lemma 5 via the pivot lower bound vs δ.
-					matchPrune := matchUbVec(uqUser.Interests, e.Road.POISupVec(id)) < p.Theta
+					matchPrune := uqRow.matchUb(e.Road.POISupVec(id)) < p.Theta
 					lb, distPrune := 0.0, false
 					if !e.Opts.DisableDistancePruning && roadLB {
 						lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
@@ -548,7 +556,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 				m := e.Road.Meta(child)
 				if !e.Opts.DisableIndexPruning {
 					// Lemma 6: matching score pruning for index nodes.
-					if matchUbVec(uqUser.Interests, m.SupVec) < p.Theta {
+					if uqRow.matchUb(m.SupVec) < p.Theta {
 						st.RNIndexPruned += m.POICount
 						st.RNIndexPrunedMatch += m.POICount
 						continue
@@ -577,38 +585,11 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 		var nextNodes []*index.SNode
 		for _, n := range sNodes {
 			if n.IsLeaf() {
-				// Object-level user pruning (Section 3.2).
-				for _, u := range n.Users {
-					if u == uq {
-						continue // the issuer is handled separately
-					}
-					// Both rules are evaluated on every leaf user — the
-					// user is pruned when either fires, and each rule's
-					// power is counted independently, which is how
-					// Fig. 7(b) reports them. Interest: Lemma 3 /
-					// Corollary 1. Social distance: Lemma 4.
-					interestPrune := interestPrunable(p, region, uqUser.Interests, e.DS.Users[u].Interests)
-					distPrune := false
-					if uqHopSafe && e.pivotPruningSafe(u) {
-						lb, okHop := socialnet.HopLowerBound(e.Social.UserHops(u), uqHops)
-						distPrune = !okHop || lb >= int32(p.Tau)
-					}
-					if interestPrune {
-						st.SNObjPrunedInterest++
-					}
-					if distPrune {
-						st.SNObjPrunedDist++
-					}
-					if interestPrune || distPrune {
-						st.SNObjPruned++
-						continue
-					}
-					tr.candUsers = append(tr.candUsers, u)
-				}
+				tr.candUsers = e.leafUsers(n, uq, p, uqRow, uqHops, st, tr.candUsers)
 				continue
 			}
 			for _, c := range n.Children {
-				if !e.Opts.DisableIndexPruning && !uqPath[c] {
+				if !e.Opts.DisableIndexPruning && !c.Holds(uqPos) {
 					// Lemma 8: interest score pruning for I_S nodes.
 					if indexInterestPrunable(p, region, uqUser.Interests, c) {
 						st.SNIndexPruned += c.UserCount
@@ -617,7 +598,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 					}
 					// Lemma 9: social distance pruning for I_S nodes
 					// (disabled for nodes holding hop-invalidated users).
-					if uqHopSafe && !hopUnsafePath[c] {
+					if uqHops != nil && !e.hopUnsafe(c) {
 						if lb, informative := e.Social.HopLowerBoundToNode(uqHops, c); informative && lb >= int32(p.Tau) {
 							st.SNIndexPruned += c.UserCount
 							st.SNIndexPrunedDist += c.UserCount
@@ -645,15 +626,43 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 	return tr
 }
 
-// interestPrunable applies the user interest pruning for the configured
-// metric: the paper's pruning region for the dot product (in its score
-// form, the same predicate refinement and Baseline check), and a direct
-// similarity threshold test otherwise.
-func interestPrunable(p Params, region *PruneRegion, anchor, w []float64) bool {
-	if p.Metric == MetricDotProduct {
-		return region.Contains(w)
+// leafUsers applies the object-level user pruning (Section 3.2) to the
+// users of leaf n and appends the survivors to cand. It is one pass over
+// the leaf's consecutive positions: the user topic table and the hop rows
+// are both stored in leaf order. uqHops is u_q's hop row, nil when u_q's
+// own row is unsound; a leaf holding no hop-invalidated user skips the
+// per-user check.
+func (e *Engine) leafUsers(n *index.SNode, uq socialnet.UserID, p Params, uqRow topicRow, uqHops []int32, st *Stats, cand []socialnet.UserID) []socialnet.UserID {
+	ut := e.topics
+	hopUnsafe := e.hopUnsafe(n)
+	for i, u := range n.Users {
+		if u == uq {
+			continue // the issuer is handled separately
+		}
+		at := n.First + i
+		// Both rules are evaluated on every leaf user — the user is pruned
+		// when either fires, and each rule's power is counted
+		// independently, which is how Fig. 7(b) reports them. Interest:
+		// Lemma 3 / Corollary 1. Social distance: Lemma 4.
+		interestPrune := ut.interestPrunable(p, uqRow, ut.at(at))
+		distPrune := false
+		if uqHops != nil && (!hopUnsafe || !e.touchedAt(at)) {
+			lb, okHop := socialnet.HopLowerBound(e.Social.HopsAt(at), uqHops)
+			distPrune = !okHop || lb >= int32(p.Tau)
+		}
+		if interestPrune {
+			st.SNObjPrunedInterest++
+		}
+		if distPrune {
+			st.SNObjPrunedDist++
+		}
+		if interestPrune || distPrune {
+			st.SNObjPruned++
+			continue
+		}
+		cand = append(cand, u)
 	}
-	return Similarity(p.Metric, anchor, w) < p.Gamma
+	return cand
 }
 
 // indexInterestPrunable is the node-level form (Lemma 8).
@@ -662,39 +671,6 @@ func indexInterestPrunable(p Params, region *PruneRegion, anchor []float64, n *i
 		return region.ContainsMBR(n.LbW, n.UbW)
 	}
 	return SimilarityUpperBound(p.Metric, anchor, n.LbW, n.UbW) < p.Gamma
-}
-
-// markUQPath marks the nodes on the root-to-leaf path of u_q. It returns
-// whether u_q lives under n.
-func markUQPath(n *index.SNode, uq socialnet.UserID, path map[*index.SNode]bool) bool {
-	if n.IsLeaf() {
-		for _, u := range n.Users {
-			if u == uq {
-				path[n] = true
-				return true
-			}
-		}
-		return false
-	}
-	for _, c := range n.Children {
-		if markUQPath(c, uq, path) {
-			path[n] = true
-			return true
-		}
-	}
-	return false
-}
-
-// matchUbVec is Eq. (15): the matching score upper bound through a hashed
-// V_sup signature (collisions only raise the bound, keeping it sound).
-func matchUbVec(interests []float64, sup interface{ TestKeyword(int) bool }) float64 {
-	s := 0.0
-	for f, p := range interests {
-		if p != 0 && sup.TestKeyword(f) {
-			s += p
-		}
-	}
-	return s
 }
 
 // matchLbMBR lower-bounds min over users under a node of Match(u, sub):

@@ -63,7 +63,7 @@ func reachableEnough(ds *model.Dataset, uq socialnet.UserID, eligible []socialne
 // the probe uses, against an arbitrary anchor). Returns ok=false when no
 // group completes within the evaluation cap.
 func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, kws TopicSet, mUq float64, mOf func(socialnet.UserID) float64) ([]socialnet.UserID, float64, bool) {
-	ds := e.DS
+	ds, ut := e.DS, e.topics
 	cur := []socialnet.UserID{uq}
 	curMax := mUq
 	evals := 0
@@ -76,14 +76,15 @@ func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, 
 				if checked >= 16 || slices.Contains(cur, v) {
 					continue
 				}
+				vRow := ut.user(v)
 				compatible := true
 				for _, w := range cur {
-					if Similarity(p.Metric, ds.Users[w].Interests, ds.Users[v].Interests) < p.Gamma {
+					if ut.similarity(p.Metric, ut.user(w), vRow) < p.Gamma {
 						compatible = false
 						break
 					}
 				}
-				if !compatible || MatchScoreSet(ds.Users[v].Interests, kws) < p.Theta {
+				if !compatible || vRow.match(kws) < p.Theta {
 					continue
 				}
 				checked++
@@ -119,6 +120,7 @@ func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, 
 type groupSearch struct {
 	ar  *refineArena
 	ds  *model.Dataset
+	ut  *userTopics
 	p   Params
 	uq  socialnet.UserID
 	mUq float64
@@ -126,6 +128,7 @@ type groupSearch struct {
 	w   int // words per row
 
 	ids       []socialnet.UserID // ordinal → user
+	trow      []int32            // ordinal → the user's topic-table row
 	ms        []float64          // ordinal → M(user), ascending
 	byID      []idOrd            // the companions in ascending user id
 	friendRow []int32            // ordinal → offset of its friend row in rows, -1 until filled
@@ -155,21 +158,23 @@ type idOrd struct {
 // same arena. comps is sorted in place into ordinal order; every
 // companion must have passed the similarity test against u_q and have a
 // finite M(u).
-func (a *refineArena) groups(ds *model.Dataset, p Params, uq socialnet.UserID, mUq float64, comps []anchorComp) *groupSearch {
+func (a *refineArena) groups(ds *model.Dataset, ut *userTopics, p Params, uq socialnet.UserID, mUq float64, comps []anchorComp) *groupSearch {
 	g := &a.gs
 	n := len(comps)
 	w := (n + 63) >> 6
-	g.ar, g.ds, g.p, g.uq, g.mUq, g.n, g.w = a, ds, p, uq, mUq, n, w
+	g.ar, g.ds, g.ut, g.p, g.uq, g.mUq, g.n, g.w = a, ds, ut, p, uq, mUq, n, w
 	slices.SortFunc(comps, func(x, y anchorComp) int {
 		return cmp.Or(cmp.Compare(x.m, y.m), cmp.Compare(x.u, y.u))
 	})
 	g.ids = grow(a, g.ids, n, userIDSize)
+	g.trow = grow(a, g.trow, n, 4)
 	g.ms = grow(a, g.ms, n, 8)
 	g.byID = grow(a, g.byID, n, 8)
 	g.friendRow = grow(a, g.friendRow, n, 4)
 	g.compatRow = grow(a, g.compatRow, n, 4)
 	for i, c := range comps {
 		g.ids[i], g.ms[i] = c.u, c.m
+		g.trow[i] = int32(ut.rowOf(c.u))
 		g.byID[i] = idOrd{u: c.u, ord: int32(i)}
 		g.friendRow[i], g.compatRow[i] = -1, -1
 	}
@@ -226,7 +231,7 @@ func (g *groupSearch) friends(v int32) int {
 }
 
 // compatible returns the offset of companion v's γ-compatibility row,
-// filling it on first use with the same Similarity(member, candidate)
+// filling it on first use with the same similarity(member, candidate)
 // test the rest of refinement applies. Bits are only computed for
 // companions no costlier than the incumbent at fill time: the incumbent
 // only tightens, and the search reads a candidate's bit only after
@@ -236,9 +241,10 @@ func (g *groupSearch) compatible(v int32) int {
 	if g.compatRow[v] < 0 {
 		off := g.newRow()
 		row := g.rows[off : int(off)+g.w]
-		mw := g.ds.Users[g.ids[v]].Interests
+		ut := g.ut
+		mw := ut.at(int(g.trow[v]))
 		for j := 0; j < g.n && g.ms[j] <= g.bestCost; j++ {
-			if Similarity(g.p.Metric, mw, g.ds.Users[g.ids[j]].Interests) < g.p.Gamma {
+			if ut.similarity(g.p.Metric, mw, ut.at(int(g.trow[j]))) < g.p.Gamma {
 				continue
 			}
 			row[j>>6] |= 1 << (j & 63)

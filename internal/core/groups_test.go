@@ -19,6 +19,7 @@ import (
 // ignore them.
 type groupCase struct {
 	ds    *model.Dataset
+	ut    *userTopics
 	p     Params
 	uq    socialnet.UserID
 	mUq   float64
@@ -65,8 +66,10 @@ func randomGroupCase(rng *rand.Rand, n, tau int, metric InterestMetric, degree f
 		g.AddFriendship(0, comps[rng.Intn(n)].u)
 	}
 	rng.Shuffle(len(comps), func(i, j int) { comps[i], comps[j] = comps[j], comps[i] })
+	ds := &model.Dataset{Social: g, Users: users, NumTopics: topics}
 	return groupCase{
-		ds:    &model.Dataset{Social: g, Users: users, NumTopics: topics},
+		ds:    ds,
+		ut:    newUserTopics(ds, nil),
 		p:     p,
 		uq:    0,
 		mUq:   float64(rng.Intn(12)),
@@ -171,7 +174,7 @@ func TestGroupSearchMatchesBruteForce(t *testing.T) {
 					if got := reachableEnough(c.ds, c.uq, ids, tau, ar); got != (reach >= tau-1) {
 						t.Fatalf("%s: reachableEnough = %v, u_q reaches %d companions", name, got, reach)
 					}
-					g := ar.groups(c.ds, c.p, c.uq, c.mUq, slices.Clone(c.comps))
+					g := ar.groups(c.ds, c.ut, c.p, c.uq, c.mUq, slices.Clone(c.comps))
 					if got := g.reachable(); got != (reach >= tau-1) {
 						t.Fatalf("%s: reachable = %v, u_q reaches %d companions", name, got, reach)
 					}
@@ -218,7 +221,7 @@ func TestGroupSearchWarmArenaAllocs(t *testing.T) {
 	var pairs atomic.Int64
 	comps := slices.Clone(c.comps)
 	run := func() {
-		g := ar.groups(c.ds, c.p, c.uq, c.mUq, comps)
+		g := ar.groups(c.ds, c.ut, c.p, c.uq, c.mUq, comps)
 		if !g.reachable() {
 			t.Fatal("unreachable")
 		}
@@ -248,6 +251,7 @@ func BenchmarkGroupSearch(b *testing.B) {
 	}
 	const uq = socialnet.UserID(17)
 	anchor := ds.POIs[0].Loc
+	ut := newUserTopics(ds, nil)
 	for _, tau := range []int{4, 5, 7} {
 		p := Params{Gamma: 0.3, Tau: tau, Theta: 0, R: 1, Metric: MetricDotProduct}
 		hops := ds.Social.BFSHopsBounded(uq, int32(tau-1))
@@ -264,7 +268,7 @@ func BenchmarkGroupSearch(b *testing.B) {
 			ar := &refineArena{owner: &arenaPool{}}
 			var pairs atomic.Int64
 			for i := 0; i < b.N; i++ {
-				g := ar.groups(ds, p, uq, anchor.Dist(ds.Users[uq].Loc), comps)
+				g := ar.groups(ds, ut, p, uq, anchor.Dist(ds.Users[uq].Loc), comps)
 				if g.reachable() {
 					g.enumerateGroups(math.Inf(1), &pairs, nil)
 				}

@@ -22,7 +22,7 @@ import (
 func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 	best := Result{MaxDist: math.Inf(1)}
 	ds := e.DS
-	uqW := ds.Users[uq].Interests
+	uqRow := e.topics.user(uq)
 	ar := e.acquireArena()
 	defer e.releaseArena(ar)
 	const probeAnchors = 3
@@ -39,7 +39,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 			return // degenerate ball (see refine's processAnchor)
 		}
 		kws := ballKeywords(ds, ball, ar)
-		if MatchScoreSet(uqW, kws) < p.Theta {
+		if uqRow.match(kws) < p.Theta {
 			return
 		}
 		mOf := e.makeMOf(ball, nil, q.ck, ar)
@@ -196,7 +196,8 @@ func ballMax(dists []float64) float64 {
 func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe Result, q *qctx) []Result {
 	st := q.st
 	ds := e.DS
-	uqUser := ds.User(uq)
+	ut := e.topics
+	uqRow := ut.user(uq)
 
 	// Exact user filtering (line 29): hop distance within τ-1 of u_q. The
 	// exact interest test (similarity >= γ) already ran on every candidate
@@ -240,7 +241,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			return
 		}
 		kws := ballKeywords(ds, ball, ar)
-		if MatchScoreSet(uqUser.Interests, kws) < p.Theta {
+		if uqRow.match(kws) < p.Theta {
 			return
 		}
 		// M(u) = max_{o in ball} dist_RN(u, o); the group cost is
@@ -268,7 +269,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		// each one is an unbounded search.
 		match := ar.userBuf(len(cand))[:0]
 		for _, u := range cand {
-			if MatchScoreSet(ds.Users[u].Interests, kws) >= p.Theta {
+			if ut.user(u).match(kws) >= p.Theta {
 				match = append(match, u)
 			}
 		}
@@ -307,7 +308,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		if len(comps) < p.Tau-1 {
 			return
 		}
-		g := ar.groups(ds, p, uq, mUq, comps)
+		g := ar.groups(ds, ut, p, uq, mUq, comps)
 		// Sound necessary condition before the exponential search: u_q
 		// must reach at least τ-1 eligible companions through eligible
 		// users (pairwise-γ can only shrink that set further).

@@ -74,8 +74,10 @@ func VecNorm2(w []float64) float64 {
 // Interest_Score(B, w) < γ in exact arithmetic, but in floating point the
 // two squared distances can prune a vector scoring exactly γ. Contains
 // evaluates the score test itself: one dot product, and the very
-// predicate Baseline applies. The B/B' form is the property-tested
-// reference in the package's tests.
+// predicate Baseline applies. The engine's leaf sweep applies the same
+// test to the user topic table (userTopics.interestPrunable), with a
+// bit-identical score; Contains is its dense form. The B/B' form is the
+// property-tested reference in the package's tests.
 type PruneRegion struct {
 	gamma float64
 	b     []float64

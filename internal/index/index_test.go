@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"gpssn/internal/gen"
@@ -243,6 +244,85 @@ func TestSocialIndexCoversAllUsers(t *testing.T) {
 	walk(ix.Root)
 	if len(seen) != ds.Social.NumUsers() {
 		t.Errorf("leaves cover %d users, want %d", len(seen), ds.Social.NumUsers())
+	}
+}
+
+// TestSocialIndexLeafOrder checks the leaf positions and the flat pivot
+// rows: the DFS concatenation of the leaves' users is a permutation of the
+// indexed users that Pos inverts, every node's position range holds
+// exactly its subtree's users, and the rows stored in leaf order equal the
+// pivot tables' own vectors for every user.
+func TestSocialIndexLeafOrder(t *testing.T) {
+	ds := dataset(t)
+	road := buildRoad(t, ds)
+	ix := buildSocial(t, ds, road)
+	n := ds.Social.NumUsers()
+	if len(ix.Positions()) != n {
+		t.Fatalf("%d leaf positions, want %d", len(ix.Positions()), n)
+	}
+	var order []socialnet.UserID
+	var leaves func(nd *SNode)
+	leaves = func(nd *SNode) {
+		order = append(order, nd.Users...)
+		for _, c := range nd.Children {
+			leaves(c)
+		}
+	}
+	leaves(ix.Root)
+	if len(order) != n {
+		t.Fatalf("leaf order has %d users, want %d", len(order), n)
+	}
+	seen := make([]bool, n)
+	for i, u := range order {
+		if seen[u] {
+			t.Fatalf("user %d appears twice in the leaf order", u)
+		}
+		seen[u] = true
+		if ix.Pos(u) != i {
+			t.Fatalf("Pos(%d) = %d, want %d", u, ix.Pos(u), i)
+		}
+	}
+
+	var ranges func(nd *SNode) []socialnet.UserID
+	ranges = func(nd *SNode) []socialnet.UserID {
+		sub := append([]socialnet.UserID(nil), nd.Users...)
+		for _, c := range nd.Children {
+			sub = append(sub, ranges(c)...)
+		}
+		if len(sub) != nd.UserCount || nd.First < 0 || nd.First+nd.UserCount > n {
+			t.Fatalf("node at level %d: range [%d,+%d) for %d users", nd.Level, nd.First, nd.UserCount, len(sub))
+		}
+		for i, u := range sub {
+			if order[nd.First+i] != u || !nd.Holds(ix.Pos(u)) {
+				t.Fatalf("node at level %d: position %d holds user %d, subtree has %d", nd.Level, nd.First+i, order[nd.First+i], u)
+			}
+		}
+		if nd.Holds(nd.First-1) || nd.Holds(nd.First+nd.UserCount) {
+			t.Fatalf("node at level %d: Holds reaches outside [%d,+%d)", nd.Level, nd.First, nd.UserCount)
+		}
+		return sub
+	}
+	ranges(ix.Root)
+
+	for u := 0; u < n; u++ {
+		id := socialnet.UserID(u)
+		wantHops := ix.HopPivots.UserVector(id)
+		if got := ix.UserHops(id); !slices.Equal(got, wantHops) {
+			t.Fatalf("UserHops(%d) = %v, want %v", u, got, wantHops)
+		}
+		if got := ix.HopsAt(ix.Pos(id)); !slices.Equal(got, wantHops) {
+			t.Fatalf("HopsAt(Pos(%d)) = %v, want %v", u, got, wantHops)
+		}
+		wantRD := ix.RoadPivots.AttachDistAll(ds.Road, ds.Users[u].At)
+		got := ix.UserRoadDist(id)
+		if len(got) != len(wantRD) {
+			t.Fatalf("UserRoadDist(%d) has %d entries, want %d", u, len(got), len(wantRD))
+		}
+		for k := range got {
+			if math.Float64bits(got[k]) != math.Float64bits(wantRD[k]) {
+				t.Fatalf("UserRoadDist(%d)[%d] = %v, want %v", u, k, got[k], wantRD[k])
+			}
+		}
 	}
 }
 

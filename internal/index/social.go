@@ -57,7 +57,14 @@ type SNode struct {
 	LbRD, UbRD   []float64
 	// UserCount is the number of users under the node.
 	UserCount int
+	// First is the leaf position of the node's first user: the subtree's
+	// users are exactly the positions [First, First+UserCount) of the leaf
+	// order, and a leaf's Users[i] sits at First+i.
+	First int
 }
+
+// Holds reports whether leaf position pos lies in the node's subtree.
+func (n *SNode) Holds(pos int) bool { return pos >= n.First && pos < n.First+n.UserCount }
 
 // IsLeaf reports whether n is a leaf.
 func (n *SNode) IsLeaf() bool { return len(n.Children) == 0 }
@@ -70,10 +77,12 @@ type SocialIndex struct {
 	RoadPivots *roadnet.PivotTable
 	Store      *pagesim.Store
 
-	cfg      SocialConfig
-	userHops [][]int32   // [user][l]
-	userRD   [][]float64 // [user][h]
-	height   int
+	cfg    SocialConfig
+	pos    []int32   // user → leaf position
+	hops   []int32   // l social pivot hops per leaf position
+	rd     []float64 // h road pivot distances per leaf position
+	l, h   int
+	height int
 }
 
 // BuildSocial constructs I_S over the dataset's users.
@@ -96,15 +105,7 @@ func BuildSocial(ds *model.Dataset, cfg SocialConfig) (*SocialIndex, error) {
 		cfg:        c,
 	}
 	ix.HopPivots = socialnet.BuildHopPivotTable(ds.Social, c.SocialPivots)
-
-	// Per-user pivot vectors.
-	nu := ds.Social.NumUsers()
-	ix.userHops = make([][]int32, nu)
-	ix.userRD = make([][]float64, nu)
-	for u := 0; u < nu; u++ {
-		ix.userHops[u] = ix.HopPivots.UserVector(socialnet.UserID(u))
-		ix.userRD[u] = ix.RoadPivots.AttachDistAll(ds.Road, ds.Users[u].At)
-	}
+	ix.l, ix.h = ix.HopPivots.NumPivots(), ix.RoadPivots.NumPivots()
 
 	// Leaves from graph partitioning, then recursive grouping. Leaves are
 	// ordered by interest-centroid proximity (greedy nearest-neighbour
@@ -113,11 +114,30 @@ func BuildSocial(ds *model.Dataset, cfg SocialConfig) (*SocialIndex, error) {
 	parts := socialnet.Partition(ds.Social, c.LeafSize)
 	nodes := make([]*SNode, len(parts))
 	for i, part := range parts {
-		n := &SNode{Level: 0, Users: part}
-		ix.computeLeafAggregates(n)
-		nodes[i] = n
+		nodes[i] = &SNode{Level: 0, Users: part}
 	}
 	nodes = ix.chainByInterest(nodes)
+	// Parents chunk the chained leaves in order, so the chain is the
+	// tree's DFS leaf order: numbering its users consecutively gives every
+	// subtree one contiguous range of positions. The per-user pivot rows
+	// are stored flat in that order.
+	nu := ds.Social.NumUsers()
+	ix.pos = make([]int32, nu)
+	ix.hops = make([]int32, nu*ix.l)
+	ix.rd = make([]float64, nu*ix.h)
+	next := 0
+	for _, n := range nodes {
+		n.First = next
+		for _, u := range n.Users {
+			ix.pos[u] = int32(next)
+			for k := 0; k < ix.l; k++ {
+				ix.hops[next*ix.l+k] = ix.HopPivots.Hops(k, u)
+			}
+			copy(ix.rd[next*ix.h:], ix.RoadPivots.AttachDistAll(ds.Road, ds.Users[u].At))
+			next++
+		}
+		ix.computeLeafAggregates(n)
+	}
 	level := 0
 	for len(nodes) > 1 {
 		level++
@@ -127,7 +147,7 @@ func BuildSocial(ds *model.Dataset, cfg SocialConfig) (*SocialIndex, error) {
 			if j > len(nodes) {
 				j = len(nodes)
 			}
-			p := &SNode{Level: level, Children: nodes[i:j:j]}
+			p := &SNode{Level: level, Children: nodes[i:j:j], First: nodes[i].First}
 			ix.computeParentAggregates(p)
 			parents = append(parents, p)
 		}
@@ -210,8 +230,9 @@ func (ix *SocialIndex) computeLeafAggregates(n *SNode) {
 			n.LbW[f] = math.Min(n.LbW[f], w[f])
 			n.UbW[f] = math.Max(n.UbW[f], w[f])
 		}
+		urd := ix.UserRoadDist(u)
 		for k := 0; k < h; k++ {
-			rd := ix.userRD[u][k]
+			rd := urd[k]
 			n.LbRD[k] = math.Min(n.LbRD[k], rd)
 			n.UbRD[k] = math.Max(n.UbRD[k], rd)
 		}
@@ -225,7 +246,7 @@ func (ix *SocialIndex) computeLeafAggregates(n *SNode) {
 		ubFinite := int32(0)
 		hasInf := false
 		for _, u := range n.Users {
-			hop := ix.userHops[u][k]
+			hop := ix.UserHops(u)[k]
 			if hop == socialnet.Unreachable {
 				hasInf = true
 				continue
@@ -314,11 +335,30 @@ func (ix *SocialIndex) AccessTracked(n *SNode, t *pagesim.Tracker) {
 	ix.Store.AccessTracked(n.Obj, t)
 }
 
-// UserHops returns the social pivot hop vector of a user (read-only).
-func (ix *SocialIndex) UserHops(u socialnet.UserID) []int32 { return ix.userHops[u] }
+// UserHops returns the social pivot hop vector of an indexed user
+// (read-only).
+func (ix *SocialIndex) UserHops(u socialnet.UserID) []int32 { return ix.HopsAt(int(ix.pos[u])) }
 
-// UserRoadDist returns the road pivot distance vector of a user.
-func (ix *SocialIndex) UserRoadDist(u socialnet.UserID) []float64 { return ix.userRD[u] }
+// UserRoadDist returns the road pivot distance vector of an indexed user
+// (read-only).
+func (ix *SocialIndex) UserRoadDist(u socialnet.UserID) []float64 {
+	i := int(ix.pos[u]) * ix.h
+	return ix.rd[i : i+ix.h : i+ix.h]
+}
+
+// Pos returns the leaf position of an indexed user.
+func (ix *SocialIndex) Pos(u socialnet.UserID) int { return int(ix.pos[u]) }
+
+// Positions returns every indexed user's leaf position, indexed by user id
+// (read-only).
+func (ix *SocialIndex) Positions() []int32 { return ix.pos }
+
+// HopsAt returns the social pivot hop vector of the user at leaf position
+// i (read-only): the leaf sweep reads it by position, in storage order.
+func (ix *SocialIndex) HopsAt(i int) []int32 {
+	i *= ix.l
+	return ix.hops[i : i+ix.l : i+ix.l]
+}
 
 // Height returns the number of levels (1 for a single-leaf tree).
 func (ix *SocialIndex) Height() int { return ix.height }

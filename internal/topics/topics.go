@@ -80,6 +80,10 @@ func (s Set) IsEmpty() bool {
 // Vocabulary returns d.
 func (s Set) Vocabulary() int { return s.d }
 
+// Words returns the set's bit words, topic t at bit t&63 of word t>>6 and
+// every bit at or above d clear. Read-only: it is the set's own storage.
+func (s Set) Words() []uint64 { return s.words }
+
 // SizeBytes returns the payload size, used for page-layout accounting.
 func (s Set) SizeBytes() int { return len(s.words) * 8 }
 
