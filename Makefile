@@ -58,9 +58,11 @@ examples:
 # compiling and running (BenchmarkGroupSearch: the per-anchor group search
 # at τ = 4, 5 and 7; BenchmarkAnchorOrder: refinement's lazy anchor order
 # over 1,054 candidates; BenchmarkLeafUserTest: one I_S leaf sweep of the
-# interest and hop tests; about two seconds in all).
+# interest and hop tests; BenchmarkTraverse: the probe and Algorithm 2's
+# traversal without refinement, 16 issuers at uni_cold's scale; about two
+# seconds in all).
 kernel-bench:
-	$(GO) test -run '^$$' -bench 'GroupSearch|AnchorOrder|LeafUserTest' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'GroupSearch|AnchorOrder|LeafUserTest|Traverse' -benchtime 1x ./internal/core
 
 # Every experiment of the figure harness end to end at a tiny scale (the
 # harness tests run only some of them), plus the opt-in 1M tier, which

@@ -56,9 +56,8 @@ func BenchmarkAblationRandomPivots(b *testing.B) { runExperiment(b, "ablation-pi
 func BenchmarkAblationNoIndexPruning(b *testing.B) {
 	runExperiment(b, "ablation-indexpruning")
 }
-func BenchmarkAblationNoPivots(b *testing.B)   { runExperiment(b, "ablation-distance") }
-func BenchmarkAblationRTreeSplit(b *testing.B) { runExperiment(b, "ablation-rtree") }
-func BenchmarkAblationOracle(b *testing.B)     { runExperiment(b, "ablation-oracle") }
+func BenchmarkAblationNoPivots(b *testing.B) { runExperiment(b, "ablation-distance") }
+func BenchmarkAblationOracle(b *testing.B)   { runExperiment(b, "ablation-oracle") }
 
 // BenchmarkQueryDefault measures one GP-SSN query at the Table 3 defaults
 // against a cached environment (the per-query cost the paper's Figures

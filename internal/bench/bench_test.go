@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -134,7 +135,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"fig9", "fig10", "fig11",
 		"appP-gamma", "appP-theta", "appP-r", "appP-pivots", "appP-vs",
 		"ablation-pivots", "ablation-indexpruning", "ablation-distance",
-		"ablation-rtree", "ablation-oracle",
+		"ablation-oracle",
 		"ext-metrics", "ext-topk",
 	}
 	for _, name := range all {
@@ -159,7 +160,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		t.Error("SortedNames incomplete")
 	}
 	for _, gone := range []string{"choracle", "hublabel", "parallel", "serve", "churn", "walchurn",
-		"ablation-sampling", "ablation-choracle", "nope"} {
+		"ablation-sampling", "ablation-choracle", "ablation-rtree", "nope"} {
 		if _, ok := Find(gone); ok {
 			t.Errorf("Find(%q) should miss", gone)
 		}
@@ -294,5 +295,42 @@ func TestSampleCensoredQuantiles(t *testing.T) {
 	}
 	if got, want := agg.CPU.String(), "≥1s [40ms, ≥1s]"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
+	}
+}
+
+// TestPairsMedianRobustToCensoring: Fig 7(d)'s median reads completed
+// issuers only, so one outlier issuer that finishes inside QueryDeadline
+// in one run and is cut off in the next moves it by at most one rank —
+// where it moves the mean by the outlier's whole count.
+func TestPairsMedianRobustToCensoring(t *testing.T) {
+	const outlier = 5_840_000
+	for _, n := range []int{1, 4, 5, 52, 53} {
+		var done, cut Agg
+		sorted := []int64{outlier}
+		for i := 0; i < n; i++ {
+			c := int64((i*7919)%n) * 1000 // a permutation of 0..n-1, scaled
+			done.Add(true, core.Stats{PairsEvaluated: c})
+			cut.Add(true, core.Stats{PairsEvaluated: c})
+			sorted = append(sorted, c)
+		}
+		done.Add(true, core.Stats{PairsEvaluated: outlier})
+		cut.AddCensored()
+		slices.Sort(sorted)
+		rank := func(v int64) int {
+			i, ok := slices.BinarySearch(sorted, v)
+			if !ok {
+				t.Fatalf("n=%d: median %d is not a sample value", n, v)
+			}
+			return i
+		}
+		a, b := rank(done.PairsQuantile(0.5)), rank(cut.PairsQuantile(0.5))
+		if a-b < 0 || a-b > 1 {
+			t.Errorf("n=%d: censoring the outlier moved the median from rank %d to %d", n, a, b)
+		}
+		meanDone := float64(done.Sum.PairsEvaluated) / float64(done.Completed())
+		meanCut := float64(cut.Sum.PairsEvaluated) / float64(cut.Completed())
+		if meanDone-meanCut < outlier/float64(n+1)-float64(n)*1000 {
+			t.Errorf("n=%d: mean moved only %v", n, meanDone-meanCut)
+		}
 	}
 }

@@ -67,7 +67,6 @@ type EnvSpec struct {
 	// Index parameters.
 	RoadPivots, SocialPivots int  // default 5 (Table 3)
 	CostModelPivots          bool // Algorithm 1 vs random pivots
-	QuadraticSplit           bool // R-tree split ablation
 	RMin, RMax               float64
 
 	// Engine options.
@@ -168,7 +167,6 @@ func buildEnv(spec EnvSpec) (*Env, error) {
 		RoadPivots: spec.RoadPivots, SocialPivots: spec.SocialPivots,
 		RMin: spec.RMin, RMax: spec.RMax, Seed: spec.Seed,
 		CostModelPivots:        spec.CostModelPivots,
-		QuadraticSplit:         spec.QuadraticSplit,
 		DisableIndexPruning:    spec.DisableIndexPruning,
 		DisableDistancePruning: spec.DisableDistancePruning,
 	})
@@ -284,11 +282,12 @@ type Agg struct {
 	Censored int
 	// Answers sums the results of completed queries (top-k may return
 	// fewer than k).
-	Answers   int
-	CPU       Sample
-	AvgIO     float64
-	Sum       core.Stats
-	PairsEval int64
+	Answers int
+	CPU     Sample
+	AvgIO   float64
+	Sum     core.Stats
+	// Pairs holds each completed issuer's PairsEvaluated (Fig 7(d)).
+	Pairs []int64
 	// PairsTotalLog2 of the (identical) pair space.
 	PairsTotalLog2 float64
 
@@ -309,7 +308,7 @@ func (agg *Agg) Add(found bool, st core.Stats) {
 	agg.CPU.done = append(agg.CPU.done, st.CPUTime)
 	agg.io += st.PageReads
 	addStats(&agg.Sum, st)
-	agg.PairsEval += st.PairsEvaluated
+	agg.Pairs = append(agg.Pairs, st.PairsEvaluated)
 	agg.PairsTotalLog2 = st.PairsTotalLog2
 	agg.AvgIO = float64(agg.io) / float64(len(agg.CPU.done))
 }
@@ -319,6 +318,17 @@ func (agg *Agg) AddCensored() {
 	agg.Queries++
 	agg.Censored++
 	agg.CPU.censored++
+}
+
+// PairsQuantile is the nearest-rank p-quantile of Pairs: over completed
+// issuers only, since a censored issuer's count is unknown. 0 when none
+// completed.
+func (agg *Agg) PairsQuantile(p float64) int64 {
+	if len(agg.Pairs) == 0 {
+		return 0
+	}
+	slices.Sort(agg.Pairs)
+	return agg.Pairs[nearestRank(p, len(agg.Pairs))]
 }
 
 // Completed is the number of issuers that finished within QueryDeadline,

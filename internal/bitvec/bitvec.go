@@ -1,8 +1,8 @@
 // Package bitvec implements the fixed-width keyword bit vectors that the
 // GP-SSN indexes store in their nodes (Section 4.1 of the paper): each
-// keyword in a node's sup_K / sub_K set is hashed to a position in a bit
-// vector (V_sup / V_sub) so that membership can be tested without storing
-// the full keyword sets.
+// keyword in a node's sup_K set is hashed to a position in a bit vector
+// (V_sup) so that membership can be tested without storing the full
+// keyword set.
 //
 // A Vector of width w behaves like a Bloom filter with one hash function:
 // Test may return false positives (a hash collision makes an absent keyword

@@ -101,8 +101,6 @@ type Options struct {
 	// CostModelPivots selects pivots with Algorithm 1's local search
 	// (pivot package defaults) instead of uniformly at random.
 	CostModelPivots bool
-	// QuadraticSplit builds I_R with quadratic instead of R* splits.
-	QuadraticSplit bool
 	// DisableIndexPruning and DisableDistancePruning are the core.Options
 	// switches of the same names.
 	DisableIndexPruning, DisableDistancePruning bool
@@ -122,7 +120,6 @@ func Engine(ds *model.Dataset, o Options) (*core.Engine, error) {
 	road, err := index.BuildRoad(ds, index.RoadConfig{
 		Pivots: roadPivots, RMin: o.RMin, RMax: o.RMax,
 		MaxEntries: o.MaxEntries, PageSize: o.PageSize, PoolPages: o.PoolPages,
-		SplitQuadratic: o.QuadraticSplit,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("building road index: %w", err)

@@ -232,11 +232,9 @@ func (e *Engine) poiRDOf(id model.POIID) []float64 {
 }
 
 // scanDeltaUsers appends the interest-compatible delta users to the
-// candidate set. It MUST run before the index traversal so the Eq. 18
-// feasibility guard (which certifies every surviving candidate before an
-// anchor may tighten δ) covers the delta; hop filtering happens exactly in
-// refinement. Indexed users touched by new edges stay in the index
-// traversal — only their hop-pivot rule is disabled there.
+// candidate set; hop filtering happens exactly in refinement. Indexed
+// users touched by new edges stay in the index traversal — only their
+// hop-pivot rule is disabled there.
 func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, uqRow topicRow, tr *traversal) {
 	ut := e.topics
 	for id := e.dyn.indexedUsers; id < len(e.DS.Users); id++ {

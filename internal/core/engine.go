@@ -25,11 +25,12 @@ type Options struct {
 	// traversal descends every node and only object-level pruning applies.
 	DisableIndexPruning bool
 	// DisableDistancePruning skips the pivot-based distance pruning (δ and
-	// Lemma 5/7): candidates are filtered by score predicates only.
+	// Lemma 5/7): the traversal runs at δ = +Inf and candidates are
+	// filtered by score predicates only.
 	DisableDistancePruning bool
 	// Trace, when non-nil, receives a line-oriented log of the query's
-	// phases: probe outcome, per-level candidate counts, δ evolution, and
-	// refinement effort. For debugging and teaching; adds minor overhead.
+	// phases: probe outcome (its cost is δ), per-level candidate counts,
+	// and refinement effort. For debugging and teaching; adds minor overhead.
 	Trace io.Writer
 	// Parallelism is the number of worker goroutines refinement fans
 	// anchor candidates over (0 = runtime.GOMAXPROCS(0), 1 = sequential).
@@ -299,14 +300,14 @@ func (e *Engine) QueryCtx(ctx context.Context, uq socialnet.UserID, p Params) (R
 	st.SNUsersTotal = len(e.DS.Users)
 	st.RNPOIsTotal = len(e.DS.POIs)
 
-	// A cheap feasibility probe around the issuer's nearest anchors seeds
-	// the pruning threshold δ with the cost of a verified feasible
-	// solution, so distance pruning is armed from the first index level.
+	// A cheap feasibility probe around the issuer's nearest anchors gives
+	// the pruning threshold δ: the cost of a verified feasible solution, so
+	// distance pruning is armed from the first index level.
 	probe := e.probe(uq, p, q)
 	q.tracef("probe: found=%v cost=%.4f", probe.Found, probe.MaxDist)
-	trav := e.traverse(uq, p, 1, probe.MaxDist, q)
-	q.tracef("traversal: %d candidate users, %d candidate anchors, delta=%.4f",
-		len(trav.candUsers), len(trav.candAnchors), trav.delta)
+	trav := e.traverse(uq, p, e.delta(probe.MaxDist), q)
+	q.tracef("traversal: %d candidate users, %d candidate anchors",
+		len(trav.candUsers), len(trav.candAnchors))
 	var res []Result
 	if !q.cancelled() {
 		res = e.refine(uq, p, 1, trav, probe, q)
@@ -326,9 +327,10 @@ func (e *Engine) QueryCtx(ctx context.Context, uq socialnet.UserID, p Params) (R
 
 // QueryTopK returns up to k GP-SSN answers with distinct anchor POIs, in
 // increasing maximum-distance order — the top-k extension listed in
-// DESIGN.md. k = 1 is exactly Query. Distance pruning adapts its threshold
-// δ to the k-th best known upper bound so no top-k member is lost. Safe
-// for concurrent use, like Query.
+// DESIGN.md. k = 1 is exactly Query. For k > 1 the traversal runs at
+// δ = +Inf — one verified cost bounds only the best answer — and
+// refinement prunes against the keeper's k-th best cost. Safe for
+// concurrent use, like Query.
 func (e *Engine) QueryTopK(uq socialnet.UserID, p Params, k int) ([]Result, Stats, error) {
 	return e.QueryTopKCtx(context.Background(), uq, p, k)
 }
@@ -358,11 +360,11 @@ func (e *Engine) QueryTopKCtx(ctx context.Context, uq socialnet.UserID, p Params
 	st.RNPOIsTotal = len(e.DS.POIs)
 
 	probe := e.probe(uq, p, q)
-	delta0 := math.Inf(1)
+	delta := math.Inf(1)
 	if k == 1 {
-		delta0 = probe.MaxDist
+		delta = e.delta(probe.MaxDist)
 	}
-	trav := e.traverse(uq, p, k, delta0, q)
+	trav := e.traverse(uq, p, delta, q)
 	var res []Result
 	if !q.cancelled() {
 		res = e.refine(uq, p, k, trav, probe, q)
@@ -385,18 +387,28 @@ type traversal struct {
 	candUsers   []socialnet.UserID
 	candAnchors []model.POIID
 	candLB      []float64
-	delta       float64
+}
+
+// delta returns the traversal's pruning threshold δ for a verified
+// feasible cost: the cost itself, or +Inf under DisableDistancePruning.
+// δ is an input to the traversal, never lowered inside it, so its
+// soundness is one fact: it is the exact cost of a feasible answer (or
+// +Inf), and no anchor whose lower bound exceeds it can do better.
+func (e *Engine) delta(cost float64) float64 {
+	if e.Opts.DisableDistancePruning {
+		return math.Inf(1)
+	}
+	return cost
 }
 
 // traverse runs Algorithm 2's synchronized index traversal: I_S level by
 // level with user pruning, I_R via a min-heap keyed by distance lower
-// bounds, maintaining the pruning threshold δ.
-func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float64, q *qctx) traversal {
+// bounds, pruned against the fixed threshold delta.
+func (e *Engine) traverse(uq socialnet.UserID, p Params, delta float64, q *qctx) traversal {
 	st := q.st
 	uqUser := e.DS.User(uq)
 	region := NewPruneRegion(uqUser.Interests, p.Gamma)
-	ut := e.topics
-	uqRow := ut.user(uq)
+	uqRow := e.topics.user(uq)
 	uqRD := e.userRDOf(uq)
 	// The nodes on u_q's root-to-leaf path must never be pruned (u_q ∈ S
 	// by definition): they are the nodes whose leaf range holds u_q's
@@ -411,65 +423,13 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 	if e.pivotPruningSafe(uq) {
 		uqHops = e.Social.HopsAt(uqPos)
 	}
-	h := e.Road.Pivots.NumPivots()
-
-	tr := traversal{delta: math.Inf(1)}
-	guardUBs := newKSmallest(k)
-	if !e.Opts.DisableDistancePruning && !math.IsInf(initDelta, 1) {
-		tr.delta = guardUBs.push(initDelta)
-	}
-
+	var tr traversal
 	// S_cand: current frontier of I_S nodes, plus users already collected
-	// from processed leaves. Delta users join up front so every δ-guard
-	// evaluation covers them.
+	// from processed leaves. Delta users (appended after the index build)
+	// are scanned up front.
 	sNodes := []*index.SNode{e.Social.Root}
 	e.Social.AccessTracked(e.Social.Root, q.social)
 	e.scanDeltaUsers(uq, p, uqRow, &tr)
-
-	// maxUbRD[k] = max over S_cand entries of ub dist_RN(·, rp_k); feeds
-	// Eq. (16). Recomputed after every I_S level.
-	maxUbRD := make([]float64, h)
-	recomputeMaxUb := func() {
-		for k := 0; k < h; k++ {
-			maxUbRD[k] = uqRD[k] // u_q is always in S
-		}
-		for _, n := range sNodes {
-			for k := 0; k < h; k++ {
-				if n.UbRD[k] > maxUbRD[k] {
-					maxUbRD[k] = n.UbRD[k]
-				}
-			}
-		}
-		for _, u := range tr.candUsers {
-			rd := e.userRDOf(u)
-			for k := 0; k < h; k++ {
-				if rd[k] > maxUbRD[k] {
-					maxUbRD[k] = rd[k]
-				}
-			}
-		}
-	}
-	recomputeMaxUb()
-
-	// guardMatch reports whether every surviving S_cand entry provably
-	// θ-matches the ball ⊙(anchor, r) — the feasibility condition that
-	// makes δ updates sound (the Eq. 18 lower bound over sub_K).
-	guardMatch := func(sub TopicSet) bool {
-		if uqRow.match(sub) < p.Theta {
-			return false
-		}
-		for _, n := range sNodes {
-			if matchLbMBR(n.LbW, sub) < p.Theta {
-				return false
-			}
-		}
-		for _, u := range tr.candUsers {
-			if ut.user(u).match(sub) < p.Theta {
-				return false
-			}
-		}
-		return true
-	}
 
 	// I_R heap seeded with the root (Algorithm 2 lines 2-3).
 	heap := []heapEntry{{node: e.Road.Tree.Root(), key: 0}}
@@ -484,7 +444,6 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 		// Road pivot LOWER bounds are unsound once a road edge has been
 		// appended (new edges only shorten distances, so stored rows can
 		// overestimate); every lower-bound prune below gates on roadLB.
-		// Upper-bound uses (the δ update) stay sound and stay on.
 		roadLB := e.roadPivotSafe()
 		for i, he := range cur {
 			// Cancellation is polled at anchor-candidate granularity: once
@@ -494,7 +453,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 			if q.cancelled() {
 				return nil
 			}
-			if !e.Opts.DisableDistancePruning && roadLB && prunes(he.key, tr.delta) {
+			if roadLB && prunes(he.key, delta) {
 				// Lines 13-14: everything remaining is prunable.
 				for _, rest := range cur[i:] {
 					cnt := e.Road.Meta(rest.node).POICount
@@ -520,7 +479,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 					lb, distPrune := 0.0, false
 					if !e.Opts.DisableDistancePruning && roadLB {
 						lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
-						distPrune = prunes(lb, tr.delta)
+						distPrune = prunes(lb, delta)
 					}
 					if matchPrune {
 						st.RNObjPrunedMatch++
@@ -534,20 +493,6 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 					}
 					tr.candAnchors = append(tr.candAnchors, id)
 					tr.candLB = append(tr.candLB, lb)
-					// δ update (line 20), guarded by the Eq. 18
-					// feasibility lower bound over sub_K. For top-k, δ is
-					// the k-th smallest feasible upper bound seen, so the
-					// k best anchors all survive.
-					if !e.Opts.DisableDistancePruning && guardMatch(e.Road.POISub(id, p.R)) {
-						ub := math.Inf(1)
-						pd := e.Road.POIDist(id)
-						for kk := 0; kk < h; kk++ {
-							if v := maxUbRD[kk] + pd[kk]; v < ub {
-								ub = v
-							}
-						}
-						tr.delta = guardUBs.push(ub + p.R)
-					}
 				}
 				continue
 			}
@@ -561,13 +506,11 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 						st.RNIndexPrunedMatch += m.POICount
 						continue
 					}
-					if !e.Opts.DisableDistancePruning && roadLB {
-						// Lemma 7 / Eq. 17: distance lower bound vs δ.
-						if prunes(nodeDistLb(uqRD, m.LbDist, m.UbDist), tr.delta) {
-							st.RNIndexPruned += m.POICount
-							st.RNIndexPrunedDist += m.POICount
-							continue
-						}
+					// Lemma 7 / Eq. 17: distance lower bound vs δ.
+					if roadLB && prunes(nodeDistLb(uqRD, m.LbDist, m.UbDist), delta) {
+						st.RNIndexPruned += m.POICount
+						st.RNIndexPrunedDist += m.POICount
+						continue
 					}
 				}
 				e.Road.AccessTracked(child, q.road)
@@ -611,10 +554,9 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, k int, initDelta float6
 			}
 		}
 		sNodes = nextNodes
-		recomputeMaxUb()
 		heap = processRNLevel(heap)
-		q.tracef("level %d: S_cand nodes=%d users=%d, H_R entries=%d, delta=%.4f",
-			level, len(sNodes), len(tr.candUsers), len(heap), tr.delta)
+		q.tracef("level %d: S_cand nodes=%d users=%d, H_R entries=%d",
+			level, len(sNodes), len(tr.candUsers), len(heap))
 	}
 
 	// Lines 27-28: finish any remaining I_R levels.
@@ -673,18 +615,6 @@ func indexInterestPrunable(p Params, region *PruneRegion, anchor []float64, n *i
 	return SimilarityUpperBound(p.Metric, anchor, n.LbW, n.UbW) < p.Gamma
 }
 
-// matchLbMBR lower-bounds min over users under a node of Match(u, sub):
-// Σ_f lbW[f]·χ(f ∈ sub).
-func matchLbMBR(lbW []float64, sub TopicSet) float64 {
-	s := 0.0
-	for f, p := range lbW {
-		if p > 0 && sub.Has(f) {
-			s += p
-		}
-	}
-	return s
-}
-
 // nodeDistLb is Eq. (17): the pivot lower bound of dist_RN between the
 // query user and any POI under a node with per-pivot bounds [lb, ub].
 func nodeDistLb(uqRD, lb, ub []float64) float64 {
@@ -718,37 +648,6 @@ func nodeDistLb(uqRD, lb, ub []float64) float64 {
 // costs (the keeper, enumerateGroups, the duq cut-off) stay strict and
 // never go through here.
 func prunes(lb, bound float64) bool { return lb > bound*(1+1e-9) }
-
-// kSmallest tracks the k smallest values pushed; its threshold (the k-th
-// smallest, or +Inf until k values arrive) is the top-k pruning bound δ.
-type kSmallest struct {
-	k    int
-	vals []float64 // sorted ascending, at most k
-}
-
-func newKSmallest(k int) *kSmallest { return &kSmallest{k: k} }
-
-// push inserts v and returns the current threshold.
-func (s *kSmallest) push(v float64) float64 {
-	pos := len(s.vals)
-	for pos > 0 && s.vals[pos-1] > v {
-		pos--
-	}
-	s.vals = append(s.vals, 0)
-	copy(s.vals[pos+1:], s.vals[pos:])
-	s.vals[pos] = v
-	if len(s.vals) > s.k {
-		s.vals = s.vals[:s.k]
-	}
-	return s.threshold()
-}
-
-func (s *kSmallest) threshold() float64 {
-	if len(s.vals) < s.k {
-		return math.Inf(1)
-	}
-	return s.vals[s.k-1]
-}
 
 // heapEntry is an I_R traversal frontier entry: a node and its distance
 // lower bound key (Algorithm 2's min-heap H_R).

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"gpssn/internal/index"
 	"gpssn/internal/model"
 	"gpssn/internal/pivot"
+	"gpssn/internal/roadnet/hl"
 	"gpssn/internal/socialnet"
 )
 
@@ -406,4 +408,54 @@ func TestQueryTrace(t *testing.T) {
 	if a.Found != b.Found || (a.Found && a.MaxDist != b.MaxDist) {
 		t.Error("tracing changed the result")
 	}
+}
+
+// BenchmarkTraverse times the query front half — the feasibility probe
+// and Algorithm 2's traversal, no refinement — for 16 fixed issuers at
+// uni_cold's scale and shape: 7,500 road vertices, 7,500 users, 2,500
+// POIs, the hub-label oracle, τ = 4, γ = θ = 0.5, r = 2. One op is all 16
+// issuers.
+func BenchmarkTraverse(b *testing.B) {
+	ds, err := gen.Synthetic(gen.Config{
+		Name: "traverse", Seed: 101,
+		RoadVertices: 7500, SocialUsers: 7500, POIs: 2500,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+	rp := pivot.RandomRoad(ds.Road, 5, 11)
+	road, err := index.BuildRoad(ds, index.RoadConfig{Pivots: rp, RMin: 0.5, RMax: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	social, err := index.BuildSocial(ds, index.SocialConfig{
+		RoadPivots: road.Pivots, SocialPivots: pivot.RandomSocial(ds.Social, 5, 12),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	e := NewEngine(ds, road, social, Options{Parallelism: 1})
+	p := Params{Gamma: 0.5, Tau: 4, Theta: 0.5, R: 2, Metric: MetricDotProduct}
+	var issuers []socialnet.UserID
+	for u := socialnet.UserID(0); len(issuers) < 16; u += 467 {
+		if ds.Social.Degree(u) > 0 {
+			issuers = append(issuers, u)
+		}
+	}
+	var users, anchors int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, uq := range issuers {
+			var st Stats
+			q := e.newQctx(&st)
+			q.arm(context.Background(), Budget{})
+			probe := e.probe(uq, p, q)
+			tr := e.traverse(uq, p, e.delta(probe.MaxDist), q)
+			users += len(tr.candUsers)
+			anchors += len(tr.candAnchors)
+		}
+	}
+	b.ReportMetric(float64(users)/float64(b.N), "cand-users/op")
+	b.ReportMetric(float64(anchors)/float64(b.N), "cand-anchors/op")
 }

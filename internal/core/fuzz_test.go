@@ -60,12 +60,12 @@ func TestEngineOracleFuzz(t *testing.T) {
 }
 
 // TestEngineRadiusBoundaries exercises the exact RMin/RMax radii, where
-// the multi-level sub_K selection and validation edge cases live.
+// the radius validation edge cases live.
 func TestEngineRadiusBoundaries(t *testing.T) {
 	ds := smallDataset(t, 31)
 	e := buildEngine(t, ds, Options{})
 	oracle := &Baseline{DS: ds}
-	for _, r := range []float64{0.5, 1.0, 4.0} { // RMin, a sub level, RMax
+	for _, r := range []float64{0.5, 1.0, 4.0} { // RMin, a radius between, RMax
 		p := Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: r, Metric: MetricDotProduct}
 		got, _, err := e.Query(9, p)
 		if err != nil {

@@ -76,27 +76,6 @@ func TestQueryTopKValidatesK(t *testing.T) {
 	}
 }
 
-func TestKSmallest(t *testing.T) {
-	s := newKSmallest(3)
-	if got := s.threshold(); !math.IsInf(got, 1) {
-		t.Errorf("empty threshold = %v", got)
-	}
-	s.push(5)
-	s.push(2)
-	if got := s.threshold(); !math.IsInf(got, 1) {
-		t.Errorf("threshold with 2/3 values = %v", got)
-	}
-	if got := s.push(8); got != 8 {
-		t.Errorf("threshold = %v, want 8", got)
-	}
-	if got := s.push(1); got != 5 {
-		t.Errorf("threshold after better value = %v, want 5", got)
-	}
-	if got := s.push(100); got != 5 {
-		t.Errorf("threshold after worse value = %v, want 5", got)
-	}
-}
-
 func TestResultKeeper(t *testing.T) {
 	rk := &resultKeeper{k: 2}
 	if !math.IsInf(rk.bound(), 1) {

@@ -11,7 +11,6 @@ import (
 	"gpssn/internal/roadnet"
 	"gpssn/internal/rtree"
 	"gpssn/internal/socialnet"
-	"gpssn/internal/topics"
 )
 
 // testDataset caches a small synthetic dataset for the package's tests.
@@ -143,34 +142,6 @@ func TestRoadIndexSupIsSupersetOfBall(t *testing.T) {
 				if !ix.POISup(model.POIID(i)).Has(k) {
 					t.Fatalf("POI %d sup missing keyword %d of in-ball POI %d", i, k, j)
 				}
-			}
-		}
-	}
-}
-
-func TestRoadIndexSubIsSubsetOfBall(t *testing.T) {
-	// sub_K must only contain keywords of POIs truly within RMin (soundness
-	// of the lower bound).
-	ds := dataset(t)
-	ix := buildRoad(t, ds)
-	for i := 0; i < len(ds.POIs); i += 31 {
-		p := &ds.POIs[i]
-		atts := make([]roadnet.Attach, len(ds.POIs))
-		for j := range ds.POIs {
-			atts[j] = ds.POIs[j].At
-		}
-		dists := ds.Road.DistAttachWithin(p.At, ix.RMin, atts)
-		ball := topics.NewSet(ds.NumTopics)
-		for j := range ds.POIs {
-			if !math.IsInf(dists[j], 1) {
-				for _, k := range ds.POIs[j].Keywords {
-					ball.Add(k)
-				}
-			}
-		}
-		for f := 0; f < ds.NumTopics; f++ {
-			if ix.POISub(model.POIID(i), ix.RMin).Has(f) && !ball.Has(f) {
-				t.Fatalf("POI %d sub has keyword %d not in its RMin ball", i, f)
 			}
 		}
 	}
@@ -331,7 +302,6 @@ func TestSocialIndexAggregatesSound(t *testing.T) {
 	road := buildRoad(t, ds)
 	ix := buildSocial(t, ds, road)
 	l := ix.HopPivots.NumPivots()
-	h := ix.RoadPivots.NumPivots()
 	var walk func(n *SNode)
 	walk = func(n *SNode) {
 		var users []socialnet.UserID
@@ -363,12 +333,6 @@ func TestSocialIndexAggregatesSound(t *testing.T) {
 				}
 				if n.UbHop[k] != socialnet.Unreachable && hop > n.UbHop[k] {
 					t.Fatalf("user %d hop %d > node ub %d", u, hop, n.UbHop[k])
-				}
-			}
-			for k := 0; k < h; k++ {
-				rd := ix.UserRoadDist(u)[k]
-				if rd < n.LbRD[k]-1e-9 || rd > n.UbRD[k]+1e-9 {
-					t.Fatalf("user %d road dist %v outside [%v,%v]", u, rd, n.LbRD[k], n.UbRD[k])
 				}
 			}
 		}

@@ -1,10 +1,10 @@
 // Package index implements the two GP-SSN indexes of Section 4: I_R, an
-// R*-tree over POIs augmented with keyword supersets/subsets (sup_K /
-// sub_K, with hashed bit-vector signatures V_sup) and pivot-distance
-// bounds; and I_S, a partition tree over the social network whose nodes
-// carry interest-vector MBRs and social/road pivot-distance bounds. Both
-// indexes register their nodes with a pagesim.Store so query traversals
-// are charged page I/O the way the paper measures it.
+// R*-tree over POIs augmented with keyword supersets (sup_K, with hashed
+// bit-vector signatures V_sup) and pivot-distance bounds; and I_S, a
+// partition tree over the social network whose nodes carry
+// interest-vector MBRs and social pivot hop bounds. Both indexes register
+// their nodes with a pagesim.Store so query traversals are charged page
+// I/O the way the paper measures it.
 package index
 
 import (
@@ -25,21 +25,16 @@ type RoadConfig struct {
 	// Pivots are the road-network pivot vertices rp_1..rp_h.
 	Pivots []roadnet.VertexID
 	// RMin and RMax bound the query radius r the index will serve
-	// (Section 4.1: sub_K uses r_min, sup_K uses 2·r_max).
+	// (Section 4.1: sup_K uses 2·r_max).
 	RMin, RMax float64
 	// MaxEntries is the R*-tree node capacity (default 16).
 	MaxEntries int
 	// BitvecWidth is the width of the hashed V_sup signatures (default
 	// max(64, 4·topics)).
 	BitvecWidth int
-	// SamplesPerNode is how many sample POIs each node keeps for the
-	// lb_Match_Score of Eq. 18 (default 2).
-	SamplesPerNode int
 	// PageSize and PoolPages configure the simulated page store (defaults
 	// 4096 bytes and 128 pages).
 	PageSize, PoolPages int
-	// SplitQuadratic switches the R*-tree to quadratic splits (ablation).
-	SplitQuadratic bool
 }
 
 func (c RoadConfig) withDefaults(topics int) RoadConfig {
@@ -51,9 +46,6 @@ func (c RoadConfig) withDefaults(topics int) RoadConfig {
 		if c.BitvecWidth < 64 {
 			c.BitvecWidth = 64
 		}
-	}
-	if c.SamplesPerNode == 0 {
-		c.SamplesPerNode = 2
 	}
 	if c.PageSize == 0 {
 		c.PageSize = 4096
@@ -73,13 +65,8 @@ type RoadNodeMeta struct {
 	Sup topics.Set
 	// SupVec is the hashed bit-vector signature V_sup of Sup.
 	SupVec *bitvec.Vector
-	// Sub is a keyword subset sub_K: one member POI's ⊙(o_i, r_min)
-	// keyword union (used for lower-bounding achievable match scores).
-	Sub topics.Set
 	// LbDist and UbDist are the per-pivot distance bounds of Eqs. (7)-(8).
 	LbDist, UbDist []float64
-	// Samples are member POIs whose Sub sets feed Eq. (18).
-	Samples []model.POIID
 	// POICount is the number of POIs under the node (pruning-power
 	// accounting in the experiments).
 	POICount int
@@ -94,13 +81,11 @@ type RoadIndex struct {
 	RMin   float64
 	RMax   float64
 
-	cfg      RoadConfig
-	poiDist  [][]float64      // [poi][pivot] dist_RN(o_i, rp_k)
-	poiSup   []topics.Set     // keyword union over ⊙(o_i, 2·r_max) superset
-	poiSupV  []*bitvec.Vector // hashed signatures of poiSup
-	subRadii []float64        // sub_K radius levels: RMin·2^k up to RMax
-	poiSub   [][]topics.Set   // [poi][level] keyword union over ⊙(o_i, subRadii[level])
-	meta     map[*rtree.Node]*RoadNodeMeta
+	cfg     RoadConfig
+	poiDist [][]float64      // [poi][pivot] dist_RN(o_i, rp_k)
+	poiSup  []topics.Set     // keyword union over ⊙(o_i, 2·r_max) superset
+	poiSupV []*bitvec.Vector // hashed signatures of poiSup
+	meta    map[*rtree.Node]*RoadNodeMeta
 }
 
 // BuildRoad constructs I_R over the dataset's POIs.
@@ -127,11 +112,7 @@ func BuildRoad(ds *model.Dataset, cfg RoadConfig) (*RoadIndex, error) {
 	idx.Pivots = roadnet.BuildPivotTable(ds.Road, c.Pivots)
 
 	// Bulk-load the R*-tree over POI locations.
-	opts := rtree.Options{MaxEntries: c.MaxEntries}
-	if c.SplitQuadratic {
-		opts.Split = rtree.SplitQuadratic
-	}
-	idx.Tree = rtree.New(opts)
+	idx.Tree = rtree.New(rtree.Options{MaxEntries: c.MaxEntries})
 	items := make([]rtree.Item, len(ds.POIs))
 	for i := range ds.POIs {
 		items[i] = rtree.Item{Rect: geo.RectFromPoint(ds.POIs[i].Loc), ID: int32(i)}
@@ -144,20 +125,14 @@ func BuildRoad(ds *model.Dataset, cfg RoadConfig) (*RoadIndex, error) {
 	return idx, nil
 }
 
-// buildPOIAggregates computes the per-POI pivot distances and the sup/sub
-// keyword sets of Section 4.1. sub_K is kept at several radius levels
-// (RMin, 2·RMin, ... up to RMax) so the Eq. 18 feasibility lower bound can
-// use the tightest level not exceeding the query radius.
+// buildPOIAggregates computes the per-POI pivot distances and the sup_K
+// keyword supersets of Section 4.1.
 func (ix *RoadIndex) buildPOIAggregates() {
 	ds := ix.DS
 	n := len(ds.POIs)
 	ix.poiDist = make([][]float64, n)
 	ix.poiSup = make([]topics.Set, n)
 	ix.poiSupV = make([]*bitvec.Vector, n)
-	for r := ix.RMin; r <= ix.RMax+1e-9; r *= 2 {
-		ix.subRadii = append(ix.subRadii, r)
-	}
-	ix.poiSub = make([][]topics.Set, n)
 
 	for i := range ds.POIs {
 		ix.poiDist[i] = ix.Pivots.AttachDistAll(ds.Road, ds.POIs[i].At)
@@ -182,35 +157,6 @@ func (ix *RoadIndex) buildPOIAggregates() {
 			}
 		}
 		ix.poiSupV[i] = v
-
-		// sub_K: keywords of POIs provably within road distance of each
-		// radius level — exact membership via one bounded Dijkstra over
-		// the Euclidean prefilter (Euclid ≤ road, so the prefilter is a
-		// superset).
-		maxR := ix.subRadii[len(ix.subRadii)-1]
-		pre := ix.euclidBall(p.Loc, maxR)
-		atts := make([]roadnet.Attach, len(pre))
-		for a, j := range pre {
-			atts[a] = ds.POIs[j].At
-		}
-		dists := ds.Road.DistAttachWithin(p.At, maxR, atts)
-		subs := make([]topics.Set, len(ix.subRadii))
-		for lv := range subs {
-			subs[lv] = topics.NewSet(ds.NumTopics)
-		}
-		for a, j := range pre {
-			if math.IsInf(dists[a], 1) {
-				continue
-			}
-			for lv, r := range ix.subRadii {
-				if dists[a] <= r {
-					for _, k := range ds.POIs[j].Keywords {
-						subs[lv].Add(k)
-					}
-				}
-			}
-		}
-		ix.poiSub[i] = subs
 	}
 }
 
@@ -269,14 +215,6 @@ func (ix *RoadIndex) buildNodeMeta(n *rtree.Node) *RoadNodeMeta {
 				m.LbDist[k] = math.Min(m.LbDist[k], ix.poiDist[id][k])
 				m.UbDist[k] = math.Max(m.UbDist[k], ix.poiDist[id][k])
 			}
-			if len(m.Samples) < ix.cfg.SamplesPerNode {
-				m.Samples = append(m.Samples, model.POIID(id))
-			}
-		}
-		if len(m.Samples) > 0 {
-			m.Sub = ix.poiSub[m.Samples[0]][0].Clone()
-		} else {
-			m.Sub = topics.NewSet(d)
 		}
 	} else {
 		for _, e := range n.Entries() {
@@ -288,16 +226,6 @@ func (ix *RoadIndex) buildNodeMeta(n *rtree.Node) *RoadNodeMeta {
 				m.LbDist[k] = math.Min(m.LbDist[k], cm.LbDist[k])
 				m.UbDist[k] = math.Max(m.UbDist[k], cm.UbDist[k])
 			}
-			for _, s := range cm.Samples {
-				if len(m.Samples) < ix.cfg.SamplesPerNode {
-					m.Samples = append(m.Samples, s)
-				}
-			}
-		}
-		if len(m.Samples) > 0 {
-			m.Sub = ix.poiSub[m.Samples[0]][0].Clone()
-		} else {
-			m.Sub = topics.NewSet(d)
 		}
 	}
 	ix.meta[n] = m
@@ -354,21 +282,6 @@ func (ix *RoadIndex) POISup(id model.POIID) topics.Set { return ix.poiSup[id] }
 
 // POISupVec returns the hashed V_sup signature of a POI.
 func (ix *RoadIndex) POISupVec(id model.POIID) *bitvec.Vector { return ix.poiSupV[id] }
-
-// POISub returns the tightest sub_K keyword subset of a POI usable at
-// query radius r: the keyword union of the ball ⊙(o_i, r') for the largest
-// stored level r' ≤ r. Soundness requires r >= RMin (enforced by query
-// parameter validation).
-func (ix *RoadIndex) POISub(id model.POIID, r float64) topics.Set {
-	lv := 0
-	for lv+1 < len(ix.subRadii) && ix.subRadii[lv+1] <= r+1e-12 {
-		lv++
-	}
-	return ix.poiSub[id][lv]
-}
-
-// SubRadii returns the stored sub_K radius levels.
-func (ix *RoadIndex) SubRadii() []float64 { return ix.subRadii }
 
 // Height returns the number of levels of the underlying tree.
 func (ix *RoadIndex) Height() int { return ix.Tree.Height() }

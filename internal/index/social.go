@@ -43,9 +43,8 @@ func (c SocialConfig) withDefaults() SocialConfig {
 
 // SNode is a node of the I_S partition tree. Leaves hold the users of one
 // graph partition; non-leaves hold children. Every node carries the
-// Section 4.1 aggregates: the interest MBR [LbW, UbW] of Eqs. (9)-(10),
-// the social pivot hop bounds of Eqs. (11)-(12), and the road pivot
-// distance bounds of Eqs. (13)-(14).
+// Section 4.1 aggregates the traversal reads: the interest MBR [LbW, UbW]
+// of Eqs. (9)-(10) and the social pivot hop bounds of Eqs. (11)-(12).
 type SNode struct {
 	Obj      pagesim.ObjectID
 	Level    int // 0 for leaves
@@ -54,7 +53,6 @@ type SNode struct {
 
 	LbW, UbW     []float64
 	LbHop, UbHop []int32
-	LbRD, UbRD   []float64
 	// UserCount is the number of users under the node.
 	UserCount int
 	// First is the leaf position of the node's first user: the subtree's
@@ -212,16 +210,10 @@ func (ix *SocialIndex) chainByInterest(leaves []*SNode) []*SNode {
 func (ix *SocialIndex) computeLeafAggregates(n *SNode) {
 	d := ix.DS.NumTopics
 	l := ix.HopPivots.NumPivots()
-	h := ix.RoadPivots.NumPivots()
 	n.LbW, n.UbW = make([]float64, d), make([]float64, d)
 	n.LbHop, n.UbHop = make([]int32, l), make([]int32, l)
-	n.LbRD, n.UbRD = make([]float64, h), make([]float64, h)
 	for f := 0; f < d; f++ {
 		n.LbW[f] = math.Inf(1)
-	}
-	for k := 0; k < h; k++ {
-		n.LbRD[k] = math.Inf(1)
-		n.UbRD[k] = math.Inf(-1)
 	}
 	n.UserCount = len(n.Users)
 	for _, u := range n.Users {
@@ -229,12 +221,6 @@ func (ix *SocialIndex) computeLeafAggregates(n *SNode) {
 		for f := 0; f < d; f++ {
 			n.LbW[f] = math.Min(n.LbW[f], w[f])
 			n.UbW[f] = math.Max(n.UbW[f], w[f])
-		}
-		urd := ix.UserRoadDist(u)
-		for k := 0; k < h; k++ {
-			rd := urd[k]
-			n.LbRD[k] = math.Min(n.LbRD[k], rd)
-			n.UbRD[k] = math.Max(n.UbRD[k], rd)
 		}
 	}
 	// Hop bounds per pivot: LbHop is the minimum finite hop (MaxInt32 when
@@ -270,19 +256,13 @@ func (ix *SocialIndex) computeLeafAggregates(n *SNode) {
 func (ix *SocialIndex) computeParentAggregates(n *SNode) {
 	d := ix.DS.NumTopics
 	l := ix.HopPivots.NumPivots()
-	h := ix.RoadPivots.NumPivots()
 	n.LbW, n.UbW = make([]float64, d), make([]float64, d)
 	n.LbHop, n.UbHop = make([]int32, l), make([]int32, l)
-	n.LbRD, n.UbRD = make([]float64, h), make([]float64, h)
 	for f := 0; f < d; f++ {
 		n.LbW[f] = math.Inf(1)
 	}
 	for k := 0; k < l; k++ {
 		n.LbHop[k] = math.MaxInt32
-	}
-	for k := 0; k < h; k++ {
-		n.LbRD[k] = math.Inf(1)
-		n.UbRD[k] = math.Inf(-1)
 	}
 	for _, c := range n.Children {
 		n.UserCount += c.UserCount
@@ -299,10 +279,6 @@ func (ix *SocialIndex) computeParentAggregates(n *SNode) {
 			} else if n.UbHop[k] != socialnet.Unreachable && c.UbHop[k] > n.UbHop[k] {
 				n.UbHop[k] = c.UbHop[k]
 			}
-		}
-		for k := 0; k < h; k++ {
-			n.LbRD[k] = math.Min(n.LbRD[k], c.LbRD[k])
-			n.UbRD[k] = math.Max(n.UbRD[k], c.UbRD[k])
 		}
 	}
 }

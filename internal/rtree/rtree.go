@@ -9,8 +9,7 @@
 // reinsertion on first overflow per level, and the R* topological split
 // (axis selection by minimum margin sum, distribution selection by minimum
 // overlap) — plus deletion with tree condensation, range search, and
-// best-first nearest-neighbour search. A plain quadratic split mode is
-// available for the ablation benchmarks.
+// best-first nearest-neighbour search.
 package rtree
 
 import (
@@ -21,25 +20,11 @@ import (
 	"gpssn/internal/geo"
 )
 
-// SplitPolicy selects the node-splitting algorithm.
-type SplitPolicy int
-
-const (
-	// SplitRStar is the R*-tree topological split (default).
-	SplitRStar SplitPolicy = iota
-	// SplitQuadratic is Guttman's quadratic split, kept for ablation.
-	SplitQuadratic
-)
-
 // Options configure a Tree.
 type Options struct {
 	// MaxEntries is the node capacity M. Minimum fill m is MaxEntries*2/5
 	// per the R* paper recommendation. Default 16.
 	MaxEntries int
-	// Split selects the split algorithm. Default SplitRStar.
-	Split SplitPolicy
-	// DisableReinsert turns off forced reinsertion (ablation). Default off.
-	DisableReinsert bool
 }
 
 func (o Options) withDefaults() Options {
@@ -287,7 +272,7 @@ func (t *Tree) chooseSubtree(r geo.Rect, targetLevel int) *Node {
 // overflowTreatment handles a node that exceeds capacity: forced reinsert
 // the first time a level overflows during this insertion, split otherwise.
 func (t *Tree) overflowTreatment(n *Node) {
-	if !t.opts.DisableReinsert && n != t.root && !t.reinsertedAt[n.level] {
+	if n != t.root && !t.reinsertedAt[n.level] {
 		t.reinsertedAt[n.level] = true
 		t.reinsert(n)
 		return
@@ -316,13 +301,7 @@ func (t *Tree) reinsert(n *Node) {
 
 // split divides an overflowing node into two and propagates upward.
 func (t *Tree) split(n *Node) {
-	var left, right []Entry
-	switch t.opts.Split {
-	case SplitQuadratic:
-		left, right = quadraticSplit(n.entries, t.minE)
-	default:
-		left, right = rstarSplit(n.entries, t.minE)
-	}
+	left, right := rstarSplit(n.entries, t.minE)
 	sib := &Node{leaf: n.leaf, level: n.level}
 	n.entries = left
 	sib.entries = right
@@ -428,61 +407,6 @@ func rstarSplit(entries []Entry, minE int) (left, right []Entry) {
 	}
 	left = append([]Entry(nil), chosen.sorted[:chosen.k]...)
 	right = append([]Entry(nil), chosen.sorted[chosen.k:]...)
-	return left, right
-}
-
-// quadraticSplit implements Guttman's quadratic split (ablation baseline).
-func quadraticSplit(entries []Entry, minE int) (left, right []Entry) {
-	// Pick the pair wasting the most area as seeds.
-	si, sj, worst := 0, 1, math.Inf(-1)
-	for i := 0; i < len(entries); i++ {
-		for j := i + 1; j < len(entries); j++ {
-			d := entries[i].Rect.Union(entries[j].Rect).Area() -
-				entries[i].Rect.Area() - entries[j].Rect.Area()
-			if d > worst {
-				worst, si, sj = d, i, j
-			}
-		}
-	}
-	left = []Entry{entries[si]}
-	right = []Entry{entries[sj]}
-	lr, rr := entries[si].Rect, entries[sj].Rect
-	rest := make([]Entry, 0, len(entries)-2)
-	for i := range entries {
-		if i != si && i != sj {
-			rest = append(rest, entries[i])
-		}
-	}
-	for len(rest) > 0 {
-		// If one side must take all remaining entries to reach minE, give it.
-		if len(left)+len(rest) == minE {
-			left = append(left, rest...)
-			break
-		}
-		if len(right)+len(rest) == minE {
-			right = append(right, rest...)
-			break
-		}
-		// Pick the entry with the greatest enlargement preference.
-		bi, bd := 0, math.Inf(-1)
-		for i, e := range rest {
-			d := math.Abs(lr.Enlargement(e.Rect) - rr.Enlargement(e.Rect))
-			if d > bd {
-				bd, bi = d, i
-			}
-		}
-		e := rest[bi]
-		rest = append(rest[:bi], rest[bi+1:]...)
-		dl, dr := lr.Enlargement(e.Rect), rr.Enlargement(e.Rect)
-		if dl < dr || (dl == dr && lr.Area() < rr.Area()) ||
-			(dl == dr && lr.Area() == rr.Area() && len(left) <= len(right)) {
-			left = append(left, e)
-			lr = lr.Union(e.Rect)
-		} else {
-			right = append(right, e)
-			rr = rr.Union(e.Rect)
-		}
-	}
 	return left, right
 }
 

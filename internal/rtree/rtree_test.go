@@ -228,29 +228,6 @@ func TestBulkLoadEmpty(t *testing.T) {
 	}
 }
 
-func TestQuadraticSplitMode(t *testing.T) {
-	pts := randPoints(400, 14)
-	tr := buildTree(t, pts, Options{MaxEntries: 8, Split: SplitQuadratic})
-	q := geo.Rect{Min: geo.Pt(200, 200), Max: geo.Pt(600, 600)}
-	want := 0
-	for _, p := range pts {
-		if q.ContainsPoint(p) {
-			want++
-		}
-	}
-	if got := len(tr.SearchAll(q)); got != want {
-		t.Errorf("quadratic-split search = %d, want %d", got, want)
-	}
-}
-
-func TestNoReinsertMode(t *testing.T) {
-	pts := randPoints(400, 15)
-	tr := buildTree(t, pts, Options{MaxEntries: 8, DisableReinsert: true})
-	if tr.Len() != 400 {
-		t.Errorf("Len = %d", tr.Len())
-	}
-}
-
 func TestInsertInvalidRectPanics(t *testing.T) {
 	tr := New(Options{})
 	defer func() {

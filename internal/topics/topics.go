@@ -1,17 +1,14 @@
 // Package topics provides an exact bitset over the GP-SSN topic/keyword
-// vocabulary [0, d). Index nodes use topic sets for keyword supersets and
-// subsets (sup_K, sub_K of Section 4.1); unlike the hashed bit vectors of
-// package bitvec, a Set has no collisions, which the lower-bound side of
-// the matching-score pruning requires for soundness.
+// vocabulary [0, d). Index nodes use topic sets for keyword supersets
+// (sup_K of Section 4.1) and refinement for a ball's keyword union; unlike
+// the hashed bit vectors of package bitvec, a Set has no collisions, which
+// an exact matching score requires.
 package topics
 
 import "fmt"
 
-// Set is an exact bitset over the topic vocabulary [0, d). Index
-// nodes use Sets for keyword supersets/subsets (sup_K, sub_K); unlike
-// the hashed bit vectors of package bitvec, a Set has no collisions,
-// which the lower-bound side of the matching-score pruning requires for
-// soundness.
+// Set is an exact bitset over the topic vocabulary [0, d); see the
+// package comment for where it is used and why it must be exact.
 type Set struct {
 	d     int
 	words []uint64
