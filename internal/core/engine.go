@@ -183,6 +183,10 @@ type Stats struct {
 	// without the POI label table, only those reaching the lazy order's
 	// front with it (≤ CandAnchors either way).
 	AnchorDistances int
+	// AnchorsThetaFailed counts the anchors refinement popped and built a
+	// road ball for whose ball u_q does not θ-match: work the matching
+	// bounds of Lemmas 1/6 did not save.
+	AnchorsThetaFailed int
 
 	// Refinement effort: user-POI group pairs actually evaluated, and the
 	// total pair count C(m-1, τ-1)·n of the brute-force space (Fig 7(d)).
@@ -687,9 +691,9 @@ func (s Stats) Summary() string {
 	rnTotal := s.RNIndexPruned + s.RNObjPruned
 	return fmt.Sprintf(
 		"cpu=%v io=%d | users: %d pruned of %d (index %d, object %d) -> %d candidates | "+
-			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors | pairs evaluated %d",
+			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d failed θ on their ball | pairs evaluated %d",
 		s.CPUTime, s.PageReads,
 		snTotal, s.SNUsersTotal, s.SNIndexPruned, s.SNObjPruned, s.CandUsers,
 		rnTotal, s.RNPOIsTotal, s.RNIndexPruned, s.RNObjPruned, s.CandAnchors,
-		s.PairsEvaluated)
+		s.AnchorsThetaFailed, s.PairsEvaluated)
 }

@@ -381,7 +381,7 @@ func TestStatsSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := st.Summary()
-	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "pairs evaluated"} {
+	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "failed θ", "pairs evaluated"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("Summary missing %q: %s", want, sum)
 		}

@@ -231,7 +231,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	if probe.Found {
 		keeper.add(probe) // feasible: a sound incumbent
 	}
-	var pairs atomic.Int64
+	var pairs, thetaFailed atomic.Int64
 
 	processAnchor := func(ac anchorEntry, ar *refineArena) {
 		ball := e.ballAround(ac.id, p.R, q.ck)
@@ -242,6 +242,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		}
 		kws := ballKeywords(ds, ball, ar)
 		if uqRow.match(kws) < p.Theta {
+			thetaFailed.Add(1)
 			return
 		}
 		// M(u) = max_{o in ball} dist_RN(u, o); the group cost is
@@ -383,6 +384,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	q.rethrow()
 
 	st.PairsEvaluated = pairs.Load()
+	st.AnchorsThetaFailed = int(thetaFailed.Load())
 	st.AnchorDistances = order.resolved
 	items := keeper.rk.items
 	for i := range items {
