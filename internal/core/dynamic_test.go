@@ -212,3 +212,62 @@ func TestAddUserRejectsForeignDelta(t *testing.T) {
 		t.Fatalf("the rejected AddUser changed state: %d rows, %d users", b.topics.rows(), len(ds.Users))
 	}
 }
+
+// TestAddPOIKeepsKeywordPruningSound pins Lemmas 1/6 under AddPOI: a POI
+// appended after the build can carry a topic into the road ball of an
+// indexed anchor whose stored keyword bound lacks it, and the anchor must
+// then survive the traversal. For every indexed POI o and every topic no
+// POI within Euclidean distance r of o carries (so no keyword bound at
+// radius r may hold it before the update), a POI with that topic is added
+// at either end of o's edge; every issuer with an interest in the topic
+// must then get Baseline's answer.
+func TestAddPOIKeepsKeywordPruningSound(t *testing.T) {
+	params := []Params{
+		{Gamma: 0, Tau: 1, Theta: 0.9, R: 2, Metric: MetricDotProduct},
+		{Gamma: 0.1, Tau: 2, Theta: 0.9, R: 2, Metric: MetricDotProduct},
+	}
+	for seed := int64(1); seed <= 2; seed++ {
+		base := smallDataset(t, seed)
+		for o := range base.POIs {
+			near := make([]bool, base.NumTopics)
+			for j := range base.POIs {
+				if base.POIs[j].Loc.Dist(base.POIs[o].Loc) <= params[0].R {
+					for _, k := range base.POIs[j].Keywords {
+						near[k] = true
+					}
+				}
+			}
+			for f, held := range near {
+				if held {
+					continue
+				}
+				for _, pos := range []float64{0, 1} {
+					ds := smallDataset(t, seed)
+					e := buildEngine(t, ds, Options{})
+					at := ds.Road.AttachAt(ds.POIs[o].At.Edge, pos)
+					np := model.POI{ID: model.POIID(len(ds.POIs)), At: at, Loc: ds.Road.Location(at), Keywords: []int{f}}
+					if err := e.AddPOI(np); err != nil {
+						t.Fatal(err)
+					}
+					oracle := &Baseline{DS: ds}
+					for uq := range ds.Users {
+						if ds.Users[uq].Interests[f] == 0 {
+							continue
+						}
+						for _, p := range params {
+							got, _, err := e.Query(socialnet.UserID(uq), p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, _ := oracle.Query(socialnet.UserID(uq), p)
+							if got.Found != want.Found || got.MaxDist != want.MaxDist || got.Anchor != want.Anchor {
+								t.Fatalf("seed %d POI %d topic %d at t=%v, uq %d τ=%d: got found=%v cost=%v anchor=%d, Baseline found=%v cost=%v anchor=%d",
+									seed, o, f, pos, uq, p.Tau, got.Found, got.MaxDist, got.Anchor, want.Found, want.MaxDist, want.Anchor)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
