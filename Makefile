@@ -59,10 +59,13 @@ examples:
 # at τ = 4, 5 and 7; BenchmarkAnchorOrder: refinement's lazy anchor order
 # over 1,054 candidates; BenchmarkLeafUserTest: one I_S leaf sweep of the
 # interest and hop tests; BenchmarkTraverse: the probe and Algorithm 2's
-# traversal without refinement, 16 issuers at uni_cold's scale; about two
-# seconds in all).
+# traversal without refinement, 16 issuers at uni_cold's scale;
+# BenchmarkBuildRoad in internal/index: I_R's build at uni_cold's size,
+# its per-POI keyword distance searches included; about three seconds in
+# all).
 kernel-bench:
 	$(GO) test -run '^$$' -bench 'GroupSearch|AnchorOrder|LeafUserTest|Traverse' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench 'BuildRoad' -benchtime 1x ./internal/index
 
 # Every experiment of the figure harness end to end at a tiny scale (the
 # harness tests run only some of them), plus the opt-in 1M tier, which

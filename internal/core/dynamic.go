@@ -67,6 +67,9 @@ func (e *Engine) AddPOI(p model.POI) error {
 		}
 	}
 	e.DS.POIs = append(e.DS.POIs, p)
+	// The new POI can join indexed anchors' balls: widen their keyword
+	// distances so Lemmas 1/6 stay sound.
+	e.Road.AddPOI(p.ID)
 	// The new POI's id is its row. A table that no longer matches (another
 	// engine over the same dataset moved the oracle or the POI count) can
 	// never catch up, so it is dropped and readers build rows on demand.
@@ -192,6 +195,16 @@ func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 // only sit on edges), so roadVerts does not participate.
 func (e *Engine) roadPivotSafe() bool { return e.dyn.roadEdges == 0 }
 
+// keywordBoundsSafe reports whether the index's keyword distances still
+// bound every ball's keywords (Lemmas 1/6): no road edge appended (a new
+// edge can shorten a stored distance anywhere, as for roadPivotSafe), and
+// every POI of the dataset accounted for — AddPOI widens the rows, but a
+// POI appended through another engine over the same dataset does not.
+// Compact rebuilds the index and restores both.
+func (e *Engine) keywordBoundsSafe() bool {
+	return e.roadPivotSafe() && e.Road.KeywordPOIs() == len(e.DS.POIs)
+}
+
 // pivotPruningSafe reports whether u is indexed and its stored hop-pivot
 // vector is still a sound lower bound.
 func (e *Engine) pivotPruningSafe(u socialnet.UserID) bool {
@@ -246,10 +259,10 @@ func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, uqRow topicRow, t
 	}
 }
 
-// scanDeltaAnchors appends every delta POI as a candidate anchor. Without
-// a sup_K superset no matching bound exists for them, so they skip both
-// score and distance pruning — trivially sound — and carry no distance
-// lower bound.
+// scanDeltaAnchors appends every delta POI as a candidate anchor. They
+// have no keyword distance row, so no matching bound exists for them: they
+// skip both score and distance pruning — trivially sound — and carry no
+// distance lower bound.
 func (e *Engine) scanDeltaAnchors(tr *traversal) {
 	for id := e.dyn.indexedPOIs; id < len(e.DS.POIs); id++ {
 		tr.candAnchors = append(tr.candAnchors, model.POIID(id))

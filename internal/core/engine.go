@@ -448,7 +448,9 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, delta float64, q *qctx)
 		// Road pivot LOWER bounds are unsound once a road edge has been
 		// appended (new edges only shorten distances, so stored rows can
 		// overestimate); every lower-bound prune below gates on roadLB.
-		roadLB := e.roadPivotSafe()
+		// The keyword distances are road distances too: kwLB gates
+		// Lemmas 1/6 the same way (keywordBoundsSafe).
+		roadLB, kwLB := e.roadPivotSafe(), e.keywordBoundsSafe()
 		for i, he := range cur {
 			// Cancellation is polled at anchor-candidate granularity: once
 			// per heap entry and per leaf POI below. A cancelled traversal
@@ -476,10 +478,11 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, delta float64, q *qctx)
 					// Both rules are evaluated on every leaf POI — the
 					// object is pruned when either fires, and each rule's
 					// power is counted independently, which is how
-					// Fig. 7(c) reports them. Matching: Lemma 1 via the
-					// hashed V_sup signature (a sound overestimate).
-					// Distance: Lemma 5 via the pivot lower bound vs δ.
-					matchPrune := uqRow.matchUb(e.Road.POISupVec(id)) < p.Theta
+					// Fig. 7(c) reports them. Matching: Lemma 1, u_q's
+					// score over a superset of the radius-r ball's
+					// keywords. Distance: Lemma 5 via the pivot lower
+					// bound vs δ.
+					matchPrune := kwLB && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta
 					lb, distPrune := 0.0, false
 					if !e.Opts.DisableDistancePruning && roadLB {
 						lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
@@ -505,7 +508,7 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, delta float64, q *qctx)
 				m := e.Road.Meta(child)
 				if !e.Opts.DisableIndexPruning {
 					// Lemma 6: matching score pruning for index nodes.
-					if uqRow.matchUb(m.SupVec) < p.Theta {
+					if kwLB && uqRow.matchUb(m.KwMin, p.R) < p.Theta {
 						st.RNIndexPruned += m.POICount
 						st.RNIndexPrunedMatch += m.POICount
 						continue

@@ -144,6 +144,45 @@ func TestEngineMatchesBaselineOracle(t *testing.T) {
 	}
 }
 
+// TestNoAnchorFailsThetaWithoutDelta pins the exactness of Lemma 1's
+// object bound: with no pending update, the keyword distance row of an
+// anchor holds exactly its radius-r ball's keywords, so every anchor the
+// traversal hands refinement passes u_q's θ-test on its ball. The row can
+// hold more only where a stored distance rounded down to float32 past r,
+// or lies within the 1e-9 radius slack of it; no query here meets one.
+// Run over the oracle test's datasets and parameters, every issuer, under
+// the plain graph and under hub labels.
+func TestNoAnchorFailsThetaWithoutDelta(t *testing.T) {
+	params := []Params{
+		{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2, Metric: MetricDotProduct},
+		{Gamma: 0.3, Tau: 3, Theta: 0.5, R: 2, Metric: MetricDotProduct},
+		{Gamma: 0.1, Tau: 3, Theta: 0.2, R: 1, Metric: MetricJaccard},
+		{Gamma: 0.4, Tau: 4, Theta: 0.4, R: 3, Metric: MetricHamming},
+		{Gamma: 0.0, Tau: 2, Theta: 0.0, R: 0.5, Metric: MetricDotProduct},
+	}
+	for seed := int64(1); seed <= 3; seed++ {
+		ds := smallDataset(t, seed)
+		for _, labels := range []bool{false, true} {
+			if labels {
+				ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+			}
+			e := buildEngine(t, ds, Options{})
+			for pi, p := range params {
+				for uq := range ds.Users {
+					_, st, err := e.Query(socialnet.UserID(uq), p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if st.AnchorsThetaFailed != 0 {
+						t.Fatalf("seed %d labels %v params %d uq %d: %d anchors failed θ on their ball",
+							seed, labels, pi, uq, st.AnchorsThetaFailed)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestEngineAblationsStayExact(t *testing.T) {
 	ds := smallDataset(t, 9)
 	p := Params{Gamma: 0.25, Tau: 3, Theta: 0.4, R: 2, Metric: MetricDotProduct}

@@ -27,6 +27,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 	defer e.releaseArena(ar)
 	const probeAnchors = 3
 	nn := e.Road.Tree.Nearest(ds.Users[uq].Loc, probeAnchors)
+	kwLB := e.keywordBoundsSafe()
 	// At most 2·probeAnchors anchors are tried, so a scan beats a set.
 	tried := make([]model.POIID, 0, 2*probeAnchors)
 	tryAnchor := func(anchor model.POIID) {
@@ -34,6 +35,12 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 			return
 		}
 		tried = append(tried, anchor)
+		// Lemma 1 before the ball: the bound is u_q's score over a
+		// superset of the ball's keywords, so a failing anchor's ball
+		// would fail the θ-test below.
+		if kwLB && uqRow.matchUb(e.Road.KeywordDist(anchor), p.R) < p.Theta {
+			return
+		}
 		ball := e.ballAround(anchor, p.R, q.ck)
 		if q.ck.Stopped() {
 			return // degenerate ball (see refine's processAnchor)

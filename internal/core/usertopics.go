@@ -196,14 +196,20 @@ func (r topicRow) match(kws TopicSet) float64 {
 	return s
 }
 
-// matchUb is Eq. (15), the matching score upper bound through a hashed
-// V_sup signature (collisions only raise the bound, keeping it sound):
-// the row's values whose topics the signature may hold.
-func (r topicRow) matchUb(sup interface{ TestKeyword(int) bool }) float64 {
+// matchUb is Eq. (15), the matching score upper bound of Lemmas 1/6 over
+// a keyword distance row (index.RoadIndex.KeywordDist, or a node's KwMin):
+// the row's values whose topics lie within radius, i.e. its score against
+// a superset of the radius-r ball's keywords. The radius carries the
+// relative slack prunes allows, so a stored distance that rounded a few
+// ulps past the ball kernel's value still counts. It adds in match's
+// ascending topic order, and rounding is monotone, so a superset never
+// scores below the exact ball and an equal set scores bit-identically.
+func (r topicRow) matchUb(kwDist []float32, radius float64) float64 {
+	radius *= 1 + 1e-9
 	s, i := 0.0, 0
 	for k, m := range r.mask {
 		for ; m != 0; m &= m - 1 {
-			if sup.TestKeyword(k<<6 | bits.TrailingZeros64(m)) {
+			if float64(kwDist[k<<6|bits.TrailingZeros64(m)]) <= radius {
 				s += r.vals[i]
 			}
 			i++

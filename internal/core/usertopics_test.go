@@ -47,11 +47,23 @@ func topicVectors(rng *rand.Rand, n, d int) [][]float64 {
 	return out
 }
 
-// keywordsOf adapts a TopicSet to the hashed-signature interface matchUb
-// reads, so the exact set is its reference.
-type keywordsOf struct{ TopicSet }
-
-func (k keywordsOf) TestKeyword(f int) bool { return k.Has(f) }
+// kwRowOf is a keyword distance row whose radius-2 set is exactly kws:
+// members at the radius itself, the rest just past matchUb's slack or at
+// +Inf, so the exact set is matchUb's reference.
+func kwRowOf(kws TopicSet, d int) []float32 {
+	row := make([]float32, d)
+	for f := range row {
+		switch {
+		case kws.Has(f):
+			row[f] = 2
+		case f%2 == 0:
+			row[f] = math.Nextafter32(float32(2*(1+1e-9)), 3)
+		default:
+			row[f] = float32(math.Inf(1))
+		}
+	}
+	return row
+}
 
 // checkRowsMatchDense compares every table kernel on rows a and b with the
 // dense reference on vectors wa and wb, bit for bit.
@@ -69,7 +81,7 @@ func checkRowsMatchDense(t *testing.T, name string, ut *userTopics, a, b topicRo
 	}
 	for i, kws := range sets {
 		same(fmt.Sprintf("match set %d", i), a.match(kws), MatchScoreSet(wa, kws))
-		same(fmt.Sprintf("matchUb set %d", i), a.matchUb(keywordsOf{kws}), MatchScoreSet(wa, kws))
+		same(fmt.Sprintf("matchUb set %d", i), a.matchUb(kwRowOf(kws, len(wa)), 2), MatchScoreSet(wa, kws))
 	}
 }
 

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"gpssn/internal/model"
 	"gpssn/internal/pivot"
 	"gpssn/internal/roadnet"
+	"gpssn/internal/roadnet/hl"
 	"gpssn/internal/rtree"
 	"gpssn/internal/socialnet"
 )
@@ -74,8 +76,7 @@ func TestRoadIndexNodeBoundsSound(t *testing.T) {
 	var walk func(n *rtree.Node)
 	walk = func(n *rtree.Node) {
 		m := ix.Meta(n)
-		// Node bounds must bracket every member POI's pivot distances, and
-		// the node Sup must contain every member's sup keywords.
+		// Node bounds must bracket every member POI's pivot distances.
 		var check func(nn *rtree.Node)
 		check = func(nn *rtree.Node) {
 			if nn.IsLeaf() {
@@ -86,14 +87,6 @@ func TestRoadIndexNodeBoundsSound(t *testing.T) {
 						if dk < m.LbDist[k]-1e-9 || dk > m.UbDist[k]+1e-9 {
 							t.Fatalf("POI %d dist %v outside node bounds [%v,%v]",
 								id, dk, m.LbDist[k], m.UbDist[k])
-						}
-					}
-					for f := 0; f < ds.NumTopics; f++ {
-						if ix.POISup(id).Has(f) && !m.Sup.Has(f) {
-							t.Fatalf("node Sup missing topic %d of POI %d", f, id)
-						}
-						if ix.POISup(id).Has(f) && !m.SupVec.TestKeyword(f) {
-							t.Fatalf("node SupVec missing topic %d", f)
 						}
 					}
 				}
@@ -121,29 +114,129 @@ func TestRoadIndexPOICount(t *testing.T) {
 	}
 }
 
-func TestRoadIndexSupIsSupersetOfBall(t *testing.T) {
-	// For a sample of POIs: every keyword of every POI within road distance
-	// 2*RMax must appear in sup_K (soundness of the Euclidean
-	// over-approximation).
-	ds := dataset(t)
-	ix := buildRoad(t, ds)
-	for i := 0; i < len(ds.POIs); i += 37 {
-		p := &ds.POIs[i]
-		atts := make([]roadnet.Attach, len(ds.POIs))
-		for j := range ds.POIs {
-			atts[j] = ds.POIs[j].At
+// ballKeywords is the keyword set of indexed POI o's road ball of radius
+// r, built the way the query engine builds the ball: the indexed POIs of
+// the Euclidean prefilter and the appended ones within Euclidean r, kept
+// when a bounded road search from o reaches them, plus o itself.
+func ballKeywords(ix *RoadIndex, o model.POIID, r float64) []bool {
+	ds := ix.DS
+	pre := ix.EuclidBall(ds.POIs[o].Loc, r)
+	for j := ix.Tree.Len(); j < len(ds.POIs); j++ {
+		if ds.POIs[j].Loc.Dist(ds.POIs[o].Loc) <= r {
+			pre = append(pre, model.POIID(j))
 		}
-		dists := ds.Road.DistAttachWithin(p.At, 2*ix.RMax, atts)
-		for j := range ds.POIs {
-			if math.IsInf(dists[j], 1) {
-				continue
+	}
+	atts := make([]roadnet.Attach, len(pre))
+	for i, j := range pre {
+		atts[i] = ds.POIs[j].At
+	}
+	in := make([]bool, ds.NumTopics)
+	for _, k := range ds.POIs[o].Keywords {
+		in[k] = true
+	}
+	for i, d := range ds.Road.DistAttachWithin(ds.POIs[o].At, r, atts) {
+		if !math.IsInf(d, 1) {
+			for _, k := range ds.POIs[pre[i]].Keywords {
+				in[k] = true
 			}
-			for _, k := range ds.POIs[j].Keywords {
-				if !ix.POISup(model.POIID(i)).Has(k) {
-					t.Fatalf("POI %d sup missing keyword %d of in-ball POI %d", i, k, j)
+		}
+	}
+	return in
+}
+
+// checkKeywordDists checks every indexed POI's keyword distance row
+// against its road ball at RMin, RMax, 1, 2.5 and at the boundaries: each
+// finite value the row stores, and each road distance to the nearest POI
+// carrying a topic, which the stored value rounded down from. The row's set at r — the topics stored
+// within r·(1+1e-9), the radius the query side tests — must hold the
+// ball's keywords, and equal them when exact: no appended POI, and no
+// stored value within float32 rounding below r or inside the slack above
+// it. Every node's KwMin must be ≤ every member's row.
+func checkKeywordDists(t *testing.T, ix *RoadIndex, exact bool) {
+	t.Helper()
+	for o := 0; o < ix.Tree.Len(); o++ {
+		row := ix.KeywordDist(model.POIID(o))
+		radii := []float64{ix.RMin, ix.RMax, 1, 2.5}
+		for _, v := range row {
+			if !math.IsInf(float64(v), 1) && v > 0 {
+				radii = append(radii, float64(v))
+			}
+		}
+		atts := make([]roadnet.Attach, ix.Tree.Len())
+		for j := range atts {
+			atts[j] = ix.DS.POIs[j].At
+		}
+		for _, d := range ix.DS.Road.DistAttachWithin(ix.DS.POIs[o].At, ix.RMax, atts) {
+			if !math.IsInf(d, 1) && d > 0 {
+				radii = append(radii, d)
+			}
+		}
+		for _, r := range radii {
+			in := ballKeywords(ix, model.POIID(o), r)
+			edge := false
+			for _, v := range row {
+				edge = edge || (float64(v) > r*(1-0x1p-23) && float64(v) <= r*(1+1e-9))
+			}
+			for f, v := range row {
+				got := float64(v) <= r*(1+1e-9)
+				if in[f] && !got {
+					t.Fatalf("POI %d r=%v: ball holds topic %d, row stores %v", o, r, f, v)
+				}
+				if exact && !edge && got && !in[f] {
+					t.Fatalf("POI %d r=%v: row stores %v for topic %d, absent from the ball", o, r, v, f)
 				}
 			}
 		}
+	}
+	var walk func(n *rtree.Node) []model.POIID
+	walk = func(n *rtree.Node) []model.POIID {
+		var members []model.POIID
+		for _, e := range n.Entries() {
+			if n.IsLeaf() {
+				members = append(members, model.POIID(e.ID))
+			} else {
+				members = append(members, walk(e.Child)...)
+			}
+		}
+		kwMin := ix.Meta(n).KwMin
+		for _, o := range members {
+			for f, v := range ix.KeywordDist(o) {
+				if kwMin[f] > v {
+					t.Fatalf("node KwMin[%d] = %v above member %d's %v", f, kwMin[f], o, v)
+				}
+			}
+		}
+		return members
+	}
+	walk(ix.Tree.Root())
+}
+
+func TestKeywordDistMatchesBall(t *testing.T) {
+	base := dataset(t)
+	ds := *base
+	ds.POIs = slices.Clone(base.POIs)
+	ix := buildRoad(t, &ds)
+	checkKeywordDists(t, ix, true)
+
+	// AddPOI widening: appended POIs join balls the rows must still cover.
+	rng := rand.New(rand.NewSource(3))
+	for i := 0; i < 30; i++ {
+		at := ds.Road.AttachAt(roadnet.EdgeID(rng.Intn(ds.Road.NumEdges())), rng.Float64())
+		id := model.POIID(len(ds.POIs))
+		ds.POIs = append(ds.POIs, model.POI{ID: id, At: at, Loc: ds.Road.Location(at), Keywords: []int{rng.Intn(ds.NumTopics)}})
+		ix.AddPOI(id)
+	}
+	if got := ix.KeywordPOIs(); got != len(ds.POIs) {
+		t.Fatalf("KeywordPOIs = %d after in-order appends, want %d", got, len(ds.POIs))
+	}
+	checkKeywordDists(t, ix, false)
+
+	// An append the index never saw leaves it behind for good.
+	ds.POIs = append(ds.POIs, ds.POIs[0], ds.POIs[0])
+	ds.POIs[len(ds.POIs)-1].ID = model.POIID(len(ds.POIs) - 1)
+	ix.AddPOI(model.POIID(len(ds.POIs) - 1))
+	if got := ix.KeywordPOIs(); got != len(ds.POIs)-2 {
+		t.Fatalf("KeywordPOIs = %d after an out-of-order append, want %d", got, len(ds.POIs)-2)
 	}
 }
 
@@ -409,5 +502,30 @@ func TestSocialIndexIOAccounting(t *testing.T) {
 	}
 	if ix.Store.Reads() == 0 {
 		t.Error("cold traversal should cost page reads")
+	}
+}
+
+var builtRoad *RoadIndex
+
+// BenchmarkBuildRoad times BuildRoad at the benchmark's uni_cold size
+// (7,500 road vertices, 2,500 POIs) under hub labels, the oracle the
+// product attaches. The per-POI keyword distance searches are part of
+// every Open and Compact.
+func BenchmarkBuildRoad(b *testing.B) {
+	ds, err := gen.Synthetic(gen.Config{
+		Name: "build-road", Seed: 101,
+		RoadVertices: 7500, SocialUsers: 7500, POIs: 2500,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+	pivots := pivot.RandomRoad(ds.Road, 5, 11)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		builtRoad, err = BuildRoad(ds, RoadConfig{Pivots: pivots, RMin: 0.5, RMax: 4})
+		if err != nil {
+			b.Fatal(err)
+		}
 	}
 }

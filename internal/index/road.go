@@ -1,6 +1,7 @@
 // Package index implements the two GP-SSN indexes of Section 4: I_R, an
-// R*-tree over POIs augmented with keyword supersets (sup_K, with hashed
-// bit-vector signatures V_sup) and pivot-distance bounds; and I_S, a
+// R*-tree over POIs augmented with nearest-keyword road distances (the
+// keyword sets of every road ball up to r_max) and pivot-distance bounds;
+// and I_S, a
 // partition tree over the social network whose nodes carry
 // interest-vector MBRs and social pivot hop bounds. Both indexes register
 // their nodes with a pagesim.Store so query traversals are charged page
@@ -11,41 +12,30 @@ import (
 	"fmt"
 	"math"
 
-	"gpssn/internal/bitvec"
 	"gpssn/internal/geo"
 	"gpssn/internal/model"
 	"gpssn/internal/pagesim"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/rtree"
-	"gpssn/internal/topics"
 )
 
 // RoadConfig parameterizes BuildRoad.
 type RoadConfig struct {
 	// Pivots are the road-network pivot vertices rp_1..rp_h.
 	Pivots []roadnet.VertexID
-	// RMin and RMax bound the query radius r the index will serve
-	// (Section 4.1: sup_K uses 2·r_max).
+	// RMin and RMax bound the query radius r the index will serve; the
+	// keyword distances are kept up to RMax.
 	RMin, RMax float64
 	// MaxEntries is the R*-tree node capacity (default 16).
 	MaxEntries int
-	// BitvecWidth is the width of the hashed V_sup signatures (default
-	// max(64, 4·topics)).
-	BitvecWidth int
 	// PageSize and PoolPages configure the simulated page store (defaults
 	// 4096 bytes and 128 pages).
 	PageSize, PoolPages int
 }
 
-func (c RoadConfig) withDefaults(topics int) RoadConfig {
+func (c RoadConfig) withDefaults() RoadConfig {
 	if c.MaxEntries == 0 {
 		c.MaxEntries = 16
-	}
-	if c.BitvecWidth == 0 {
-		c.BitvecWidth = 4 * topics
-		if c.BitvecWidth < 64 {
-			c.BitvecWidth = 64
-		}
 	}
 	if c.PageSize == 0 {
 		c.PageSize = 4096
@@ -60,11 +50,10 @@ func (c RoadConfig) withDefaults(topics int) RoadConfig {
 type RoadNodeMeta struct {
 	// Obj is the node's identity in the page store.
 	Obj pagesim.ObjectID
-	// Sup is the exact keyword superset sup_K over the subtree: the union
-	// of member POIs' ⊙(o_i, 2·r_max) keyword unions.
-	Sup topics.Set
-	// SupVec is the hashed bit-vector signature V_sup of Sup.
-	SupVec *bitvec.Vector
+	// KwMin[f] is the minimum of KeywordDist(o)[f] over the subtree's
+	// POIs o, so {f : KwMin[f] ≤ r} holds the keywords of every member's
+	// radius-r road ball (Lemma 6).
+	KwMin []float32
 	// LbDist and UbDist are the per-pivot distance bounds of Eqs. (7)-(8).
 	LbDist, UbDist []float64
 	// POICount is the number of POIs under the node (pruning-power
@@ -81,11 +70,14 @@ type RoadIndex struct {
 	RMin   float64
 	RMax   float64
 
-	cfg     RoadConfig
-	poiDist [][]float64      // [poi][pivot] dist_RN(o_i, rp_k)
-	poiSup  []topics.Set     // keyword union over ⊙(o_i, 2·r_max) superset
-	poiSupV []*bitvec.Vector // hashed signatures of poiSup
-	meta    map[*rtree.Node]*RoadNodeMeta
+	poiDist [][]float64 // [poi][pivot] dist_RN(o_i, rp_k)
+	// kwDist is the dense n×d slab of nearest-keyword road distances, row
+	// o at [o·d, (o+1)·d); see KeywordDist.
+	kwDist []float32
+	// kwPOIs is the number of dataset POIs the rows account for: the
+	// build's, then each one AddPOI widened the rows for, in id order.
+	kwPOIs int
+	meta   map[*rtree.Node]*RoadNodeMeta
 }
 
 // BuildRoad constructs I_R over the dataset's POIs.
@@ -99,13 +91,12 @@ func BuildRoad(ds *model.Dataset, cfg RoadConfig) (*RoadIndex, error) {
 	if len(ds.POIs) == 0 {
 		return nil, fmt.Errorf("index: dataset has no POIs")
 	}
-	c := cfg.withDefaults(ds.NumTopics)
+	c := cfg.withDefaults()
 
 	idx := &RoadIndex{
 		DS:    ds,
 		RMin:  c.RMin,
 		RMax:  c.RMax,
-		cfg:   c,
 		Store: pagesim.NewStore(c.PageSize, c.PoolPages),
 		meta:  map[*rtree.Node]*RoadNodeMeta{},
 	}
@@ -125,38 +116,53 @@ func BuildRoad(ds *model.Dataset, cfg RoadConfig) (*RoadIndex, error) {
 	return idx, nil
 }
 
-// buildPOIAggregates computes the per-POI pivot distances and the sup_K
-// keyword supersets of Section 4.1.
+// buildPOIAggregates computes the per-POI pivot distances and keyword
+// distances. Row o of the keyword slab holds, for each topic f, the road
+// distance from o to the nearest POI carrying f when it is ≤ RMax (0 for
+// o's own keywords), +Inf otherwise: one bounded search per POI over the
+// POIs within Euclidean RMax (road distance dominates Euclidean), through
+// the same kernel ballAround uses, so the keyword set of o's road ball at
+// any radius r ≤ RMax is {f : KeywordDist(o)[f] ≤ r}. Each value is
+// rounded to a float32 that is not above it, so the set can only grow.
 func (ix *RoadIndex) buildPOIAggregates() {
 	ds := ix.DS
-	n := len(ds.POIs)
+	n, d := len(ds.POIs), ds.NumTopics
 	ix.poiDist = make([][]float64, n)
-	ix.poiSup = make([]topics.Set, n)
-	ix.poiSupV = make([]*bitvec.Vector, n)
-
-	for i := range ds.POIs {
-		ix.poiDist[i] = ix.Pivots.AttachDistAll(ds.Road, ds.POIs[i].At)
+	ix.kwDist = make([]float32, n*d)
+	ix.kwPOIs = n
+	for i := range ix.kwDist {
+		ix.kwDist[i] = float32(math.Inf(1))
 	}
+	var atts []roadnet.Attach
 	for i := range ds.POIs {
 		p := &ds.POIs[i]
-		// sup_K: a sound superset of ∪ keywords over any ball of radius 2r
-		// (r ≤ RMax) containing o_i — every member lies within Euclidean
-		// distance 2·RMax of o_i, since road distance dominates Euclidean.
-		sup := topics.NewSet(ds.NumTopics)
-		cands := ix.euclidBall(p.Loc, 2*ix.RMax)
-		for _, j := range cands {
-			for _, k := range ds.POIs[j].Keywords {
-				sup.Add(k)
-			}
+		ix.poiDist[i] = ix.Pivots.AttachDistAll(ds.Road, p.At)
+		near := ix.euclidBall(p.Loc, ix.RMax)
+		atts = atts[:0]
+		for _, j := range near {
+			atts = append(atts, ds.POIs[j].At)
 		}
-		ix.poiSup[i] = sup
-		v := bitvec.New(ix.cfg.BitvecWidth)
-		for f := 0; f < ds.NumTopics; f++ {
-			if sup.Has(f) {
-				v.SetKeyword(f)
+		dists := ds.Road.DistAttachWithinCk(p.At, ix.RMax, atts, nil)
+		row := ix.kwDist[i*d : (i+1)*d]
+		for c, j := range near {
+			dist := dists[c]
+			if j == i {
+				dist = 0
 			}
+			lowerRow(row, ds.POIs[j].Keywords, dist)
 		}
-		ix.poiSupV[i] = v
+	}
+}
+
+// lowerRow lowers row[f] to d, rounded down to a float32, for each keyword
+// f. +Inf (beyond the search bound) changes nothing.
+func lowerRow(row []float32, keywords []int, d float64) {
+	v := float32(d)
+	if float64(v) > d {
+		v = math.Nextafter32(v, 0)
+	}
+	for _, f := range keywords {
+		row[f] = min(row[f], v)
 	}
 }
 
@@ -196,10 +202,12 @@ func (ix *RoadIndex) buildNodeMeta(n *rtree.Node) *RoadNodeMeta {
 	d := ix.DS.NumTopics
 	h := ix.Pivots.NumPivots()
 	m := &RoadNodeMeta{
-		Sup:    topics.NewSet(d),
-		SupVec: bitvec.New(ix.cfg.BitvecWidth),
+		KwMin:  make([]float32, d),
 		LbDist: make([]float64, h),
 		UbDist: make([]float64, h),
+	}
+	for f := range m.KwMin {
+		m.KwMin[f] = float32(math.Inf(1))
 	}
 	for k := 0; k < h; k++ {
 		m.LbDist[k] = math.Inf(1)
@@ -209,8 +217,7 @@ func (ix *RoadIndex) buildNodeMeta(n *rtree.Node) *RoadNodeMeta {
 		for _, e := range n.Entries() {
 			id := int(e.ID)
 			m.POICount++
-			m.Sup.Union(ix.poiSup[id])
-			m.SupVec.Or(ix.poiSupV[id])
+			minInto(m.KwMin, ix.KeywordDist(model.POIID(id)))
 			for k := 0; k < h; k++ {
 				m.LbDist[k] = math.Min(m.LbDist[k], ix.poiDist[id][k])
 				m.UbDist[k] = math.Max(m.UbDist[k], ix.poiDist[id][k])
@@ -220,8 +227,7 @@ func (ix *RoadIndex) buildNodeMeta(n *rtree.Node) *RoadNodeMeta {
 		for _, e := range n.Entries() {
 			cm := ix.buildNodeMeta(e.Child)
 			m.POICount += cm.POICount
-			m.Sup.Union(cm.Sup)
-			m.SupVec.Or(cm.SupVec)
+			minInto(m.KwMin, cm.KwMin)
 			for k := 0; k < h; k++ {
 				m.LbDist[k] = math.Min(m.LbDist[k], cm.LbDist[k])
 				m.UbDist[k] = math.Max(m.UbDist[k], cm.UbDist[k])
@@ -230,6 +236,13 @@ func (ix *RoadIndex) buildNodeMeta(n *rtree.Node) *RoadNodeMeta {
 	}
 	ix.meta[n] = m
 	return m
+}
+
+// minInto lowers dst to the element-wise minimum of dst and src.
+func minInto(dst, src []float32) {
+	for f, v := range src {
+		dst[f] = min(dst[f], v)
+	}
 }
 
 // placeNodes registers each node with the page store in breadth-first
@@ -277,11 +290,62 @@ func (ix *RoadIndex) AccessTracked(n *rtree.Node, t *pagesim.Tracker) {
 // POIDist returns the pivot distance vector of a POI (read-only).
 func (ix *RoadIndex) POIDist(id model.POIID) []float64 { return ix.poiDist[id] }
 
-// POISup returns the sup_K keyword superset of a POI.
-func (ix *RoadIndex) POISup(id model.POIID) topics.Set { return ix.poiSup[id] }
+// KeywordDist returns indexed POI o's keyword distance row (read-only):
+// entry f is at most the road distance from o to the nearest POI carrying
+// f, and +Inf only when that distance exceeds RMax. The keywords of o's
+// road ball of any radius r ≤ RMax are therefore a subset of
+// {f : KeywordDist(o)[f] ≤ r} (Lemma 1), and equal to it up to the
+// float32 rounding of the stored values.
+func (ix *RoadIndex) KeywordDist(o model.POIID) []float32 {
+	d := ix.DS.NumTopics
+	return ix.kwDist[int(o)*d : (int(o)+1)*d]
+}
 
-// POISupVec returns the hashed V_sup signature of a POI.
-func (ix *RoadIndex) POISupVec(id model.POIID) *bitvec.Vector { return ix.poiSupV[id] }
+// KeywordPOIs returns how many of the dataset's POIs the keyword rows
+// account for. While it is below the dataset's POI count, a POI appended
+// without AddPOI may sit in a ball the rows know nothing of.
+func (ix *RoadIndex) KeywordPOIs() int { return ix.kwPOIs }
+
+// AddPOI widens the keyword rows for POI id, appended to the dataset after
+// the build, so the rows keep covering every road ball it can join: for
+// each indexed POI o within Euclidean RMax of it, and each of its
+// keywords f, row o's entry f is lowered to the Euclidean distance between
+// the two. Road distance dominates Euclidean (edge weights are Euclidean
+// lengths), and a ball admits an appended POI only within that Euclidean
+// distance, so every row stays a superset; the node minima are lowered
+// with the rows they cover. The caller appends POIs in id order under the
+// same exclusive lock that keeps queries out; an id out of that order
+// widens nothing, and KeywordPOIs then stays behind the dataset for good.
+func (ix *RoadIndex) AddPOI(id model.POIID) {
+	if int(id) != ix.kwPOIs {
+		return
+	}
+	ix.kwPOIs++
+	p := &ix.DS.POIs[id]
+	ix.widen(ix.Tree.Root(), p)
+}
+
+// widen lowers the rows under n for appended POI p and then n's own
+// minima, descending only into children whose MBR is within RMax of p
+// (with the slack the query-side radius test allows).
+func (ix *RoadIndex) widen(n *rtree.Node, p *model.POI) {
+	m := ix.Meta(n)
+	for _, e := range n.Entries() {
+		if n.IsLeaf() {
+			o := model.POIID(e.ID)
+			if d := p.Loc.Dist(ix.DS.POIs[o].Loc); d <= ix.RMax {
+				row := ix.KeywordDist(o)
+				lowerRow(row, p.Keywords, d)
+				minInto(m.KwMin, row)
+			}
+			continue
+		}
+		if e.Rect.MinDistPoint(p.Loc) <= ix.RMax*(1+1e-9) {
+			ix.widen(e.Child, p)
+			minInto(m.KwMin, ix.Meta(e.Child).KwMin)
+		}
+	}
+}
 
 // Height returns the number of levels of the underlying tree.
 func (ix *RoadIndex) Height() int { return ix.Tree.Height() }
