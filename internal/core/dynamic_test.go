@@ -278,3 +278,113 @@ func TestAddPOIKeepsKeywordPruningSound(t *testing.T) {
 		}
 	}
 }
+
+// A POI appended through another engine over the same dataset widens
+// that engine's keyword rows only; this engine must stop trusting its own
+// rows (keywordBoundsSafe) rather than drop an anchor the POI now serves.
+// The case is TestAddPOIKeepsKeywordPruningSound's first failure at the
+// commit before AddPOI widened the rows.
+func TestForeignAddPOIDisablesKeywordPruning(t *testing.T) {
+	ds := smallDataset(t, 1)
+	a, b := buildEngine(t, ds, Options{}), buildEngine(t, ds, Options{})
+	at := ds.Road.AttachAt(ds.POIs[0].At.Edge, 0)
+	np := model.POI{ID: model.POIID(len(ds.POIs)), At: at, Loc: ds.Road.Location(at), Keywords: []int{0}}
+	if err := a.AddPOI(np); err != nil {
+		t.Fatal(err)
+	}
+	if b.keywordBoundsSafe() {
+		t.Fatal("b trusts keyword rows that miss a's appended POI")
+	}
+	p := Params{Gamma: 0, Tau: 1, Theta: 0.9, R: 2, Metric: MetricDotProduct}
+	got, _, err := b.Query(3, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := (&Baseline{DS: ds}).Query(3, p)
+	if got.Found != want.Found || got.MaxDist != want.MaxDist || got.Anchor != want.Anchor {
+		t.Fatalf("got found=%v cost=%v anchor=%d, Baseline found=%v cost=%v anchor=%d",
+			got.Found, got.MaxDist, got.Anchor, want.Found, want.MaxDist, want.Anchor)
+	}
+}
+
+// TestAddRoadEdgeGatesKeywordPruning pins the road-edge gate of Lemmas
+// 1/6: an edge appended after the build can pull a POI, and its topics,
+// into an indexed anchor's ball, so the keyword rows stop bounding the
+// balls until Compact. For pairs of indexed POIs o, j where j carries a
+// topic o's radius-r ball lacks, an edge between the ends of their edges
+// that brings j within r of o is added; every issuer with an interest in
+// the topic must then get Baseline's answer.
+func TestAddRoadEdgeGatesKeywordPruning(t *testing.T) {
+	p := Params{Gamma: 0, Tau: 1, Theta: 0.9, R: 3, Metric: MetricDotProduct}
+	cases := 0
+	for seed := int64(1); seed <= 3; seed++ {
+		base := smallDataset(t, seed)
+		e0 := buildEngine(t, base, Options{})
+		g := base.Road
+		// leg is the distance along a's edge from a to its end v.
+		leg := func(a roadnet.Attach, v roadnet.VertexID) float64 {
+			ed := g.EdgeAt(a.Edge)
+			if v == ed.U {
+				return a.T * ed.Weight
+			}
+			return (1 - a.T) * ed.Weight
+		}
+		for o := range base.POIs {
+			held := make([]bool, base.NumTopics)
+			for _, m := range e0.ballAround(model.POIID(o), p.R, nil) {
+				for _, k := range base.POIs[m].Keywords {
+					held[k] = true
+				}
+			}
+		pairs:
+			for j := range base.POIs {
+				f := -1
+				for _, k := range base.POIs[j].Keywords {
+					if !held[k] {
+						f = k
+					}
+				}
+				if f < 0 {
+					continue
+				}
+				oa, ja := base.POIs[o].At, base.POIs[j].At
+				oe, je := g.EdgeAt(oa.Edge), g.EdgeAt(ja.Edge)
+				for _, a := range []roadnet.VertexID{oe.U, oe.V} {
+					for _, b := range []roadnet.VertexID{je.U, je.V} {
+						// The new edge's path from o to j, an upper bound
+						// on their new road distance.
+						path := leg(oa, a) + g.Vertex(a).Dist(g.Vertex(b)) + leg(ja, b)
+						if a == b || g.HasEdge(a, b) || path > p.R {
+							continue
+						}
+						cases++
+						ds := smallDataset(t, seed)
+						e := buildEngine(t, ds, Options{})
+						if _, err := e.AddRoadEdge(a, b); err != nil {
+							t.Fatal(err)
+						}
+						oracle := &Baseline{DS: ds}
+						for uq := range ds.Users {
+							if ds.Users[uq].Interests[f] == 0 {
+								continue
+							}
+							got, _, err := e.Query(socialnet.UserID(uq), p)
+							if err != nil {
+								t.Fatal(err)
+							}
+							want, _ := oracle.Query(socialnet.UserID(uq), p)
+							if got.Found != want.Found || got.MaxDist != want.MaxDist || got.Anchor != want.Anchor {
+								t.Fatalf("seed %d edge %d-%d (POI %d to %d, topic %d), uq %d: got found=%v cost=%v anchor=%d, Baseline found=%v cost=%v anchor=%d",
+									seed, a, b, o, j, f, uq, got.Found, got.MaxDist, got.Anchor, want.Found, want.MaxDist, want.Anchor)
+							}
+						}
+						break pairs
+					}
+				}
+			}
+		}
+	}
+	if cases == 0 {
+		t.Fatal("no edge brought a new topic into a ball")
+	}
+}

@@ -8,7 +8,7 @@ import "gpssn/internal/topics"
 
 // TopicSet is an exact bitset over the topic vocabulary; see package
 // topics. The alias keeps the paper's terminology (keyword sets such as
-// sup_K) available from the core package.
+// a ball's keyword union) available from the core package.
 type TopicSet = topics.Set
 
 // NewTopicSet returns an empty set over a vocabulary of d topics.

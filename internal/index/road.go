@@ -142,7 +142,7 @@ func (ix *RoadIndex) buildPOIAggregates() {
 		for _, j := range near {
 			atts = append(atts, ds.POIs[j].At)
 		}
-		dists := ds.Road.DistAttachWithinCk(p.At, ix.RMax, atts, nil)
+		dists := ds.Road.DistAttachWithin(p.At, ix.RMax, atts)
 		row := ix.kwDist[i*d : (i+1)*d]
 		for c, j := range near {
 			dist := dists[c]

@@ -1,8 +1,7 @@
 // Package topics provides an exact bitset over the GP-SSN topic/keyword
-// vocabulary [0, d). Index nodes use topic sets for keyword supersets
-// (sup_K of Section 4.1) and refinement for a ball's keyword union; unlike
-// the hashed bit vectors of package bitvec, a Set has no collisions, which
-// an exact matching score requires.
+// vocabulary [0, d). Refinement and the probe use a Set for a ball's
+// keyword union; unlike the paper's hashed bit-vector signatures, a Set
+// has no collisions, which an exact matching score requires.
 package topics
 
 import "fmt"
