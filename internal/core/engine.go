@@ -187,6 +187,13 @@ type Stats struct {
 	// road ball for whose ball u_q does not θ-match: work the matching
 	// bounds of Lemmas 1/6 did not save.
 	AnchorsThetaFailed int
+	// AnchorsReachFailed counts the anchors whose ball u_q θ-matches but
+	// from which u_q cannot reach τ-1 companions: dead at the connectivity
+	// step, before any group is enumerated.
+	AnchorsReachFailed int
+	// MEvaluations counts the companion M(u) evaluations refinement ran
+	// (u_q's own, and the greedy seeding's, excluded).
+	MEvaluations int64
 
 	// Refinement effort: user-POI group pairs actually evaluated, and the
 	// total pair count C(m-1, τ-1)·n of the brute-force space (Fig 7(d)).
@@ -694,9 +701,10 @@ func (s Stats) Summary() string {
 	rnTotal := s.RNIndexPruned + s.RNObjPruned
 	return fmt.Sprintf(
 		"cpu=%v io=%d | users: %d pruned of %d (index %d, object %d) -> %d candidates | "+
-			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d failed θ on their ball | pairs evaluated %d",
+			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d failed θ on their ball, %d failed reach | "+
+			"M(u) evaluations %d | pairs evaluated %d",
 		s.CPUTime, s.PageReads,
 		snTotal, s.SNUsersTotal, s.SNIndexPruned, s.SNObjPruned, s.CandUsers,
 		rnTotal, s.RNPOIsTotal, s.RNIndexPruned, s.RNObjPruned, s.CandAnchors,
-		s.AnchorsThetaFailed, s.PairsEvaluated)
+		s.AnchorsThetaFailed, s.AnchorsReachFailed, s.MEvaluations, s.PairsEvaluated)
 }

@@ -238,7 +238,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	if probe.Found {
 		keeper.add(probe) // feasible: a sound incumbent
 	}
-	var pairs, thetaFailed atomic.Int64
+	var pairs, thetaFailed, reachFailed, mEvals atomic.Int64
 
 	processAnchor := func(ac anchorEntry, ar *refineArena) {
 		ball := e.ballAround(ac.id, p.R, q.ck)
@@ -282,6 +282,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			}
 		}
 		if len(match) < p.Tau-1 || !reachableEnough(ds, uq, match, p.Tau, ar) {
+			reachFailed.Add(1)
 			return
 		}
 		// No incumbent yet (the probe failed): grow one greedy feasible
@@ -303,16 +304,19 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		comps := ar.compsBuf()
 		defer func() { ar.keepComps(comps) }()
 		anchorRD := e.poiRDOf(ac.id)
+		evals := 0
 		for _, u := range match {
 			if e.companionPruned(u, anchorRD, keeper.Bound()) {
 				continue
 			}
+			evals++
 			m := mOf(u)
 			if math.IsInf(m, 1) || math.Max(m, mUq) > keeper.Bound() {
 				continue
 			}
 			comps = append(comps, anchorComp{u: u, m: m})
 		}
+		mEvals.Add(int64(evals))
 		if len(comps) < p.Tau-1 {
 			return
 		}
@@ -321,6 +325,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		// must reach at least τ-1 eligible companions through eligible
 		// users (pairwise-γ can only shrink that set further).
 		if !g.reachable() {
+			reachFailed.Add(1)
 			return
 		}
 
@@ -392,6 +397,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 
 	st.PairsEvaluated = pairs.Load()
 	st.AnchorsThetaFailed = int(thetaFailed.Load())
+	st.AnchorsReachFailed = int(reachFailed.Load())
+	st.MEvaluations = mEvals.Load()
 	st.AnchorDistances = order.resolved
 	items := keeper.rk.items
 	for i := range items {
