@@ -19,10 +19,12 @@ import (
 //   - lbl is the source attachment-label scratch the label kernel merges
 //     from,
 //   - kws is the ball keyword set,
-//   - comps/users back processAnchor's companion bookkeeping,
-//   - seen/queue are the connectivity checks' visited set and queue,
+//   - comps backs processAnchor's companion bookkeeping,
+//   - seen/queue are the companion search's visited and θ-failed sets and
+//     its queue (companions),
 //   - gs is the group search with its ordinals and rows (groups.go),
-//   - anchs is refinement's anchor heap (anchorOrder).
+//   - users/cg are the query's candidates and their friendship graph, and
+//     anchs is refinement's anchor heap (anchorOrder): the query arena's.
 //
 // Arenas are engine-owned (arenaPool) and recycled across queries, so the
 // steady-state per-query cost is a pool pop and push. The arena only
@@ -38,16 +40,19 @@ type refineArena struct {
 	seen  []uint64
 	queue []int32
 	gs    groupSearch
+	cg    candGraph
 	anchs []anchorEntry
 
 	owner    *arenaPool
 	retained int64 // bytes currently held by the slices above
 }
 
-// anchorComp is one eligible companion for an anchor: the user and their
-// evaluated group cost M(u). (Shared by processAnchor and the arena.)
+// anchorComp is one eligible companion for an anchor: the user, their
+// candGraph ordinal and their evaluated group cost M(u). (Shared by
+// processAnchor and the arena.)
 type anchorComp struct {
 	u socialnet.UserID
+	o int32
 	m float64
 }
 
@@ -142,17 +147,8 @@ func (a *refineArena) userBuf(n int) []socialnet.UserID {
 	return a.users
 }
 
-// reachScratch returns a cleared visited bitset over n users and an empty
-// queue that holds all n.
-func (a *refineArena) reachScratch(n int) ([]uint64, []int32) {
-	a.seen = grow(a, a.seen, (n+63)>>6, 8)
-	clear(a.seen)
-	a.queue = grow(a, a.queue, n, 4)
-	return a.seen, a.queue[:0]
-}
-
 // Element sizes for the byte gauge. Attach is (EdgeID int32, T float64)
-// padded to 16; UserID is an int32; anchorComp is (int32 pad + float64);
+// padded to 16; UserID is an int32; anchorComp is (int32, int32, float64);
 // anchorEntry is (float64, int32, bool) padded to 16.
 const (
 	attachSize      = 16

@@ -34,34 +34,11 @@ func sortedUsers(s []socialnet.UserID) []socialnet.UserID {
 	return out
 }
 
-// reachableEnough reports whether at least need-1 of the eligible users
-// are in u_q's connected component of the eligible-induced subgraph.
-// eligible must be in ascending id order and must not contain u_q; the
-// search's visited set and queue come from the arena.
-func reachableEnough(ds *model.Dataset, uq socialnet.UserID, eligible []socialnet.UserID, need int, ar *refineArena) bool {
-	if need <= 1 {
-		return true
-	}
-	seen, q := ar.reachScratch(len(eligible))
-	for h := -1; len(q) < need-1 && h < len(q); h++ {
-		u := uq
-		if h >= 0 {
-			u = eligible[q[h]]
-		}
-		for _, f := range ds.Social.Friends(u) {
-			if i, ok := slices.BinarySearch(eligible, f); ok && seen[i>>6]&(1<<(i&63)) == 0 {
-				seen[i>>6] |= 1 << (i & 63)
-				q = append(q, int32(i))
-			}
-		}
-	}
-	return len(q) >= need-1
-}
-
 // greedyGroup grows one feasible connected τ-group from u_q on the given
 // ball, picking the cheapest eligible friend at each step (the same greedy
 // the probe uses, against an arbitrary anchor). Returns ok=false when no
-// group completes within the evaluation cap.
+// group completes within the evaluation cap. It reads the whole social
+// graph, not a candGraph: the probe runs it before any candidate exists.
 func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, kws TopicSet, mUq float64, mOf func(socialnet.UserID) float64) ([]socialnet.UserID, float64, bool) {
 	ds, ut := e.DS, e.topics
 	cur := []socialnet.UserID{uq}
@@ -115,11 +92,12 @@ func (e *Engine) greedyGroup(uq socialnet.UserID, p Params, ball []model.POIID, 
 // so a set of companions is a bitset of w = ⌈n/64⌉ words and walking its
 // set bits walks the set cheapest first. A companion owns two rows of w
 // words, each filled the first time it is needed: its friends among the
-// companions, and the companions it is γ-compatible with. A search that
-// touches three users pays for three rows.
+// companions (read from the query's candGraph), and the companions it is
+// γ-compatible with. A search that touches three users pays for three
+// rows.
 type groupSearch struct {
 	ar  *refineArena
-	ds  *model.Dataset
+	cg  *candGraph
 	ut  *userTopics
 	p   Params
 	uq  socialnet.UserID
@@ -128,9 +106,10 @@ type groupSearch struct {
 	w   int // words per row
 
 	ids       []socialnet.UserID // ordinal → user
+	cgo       []int32            // ordinal → the user's candGraph ordinal
+	pos       []int32            // candGraph ordinal → ordinal+1, 0 for a non-companion
 	trow      []int32            // ordinal → the user's topic-table row
 	ms        []float64          // ordinal → M(user), ascending
-	byID      []idOrd            // the companions in ascending user id
 	friendRow []int32            // ordinal → offset of its friend row in rows, -1 until filled
 	compatRow []int32            // ordinal → offset of its compatibility row in rows, -1 until filled
 	rows      []uint64           // the filled rows, w words each
@@ -147,61 +126,53 @@ type groupSearch struct {
 	ck               *roadnet.Checkpoint
 }
 
-// idOrd maps a companion's user id to its ordinal.
-type idOrd struct {
-	u   socialnet.UserID
-	ord int32
-}
-
 // groups re-indexes one anchor's companions for the group search and
 // returns the arena's search, valid until the next groups call on the
 // same arena. comps is sorted in place into ordinal order; every
-// companion must have passed the similarity test against u_q and have a
-// finite M(u).
-func (a *refineArena) groups(ds *model.Dataset, ut *userTopics, p Params, uq socialnet.UserID, mUq float64, comps []anchorComp) *groupSearch {
+// companion must be a vertex of cg, have passed the similarity test
+// against u_q and have a finite M(u).
+func (a *refineArena) groups(cg *candGraph, ut *userTopics, p Params, uq socialnet.UserID, mUq float64, comps []anchorComp) *groupSearch {
 	g := &a.gs
+	// pos is only ever set at the previous call's companions: clearing
+	// those (over the whole capacity, which the previous graph may have
+	// used) leaves it all zero.
+	full := g.pos[:cap(g.pos)]
+	for _, o := range g.cgo[:g.n] {
+		full[o] = 0
+	}
 	n := len(comps)
 	w := (n + 63) >> 6
-	g.ar, g.ds, g.ut, g.p, g.uq, g.mUq, g.n, g.w = a, ds, ut, p, uq, mUq, n, w
+	g.ar, g.cg, g.ut, g.p, g.uq, g.mUq, g.n, g.w = a, cg, ut, p, uq, mUq, n, w
 	slices.SortFunc(comps, func(x, y anchorComp) int {
 		return cmp.Or(cmp.Compare(x.m, y.m), cmp.Compare(x.u, y.u))
 	})
 	g.ids = grow(a, g.ids, n, userIDSize)
+	g.cgo = grow(a, g.cgo, n, 4)
+	g.pos = grow(a, g.pos, len(cg.ids), 4)
 	g.trow = grow(a, g.trow, n, 4)
 	g.ms = grow(a, g.ms, n, 8)
-	g.byID = grow(a, g.byID, n, 8)
 	g.friendRow = grow(a, g.friendRow, n, 4)
 	g.compatRow = grow(a, g.compatRow, n, 4)
 	for i, c := range comps {
-		g.ids[i], g.ms[i] = c.u, c.m
+		g.ids[i], g.cgo[i], g.ms[i] = c.u, c.o, c.m
+		g.pos[c.o] = int32(i) + 1
 		g.trow[i] = int32(ut.rowOf(c.u))
-		g.byID[i] = idOrd{u: c.u, ord: int32(i)}
 		g.friendRow[i], g.compatRow[i] = -1, -1
 	}
-	slices.SortFunc(g.byID, func(x, y idOrd) int { return cmp.Compare(x.u, y.u) })
 	g.rows = g.rows[:0]
 	g.uqRow = grow(a, g.uqRow, w, 8)
-	g.friendsInto(uq, g.uqRow)
+	g.friendsInto(cg.uq, g.uqRow)
 	g.levels = grow(a, g.levels, p.Tau*3*w, 8)
 	g.grp = grow(a, g.grp, p.Tau, userIDSize)[:0]
 	g.best = grow(a, g.best, p.Tau, userIDSize)[:0]
 	return g
 }
 
-// ordinal returns u's ordinal, or -1 when u is not a companion.
-func (g *groupSearch) ordinal(u socialnet.UserID) int32 {
-	i, ok := slices.BinarySearchFunc(g.byID, u, func(e idOrd, u socialnet.UserID) int { return cmp.Compare(e.u, u) })
-	if !ok {
-		return -1
-	}
-	return g.byID[i].ord
-}
-
-// friendsInto writes u's friends among the companions into row.
-func (g *groupSearch) friendsInto(u socialnet.UserID, row []uint64) {
+// friendsInto writes the companions among a candGraph row into row.
+func (g *groupSearch) friendsInto(cgRow []int32, row []uint64) {
 	clear(row)
-	for _, f := range g.ds.Social.Friends(u) {
-		if o := g.ordinal(f); o >= 0 {
+	for _, f := range cgRow {
+		if o := g.pos[f] - 1; o >= 0 {
 			row[o>>6] |= 1 << (o & 63)
 		}
 	}
@@ -224,7 +195,7 @@ func (g *groupSearch) newRow() int32 {
 func (g *groupSearch) friends(v int32) int {
 	if g.friendRow[v] < 0 {
 		off := g.newRow()
-		g.friendsInto(g.ids[v], g.rows[off:int(off)+g.w])
+		g.friendsInto(g.cg.friends(g.cgo[v]), g.rows[off:int(off)+g.w])
 		g.friendRow[v] = off
 	}
 	return int(g.friendRow[v])
@@ -252,31 +223,6 @@ func (g *groupSearch) compatible(v int32) int {
 		g.compatRow[v] = off
 	}
 	return int(g.compatRow[v])
-}
-
-// reachable reports whether u_q reaches at least τ-1 companions through
-// companions: the sound precondition before the exponential search
-// (pairwise γ can only shrink that set). A BFS over the friend rows,
-// which the enumeration then reuses.
-func (g *groupSearch) reachable() bool {
-	need := g.p.Tau - 1
-	seen, q := g.ar.reachScratch(g.n)
-	copy(seen, g.uqRow)
-	for k, word := range seen {
-		for ; word != 0; word &= word - 1 {
-			q = append(q, int32(k<<6|bits.TrailingZeros64(word)))
-		}
-	}
-	for h := 0; len(q) < need && h < len(q); h++ {
-		off := g.friends(q[h])
-		for k, f := range g.rows[off : off+g.w] {
-			for nb := f &^ seen[k]; nb != 0; nb &= nb - 1 {
-				q = append(q, int32(k<<6|bits.TrailingZeros64(nb)))
-			}
-			seen[k] |= f
-		}
-	}
-	return len(q) >= need
 }
 
 // level returns the three rows of recursion depth d.

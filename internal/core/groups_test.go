@@ -16,14 +16,29 @@ import (
 // groupCase is one random group-search input: a social graph whose users
 // are u_q, n eligible companions (each γ-compatible with u_q), and users
 // that are not companions but still have friendships, so the search must
-// ignore them.
+// ignore them. The candidates are the companions and about half of the
+// other users: a candidate that is not a companion is a vertex of the
+// candGraph the search reads its friend rows from, and must be ignored
+// there too.
 type groupCase struct {
 	ds    *model.Dataset
 	ut    *userTopics
 	p     Params
 	uq    socialnet.UserID
 	mUq   float64
-	comps []anchorComp
+	cand  []socialnet.UserID // ascending
+	comps []anchorComp       // o unset: ordinals come from graph
+}
+
+// graph builds the case's candGraph in ar and returns it with the
+// companions, ordinals filled in.
+func (c groupCase) graph(ar *refineArena) (*candGraph, []anchorComp) {
+	cg := ar.candGraph(c.ds.Social, c.uq, c.cand)
+	comps := slices.Clone(c.comps)
+	for i := range comps {
+		comps[i].o = cg.ord(comps[i].u)
+	}
+	return cg, comps
 }
 
 // randomGroupCase draws a case with exactly n companions. Costs come from
@@ -50,10 +65,20 @@ func randomGroupCase(rng *rand.Rand, n, tau int, metric InterestMetric, degree f
 	users := []model.User{{ID: 0, Interests: interests()}}
 	var comps []anchorComp
 	for len(comps) < n {
+		if len(users) > 100*(n+1) {
+			// u_q's interests are γ-compatible with almost nobody: redraw.
+			users, comps = []model.User{{ID: 0, Interests: interests()}}, nil
+		}
 		u := socialnet.UserID(len(users))
 		users = append(users, model.User{ID: u, Interests: interests()})
 		if Similarity(metric, users[0].Interests, users[u].Interests) >= p.Gamma {
 			comps = append(comps, anchorComp{u: u, m: float64(rng.Intn(12))})
+		}
+	}
+	var cand []socialnet.UserID
+	for u := socialnet.UserID(1); int(u) < len(users); u++ {
+		if Similarity(metric, users[0].Interests, users[u].Interests) >= p.Gamma || rng.Intn(2) == 0 {
+			cand = append(cand, u)
 		}
 	}
 	g := socialnet.NewGraph(len(users))
@@ -73,6 +98,7 @@ func randomGroupCase(rng *rand.Rand, n, tau int, metric InterestMetric, degree f
 		p:     p,
 		uq:    0,
 		mUq:   float64(rng.Intn(12)),
+		cand:  cand,
 		comps: comps,
 	}
 }
@@ -80,25 +106,11 @@ func randomGroupCase(rng *rand.Rand, n, tau int, metric InterestMetric, degree f
 // bruteGroups exhaustively lists the connected τ-subsets of u_q plus the
 // companions that contain u_q and are pairwise γ-compatible, and returns
 // the cheapest one's cost and the lexicographically smallest sorted group
-// at that cost (nil when there is none). It also reports how many
-// companions u_q reaches through companions.
-func bruteGroups(c groupCase) (best []socialnet.UserID, cost float64, reach int) {
+// at that cost (nil when there is none).
+func bruteGroups(c groupCase) (best []socialnet.UserID, cost float64) {
 	m := map[socialnet.UserID]float64{c.uq: c.mUq}
 	for _, cp := range c.comps {
 		m[cp.u] = cp.m
-	}
-	seen := map[socialnet.UserID]bool{c.uq: true}
-	stack := []socialnet.UserID{c.uq}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, f := range c.ds.Social.Friends(u) {
-			if _, ok := m[f]; ok && !seen[f] {
-				seen[f] = true
-				reach++
-				stack = append(stack, f)
-			}
-		}
 	}
 
 	compatible := func(a, b socialnet.UserID) bool {
@@ -139,11 +151,11 @@ func bruteGroups(c groupCase) (best []socialnet.UserID, cost float64, reach int)
 			best, cost = s, sc
 		}
 	}
-	return best, cost, reach
+	return best, cost
 }
 
-// TestGroupSearchMatchesBruteForce checks the bitset group search, and
-// both connectivity preconditions, against exhaustive enumeration across word boundaries (n on both sides of 64 and
+// TestGroupSearchMatchesBruteForce checks the bitset group search against
+// exhaustive enumeration across word boundaries (n on both sides of 64 and
 // 128), τ 2..6, all three metrics and duplicated costs, at three bounds:
 // +Inf and exactly the optimum must return the optimum and its lex-min
 // group, the next float below the optimum must return nothing. One arena
@@ -162,22 +174,12 @@ func TestGroupSearchMatchesBruteForce(t *testing.T) {
 						degree = 5
 					}
 					c := randomGroupCase(rng, n, tau, metric, degree)
-					wantS, wantCost, reach := bruteGroups(c)
+					wantS, wantCost := bruteGroups(c)
 					name := fmt.Sprintf("n=%d τ=%d %s rep %d", n, tau, metric, rep)
 					cases++
 
-					ids := make([]socialnet.UserID, n)
-					for i, cp := range c.comps {
-						ids[i] = cp.u
-					}
-					slices.Sort(ids)
-					if got := reachableEnough(c.ds, c.uq, ids, tau, ar); got != (reach >= tau-1) {
-						t.Fatalf("%s: reachableEnough = %v, u_q reaches %d companions", name, got, reach)
-					}
-					g := ar.groups(c.ds, c.ut, c.p, c.uq, c.mUq, slices.Clone(c.comps))
-					if got := g.reachable(); got != (reach >= tau-1) {
-						t.Fatalf("%s: reachable = %v, u_q reaches %d companions", name, got, reach)
-					}
+					cg, comps := c.graph(ar)
+					g := ar.groups(cg, c.ut, c.p, c.uq, c.mUq, comps)
 					if wantS == nil {
 						if s, cost := g.enumerateGroups(math.Inf(1), &pairs, nil); s != nil {
 							t.Fatalf("%s: found %v at %v, brute force finds no group", name, s, cost)
@@ -191,7 +193,7 @@ func TestGroupSearchMatchesBruteForce(t *testing.T) {
 							t.Fatalf("%s bound %v: got %v at %v, want %v at %v", name, bound, s, cost, wantS, wantCost)
 						}
 					}
-					below := math.Nextafter(wantCost, 0)
+					below := math.Nextafter(wantCost, math.Inf(-1))
 					if s, cost := g.enumerateGroups(below, &pairs, nil); s != nil {
 						t.Fatalf("%s bound %v: got %v at %v, want nothing below the optimum %v", name, below, s, cost, wantCost)
 					}
@@ -206,25 +208,21 @@ func TestGroupSearchMatchesBruteForce(t *testing.T) {
 }
 
 // TestGroupSearchWarmArenaAllocs pins the group search's allocation
-// contract: on a reused arena, re-indexing the companions, the
-// connectivity check and the enumeration allocate nothing but the group
-// returned.
+// contract: on a reused arena, re-indexing the companions and the
+// enumeration allocate nothing but the group returned.
 func TestGroupSearchWarmArenaAllocs(t *testing.T) {
 	if raceBuild() {
 		t.Skip("the race detector's instrumentation allocates on its own, so absolute counts are meaningless")
 	}
 	c := randomGroupCase(rand.New(rand.NewSource(5)), 129, 5, MetricDotProduct, 4)
-	if s, _, _ := bruteGroups(c); s == nil {
+	if s, _ := bruteGroups(c); s == nil {
 		t.Fatal("case has no feasible group")
 	}
 	ar := &refineArena{owner: &arenaPool{}}
 	var pairs atomic.Int64
-	comps := slices.Clone(c.comps)
+	cg, comps := c.graph(ar)
 	run := func() {
-		g := ar.groups(c.ds, c.ut, c.p, c.uq, c.mUq, comps)
-		if !g.reachable() {
-			t.Fatal("unreachable")
-		}
+		g := ar.groups(cg, c.ut, c.p, c.uq, c.mUq, comps)
 		if s, _ := g.enumerateGroups(math.Inf(1), &pairs, nil); s == nil {
 			t.Fatal("no group")
 		}
@@ -236,8 +234,9 @@ func TestGroupSearchWarmArenaAllocs(t *testing.T) {
 }
 
 // BenchmarkGroupSearch times the group search alone on a generated
-// dataset: the companions are the issuer's γ-compatible users within τ-1
-// hops, and every user, the issuer included, costs its straight-line
+// dataset: the candidates, and the companions, are the issuer's
+// γ-compatible users within τ-1 hops, reached through such users, and
+// every user, the issuer included, costs its straight-line
 // distance to one POI. The issuer is far from it, so many groups tie at
 // the issuer's cost and the search must enumerate them all to find the
 // lexicographically smallest (the τ=7 case scores 2.3M groups).
@@ -255,23 +254,26 @@ func BenchmarkGroupSearch(b *testing.B) {
 	for _, tau := range []int{4, 5, 7} {
 		p := Params{Gamma: 0.3, Tau: tau, Theta: 0, R: 1, Metric: MetricDotProduct}
 		hops := ds.Social.BFSHopsBounded(uq, int32(tau-1))
-		var comps []anchorComp
+		var cand []socialnet.UserID
 		for u := range ds.Users {
 			v := socialnet.UserID(u)
-			if v == uq || hops[v] == socialnet.Unreachable ||
-				Similarity(p.Metric, ds.Users[uq].Interests, ds.Users[v].Interests) < p.Gamma {
-				continue
+			if v != uq && hops[v] != socialnet.Unreachable &&
+				Similarity(p.Metric, ds.Users[uq].Interests, ds.Users[v].Interests) >= p.Gamma {
+				cand = append(cand, v)
 			}
-			comps = append(comps, anchorComp{u: v, m: anchor.Dist(ds.Users[v].Loc)})
+		}
+		ar := &refineArena{owner: &arenaPool{}}
+		cg := ar.candGraph(ds.Social, uq, cand)
+		var comps []anchorComp
+		for _, o := range ar.companions(cg, ut, p, NewTopicSet(ds.NumTopics)) {
+			v := cg.ids[o]
+			comps = append(comps, anchorComp{u: v, o: o, m: anchor.Dist(ds.Users[v].Loc)})
 		}
 		b.Run(fmt.Sprintf("tau=%d/n=%d", tau, len(comps)), func(b *testing.B) {
-			ar := &refineArena{owner: &arenaPool{}}
 			var pairs atomic.Int64
 			for i := 0; i < b.N; i++ {
-				g := ar.groups(ds, ut, p, uq, anchor.Dist(ds.Users[uq].Loc), comps)
-				if g.reachable() {
-					g.enumerateGroups(math.Inf(1), &pairs, nil)
-				}
+				g := ar.groups(cg, ut, p, uq, anchor.Dist(ds.Users[uq].Loc), comps)
+				g.enumerateGroups(math.Inf(1), &pairs, nil)
 			}
 			b.ReportMetric(float64(pairs.Load())/float64(b.N), "groups/op")
 		})

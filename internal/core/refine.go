@@ -208,9 +208,13 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 
 	// Exact user filtering (line 29): hop distance within τ-1 of u_q. The
 	// exact interest test (similarity >= γ) already ran on every candidate
-	// in the traversal — interestPrunable is that very predicate.
+	// in the traversal — interestPrunable is that very predicate. qar holds
+	// the candidates, their friendship graph, u_q's label and the anchor
+	// heap for the whole query.
+	qar := e.acquireArena()
+	defer e.releaseArena(qar)
 	hops := ds.Social.BFSHopsBounded(uq, int32(p.Tau-1))
-	var cand []socialnet.UserID
+	cand := qar.userBuf(len(tr.candUsers))[:0]
 	for _, u := range tr.candUsers {
 		if hops[u] == socialnet.Unreachable {
 			st.SNObjPruned++
@@ -219,19 +223,15 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		}
 		cand = append(cand, u)
 	}
-	// Ascending ids: reachableEnough binary-searches each anchor's matching
-	// subset of cand.
 	slices.Sort(cand)
+	cg := qar.candGraph(ds.Social, uq, cand)
 	st.CandUsers = len(cand)
 	st.CandAnchors = len(tr.candAnchors)
 
 	// Anchors are processed in ascending exact distance from u_q so the
 	// search can stop as soon as the next anchor's distance exceeds the
 	// incumbent; the order resolves that distance only for anchors that
-	// reach its front (anchorOrder). qar holds u_q's label and the heap for
-	// the whole query.
-	qar := e.acquireArena()
-	defer e.releaseArena(qar)
+	// reach its front (anchorOrder).
 	order := e.newAnchorOrder(uq, tr, q.ck, qar)
 
 	keeper := newSharedKeeper(k)
@@ -269,19 +269,12 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			return
 		}
 
-		// Sound necessary conditions before any companion distance work:
-		// every member of a feasible group θ-matches the ball and reaches
-		// u_q through other members, so without τ-1 θ-matching candidates
-		// reachable that way the anchor is dead. Checking this first costs
-		// a dead anchor no evaluation at all — while no incumbent exists
-		// each one is an unbounded search.
-		match := ar.userBuf(len(cand))[:0]
-		for _, u := range cand {
-			if ut.user(u).match(kws) >= p.Theta {
-				match = append(match, u)
-			}
-		}
-		if len(match) < p.Tau-1 || !reachableEnough(ds, uq, match, p.Tau, ar) {
+		// The users a feasible group on this ball may hold besides u_q
+		// (companions). Without τ-1 of them the anchor is dead, which costs
+		// it no evaluation at all — while no incumbent exists each one is
+		// an unbounded search.
+		reach := ar.companions(cg, ut, p, kws)
+		if len(reach) < p.Tau-1 {
 			reachFailed.Add(1)
 			return
 		}
@@ -298,14 +291,15 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			}
 		}
 
-		// Eligible companions for this anchor: θ-match the ball and have a
-		// useful group cost. match is in ascending id order (cand is), and
-		// so is comps until the group search re-indexes it.
+		// Eligible companions for this anchor: those with a useful group
+		// cost. reach is in ascending ordinal (so id) order, and so is
+		// comps until the group search re-indexes it.
 		comps := ar.compsBuf()
 		defer func() { ar.keepComps(comps) }()
 		anchorRD := e.poiRDOf(ac.id)
 		evals := 0
-		for _, u := range match {
+		for _, o := range reach {
+			u := cg.ids[o]
 			if e.companionPruned(u, anchorRD, keeper.Bound()) {
 				continue
 			}
@@ -314,21 +308,13 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			if math.IsInf(m, 1) || math.Max(m, mUq) > keeper.Bound() {
 				continue
 			}
-			comps = append(comps, anchorComp{u: u, m: m})
+			comps = append(comps, anchorComp{u: u, o: o, m: m})
 		}
 		mEvals.Add(int64(evals))
 		if len(comps) < p.Tau-1 {
 			return
 		}
-		g := ar.groups(ds, ut, p, uq, mUq, comps)
-		// Sound necessary condition before the exponential search: u_q
-		// must reach at least τ-1 eligible companions through eligible
-		// users (pairwise-γ can only shrink that set further).
-		if !g.reachable() {
-			reachFailed.Add(1)
-			return
-		}
-
+		g := ar.groups(cg, ut, p, uq, mUq, comps)
 		if S, cost := g.enumerateGroups(keeper.Bound(), &pairs, q.ck); S != nil {
 			keeper.add(Result{Found: true, S: S, R: ball, Anchor: ac.id, MaxDist: cost})
 		}
