@@ -38,21 +38,20 @@ func runExperiment(b *testing.B, name string) {
 	}
 }
 
-func BenchmarkTable2Stats(b *testing.B)          { runExperiment(b, "table2") }
-func BenchmarkFig7a(b *testing.B)                { runExperiment(b, "fig7a") }
-func BenchmarkFig7b(b *testing.B)                { runExperiment(b, "fig7b") }
-func BenchmarkFig7c(b *testing.B)                { runExperiment(b, "fig7c") }
-func BenchmarkFig7d(b *testing.B)                { runExperiment(b, "fig7d") }
-func BenchmarkFig8(b *testing.B)                 { runExperiment(b, "fig8") }
-func BenchmarkFig9(b *testing.B)                 { runExperiment(b, "fig9") }
-func BenchmarkFig10(b *testing.B)                { runExperiment(b, "fig10") }
-func BenchmarkFig11(b *testing.B)                { runExperiment(b, "fig11") }
-func BenchmarkAppPGamma(b *testing.B)            { runExperiment(b, "appP-gamma") }
-func BenchmarkAppPTheta(b *testing.B)            { runExperiment(b, "appP-theta") }
-func BenchmarkAppPR(b *testing.B)                { runExperiment(b, "appP-r") }
-func BenchmarkAppPPivots(b *testing.B)           { runExperiment(b, "appP-pivots") }
-func BenchmarkAppPVs(b *testing.B)               { runExperiment(b, "appP-vs") }
-func BenchmarkAblationRandomPivots(b *testing.B) { runExperiment(b, "ablation-pivots") }
+func BenchmarkTable2Stats(b *testing.B) { runExperiment(b, "table2") }
+func BenchmarkFig7a(b *testing.B)       { runExperiment(b, "fig7a") }
+func BenchmarkFig7b(b *testing.B)       { runExperiment(b, "fig7b") }
+func BenchmarkFig7c(b *testing.B)       { runExperiment(b, "fig7c") }
+func BenchmarkFig7d(b *testing.B)       { runExperiment(b, "fig7d") }
+func BenchmarkFig8(b *testing.B)        { runExperiment(b, "fig8") }
+func BenchmarkFig9(b *testing.B)        { runExperiment(b, "fig9") }
+func BenchmarkFig10(b *testing.B)       { runExperiment(b, "fig10") }
+func BenchmarkFig11(b *testing.B)       { runExperiment(b, "fig11") }
+func BenchmarkAppPGamma(b *testing.B)   { runExperiment(b, "appP-gamma") }
+func BenchmarkAppPTheta(b *testing.B)   { runExperiment(b, "appP-theta") }
+func BenchmarkAppPR(b *testing.B)       { runExperiment(b, "appP-r") }
+func BenchmarkAppPPivots(b *testing.B)  { runExperiment(b, "appP-pivots") }
+func BenchmarkAppPVs(b *testing.B)      { runExperiment(b, "appP-vs") }
 func BenchmarkAblationNoIndexPruning(b *testing.B) {
 	runExperiment(b, "ablation-indexpruning")
 }

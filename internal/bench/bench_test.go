@@ -134,7 +134,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 		"table2", "fig7a", "fig7b", "fig7c", "fig7d", "fig8",
 		"fig9", "fig10", "fig11",
 		"appP-gamma", "appP-theta", "appP-r", "appP-pivots", "appP-vs",
-		"ablation-pivots", "ablation-indexpruning", "ablation-distance",
+		"ablation-indexpruning", "ablation-distance",
 		"ablation-oracle",
 		"ext-metrics", "ext-topk",
 	}
@@ -224,9 +224,9 @@ func TestRunAblations(t *testing.T) {
 	if testing.Short() {
 		t.Skip("ablations build several environments")
 	}
-	// ablation-pivots and ablation-oracle are build-time options: they go
-	// through the product's constructor, not just the engine switches.
-	for _, name := range []string{"ablation-indexpruning", "ablation-pivots", "ablation-oracle"} {
+	// ablation-oracle is a build-time option: it goes through the
+	// product's constructor, not just the engine switches.
+	for _, name := range []string{"ablation-indexpruning", "ablation-oracle"} {
 		exp, _ := Find(name)
 		var buf bytes.Buffer
 		if err := exp.Run(&buf, tinyCfg()); err != nil {

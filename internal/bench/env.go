@@ -65,8 +65,7 @@ type EnvSpec struct {
 	RoadVertices, Users, POIs int
 
 	// Index parameters.
-	RoadPivots, SocialPivots int  // default 5 (Table 3)
-	CostModelPivots          bool // Algorithm 1 vs random pivots
+	RoadPivots, SocialPivots int // default 5 (Table 3)
 	RMin, RMax               float64
 
 	// Engine options.
@@ -166,7 +165,6 @@ func buildEnv(spec EnvSpec) (*Env, error) {
 	engine, err := build.Engine(ds, build.Options{
 		RoadPivots: spec.RoadPivots, SocialPivots: spec.SocialPivots,
 		RMin: spec.RMin, RMax: spec.RMax, Seed: spec.Seed,
-		CostModelPivots:        spec.CostModelPivots,
 		DisableIndexPruning:    spec.DisableIndexPruning,
 		DisableDistancePruning: spec.DisableDistancePruning,
 	})

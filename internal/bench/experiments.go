@@ -75,7 +75,6 @@ func Experiments() []Experiment {
 		{"appP-r", "Appendix P: effect of the radius r", runAppPR},
 		{"appP-pivots", "Appendix P: effect of the number of pivots", runAppPPivots},
 		{"appP-vs", "Appendix P: effect of |V(G_s)|", runAppPVs},
-		{"ablation-pivots", "Ablation: cost-model pivot selection vs random", runAblationPivots},
 		{"ablation-indexpruning", "Ablation: index-level pruning on vs off", runAblationIndexPruning},
 		{"ablation-distance", "Ablation: pivot distance pruning on vs off", runAblationDistance},
 		{"ablation-oracle", "Ablation: hub-label distance oracle vs plain Dijkstra", runAblationOracle},
@@ -438,15 +437,6 @@ func compare(w io.Writer, cfg RunConfig, label string, mk func(kind DatasetKind,
 		}
 	}
 	return nil
-}
-
-func runAblationPivots(w io.Writer, cfg RunConfig) error {
-	fmt.Fprintf(w, "# Ablation: random pivots (baseline) vs Algorithm 1 cost-model pivots (variant)\n")
-	return compare(w, cfg, "pivot-selection", func(k DatasetKind, variant bool) EnvSpec {
-		spec := specFor(k, cfg.withDefaults())
-		spec.CostModelPivots = variant
-		return spec
-	})
 }
 
 func runAblationIndexPruning(w io.Writer, cfg RunConfig) error {

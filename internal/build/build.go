@@ -96,13 +96,8 @@ type Options struct {
 	// Parallelism is core.Options.Parallelism.
 	Parallelism int
 
-	// Ablations; only the figure harness sets them.
-	//
-	// CostModelPivots selects pivots with Algorithm 1's local search
-	// (pivot package defaults) instead of uniformly at random.
-	CostModelPivots bool
 	// DisableIndexPruning and DisableDistancePruning are the core.Options
-	// switches of the same names.
+	// switches of the same names, ablations only the figure harness sets.
 	DisableIndexPruning, DisableDistancePruning bool
 }
 
@@ -113,10 +108,6 @@ type Options struct {
 func Engine(ds *model.Dataset, o Options) (*core.Engine, error) {
 	roadPivots := pivot.RandomRoad(ds.Road, o.RoadPivots, o.Seed+1)
 	socialPivots := pivot.RandomSocial(ds.Social, o.SocialPivots, o.Seed+2)
-	if o.CostModelPivots {
-		roadPivots = pivot.SelectRoad(ds.Road, attachObjects(ds), o.RoadPivots, pivot.Options{Seed: o.Seed + 1})
-		socialPivots = pivot.SelectSocial(ds.Social, o.SocialPivots, pivot.Options{Seed: o.Seed + 2})
-	}
 	road, err := index.BuildRoad(ds, index.RoadConfig{
 		Pivots: roadPivots, RMin: o.RMin, RMax: o.RMax,
 		MaxEntries: o.MaxEntries, PageSize: o.PageSize, PoolPages: o.PoolPages,
@@ -137,17 +128,4 @@ func Engine(ds *model.Dataset, o Options) (*core.Engine, error) {
 		DisableDistancePruning: o.DisableDistancePruning,
 		Parallelism:            o.Parallelism,
 	}), nil
-}
-
-// attachObjects lists every POI and user attachment, the object population
-// the road pivot cost model optimizes over.
-func attachObjects(ds *model.Dataset) []roadnet.Attach {
-	out := make([]roadnet.Attach, 0, len(ds.POIs)+len(ds.Users))
-	for i := range ds.POIs {
-		out = append(out, ds.POIs[i].At)
-	}
-	for i := range ds.Users {
-		out = append(out, ds.Users[i].At)
-	}
-	return out
 }

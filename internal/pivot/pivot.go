@@ -1,167 +1,18 @@
-// Package pivot implements Algorithm 1 of the paper: pivot selection for
-// road networks and social networks by random-restart local search. The
-// cost model (the paper's Cost_RN / Cost_SN, Eqs. 20-21 in the supplemental
-// material) scores a pivot set by the tightness of the triangle-inequality
-// distance lower bounds it induces over a sample of object pairs — the
-// tighter (larger) the lower bounds, the more pruning power the pivots buy.
-// Each iteration swaps one pivot with a random non-pivot and keeps the swap
-// when the cost improves; several random restarts avoid local optima.
+// Package pivot selects the road-network and social-network pivots the
+// triangle-inequality lower bounds of Lemmas 4/5/7/9 are measured from:
+// uniformly random distinct vertices and users. The paper's Algorithm 1
+// (a random-restart local search over a pivot cost model) was measured
+// against these at paper scale and not applied (docs/ALGORITHMS.md).
 package pivot
 
 import (
-	"math"
 	"math/rand"
 
 	"gpssn/internal/roadnet"
 	"gpssn/internal/socialnet"
 )
 
-// Options tune the local search. Zero values get defaults matching the
-// paper's small swap/restart budgets.
-type Options struct {
-	// GlobalIter is the number of random restarts (default 3).
-	GlobalIter int
-	// SwapIter is the number of swap attempts per restart (default 20).
-	SwapIter int
-	// SamplePairs is the number of object pairs the cost model evaluates
-	// (default 200).
-	SamplePairs int
-	// Seed makes selection deterministic.
-	Seed int64
-}
-
-func (o Options) withDefaults() Options {
-	if o.GlobalIter == 0 {
-		o.GlobalIter = 3
-	}
-	if o.SwapIter == 0 {
-		o.SwapIter = 20
-	}
-	if o.SamplePairs == 0 {
-		o.SamplePairs = 200
-	}
-	return o
-}
-
-// SelectRoad chooses h road-network pivot vertices for the given attachment
-// objects (POIs and user homes) using Algorithm 1 with the Cost_RN model:
-// maximize the mean pivot lower bound over sampled object pairs.
-func SelectRoad(g *roadnet.Graph, objs []roadnet.Attach, h int, opt Options) []roadnet.VertexID {
-	o := opt.withDefaults()
-	if h <= 0 {
-		panic("pivot: need at least one road pivot")
-	}
-	nv := g.NumVertices()
-	if h > nv {
-		h = nv
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
-
-	// Sample object pairs once; all candidate pivot sets are scored on the
-	// same sample so costs are comparable.
-	pairs := samplePairs(rng, len(objs), o.SamplePairs)
-
-	// Dijkstra rows are the expensive part: cache one row per candidate
-	// pivot vertex across the whole search.
-	rows := map[roadnet.VertexID][]float64{}
-	row := func(v roadnet.VertexID) []float64 {
-		r, ok := rows[v]
-		if !ok {
-			r = g.Dijkstra(v)
-			rows[v] = r
-		}
-		return r
-	}
-	// objDist[v][i] would be too big; compute per-pivot object distances
-	// lazily from the vertex row.
-	objDistCache := map[roadnet.VertexID][]float64{}
-	objDist := func(v roadnet.VertexID) []float64 {
-		d, ok := objDistCache[v]
-		if !ok {
-			r := row(v)
-			d = make([]float64, len(objs))
-			for i, a := range objs {
-				d[i] = g.DistToVertexVia(a, r)
-			}
-			objDistCache[v] = d
-		}
-		return d
-	}
-	cost := func(pivots []roadnet.VertexID) float64 {
-		// Negative mean lower bound: smaller is better.
-		sum := 0.0
-		for _, pr := range pairs {
-			lb := 0.0
-			for _, pv := range pivots {
-				d := objDist(pv)
-				if v := math.Abs(d[pr[0]] - d[pr[1]]); v > lb {
-					lb = v
-				}
-			}
-			sum += lb
-		}
-		return -sum
-	}
-	randomVertex := func() roadnet.VertexID { return roadnet.VertexID(rng.Intn(nv)) }
-	best := localSearch(rng, h, o, cost, func() int { return int(randomVertex()) })
-	out := make([]roadnet.VertexID, len(best))
-	for i, v := range best {
-		out[i] = roadnet.VertexID(v)
-	}
-	return out
-}
-
-// SelectSocial chooses l social-network pivot users using Algorithm 1 with
-// the Cost_SN model: maximize the mean hop lower bound over sampled user
-// pairs (pairs proven unreachable count as maximally informative).
-func SelectSocial(g *socialnet.Graph, l int, opt Options) []socialnet.UserID {
-	o := opt.withDefaults()
-	if l <= 0 {
-		panic("pivot: need at least one social pivot")
-	}
-	n := g.NumUsers()
-	if l > n {
-		l = n
-	}
-	rng := rand.New(rand.NewSource(o.Seed))
-	pairs := samplePairs(rng, n, o.SamplePairs)
-
-	rows := map[socialnet.UserID][]int32{}
-	row := func(u socialnet.UserID) []int32 {
-		r, ok := rows[u]
-		if !ok {
-			r = g.BFSHops(u)
-			rows[u] = r
-		}
-		return r
-	}
-	cost := func(pivots []socialnet.UserID) float64 {
-		sum := 0.0
-		for _, pr := range pairs {
-			lb := 0.0
-			for _, pv := range pivots {
-				h := row(pv)
-				a, b := h[pr[0]], h[pr[1]]
-				switch {
-				case a == socialnet.Unreachable && b == socialnet.Unreachable:
-					// no information
-				case a == socialnet.Unreachable || b == socialnet.Unreachable:
-					lb = math.Max(lb, float64(n)) // proves disconnection
-				default:
-					lb = math.Max(lb, math.Abs(float64(a-b)))
-				}
-			}
-			sum += lb
-		}
-		return -sum
-	}
-	castCost := func(p []socialnet.UserID) float64 { return cost(p) }
-	best := localSearchSocial(rng, l, o, castCost, n)
-	return best
-}
-
-// RandomRoad returns h uniformly random distinct road vertices (the
-// ablation baseline for SelectRoad).
+// RandomRoad returns h uniformly random distinct road vertices.
 func RandomRoad(g *roadnet.Graph, h int, seed int64) []roadnet.VertexID {
 	rng := rand.New(rand.NewSource(seed))
 	nv := g.NumVertices()
@@ -187,126 +38,4 @@ func RandomSocial(g *socialnet.Graph, l int, seed int64) []socialnet.UserID {
 		out = append(out, socialnet.UserID(i))
 	}
 	return out
-}
-
-// samplePairs draws pair indexes over [0, n).
-func samplePairs(rng *rand.Rand, n, count int) [][2]int {
-	if n < 2 {
-		return nil
-	}
-	pairs := make([][2]int, 0, count)
-	for i := 0; i < count; i++ {
-		a, b := rng.Intn(n), rng.Intn(n)
-		if a == b {
-			b = (b + 1) % n
-		}
-		pairs = append(pairs, [2]int{a, b})
-	}
-	return pairs
-}
-
-// localSearch is Algorithm 1 over integer-identified candidates.
-func localSearch(rng *rand.Rand, k int, o Options, cost func([]roadnet.VertexID) float64, randomCand func() int) []int {
-	globalCost := math.Inf(1)
-	var globalBest []int
-	for gi := 0; gi < o.GlobalIter; gi++ {
-		cur := distinctInts(rng, k, randomCand)
-		curPivots := toVertexIDs(cur)
-		localCost := cost(curPivots)
-		for si := 0; si < o.SwapIter; si++ {
-			pos := rng.Intn(k)
-			cand := randomCand()
-			if containsInt(cur, cand) {
-				continue
-			}
-			old := cur[pos]
-			cur[pos] = cand
-			if newCost := cost(toVertexIDs(cur)); newCost < localCost {
-				localCost = newCost
-			} else {
-				cur[pos] = old
-			}
-		}
-		if localCost < globalCost {
-			globalCost = localCost
-			globalBest = append([]int(nil), cur...)
-		}
-	}
-	return globalBest
-}
-
-// localSearchSocial mirrors localSearch for social user ids.
-func localSearchSocial(rng *rand.Rand, k int, o Options, cost func([]socialnet.UserID) float64, n int) []socialnet.UserID {
-	globalCost := math.Inf(1)
-	var globalBest []socialnet.UserID
-	for gi := 0; gi < o.GlobalIter; gi++ {
-		cur := toUserIDs(distinctInts(rng, k, func() int { return rng.Intn(n) }))
-		localCost := cost(cur)
-		for si := 0; si < o.SwapIter; si++ {
-			pos := rng.Intn(k)
-			cand := socialnet.UserID(rng.Intn(n))
-			if containsUser(cur, cand) {
-				continue
-			}
-			old := cur[pos]
-			cur[pos] = cand
-			if newCost := cost(cur); newCost < localCost {
-				localCost = newCost
-			} else {
-				cur[pos] = old
-			}
-		}
-		if localCost < globalCost {
-			globalCost = localCost
-			globalBest = append([]socialnet.UserID(nil), cur...)
-		}
-	}
-	return globalBest
-}
-
-func distinctInts(rng *rand.Rand, k int, draw func() int) []int {
-	seen := map[int]bool{}
-	var out []int
-	for len(out) < k {
-		v := draw()
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
-func toVertexIDs(in []int) []roadnet.VertexID {
-	out := make([]roadnet.VertexID, len(in))
-	for i, v := range in {
-		out[i] = roadnet.VertexID(v)
-	}
-	return out
-}
-
-func toUserIDs(in []int) []socialnet.UserID {
-	out := make([]socialnet.UserID, len(in))
-	for i, v := range in {
-		out[i] = socialnet.UserID(v)
-	}
-	return out
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
-func containsUser(s []socialnet.UserID, v socialnet.UserID) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -1,8 +1,6 @@
 package pivot
 
 import (
-	"math"
-	"math/rand"
 	"testing"
 
 	"gpssn/internal/geo"
@@ -31,142 +29,12 @@ func gridRoad(n int) *roadnet.Graph {
 	return g
 }
 
-func randAttaches(g *roadnet.Graph, n int, seed int64) []roadnet.Attach {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]roadnet.Attach, n)
-	for i := range out {
-		out[i] = g.AttachAt(roadnet.EdgeID(rng.Intn(g.NumEdges())), rng.Float64())
-	}
-	return out
-}
-
-func TestSelectRoadBasics(t *testing.T) {
-	g := gridRoad(8)
-	objs := randAttaches(g, 60, 1)
-	pivots := SelectRoad(g, objs, 3, Options{Seed: 1})
-	if len(pivots) != 3 {
-		t.Fatalf("got %d pivots, want 3", len(pivots))
-	}
-	seen := map[roadnet.VertexID]bool{}
-	for _, p := range pivots {
-		if p < 0 || int(p) >= g.NumVertices() {
-			t.Fatalf("pivot %d out of range", p)
-		}
-		if seen[p] {
-			t.Fatalf("duplicate pivot %d", p)
-		}
-		seen[p] = true
-	}
-}
-
-func TestSelectRoadDeterministic(t *testing.T) {
-	g := gridRoad(6)
-	objs := randAttaches(g, 40, 2)
-	a := SelectRoad(g, objs, 3, Options{Seed: 5})
-	b := SelectRoad(g, objs, 3, Options{Seed: 5})
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("selection not deterministic: %v vs %v", a, b)
-		}
-	}
-}
-
-func TestSelectRoadClampsH(t *testing.T) {
-	g := gridRoad(2) // 4 vertices
-	objs := randAttaches(g, 10, 3)
-	pivots := SelectRoad(g, objs, 10, Options{Seed: 1})
-	if len(pivots) != 4 {
-		t.Fatalf("got %d pivots, want clamp to 4", len(pivots))
-	}
-}
-
-func TestSelectRoadPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("h=0 should panic")
-		}
-	}()
-	SelectRoad(gridRoad(2), nil, 0, Options{})
-}
-
-// The cost model should beat random pivots on average: the mean pivot
-// lower bound over sampled pairs should be at least as tight.
-func TestSelectRoadBeatsRandomOnAverage(t *testing.T) {
-	g := gridRoad(10)
-	objs := randAttaches(g, 80, 4)
-	meanLB := func(pivots []roadnet.VertexID) float64 {
-		pt := roadnet.BuildPivotTable(g, pivots)
-		vecs := make([][]float64, len(objs))
-		for i, a := range objs {
-			vecs[i] = pt.AttachDistAll(g, a)
-		}
-		rng := rand.New(rand.NewSource(9))
-		sum := 0.0
-		const trials = 300
-		for i := 0; i < trials; i++ {
-			a, b := rng.Intn(len(objs)), rng.Intn(len(objs))
-			sum += roadnet.LowerBound(vecs[a], vecs[b])
-		}
-		return sum / trials
-	}
-	selected := meanLB(SelectRoad(g, objs, 4, Options{Seed: 10}))
-	randomAvg := 0.0
-	const R = 5
-	for s := int64(0); s < R; s++ {
-		randomAvg += meanLB(RandomRoad(g, 4, 100+s))
-	}
-	randomAvg /= R
-	if selected < randomAvg*0.9 {
-		t.Errorf("cost-model pivots (lb %.3f) clearly worse than random (lb %.3f)", selected, randomAvg)
-	}
-}
-
 func socialPath(n int) *socialnet.Graph {
 	g := socialnet.NewGraph(n)
 	for i := 0; i+1 < n; i++ {
 		g.AddFriendship(socialnet.UserID(i), socialnet.UserID(i+1))
 	}
 	return g
-}
-
-func TestSelectSocialBasics(t *testing.T) {
-	g := socialPath(50)
-	pivots := SelectSocial(g, 3, Options{Seed: 1})
-	if len(pivots) != 3 {
-		t.Fatalf("got %d pivots", len(pivots))
-	}
-	seen := map[socialnet.UserID]bool{}
-	for _, p := range pivots {
-		if seen[p] {
-			t.Fatalf("duplicate pivot %d", p)
-		}
-		seen[p] = true
-	}
-}
-
-func TestSelectSocialDeterministic(t *testing.T) {
-	g := socialPath(40)
-	a := SelectSocial(g, 2, Options{Seed: 3})
-	b := SelectSocial(g, 2, Options{Seed: 3})
-	if a[0] != b[0] || a[1] != b[1] {
-		t.Errorf("not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestSelectSocialClamp(t *testing.T) {
-	g := socialPath(3)
-	if got := SelectSocial(g, 9, Options{Seed: 1}); len(got) != 3 {
-		t.Errorf("clamp failed: %v", got)
-	}
-}
-
-func TestSelectSocialPanicsOnZero(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("l=0 should panic")
-		}
-	}()
-	SelectSocial(socialPath(3), 0, Options{})
 }
 
 func TestRandomPivotsDistinct(t *testing.T) {
@@ -187,28 +55,5 @@ func TestRandomPivotsDistinct(t *testing.T) {
 			t.Fatalf("duplicate social pivot %d", p)
 		}
 		seenU[p] = true
-	}
-}
-
-// On a path graph, the best single hop pivot is an endpoint (lower bound
-// |h(a)-h(b)| equals the true distance for all pairs). The cost-model
-// search should find a pivot whose mean lb is close to that optimum.
-func TestSelectSocialQualityOnPath(t *testing.T) {
-	g := socialPath(60)
-	pivots := SelectSocial(g, 1, Options{Seed: 7, SwapIter: 60, GlobalIter: 4})
-	hops := g.BFSHops(pivots[0])
-	rng := rand.New(rand.NewSource(8))
-	sumLB, sumTrue := 0.0, 0.0
-	for i := 0; i < 400; i++ {
-		a, b := rng.Intn(60), rng.Intn(60)
-		sumLB += math.Abs(float64(hops[a] - hops[b]))
-		d := a - b
-		if d < 0 {
-			d = -d
-		}
-		sumTrue += float64(d)
-	}
-	if sumLB < 0.8*sumTrue {
-		t.Errorf("pivot quality low: lb mass %.0f vs true %.0f", sumLB, sumTrue)
 	}
 }
