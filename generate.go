@@ -20,7 +20,7 @@ type SyntheticOptions struct {
 	Users int
 	// POIs is n; default 10000.
 	POIs int
-	// Topics is the vocabulary size d; default 8.
+	// Topics is the vocabulary size d; default 32.
 	Topics int
 	// Zipf switches degree/keyword/interest draws from Uniform to Zipf
 	// (the paper's UNI vs ZIPF datasets).

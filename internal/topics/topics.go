@@ -46,23 +46,6 @@ func (s Set) Has(t int) bool {
 	return s.words[t>>6]&(1<<(uint(t)&63)) != 0
 }
 
-// Union merges o into s in place.
-func (s Set) Union(o Set) {
-	if s.d != o.d {
-		panic(fmt.Sprintf("topics: vocabulary mismatch %d != %d", s.d, o.d))
-	}
-	for i := range s.words {
-		s.words[i] |= o.words[i]
-	}
-}
-
-// Clone returns an independent copy.
-func (s Set) Clone() Set {
-	out := Set{d: s.d, words: make([]uint64, len(s.words))}
-	copy(out.words, s.words)
-	return out
-}
-
 // IsEmpty reports whether no topic is set.
 func (s Set) IsEmpty() bool {
 	for _, w := range s.words {

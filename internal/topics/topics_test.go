@@ -1,9 +1,6 @@
 package topics
 
-import (
-	"testing"
-	"testing/quick"
-)
+import "testing"
 
 func TestBasics(t *testing.T) {
 	s := NewSet(70)
@@ -25,29 +22,16 @@ func TestBasics(t *testing.T) {
 	if s.Vocabulary() != 70 || s.SizeBytes() != 16 {
 		t.Errorf("Vocabulary=%d SizeBytes=%d", s.Vocabulary(), s.SizeBytes())
 	}
-}
-
-func TestSetOfUnionClone(t *testing.T) {
-	a := SetOf(10, 1, 2)
-	b := SetOf(10, 2, 3)
-	c := a.Clone()
-	c.Union(b)
-	for _, f := range []int{1, 2, 3} {
-		if !c.Has(f) {
-			t.Errorf("union missing %d", f)
-		}
-	}
-	if a.Has(3) {
-		t.Error("Union mutated through Clone")
+	if o := SetOf(10, 1, 2); !o.Has(1) || !o.Has(2) || o.Has(3) {
+		t.Error("SetOf(10, 1, 2) holds the wrong topics")
 	}
 }
 
 func TestPanics(t *testing.T) {
 	for name, fn := range map[string]func(){
-		"bad vocab":      func() { NewSet(0) },
-		"add oob":        func() { NewSet(3).Add(3) },
-		"has oob":        func() { NewSet(3).Has(-1) },
-		"union mismatch": func() { NewSet(3).Union(NewSet(4)) },
+		"bad vocab": func() { NewSet(0) },
+		"add oob":   func() { NewSet(3).Add(3) },
+		"has oob":   func() { NewSet(3).Has(-1) },
 	} {
 		func() {
 			defer func() {
@@ -57,30 +41,5 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
-	}
-}
-
-// Property: a union contains exactly the topics of both operands.
-func TestUnionProperty(t *testing.T) {
-	f := func(as, bs []uint8) bool {
-		const d = 200
-		a, b := NewSet(d), NewSet(d)
-		for _, x := range as {
-			a.Add(int(x) % d)
-		}
-		for _, x := range bs {
-			b.Add(int(x) % d)
-		}
-		u := a.Clone()
-		u.Union(b)
-		for f := 0; f < d; f++ {
-			if u.Has(f) != (a.Has(f) || b.Has(f)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
 	}
 }
