@@ -259,19 +259,20 @@ func TestNearestRank(t *testing.T) {
 }
 
 // TestSampleCensoredQuantiles: censored issuers rank above every completed
-// one, and a quantile landing on one reports it instead of a number.
+// one, and a quantile landing on one reports it instead of a number; AvgIO
+// averages over every issuer, a censored one with its reads up to the cut.
 func TestSampleCensoredQuantiles(t *testing.T) {
 	var agg Agg
 	for _, ms := range []int{40, 10, 30, 20, 50, 60} {
 		agg.Add(true, core.Stats{CPUTime: time.Duration(ms) * time.Millisecond, PageReads: 10})
 	}
-	agg.AddCensored()
-	agg.AddCensored()
+	agg.AddCensored(core.Stats{PageReads: 50})
+	agg.AddCensored(core.Stats{PageReads: 90})
 	if agg.Queries != 8 || agg.Completed() != 6 || agg.Censored != 2 {
 		t.Fatalf("Queries/Completed/Censored = %d/%d/%d", agg.Queries, agg.Completed(), agg.Censored)
 	}
-	if agg.AvgIO != 10 {
-		t.Errorf("AvgIO = %v, want 10 (censored issuers excluded)", agg.AvgIO)
+	if agg.AvgIO != 25 {
+		t.Errorf("AvgIO = %v, want 25 (cut issuers count their reads up to the cut)", agg.AvgIO)
 	}
 	for _, c := range []struct {
 		p    float64
@@ -285,13 +286,13 @@ func TestSampleCensoredQuantiles(t *testing.T) {
 	if got, want := agg.CPU.String(), "40ms [20ms, 60ms]"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
-	agg.AddCensored()
-	agg.AddCensored()
+	agg.AddCensored(core.Stats{})
+	agg.AddCensored(core.Stats{})
 	if got, want := agg.CPU.String(), "50ms [30ms, ≥1s]"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
 	}
 	for i := 0; i < 5; i++ {
-		agg.AddCensored()
+		agg.AddCensored(core.Stats{})
 	}
 	if got, want := agg.CPU.String(), "≥1s [40ms, ≥1s]"; got != want {
 		t.Errorf("String = %q, want %q", got, want)
@@ -314,7 +315,7 @@ func TestPairsMedianRobustToCensoring(t *testing.T) {
 			sorted = append(sorted, c)
 		}
 		done.Add(true, core.Stats{PairsEvaluated: outlier})
-		cut.AddCensored()
+		cut.AddCensored(core.Stats{})
 		slices.Sort(sorted)
 		rank := func(v int64) int {
 			i, ok := slices.BinarySearch(sorted, v)

@@ -282,8 +282,12 @@ type Agg struct {
 	// fewer than k).
 	Answers int
 	CPU     Sample
-	AvgIO   float64
-	Sum     core.Stats
+	// AvgIO is the mean page reads over the issuers that ran a query,
+	// completed or cut: a cut issuer counts its reads up to the cut, so a
+	// faster engine that finishes issuers the slower one cut does not
+	// read as more I/O.
+	AvgIO float64
+	Sum   core.Stats
 	// Pairs holds each completed issuer's PairsEvaluated (Fig 7(d)).
 	Pairs []int64
 	// PairsTotalLog2 of the (identical) pair space.
@@ -304,18 +308,25 @@ func (agg *Agg) Add(found bool, st core.Stats) {
 		return
 	}
 	agg.CPU.done = append(agg.CPU.done, st.CPUTime)
-	agg.io += st.PageReads
 	addStats(&agg.Sum, st)
 	agg.Pairs = append(agg.Pairs, st.PairsEvaluated)
 	agg.PairsTotalLog2 = st.PairsTotalLog2
-	agg.AvgIO = float64(agg.io) / float64(len(agg.CPU.done))
+	agg.addIO(st.PageReads)
 }
 
-// AddCensored records an issuer cut off at QueryDeadline.
-func (agg *Agg) AddCensored() {
+// AddCensored records an issuer cut off at QueryDeadline, with the partial
+// Stats the query returned: only its page reads count (toward AvgIO).
+func (agg *Agg) AddCensored(st core.Stats) {
 	agg.Queries++
 	agg.Censored++
 	agg.CPU.censored++
+	agg.addIO(st.PageReads)
+}
+
+// addIO folds one non-hit issuer's page reads into AvgIO.
+func (agg *Agg) addIO(reads int64) {
+	agg.io += reads
+	agg.AvgIO = float64(agg.io) / float64(len(agg.CPU.done)+agg.CPU.censored)
 }
 
 // PairsQuantile is the nearest-rank p-quantile of Pairs: over completed
@@ -360,7 +371,7 @@ func (e *Env) runTopK(p core.Params, users []socialnet.UserID, k int) (Agg, erro
 		cancel()
 		switch {
 		case errors.Is(err, core.ErrDeadlineExceeded):
-			agg.AddCensored()
+			agg.AddCensored(st)
 		case err != nil:
 			return agg, fmt.Errorf("query user %d: %w", u, err)
 		default:

@@ -19,9 +19,8 @@ import (
 //   - lbl is the source attachment-label scratch the label kernel merges
 //     from,
 //   - kws is the ball keyword set,
-//   - comps backs processAnchor's companion bookkeeping,
-//   - seen/queue are the companion search's visited and θ-failed sets and
-//     its queue (companions),
+//   - comps backs the companion search's result, which is also its queue,
+//     and seen its reached set (companions),
 //   - gs is the group search with its ordinals and rows (groups.go),
 //   - users/cg are the query's candidates and their friendship graph, and
 //     anchs is refinement's anchor heap (anchorOrder): the query arena's.
@@ -38,7 +37,6 @@ type refineArena struct {
 	comps []anchorComp
 	users []socialnet.UserID
 	seen  []uint64
-	queue []int32
 	gs    groupSearch
 	cg    candGraph
 	anchs []anchorEntry
@@ -48,8 +46,7 @@ type refineArena struct {
 }
 
 // anchorComp is one eligible companion for an anchor: the user, their
-// candGraph ordinal and their evaluated group cost M(u). (Shared by
-// processAnchor and the arena.)
+// candGraph ordinal and their evaluated group cost M(u).
 type anchorComp struct {
 	u socialnet.UserID
 	o int32
@@ -118,12 +115,6 @@ func (a *refineArena) keywords(d int) TopicSet {
 	}
 	a.kws.Clear()
 	return a.kws
-}
-
-// compsBuf returns the empty companion scratch slice; append to it freely,
-// the grown capacity is kept for the next anchor.
-func (a *refineArena) compsBuf() []anchorComp {
-	return a.comps[:0]
 }
 
 // keepComps stores the (possibly reallocated) companion slice back so its

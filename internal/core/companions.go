@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/bits"
 
 	"gpssn/internal/socialnet"
@@ -81,52 +82,58 @@ func (cg *candGraph) friends(o int32) []int32 {
 	return cg.adj[cg.off[o]:cg.off[o+1]]
 }
 
-// companions returns, in ascending ordinal order, the candidates that may
-// sit in a feasible group with u_q on a ball of keyword set kws: those a
-// breadth-first search from u_q reaches within τ-1 hops through
-// candidates that θ-match the ball, each θ-tested the first time the
-// search reaches it. Every member of a feasible group S θ-matches the ball
-// and is a candidate, and S is connected, so each member is joined to u_q
-// by a path inside S of at most τ-1 edges whose users all pass those same
-// tests: the search reaches every member. The list is arena memory, valid
-// until the next companions call on the same arena.
-func (a *refineArena) companions(cg *candGraph, ut *userTopics, p Params, kws TopicSet) []int32 {
-	n := len(cg.ids)
-	w := (n + 63) >> 6
-	a.seen = grow(a, a.seen, 2*w, 8)
+// companions returns the candidates that may sit in a group with u_q that
+// survives the keeper on a ball of keyword set kws, in the order a
+// breadth-first search from u_q within τ-1 hops first reaches them, each
+// with its M(u). The search tests each candidate once, on first reach: it
+// must θ-match the ball, then eval(u) (M(u), or +Inf when the pivot test
+// rules u out first) must be finite with max(M(u), M(u_q)) ≤ the keeper's
+// bound. Only the users that pass are kept and expanded.
+//
+// This is exact. Every member of a group that survives the keeper
+// θ-matches the ball, is a candidate and passes the pivot test and
+// M(u) ≤ bound; the bound only falls, so a user that failed at the bound
+// it read fails every later one. The group is connected, so each member
+// is joined to u_q by a path inside it of at most τ-1 edges whose users
+// all pass: the search reaches every member. The group search grows
+// groups from u_q through friend rows among the returned users only
+// (groups.go), and every partial group it builds is such a connected set,
+// so a user reached only through a failed one would never have entered
+// it. The list is the arena's companion buffer, valid until the next
+// companions call on the same arena.
+func (a *refineArena) companions(cg *candGraph, ut *userTopics, p Params, kws TopicSet, mUq float64, keeper *sharedKeeper, eval func(socialnet.UserID) float64) []anchorComp {
+	a.seen = grow(a, a.seen, (len(cg.ids)+63)>>6, 8)
 	clear(a.seen)
-	visited, failed := a.seen[:w], a.seen[w:]
-	a.queue = grow(a, a.queue, n, 4)
-	q := a.queue[:0]
+	comps := a.comps[:0]
 	reach := func(row []int32) {
 		for _, o := range row {
 			k, b := o>>6, uint(o&63)
-			if (visited[k]|failed[k])&(1<<b) != 0 {
+			if a.seen[k]&(1<<b) != 0 {
 				continue
 			}
-			if ut.user(cg.ids[o]).match(kws) < p.Theta {
-				failed[k] |= 1 << b
+			a.seen[k] |= 1 << b
+			u := cg.ids[o]
+			if ut.user(u).match(kws) < p.Theta {
 				continue
 			}
-			visited[k] |= 1 << b
-			q = append(q, o)
+			// Strict, as everywhere against the keeper: a cost equal to
+			// the bound may still win the tie-break.
+			m := eval(u)
+			if math.IsInf(m, 1) || math.Max(m, mUq) > keeper.Bound() {
+				continue
+			}
+			comps = append(comps, anchorComp{u: u, o: o, m: m})
 		}
 	}
 	reach(cg.uq)
-	// q[lo:] is the level at depth d; its friends are at depth d+1.
-	for d, lo := 1, 0; d < p.Tau-1 && lo < len(q); d++ {
-		hi := len(q)
-		for _, o := range q[lo:hi] {
-			reach(cg.friends(o))
+	// comps[lo:] is the level at depth d; its friends are at depth d+1.
+	for d, lo := 1, 0; d < p.Tau-1 && lo < len(comps); d++ {
+		hi := len(comps)
+		for i := lo; i < hi; i++ {
+			reach(cg.friends(comps[i].o))
 		}
 		lo = hi
 	}
-	// Re-read the visited set as the ascending list, over the queue.
-	q = q[:0]
-	for k, wd := range visited {
-		for ; wd != 0; wd &= wd - 1 {
-			q = append(q, int32(k<<6|bits.TrailingZeros64(wd)))
-		}
-	}
-	return q
+	a.keepComps(comps)
+	return comps
 }

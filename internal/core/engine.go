@@ -187,12 +187,14 @@ type Stats struct {
 	// road ball for whose ball u_q does not θ-match: work the matching
 	// bounds of Lemmas 1/6 did not save.
 	AnchorsThetaFailed int
-	// AnchorsReachFailed counts the anchors whose ball u_q θ-matches but
-	// from which u_q cannot reach τ-1 companions: dead at the connectivity
-	// step, before any group is enumerated.
+	// AnchorsReachFailed counts the anchors whose ball u_q θ-matches
+	// within the bound but whose companion search leaves fewer than τ-1
+	// companions after its θ, pivot and cost gates: dead before any group
+	// is enumerated.
 	AnchorsReachFailed int
-	// MEvaluations counts the companion M(u) evaluations refinement ran
-	// (u_q's own, and the greedy seeding's, excluded).
+	// MEvaluations counts the M(u) evaluations the companion search ran:
+	// one per user it reached that passed θ and the pivot test (u_q's own,
+	// and the greedy seeding's, excluded).
 	MEvaluations int64
 
 	// Refinement effort: user-POI group pairs actually evaluated, and the
@@ -701,7 +703,7 @@ func (s Stats) Summary() string {
 	rnTotal := s.RNIndexPruned + s.RNObjPruned
 	return fmt.Sprintf(
 		"cpu=%v io=%d | users: %d pruned of %d (index %d, object %d) -> %d candidates | "+
-			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d failed θ on their ball, %d failed reach | "+
+			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d failed θ on their ball, %d short of companions | "+
 			"M(u) evaluations %d | pairs evaluated %d",
 		s.CPUTime, s.PageReads,
 		snTotal, s.SNUsersTotal, s.SNIndexPruned, s.SNObjPruned, s.CandUsers,

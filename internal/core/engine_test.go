@@ -420,7 +420,7 @@ func TestStatsSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := st.Summary()
-	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "failed θ", "failed reach", "M(u) evaluations", "pairs evaluated"} {
+	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "failed θ", "short of companions", "M(u) evaluations", "pairs evaluated"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("Summary missing %q: %s", want, sum)
 		}

@@ -264,15 +264,12 @@ func BenchmarkGroupSearch(b *testing.B) {
 		}
 		ar := &refineArena{owner: &arenaPool{}}
 		cg := ar.candGraph(ds.Social, uq, cand)
-		var comps []anchorComp
-		for _, o := range ar.companions(cg, ut, p, NewTopicSet(ds.NumTopics)) {
-			v := cg.ids[o]
-			comps = append(comps, anchorComp{u: v, o: o, m: anchor.Dist(ds.Users[v].Loc)})
-		}
+		mOf := func(v socialnet.UserID) float64 { return anchor.Dist(ds.Users[v].Loc) }
+		comps := slices.Clone(ar.companions(cg, ut, p, NewTopicSet(ds.NumTopics), mOf(uq), newSharedKeeper(1), mOf))
 		b.Run(fmt.Sprintf("tau=%d/n=%d", tau, len(comps)), func(b *testing.B) {
 			var pairs atomic.Int64
 			for i := 0; i < b.N; i++ {
-				g := ar.groups(cg, ut, p, uq, anchor.Dist(ds.Users[uq].Loc), comps)
+				g := ar.groups(cg, ut, p, uq, mOf(uq), comps)
 				g.enumerateGroups(math.Inf(1), &pairs, nil)
 			}
 			b.ReportMetric(float64(pairs.Load())/float64(b.N), "groups/op")

@@ -269,49 +269,36 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			return
 		}
 
-		// The users a feasible group on this ball may hold besides u_q
-		// (companions). Without τ-1 of them the anchor is dead, which costs
-		// it no evaluation at all — while no incumbent exists each one is
-		// an unbounded search.
-		reach := ar.companions(cg, ut, p, kws)
-		if len(reach) < p.Tau-1 {
-			reachFailed.Add(1)
-			return
-		}
 		// No incumbent yet (the probe failed): grow one greedy feasible
-		// group on this anchor first, so every later distance computation
-		// runs bounded instead of unbounded. Sound — the
+		// group on this anchor first, so the companion search's
+		// evaluations run bounded instead of unbounded. Sound — the
 		// greedy result is feasible and the exact enumeration below still
 		// sees this anchor, replacing the greedy entry with the anchor's
 		// canonical best (so whether the seeding ran never shows in the
-		// answer).
+		// answer). An anchor the search below finds dead cannot have
+		// produced one: a feasible group's members are all companions.
 		if math.IsInf(keeper.Bound(), 1) {
 			if S, cost, ok := e.greedyGroup(uq, p, ball, kws, mUq, mOf); ok && !math.IsInf(cost, 1) {
 				keeper.add(Result{Found: true, S: sortedUsers(S), R: ball, Anchor: ac.id, MaxDist: cost})
 			}
 		}
 
-		// Eligible companions for this anchor: those with a useful group
-		// cost. reach is in ascending ordinal (so id) order, and so is
-		// comps until the group search re-indexes it.
-		comps := ar.compsBuf()
-		defer func() { ar.keepComps(comps) }()
+		// The users a group on this ball that survives the keeper may hold
+		// besides u_q (companions). Each is pivot-tested and evaluated the
+		// first time the search reaches it. Without τ-1 of them the anchor
+		// is dead.
 		anchorRD := e.poiRDOf(ac.id)
 		evals := 0
-		for _, o := range reach {
-			u := cg.ids[o]
+		comps := ar.companions(cg, ut, p, kws, mUq, keeper, func(u socialnet.UserID) float64 {
 			if e.companionPruned(u, anchorRD, keeper.Bound()) {
-				continue
+				return math.Inf(1)
 			}
 			evals++
-			m := mOf(u)
-			if math.IsInf(m, 1) || math.Max(m, mUq) > keeper.Bound() {
-				continue
-			}
-			comps = append(comps, anchorComp{u: u, o: o, m: m})
-		}
+			return mOf(u)
+		})
 		mEvals.Add(int64(evals))
 		if len(comps) < p.Tau-1 {
+			reachFailed.Add(1)
 			return
 		}
 		g := ar.groups(cg, ut, p, uq, mUq, comps)
