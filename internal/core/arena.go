@@ -91,7 +91,7 @@ func (a *refineArena) rowBuf(n int) []int32 {
 
 // label returns the reusable attachment-label scratch, emptied. The label
 // is only valid until the next label() call on the same arena, which is
-// exactly the lifetime the evaluation loop needs (one user at a time).
+// exactly the lifetime an M(u) evaluation needs (one user at a time).
 func (a *refineArena) label() *roadnet.HubLabel {
 	a.lbl.Reset()
 	return &a.lbl

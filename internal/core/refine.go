@@ -84,7 +84,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 // arena's reusable label scratch — no pool traffic at all. Only call under
 // a label oracle. The returned label is read-only and valid until the next
 // userLabelWith call on the same arena, which is exactly the one-user-at-
-// a-time lifetime the evaluation loop needs.
+// a-time lifetime an M(u) evaluation needs.
 func (e *Engine) userLabelWith(u socialnet.UserID, ar *refineArena) *roadnet.HubLabel {
 	l := ar.label()
 	before := cap(l.Hubs)
