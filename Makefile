@@ -58,8 +58,10 @@ examples:
 # compiling and running (BenchmarkGroupSearch: the per-anchor group search
 # at τ = 4, 5 and 7; BenchmarkAnchorOrder: refinement's lazy anchor order
 # over 1,054 candidates; BenchmarkLeafUserTest: one I_S leaf sweep of the
-# interest and hop tests; BenchmarkTraverse: the probe and Algorithm 2's
-# traversal without refinement, 16 issuers at uni_cold's scale;
+# interest and hop tests; BenchmarkTraverse: the query's front half — the
+# probe and the I_R pass beside the I_S pass and the candidate graph —
+# without refinement, at Parallelism 1 and 2, 16 issuers at uni_cold's
+# scale;
 # BenchmarkBuildRoad in internal/index: I_R's build at uni_cold's size,
 # its per-POI keyword distance searches included; about three seconds in
 # all).

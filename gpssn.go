@@ -118,9 +118,12 @@ type Config struct {
 	// The cache is invalidated by any dynamic update and by Compact.
 	CacheSize int
 	// Parallelism is the number of worker goroutines each query's
-	// refinement stage fans anchor candidates over. 0 (the default) uses
-	// runtime.GOMAXPROCS(0); 1 runs refinement sequentially. Any setting
-	// returns identical answers — see docs/CONCURRENCY.md.
+	// refinement stage fans anchor candidates over; at 2 or more the
+	// query's social half (the I_S pass and the candidate graph) also
+	// runs on its own goroutine beside the probe and the I_R pass. 0 (the
+	// default) uses runtime.GOMAXPROCS(0); 1 runs the whole query
+	// sequentially. Any setting returns identical answers — see
+	// docs/CONCURRENCY.md.
 	Parallelism int
 	// DistanceOracle selects the exact road-distance backend. "hl" (the
 	// default) builds a contraction hierarchy at Open time and extracts

@@ -361,7 +361,11 @@ func TestNoIncumbentRefineMatchesBaseline(t *testing.T) {
 					name := fmt.Sprintf("rep %d τ=%d uq %d k=%d P=%d", rep, tau, uq, k, e.Opts.Parallelism)
 					var st Stats
 					q := e.newQctx(&st)
-					got := e.refine(uq, p, k, e.traverse(uq, p, math.Inf(1), q), Result{MaxDist: math.Inf(1)}, q)
+					ar := e.acquireArena()
+					// Any k > 1 runs the traversal at δ = +Inf.
+					_, tr := e.front(uq, p, 2, q, ar)
+					got := e.refine(uq, p, k, tr, Result{MaxDist: math.Inf(1)}, q, ar)
+					e.releaseArena(ar)
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d results, Baseline %d", name, len(got), len(want))
 					}

@@ -244,19 +244,20 @@ func (e *Engine) poiRDOf(id model.POIID) []float64 {
 	return e.Road.Pivots.AttachDistAll(e.DS.Road, e.DS.POIs[id].At)
 }
 
-// scanDeltaUsers appends the interest-compatible delta users to the
-// candidate set; hop filtering happens exactly in refinement. Indexed
+// scanDeltaUsers appends the interest-compatible delta users to cand;
+// the social half's hop filter runs on them like on every candidate. Indexed
 // users touched by new edges stay in the index traversal — only their
 // hop-pivot rule is disabled there.
-func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, uqRow topicRow, tr *traversal) {
+func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, uqRow topicRow, cand []socialnet.UserID) []socialnet.UserID {
 	ut := e.topics
 	for id := e.dyn.indexedUsers; id < len(e.DS.Users); id++ {
 		u := socialnet.UserID(id)
 		if u == uq || ut.interestPrunable(p, uqRow, ut.user(u)) {
 			continue
 		}
-		tr.candUsers = append(tr.candUsers, u)
+		cand = append(cand, u)
 	}
+	return cand
 }
 
 // scanDeltaAnchors appends every delta POI as a candidate anchor. They

@@ -6,10 +6,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"gpssn/internal/failpoint"
 	"gpssn/internal/index"
 	"gpssn/internal/model"
 	"gpssn/internal/pagesim"
@@ -33,9 +36,11 @@ type Options struct {
 	// and refinement effort. For debugging and teaching; adds minor overhead.
 	Trace io.Writer
 	// Parallelism is the number of worker goroutines refinement fans
-	// anchor candidates over (0 = runtime.GOMAXPROCS(0), 1 = sequential).
-	// Any setting returns identical answers; see docs/CONCURRENCY.md and
-	// docs/ALGORITHMS.md for the soundness and determinism arguments.
+	// anchor candidates over (0 = runtime.GOMAXPROCS(0), 1 = sequential);
+	// at 2 or more the front half's social half also runs on its own
+	// goroutine (front). Any setting returns identical answers; see
+	// docs/CONCURRENCY.md and docs/ALGORITHMS.md for the soundness and
+	// determinism arguments.
 	Parallelism int
 }
 
@@ -257,11 +262,15 @@ func (e *Engine) newQctx(st *Stats) *qctx {
 }
 
 // tracef buffers a formatted trace line when tracing is enabled.
-func (q *qctx) tracef(format string, args ...interface{}) {
-	if q.trace == nil {
+func (q *qctx) tracef(format string, args ...interface{}) { tracef(q.trace, format, args...) }
+
+// tracef writes a formatted trace line into buf; a nil buf (tracing off)
+// drops it.
+func tracef(buf *bytes.Buffer, format string, args ...interface{}) {
+	if buf == nil {
 		return
 	}
-	fmt.Fprintf(q.trace, format+"\n", args...)
+	fmt.Fprintf(buf, format+"\n", args...)
 }
 
 // finish stamps the timing/I/O totals and flushes the trace buffer in one
@@ -294,46 +303,9 @@ func (e *Engine) Query(uq socialnet.UserID, p Params) (Result, Stats, error) {
 // A Params.Budget instead degrades gracefully (see Budget). With a
 // background context and no budget the answer is bit-identical to Query's.
 func (e *Engine) QueryCtx(ctx context.Context, uq socialnet.UserID, p Params) (Result, Stats, error) {
-	var st Stats
-	if err := p.Validate(e.Road.RMin, e.Road.RMax); err != nil {
-		return Result{}, st, err
-	}
-	if uq < 0 || int(uq) >= len(e.DS.Users) {
-		return Result{}, st, fmt.Errorf("core: query user %d out of range", uq)
-	}
-	if err := ContextError(ctx); err != nil {
+	res, st, err := e.run(ctx, uq, p, 1)
+	if err != nil || len(res) == 0 {
 		return Result{MaxDist: math.Inf(1)}, st, err
-	}
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	start := time.Now()
-	q := e.newQctx(&st)
-	q.arm(ctx, p.Budget)
-
-	st.SNUsersTotal = len(e.DS.Users)
-	st.RNPOIsTotal = len(e.DS.POIs)
-
-	// A cheap feasibility probe around the issuer's nearest anchors gives
-	// the pruning threshold δ: the cost of a verified feasible solution, so
-	// distance pruning is armed from the first index level.
-	probe := e.probe(uq, p, q)
-	q.tracef("probe: found=%v cost=%.4f", probe.Found, probe.MaxDist)
-	trav := e.traverse(uq, p, e.delta(probe.MaxDist), q)
-	q.tracef("traversal: %d candidate users, %d candidate anchors",
-		len(trav.candUsers), len(trav.candAnchors))
-	var res []Result
-	if !q.cancelled() {
-		res = e.refine(uq, p, 1, trav, probe, q)
-		q.tracef("refined: pairs evaluated=%d", st.PairsEvaluated)
-	}
-
-	e.finish(q, start, p)
-	if err := q.cancelErr(); err != nil {
-		return Result{MaxDist: math.Inf(1)}, st, err
-	}
-	st.Truncated = q.wasTruncated()
-	if len(res) == 0 {
-		return Result{MaxDist: math.Inf(1)}, st, nil
 	}
 	return res[0], st, nil
 }
@@ -351,10 +323,16 @@ func (e *Engine) QueryTopK(uq socialnet.UserID, p Params, k int) ([]Result, Stat
 // QueryTopKCtx is QueryTopK with cooperative cancellation and budgeting,
 // under the same contract as QueryCtx.
 func (e *Engine) QueryTopKCtx(ctx context.Context, uq socialnet.UserID, p Params, k int) ([]Result, Stats, error) {
-	var st Stats
 	if k < 1 {
-		return nil, st, fmt.Errorf("core: k must be >= 1, got %d", k)
+		return nil, Stats{}, fmt.Errorf("core: k must be >= 1, got %d", k)
 	}
+	return e.run(ctx, uq, p, k)
+}
+
+// run is the query both entry points share: the front half (front), then
+// refinement keeping the k best answers. Results are nil on error.
+func (e *Engine) run(ctx context.Context, uq socialnet.UserID, p Params, k int) ([]Result, Stats, error) {
+	var st Stats
 	if err := p.Validate(e.Road.RMin, e.Road.RMax); err != nil {
 		return nil, st, err
 	}
@@ -372,15 +350,17 @@ func (e *Engine) QueryTopKCtx(ctx context.Context, uq socialnet.UserID, p Params
 	st.SNUsersTotal = len(e.DS.Users)
 	st.RNPOIsTotal = len(e.DS.POIs)
 
-	probe := e.probe(uq, p, q)
-	delta := math.Inf(1)
-	if k == 1 {
-		delta = e.delta(probe.MaxDist)
-	}
-	trav := e.traverse(uq, p, delta, q)
+	// The query arena holds the candidates and their friendship graph from
+	// the social half to the end of refinement, and refinement's anchor
+	// order and u_q's label besides.
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
+	probe, tr := e.front(uq, p, k, q, ar)
+	q.tracef("traversal: %d candidate users, %d candidate anchors", st.CandUsers, st.CandAnchors)
 	var res []Result
 	if !q.cancelled() {
-		res = e.refine(uq, p, k, trav, probe, q)
+		res = e.refine(uq, p, k, tr, probe, q, ar)
+		q.tracef("refined: pairs evaluated=%d", st.PairsEvaluated)
 	}
 
 	e.finish(q, start, p)
@@ -391,15 +371,16 @@ func (e *Engine) QueryTopKCtx(ctx context.Context, uq socialnet.UserID, p Params
 	return res, st, nil
 }
 
-// traversal is the intermediate state Algorithm 2 hands to refinement.
+// traversal is the intermediate state Algorithm 2 hands to refinement: the
+// road half's candidate anchors and the social half's candidate graph.
 // candLB[i] is the Lemma 5 pivot lower bound on dist_RN(u_q, candAnchors[i])
 // the traversal computed for its δ test, 0 where none was computed (delta
 // POIs, unsafe road pivots, DisableDistancePruning); refinement keys its
 // lazy anchor order by it.
 type traversal struct {
-	candUsers   []socialnet.UserID
 	candAnchors []model.POIID
 	candLB      []float64
+	cg          *candGraph
 }
 
 // delta returns the traversal's pruning threshold δ for a verified
@@ -414,15 +395,82 @@ func (e *Engine) delta(cost float64) float64 {
 	return cost
 }
 
-// traverse runs Algorithm 2's synchronized index traversal: I_S level by
-// level with user pruning, I_R via a min-heap keyed by distance lower
-// bounds, pruned against the fixed threshold delta.
-func (e *Engine) traverse(uq socialnet.UserID, p Params, delta float64, q *qctx) traversal {
+// parallelism resolves Opts.Parallelism: 0 means runtime.GOMAXPROCS(0).
+func (e *Engine) parallelism() int {
+	if par := e.Opts.Parallelism; par > 0 {
+		return par
+	}
+	return runtime.GOMAXPROCS(0)
+}
+
+// front runs the query's front half, Algorithm 2's traversal, as two
+// halves that share no state: the social half (socialHalf: the I_S pass,
+// the hop filter and the candidate graph, built in ar) and the road half
+// (the probe, δ and the I_R pass, roadPass). At Parallelism ≥ 2 the social
+// half runs on its own goroutine beside the road half; at 1 both run
+// inline, social half first. Each half yields the candidates of the
+// lockstep sweep in the same order and writes only its own Stats fields
+// (docs/CONCURRENCY.md §3). δ is the probe's cost for k = 1 and +Inf
+// otherwise: one verified cost bounds only the best answer.
+func (e *Engine) front(uq socialnet.UserID, p Params, k int, q *qctx, ar *refineArena) (Result, traversal) {
+	var socialTrace *bytes.Buffer
+	if q.trace != nil {
+		socialTrace = &bytes.Buffer{}
+	}
+	var done chan struct{}
+	if e.parallelism() > 1 {
+		done = make(chan struct{})
+		// Deferred as well, so a panic on the road half still waits for
+		// the social half before the caller releases ar and the lock.
+		defer func() { <-done }()
+		go func() {
+			defer close(done)
+			// A panic here would kill the process whatever the caller
+			// recovers: capture it for the join to re-raise.
+			defer q.capturePanic()
+			e.socialHalf(uq, p, q, ar, socialTrace)
+		}()
+	} else {
+		e.socialHalf(uq, p, q, ar, socialTrace)
+	}
+
+	probe := e.probe(uq, p, q)
+	q.tracef("probe: found=%v cost=%.4f", probe.Found, probe.MaxDist)
+	delta := math.Inf(1)
+	if k == 1 {
+		delta = e.delta(probe.MaxDist)
+	}
+	tr := e.roadPass(uq, p, delta, q)
+
+	if done != nil {
+		<-done
+		q.rethrow()
+	}
+	if socialTrace != nil {
+		q.trace.Write(socialTrace.Bytes())
+	}
+	tr.cg = &ar.cg
+	return probe, tr
+}
+
+// socialHalf is the query's social half: Algorithm 2's I_S pass, level by
+// level with the node rules (Lemmas 8, 9) and the leaf user tests (Lemmas
+// 3, 4), then the exact user filter of line 29 — hop distance within τ-1
+// of u_q — and the friendship graph over the survivors, built in ar.cg.
+// It needs neither the probe nor δ. It writes only the SN* counters and
+// CandUsers, reads pages through q.social only, and traces into trace
+// (nil when tracing is off).
+func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineArena, trace *bytes.Buffer) {
+	// Deterministic invariant-panic injection for the robustness matrix,
+	// on the goroutine the social half runs on.
+	if _, ok := failpoint.Eval("core.social.panic"); ok {
+		panic("core: failpoint-injected social-half panic")
+	}
 	st := q.st
-	uqUser := e.DS.User(uq)
+	ds := e.DS
+	uqUser := ds.User(uq)
 	region := NewPruneRegion(uqUser.Interests, p.Gamma)
 	uqRow := e.topics.user(uq)
-	uqRD := e.userRDOf(uq)
 	// The nodes on u_q's root-to-leaf path must never be pruned (u_q ∈ S
 	// by definition): they are the nodes whose leaf range holds u_q's
 	// position. A delta issuer is on no path.
@@ -436,13 +484,76 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, delta float64, q *qctx)
 	if e.pivotPruningSafe(uq) {
 		uqHops = e.Social.HopsAt(uqPos)
 	}
-	var tr traversal
 	// S_cand: current frontier of I_S nodes, plus users already collected
 	// from processed leaves. Delta users (appended after the index build)
 	// are scanned up front.
 	sNodes := []*index.SNode{e.Social.Root}
 	e.Social.AccessTracked(e.Social.Root, q.social)
-	e.scanDeltaUsers(uq, p, uqRow, &tr)
+	users := e.scanDeltaUsers(uq, p, uqRow, nil)
+
+	// Top-down sweep (Algorithm 2 lines 4-10). A cancelled sweep just
+	// stops: the query errors out before refinement reads the graph.
+	for level := e.Social.Height() - 1; level >= 0 && !q.cancelled(); level-- {
+		var nextNodes []*index.SNode
+		for _, n := range sNodes {
+			if n.IsLeaf() {
+				users = e.leafUsers(n, uq, p, uqRow, uqHops, st, users)
+				continue
+			}
+			for _, c := range n.Children {
+				if !e.Opts.DisableIndexPruning && !c.Holds(uqPos) {
+					// Lemma 8: interest score pruning for I_S nodes.
+					if indexInterestPrunable(p, region, uqUser.Interests, c) {
+						st.SNIndexPruned += c.UserCount
+						st.SNIndexPrunedInterest += c.UserCount
+						continue
+					}
+					// Lemma 9: social distance pruning for I_S nodes
+					// (disabled for nodes holding hop-invalidated users).
+					if uqHops != nil && !e.hopUnsafe(c) {
+						if lb, informative := e.Social.HopLowerBoundToNode(uqHops, c); informative && lb >= int32(p.Tau) {
+							st.SNIndexPruned += c.UserCount
+							st.SNIndexPrunedDist += c.UserCount
+							continue
+						}
+					}
+				}
+				e.Social.AccessTracked(c, q.social)
+				nextNodes = append(nextNodes, c)
+			}
+		}
+		sNodes = nextNodes
+		tracef(trace, "I_S level %d: S_cand nodes=%d users=%d", level, len(sNodes), len(users))
+	}
+
+	// Exact user filtering (line 29): hop distance within τ-1 of u_q. The
+	// exact interest test (similarity >= γ) already ran on every candidate
+	// above — interestPrunable is that very predicate.
+	hops := ds.Social.BFSHopsBounded(uq, int32(p.Tau-1))
+	cand := ar.userBuf(len(users))[:0]
+	for _, u := range users {
+		if hops[u] == socialnet.Unreachable {
+			st.SNObjPruned++
+			st.SNObjPrunedDist++
+			continue
+		}
+		cand = append(cand, u)
+	}
+	slices.Sort(cand)
+	ar.candGraph(ds.Social, uq, cand)
+	st.CandUsers = len(cand)
+}
+
+// roadPass is the road half's I_R pass (Algorithm 2 lines 2-3 and 11-28):
+// a min-heap keyed by distance lower bounds, popped level by level until
+// it is empty and pruned against the fixed threshold delta, then the delta
+// POIs. It writes only the RN* counters and CandAnchors, and reads pages
+// through q.road only.
+func (e *Engine) roadPass(uq socialnet.UserID, p Params, delta float64, q *qctx) traversal {
+	st := q.st
+	uqRow := e.topics.user(uq)
+	uqRD := e.userRDOf(uq)
+	var tr traversal
 
 	// I_R heap seeded with the root (Algorithm 2 lines 2-3).
 	heap := []heapEntry{{node: e.Road.Tree.Root(), key: 0}}
@@ -536,51 +647,14 @@ func (e *Engine) traverse(uq socialnet.UserID, p Params, delta float64, q *qctx)
 		return next
 	}
 
-	// Synchronized top-down sweep (Algorithm 2 lines 4-26).
-	for level := e.Social.Height() - 1; level >= 0; level-- {
-		if q.cancelled() {
-			return tr
-		}
-		var nextNodes []*index.SNode
-		for _, n := range sNodes {
-			if n.IsLeaf() {
-				tr.candUsers = e.leafUsers(n, uq, p, uqRow, uqHops, st, tr.candUsers)
-				continue
-			}
-			for _, c := range n.Children {
-				if !e.Opts.DisableIndexPruning && !c.Holds(uqPos) {
-					// Lemma 8: interest score pruning for I_S nodes.
-					if indexInterestPrunable(p, region, uqUser.Interests, c) {
-						st.SNIndexPruned += c.UserCount
-						st.SNIndexPrunedInterest += c.UserCount
-						continue
-					}
-					// Lemma 9: social distance pruning for I_S nodes
-					// (disabled for nodes holding hop-invalidated users).
-					if uqHops != nil && !e.hopUnsafe(c) {
-						if lb, informative := e.Social.HopLowerBoundToNode(uqHops, c); informative && lb >= int32(p.Tau) {
-							st.SNIndexPruned += c.UserCount
-							st.SNIndexPrunedDist += c.UserCount
-							continue
-						}
-					}
-				}
-				e.Social.AccessTracked(c, q.social)
-				nextNodes = append(nextNodes, c)
-			}
-		}
-		sNodes = nextNodes
+	// Lines 11-28: pop H_R level by level until it is empty.
+	for depth := 0; len(heap) > 0 && !q.cancelled(); depth++ {
 		heap = processRNLevel(heap)
-		q.tracef("level %d: S_cand nodes=%d users=%d, H_R entries=%d",
-			level, len(sNodes), len(tr.candUsers), len(heap))
-	}
-
-	// Lines 27-28: finish any remaining I_R levels.
-	for len(heap) > 0 && !q.cancelled() {
-		heap = processRNLevel(heap)
+		q.tracef("I_R level %d: H_R entries=%d anchors=%d", depth, len(heap), len(tr.candAnchors))
 	}
 	// Main+delta: POIs appended after the index build become anchors.
 	e.scanDeltaAnchors(&tr)
+	st.CandAnchors = len(tr.candAnchors)
 	return tr
 }
 

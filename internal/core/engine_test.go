@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -427,33 +428,40 @@ func TestStatsSummary(t *testing.T) {
 	}
 }
 
+// TestQueryTrace runs at Parallelism 1 (both halves of the front inline)
+// and 2 (the social half on its own goroutine, whose trace lines join the
+// query's after the join), so the race detector covers the second.
 func TestQueryTrace(t *testing.T) {
 	ds := smallDataset(t, 41)
-	var buf bytes.Buffer
-	e := buildEngine(t, ds, Options{Trace: &buf})
-	if _, _, err := e.Query(3, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2}); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"probe:", "level", "traversal:", "refined:"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("trace missing %q:\n%s", want, out)
+	p := Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2}
+	for _, par := range []int{1, 2} {
+		var buf bytes.Buffer
+		e := buildEngine(t, ds, Options{Trace: &buf, Parallelism: par})
+		if _, _, err := e.Query(3, p); err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Tracing must not change the answer.
-	plain := buildEngine(t, ds, Options{})
-	a, _, _ := plain.Query(3, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2})
-	b, _, _ := e.Query(3, Params{Gamma: 0.2, Tau: 2, Theta: 0.2, R: 2})
-	if a.Found != b.Found || (a.Found && a.MaxDist != b.MaxDist) {
-		t.Error("tracing changed the result")
+		out := buf.String()
+		for _, want := range []string{"probe:", "I_S level", "I_R level", "traversal:", "refined:"} {
+			if !strings.Contains(out, want) {
+				t.Errorf("P=%d: trace missing %q:\n%s", par, want, out)
+			}
+		}
+		// Tracing must not change the answer.
+		plain := buildEngine(t, ds, Options{Parallelism: par})
+		a, _, _ := plain.Query(3, p)
+		b, _, _ := e.Query(3, p)
+		if a.Found != b.Found || (a.Found && a.MaxDist != b.MaxDist) {
+			t.Errorf("P=%d: tracing changed the result", par)
+		}
 	}
 }
 
-// BenchmarkTraverse times the query front half — the feasibility probe
-// and Algorithm 2's traversal, no refinement — for 16 fixed issuers at
-// uni_cold's scale and shape: 7,500 road vertices, 7,500 users, 2,500
-// POIs, the hub-label oracle, τ = 4, γ = θ = 0.5, r = 2. One op is all 16
-// issuers.
+// BenchmarkTraverse times the query front half as the query runs it — the
+// probe and the I_R pass beside the I_S pass and the candidate graph, no
+// refinement — for 16 fixed issuers at uni_cold's scale and shape: 7,500
+// road vertices, 7,500 users, 2,500 POIs, the hub-label oracle, τ = 4,
+// γ = θ = 0.5, r = 2. One op is all 16 issuers; P=1 runs the two halves
+// inline, P=2 on two goroutines.
 func BenchmarkTraverse(b *testing.B) {
 	ds, err := gen.Synthetic(gen.Config{
 		Name: "traverse", Seed: 101,
@@ -474,7 +482,6 @@ func BenchmarkTraverse(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	e := NewEngine(ds, road, social, Options{Parallelism: 1})
 	p := Params{Gamma: 0.5, Tau: 4, Theta: 0.5, R: 2, Metric: MetricDotProduct}
 	var issuers []socialnet.UserID
 	for u := socialnet.UserID(0); len(issuers) < 16; u += 467 {
@@ -482,19 +489,25 @@ func BenchmarkTraverse(b *testing.B) {
 			issuers = append(issuers, u)
 		}
 	}
-	var users, anchors int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, uq := range issuers {
-			var st Stats
-			q := e.newQctx(&st)
-			q.arm(context.Background(), Budget{})
-			probe := e.probe(uq, p, q)
-			tr := e.traverse(uq, p, e.delta(probe.MaxDist), q)
-			users += len(tr.candUsers)
-			anchors += len(tr.candAnchors)
-		}
+	for _, par := range []int{1, 2} {
+		b.Run(fmt.Sprintf("P=%d", par), func(b *testing.B) {
+			e := NewEngine(ds, road, social, Options{Parallelism: par})
+			var users, anchors int
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, uq := range issuers {
+					var st Stats
+					q := e.newQctx(&st)
+					q.arm(context.Background(), Budget{})
+					ar := e.acquireArena()
+					e.front(uq, p, 1, q, ar)
+					e.releaseArena(ar)
+					users += st.CandUsers
+					anchors += st.CandAnchors
+				}
+			}
+			b.ReportMetric(float64(users)/float64(b.N), "cand-users/op")
+			b.ReportMetric(float64(anchors)/float64(b.N), "cand-anchors/op")
+		})
 	}
-	b.ReportMetric(float64(users)/float64(b.N), "cand-users/op")
-	b.ReportMetric(float64(anchors)/float64(b.N), "cand-anchors/op")
 }

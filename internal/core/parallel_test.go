@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"gpssn/internal/failpoint"
 	"gpssn/internal/socialnet"
 )
 
@@ -31,17 +32,21 @@ func TestParallelRefinementMatchesOracle(t *testing.T) {
 		oracle := &Baseline{DS: ds}
 		for pi, p := range oracleParams {
 			for _, uq := range []socialnet.UserID{0, 13, 41} {
-				a, _, err := seq.Query(uq, p)
+				a, stA, err := seq.Query(uq, p)
 				if err != nil {
 					t.Fatalf("seed %d params %d uq %d seq: %v", seed, pi, uq, err)
 				}
-				b, _, err := par.Query(uq, p)
+				b, stB, err := par.Query(uq, p)
 				if err != nil {
 					t.Fatalf("seed %d params %d uq %d par: %v", seed, pi, uq, err)
 				}
 				if !reflect.DeepEqual(a, b) {
 					t.Fatalf("seed %d params %d uq %d: parallelism changed the answer:\n  P=1: %+v\n  P=8: %+v",
 						seed, pi, uq, a, b)
+				}
+				if fa, fb := frontCounters(stA), frontCounters(stB); fa != fb {
+					t.Fatalf("seed %d params %d uq %d: parallelism changed the front half's counters:\n  P=1: %+v\n  P=8: %+v",
+						seed, pi, uq, fa, fb)
 				}
 				want, _ := oracle.Query(uq, p)
 				if a.Found != want.Found {
@@ -70,18 +75,59 @@ func TestParallelTopKDeterministic(t *testing.T) {
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
 	for _, uq := range []socialnet.UserID{3, 28} {
 		for _, k := range []int{1, 3, 5} {
-			a, _, err := seq.QueryTopK(uq, p, k)
+			a, stA, err := seq.QueryTopK(uq, p, k)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, _, err := par.QueryTopK(uq, p, k)
+			b, stB, err := par.QueryTopK(uq, p, k)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("uq %d k %d: top-k differs across parallelism:\n  P=1: %+v\n  P=8: %+v", uq, k, a, b)
 			}
+			if fa, fb := frontCounters(stA), frontCounters(stB); fa != fb {
+				t.Fatalf("uq %d k %d: parallelism changed the front half's counters:\n  P=1: %+v\n  P=8: %+v", uq, k, fa, fb)
+			}
 		}
+	}
+}
+
+// TestFrontRethrowsSocialPanic arms the social half's failpoint at
+// Parallelism 8, where the half runs on its own goroutine: front itself
+// must re-raise the panic at the join, before refinement could read a
+// half-built candidate graph.
+func TestFrontRethrowsSocialPanic(t *testing.T) {
+	defer failpoint.Reset()
+	e := buildEngine(t, smallDataset(t, 27), Options{Parallelism: 8})
+	failpoint.Arm("core.social.panic", failpoint.Failure{Mode: failpoint.ModeError, Count: 1})
+	var st Stats
+	q := e.newQctx(&st)
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
+	defer func() {
+		if _, ok := recover().(*PanicError); !ok {
+			t.Fatal("front returned without re-raising the social half's panic as a *PanicError")
+		}
+	}()
+	e.front(0, Params{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2}, 1, q, ar)
+}
+
+// frontCounters keeps the Stats fields the query's front half writes —
+// the SN* and RN* counters, the candidate counts and the page reads — and
+// zeroes the rest. The social half writes the SN* ones and CandUsers, the
+// road half the RN* ones and CandAnchors; a half that dropped or counted
+// twice under the other's goroutine would differ between P=1 and P=8.
+func frontCounters(s Stats) Stats {
+	return Stats{
+		PageReads:    s.PageReads,
+		SNUsersTotal: s.SNUsersTotal, SNIndexPruned: s.SNIndexPruned,
+		SNIndexPrunedInterest: s.SNIndexPrunedInterest, SNIndexPrunedDist: s.SNIndexPrunedDist,
+		SNObjPruned: s.SNObjPruned, SNObjPrunedInterest: s.SNObjPrunedInterest, SNObjPrunedDist: s.SNObjPrunedDist,
+		RNPOIsTotal: s.RNPOIsTotal, RNIndexPruned: s.RNIndexPruned,
+		RNIndexPrunedMatch: s.RNIndexPrunedMatch, RNIndexPrunedDist: s.RNIndexPrunedDist,
+		RNObjPruned: s.RNObjPruned, RNObjPrunedMatch: s.RNObjPrunedMatch, RNObjPrunedDist: s.RNObjPrunedDist,
+		CandUsers: s.CandUsers, CandAnchors: s.CandAnchors,
 	}
 }
 

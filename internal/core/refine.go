@@ -2,7 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -191,8 +190,10 @@ func ballMax(dists []float64) float64 {
 // and enumeration of the user-POI group pairs (S, R'(o_i)) to produce the
 // actual GP-SSN answers. R is materialized as the road-network ball of
 // radius r around each candidate anchor POI; S is found by branch-and-bound
-// enumeration of connected τ-subsets containing u_q.
-// It returns the best k results with distinct anchors, cheapest first.
+// enumeration of connected τ-subsets containing u_q over the candidate
+// graph the social half built (tr.cg, in the query arena qar, which also
+// holds the anchor order). It returns the best k results with distinct
+// anchors, cheapest first.
 //
 // Anchors are independent given the shared incumbent, so they are fanned
 // out over Opts.Parallelism workers claiming from the anchor order. All
@@ -200,33 +201,11 @@ func ballMax(dists []float64) float64 {
 // bound survive, and ties are resolved by the keeper's canonical order —
 // that is why any worker schedule returns identical answers (the
 // determinism argument in docs/ALGORITHMS.md).
-func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe Result, q *qctx) []Result {
+func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe Result, q *qctx, qar *refineArena) []Result {
 	st := q.st
 	ds := e.DS
 	ut := e.topics
 	uqRow := ut.user(uq)
-
-	// Exact user filtering (line 29): hop distance within τ-1 of u_q. The
-	// exact interest test (similarity >= γ) already ran on every candidate
-	// in the traversal — interestPrunable is that very predicate. qar holds
-	// the candidates, their friendship graph, u_q's label and the anchor
-	// heap for the whole query.
-	qar := e.acquireArena()
-	defer e.releaseArena(qar)
-	hops := ds.Social.BFSHopsBounded(uq, int32(p.Tau-1))
-	cand := qar.userBuf(len(tr.candUsers))[:0]
-	for _, u := range tr.candUsers {
-		if hops[u] == socialnet.Unreachable {
-			st.SNObjPruned++
-			st.SNObjPrunedDist++
-			continue
-		}
-		cand = append(cand, u)
-	}
-	slices.Sort(cand)
-	cg := qar.candGraph(ds.Social, uq, cand)
-	st.CandUsers = len(cand)
-	st.CandAnchors = len(tr.candAnchors)
 
 	// Anchors are processed in ascending exact distance from u_q so the
 	// search can stop as soon as the next anchor's distance exceeds the
@@ -289,7 +268,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		// is dead.
 		anchorRD := e.poiRDOf(ac.id)
 		evals := 0
-		comps := ar.companions(cg, ut, p, kws, mUq, keeper, func(u socialnet.UserID) float64 {
+		comps := ar.companions(tr.cg, ut, p, kws, mUq, keeper, func(u socialnet.UserID) float64 {
 			if e.companionPruned(u, anchorRD, keeper.Bound()) {
 				return math.Inf(1)
 			}
@@ -301,7 +280,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			reachFailed.Add(1)
 			return
 		}
-		g := ar.groups(cg, ut, p, uq, mUq, comps)
+		g := ar.groups(tr.cg, ut, p, uq, mUq, comps)
 		if S, cost := g.enumerateGroups(keeper.Bound(), &pairs, q.ck); S != nil {
 			keeper.add(Result{Found: true, S: S, R: ball, Anchor: ac.id, MaxDist: cost})
 		}
@@ -312,10 +291,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	// next anchor's duq exceeds the bound — duq lower-bounds the group
 	// cost (the anchor is in its own ball) and later anchors are farther
 	// still, so nothing those anchors could produce survives the keeper.
-	par := e.Opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
+	par := e.parallelism()
 	if par > len(tr.candAnchors) {
 		par = len(tr.candAnchors)
 	}

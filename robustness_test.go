@@ -190,33 +190,36 @@ func TestOracleFallbackChain(t *testing.T) {
 	})
 }
 
-// TestPanicBoundary injects a panic on a refinement worker goroutine and
-// requires it to surface as a typed *InternalError carrying query
-// context — with the DB still usable afterwards — at both sequential and
-// parallel refinement.
+// TestPanicBoundary injects a panic on a refinement worker goroutine, and
+// one at the top of the query's social half (its own goroutine at
+// Parallelism 8, inline at 1), and requires each to surface as a typed
+// *InternalError carrying query context — with the DB still usable
+// afterwards — at both sequential and parallel settings.
 func TestPanicBoundary(t *testing.T) {
-	for _, par := range []int{1, 8} {
-		defer failpoint.Reset()
-		db := openWithOracle(t, 1, false, "dijkstra", par)
-		q := Query{GroupSize: 2, Gamma: 0.1, Theta: 0.2, Radius: 2}
-		failpoint.Arm("core.refine.panic", failpoint.Failure{Mode: failpoint.ModeError, Count: 1})
-		_, _, err := db.Query(3, q)
-		failpoint.Reset()
-		if !errors.Is(err, ErrInternal) {
-			t.Fatalf("par=%d: err = %v, want ErrInternal", par, err)
-		}
-		var ie *InternalError
-		if !errors.As(err, &ie) {
-			t.Fatalf("par=%d: error %v is not *InternalError", par, err)
-		}
-		if ie.Op != "Query" || ie.User != 3 || len(ie.Stack) == 0 {
-			t.Fatalf("par=%d: InternalError context incomplete: op=%q user=%d stack=%d bytes",
-				par, ie.Op, ie.User, len(ie.Stack))
-		}
-		// The DB survives: the same query without the failpoint answers
-		// normally.
-		if _, _, err := db.Query(3, q); err != nil && !errors.Is(err, ErrNoAnswer) {
-			t.Fatalf("par=%d: DB unusable after recovered panic: %v", par, err)
+	for _, fp := range []string{"core.refine.panic", "core.social.panic"} {
+		for _, par := range []int{1, 8} {
+			defer failpoint.Reset()
+			db := openWithOracle(t, 1, false, "dijkstra", par)
+			q := Query{GroupSize: 2, Gamma: 0.1, Theta: 0.2, Radius: 2}
+			failpoint.Arm(fp, failpoint.Failure{Mode: failpoint.ModeError, Count: 1})
+			_, _, err := db.Query(3, q)
+			failpoint.Reset()
+			if !errors.Is(err, ErrInternal) {
+				t.Fatalf("%s par=%d: err = %v, want ErrInternal", fp, par, err)
+			}
+			var ie *InternalError
+			if !errors.As(err, &ie) {
+				t.Fatalf("%s par=%d: error %v is not *InternalError", fp, par, err)
+			}
+			if ie.Op != "Query" || ie.User != 3 || len(ie.Stack) == 0 {
+				t.Fatalf("%s par=%d: InternalError context incomplete: op=%q user=%d stack=%d bytes",
+					fp, par, ie.Op, ie.User, len(ie.Stack))
+			}
+			// The DB survives: the same query without the failpoint answers
+			// normally.
+			if _, _, err := db.Query(3, q); err != nil && !errors.Is(err, ErrNoAnswer) {
+				t.Fatalf("%s par=%d: DB unusable after recovered panic: %v", fp, par, err)
+			}
 		}
 	}
 }
