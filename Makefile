@@ -88,13 +88,15 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # Short native-fuzz runs over the hostile-input surfaces (CSV import,
-# snapshot decode, WAL replay). ~30s each; CI runs this on every push, and
+# snapshot decode, WAL replay) and the engine against the brute-force
+# Baseline on tied datasets. ~30s each; CI runs this on every push, and
 # longer local runs just raise FUZZTIME. See docs/ROBUSTNESS.md §5.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzImportCSV$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesBaseline$$' -fuzztime $(FUZZTIME) ./internal/core
 
 # The snapshot round-trip and corruption/torn-write matrix on its own —
 # the recovery gates the robustness PR promises (docs/ROBUSTNESS.md §4).
