@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gpssn/internal/bench"
+	"gpssn/internal/core"
 )
 
 // TestHarnessMatchesProduct is the harness = product gate: the figure
@@ -13,7 +14,10 @@ import (
 // an identically generated dataset must agree on every answer, on the
 // paper's I/O metric and on the index-level pruning counters, under the hl
 // oracle. It fails as soon as the harness's defaults drift from
-// DefaultConfig's.
+// DefaultConfig's. Answers are compared at the default Parallelism; the
+// counters at Parallelism 1 (a twin of the harness's engine over its
+// indexes, and a DB opened at 1), since above it the anchor stream's page
+// reads and RN* counters depend on when the keeper's bound falls.
 func TestHarnessMatchesProduct(t *testing.T) {
 	shapes := []Query{
 		{GroupSize: 5, Gamma: 0.5, Theta: 0.5, Radius: 2}, // Table 3 defaults
@@ -37,9 +41,17 @@ func TestHarnessMatchesProduct(t *testing.T) {
 		if h := db.Health(); h.OracleActive != "hl" {
 			t.Fatalf("%s: product oracle %q, want hl", kind, h.OracleActive)
 		}
+		cfg := DefaultConfig()
+		cfg.Parallelism = 1
+		seqDB, err := Open(&Network{ds: ds}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		he := env.Engine
+		seqEngine := core.NewEngine(he.DS, he.Road, he.Social, core.Options{Parallelism: 1})
 		for _, q := range shapes {
 			for _, u := range env.QueryUsers(8, 100) {
-				want, raw, err := env.Engine.Query(u, q.params())
+				want, _, err := env.Engine.Query(u, q.params())
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -53,6 +65,14 @@ func TestHarnessMatchesProduct(t *testing.T) {
 				// Same oracle, same indexes: bit-identical, cost included.
 				if w := answerFrom(want, false); ans != nil && !reflect.DeepEqual(*ans, w) {
 					t.Errorf("%s user %d %+v: harness %+v, product %+v", kind, u, q, w, *ans)
+				}
+				_, raw, err := seqEngine.Query(u, q.params())
+				if err != nil {
+					t.Fatal(err)
+				}
+				_, st, err = seqDB.Query(int(u), q)
+				if err != nil && !errors.Is(err, ErrNoAnswer) {
+					t.Fatalf("%s user %d %+v at P=1: %v", kind, u, q, err)
 				}
 				for _, c := range []struct {
 					name      string

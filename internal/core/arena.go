@@ -22,8 +22,10 @@ import (
 //   - comps backs the companion search's result, which is also its queue,
 //     and seen its reached set (companions),
 //   - gs is the group search with its ordinals and rows (groups.go),
-//   - users/cg are the query's candidates and their friendship graph, and
-//     anchs is refinement's anchor heap (anchorOrder): the query arena's.
+//   - hops/reached are u_q's bounded hop distances and the users that BFS
+//     reached, users/cg the query's candidates and their friendship graph,
+//     and anchs is refinement's anchor stream heap (anchorOrder): the
+//     query arena's.
 //
 // Arenas are engine-owned (arenaPool) and recycled across queries, so the
 // steady-state per-query cost is a pool pop and push. The arena only
@@ -36,6 +38,8 @@ type refineArena struct {
 	kws   TopicSet
 	comps []anchorComp
 	users []socialnet.UserID
+	hops  []int32
+	reach []socialnet.UserID
 	seen  []uint64
 	gs    groupSearch
 	cg    candGraph
@@ -126,10 +130,35 @@ func (a *refineArena) keepComps(s []anchorComp) {
 	a.comps = s
 }
 
-// anchorBuf returns a length-n anchor heap buffer.
-func (a *refineArena) anchorBuf(n int) []anchorEntry {
-	a.anchs = grow(a, a.anchs, n, anchorEntrySize)
-	return a.anchs
+// keepAnchors stores the (possibly reallocated) anchor stream heap back so
+// its capacity survives into the next query.
+func (a *refineArena) keepAnchors(s []anchorEntry) {
+	if cap(s) > cap(a.anchs) {
+		a.account(int64(cap(s)-cap(a.anchs)) * int64(anchorEntrySize))
+	}
+	a.anchs = s[:0]
+}
+
+// hopsWithin returns src's hop distances within maxHops over g
+// (socialnet.Unreachable beyond), computed into the arena's reusable hop
+// array: the entries the previous call reached are reset first, so the
+// array is allocated once per arena rather than once per query. The array
+// is valid until the next call.
+func (a *refineArena) hopsWithin(g *socialnet.Graph, src socialnet.UserID, maxHops int32) []int32 {
+	for _, u := range a.reach {
+		a.hops[u] = socialnet.Unreachable
+	}
+	if n := g.NumUsers(); cap(a.hops) < n {
+		a.account(int64(n-cap(a.hops)) * 4)
+		a.hops = make([]int32, n)
+		for i := range a.hops {
+			a.hops[i] = socialnet.Unreachable
+		}
+	}
+	before := cap(a.reach)
+	a.reach = g.HopsWithin(src, maxHops, a.hops, a.reach[:0])
+	a.account(int64(cap(a.reach)-before) * userIDSize)
+	return a.hops
 }
 
 // userBuf returns a length-n user-ID buffer.
@@ -140,12 +169,12 @@ func (a *refineArena) userBuf(n int) []socialnet.UserID {
 
 // Element sizes for the byte gauge. Attach is (EdgeID int32, T float64)
 // padded to 16; UserID is an int32; anchorComp is (int32, int32, float64);
-// anchorEntry is (float64, int32, bool) padded to 16.
+// anchorEntry is (float64, pointer, int32, bool) padded to 24.
 const (
 	attachSize      = 16
 	userIDSize      = 4
 	anchorCompSize  = 16
-	anchorEntrySize = 16
+	anchorEntrySize = 24
 )
 
 // arenaPool recycles refineArenas across queries. A bounded free list

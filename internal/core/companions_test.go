@@ -362,9 +362,8 @@ func TestNoIncumbentRefineMatchesBaseline(t *testing.T) {
 					var st Stats
 					q := e.newQctx(&st)
 					ar := e.acquireArena()
-					// Any k > 1 runs the traversal at δ = +Inf.
-					_, tr := e.front(uq, p, 2, q, ar)
-					got := e.refine(uq, p, k, tr, Result{MaxDist: math.Inf(1)}, q, ar)
+					_, cg := e.front(uq, p, q, ar)
+					got := e.refine(uq, p, k, cg, Result{MaxDist: math.Inf(1)}, q, ar)
 					e.releaseArena(ar)
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d results, Baseline %d", name, len(got), len(want))

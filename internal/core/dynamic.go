@@ -260,17 +260,6 @@ func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, uqRow topicRow, c
 	return cand
 }
 
-// scanDeltaAnchors appends every delta POI as a candidate anchor. They
-// have no keyword distance row, so no matching bound exists for them: they
-// skip both score and distance pruning — trivially sound — and carry no
-// distance lower bound.
-func (e *Engine) scanDeltaAnchors(tr *traversal) {
-	for id := e.dyn.indexedPOIs; id < len(e.DS.POIs); id++ {
-		tr.candAnchors = append(tr.candAnchors, model.POIID(id))
-		tr.candLB = append(tr.candLB, 0)
-	}
-}
-
 // deltaBallMembers returns the delta POIs within Euclidean radius of a
 // point (the R*-tree only covers the indexed prefix).
 func (e *Engine) deltaBallMembers(anchor model.POIID, radius float64) []model.POIID {

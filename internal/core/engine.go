@@ -17,23 +17,25 @@ import (
 	"gpssn/internal/model"
 	"gpssn/internal/pagesim"
 	"gpssn/internal/roadnet"
-	"gpssn/internal/rtree"
 	"gpssn/internal/socialnet"
 )
 
 // Options tune the engine; the zero value enables everything the paper
 // proposes. The Disable* switches exist for the ablation benchmarks.
 type Options struct {
-	// DisableIndexPruning skips all node-level pruning (Section 4.2): the
-	// traversal descends every node and only object-level pruning applies.
+	// DisableIndexPruning skips all node-level pruning (Section 4.2,
+	// Lemmas 6-9): both traversals descend every node (the anchor stream
+	// keys every I_R node 0) and only object-level pruning applies.
 	DisableIndexPruning bool
-	// DisableDistancePruning skips the pivot-based distance pruning (δ and
-	// Lemma 5/7): the traversal runs at δ = +Inf and candidates are
-	// filtered by score predicates only.
+	// DisableDistancePruning skips the pivot-based road distance bounds
+	// (Lemmas 5 and 7): the anchor stream keys every node and unresolved
+	// anchor 0 and prunes none of them against the keeper's bound;
+	// candidates are filtered by score predicates and the exact stop rule.
 	DisableDistancePruning bool
 	// Trace, when non-nil, receives a line-oriented log of the query's
-	// phases: probe outcome (its cost is δ), per-level candidate counts,
-	// and refinement effort. For debugging and teaching; adds minor overhead.
+	// phases: probe outcome, per-level I_S candidate counts, the anchor
+	// stream's work, and refinement effort. For debugging and teaching;
+	// adds minor overhead.
 	Trace io.Writer
 	// Parallelism is the number of worker goroutines refinement fans
 	// anchor candidates over (0 = runtime.GOMAXPROCS(0), 1 = sequential);
@@ -180,13 +182,16 @@ type Stats struct {
 	RNObjPrunedMatch   int
 	RNObjPrunedDist    int
 
-	// Candidates surviving the traversal.
+	// Candidates: the users surviving the social half, and the anchor POIs
+	// that entered refinement's anchor stream (those its stop left
+	// unexpanded count under RNIndexPrunedDist, so RNIndexPruned +
+	// RNObjPruned + CandAnchors = RNPOIsTotal on a completed query).
 	CandUsers   int
 	CandAnchors int
-	// AnchorDistances counts the exact dist_RN(u_q, anchor) values
-	// refinement computed to order the candidate anchors: every candidate
-	// without the POI label table, only those reaching the lazy order's
-	// front with it (≤ CandAnchors either way).
+	// AnchorDistances counts the exact dist_RN(u_q, anchor) values the
+	// anchor stream computed: every anchor that entered it without the POI
+	// label table, only those reaching its front with it (≤ CandAnchors
+	// either way).
 	AnchorDistances int
 	// AnchorsThetaFailed counts the anchors refinement popped and built a
 	// road ball for whose ball u_q does not θ-match: work the matching
@@ -312,10 +317,9 @@ func (e *Engine) QueryCtx(ctx context.Context, uq socialnet.UserID, p Params) (R
 
 // QueryTopK returns up to k GP-SSN answers with distinct anchor POIs, in
 // increasing maximum-distance order — the top-k extension listed in
-// DESIGN.md. k = 1 is exactly Query. For k > 1 the traversal runs at
-// δ = +Inf — one verified cost bounds only the best answer — and
-// refinement prunes against the keeper's k-th best cost. Safe for
-// concurrent use, like Query.
+// DESIGN.md. k = 1 is exactly Query; for any k the anchor stream prunes
+// against the keeper's k-th best cost. Safe for concurrent use, like
+// Query.
 func (e *Engine) QueryTopK(uq socialnet.UserID, p Params, k int) ([]Result, Stats, error) {
 	return e.QueryTopKCtx(context.Background(), uq, p, k)
 }
@@ -352,14 +356,14 @@ func (e *Engine) run(ctx context.Context, uq socialnet.UserID, p Params, k int) 
 
 	// The query arena holds the candidates and their friendship graph from
 	// the social half to the end of refinement, and refinement's anchor
-	// order and u_q's label besides.
+	// stream and u_q's label besides.
 	ar := e.acquireArena()
 	defer e.releaseArena(ar)
-	probe, tr := e.front(uq, p, k, q, ar)
-	q.tracef("traversal: %d candidate users, %d candidate anchors", st.CandUsers, st.CandAnchors)
+	probe, cg := e.front(uq, p, q, ar)
+	q.tracef("traversal: %d candidate users", st.CandUsers)
 	var res []Result
 	if !q.cancelled() {
-		res = e.refine(uq, p, k, tr, probe, q, ar)
+		res = e.refine(uq, p, k, cg, probe, q, ar)
 		q.tracef("refined: pairs evaluated=%d", st.PairsEvaluated)
 	}
 
@@ -371,30 +375,6 @@ func (e *Engine) run(ctx context.Context, uq socialnet.UserID, p Params, k int) 
 	return res, st, nil
 }
 
-// traversal is the intermediate state Algorithm 2 hands to refinement: the
-// road half's candidate anchors and the social half's candidate graph.
-// candLB[i] is the Lemma 5 pivot lower bound on dist_RN(u_q, candAnchors[i])
-// the traversal computed for its δ test, 0 where none was computed (delta
-// POIs, unsafe road pivots, DisableDistancePruning); refinement keys its
-// lazy anchor order by it.
-type traversal struct {
-	candAnchors []model.POIID
-	candLB      []float64
-	cg          *candGraph
-}
-
-// delta returns the traversal's pruning threshold δ for a verified
-// feasible cost: the cost itself, or +Inf under DisableDistancePruning.
-// δ is an input to the traversal, never lowered inside it, so its
-// soundness is one fact: it is the exact cost of a feasible answer (or
-// +Inf), and no anchor whose lower bound exceeds it can do better.
-func (e *Engine) delta(cost float64) float64 {
-	if e.Opts.DisableDistancePruning {
-		return math.Inf(1)
-	}
-	return cost
-}
-
 // parallelism resolves Opts.Parallelism: 0 means runtime.GOMAXPROCS(0).
 func (e *Engine) parallelism() int {
 	if par := e.Opts.Parallelism; par > 0 {
@@ -403,16 +383,16 @@ func (e *Engine) parallelism() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// front runs the query's front half, Algorithm 2's traversal, as two
-// halves that share no state: the social half (socialHalf: the I_S pass,
-// the hop filter and the candidate graph, built in ar) and the road half
-// (the probe, δ and the I_R pass, roadPass). At Parallelism ≥ 2 the social
-// half runs on its own goroutine beside the road half; at 1 both run
-// inline, social half first. Each half yields the candidates of the
-// lockstep sweep in the same order and writes only its own Stats fields
-// (docs/CONCURRENCY.md §3). δ is the probe's cost for k = 1 and +Inf
-// otherwise: one verified cost bounds only the best answer.
-func (e *Engine) front(uq socialnet.UserID, p Params, k int, q *qctx, ar *refineArena) (Result, traversal) {
+// front runs the query's front half: the social half (socialHalf: the
+// I_S pass, the hop filter and the candidate graph, built in ar) beside
+// the probe, whose answer seeds refinement's keeper. At Parallelism ≥ 2
+// the social half runs on its own goroutine; at 1 both run inline, social
+// half first. The two share no state: the social half writes only the SN*
+// counters and CandUsers and reads pages through q.social, the probe
+// writes no Stats field and reads no index page (docs/CONCURRENCY.md §3).
+// The I_R side of Algorithm 2 is refinement's anchor stream
+// (newAnchorOrder).
+func (e *Engine) front(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) (Result, *candGraph) {
 	var socialTrace *bytes.Buffer
 	if q.trace != nil {
 		socialTrace = &bytes.Buffer{}
@@ -436,11 +416,6 @@ func (e *Engine) front(uq socialnet.UserID, p Params, k int, q *qctx, ar *refine
 
 	probe := e.probe(uq, p, q)
 	q.tracef("probe: found=%v cost=%.4f", probe.Found, probe.MaxDist)
-	delta := math.Inf(1)
-	if k == 1 {
-		delta = e.delta(probe.MaxDist)
-	}
-	tr := e.roadPass(uq, p, delta, q)
 
 	if done != nil {
 		<-done
@@ -449,15 +424,14 @@ func (e *Engine) front(uq socialnet.UserID, p Params, k int, q *qctx, ar *refine
 	if socialTrace != nil {
 		q.trace.Write(socialTrace.Bytes())
 	}
-	tr.cg = &ar.cg
-	return probe, tr
+	return probe, &ar.cg
 }
 
 // socialHalf is the query's social half: Algorithm 2's I_S pass, level by
 // level with the node rules (Lemmas 8, 9) and the leaf user tests (Lemmas
 // 3, 4), then the exact user filter of line 29 — hop distance within τ-1
 // of u_q — and the friendship graph over the survivors, built in ar.cg.
-// It needs neither the probe nor δ. It writes only the SN* counters and
+// It needs nothing from the probe. It writes only the SN* counters and
 // CandUsers, reads pages through q.social only, and traces into trace
 // (nil when tracing is off).
 func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineArena, trace *bytes.Buffer) {
@@ -529,7 +503,7 @@ func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineAr
 	// Exact user filtering (line 29): hop distance within τ-1 of u_q. The
 	// exact interest test (similarity >= γ) already ran on every candidate
 	// above — interestPrunable is that very predicate.
-	hops := ds.Social.BFSHopsBounded(uq, int32(p.Tau-1))
+	hops := ar.hopsWithin(ds.Social, uq, int32(p.Tau-1))
 	cand := ar.userBuf(len(users))[:0]
 	for _, u := range users {
 		if hops[u] == socialnet.Unreachable {
@@ -542,120 +516,6 @@ func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineAr
 	slices.Sort(cand)
 	ar.candGraph(ds.Social, uq, cand)
 	st.CandUsers = len(cand)
-}
-
-// roadPass is the road half's I_R pass (Algorithm 2 lines 2-3 and 11-28):
-// a min-heap keyed by distance lower bounds, popped level by level until
-// it is empty and pruned against the fixed threshold delta, then the delta
-// POIs. It writes only the RN* counters and CandAnchors, and reads pages
-// through q.road only.
-func (e *Engine) roadPass(uq socialnet.UserID, p Params, delta float64, q *qctx) traversal {
-	st := q.st
-	uqRow := e.topics.user(uq)
-	uqRD := e.userRDOf(uq)
-	var tr traversal
-
-	// I_R heap seeded with the root (Algorithm 2 lines 2-3).
-	heap := []heapEntry{{node: e.Road.Tree.Root(), key: 0}}
-	e.Road.AccessTracked(e.Road.Tree.Root(), q.road)
-
-	// processRNLevel pops every entry of the current heap, applies the
-	// node/object pruning, and returns the next level's heap (Algorithm 2
-	// lines 11-26).
-	processRNLevel := func(cur []heapEntry) []heapEntry {
-		sortHeap(cur)
-		var next []heapEntry
-		// Road pivot LOWER bounds are unsound once a road edge has been
-		// appended (new edges only shorten distances, so stored rows can
-		// overestimate); every lower-bound prune below gates on roadLB.
-		// The keyword distances are road distances too: kwLB gates
-		// Lemmas 1/6 the same way (keywordBoundsSafe).
-		roadLB, kwLB := e.roadPivotSafe(), e.keywordBoundsSafe()
-		for i, he := range cur {
-			// Cancellation is polled at anchor-candidate granularity: once
-			// per heap entry and per leaf POI below. A cancelled traversal
-			// just stops expanding — the query errors out afterwards, so a
-			// short candidate list is never observable as an answer.
-			if q.cancelled() {
-				return nil
-			}
-			if roadLB && prunes(he.key, delta) {
-				// Lines 13-14: everything remaining is prunable.
-				for _, rest := range cur[i:] {
-					cnt := e.Road.Meta(rest.node).POICount
-					st.RNIndexPruned += cnt
-					st.RNIndexPrunedDist += cnt
-				}
-				break
-			}
-			n := he.node
-			if n.IsLeaf() {
-				for _, ent := range n.Entries() {
-					if q.cancelled() {
-						return nil
-					}
-					id := model.POIID(ent.ID)
-					// Both rules are evaluated on every leaf POI — the
-					// object is pruned when either fires, and each rule's
-					// power is counted independently, which is how
-					// Fig. 7(c) reports them. Matching: Lemma 1, u_q's
-					// score over a superset of the radius-r ball's
-					// keywords. Distance: Lemma 5 via the pivot lower
-					// bound vs δ.
-					matchPrune := kwLB && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta
-					lb, distPrune := 0.0, false
-					if !e.Opts.DisableDistancePruning && roadLB {
-						lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
-						distPrune = prunes(lb, delta)
-					}
-					if matchPrune {
-						st.RNObjPrunedMatch++
-					}
-					if distPrune {
-						st.RNObjPrunedDist++
-					}
-					if matchPrune || distPrune {
-						st.RNObjPruned++
-						continue
-					}
-					tr.candAnchors = append(tr.candAnchors, id)
-					tr.candLB = append(tr.candLB, lb)
-				}
-				continue
-			}
-			for _, ent := range n.Entries() {
-				child := ent.Child
-				m := e.Road.Meta(child)
-				if !e.Opts.DisableIndexPruning {
-					// Lemma 6: matching score pruning for index nodes.
-					if kwLB && uqRow.matchUb(m.KwMin, p.R) < p.Theta {
-						st.RNIndexPruned += m.POICount
-						st.RNIndexPrunedMatch += m.POICount
-						continue
-					}
-					// Lemma 7 / Eq. 17: distance lower bound vs δ.
-					if roadLB && prunes(nodeDistLb(uqRD, m.LbDist, m.UbDist), delta) {
-						st.RNIndexPruned += m.POICount
-						st.RNIndexPrunedDist += m.POICount
-						continue
-					}
-				}
-				e.Road.AccessTracked(child, q.road)
-				next = append(next, heapEntry{node: child, key: nodeDistLb(uqRD, m.LbDist, m.UbDist)})
-			}
-		}
-		return next
-	}
-
-	// Lines 11-28: pop H_R level by level until it is empty.
-	for depth := 0; len(heap) > 0 && !q.cancelled(); depth++ {
-		heap = processRNLevel(heap)
-		q.tracef("I_R level %d: H_R entries=%d anchors=%d", depth, len(heap), len(tr.candAnchors))
-	}
-	// Main+delta: POIs appended after the index build become anchors.
-	e.scanDeltaAnchors(&tr)
-	st.CandAnchors = len(tr.candAnchors)
-	return tr
 }
 
 // leafUsers applies the object-level user pruning (Section 3.2) to the
@@ -728,34 +588,21 @@ func nodeDistLb(uqRD, lb, ub []float64) float64 {
 }
 
 // prunes reports whether a derived road lower bound lb rules a candidate
-// out against bound. Pivot bounds (Lemmas 5 and 7, the I_R heap key, the
-// companion test) and δ itself are sums of independently rounded floats,
-// so a bound whose true value equals an exact tied cost can land an ulp
-// above it; a bare lb > bound would then drop a tied candidate depending
-// on which tie set the bound first, i.e. on worker timing. The relative
-// slack of 1e-9 is far above that rounding and far below any real gap.
-// Bounds are ≥ 0, and +Inf stays +Inf. Comparisons between two exact
-// costs (the keeper, enumerateGroups, the duq cut-off) stay strict and
-// never go through here.
+// out against bound. Pivot bounds (Lemmas 5 and 7, the companion test) are
+// sums of independently rounded floats, so a bound whose true value
+// equals an exact tied cost can land an ulp above it; a bare lb > bound
+// would then drop a tied candidate depending on which tie set the bound
+// first, i.e. on worker timing. The relative slack of 1e-9 is far above
+// that rounding and far below any real gap. Bounds are ≥ 0, and +Inf stays
+// +Inf. The anchor stream's keys take the same slack the other way
+// (boundKey). Comparisons between two exact costs (the keeper,
+// enumerateGroups, the duq cut-off) stay strict and never go through here.
 func prunes(lb, bound float64) bool { return lb > bound*(1+1e-9) }
 
-// heapEntry is an I_R traversal frontier entry: a node and its distance
-// lower bound key (Algorithm 2's min-heap H_R).
-type heapEntry struct {
-	node *rtree.Node
-	key  float64
-}
-
-// sortHeap orders heap entries by ascending key (the level-local
-// equivalent of popping a min-heap until empty).
-func sortHeap(h []heapEntry) {
-	// Insertion sort: levels are small and nearly sorted.
-	for i := 1; i < len(h); i++ {
-		for j := i; j > 0 && h[j].key < h[j-1].key; j-- {
-			h[j], h[j-1] = h[j-1], h[j]
-		}
-	}
-}
+// boundKey is the anchor stream's key for a derived lower bound lb (Eq. 17
+// for a node, Lemma 5 for an anchor), shrunk by prunes' slack: a bound
+// that rounded up past a tied exact distance must not sort after it.
+func boundKey(lb float64) float64 { return lb * (1 - 1e-9) }
 
 // pairsTotalLog2 returns log2(C(m, k) · n), the size of the brute-force
 // search space of user-POI group pairs.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"gpssn/internal/gen"
@@ -184,6 +185,9 @@ func TestNoAnchorFailsThetaWithoutDelta(t *testing.T) {
 	}
 }
 
+// TestEngineAblationsStayExact: every pruning ablation returns the full
+// engine's cost, and with index pruning off no node of either index is
+// pruned, by any rule.
 func TestEngineAblationsStayExact(t *testing.T) {
 	ds := smallDataset(t, 9)
 	p := Params{Gamma: 0.25, Tau: 3, Theta: 0.4, R: 2, Metric: MetricDotProduct}
@@ -200,9 +204,13 @@ func TestEngineAblationsStayExact(t *testing.T) {
 		}
 		for name, opts := range variants {
 			e := buildEngine(t, ds, opts)
-			got, _, err := e.Query(uq, p)
+			got, st, err := e.Query(uq, p)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
+			}
+			if opts.DisableIndexPruning && (st.RNIndexPruned != 0 || st.SNIndexPruned != 0) {
+				t.Fatalf("%s uq %d: index pruning off, yet %d POIs and %d users pruned at nodes",
+					name, uq, st.RNIndexPruned, st.SNIndexPruned)
 			}
 			if got.Found != want.Found {
 				t.Fatalf("%s uq %d: found=%v, want %v", name, uq, got.Found, want.Found)
@@ -311,23 +319,28 @@ func TestEngineParamValidation(t *testing.T) {
 	}
 }
 
+// TestEngineDeterministic repeats one query: the answer must repeat at the
+// default Parallelism, and the page reads at Parallelism 1 (above it the
+// anchor stream's reads depend on when the keeper's bound falls).
 func TestEngineDeterministic(t *testing.T) {
 	ds := smallDataset(t, 14)
-	e := buildEngine(t, ds, Options{})
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct}
-	a, sa, err := e.Query(8, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, sb, err := e.Query(8, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Found != b.Found || (a.Found && (a.MaxDist != b.MaxDist || a.Anchor != b.Anchor)) {
-		t.Fatal("engine is not deterministic")
-	}
-	if sa.PageReads != sb.PageReads {
-		t.Errorf("page reads differ across identical queries: %d vs %d", sa.PageReads, sb.PageReads)
+	for _, par := range []int{0, 1} {
+		e := buildEngine(t, ds, Options{Parallelism: par})
+		a, sa, err := e.Query(8, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, sb, err := e.Query(8, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Found != b.Found || (a.Found && (a.MaxDist != b.MaxDist || a.Anchor != b.Anchor)) {
+			t.Fatalf("P=%d: engine is not deterministic", par)
+		}
+		if par == 1 && sa.PageReads != sb.PageReads {
+			t.Errorf("page reads differ across identical queries: %d vs %d", sa.PageReads, sb.PageReads)
+		}
 	}
 }
 
@@ -353,9 +366,14 @@ func TestEngineStatsSanity(t *testing.T) {
 		t.Errorf("pruned more users (%d+%d) than exist (%d)",
 			st.SNIndexPruned, st.SNObjPruned, st.SNUsersTotal)
 	}
-	if st.RNIndexPruned+st.RNObjPruned > st.RNPOIsTotal {
-		t.Errorf("pruned more POIs (%d+%d) than exist (%d)",
-			st.RNIndexPruned, st.RNObjPruned, st.RNPOIsTotal)
+	// The anchor stream partitions the POIs: pruned at a node (the nodes
+	// its stop left unexpanded included), pruned as an object, or entered.
+	if st.RNIndexPruned+st.RNObjPruned+st.CandAnchors != st.RNPOIsTotal {
+		t.Errorf("POI partition: %d index-pruned + %d object-pruned + %d anchors != %d POIs",
+			st.RNIndexPruned, st.RNObjPruned, st.CandAnchors, st.RNPOIsTotal)
+	}
+	if st.RNIndexPrunedMatch+st.RNIndexPrunedDist != st.RNIndexPruned {
+		t.Error("RN index pruning reasons don't add up")
 	}
 	if st.SNIndexPrunedInterest+st.SNIndexPrunedDist != st.SNIndexPruned {
 		t.Error("SN index pruning reasons don't add up")
@@ -441,10 +459,13 @@ func TestQueryTrace(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := buf.String()
-		for _, want := range []string{"probe:", "I_S level", "I_R level", "traversal:", "refined:"} {
+		for _, want := range []string{"probe:", "I_S level", "traversal:", "refined:"} {
 			if !strings.Contains(out, want) {
 				t.Errorf("P=%d: trace missing %q:\n%s", par, want, out)
 			}
+		}
+		if n := strings.Count(out, "anchor stream: nodes expanded="); n != 1 {
+			t.Errorf("P=%d: %d anchor stream lines, want 1:\n%s", par, n, out)
 		}
 		// Tracing must not change the answer.
 		plain := buildEngine(t, ds, Options{Parallelism: par})
@@ -456,43 +477,65 @@ func TestQueryTrace(t *testing.T) {
 	}
 }
 
-// BenchmarkTraverse times the query front half as the query runs it — the
-// probe and the I_R pass beside the I_S pass and the candidate graph, no
-// refinement — for 16 fixed issuers at uni_cold's scale and shape: 7,500
-// road vertices, 7,500 users, 2,500 POIs, the hub-label oracle, τ = 4,
-// γ = θ = 0.5, r = 2. One op is all 16 issuers; P=1 runs the two halves
-// inline, P=2 on two goroutines.
-func BenchmarkTraverse(b *testing.B) {
-	ds, err := gen.Synthetic(gen.Config{
-		Name: "traverse", Seed: 101,
-		RoadVertices: 7500, SocialUsers: 7500, POIs: 2500,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
-	rp := pivot.RandomRoad(ds.Road, 5, 11)
-	road, err := index.BuildRoad(ds, index.RoadConfig{Pivots: rp, RMin: 0.5, RMax: 4})
-	if err != nil {
-		b.Fatal(err)
-	}
-	social, err := index.BuildSocial(ds, index.SocialConfig{
-		RoadPivots: road.Pivots, SocialPivots: pivot.RandomSocial(ds.Social, 5, 12),
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := Params{Gamma: 0.5, Tau: 4, Theta: 0.5, R: 2, Metric: MetricDotProduct}
-	var issuers []socialnet.UserID
-	for u := socialnet.UserID(0); len(issuers) < 16; u += 467 {
-		if ds.Social.Degree(u) > 0 {
-			issuers = append(issuers, u)
+// uniCold is uni_cold's dataset and indexes for the kernel benchmarks,
+// built once per test binary: 7,500 road vertices, 7,500 users, 2,500
+// POIs (seed 101), the hub-label oracle, and 16 fixed issuers with a
+// friend.
+var uniCold struct {
+	once    sync.Once
+	ds      *model.Dataset
+	road    *index.RoadIndex
+	social  *index.SocialIndex
+	issuers []socialnet.UserID
+	err     error
+}
+
+// uniColdParams is uni_cold's query shape at its middle radius.
+var uniColdParams = Params{Gamma: 0.5, Tau: 4, Theta: 0.5, R: 2, Metric: MetricDotProduct}
+
+// uniColdEngine returns an engine over the uniCold fixture, and its
+// issuers.
+func uniColdEngine(b *testing.B, opts Options) (*Engine, []socialnet.UserID) {
+	b.Helper()
+	u := &uniCold
+	u.once.Do(func() {
+		u.ds, u.err = gen.Synthetic(gen.Config{
+			Name: "uni-cold", Seed: 101,
+			RoadVertices: 7500, SocialUsers: 7500, POIs: 2500,
+		})
+		if u.err != nil {
+			return
 		}
+		u.ds.Road.SetDistanceOracle(hl.Build(u.ds.Road))
+		rp := pivot.RandomRoad(u.ds.Road, 5, 11)
+		if u.road, u.err = index.BuildRoad(u.ds, index.RoadConfig{Pivots: rp, RMin: 0.5, RMax: 4}); u.err != nil {
+			return
+		}
+		u.social, u.err = index.BuildSocial(u.ds, index.SocialConfig{
+			RoadPivots: u.road.Pivots, SocialPivots: pivot.RandomSocial(u.ds.Social, 5, 12),
+		})
+		for uq := socialnet.UserID(0); len(u.issuers) < 16; uq += 467 {
+			if u.ds.Social.Degree(uq) > 0 {
+				u.issuers = append(u.issuers, uq)
+			}
+		}
+	})
+	if u.err != nil {
+		b.Fatal(u.err)
 	}
+	return NewEngine(u.ds, u.road, u.social, opts), u.issuers
+}
+
+// BenchmarkTraverse times the query front half as the query runs it — the
+// probe beside the I_S pass and the candidate graph, no refinement — for
+// the 16 uniCold issuers at uni_cold's shape (τ = 4, γ = θ = 0.5, r = 2).
+// One op is all 16 issuers; P=1 runs the two halves inline, P=2 on two
+// goroutines.
+func BenchmarkTraverse(b *testing.B) {
 	for _, par := range []int{1, 2} {
 		b.Run(fmt.Sprintf("P=%d", par), func(b *testing.B) {
-			e := NewEngine(ds, road, social, Options{Parallelism: par})
-			var users, anchors int
+			e, issuers := uniColdEngine(b, Options{Parallelism: par})
+			var users int
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, uq := range issuers {
@@ -500,14 +543,12 @@ func BenchmarkTraverse(b *testing.B) {
 					q := e.newQctx(&st)
 					q.arm(context.Background(), Budget{})
 					ar := e.acquireArena()
-					e.front(uq, p, 1, q, ar)
+					e.front(uq, uniColdParams, q, ar)
 					e.releaseArena(ar)
 					users += st.CandUsers
-					anchors += st.CandAnchors
 				}
 			}
 			b.ReportMetric(float64(users)/float64(b.N), "cand-users/op")
-			b.ReportMetric(float64(anchors)/float64(b.N), "cand-anchors/op")
 		})
 	}
 }

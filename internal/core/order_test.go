@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -15,18 +16,17 @@ import (
 
 // lazyOrder builds an anchorOrder over exact distances duq, with the
 // unresolved keys derived from the lower bounds lb the way newAnchorOrder
-// derives them from the traversal's pivot bounds. Each resolution is
-// reported to onResolve.
+// derives them from the Lemma 5 pivot bounds. Each resolution is reported
+// to onResolve.
 func lazyOrder(duq, lb []float64, onResolve func(id model.POIID)) *anchorOrder {
-	o := &anchorOrder{h: make([]anchorEntry, len(duq))}
+	o := &anchorOrder{}
 	for i := range duq {
-		o.h[i] = anchorEntry{key: lb[i] * (1 - 1e-9), id: model.POIID(i)}
+		o.push(anchorEntry{key: boundKey(lb[i]), id: model.POIID(i)})
 	}
 	o.resolve = func(id model.POIID) float64 {
 		onResolve(id)
 		return duq[id]
 	}
-	o.heapify()
 	return o
 }
 
@@ -192,36 +192,128 @@ func TestAnchorDistancesCounted(t *testing.T) {
 	t.Logf("hl: %d anchor distances for %d candidate anchors", dists, cands)
 }
 
-// BenchmarkAnchorOrder times the lazy anchor order at the size of a cold
-// uni_cold query: 1,054 candidate anchors whose pivot bounds are 50–100%
-// of their exact distance, popped until the stop bound: 70 resolutions
-// and 58 pops.
-func BenchmarkAnchorOrder(b *testing.B) {
-	const n, bound = 1054, 4.3
-	rng := rand.New(rand.NewSource(7))
-	duq, lb := make([]float64, n), make([]float64, n)
-	for i := range duq {
-		duq[i] = rng.Float64() * 100
-		lb[i] = duq[i] * (0.5 + rng.Float64()/2)
+// TestAnchorStreamEagerOrder drains the engine's anchor stream, from the
+// I_R root, on generated datasets under the plain graph (anchors enter
+// resolved) and hub labels (resolved at the front), unbounded and at the
+// query's answer cost. The pops must come in (duq, id) order with exact
+// keys, and must be exactly the POIs Lemma 1 keeps whose distance from
+// u_q is finite and within the bound (up to the pivot bounds' slack at
+// the bound itself); the RN* counters must partition the POIs.
+func TestAnchorStreamEagerOrder(t *testing.T) {
+	params := []Params{
+		{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 2, Metric: MetricDotProduct},
+		{Gamma: 0.1, Tau: 2, Theta: 0.5, R: 1, Metric: MetricDotProduct},
 	}
-	o := &anchorOrder{h: make([]anchorEntry, n), resolve: func(id model.POIID) float64 { return duq[id] }}
-	var resolved, pops int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		o.h = o.h[:n]
-		for j := range o.h {
-			o.h[j] = anchorEntry{key: lb[j] * (1 - 1e-9), id: model.POIID(j)}
-		}
-		o.resolved, o.pops = 0, 0
-		o.heapify()
-		for {
-			if _, ok := o.next(bound); !ok {
-				break
+	for seed := int64(1); seed <= 3; seed++ {
+		ds := smallDataset(t, seed)
+		for _, labels := range []bool{false, true} {
+			if labels {
+				ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+			}
+			e := buildEngine(t, ds, Options{Parallelism: 1})
+			for pi, p := range params {
+				for _, uq := range []socialnet.UserID{0, 7, 33} {
+					res, _, err := e.Query(uq, p)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, bound := range []float64{math.Inf(1), res.MaxDist} {
+						name := fmt.Sprintf("seed %d labels %v params %d uq %d bound %v", seed, labels, pi, uq, bound)
+						checkStream(t, name, e, uq, p, bound)
+					}
+				}
 			}
 		}
-		resolved += o.resolved
-		pops += o.pops
 	}
+}
+
+// checkStream drains uq's anchor stream at bound and checks it against
+// the eager order (TestAnchorStreamEagerOrder).
+func checkStream(t *testing.T, name string, e *Engine, uq socialnet.UserID, p Params, bound float64) {
+	t.Helper()
+	ds := e.DS
+	var st Stats
+	st.RNPOIsTotal = len(ds.POIs)
+	q := e.newQctx(&st)
+	ar := e.acquireArena()
+	defer e.releaseArena(ar)
+	o := e.newAnchorOrder(uq, p, q, ar)
+	popped := map[model.POIID]bool{}
+	var last anchorEntry
+	for {
+		ac, ok := o.next(bound)
+		if !ok {
+			break
+		}
+		if len(popped) > 0 && ac.before(&last) {
+			t.Fatalf("%s: anchor %d (%v) popped after %d (%v)", name, ac.id, ac.key, last.id, last.key)
+		}
+		if d := ds.Road.DistAttach(ds.Users[uq].At, ds.POIs[ac.id].At); !sameDist(ac.key, d) {
+			t.Fatalf("%s: anchor %d popped at key %v, distance %v", name, ac.id, ac.key, d)
+		}
+		popped[ac.id], last = true, ac
+	}
+	e.closeAnchorOrder(o, &st)
+	if st.RNIndexPruned+st.RNObjPruned+st.CandAnchors != st.RNPOIsTotal {
+		t.Fatalf("%s: %d + %d + %d != %d POIs", name, st.RNIndexPruned, st.RNObjPruned, st.CandAnchors, st.RNPOIsTotal)
+	}
+	uqRow := e.topics.user(uq)
+	for id := range ds.POIs {
+		poi := model.POIID(id)
+		if uqRow.matchUb(e.Road.KeywordDist(poi), p.R) < p.Theta {
+			if popped[poi] {
+				t.Fatalf("%s: anchor %d popped, but Lemma 1 prunes it", name, id)
+			}
+			continue
+		}
+		d := ds.Road.DistAttach(ds.Users[uq].At, ds.POIs[id].At)
+		switch {
+		case math.IsInf(d, 1) || d > bound*(1+1e-9):
+			if popped[poi] {
+				t.Fatalf("%s: anchor %d at %v popped beyond the bound", name, id, d)
+			}
+		case d < bound*(1-1e-9) && !popped[poi]:
+			t.Fatalf("%s: anchor %d at %v within the bound was never popped", name, id, d)
+		}
+	}
+}
+
+// BenchmarkAnchorOrder drains the anchor stream of the 16 uniCold issuers
+// at uni_cold's shape, each at its answer cost — the bound refinement's
+// stop ends at — without refinement. One op is all 16 issuers; it
+// reports the I_R nodes expanded, the anchors resolved (one label-row
+// merge each) and the anchors popped.
+func BenchmarkAnchorOrder(b *testing.B) {
+	e, issuers := uniColdEngine(b, Options{Parallelism: 1})
+	bounds := make([]float64, len(issuers))
+	for i, uq := range issuers {
+		res, _, err := e.Query(uq, uniColdParams)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bounds[i] = res.MaxDist
+	}
+	var nodes, resolved, pops int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j, uq := range issuers {
+			var st Stats
+			q := e.newQctx(&st)
+			ar := e.acquireArena()
+			o := e.newAnchorOrder(uq, uniColdParams, q, ar)
+			for {
+				if _, ok := o.next(bounds[j]); !ok {
+					break
+				}
+			}
+			nodes += o.expanded
+			resolved += o.resolved
+			pops += o.pops
+			ar.keepAnchors(o.h)
+			e.releaseArena(ar)
+		}
+	}
+	b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 	b.ReportMetric(float64(resolved)/float64(b.N), "resolved/op")
 	b.ReportMetric(float64(pops)/float64(b.N), "pops/op")
 }

@@ -110,69 +110,73 @@ func TestFrontRethrowsSocialPanic(t *testing.T) {
 			t.Fatal("front returned without re-raising the social half's panic as a *PanicError")
 		}
 	}()
-	e.front(0, Params{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2}, 1, q, ar)
+	e.front(0, Params{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2}, q, ar)
 }
 
-// frontCounters keeps the Stats fields the query's front half writes —
-// the SN* and RN* counters, the candidate counts and the page reads — and
-// zeroes the rest. The social half writes the SN* ones and CandUsers, the
-// road half the RN* ones and CandAnchors; a half that dropped or counted
-// twice under the other's goroutine would differ between P=1 and P=8.
+// frontCounters keeps the Stats fields the social half writes — the SN*
+// counters and CandUsers — and zeroes the rest. They stay exact at any
+// Parallelism, and a half that dropped or counted twice on its own
+// goroutine would differ between P=1 and P=8. The RN* counters,
+// CandAnchors and the road page reads are the anchor stream's: they
+// depend on when the keeper's bound falls, like PairsEvaluated.
 func frontCounters(s Stats) Stats {
 	return Stats{
-		PageReads:    s.PageReads,
 		SNUsersTotal: s.SNUsersTotal, SNIndexPruned: s.SNIndexPruned,
 		SNIndexPrunedInterest: s.SNIndexPrunedInterest, SNIndexPrunedDist: s.SNIndexPrunedDist,
 		SNObjPruned: s.SNObjPruned, SNObjPrunedInterest: s.SNObjPrunedInterest, SNObjPrunedDist: s.SNObjPrunedDist,
-		RNPOIsTotal: s.RNPOIsTotal, RNIndexPruned: s.RNIndexPruned,
-		RNIndexPrunedMatch: s.RNIndexPrunedMatch, RNIndexPrunedDist: s.RNIndexPrunedDist,
-		RNObjPruned: s.RNObjPruned, RNObjPrunedMatch: s.RNObjPrunedMatch, RNObjPrunedDist: s.RNObjPrunedDist,
-		CandUsers: s.CandUsers, CandAnchors: s.CandAnchors,
+		CandUsers: s.CandUsers,
 	}
 }
 
 // TestConcurrentQueriesIsolateStats is the regression test for the Stats
 // aggregation fix: two queries running interleaved on one engine must each
-// report exactly the page reads they report when run back to back. Before
-// per-query trackers, concurrent queries shared one LRU pool and one
-// counter set, so interleaving corrupted both numbers.
+// report exactly the answer and the page reads they report when run back
+// to back. Before per-query trackers, concurrent queries shared one LRU
+// pool and one counter set, so interleaving corrupted both numbers. The
+// answers are checked at the default Parallelism; the page reads at
+// Parallelism 1, where the anchor stream's reads do not depend on when
+// the keeper's bound falls.
 func TestConcurrentQueriesIsolateStats(t *testing.T) {
 	ds := smallDataset(t, 25)
-	e := buildEngine(t, ds, Options{})
 	pA := Params{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2, Metric: MetricDotProduct}
 	pB := Params{Gamma: 0.3, Tau: 3, Theta: 0.4, R: 1.5, Metric: MetricDotProduct}
+	for _, par := range []int{0, 1} {
+		e := buildEngine(t, ds, Options{Parallelism: par})
+		resA, seqA, err := e.Query(1, pA)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resB, seqB, err := e.Query(9, pB)
+		if err != nil {
+			t.Fatal(err)
+		}
 
-	resA, seqA, err := e.Query(1, pA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resB, seqB, err := e.Query(9, pB)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for round := 0; round < 8; round++ {
-		var wg sync.WaitGroup
-		var gotA, gotB Result
-		var stA, stB Stats
-		var errA, errB error
-		wg.Add(2)
-		go func() { defer wg.Done(); gotA, stA, errA = e.Query(1, pA) }()
-		go func() { defer wg.Done(); gotB, stB, errB = e.Query(9, pB) }()
-		wg.Wait()
-		if errA != nil || errB != nil {
-			t.Fatalf("round %d: %v / %v", round, errA, errB)
-		}
-		if !reflect.DeepEqual(gotA, resA) || !reflect.DeepEqual(gotB, resB) {
-			t.Fatalf("round %d: concurrent answers differ from sequential", round)
-		}
-		if stA.PageReads != seqA.PageReads {
-			t.Fatalf("round %d: query A reports %d page reads interleaved, %d sequential",
-				round, stA.PageReads, seqA.PageReads)
-		}
-		if stB.PageReads != seqB.PageReads {
-			t.Fatalf("round %d: query B reports %d page reads interleaved, %d sequential",
-				round, stB.PageReads, seqB.PageReads)
+		for round := 0; round < 8; round++ {
+			var wg sync.WaitGroup
+			var gotA, gotB Result
+			var stA, stB Stats
+			var errA, errB error
+			wg.Add(2)
+			go func() { defer wg.Done(); gotA, stA, errA = e.Query(1, pA) }()
+			go func() { defer wg.Done(); gotB, stB, errB = e.Query(9, pB) }()
+			wg.Wait()
+			if errA != nil || errB != nil {
+				t.Fatalf("P=%d round %d: %v / %v", par, round, errA, errB)
+			}
+			if !reflect.DeepEqual(gotA, resA) || !reflect.DeepEqual(gotB, resB) {
+				t.Fatalf("P=%d round %d: concurrent answers differ from sequential", par, round)
+			}
+			if par != 1 {
+				continue
+			}
+			if stA.PageReads != seqA.PageReads {
+				t.Fatalf("round %d: query A reports %d page reads interleaved, %d sequential",
+					round, stA.PageReads, seqA.PageReads)
+			}
+			if stB.PageReads != seqB.PageReads {
+				t.Fatalf("round %d: query B reports %d page reads interleaved, %d sequential",
+					round, stB.PageReads, seqB.PageReads)
+			}
 		}
 	}
 }

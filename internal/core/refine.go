@@ -11,13 +11,15 @@ import (
 
 	"gpssn/internal/model"
 	"gpssn/internal/roadnet"
+	"gpssn/internal/rtree"
 	"gpssn/internal/socialnet"
 )
 
 // probe searches for one feasible solution around the issuer's nearest
 // anchor POIs by greedy connected group growth. Its cost, when found, is a
 // sound upper bound on the optimum (it is the cost of an actual feasible
-// pair), so it can seed δ and the refinement incumbent.
+// pair), so it can seed the refinement keeper, whose bound prunes the
+// anchor stream.
 func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 	best := Result{MaxDist: math.Inf(1)}
 	ds := e.DS
@@ -64,7 +66,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
 	}
 	// Second round: anchors near the found group's centroid usually beat
 	// anchors near the issuer alone, and a tighter incumbent is the main
-	// lever on δ-pruning.
+	// lever on the anchor stream's pruning.
 	if best.Found {
 		var cx, cy float64
 		for _, u := range best.S {
@@ -186,37 +188,38 @@ func ballMax(dists []float64) float64 {
 	return m
 }
 
-// refine is Algorithm 2 lines 29-31: exact filtering of the candidate sets
-// and enumeration of the user-POI group pairs (S, R'(o_i)) to produce the
-// actual GP-SSN answers. R is materialized as the road-network ball of
-// radius r around each candidate anchor POI; S is found by branch-and-bound
+// refine is Algorithm 2's I_R side and lines 29-31: the anchor stream
+// (newAnchorOrder) browses I_R best-first and yields the candidate anchors
+// in ascending exact distance from u_q, and each anchor gets exact
+// filtering and enumeration of the user-POI group pairs (S, R'(o_i)) to
+// produce the actual GP-SSN answers. R is materialized as the road-network
+// ball of radius r around each anchor POI; S is found by branch-and-bound
 // enumeration of connected τ-subsets containing u_q over the candidate
-// graph the social half built (tr.cg, in the query arena qar, which also
-// holds the anchor order). It returns the best k results with distinct
-// anchors, cheapest first.
+// graph cg the social half built (in the query arena qar, which also holds
+// the anchor stream). The keeper starts from the probe's answer. It
+// returns the best k results with distinct anchors, cheapest first.
 //
 // Anchors are independent given the shared incumbent, so they are fanned
-// out over Opts.Parallelism workers claiming from the anchor order. All
+// out over Opts.Parallelism workers claiming from the anchor stream. All
 // pruning against the shared bound is strict (>), so candidates tying the
 // bound survive, and ties are resolved by the keeper's canonical order —
 // that is why any worker schedule returns identical answers (the
 // determinism argument in docs/ALGORITHMS.md).
-func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, probe Result, q *qctx, qar *refineArena) []Result {
+func (e *Engine) refine(uq socialnet.UserID, p Params, k int, cg *candGraph, probe Result, q *qctx, qar *refineArena) []Result {
 	st := q.st
 	ds := e.DS
 	ut := e.topics
 	uqRow := ut.user(uq)
 
-	// Anchors are processed in ascending exact distance from u_q so the
-	// search can stop as soon as the next anchor's distance exceeds the
-	// incumbent; the order resolves that distance only for anchors that
-	// reach its front (anchorOrder).
-	order := e.newAnchorOrder(uq, tr, q.ck, qar)
-
 	keeper := newSharedKeeper(k)
 	if probe.Found {
 		keeper.add(probe) // feasible: a sound incumbent
 	}
+	// Anchors are processed in ascending exact distance from u_q so the
+	// search can stop as soon as the next anchor's distance exceeds the
+	// keeper's bound; the stream expands I_R nodes and resolves that
+	// distance only as far as its front needs (anchorOrder).
+	order := e.newAnchorOrder(uq, p, q, qar)
 	var pairs, thetaFailed, reachFailed, mEvals atomic.Int64
 
 	processAnchor := func(ac anchorEntry, ar *refineArena) {
@@ -268,7 +271,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 		// is dead.
 		anchorRD := e.poiRDOf(ac.id)
 		evals := 0
-		comps := ar.companions(tr.cg, ut, p, kws, mUq, keeper, func(u socialnet.UserID) float64 {
+		comps := ar.companions(cg, ut, p, kws, mUq, keeper, func(u socialnet.UserID) float64 {
 			if e.companionPruned(u, anchorRD, keeper.Bound()) {
 				return math.Inf(1)
 			}
@@ -280,21 +283,20 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 			reachFailed.Add(1)
 			return
 		}
-		g := ar.groups(tr.cg, ut, p, uq, mUq, comps)
+		g := ar.groups(cg, ut, p, uq, mUq, comps)
 		if S, cost := g.enumerateGroups(keeper.Bound(), &pairs, q.ck); S != nil {
 			keeper.add(Result{Found: true, S: S, R: ball, Anchor: ac.id, MaxDist: cost})
 		}
 	}
 
 	// Fan the anchors over the worker pool. Workers claim the next anchor
-	// in (duq, id) order under orderMu; a worker stops claiming once the
-	// next anchor's duq exceeds the bound — duq lower-bounds the group
-	// cost (the anchor is in its own ball) and later anchors are farther
-	// still, so nothing those anchors could produce survives the keeper.
+	// in (duq, id) order under orderMu, which also guards the I_R node
+	// expansions, page reads and RN* counters the claim runs into; a
+	// worker stops claiming once the next anchor's duq exceeds the bound —
+	// duq lower-bounds the group cost (the anchor is in its own ball) and
+	// later anchors are farther still, so nothing those anchors could
+	// produce survives the keeper.
 	par := e.parallelism()
-	if par > len(tr.candAnchors) {
-		par = len(tr.candAnchors)
-	}
 	var orderMu sync.Mutex
 	claim := func() (anchorEntry, int, bool) {
 		orderMu.Lock()
@@ -343,12 +345,15 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	}
 	wg.Wait()
 	q.rethrow()
+	e.closeAnchorOrder(order, st)
+	qar.keepAnchors(order.h)
+	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d",
+		order.expanded, order.entered, order.resolved, order.pops)
 
 	st.PairsEvaluated = pairs.Load()
 	st.AnchorsThetaFailed = int(thetaFailed.Load())
 	st.AnchorsReachFailed = int(reachFailed.Load())
 	st.MEvaluations = mEvals.Load()
-	st.AnchorDistances = order.resolved
 	items := keeper.rk.items
 	for i := range items {
 		slices.Sort(items[i].S)
@@ -357,17 +362,19 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, tr traversal, prob
 	return items
 }
 
-// anchorEntry is one candidate anchor in refinement's order. Once resolved,
-// key is the exact dist_RN(u_q, id) (duq); before that it is a lower bound
-// on duq.
+// anchorEntry is one entry of refinement's anchor stream: an I_R node
+// (node non-nil) or a candidate anchor POI. A resolved anchor's key is the
+// exact dist_RN(u_q, id) (duq); a node's or an unresolved anchor's key
+// lower-bounds the duq of every anchor it stands for.
 type anchorEntry struct {
 	key      float64
+	node     *rtree.Node
 	id       model.POIID
 	resolved bool
 }
 
-// before is the heap order: key ascending, then unresolved before resolved
-// at an equal key, then id.
+// before is the heap order: key ascending, then unresolved (nodes
+// included) before resolved at an equal key, then id.
 func (a *anchorEntry) before(b *anchorEntry) bool {
 	if a.key != b.key {
 		return a.key < b.key
@@ -378,72 +385,202 @@ func (a *anchorEntry) before(b *anchorEntry) bool {
 	return a.id < b.id
 }
 
-// anchorOrder yields the candidate anchors in ascending (duq, id) order
-// while computing duq only for the anchors that reach its front: a binary
-// min-heap over anchorEntry.before whose unresolved keys lower-bound their
-// duq. An unresolved top is resolved and sifted back in. A resolved top
-// is popped: every unresolved key is strictly above its duq (at an equal
-// key the unresolved entry would be on top), and an unresolved key never
-// exceeds the duq it bounds, so no unresolved anchor precedes it in
-// (duq, id) order. The pops are therefore exactly the eager sort,
-// truncated at the stop rule. Not safe for concurrent use; refine guards
-// it with a mutex.
+// anchorOrder is the anchor stream: one binary min-heap over
+// anchorEntry.before, fed from the I_R root, that yields the candidate
+// anchors in ascending (duq, id) order while expanding only the nodes and
+// resolving only the anchors that reach its front (distance browsing,
+// Hjaltason and Samet). A node on top is expanded: its surviving children
+// or anchors are pushed (expand). An unresolved top is resolved and sifted
+// back in. A resolved top is popped: every other key is a lower bound on
+// the duq of the anchors it stands for, and at an equal key the node or
+// unresolved entry would be on top, so every such key is strictly above
+// the popped duq and no anchor not yet resolved precedes it in (duq, id)
+// order. The pops are therefore exactly the eager sort of every anchor
+// the index rules keep, truncated at the stop rule. Not safe for
+// concurrent use; refine guards it with a mutex.
 type anchorOrder struct {
-	h        []anchorEntry
-	resolve  func(model.POIID) float64
-	ck       *roadnet.Checkpoint
+	h       []anchorEntry
+	expand  func(n *rtree.Node, bound float64)
+	resolve func(model.POIID) float64
+	ck      *roadnet.Checkpoint
+
+	expanded int // I_R nodes expanded
+	entered  int // anchors pushed (CandAnchors)
 	resolved int // exact u_q-anchor distances computed
 	pops     int
 }
 
-// newAnchorOrder builds the order over tr's candidate anchors. Under the
-// engine's POI label table every key starts as the traversal's pivot lower
-// bound, shrunk by the same relative slack prunes allows (a bound that
-// rounded up past a tied exact distance must not reorder anchors), and is
-// resolved on demand with one row merge against u_q's label, which lives
-// in ar for the query. Without the table (no label oracle, the road delta
-// overlay, an engine sharing its dataset) every key is filled up front
-// with anchorDists' exact distances, already resolved.
-func (e *Engine) newAnchorOrder(uq socialnet.UserID, tr traversal, ck *roadnet.Checkpoint, ar *refineArena) *anchorOrder {
-	ds := e.DS
-	o := &anchorOrder{h: ar.anchorBuf(len(tr.candAnchors)), ck: ck}
+// newAnchorOrder builds the anchor stream over I_R for issuer uq: the root
+// (its page read through q.road) and the delta POIs, which have no keyword
+// distance row and no pivot bound and so enter at key 0. Expanding a node
+// applies, under the bound the claim passed, Lemma 6 then Lemma 7 to each
+// child — a survivor's page is read and it enters keyed by Eq. 17 — or, at
+// a leaf, Lemma 1 then Lemma 5 to each POI, and writes the RN* counters.
+// Under the engine's POI label table an anchor enters keyed by its Lemma 5
+// bound and is resolved at the front with one row merge against u_q's
+// label, which lives in ar for the query. Without the table (no label
+// oracle, the road delta overlay, an engine sharing its dataset) it enters
+// resolved, keyed by its exact distance from one one-to-all sweep from
+// u_q, run at the first push (anchorDists). DisableIndexPruning keys every
+// node 0 and skips Lemmas 6 and 7; DisableDistancePruning, or a pending
+// road edge (roadPivotSafe), keys every node and unresolved anchor 0 and
+// skips Lemmas 5 and 7.
+func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) *anchorOrder {
+	ds, st := e.DS, q.st
+	uqRow, uqRD := e.topics.user(uq), e.userRDOf(uq)
+	kwLB := e.keywordBoundsSafe()
+	distLB := !e.Opts.DisableDistancePruning && e.roadPivotSafe()
+	nodeRules := !e.Opts.DisableIndexPruning
+	o := &anchorOrder{h: ar.anchs[:0], ck: q.ck}
+
+	var pushAnchor func(id model.POIID, lb float64)
 	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
 		lbl, uqAt := e.userLabelWith(uq, ar), ds.Users[uq].At
 		row, out := ar.rowBuf(1), ar.floatBuf(1)
 		o.resolve = func(id model.POIID) float64 {
 			row[0] = int32(id)
-			return ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, ck)[0]
+			return ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, q.ck)[0]
 		}
-		for i, a := range tr.candAnchors {
-			o.h[i] = anchorEntry{key: tr.candLB[i] * (1 - 1e-9), id: a}
+		pushAnchor = func(id model.POIID, lb float64) {
+			o.push(anchorEntry{key: boundKey(lb), id: id})
 		}
 	} else {
-		duqs := e.anchorDists(uq, tr.candAnchors, ck, ar)
-		for i, a := range tr.candAnchors {
-			o.h[i] = anchorEntry{key: duqs[i], id: a, resolved: true}
+		var duq func(model.POIID) float64
+		pushAnchor = func(id model.POIID, _ float64) {
+			if duq == nil {
+				duq = e.anchorDists(uq, q.ck)
+			}
+			o.push(anchorEntry{key: duq(id), id: id, resolved: true})
+			o.resolved++
 		}
-		o.resolved = len(o.h)
 	}
-	o.heapify()
+	o.expand = func(n *rtree.Node, bound float64) {
+		if n.IsLeaf() {
+			for _, ent := range n.Entries() {
+				id := model.POIID(ent.ID)
+				// Both rules are evaluated on every leaf POI — the object
+				// is pruned when either fires, and each rule's power is
+				// counted independently, which is how Fig. 7(c) reports
+				// them. Matching: Lemma 1, u_q's score over a superset of
+				// the radius-r ball's keywords. Distance: Lemma 5, the
+				// pivot lower bound against the keeper's bound.
+				matchPrune := kwLB && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta
+				lb, distPrune := 0.0, false
+				if distLB {
+					lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
+					distPrune = prunes(lb, bound)
+				}
+				if matchPrune {
+					st.RNObjPrunedMatch++
+				}
+				if distPrune {
+					st.RNObjPrunedDist++
+				}
+				if matchPrune || distPrune {
+					st.RNObjPruned++
+					continue
+				}
+				o.entered++
+				pushAnchor(id, lb)
+			}
+			return
+		}
+		for _, ent := range n.Entries() {
+			child := ent.Child
+			m := e.Road.Meta(child)
+			key := 0.0
+			if nodeRules {
+				// Lemma 6: matching score pruning for index nodes.
+				if kwLB && uqRow.matchUb(m.KwMin, p.R) < p.Theta {
+					st.RNIndexPruned += m.POICount
+					st.RNIndexPrunedMatch += m.POICount
+					continue
+				}
+				// Lemma 7 / Eq. 17: distance lower bound vs the bound.
+				if distLB {
+					lb := nodeDistLb(uqRD, m.LbDist, m.UbDist)
+					if prunes(lb, bound) {
+						st.RNIndexPruned += m.POICount
+						st.RNIndexPrunedDist += m.POICount
+						continue
+					}
+					key = boundKey(lb)
+				}
+			}
+			e.Road.AccessTracked(child, q.road)
+			o.push(anchorEntry{key: key, node: child})
+		}
+	}
+
+	root := e.Road.Tree.Root()
+	e.Road.AccessTracked(root, q.road)
+	o.push(anchorEntry{node: root})
+	for id := e.dyn.indexedPOIs; id < len(ds.POIs); id++ {
+		o.entered++
+		pushAnchor(model.POIID(id), 0)
+	}
 	return o
 }
 
-// heapify establishes the heap order over o.h.
-func (o *anchorOrder) heapify() {
-	for i := len(o.h)/2 - 1; i >= 0; i-- {
-		o.down(i)
+// closeAnchorOrder counts the POIs under the nodes the stream's stop left
+// unexpanded as pruned by distance (Lemma 7 at the final bound: every one
+// of them is farther than it), which completes the partition RNIndexPruned
+// + RNObjPruned + CandAnchors = RNPOIsTotal, and records the stream's
+// candidate and distance counts.
+func (e *Engine) closeAnchorOrder(o *anchorOrder, st *Stats) {
+	for i := range o.h {
+		if n := o.h[i].node; n != nil {
+			cnt := e.Road.Meta(n).POICount
+			st.RNIndexPruned += cnt
+			st.RNIndexPrunedDist += cnt
+		}
+	}
+	st.CandAnchors = o.entered
+	st.AnchorDistances = o.resolved
+}
+
+// push adds an entry to the heap.
+func (o *anchorOrder) push(en anchorEntry) {
+	o.h = append(o.h, en)
+	h := o.h
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h[i].before(&h[parent]) {
+			return
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
 	}
 }
 
-// next pops the next anchor in (duq, id) order, or reports false once that
-// anchor's duq is +Inf or exceeds bound (or the checkpoint tripped while
-// resolving). An unresolved top whose key already exceeds bound stops the
-// order without being resolved.
+// pop removes the top entry.
+func (o *anchorOrder) pop() {
+	last := len(o.h) - 1
+	o.h[0] = o.h[last]
+	o.h = o.h[:last]
+	o.down(0)
+}
+
+// next pops the next anchor in (duq, id) order, or reports false once the
+// top key is +Inf or exceeds bound (or the checkpoint tripped while
+// resolving, or before expanding a node: cancellation is polled once per
+// expanded node). A node or unresolved anchor whose key already exceeds
+// bound stops the stream without being expanded or resolved; nodes are
+// expanded against bound.
 func (o *anchorOrder) next(bound float64) (anchorEntry, bool) {
 	for len(o.h) > 0 {
 		top := &o.h[0]
 		if math.IsInf(top.key, 1) || top.key > bound {
 			return anchorEntry{}, false
+		}
+		if n := top.node; n != nil {
+			if o.ck.Stopped() {
+				return anchorEntry{}, false
+			}
+			o.pop()
+			o.expanded++
+			o.expand(n, bound)
+			continue
 		}
 		if !top.resolved {
 			top.key, top.resolved = o.resolve(top.id), true
@@ -455,10 +592,7 @@ func (o *anchorOrder) next(bound float64) (anchorEntry, bool) {
 			continue
 		}
 		ac := *top
-		last := len(o.h) - 1
-		o.h[0] = o.h[last]
-		o.h = o.h[:last]
-		o.down(0)
+		o.pop()
 		o.pops++
 		return ac, true
 	}
@@ -527,32 +661,23 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 	return ball
 }
 
-// anchorDists computes exact dist_RN(u_q, anchor) for every candidate
-// anchor, the anchor order's keys when the engine has no POI label table
-// of its own. Under a label oracle (an engine sharing its dataset) this is
-// one two-pointer merge of u_q's attachment label against each anchor's
-// row of a table built on the spot; otherwise it is one uncached
-// one-to-all sweep from u_q, the right kernel for one source against
-// nearly every anchor. Both paths apply the same-edge direct route, so the
-// value is the true network distance and hence a sound lower bound on any
-// group cost the anchor can produce (the anchor is in its own ball). A
-// tripped checkpoint yields all-+Inf. The result is arena memory, valid
-// until ar's next float buffer request.
-func (e *Engine) anchorDists(uq socialnet.UserID, anchors []model.POIID, ck *roadnet.Checkpoint, ar *refineArena) []float64 {
+// anchorDists returns exact dist_RN(u_q, ·) over the anchors, the anchor
+// stream's keys when the engine has no POI label table of its own: one
+// uncached one-to-all sweep from u_q, the right kernel for one source
+// against every anchor the stream may take in. It applies the same-edge
+// direct route, so the value is the true network distance and hence a
+// sound lower bound on any group cost the anchor can produce (the anchor
+// is in its own ball). A tripped checkpoint yields +Inf for every anchor.
+func (e *Engine) anchorDists(uq socialnet.UserID, ck *roadnet.Checkpoint) func(model.POIID) float64 {
 	ds := e.DS
 	uqAt := ds.Users[uq].At
-	out := ar.floatBuf(len(anchors))
-	if t, rows := e.poiRows(anchors, ar); t != nil {
-		lbl := e.userLabelWith(uq, ar)
-		return ds.Road.RowDistsCk(lbl, uqAt, t, rows, math.Inf(1), out, ck)
-	}
 	edge := ds.Road.EdgeAt(uqAt.Edge)
 	uqDist := ds.Road.DijkstraMultiCk([]roadnet.Seed{
 		{Vertex: edge.U, Dist: uqAt.T * edge.Weight},
 		{Vertex: edge.V, Dist: (1 - uqAt.T) * edge.Weight},
 	}, ck)
 	tripped := ck.Stopped()
-	for i, a := range anchors {
+	return func(a model.POIID) float64 {
 		at := ds.POIs[a].At
 		d := ds.Road.DistToVertexVia(at, uqDist) // all-+Inf once tripped
 		if uqAt.Edge == at.Edge && !tripped {
@@ -560,7 +685,6 @@ func (e *Engine) anchorDists(uq socialnet.UserID, anchors []model.POIID, ck *roa
 				d = direct
 			}
 		}
-		out[i] = d
+		return d
 	}
-	return out
 }

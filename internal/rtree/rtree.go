@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"gpssn/internal/geo"
 )
@@ -523,20 +524,19 @@ type Neighbor struct {
 }
 
 // Nearest returns the k items nearest to p in increasing distance order
-// (MINDIST best-first search).
+// (MINDIST best-first search). Its queue comes from nnHeaps, so a call
+// allocates only the result.
 func (t *Tree) Nearest(p geo.Point, k int) []Neighbor {
 	if k <= 0 || t.size == 0 {
 		return nil
 	}
-	type qe struct {
-		dist float64
-		node *Node
-		item Item
-		leaf bool
-	}
-	h := &nnHeap{}
-	h.push(qe{dist: 0, node: t.root})
-	var out []Neighbor
+	h := nnHeaps.Get().(*nnHeap)
+	defer func() {
+		h.items = h.items[:0]
+		nnHeaps.Put(h)
+	}()
+	h.push(nnEntry{node: t.root})
+	out := make([]Neighbor, 0, min(k, t.size))
 	for h.len() > 0 && len(out) < k {
 		top := h.pop()
 		if top.leaf {
@@ -548,34 +548,37 @@ func (t *Tree) Nearest(p geo.Point, k int) []Neighbor {
 			e := &n.entries[i]
 			d := e.Rect.MinDistPoint(p)
 			if n.leaf {
-				h.push(qe{dist: d, item: Item{Rect: e.Rect, ID: e.ID}, leaf: true})
+				h.push(nnEntry{dist: d, item: Item{Rect: e.Rect, ID: e.ID}, leaf: true})
 			} else {
-				h.push(qe{dist: d, node: e.Child})
+				h.push(nnEntry{dist: d, node: e.Child})
 			}
 		}
 	}
 	return out
 }
 
-// nnHeap is a small hand-rolled binary min-heap for Nearest; using a typed
-// heap avoids container/heap interface allocations in this hot path.
-type nnHeap struct {
-	items []struct {
-		dist float64
-		node *Node
-		item Item
-		leaf bool
-	}
-}
-
-func (h *nnHeap) len() int { return len(h.items) }
-
-func (h *nnHeap) push(e struct {
+// nnEntry is one Nearest queue entry: a node, or a leaf item.
+type nnEntry struct {
 	dist float64
 	node *Node
 	item Item
 	leaf bool
-}) {
+}
+
+// nnHeap is a small hand-rolled binary min-heap for Nearest; using a typed
+// heap avoids container/heap interface allocations in this hot path.
+type nnHeap struct {
+	items []nnEntry
+}
+
+// nnHeaps recycles Nearest's queues, which grow to hundreds of entries on
+// wide nodes: a pool rather than a field of the Tree, because any number
+// of readers may search one tree at once.
+var nnHeaps = sync.Pool{New: func() any { return new(nnHeap) }}
+
+func (h *nnHeap) len() int { return len(h.items) }
+
+func (h *nnHeap) push(e nnEntry) {
 	h.items = append(h.items, e)
 	i := len(h.items) - 1
 	for i > 0 {
@@ -588,12 +591,7 @@ func (h *nnHeap) push(e struct {
 	}
 }
 
-func (h *nnHeap) pop() struct {
-	dist float64
-	node *Node
-	item Item
-	leaf bool
-} {
+func (h *nnHeap) pop() nnEntry {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]

@@ -3,6 +3,8 @@ package rtree
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -132,6 +134,21 @@ func TestNearestKLargerThanSize(t *testing.T) {
 	got := tr.Nearest(geo.Pt(0, 0), 100)
 	if len(got) != 7 {
 		t.Errorf("Nearest with oversized k returned %d, want 7", len(got))
+	}
+}
+
+// TestNearestAllocatesOnlyItsResult: Nearest's queue is recycled, so a
+// warm call allocates its result slice and nothing else. The race
+// detector's lossy sync.Pool would make the count meaningless.
+func TestNearestAllocatesOnlyItsResult(t *testing.T) {
+	if bi, ok := debug.ReadBuildInfo(); ok && slices.Contains(bi.Settings, debug.BuildSetting{Key: "-race", Value: "true"}) {
+		t.Skip("race build")
+	}
+	tr := buildTree(t, randPoints(2000, 12), Options{MaxEntries: 32})
+	p := geo.Pt(500, 500)
+	tr.Nearest(p, 3)
+	if allocs := testing.AllocsPerRun(100, func() { tr.Nearest(p, 3) }); allocs > 1 {
+		t.Errorf("Nearest allocates %.1f times per call, want 1", allocs)
 	}
 }
 

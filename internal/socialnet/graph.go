@@ -103,26 +103,37 @@ func (g *Graph) BFSHops(src UserID) []int32 {
 // The GP-SSN social-distance pruning (Lemma 4) only needs hops < τ, so a
 // bounded BFS avoids touching the whole graph for small groups.
 func (g *Graph) BFSHopsBounded(src UserID, maxHops int32) []int32 {
-	g.check(src)
 	hops := make([]int32, len(g.adj))
 	for i := range hops {
 		hops[i] = Unreachable
 	}
+	g.HopsWithin(src, maxHops, hops, nil)
+	return hops
+}
+
+// HopsWithin is the bounded BFS into caller scratch: hops must cover every
+// user and read Unreachable everywhere on entry. It writes the hop
+// distance of every user within maxHops of src and appends those users to
+// reached, src first and in BFS order (the list is also the queue), so a
+// caller reusing hops resets exactly the entries in the returned list.
+func (g *Graph) HopsWithin(src UserID, maxHops int32, hops []int32, reached []UserID) []UserID {
+	g.check(src)
 	hops[src] = 0
-	frontier := []UserID{src}
-	for d := int32(1); d <= maxHops && len(frontier) > 0; d++ {
-		var next []UserID
-		for _, u := range frontier {
+	start := len(reached)
+	reached = append(reached, src)
+	for d := int32(1); d <= maxHops && start < len(reached); d++ {
+		end := len(reached)
+		for _, u := range reached[start:end] {
 			for _, v := range g.adj[u] {
 				if hops[v] == Unreachable {
 					hops[v] = d
-					next = append(next, v)
+					reached = append(reached, v)
 				}
 			}
 		}
-		frontier = next
+		start = end
 	}
-	return hops
+	return reached
 }
 
 // HopDist returns the hop distance between u and v (Unreachable when they

@@ -186,6 +186,40 @@ func TestBFSHopsEdgeLipschitzProperty(t *testing.T) {
 	}
 }
 
+// TestHopsWithinReusesScratch runs the bounded BFS from many sources into
+// one hop array, resetting only the users each run reached: every run
+// must equal a fresh BFSHopsBounded, and the reached list must be exactly
+// the users within the bound, source first.
+func TestHopsWithinReusesScratch(t *testing.T) {
+	g := randomGraph(200, 150, 7)
+	hops := make([]int32, g.NumUsers())
+	for i := range hops {
+		hops[i] = Unreachable
+	}
+	var reached []UserID
+	rng := rand.New(rand.NewSource(8))
+	for run := 0; run < 50; run++ {
+		src, maxHops := UserID(rng.Intn(g.NumUsers())), int32(rng.Intn(5))
+		reached = g.HopsWithin(src, maxHops, hops, reached[:0])
+		want := g.BFSHopsBounded(src, maxHops)
+		within := 0
+		for u := range want {
+			if hops[u] != want[u] {
+				t.Fatalf("run %d: user %d at %d hops, fresh BFS %d", run, u, hops[u], want[u])
+			}
+			if want[u] != Unreachable {
+				within++
+			}
+		}
+		if len(reached) != within || reached[0] != src {
+			t.Fatalf("run %d: reached %d users from %d, %d within %d hops of %d", run, len(reached), reached[0], within, maxHops, src)
+		}
+		for _, u := range reached {
+			hops[u] = Unreachable
+		}
+	}
+}
+
 func TestCheckPanics(t *testing.T) {
 	g := NewGraph(2)
 	defer func() {
