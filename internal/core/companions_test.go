@@ -336,9 +336,9 @@ func TestCompanionsBeyondDepthMatchBaseline(t *testing.T) {
 	}
 }
 
-// TestNoIncumbentRefineMatchesBaseline runs refinement with an empty probe
-// result, so the keeper starts at +Inf and each anchor's greedy seed runs
-// before its companion search, on random small datasets over τ 2..5 at
+// TestNoIncumbentRefineMatchesBaseline runs refinement without the probe,
+// so the keeper starts at +Inf and each anchor's greedy seed runs before
+// its companion search, on random small datasets over τ 2..5 at
 // Parallelism 1 and 4. Rank by rank, top-1 and top-3 must match Baseline's
 // costs and be the engine's own answers with the probe.
 func TestNoIncumbentRefineMatchesBaseline(t *testing.T) {
@@ -361,10 +361,11 @@ func TestNoIncumbentRefineMatchesBaseline(t *testing.T) {
 					name := fmt.Sprintf("rep %d τ=%d uq %d k=%d P=%d", rep, tau, uq, k, e.Opts.Parallelism)
 					var st Stats
 					q := e.newQctx(&st)
-					ar := e.acquireArena()
-					_, cg := e.front(uq, p, q, ar)
-					got := e.refine(uq, p, k, cg, Result{MaxDist: math.Inf(1)}, q, ar)
+					ar, rar := e.acquireArena(), e.acquireArena()
+					e.socialHalf(uq, p, q, ar, nil)
+					got := e.refine(uq, p, &ar.cg, newSharedKeeper(k), e.newAnchorOrder(uq, p, q, rar), q)
 					e.releaseArena(ar)
+					e.releaseArena(rar)
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d results, Baseline %d", name, len(got), len(want))
 					}

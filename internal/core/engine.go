@@ -354,16 +354,20 @@ func (e *Engine) run(ctx context.Context, uq socialnet.UserID, p Params, k int) 
 	st.SNUsersTotal = len(e.DS.Users)
 	st.RNPOIsTotal = len(e.DS.POIs)
 
-	// The query arena holds the candidates and their friendship graph from
-	// the social half to the end of refinement, and refinement's anchor
-	// stream and u_q's label besides.
-	ar := e.acquireArena()
+	// The query arena ar holds the candidates and their friendship graph
+	// from the social half to the end of refinement; the road arena rar
+	// holds the probe's scratch and then the anchor stream with u_q's
+	// label. Two arenas, because the front fills them on two goroutines at
+	// Parallelism ≥ 2.
+	ar, rar := e.acquireArena(), e.acquireArena()
 	defer e.releaseArena(ar)
-	probe, cg := e.front(uq, p, q, ar)
+	defer e.releaseArena(rar)
+	keeper := newSharedKeeper(k)
+	cg, order := e.front(uq, p, keeper, q, ar, rar)
 	q.tracef("traversal: %d candidate users", st.CandUsers)
 	var res []Result
 	if !q.cancelled() {
-		res = e.refine(uq, p, k, cg, probe, q, ar)
+		res = e.refine(uq, p, cg, keeper, order, q)
 		q.tracef("refined: pairs evaluated=%d", st.PairsEvaluated)
 	}
 
@@ -385,14 +389,16 @@ func (e *Engine) parallelism() int {
 
 // front runs the query's front half: the social half (socialHalf: the
 // I_S pass, the hop filter and the candidate graph, built in ar) beside
-// the probe, whose answer seeds refinement's keeper. At Parallelism ≥ 2
-// the social half runs on its own goroutine; at 1 both run inline, social
-// half first. The two share no state: the social half writes only the SN*
-// counters and CandUsers and reads pages through q.social, the probe
-// writes no Stats field and reads no index page (docs/CONCURRENCY.md §3).
-// The I_R side of Algorithm 2 is refinement's anchor stream
-// (newAnchorOrder).
-func (e *Engine) front(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) (Result, *candGraph) {
+// the road side, which runs the probe, seeds keeper with its answer, and
+// builds the anchor stream (newAnchorOrder, in rar) settled at the
+// keeper's bound up to its first anchor — the work refinement's first
+// claim would otherwise do after the join. At Parallelism ≥ 2 the social
+// half runs on its own goroutine; at 1 both run inline, social half
+// first. The two share no state: the social half writes only the SN*
+// counters and CandUsers and reads pages through q.social, the road side
+// only the RN* counters and reads pages through q.road
+// (docs/CONCURRENCY.md §3).
+func (e *Engine) front(uq socialnet.UserID, p Params, keeper *sharedKeeper, q *qctx, ar, rar *refineArena) (*candGraph, *anchorOrder) {
 	var socialTrace *bytes.Buffer
 	if q.trace != nil {
 		socialTrace = &bytes.Buffer{}
@@ -414,8 +420,13 @@ func (e *Engine) front(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 		e.socialHalf(uq, p, q, ar, socialTrace)
 	}
 
-	probe := e.probe(uq, p, q)
+	probe := e.probe(uq, p, q, rar)
 	q.tracef("probe: found=%v cost=%.4f", probe.Found, probe.MaxDist)
+	if probe.Found {
+		keeper.add(probe) // feasible: a sound incumbent
+	}
+	order := e.newAnchorOrder(uq, p, q, rar)
+	order.settle(keeper.Bound())
 
 	if done != nil {
 		<-done
@@ -424,14 +435,14 @@ func (e *Engine) front(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 	if socialTrace != nil {
 		q.trace.Write(socialTrace.Bytes())
 	}
-	return probe, &ar.cg
+	return &ar.cg, order
 }
 
 // socialHalf is the query's social half: Algorithm 2's I_S pass, level by
 // level with the node rules (Lemmas 8, 9) and the leaf user tests (Lemmas
 // 3, 4), then the exact user filter of line 29 — hop distance within τ-1
 // of u_q — and the friendship graph over the survivors, built in ar.cg.
-// It needs nothing from the probe. It writes only the SN* counters and
+// It needs nothing from the road side. It writes only the SN* counters and
 // CandUsers, reads pages through q.social only, and traces into trace
 // (nil when tracing is off).
 func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineArena, trace *bytes.Buffer) {

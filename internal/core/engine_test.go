@@ -258,7 +258,9 @@ func TestProbeIncumbentSound(t *testing.T) {
 			for _, uq := range []socialnet.UserID{0, 7, 33} {
 				want, _ := oracle.Query(uq, p)
 				var st Stats
-				pr := e.probe(uq, p, e.newQctx(&st))
+				ar := e.acquireArena()
+				pr := e.probe(uq, p, e.newQctx(&st), ar)
+				e.releaseArena(ar)
 				if pr.Found {
 					found++
 					checkFeasible(t, ds, uq, p, pr)
@@ -527,10 +529,10 @@ func uniColdEngine(b *testing.B, opts Options) (*Engine, []socialnet.UserID) {
 }
 
 // BenchmarkTraverse times the query front half as the query runs it — the
-// probe beside the I_S pass and the candidate graph, no refinement — for
-// the 16 uniCold issuers at uni_cold's shape (τ = 4, γ = θ = 0.5, r = 2).
-// One op is all 16 issuers; P=1 runs the two halves inline, P=2 on two
-// goroutines.
+// probe and the anchor stream's first settle beside the I_S pass and the
+// candidate graph, no refinement — for the 16 uniCold issuers at
+// uni_cold's shape (τ = 4, γ = θ = 0.5, r = 2). One op is all 16 issuers;
+// P=1 runs the two halves inline, P=2 on two goroutines.
 func BenchmarkTraverse(b *testing.B) {
 	for _, par := range []int{1, 2} {
 		b.Run(fmt.Sprintf("P=%d", par), func(b *testing.B) {
@@ -542,9 +544,11 @@ func BenchmarkTraverse(b *testing.B) {
 					var st Stats
 					q := e.newQctx(&st)
 					q.arm(context.Background(), Budget{})
-					ar := e.acquireArena()
-					e.front(uq, uniColdParams, q, ar)
+					ar, rar := e.acquireArena(), e.acquireArena()
+					_, order := e.front(uq, uniColdParams, newSharedKeeper(1), q, ar, rar)
+					e.closeAnchorOrder(order, &st)
 					e.releaseArena(ar)
+					e.releaseArena(rar)
 					users += st.CandUsers
 				}
 			}

@@ -309,7 +309,7 @@ func BenchmarkAnchorOrder(b *testing.B) {
 			nodes += o.expanded
 			resolved += o.resolved
 			pops += o.pops
-			ar.keepAnchors(o.h)
+			e.closeAnchorOrder(o, &st)
 			e.releaseArena(ar)
 		}
 	}

@@ -103,14 +103,15 @@ func TestFrontRethrowsSocialPanic(t *testing.T) {
 	failpoint.Arm("core.social.panic", failpoint.Failure{Mode: failpoint.ModeError, Count: 1})
 	var st Stats
 	q := e.newQctx(&st)
-	ar := e.acquireArena()
+	ar, rar := e.acquireArena(), e.acquireArena()
 	defer e.releaseArena(ar)
+	defer e.releaseArena(rar)
 	defer func() {
 		if _, ok := recover().(*PanicError); !ok {
 			t.Fatal("front returned without re-raising the social half's panic as a *PanicError")
 		}
 	}()
-	e.front(0, Params{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2}, q, ar)
+	e.front(0, Params{Gamma: 0.2, Tau: 2, Theta: 0.3, R: 2}, newSharedKeeper(1), q, ar, rar)
 }
 
 // frontCounters keeps the Stats fields the social half writes — the SN*

@@ -19,13 +19,11 @@ import (
 // anchor POIs by greedy connected group growth. Its cost, when found, is a
 // sound upper bound on the optimum (it is the cost of an actual feasible
 // pair), so it can seed the refinement keeper, whose bound prunes the
-// anchor stream.
-func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx) Result {
+// anchor stream. ar is scratch for the probe's balls and evaluators.
+func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) Result {
 	best := Result{MaxDist: math.Inf(1)}
 	ds := e.DS
 	uqRow := e.topics.user(uq)
-	ar := e.acquireArena()
-	defer e.releaseArena(ar)
 	const probeAnchors = 3
 	nn := e.Road.Tree.Nearest(ds.Users[uq].Loc, probeAnchors)
 	kwLB := e.keywordBoundsSafe()
@@ -189,15 +187,15 @@ func ballMax(dists []float64) float64 {
 }
 
 // refine is Algorithm 2's I_R side and lines 29-31: the anchor stream
-// (newAnchorOrder) browses I_R best-first and yields the candidate anchors
-// in ascending exact distance from u_q, and each anchor gets exact
-// filtering and enumeration of the user-POI group pairs (S, R'(o_i)) to
-// produce the actual GP-SSN answers. R is materialized as the road-network
-// ball of radius r around each anchor POI; S is found by branch-and-bound
+// order browses I_R best-first and yields the candidate anchors in
+// ascending exact distance from u_q, and each anchor gets exact filtering
+// and enumeration of the user-POI group pairs (S, R'(o_i)) to produce the
+// actual GP-SSN answers. R is materialized as the road-network ball of
+// radius r around each anchor POI; S is found by branch-and-bound
 // enumeration of connected τ-subsets containing u_q over the candidate
-// graph cg the social half built (in the query arena qar, which also holds
-// the anchor stream). The keeper starts from the probe's answer. It
-// returns the best k results with distinct anchors, cheapest first.
+// graph cg the social half built. keeper holds the k best results with
+// distinct anchors (the probe's, if any); refine returns them, cheapest
+// first.
 //
 // Anchors are independent given the shared incumbent, so they are fanned
 // out over Opts.Parallelism workers claiming from the anchor stream. All
@@ -205,21 +203,11 @@ func ballMax(dists []float64) float64 {
 // bound survive, and ties are resolved by the keeper's canonical order —
 // that is why any worker schedule returns identical answers (the
 // determinism argument in docs/ALGORITHMS.md).
-func (e *Engine) refine(uq socialnet.UserID, p Params, k int, cg *candGraph, probe Result, q *qctx, qar *refineArena) []Result {
+func (e *Engine) refine(uq socialnet.UserID, p Params, cg *candGraph, keeper *sharedKeeper, order *anchorOrder, q *qctx) []Result {
 	st := q.st
 	ds := e.DS
 	ut := e.topics
 	uqRow := ut.user(uq)
-
-	keeper := newSharedKeeper(k)
-	if probe.Found {
-		keeper.add(probe) // feasible: a sound incumbent
-	}
-	// Anchors are processed in ascending exact distance from u_q so the
-	// search can stop as soon as the next anchor's distance exceeds the
-	// keeper's bound; the stream expands I_R nodes and resolves that
-	// distance only as far as its front needs (anchorOrder).
-	order := e.newAnchorOrder(uq, p, q, qar)
 	var pairs, thetaFailed, reachFailed, mEvals atomic.Int64
 
 	processAnchor := func(ac anchorEntry, ar *refineArena) {
@@ -289,9 +277,12 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, cg *candGraph, pro
 		}
 	}
 
-	// Fan the anchors over the worker pool. Workers claim the next anchor
-	// in (duq, id) order under orderMu, which also guards the I_R node
-	// expansions, page reads and RN* counters the claim runs into; a
+	// Fan the anchors over the worker pool. Anchors are processed in
+	// ascending exact distance from u_q so the search can stop as soon as
+	// the next anchor's distance exceeds the keeper's bound. Workers claim
+	// the next anchor in (duq, id) order under orderMu, which also guards
+	// the I_R node expansions, page reads and RN* counters the claim runs
+	// into; a
 	// worker stops claiming once the next anchor's duq exceeds the bound —
 	// duq lower-bounds the group cost (the anchor is in its own ball) and
 	// later anchors are farther still, so nothing those anchors could
@@ -346,7 +337,6 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, k int, cg *candGraph, pro
 	wg.Wait()
 	q.rethrow()
 	e.closeAnchorOrder(order, st)
-	qar.keepAnchors(order.h)
 	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d",
 		order.expanded, order.entered, order.resolved, order.pops)
 
@@ -400,6 +390,7 @@ func (a *anchorEntry) before(b *anchorEntry) bool {
 // concurrent use; refine guards it with a mutex.
 type anchorOrder struct {
 	h       []anchorEntry
+	ar      *refineArena // holds h's capacity between queries
 	expand  func(n *rtree.Node, bound float64)
 	resolve func(model.POIID) float64
 	ck      *roadnet.Checkpoint
@@ -431,7 +422,7 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 	kwLB := e.keywordBoundsSafe()
 	distLB := !e.Opts.DisableDistancePruning && e.roadPivotSafe()
 	nodeRules := !e.Opts.DisableIndexPruning
-	o := &anchorOrder{h: ar.anchs[:0], ck: q.ck}
+	o := &anchorOrder{h: ar.anchs[:0], ar: ar, ck: q.ck}
 
 	var pushAnchor func(id model.POIID, lb float64)
 	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
@@ -525,8 +516,8 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 // closeAnchorOrder counts the POIs under the nodes the stream's stop left
 // unexpanded as pruned by distance (Lemma 7 at the final bound: every one
 // of them is farther than it), which completes the partition RNIndexPruned
-// + RNObjPruned + CandAnchors = RNPOIsTotal, and records the stream's
-// candidate and distance counts.
+// + RNObjPruned + CandAnchors = RNPOIsTotal, records the stream's
+// candidate and distance counts, and hands the heap back to its arena.
 func (e *Engine) closeAnchorOrder(o *anchorOrder, st *Stats) {
 	for i := range o.h {
 		if n := o.h[i].node; n != nil {
@@ -537,6 +528,7 @@ func (e *Engine) closeAnchorOrder(o *anchorOrder, st *Stats) {
 	}
 	st.CandAnchors = o.entered
 	st.AnchorDistances = o.resolved
+	o.ar.keepAnchors(o.h)
 }
 
 // push adds an entry to the heap.
@@ -561,21 +553,34 @@ func (o *anchorOrder) pop() {
 	o.down(0)
 }
 
-// next pops the next anchor in (duq, id) order, or reports false once the
-// top key is +Inf or exceeds bound (or the checkpoint tripped while
-// resolving, or before expanding a node: cancellation is polled once per
-// expanded node). A node or unresolved anchor whose key already exceeds
-// bound stops the stream without being expanded or resolved; nodes are
-// expanded against bound.
+// next pops the next anchor in (duq, id) order, or reports false where
+// settle does.
 func (o *anchorOrder) next(bound float64) (anchorEntry, bool) {
+	if !o.settle(bound) {
+		return anchorEntry{}, false
+	}
+	ac := o.h[0]
+	o.pop()
+	o.pops++
+	return ac, true
+}
+
+// settle expands nodes and resolves anchors at the top until a resolved
+// anchor is there, and reports true; or reports false once the top key is
+// +Inf or exceeds bound (or the checkpoint tripped while resolving, or
+// before expanding a node: cancellation is polled once per expanded node).
+// A node or unresolved anchor whose key already exceeds bound stops the
+// stream without being expanded or resolved; nodes are expanded against
+// bound.
+func (o *anchorOrder) settle(bound float64) bool {
 	for len(o.h) > 0 {
 		top := &o.h[0]
 		if math.IsInf(top.key, 1) || top.key > bound {
-			return anchorEntry{}, false
+			return false
 		}
 		if n := top.node; n != nil {
 			if o.ck.Stopped() {
-				return anchorEntry{}, false
+				return false
 			}
 			o.pop()
 			o.expanded++
@@ -586,17 +591,14 @@ func (o *anchorOrder) next(bound float64) (anchorEntry, bool) {
 			top.key, top.resolved = o.resolve(top.id), true
 			o.resolved++
 			if o.ck.Stopped() {
-				return anchorEntry{}, false
+				return false
 			}
 			o.down(0)
 			continue
 		}
-		ac := *top
-		o.pop()
-		o.pops++
-		return ac, true
+		return true
 	}
-	return anchorEntry{}, false
+	return false
 }
 
 // down sifts entry i down to its place.
