@@ -56,12 +56,12 @@ examples:
 
 # The in-package kernel benchmarks, one iteration each, so they keep
 # compiling and running (BenchmarkGroupSearch: the per-anchor group search
-# at τ = 4, 5 and 7; BenchmarkAnchorOrder: refinement's lazy anchor order
-# over 1,054 candidates; BenchmarkLeafUserTest: one I_S leaf sweep of the
-# interest and hop tests; BenchmarkTraverse: the query's front half — the
-# probe and the I_R pass beside the I_S pass and the candidate graph —
-# without refinement, at Parallelism 1 and 2, 16 issuers at uni_cold's
-# scale;
+# at τ = 4, 5 and 7; BenchmarkAnchorOrder: the anchor stream from the I_R
+# root drained to each answer's cost, 16 issuers on uni_cold's dataset;
+# BenchmarkLeafUserTest: one I_S leaf sweep of the interest and hop tests;
+# BenchmarkTraverse: the query's front half — the probe and the stream's
+# first settle beside the I_S pass and the candidate graph — without
+# refinement, at Parallelism 1 and 2, the same 16 issuers;
 # BenchmarkBuildRoad in internal/index: I_R's build at uni_cold's size,
 # its per-POI keyword distance searches included; about three seconds in
 # all).

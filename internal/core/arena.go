@@ -121,22 +121,12 @@ func (a *refineArena) keywords(d int) TopicSet {
 	return a.kws
 }
 
-// keepComps stores the (possibly reallocated) companion slice back so its
-// capacity survives into the next anchor.
-func (a *refineArena) keepComps(s []anchorComp) {
-	if cap(s) > cap(a.comps) {
-		a.account(int64(cap(s)-cap(a.comps)) * int64(anchorCompSize))
-	}
-	a.comps = s
-}
-
-// keepAnchors stores the (possibly reallocated) anchor stream heap back so
-// its capacity survives into the next query.
-func (a *refineArena) keepAnchors(s []anchorEntry) {
-	if cap(s) > cap(a.anchs) {
-		a.account(int64(cap(s)-cap(a.anchs)) * int64(anchorEntrySize))
-	}
-	a.anchs = s[:0]
+// kept accounts the capacity s, grown by append from the arena buffer old,
+// gained over it, and returns s for the caller to store back in old's
+// place, so the capacity survives into the next use.
+func kept[T any](a *refineArena, old, s []T, size int) []T {
+	a.account(int64(cap(s)-cap(old)) * int64(size))
+	return s
 }
 
 // hopsWithin returns src's hop distances within maxHops over g
@@ -155,9 +145,7 @@ func (a *refineArena) hopsWithin(g *socialnet.Graph, src socialnet.UserID, maxHo
 			a.hops[i] = socialnet.Unreachable
 		}
 	}
-	before := cap(a.reach)
-	a.reach = g.HopsWithin(src, maxHops, a.hops, a.reach[:0])
-	a.account(int64(cap(a.reach)-before) * userIDSize)
+	a.reach = kept(a, a.reach, g.HopsWithin(src, maxHops, a.hops, a.reach[:0]), userIDSize)
 	return a.hops
 }
 

@@ -134,6 +134,6 @@ func (a *refineArena) companions(cg *candGraph, ut *userTopics, p Params, kws To
 		}
 		lo = hi
 	}
-	a.keepComps(comps)
+	a.comps = kept(a, a.comps, comps, anchorCompSize)
 	return comps
 }

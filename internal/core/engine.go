@@ -109,8 +109,8 @@ func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialInd
 	return e
 }
 
-// poiRows resolves POI ids to rows of a label table for the two label
-// kernels: the engine's own table when it is valid, otherwise the same rows
+// poiRows resolves POI ids to rows of a label table for the ball label
+// kernel: the engine's own table when it is valid, otherwise the same rows
 // built on the spot for just these POIs — an engine wired before its oracle
 // was attached, or one sharing its dataset with an engine that has since
 // appended a POI. A nil table means no label oracle is attached; callers
@@ -406,7 +406,7 @@ func (e *Engine) front(uq socialnet.UserID, p Params, keeper *sharedKeeper, q *q
 	var done chan struct{}
 	if e.parallelism() > 1 {
 		done = make(chan struct{})
-		// Deferred as well, so a panic on the road half still waits for
+		// Deferred as well, so a panic on the road side still waits for
 		// the social half before the caller releases ar and the lock.
 		defer func() { <-done }()
 		go func() {

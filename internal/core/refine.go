@@ -528,7 +528,7 @@ func (e *Engine) closeAnchorOrder(o *anchorOrder, st *Stats) {
 	}
 	st.CandAnchors = o.entered
 	st.AnchorDistances = o.resolved
-	o.ar.keepAnchors(o.h)
+	o.ar.anchs = kept(o.ar, o.ar.anchs, o.h, anchorEntrySize)
 }
 
 // push adds an entry to the heap.
