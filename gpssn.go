@@ -120,10 +120,11 @@ type Config struct {
 	// Parallelism is the number of worker goroutines each query's
 	// refinement stage fans anchor candidates over; at 2 or more the
 	// query's social half (the I_S pass and the candidate graph) also
-	// runs on its own goroutine beside the probe and the I_R pass. 0 (the
-	// default) uses runtime.GOMAXPROCS(0); 1 runs the whole query
-	// sequentially. Any setting returns identical answers — see
-	// docs/CONCURRENCY.md.
+	// runs on its own goroutine beside the probe and the start of the
+	// anchor stream. 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs
+	// the whole query sequentially. Any setting returns identical answers
+	// — see docs/CONCURRENCY.md; above 1 the PageReads and
+	// CandidateAnchors counters may vary from run to run.
 	Parallelism int
 	// DistanceOracle selects the exact road-distance backend. "hl" (the
 	// default) builds a contraction hierarchy at Open time and extracts
@@ -306,7 +307,8 @@ type Stats struct {
 	// PageReads is the number of simulated index page accesses (the
 	// paper's I/O metric, cold cache per query).
 	PageReads int64
-	// CandidateUsers and CandidateAnchors survive the index traversal.
+	// CandidateUsers survive the I_S traversal and the hop filter;
+	// CandidateAnchors entered the anchor stream refinement drains.
 	CandidateUsers, CandidateAnchors int
 	// CacheHit is set when the answer came from the answer cache; the cost
 	// counters (CPUTime, PageReads) are zeroed on hits so harnesses never
