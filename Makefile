@@ -71,10 +71,15 @@ kernel-bench:
 
 # Every experiment of the figure harness end to end at a tiny scale (the
 # harness tests run only some of them), plus the opt-in 1M tier, which
-# builds through the same constructor. A couple of seconds.
+# builds through the same constructor, and the opt-in answer digest run
+# twice: the self-diff of the two runs must print nothing. A few seconds.
 figures-smoke:
 	$(GO) run ./cmd/gpssn-bench -exp all -scale 0.01 -queries 3 > /dev/null
 	$(GO) run ./cmd/gpssn-bench -exp scale1m -scale 0.002 -queries 4 > /dev/null
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && \
+	$(GO) run ./cmd/gpssn-bench -exp digest -scale 0.01 -queries 3 > $$d/a && \
+	$(GO) run ./cmd/gpssn-bench -exp digest -scale 0.01 -queries 3 > $$d/b && \
+	out=$$(./scripts/digest-diff.sh $$d/a $$d/b) && test -z "$$out" || { echo "figures-smoke: digest self-diff:"; echo "$$out"; exit 1; }
 
 # Broken relative links (file or heading anchor) in the markdown docs
 # fail the build; CI runs this in the lint job.

@@ -6,6 +6,7 @@
 //	gpssn-bench -exp fig8 -scale 0.1 -queries 8
 //	gpssn-bench -exp all -scale 0.1 > results.txt
 //	gpssn-bench -list
+//	gpssn-bench -exp digest -scale 1 -queries 64 -parallelism 2 > change.digest
 //
 // Scale 1.0 reproduces the paper's dataset sizes (30K road vertices, 30K
 // users, 10K POIs for the synthetic sweeps; Table 2 sizes for the real-like
@@ -31,6 +32,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generation seed")
 		samples = flag.Int("samples", 20, "Baseline estimator samples (paper: 100)")
 		jsonOut = flag.String("jsonout", "", "file for the JSON report of JSON-capable experiments (scale1m)")
+		par     = flag.Int("parallelism", 1, "engine worker count for -exp digest (1 or 2)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()
@@ -47,7 +49,7 @@ func main() {
 
 	cfg := bench.RunConfig{
 		Scale: *scale, Queries: *queries, Seed: *seed, BaselineSamples: *samples,
-		JSONOut: *jsonOut,
+		JSONOut: *jsonOut, Parallelism: *par,
 	}
 	run := func(e bench.Experiment) error {
 		start := time.Now()

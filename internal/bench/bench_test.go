@@ -146,17 +146,20 @@ func TestExperimentRegistryComplete(t *testing.T) {
 	if len(Experiments()) != len(all) {
 		t.Errorf("registry has %d experiments, want %d", len(Experiments()), len(all))
 	}
-	// The million-scale tier runs only when named: findable, listed in the
-	// CLI help, never part of the set `-exp all` iterates.
-	if _, ok := Find("scale1m"); !ok {
-		t.Error("opt-in experiment scale1m must be findable by name")
-	}
-	for _, e := range Experiments() {
-		if e.Name == "scale1m" {
-			t.Error("scale1m must not be in the -exp all set")
+	// The million-scale tier and the answer digest run only when named:
+	// findable, listed in the CLI help, never part of the set `-exp all`
+	// iterates.
+	for _, name := range []string{"scale1m", "digest"} {
+		if _, ok := Find(name); !ok {
+			t.Errorf("opt-in experiment %s must be findable by name", name)
+		}
+		for _, e := range Experiments() {
+			if e.Name == name {
+				t.Errorf("%s must not be in the -exp all set", name)
+			}
 		}
 	}
-	if len(SortedNames()) != len(all)+1 {
+	if len(SortedNames()) != len(all)+2 {
 		t.Error("SortedNames incomplete")
 	}
 	for _, gone := range []string{"choracle", "hublabel", "parallel", "serve", "churn", "walchurn",

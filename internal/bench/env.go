@@ -75,6 +75,9 @@ type EnvSpec struct {
 	// as in gpssn.DefaultConfig), "ch" or "dijkstra". All are exact; the
 	// ablation-oracle experiment compares hl with dijkstra.
 	DistanceOracle string
+	// Parallelism is core.Options.Parallelism (0 = GOMAXPROCS). Only the
+	// digest sets it.
+	Parallelism int
 }
 
 func (s EnvSpec) withDefaults() EnvSpec {
@@ -165,6 +168,7 @@ func buildEnv(spec EnvSpec) (*Env, error) {
 	engine, err := build.Engine(ds, build.Options{
 		RoadPivots: spec.RoadPivots, SocialPivots: spec.SocialPivots,
 		RMin: spec.RMin, RMax: spec.RMax, Seed: spec.Seed,
+		Parallelism:            spec.Parallelism,
 		DisableIndexPruning:    spec.DisableIndexPruning,
 		DisableDistancePruning: spec.DisableDistancePruning,
 	})

@@ -27,6 +27,9 @@ type RunConfig struct {
 	// support machine-readable output (scale1m) also write a JSON report.
 	// Stdout carries the human tables either way.
 	JSONOut string
+	// Parallelism is the engine's worker count for the digest (1 or 2;
+	// 0 means 1). The figures run at the engine default.
+	Parallelism int
 }
 
 func (c RunConfig) withDefaults() RunConfig {
@@ -84,11 +87,13 @@ func Experiments() []Experiment {
 }
 
 // OptIn returns the experiments that run only when named: the
-// million-scale tier takes ~18 min and ~11 GB at -scale 1.0, so `-exp all`
-// leaves it out.
+// million-scale tier takes ~18 min and ~11 GB at -scale 1.0, and the
+// digest is a parent-vs-change answer check rather than a figure, so
+// `-exp all` leaves both out.
 func OptIn() []Experiment {
 	return []Experiment{
 		{"scale1m", "Million-scale tier: 1M-vertex/1M-user end-to-end build + query latency + memory (JSON-capable)", runScale1m},
+		{"digest", "Answer digest: one line per (dataset, shape, issuer) for scripts/digest-diff.sh", runDigest},
 	}
 }
 
