@@ -123,8 +123,8 @@ type Config struct {
 	// runs on its own goroutine beside the probe and the start of the
 	// anchor stream. 0 (the default) uses runtime.GOMAXPROCS(0); 1 runs
 	// the whole query sequentially. Any setting returns identical answers
-	// — see docs/CONCURRENCY.md; above 1 the PageReads and
-	// CandidateAnchors counters may vary from run to run.
+	// — see docs/CONCURRENCY.md; above 1 the PageReads, CandidateAnchors
+	// and AnchorsSameBall counters may vary from run to run.
 	Parallelism int
 	// DistanceOracle selects the exact road-distance backend. "hl" (the
 	// default) builds a contraction hierarchy at Open time and extracts
@@ -310,6 +310,10 @@ type Stats struct {
 	// CandidateUsers survive the I_S traversal and the hop filter;
 	// CandidateAnchors entered the anchor stream refinement drains.
 	CandidateUsers, CandidateAnchors int
+	// AnchorsSameBall counts the anchors whose road ball repeated one
+	// refinement had already taken in this query: each reused that ball's
+	// outcome instead of refining it again.
+	AnchorsSameBall int
 	// CacheHit is set when the answer came from the answer cache; the cost
 	// counters (CPUTime, PageReads) are zeroed on hits so harnesses never
 	// mistake a cache lookup for query work.
@@ -571,6 +575,7 @@ func statsFrom(raw core.Stats) *Stats {
 		PageReads:        raw.PageReads,
 		CandidateUsers:   raw.CandUsers,
 		CandidateAnchors: raw.CandAnchors,
+		AnchorsSameBall:  raw.AnchorsSameBall,
 		Raw:              raw,
 	}
 }

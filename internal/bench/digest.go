@@ -112,8 +112,8 @@ func (e *Env) digestLine(sh digestShape, u socialnet.UserID) (string, error) {
 	if len(results) == 0 {
 		b.WriteByte('-')
 	}
-	fmt.Fprintf(&b, " | pairs=%d mevals=%d cand=%d pages=%d",
-		st.PairsEvaluated, st.MEvaluations, st.CandAnchors, st.PageReads)
+	fmt.Fprintf(&b, " | pairs=%d mevals=%d cand=%d pages=%d same=%d",
+		st.PairsEvaluated, st.MEvaluations, st.CandAnchors, st.PageReads, st.AnchorsSameBall)
 	return b.String(), nil
 }
 

@@ -24,8 +24,9 @@ import (
 //   - gs is the group search with its ordinals and rows (groups.go),
 //   - hops/reached are u_q's bounded hop distances and the users that BFS
 //     reached, users/cg the query's candidates and their friendship graph,
-//     and anchs is refinement's anchor stream heap (anchorOrder): the
-//     query arena's.
+//     classes refinement's table of distinct balls (classes.go, the one
+//     part the workers share, under its own mutex), and anchs is
+//     refinement's anchor stream heap (anchorOrder): the query arena's.
 //
 // Arenas are engine-owned (arenaPool) and recycled across queries, so the
 // steady-state per-query cost is a pool pop and push. The arena only
@@ -44,6 +45,8 @@ type refineArena struct {
 	gs    groupSearch
 	cg    candGraph
 	anchs []anchorEntry
+
+	classes ballClasses
 
 	owner    *arenaPool
 	retained int64 // bytes currently held by the slices above

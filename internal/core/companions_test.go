@@ -363,7 +363,7 @@ func TestNoIncumbentRefineMatchesBaseline(t *testing.T) {
 					q := e.newQctx(&st)
 					ar, rar := e.acquireArena(), e.acquireArena()
 					e.socialHalf(uq, p, q, ar, nil)
-					got := e.refine(uq, p, &ar.cg, newSharedKeeper(k), e.newAnchorOrder(uq, p, q, rar), q)
+					got := e.refine(uq, p, ar, newSharedKeeper(k), e.newAnchorOrder(uq, p, q, rar), q)
 					e.releaseArena(ar)
 					e.releaseArena(rar)
 					if len(got) != len(want) {

@@ -202,6 +202,11 @@ type Stats struct {
 	// companions after its θ, pivot and cost gates: dead before any group
 	// is enumerated.
 	AnchorsReachFailed int
+	// AnchorsSameBall counts the anchors refinement popped whose ball
+	// repeats one an earlier anchor of the query already holds: each
+	// replays that ball's outcome instead of refining it again. The two
+	// counters above count replays too.
+	AnchorsSameBall int
 	// MEvaluations counts the M(u) evaluations the companion search ran:
 	// one per user it reached that passed θ and the pivot test (u_q's own,
 	// and the greedy seeding's, excluded).
@@ -363,11 +368,11 @@ func (e *Engine) run(ctx context.Context, uq socialnet.UserID, p Params, k int) 
 	defer e.releaseArena(ar)
 	defer e.releaseArena(rar)
 	keeper := newSharedKeeper(k)
-	cg, order := e.front(uq, p, keeper, q, ar, rar)
+	order := e.front(uq, p, keeper, q, ar, rar)
 	q.tracef("traversal: %d candidate users", st.CandUsers)
 	var res []Result
 	if !q.cancelled() {
-		res = e.refine(uq, p, cg, keeper, order, q)
+		res = e.refine(uq, p, ar, keeper, order, q)
 		q.tracef("refined: pairs evaluated=%d", st.PairsEvaluated)
 	}
 
@@ -398,7 +403,7 @@ func (e *Engine) parallelism() int {
 // counters and CandUsers and reads pages through q.social, the road side
 // only the RN* counters and reads pages through q.road
 // (docs/CONCURRENCY.md §3).
-func (e *Engine) front(uq socialnet.UserID, p Params, keeper *sharedKeeper, q *qctx, ar, rar *refineArena) (*candGraph, *anchorOrder) {
+func (e *Engine) front(uq socialnet.UserID, p Params, keeper *sharedKeeper, q *qctx, ar, rar *refineArena) *anchorOrder {
 	var socialTrace *bytes.Buffer
 	if q.trace != nil {
 		socialTrace = &bytes.Buffer{}
@@ -435,7 +440,7 @@ func (e *Engine) front(uq socialnet.UserID, p Params, keeper *sharedKeeper, q *q
 	if socialTrace != nil {
 		q.trace.Write(socialTrace.Bytes())
 	}
-	return &ar.cg, order
+	return order
 }
 
 // socialHalf is the query's social half: Algorithm 2's I_S pass, level by
@@ -635,10 +640,10 @@ func (s Stats) Summary() string {
 	rnTotal := s.RNIndexPruned + s.RNObjPruned
 	return fmt.Sprintf(
 		"cpu=%v io=%d | users: %d pruned of %d (index %d, object %d) -> %d candidates | "+
-			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d failed θ on their ball, %d short of companions | "+
+			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d repeating a ball, %d failed θ on their ball, %d short of companions | "+
 			"M(u) evaluations %d | pairs evaluated %d",
 		s.CPUTime, s.PageReads,
 		snTotal, s.SNUsersTotal, s.SNIndexPruned, s.SNObjPruned, s.CandUsers,
 		rnTotal, s.RNPOIsTotal, s.RNIndexPruned, s.RNObjPruned, s.CandAnchors,
-		s.AnchorsThetaFailed, s.AnchorsReachFailed, s.MEvaluations, s.PairsEvaluated)
+		s.AnchorsSameBall, s.AnchorsThetaFailed, s.AnchorsReachFailed, s.MEvaluations, s.PairsEvaluated)
 }

@@ -441,7 +441,7 @@ func TestStatsSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := st.Summary()
-	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "failed θ", "short of companions", "M(u) evaluations", "pairs evaluated"} {
+	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "repeating a ball", "failed θ", "short of companions", "M(u) evaluations", "pairs evaluated"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("Summary missing %q: %s", want, sum)
 		}
@@ -545,7 +545,7 @@ func BenchmarkTraverse(b *testing.B) {
 					q := e.newQctx(&st)
 					q.arm(context.Background(), Budget{})
 					ar, rar := e.acquireArena(), e.acquireArena()
-					_, order := e.front(uq, uniColdParams, newSharedKeeper(1), q, ar, rar)
+					order := e.front(uq, uniColdParams, newSharedKeeper(1), q, ar, rar)
 					e.closeAnchorOrder(order, &st)
 					e.releaseArena(ar)
 					e.releaseArena(rar)

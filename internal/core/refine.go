@@ -193,9 +193,15 @@ func ballMax(dists []float64) float64 {
 // actual GP-SSN answers. R is materialized as the road-network ball of
 // radius r around each anchor POI; S is found by branch-and-bound
 // enumeration of connected τ-subsets containing u_q over the candidate
-// graph cg the social half built. keeper holds the k best results with
-// distinct anchors (the probe's, if any); refine returns them, cheapest
-// first.
+// graph the social half built in the query arena qar. keeper holds the k
+// best results with distinct anchors (the probe's, if any); refine
+// returns them, cheapest first.
+//
+// Everything after the ball depends on the ball's POI set only, so each
+// distinct ball is refined once per query: the first anchor with a ball
+// owns its class in qar's class table (classes.go) and every later one
+// replays the class outcome under its own id (docs/ALGORITHMS.md,
+// "One refinement per distinct ball").
 //
 // Anchors are independent given the shared incumbent, so they are fanned
 // out over Opts.Parallelism workers claiming from the anchor stream. All
@@ -203,24 +209,26 @@ func ballMax(dists []float64) float64 {
 // bound survive, and ties are resolved by the keeper's canonical order —
 // that is why any worker schedule returns identical answers (the
 // determinism argument in docs/ALGORITHMS.md).
-func (e *Engine) refine(uq socialnet.UserID, p Params, cg *candGraph, keeper *sharedKeeper, order *anchorOrder, q *qctx) []Result {
+func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper *sharedKeeper, order *anchorOrder, q *qctx) []Result {
 	st := q.st
 	ds := e.DS
 	ut := e.topics
 	uqRow := ut.user(uq)
-	var pairs, thetaFailed, reachFailed, mEvals atomic.Int64
+	cg := &qar.cg
+	classes := &qar.classes
+	classes.reset(qar)
+	defer classes.release()
+	var pairs, thetaFailed, reachFailed, mEvals, sameBall atomic.Int64
 
-	processAnchor := func(ac anchorEntry, ar *refineArena) {
-		ball := e.ballAround(ac.id, p.R, q.ck)
-		// A trip during ball construction leaves a degenerate ball; bail
-		// before any result can be built on the wrong R set.
-		if q.ck.Stopped() {
-			return
-		}
+	// refineBall is the work after the ball: the θ-test, M(u_q), the
+	// companions and the group search. It adds what it finds to the
+	// keeper under the anchor's id and returns the outcome for the ball's
+	// class: the exact search's group, never the greedy seed's.
+	refineBall := func(ac anchorEntry, ball []model.POIID, ar *refineArena) (classKind, []socialnet.UserID, float64) {
 		kws := ballKeywords(ds, ball, ar)
 		if uqRow.match(kws) < p.Theta {
 			thetaFailed.Add(1)
-			return
+			return classThetaFailed, nil, 0
 		}
 		// M(u) = max_{o in ball} dist_RN(u, o); the group cost is
 		// max_{u in S} M(u). See makeMOf for the two kernels and the
@@ -231,12 +239,13 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, cg *candGraph, keeper *sh
 		// tie the k-th best and win the canonical tie-break, so it must
 		// survive; +Inf (unreachable ball) never can.
 		if math.IsInf(mUq, 1) || mUq > keeper.Bound() {
-			return
+			return classDead, nil, 0
 		}
 		if p.Tau == 1 {
 			pairs.Add(1)
-			keeper.add(Result{Found: true, S: []socialnet.UserID{uq}, R: ball, Anchor: ac.id, MaxDist: mUq})
-			return
+			S := []socialnet.UserID{uq}
+			keeper.add(Result{Found: true, S: S, R: ball, Anchor: ac.id, MaxDist: mUq})
+			return classFound, S, mUq
 		}
 
 		// No incumbent yet (the probe failed): grow one greedy feasible
@@ -269,12 +278,54 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, cg *candGraph, keeper *sh
 		mEvals.Add(int64(evals))
 		if len(comps) < p.Tau-1 {
 			reachFailed.Add(1)
-			return
+			return classReachFailed, nil, 0
 		}
 		g := ar.groups(cg, ut, p, uq, mUq, comps)
-		if S, cost := g.enumerateGroups(keeper.Bound(), &pairs, q.ck); S != nil {
-			keeper.add(Result{Found: true, S: S, R: ball, Anchor: ac.id, MaxDist: cost})
+		S, cost := g.enumerateGroups(keeper.Bound(), &pairs, q.ck)
+		if S == nil {
+			return classDead, nil, 0
 		}
+		keeper.add(Result{Found: true, S: S, R: ball, Anchor: ac.id, MaxDist: cost})
+		return classFound, S, cost
+	}
+
+	// replay applies a recorded class outcome to a later anchor of the
+	// class: a found group enters the keeper under the anchor's own id and
+	// ball (the keeper trims it if the bound has since fallen below its
+	// cost), a failed test counts, a dead class does nothing.
+	replay := func(o classOutcome, id model.POIID, ball []model.POIID) {
+		switch o.kind {
+		case classThetaFailed:
+			thetaFailed.Add(1)
+		case classReachFailed:
+			reachFailed.Add(1)
+		case classFound:
+			keeper.add(Result{Found: true, S: slices.Clone(o.s), R: ball, Anchor: id, MaxDist: o.cost})
+		}
+	}
+
+	processAnchor := func(ac anchorEntry, ar *refineArena) {
+		ball := e.ballAround(ac.id, p.R, q.ck)
+		// A trip during ball construction leaves a degenerate ball; bail
+		// before any result can be built on the wrong R set.
+		if q.ck.Stopped() {
+			return
+		}
+		slices.Sort(ball)
+		c, owner := classes.claim(qar, ball, ac.id, replay)
+		if !owner {
+			sameBall.Add(1)
+			return
+		}
+		kind, S, cost := refineBall(ac, ball, ar)
+		// A trip anywhere in the refinement may have cut an evaluation to
+		// +Inf: record nothing, and the anchors waiting on the class add
+		// nothing either.
+		if q.ck.Stopped() {
+			classes.drop(c)
+			return
+		}
+		classes.record(qar, c, kind, S, cost, replay)
 	}
 
 	// Fan the anchors over the worker pool. Anchors are processed in
@@ -337,8 +388,9 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, cg *candGraph, keeper *sh
 	wg.Wait()
 	q.rethrow()
 	e.closeAnchorOrder(order, st)
-	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d",
-		order.expanded, order.entered, order.resolved, order.pops)
+	st.AnchorsSameBall = int(sameBall.Load())
+	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d same ball=%d",
+		order.expanded, order.entered, order.resolved, order.pops, st.AnchorsSameBall)
 
 	st.PairsEvaluated = pairs.Load()
 	st.AnchorsThetaFailed = int(thetaFailed.Load())
