@@ -316,7 +316,7 @@ func TestEngineParamValidation(t *testing.T) {
 			t.Errorf("params %d should be rejected", i)
 		}
 	}
-	if _, _, err := e.Query(socialnet.UserID(len(ds.Users)), DefaultParams()); err == nil {
+	if _, _, err := e.Query(socialnet.UserID(len(ds.Users)), Params{Gamma: 0.5, Tau: 5, Theta: 0.5, R: 2}); err == nil {
 		t.Error("out-of-range user should be rejected")
 	}
 }

@@ -34,12 +34,6 @@ type Params struct {
 	Budget Budget
 }
 
-// DefaultParams returns the paper's default parameter values (the bold
-// entries of Table 3).
-func DefaultParams() Params {
-	return Params{Gamma: 0.5, Tau: 5, Theta: 0.5, R: 2, Metric: MetricDotProduct}
-}
-
 // Validate checks the parameters against the index build bounds
 // [rmin, rmax] for the radius.
 func (p Params) Validate(rmin, rmax float64) error {

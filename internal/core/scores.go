@@ -3,8 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-
-	"gpssn/internal/model"
 )
 
 // InterestScore returns the common-interest score of Eq. (1):
@@ -36,31 +34,6 @@ func MatchScoreSet(interests []float64, kws TopicSet) float64 {
 		if p != 0 && kws.Has(f) {
 			s += p
 		}
-	}
-	return s
-}
-
-// KeywordUnion returns the TopicSet ∪_{o∈R} o.K over the given POIs.
-func KeywordUnion(d int, pois []*model.POI) TopicSet {
-	ts := NewTopicSet(d)
-	for _, p := range pois {
-		for _, k := range p.Keywords {
-			ts.Add(k)
-		}
-	}
-	return ts
-}
-
-// MatchScore returns Match_Score(u, R) for a user and a POI set.
-func MatchScore(u *model.User, pois []*model.POI, d int) float64 {
-	return MatchScoreSet(u.Interests, KeywordUnion(d, pois))
-}
-
-// VecNorm2 returns ||w||², the squared length of an interest vector.
-func VecNorm2(w []float64) float64 {
-	s := 0.0
-	for _, v := range w {
-		s += v * v
 	}
 	return s
 }

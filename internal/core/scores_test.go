@@ -62,7 +62,7 @@ func TestInterestScoreTable1(t *testing.T) {
 	if got := InterestScore(u1, u4); math.Abs(got-1.33) > 1e-12 {
 		t.Errorf("Interest(u1,u4) = %v, want 1.33", got)
 	}
-	if got := InterestScore(u1, u1); math.Abs(got-VecNorm2(u1)) > 1e-12 {
+	if got := InterestScore(u1, u1); math.Abs(got-vecNorm2(u1)) > 1e-12 {
 		t.Errorf("self score should equal squared norm")
 	}
 }
@@ -94,7 +94,9 @@ func sanitize01(v float64) float64 {
 
 func TestMatchScoreSet(t *testing.T) {
 	interests := []float64{0.7, 0.3, 0.7}
-	kws := TopicSetOf(3, 0, 2)
+	kws := NewTopicSet(3)
+	kws.Add(0)
+	kws.Add(2)
 	if got := MatchScoreSet(interests, kws); math.Abs(got-1.4) > 1e-12 {
 		t.Errorf("MatchScoreSet = %v, want 1.4", got)
 	}
@@ -126,20 +128,33 @@ func TestMatchScoreMonotoneInKeywords(t *testing.T) {
 	}
 }
 
+// TestKeywordUnionAndMatchScore pins Eq. 2 on a POI set: the ball's
+// keyword union (ballKeywords), then the user's match score over it.
 func TestKeywordUnionAndMatchScore(t *testing.T) {
-	pois := []*model.POI{
+	ds := &model.Dataset{NumTopics: 4, POIs: []model.POI{
 		{Keywords: []int{0}},
 		{Keywords: []int{1, 2}},
-	}
-	u := &model.User{Interests: []float64{0.5, 0.4, 0.0, 0.9}}
-	got := MatchScore(u, pois, 4)
-	if math.Abs(got-0.9) > 1e-12 { // topics 0,1,2 covered: 0.5+0.4+0.0
-		t.Errorf("MatchScore = %v, want 0.9", got)
-	}
-	ts := KeywordUnion(4, pois)
+	}}
+	ar := &refineArena{owner: &arenaPool{}}
+	ts := ballKeywords(ds, []model.POIID{0, 1}, ar)
 	if !ts.Has(0) || !ts.Has(1) || !ts.Has(2) || ts.Has(3) {
-		t.Errorf("KeywordUnion wrong")
+		t.Errorf("keyword union wrong")
 	}
+	got := MatchScoreSet([]float64{0.5, 0.4, 0.0, 0.9}, ts)
+	if math.Abs(got-0.9) > 1e-12 { // topics 0,1,2 covered: 0.5+0.4+0.0
+		t.Errorf("match score = %v, want 0.9", got)
+	}
+}
+
+// vecNorm2 returns ||w||², the squared length of an interest vector: the
+// reference the self score and the paper's B/B' construction are checked
+// with.
+func vecNorm2(w []float64) float64 {
+	s := 0.0
+	for _, v := range w {
+		s += v * v
+	}
+	return s
 }
 
 func randInterest(rng *rand.Rand, d int) []float64 {
@@ -159,7 +174,7 @@ func randInterest(rng *rand.Rand, d int) []float64 {
 //	Case 1 (‖B‖² ≥ γ):  prune w iff dist(w, B') < dist(w, B)
 //	Case 2 (‖B‖² < γ):  prune w iff dist(w, B') > dist(w, B).
 func bbContains(anchor []float64, gamma float64, w []float64) bool {
-	n2 := VecNorm2(anchor)
+	n2 := vecNorm2(anchor)
 	if n2 == 0 {
 		return gamma > 0 // all scores are 0
 	}
@@ -185,7 +200,7 @@ func TestPruneRegionMatchesScoreTest(t *testing.T) {
 		gamma := rng.Float64() * 2
 		pr := NewPruneRegion(anchor, gamma)
 		w := randInterest(rng, d)
-		if VecNorm2(anchor) == 0 {
+		if vecNorm2(anchor) == 0 {
 			continue // degenerate anchor tested separately
 		}
 		got := pr.Contains(w)

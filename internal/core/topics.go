@@ -13,6 +13,3 @@ type TopicSet = topics.Set
 
 // NewTopicSet returns an empty set over a vocabulary of d topics.
 func NewTopicSet(d int) TopicSet { return topics.NewSet(d) }
-
-// TopicSetOf returns the set containing the given topics.
-func TopicSetOf(d int, ts ...int) TopicSet { return topics.SetOf(d, ts...) }

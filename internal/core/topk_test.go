@@ -71,7 +71,7 @@ func TestQueryTopKConsistentWithQuery(t *testing.T) {
 func TestQueryTopKValidatesK(t *testing.T) {
 	ds := smallDataset(t, 23)
 	e := buildEngine(t, ds, Options{})
-	if _, _, err := e.QueryTopK(0, DefaultParams(), 0); err == nil {
+	if _, _, err := e.QueryTopK(0, Params{Gamma: 0.5, Tau: 5, Theta: 0.5, R: 2}, 0); err == nil {
 		t.Error("k=0 should be rejected")
 	}
 }

@@ -21,15 +21,6 @@ func NewSet(d int) Set {
 	return Set{d: d, words: make([]uint64, (d+63)/64)}
 }
 
-// SetOf returns the set containing the given topics.
-func SetOf(d int, topics ...int) Set {
-	s := NewSet(d)
-	for _, t := range topics {
-		s.Add(t)
-	}
-	return s
-}
-
 // Add inserts topic t.
 func (s Set) Add(t int) {
 	if t < 0 || t >= s.d {

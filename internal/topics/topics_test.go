@@ -22,9 +22,6 @@ func TestBasics(t *testing.T) {
 	if s.Vocabulary() != 70 || s.SizeBytes() != 16 {
 		t.Errorf("Vocabulary=%d SizeBytes=%d", s.Vocabulary(), s.SizeBytes())
 	}
-	if o := SetOf(10, 1, 2); !o.Has(1) || !o.Has(2) || o.Has(3) {
-		t.Error("SetOf(10, 1, 2) holds the wrong topics")
-	}
 }
 
 func TestPanics(t *testing.T) {
