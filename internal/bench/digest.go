@@ -118,7 +118,7 @@ func (e *Env) digestLine(sh digestShape, u socialnet.UserID) (string, error) {
 }
 
 // idList formats ids as [a,b,c].
-func idList[T ~int32 | ~int](ids []T) string {
+func idList[T ~int32](ids []T) string {
 	var b strings.Builder
 	b.WriteByte('[')
 	for i, id := range ids {
