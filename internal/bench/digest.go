@@ -10,6 +10,8 @@ import (
 	"strings"
 
 	"gpssn/internal/core"
+	"gpssn/internal/geo"
+	"gpssn/internal/roadnet"
 	"gpssn/internal/socialnet"
 )
 
@@ -43,28 +45,45 @@ func uniColdShapes() []digestShape {
 // parent and a change, or one commit twice) are compared with
 // scripts/digest-diff.sh: answers must match at any Parallelism, and at 1
 // the counters say how the work moved. Datasets: uni_cold's at its shapes,
-// then the four harness datasets at -scale with the Table 3 defaults.
+// then the same dataset with road edges pending (pendingScript, no
+// Compact) at its five radii, then the four harness datasets at -scale
+// with the Table 3 defaults.
 func runDigest(w io.Writer, cfg RunConfig) error {
 	cfg = cfg.withDefaults()
 	par := max(cfg.Parallelism, 1)
 	fmt.Fprintf(w, "# digest: scale=%g queries=%d seed=%d parallelism=%d\n", cfg.Scale, cfg.Queries, cfg.Seed, par)
 	type job struct {
-		label  string
-		spec   EnvSpec
-		shapes []digestShape
+		label   string
+		spec    EnvSpec
+		shapes  []digestShape
+		pending bool // a private build with pendingScript applied
 	}
-	jobs := []job{{"uni_cold", uniColdSpec, uniColdShapes()}}
+	jobs := []job{
+		{"uni_cold", uniColdSpec, uniColdShapes(), false},
+		{"uni_cold_pending", uniColdSpec, uniColdShapes()[:5], true},
+	}
 	for _, k := range allKinds {
 		p := defaultParams()
-		jobs = append(jobs, job{k.String(), specFor(k, cfg), []digestShape{{name: "tau5-r2", p: p, k: 1}}})
+		jobs = append(jobs, job{k.String(), specFor(k, cfg), []digestShape{{name: "tau5-r2", p: p, k: 1}}, false})
 	}
 	for _, j := range jobs {
 		j.spec.Parallelism = par
-		env, err := GetEnv(j.spec)
+		var env *Env
+		var err error
+		if j.pending {
+			env, err = buildEnv(j.spec.withDefaults())
+		} else {
+			env, err = GetEnv(j.spec)
+		}
 		if err != nil {
 			return err
 		}
 		users := env.QueryUsers(cfg.Queries, cfg.Seed+100)
+		if j.pending {
+			if err := env.pendingScript(users); err != nil {
+				return err
+			}
+		}
 		for _, sh := range j.shapes {
 			for _, u := range users {
 				line, err := env.digestLine(sh, u)
@@ -72,6 +91,48 @@ func runDigest(w io.Writer, cfg RunConfig) error {
 					return err
 				}
 				fmt.Fprintf(w, "%s %s u=%d %s\n", j.label, sh.name, u, line)
+			}
+		}
+	}
+	return nil
+}
+
+// pendingScript adds road edges through the engine and leaves them
+// pending (no Compact), near the first six issuers so their queries meet
+// them: for each, a pendant vertex 0.3 from the first endpoint v of its
+// home edge, joined to v; and for every second one also a chord from v to
+// the vertex within Euclidean distance 1.5 whose road distance from v
+// exceeds the straight line most, the chord that shortens the most paths.
+func (e *Env) pendingScript(users []socialnet.UserID) error {
+	g := e.DS.Road
+	for i, u := range users[:min(len(users), 6)] {
+		v := g.EdgeAt(e.DS.Users[u].At.Edge).U
+		p := g.Vertex(v)
+		nv, err := e.Engine.AddRoadVertex(geo.Pt(p.X+0.3, p.Y))
+		if err != nil {
+			return err
+		}
+		if _, err := e.Engine.AddRoadEdge(v, nv); err != nil {
+			return err
+		}
+		if i%2 == 1 {
+			continue
+		}
+		road := g.Dijkstra(v)
+		best, gain := roadnet.VertexID(-1), 0.0
+		for w := range road {
+			wid := roadnet.VertexID(w)
+			d := p.Dist(g.Vertex(wid))
+			if wid == v || d > 1.5 || math.IsInf(road[w], 1) || g.HasEdge(v, wid) {
+				continue
+			}
+			if gn := road[w] - d; gn > gain {
+				best, gain = wid, gn
+			}
+		}
+		if best >= 0 {
+			if _, err := e.Engine.AddRoadEdge(v, best); err != nil {
+				return err
 			}
 		}
 	}
