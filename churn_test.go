@@ -14,6 +14,7 @@ import (
 
 	"gpssn/internal/core"
 	"gpssn/internal/failpoint"
+	"gpssn/internal/geo"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/socialnet"
 )
@@ -177,8 +178,9 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 	}
 
 	// The POI label table's lifecycle rides the same script: built at Open
-	// under hl, one row per AddPOI, released by the first road mutation,
-	// rebuilt by Compact and by OpenSnapshot; never held under ch/dijkstra.
+	// under hl, one row per AddPOI, kept across road mutations (it answers
+	// for the base graph), rebuilt by Compact and by OpenSnapshot; never
+	// held under ch/dijkstra.
 	labels := kind == "hl"
 	checkPOILabelTable(t, db, labels, kind+"/open")
 	// Three POIs at the home of the user farthest from every existing POI:
@@ -204,7 +206,7 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 			t.Fatalf("overlay should be active after road churn: %+v", ov)
 		}
 	}
-	checkPOILabelTable(t, db, false, kind+"/pre-compact")
+	checkPOILabelTable(t, db, labels, kind+"/pre-compact")
 	compareVsFreshTwin(t, db, kind+"/pre-compact")
 
 	// During: queries race the background re-contraction. Answers
@@ -240,7 +242,7 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 	// Churn again on the compacted world: the overlay must re-arm
 	// over the freshly contracted base and stay exact.
 	churnScript(t, db, 2)
-	checkPOILabelTable(t, db, false, kind+"/post-compact-churn")
+	checkPOILabelTable(t, db, labels, kind+"/post-compact-churn")
 	compareVsFreshTwin(t, db, kind+"/post-compact-churn")
 }
 
@@ -452,8 +454,17 @@ func TestRoadOverlayStatsLifecycle(t *testing.T) {
 	if ov.NewEdges != 1 || ov.Portals < 2 {
 		t.Fatalf("after AddRoadEdge: %+v (want NewEdges=1, Portals>=2)", ov)
 	}
+	// The issuer living nearest the new edge's old end: the clearance rule
+	// sends the distances around it through the overlay.
+	road := db.Network().Dataset().Road
+	p0, issuer := road.Vertex(0), 0
+	for u := 1; u < db.Network().NumUsers(); u++ {
+		if x, y := db.Network().UserLocation(u); p0.Dist(geo.Pt(x, y)) < p0.Dist(geo.Pt(db.Network().UserLocation(issuer))) {
+			issuer = u
+		}
+	}
 	q := Query{GroupSize: 2, Gamma: 0.2, Theta: 0.3, Radius: 2}
-	if _, _, err := db.Query(0, q); err != nil && !errors.Is(err, ErrNoAnswer) {
+	if _, _, err := db.Query(issuer, q); err != nil && !errors.Is(err, ErrNoAnswer) {
 		t.Fatal(err)
 	}
 	if ov = db.RoadOverlayStats(); ov.Queries == 0 {

@@ -314,6 +314,10 @@ type Stats struct {
 	// refinement had already taken in this query: each reused that ball's
 	// outcome instead of refining it again.
 	AnchorsSameBall int
+	// AnchorsNearPortal counts the anchors whose road ball came within the
+	// radius of a road edge appended since the last Compact, so their ball
+	// was priced through the delta-overlay rather than the static oracle.
+	AnchorsNearPortal int
 	// CacheHit is set when the answer came from the answer cache; the cost
 	// counters (CPUTime, PageReads) are zeroed on hits so harnesses never
 	// mistake a cache lookup for query work.
@@ -571,12 +575,13 @@ func (q Query) params() core.Params {
 // statsFrom lifts the engine's raw counters into the public Stats.
 func statsFrom(raw core.Stats) *Stats {
 	return &Stats{
-		CPUTime:          raw.CPUTime,
-		PageReads:        raw.PageReads,
-		CandidateUsers:   raw.CandUsers,
-		CandidateAnchors: raw.CandAnchors,
-		AnchorsSameBall:  raw.AnchorsSameBall,
-		Raw:              raw,
+		CPUTime:           raw.CPUTime,
+		PageReads:         raw.PageReads,
+		CandidateUsers:    raw.CandUsers,
+		CandidateAnchors:  raw.CandAnchors,
+		AnchorsSameBall:   raw.AnchorsSameBall,
+		AnchorsNearPortal: raw.AnchorsNearPortal,
+		Raw:               raw,
 	}
 }
 

@@ -17,8 +17,11 @@ import (
 // sound). Friendship edges added between already-indexed users would make
 // the stored hop-pivot bounds overestimate (new edges only shorten
 // distances), so both endpoints are marked "touched" and excluded from
-// pivot-based social pruning. Compact (rebuild the indexes over the grown
-// dataset) restores full pruning power; the facade exposes it.
+// pivot-based social pruning. Road edges appended later leave the road
+// indexes and the POI label table answering for the base graph; the
+// clearance rule (pending.go) says per object where that is still exact.
+// Compact (rebuild the indexes over the grown dataset) restores full
+// pruning power; the facade exposes it.
 
 // dynamicState tracks the delta boundaries; zero value = no delta.
 type dynamicState struct {
@@ -30,13 +33,20 @@ type dynamicState struct {
 	touched   []int32
 	roadVerts int // road vertices appended since construction
 	roadEdges int // road edges appended since construction
+	// clean is set when the road graph had no pending edge at
+	// construction: the indexes then answer for its base G0, and the
+	// clearance rule applies (pending.go).
+	clean bool
 }
 
-// initDynamic records the indexed prefix sizes at engine construction.
+// initDynamic records the indexed prefix sizes at engine construction and
+// marks the road graph's base, unless edges are already pending on it.
 func (e *Engine) initDynamic() {
+	e.DS.Road.MarkBase()
 	e.dyn = dynamicState{
 		indexedUsers: len(e.DS.Users),
 		indexedPOIs:  len(e.DS.POIs),
+		clean:        e.DS.Road.PendingEdges() == 0,
 	}
 }
 
@@ -70,9 +80,10 @@ func (e *Engine) AddPOI(p model.POI) error {
 	// The new POI can join indexed anchors' balls: widen their keyword
 	// distances so Lemmas 1/6 stay sound.
 	e.Road.AddPOI(p.ID)
-	// The new POI's id is its row. A table that no longer matches (another
-	// engine over the same dataset moved the oracle or the POI count) can
-	// never catch up, so it is dropped and readers build rows on demand.
+	// The new POI's id is its row (empty when it sits on a new road edge).
+	// A table that no longer matches (another engine over the same dataset
+	// moved the oracle or the POI count) can never catch up, so it is
+	// dropped and readers build rows on demand.
 	if e.poiLabels.ValidFor(e.DS.Road, len(e.DS.POIs)-1) {
 		e.poiLabels.Append(e.DS.Road, p.At)
 	} else {
@@ -146,8 +157,7 @@ func (e *Engine) touch(u socialnet.UserID) {
 
 // AddRoadVertex appends an isolated road intersection. It cannot change
 // any distance (no incident edges yet), so no pruning state or cached
-// answer is invalidated. The POI label table is released: the
-// graph now answers through the delta-overlay, which exposes no labels.
+// answer is invalidated.
 func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -156,18 +166,16 @@ func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 	}
 	v := e.DS.Road.AddVertex(p)
 	e.dyn.roadVerts++
-	e.poiLabels = nil
 	return v, nil
 }
 
 // AddRoadEdge appends a road segment between two existing intersections.
 // Distances can only shrink, and the delta-overlay keeps the attached
-// oracle exact (roadnet.Graph.AddEdge), but two classes of derived state
-// go stale and are handled here: pivot-table road *lower* bounds (gated
-// off engine-wide via roadPivotSafe until the next compaction — stored
-// upper bounds remain sound because shrinking true distances only widen
-// their slack) and the POI label table (released: the overlay exposes no
-// labels).
+// oracle exact (roadnet.Graph.AddEdge). What the engine derived from the
+// base graph — pivot lower bounds, keyword rows, the POI label table —
+// keeps answering for the base; the clearance rule (pending.go) decides
+// per object where that is still exact in the grown graph, until the
+// next compaction.
 func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -183,26 +191,16 @@ func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	}
 	id := e.DS.Road.AddEdge(u, v)
 	e.dyn.roadEdges++
-	e.poiLabels = nil // the overlay exposes no labels; see AddRoadVertex
 	return id, nil
 }
 
-// roadPivotSafe reports whether pivot-table road distances are still
-// sound as LOWER bounds: true iff no road edge has been appended since
-// the indexes were built. New edges only shorten distances, so stored
-// pivot rows can overestimate — upper-bound uses stay sound and are not
-// gated. Appending isolated vertices changes nothing (attachments can
-// only sit on edges), so roadVerts does not participate.
-func (e *Engine) roadPivotSafe() bool { return e.dyn.roadEdges == 0 }
-
-// keywordBoundsSafe reports whether the index's keyword distances still
-// bound every ball's keywords (Lemmas 1/6): no road edge appended (a new
-// edge can shorten a stored distance anywhere, as for roadPivotSafe), and
-// every POI of the dataset accounted for — AddPOI widens the rows, but a
-// POI appended through another engine over the same dataset does not.
-// Compact rebuilds the index and restores both.
-func (e *Engine) keywordBoundsSafe() bool {
-	return e.roadPivotSafe() && e.Road.KeywordPOIs() == len(e.DS.POIs)
+// keywordRowsComplete reports whether the index's keyword distance rows
+// account for every POI of the dataset (Lemmas 1/6): AddPOI widens the
+// rows, but a POI appended through another engine over the same dataset
+// does not, and Compact rebuilds them. Pending road edges are the
+// clearance rule's business, per anchor and per node.
+func (e *Engine) keywordRowsComplete() bool {
+	return e.Road.KeywordPOIs() == len(e.DS.POIs)
 }
 
 // pivotPruningSafe reports whether u is indexed and its stored hop-pivot
@@ -227,21 +225,32 @@ func (e *Engine) hopUnsafe(n *index.SNode) bool {
 }
 
 // userRDOf returns the road pivot distance vector of any user, computing
-// it on the fly for delta users.
+// it on the fly for delta users; nil for a delta user on a new road edge,
+// whose distances to the pivots the stored rows cannot give (its lower
+// bounds are 0).
 func (e *Engine) userRDOf(u socialnet.UserID) []float64 {
 	if int(u) < e.dyn.indexedUsers {
 		return e.Social.UserRoadDist(u)
 	}
-	return e.Road.Pivots.AttachDistAll(e.DS.Road, e.DS.Users[u].At)
+	return e.deltaRD(e.DS.Users[u].At)
 }
 
 // poiRDOf returns the road pivot distance vector of any POI, computing it
-// on the fly for delta POIs.
+// on the fly for delta POIs; nil as for userRDOf.
 func (e *Engine) poiRDOf(id model.POIID) []float64 {
 	if int(id) < e.dyn.indexedPOIs {
 		return e.Road.POIDist(id)
 	}
-	return e.Road.Pivots.AttachDistAll(e.DS.Road, e.DS.POIs[id].At)
+	return e.deltaRD(e.DS.POIs[id].At)
+}
+
+// deltaRD is a delta object's pivot vector from the pivot rows, or nil on
+// a new road edge.
+func (e *Engine) deltaRD(at roadnet.Attach) []float64 {
+	if e.DS.Road.NewEdge(at.Edge) {
+		return nil
+	}
+	return e.Road.Pivots.AttachDistAll(e.DS.Road, at)
 }
 
 // scanDeltaUsers appends the interest-compatible delta users to cand;

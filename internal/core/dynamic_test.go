@@ -281,7 +281,7 @@ func TestAddPOIKeepsKeywordPruningSound(t *testing.T) {
 
 // A POI appended through another engine over the same dataset widens
 // that engine's keyword rows only; this engine must stop trusting its own
-// rows (keywordBoundsSafe) rather than drop an anchor the POI now serves.
+// rows (keywordRowsComplete) rather than drop an anchor the POI now serves.
 // The case is TestAddPOIKeepsKeywordPruningSound's first failure at the
 // commit before AddPOI widened the rows.
 func TestForeignAddPOIDisablesKeywordPruning(t *testing.T) {
@@ -292,7 +292,7 @@ func TestForeignAddPOIDisablesKeywordPruning(t *testing.T) {
 	if err := a.AddPOI(np); err != nil {
 		t.Fatal(err)
 	}
-	if b.keywordBoundsSafe() {
+	if b.keywordRowsComplete() {
 		t.Fatal("b trusts keyword rows that miss a's appended POI")
 	}
 	p := Params{Gamma: 0, Tau: 1, Theta: 0.9, R: 2, Metric: MetricDotProduct}

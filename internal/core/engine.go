@@ -85,12 +85,13 @@ type Engine struct {
 	// refuses a user another engine's append left it no row for.
 	topics *userTopics
 
-	// poiLabels is the forward table of POI attachment hub labels: row i is
-	// POI i's label. Built here when the attached oracle exposes labels,
-	// appended to by AddPOI and dropped by the road mutations (the overlay
-	// they install exposes none), all under mu's write side; queries read it
-	// under the read side through poiRows, which checks it still answers
-	// for the attached oracle and the current POI count.
+	// poiLabels is the forward table of POI attachment hub labels of the
+	// road graph's base: row i is POI i's label. Built here when a label
+	// oracle serves the base, appended to by AddPOI under mu's write side,
+	// and kept across road mutations (its distances are checked by the
+	// clearance rule, pending.go); queries read it under the read side
+	// through poiRows, which checks it still answers for the base's oracle
+	// and the current POI count.
 	poiLabels *roadnet.LabelTable
 }
 
@@ -136,8 +137,9 @@ func (e *Engine) poiRows(ids []model.POIID, ar *refineArena) (*roadnet.LabelTabl
 }
 
 // POILabels returns the engine's POI label table, nil when none is held
-// (no label oracle, or released by a road mutation). For telemetry and
-// tests; the table must not be read concurrently with updates.
+// (no label oracle, or dropped when another engine's update left it
+// behind). For telemetry and tests; the table must not be read
+// concurrently with updates.
 func (e *Engine) POILabels() *roadnet.LabelTable {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -207,6 +209,11 @@ type Stats struct {
 	// replays that ball's outcome instead of refining it again. The two
 	// counters above count replays too.
 	AnchorsSameBall int
+	// AnchorsNearPortal counts the anchors refinement popped whose ball
+	// came within the radius of an old portal while road edges were
+	// pending, so the clearance rule sent it down the delta-overlay path
+	// instead of the base oracle's (pending.go).
+	AnchorsNearPortal int
 	// MEvaluations counts the M(u) evaluations the companion search ran:
 	// one per user it reached that passed θ and the pivot test (u_q's own,
 	// and the greedy seeding's, excluded).
@@ -640,10 +647,10 @@ func (s Stats) Summary() string {
 	rnTotal := s.RNIndexPruned + s.RNObjPruned
 	return fmt.Sprintf(
 		"cpu=%v io=%d | users: %d pruned of %d (index %d, object %d) -> %d candidates | "+
-			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d repeating a ball, %d failed θ on their ball, %d short of companions | "+
+			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d repeating a ball, %d near a pending road edge, %d failed θ on their ball, %d short of companions | "+
 			"M(u) evaluations %d | pairs evaluated %d",
 		s.CPUTime, s.PageReads,
 		snTotal, s.SNUsersTotal, s.SNIndexPruned, s.SNObjPruned, s.CandUsers,
 		rnTotal, s.RNPOIsTotal, s.RNIndexPruned, s.RNObjPruned, s.CandAnchors,
-		s.AnchorsSameBall, s.AnchorsThetaFailed, s.AnchorsReachFailed, s.MEvaluations, s.PairsEvaluated)
+		s.AnchorsSameBall, s.AnchorsNearPortal, s.AnchorsThetaFailed, s.AnchorsReachFailed, s.MEvaluations, s.PairsEvaluated)
 }

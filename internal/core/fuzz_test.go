@@ -232,16 +232,51 @@ func unitInterval(x float64) float64 {
 	return f
 }
 
+// Road mutations FuzzEngineMatchesBaseline applies once its engines are
+// built, so the edge is pending for both (its road input, mod 3).
+const (
+	roadNone = iota
+	// roadPendant adds a vertex beside the first end of the issuer's home
+	// edge and joins it to that end.
+	roadPendant
+	// roadChord joins that end to the vertex within Euclidean distance 2
+	// whose road distance exceeds the straight line most (chordTarget).
+	roadChord
+)
+
+// mutateRoad applies road mutation kind next to uq's home through e.
+func mutateRoad(t *testing.T, e *Engine, uq socialnet.UserID, kind uint8) {
+	g := e.DS.Road
+	v := g.EdgeAt(e.DS.Users[uq].At.Edge).U
+	switch kind % 3 {
+	case roadPendant:
+		nv, err := e.AddRoadVertex(g.Vertex(v).Add(geo.Pt(0.3, 0.2)))
+		if err == nil {
+			_, err = e.AddRoadEdge(v, nv)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	case roadChord:
+		if w := chordTarget(g, v, 2); w >= 0 {
+			if _, err := e.AddRoadEdge(v, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // FuzzEngineMatchesBaseline runs the engine against the brute-force
 // Baseline on tiny generated datasets with deliberate ties (tiedDataset),
-// under the plain graph and under hub labels. Query's cost and
-// QueryTopK's costs must match Baseline's top-k rank by rank, and
-// Parallelism 4 must return bit-identical answers (found, cost bits,
-// anchor, S and R) to Parallelism 1. The seed corpus under
-// testdata/fuzz covers the oracle gates' datasets, so the plain test run
-// replays it; `make fuzz-smoke` explores further.
+// under the plain graph and under hub labels, optionally with a road edge
+// pending (mutateRoad). Query's cost and QueryTopK's costs must match
+// Baseline's top-k rank by rank, and Parallelism 4 must return
+// bit-identical answers (found, cost bits, anchor, S and R) to
+// Parallelism 1. The seed corpus under testdata/fuzz covers the oracle
+// gates' datasets and both road mutations, so the plain test run replays
+// it; `make fuzz-smoke` explores further.
 func FuzzEngineMatchesBaseline(f *testing.F) {
-	f.Fuzz(func(t *testing.T, seed int64, ties uint8, gamma, theta, r float64, tau, k, metric uint8, issuer uint16) {
+	f.Fuzz(func(t *testing.T, seed int64, ties uint8, gamma, theta, r float64, tau, k, metric uint8, issuer uint16, road uint8) {
 		ds := tiedDataset(t, seed, ties)
 		uq := socialnet.UserID(int(issuer) % len(ds.Users))
 		p := Params{
@@ -257,13 +292,18 @@ func FuzzEngineMatchesBaseline(f *testing.F) {
 		topK := 1 + int(k%4)
 		for _, labels := range []bool{false, true} {
 			if labels {
+				// A fresh copy: the first round's road mutation must not
+				// be pending when this round's engines are built.
+				ds = tiedDataset(t, seed, ties)
 				ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 			}
-			name := fmt.Sprintf("seed %d ties %04b labels %v uq %d k %d %s", seed, ties, labels, uq, topK, p)
+			name := fmt.Sprintf("seed %d ties %04b road %d labels %v uq %d k %d %s", seed, ties, road%3, labels, uq, topK, p)
+			engines := []*Engine{buildEngine(t, ds, Options{Parallelism: 1}), buildEngine(t, ds, Options{Parallelism: 4})}
+			mutateRoad(t, engines[0], uq, road)
 			want, _ := (&Baseline{DS: ds}).QueryTopK(uq, p, topK)
 			var runs [][]Result
-			for _, par := range []int{1, 4} {
-				e := buildEngine(t, ds, Options{Parallelism: par})
+			for i, e := range engines {
+				par := []int{1, 4}[i]
 				one, _, err := e.Query(uq, p)
 				if err != nil {
 					t.Fatalf("%s P=%d: %v", name, par, err)

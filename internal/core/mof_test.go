@@ -25,7 +25,8 @@ func sameDist(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, b) }
 
 // TestMOfOneDistancePath pins the bounded source-to-ball evaluator on every
 // backend that uses it — plain Dijkstra, CH, and the road delta overlay
-// (hub labels plus one AddRoadEdge, which exposes no labels): unbounded it
+// (hub labels plus one AddRoadEdge: the base's labels where the clearance
+// rule vouches for them, the overlay elsewhere): unbounded it
 // equals the per-pair DistAttach maximum; under a keeper a cost exactly at
 // the bound is kept and the same cost one ulp beyond it is +Inf; and a
 // tripped checkpoint prices every user +Inf.
@@ -45,8 +46,8 @@ func TestMOfOneDistancePath(t *testing.T) {
 			if _, err := e.AddRoadEdge(0, roadnet.VertexID(ds.Road.NumVertices()-1)); err != nil {
 				t.Fatal(err)
 			}
-			if !ds.Road.OverlayStats().Active || ds.Road.HasLabels() {
-				t.Fatal("AddRoadEdge did not leave a label-less overlay attached")
+			if !ds.Road.OverlayStats().Active || !ds.Road.HasLabels() {
+				t.Fatal("AddRoadEdge did not leave the overlay attached over the base's labels")
 			}
 			return e
 		}},

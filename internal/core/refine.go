@@ -26,7 +26,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 	uqRow := e.topics.user(uq)
 	const probeAnchors = 3
 	nn := e.Road.Tree.Nearest(ds.Users[uq].Loc, probeAnchors)
-	kwLB := e.keywordBoundsSafe()
+	kwRows, pend := e.keywordRowsComplete(), e.roadPending()
 	// At most 2·probeAnchors anchors are tried, so a scan beats a set.
 	tried := make([]model.POIID, 0, 2*probeAnchors)
 	tryAnchor := func(anchor model.POIID) {
@@ -37,7 +37,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 		// Lemma 1 before the ball: the bound is u_q's score over a
 		// superset of the ball's keywords, so a failing anchor's ball
 		// would fail the θ-test below.
-		if kwLB && uqRow.matchUb(e.Road.KeywordDist(anchor), p.R) < p.Theta {
+		if e.lemma1(anchor, p, uqRow, kwRows, pend) {
 			return
 		}
 		ball := e.ballAround(anchor, p.R, q.ck)
@@ -112,13 +112,23 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // members' label rows are flattened once (prepareBallLabels), and each
 // evaluation is a single simultaneous merge of the user's attachment label
 // against them (roadnet.LabelDists) — no per-pair graph search, no O(V)
-// state. Under every other oracle (CH, plain Dijkstra, the road delta
-// overlay) each evaluation is one bounded source-to-ball call,
-// DistAttachWithinCk: the bucket many-to-many under CH and the overlay, a
-// bounded search that stops once the ball is settled under Dijkstra. Both
-// kernels are all-or-nothing on a checkpoint trip, and each oracle has
-// exactly one of them — no cached alternative whose use depends on timing
-// — so a user's M(u) is summed one way per oracle.
+// state. Under every other oracle (CH, plain Dijkstra) each evaluation is
+// one bounded source-to-ball call, DistAttachWithinCk: the bucket
+// many-to-many under CH, a bounded search that stops once the ball is
+// settled under Dijkstra. Both kernels are all-or-nothing on a checkpoint
+// trip, and each oracle has exactly one of them — no cached alternative
+// whose use depends on timing — so a user's M(u) is summed one way per
+// oracle.
+//
+// While road edges are pending the labels answer for the base graph, and
+// the clearance rule (pending.go) checks every member's label distance:
+// one beyond the bound and provably so in G makes M(u) +Inf, and the
+// members it cannot vouch for are priced through the delta-overlay
+// (DistAttachWithinCk) in one call. A finite distance of a (user, POI)
+// pair is its label sum exactly when the unbounded label distance passes
+// the test, which no bound changes, so each pair is still summed one way —
+// the same way the anchor stream resolves it (newAnchorOrder), so u_q's
+// distance to an anchor agrees bit for bit with its share of M(u_q).
 //
 // With a keeper, evaluations are clamped at the current shared bound: a
 // ball POI beyond the bound proves M(u) > bound, so the user cannot be in
@@ -144,7 +154,9 @@ func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.C
 		}
 		return keeper.Bound()
 	}
-	if tl := e.prepareBallLabels(ball, ar); tl != nil {
+	tl := e.prepareBallLabels(ball, ar)
+	pend := e.roadPending()
+	if tl != nil && !pend {
 		out := ar.floatBuf(len(ball))
 		return func(u socialnet.UserID) float64 {
 			lbl := e.userLabelWith(u, ar)
@@ -155,8 +167,37 @@ func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.C
 	for i, o := range ball {
 		ballAtts[i] = ds.POIs[o].At
 	}
+	if tl == nil {
+		return func(u socialnet.UserID) float64 {
+			return ballMax(ds.Road.DistAttachWithinCk(ds.Users[u].At, bound(), ballAtts, ck))
+		}
+	}
+	out, clr := ar.floatBuf(len(ball)), ar.clearBuf(len(ball))
+	for i, at := range ballAtts {
+		clr[i] = e.clearance(at)
+	}
 	return func(u socialnet.UserID) float64 {
-		return ballMax(ds.Road.DistAttachWithinCk(ds.Users[u].At, bound(), ballAtts, ck))
+		at, b := ds.Users[u].At, bound()
+		ds.Road.LabelDistsCk(e.userLabelWith(u, ar), at, tl, b, out, ck)
+		eu := e.clearance(at)
+		var miss []int
+		for i, d := range out {
+			if !labelExact(d, b, eu+clr[i]) {
+				miss = append(miss, i)
+			} else if math.IsInf(d, 1) {
+				return d
+			}
+		}
+		if miss != nil {
+			atts := make([]roadnet.Attach, len(miss))
+			for j, i := range miss {
+				atts[j] = ballAtts[i]
+			}
+			for j, d := range ds.Road.DistAttachWithinCk(at, b, atts, ck) {
+				out[miss[j]] = d
+			}
+		}
+		return ballMax(out)
 	}
 }
 
@@ -218,7 +259,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 	classes := &qar.classes
 	classes.reset(qar)
 	defer classes.release()
-	var pairs, thetaFailed, reachFailed, mEvals, sameBall atomic.Int64
+	var pairs, thetaFailed, reachFailed, mEvals, sameBall, nearPortal atomic.Int64
 
 	// refineBall is the work after the ball: the θ-test, M(u_q), the
 	// companions and the group search. It adds what it finds to the
@@ -266,10 +307,13 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 		// besides u_q (companions). Each is pivot-tested and evaluated the
 		// first time the search reaches it. Without τ-1 of them the anchor
 		// is dead.
-		anchorRD := e.poiRDOf(ac.id)
+		anchorRD, anchorE := e.poiRDOf(ac.id), math.Inf(1)
+		if e.roadPending() {
+			anchorE = e.clearance(ds.POIs[ac.id].At)
+		}
 		evals := 0
 		comps := ar.companions(cg, ut, p, kws, mUq, keeper, func(u socialnet.UserID) float64 {
-			if e.companionPruned(u, anchorRD, keeper.Bound()) {
+			if e.companionPruned(u, anchorRD, anchorE, keeper.Bound()) {
 				return math.Inf(1)
 			}
 			evals++
@@ -305,7 +349,10 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 	}
 
 	processAnchor := func(ac anchorEntry, ar *refineArena) {
-		ball := e.ballAround(ac.id, p.R, q.ck)
+		ball, near := e.ball(ac.id, p.R, q.ck)
+		if near {
+			nearPortal.Add(1)
+		}
 		// A trip during ball construction leaves a degenerate ball; bail
 		// before any result can be built on the wrong R set.
 		if q.ck.Stopped() {
@@ -389,8 +436,9 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 	q.rethrow()
 	e.closeAnchorOrder(order, st)
 	st.AnchorsSameBall = int(sameBall.Load())
-	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d same ball=%d",
-		order.expanded, order.entered, order.resolved, order.pops, st.AnchorsSameBall)
+	st.AnchorsNearPortal = int(nearPortal.Load())
+	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d same ball=%d near portal=%d",
+		order.expanded, order.entered, order.resolved, order.pops, st.AnchorsSameBall, st.AnchorsNearPortal)
 
 	st.PairsEvaluated = pairs.Load()
 	st.AnchorsThetaFailed = int(thetaFailed.Load())
@@ -462,27 +510,39 @@ type anchorOrder struct {
 // Under the engine's POI label table an anchor enters keyed by its Lemma 5
 // bound and is resolved at the front with one row merge against u_q's
 // label, which lives in ar for the query. Without the table (no label
-// oracle, the road delta overlay, an engine sharing its dataset) it enters
-// resolved, keyed by its exact distance from one one-to-all sweep from
-// u_q, run at the first push (anchorDists). DisableIndexPruning keys every
-// node 0 and skips Lemmas 6 and 7; DisableDistancePruning, or a pending
-// road edge (roadPivotSafe), keys every node and unresolved anchor 0 and
-// skips Lemmas 5 and 7.
+// oracle, an engine sharing its dataset) it enters resolved, keyed by its
+// exact distance from one one-to-all sweep from u_q, run at the first push
+// (anchorDists). While road edges are pending, the bounds and the keyword
+// rules take the clearance rule (pending.go), and a row merge the rule
+// cannot vouch for is resolved through the delta-overlay instead, as
+// makeMOf prices the same pair. DisableIndexPruning keys every node 0 and skips
+// Lemmas 6 and 7; DisableDistancePruning, or an issuer with no pivot
+// vector (a delta user on a new road edge), keys every node and
+// unresolved anchor 0 and skips Lemmas 5 and 7.
 func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) *anchorOrder {
 	ds, st := e.DS, q.st
-	uqRow, uqRD := e.topics.user(uq), e.userRDOf(uq)
-	kwLB := e.keywordBoundsSafe()
-	distLB := !e.Opts.DisableDistancePruning && e.roadPivotSafe()
+	uqRow, uqRD, uqAt := e.topics.user(uq), e.userRDOf(uq), ds.Users[uq].At
+	kwRows, pend := e.keywordRowsComplete(), e.roadPending()
+	distLB := !e.Opts.DisableDistancePruning && uqRD != nil
 	nodeRules := !e.Opts.DisableIndexPruning
+	uqE := math.Inf(1)
+	if pend {
+		uqE = e.clearance(uqAt)
+	}
 	o := &anchorOrder{h: ar.anchs[:0], ar: ar, ck: q.ck}
 
 	var pushAnchor func(id model.POIID, lb float64)
 	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
-		lbl, uqAt := e.userLabelWith(uq, ar), ds.Users[uq].At
+		lbl := e.userLabelWith(uq, ar)
 		row, out := ar.rowBuf(1), ar.floatBuf(1)
 		o.resolve = func(id model.POIID) float64 {
 			row[0] = int32(id)
-			return ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, q.ck)[0]
+			d := ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, q.ck)[0]
+			if at := ds.POIs[id].At; pend && !labelExact(d, math.Inf(1), uqE+e.clearance(at)) {
+				// The same overlay call makeMOf prices this pair with.
+				return ds.Road.DistAttachWithinCk(uqAt, math.Inf(1), []roadnet.Attach{at}, q.ck)[0]
+			}
+			return d
 		}
 		pushAnchor = func(id model.POIID, lb float64) {
 			o.push(anchorEntry{key: boundKey(lb), id: id})
@@ -507,10 +567,13 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 				// them. Matching: Lemma 1, u_q's score over a superset of
 				// the radius-r ball's keywords. Distance: Lemma 5, the
 				// pivot lower bound against the keeper's bound.
-				matchPrune := kwLB && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta
+				matchPrune := e.lemma1(id, p, uqRow, kwRows, pend)
 				lb, distPrune := 0.0, false
 				if distLB {
 					lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
+					if uqE < lb {
+						lb = min(lb, uqE+e.clearance(ds.POIs[id].At))
+					}
 					distPrune = prunes(lb, bound)
 				}
 				if matchPrune {
@@ -533,8 +596,11 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 			m := e.Road.Meta(child)
 			key := 0.0
 			if nodeRules {
-				// Lemma 6: matching score pruning for index nodes.
-				if kwLB && uqRow.matchUb(m.KwMin, p.R) < p.Theta {
+				// Lemma 6: matching score pruning for index nodes, for a
+				// node whose every POI is far enough from the old
+				// portals that its balls are the base graph's.
+				if kwRows && uqRow.matchUb(m.KwMin, p.R) < p.Theta &&
+					(!pend || farFromPortals(e.rectClearance(ent.Rect), p.R)) {
 					st.RNIndexPruned += m.POICount
 					st.RNIndexPrunedMatch += m.POICount
 					continue
@@ -542,6 +608,9 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 				// Lemma 7 / Eq. 17: distance lower bound vs the bound.
 				if distLB {
 					lb := nodeDistLb(uqRD, m.LbDist, m.UbDist)
+					if uqE < lb {
+						lb = min(lb, uqE+e.rectClearance(ent.Rect))
+					}
 					if prunes(lb, bound) {
 						st.RNIndexPruned += m.POICount
 						st.RNIndexPrunedDist += m.POICount
@@ -677,29 +746,72 @@ func (o *anchorOrder) down(i int) {
 // bound beyond the keeper's rules u out. The lower bound is a derived
 // float (|d(u,p) − d(a,p)| over two independently rounded sums) and can
 // exceed an exact tied cost by an ulp, hence prunes rather than a bare >.
-// Gated off once road edges have been appended — stored pivot rows then
-// overestimate and the "lower bound" could prune a true companion
-// (roadPivotSafe).
-func (e *Engine) companionPruned(u socialnet.UserID, anchorRD []float64, bound float64) bool {
-	return e.roadPivotSafe() && prunes(roadnet.LowerBound(e.userRDOf(u), anchorRD), bound)
+// While road edges are pending the stored rows answer for the base graph,
+// and the bound is capped at E(u) + anchorE, the anchor's clearance
+// (+Inf with none pending; pending.go). A user or anchor without a pivot
+// vector (a delta object on a new road edge) is never pruned.
+func (e *Engine) companionPruned(u socialnet.UserID, anchorRD []float64, anchorE, bound float64) bool {
+	rd := e.userRDOf(u)
+	if rd == nil || anchorRD == nil {
+		return false
+	}
+	lb := roadnet.LowerBound(rd, anchorRD)
+	if anchorE < lb {
+		lb = min(lb, anchorE+e.clearance(e.DS.Users[u].At))
+	}
+	return prunes(lb, bound)
+}
+
+// lemma1 reports whether Lemma 1 prunes anchor id: u_q's score over the
+// superset of its radius-r ball's keywords the rows hold falls below θ.
+// The rows must account for every POI (kwRows), and while road edges are
+// pending (pend) the anchor must be far enough from the old portals that
+// its ball is the base graph's (pending.go).
+func (e *Engine) lemma1(id model.POIID, p Params, uqRow topicRow, kwRows, pend bool) bool {
+	return kwRows && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta &&
+		(!pend || farFromPortals(e.clearance(e.DS.POIs[id].At), p.R))
 }
 
 // ballAround returns the POIs within road distance radius of the anchor
-// (always including the anchor itself). With a tripped checkpoint the
-// checked distance batch reports +Inf for everything, so the ball
-// degenerates to {anchor} — harmless, because a cancelled query errors out
-// and a budget-tripped one can no longer admit results (every M(u) on the
-// degenerate ball that involves a road search is +Inf too).
+// (always including the anchor itself); see ball.
 func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Checkpoint) []model.POIID {
+	b, _ := e.ball(anchor, radius, ck)
+	return b
+}
+
+// ball returns the POIs within road distance radius of the anchor (always
+// including the anchor itself), and whether road edges are pending within
+// reach of it. An anchor farther than radius from every old portal has the
+// same ball in the grown graph as in the base (pending.go): no member can
+// sit on a new edge, and one base-oracle call prices the rest, bit for bit
+// what the delta-overlay would return. A near one is priced through the
+// overlay. With a tripped checkpoint the checked distance batch reports
+// +Inf for everything, so the ball degenerates to {anchor} — harmless,
+// because a cancelled query errors out and a budget-tripped one can no
+// longer admit results (every M(u) on the degenerate ball that involves a
+// road search is +Inf too).
+func (e *Engine) ball(anchor model.POIID, radius float64, ck *roadnet.Checkpoint) (ball []model.POIID, near bool) {
 	ds := e.DS
 	pre := e.Road.EuclidBall(ds.POIs[anchor].Loc, radius)
 	pre = append(pre, e.deltaBallMembers(anchor, radius)...)
+	at := ds.POIs[anchor].At
+	far := true
+	if e.roadPending() {
+		far = farFromPortals(e.clearance(at), radius)
+		if far {
+			pre = slices.DeleteFunc(pre, func(id model.POIID) bool { return ds.Road.NewEdge(ds.POIs[id].At.Edge) })
+		}
+	}
 	atts := make([]roadnet.Attach, len(pre))
 	for i, id := range pre {
 		atts[i] = ds.POIs[id].At
 	}
-	dists := ds.Road.DistAttachWithinCk(ds.POIs[anchor].At, radius, atts, ck)
-	var ball []model.POIID
+	var dists []float64
+	if far {
+		dists = ds.Road.DistAttachWithinBaseCk(at, radius, atts, ck)
+	} else {
+		dists = ds.Road.DistAttachWithinCk(at, radius, atts, ck)
+	}
 	seenAnchor := false
 	for i, id := range pre {
 		if !math.IsInf(dists[i], 1) {
@@ -712,7 +824,7 @@ func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Chec
 	if !seenAnchor {
 		ball = append(ball, anchor)
 	}
-	return ball
+	return ball, !far
 }
 
 // anchorDists returns exact dist_RN(u_q, ·) over the anchors, the anchor

@@ -259,14 +259,7 @@ func (g *Graph) DistAttach(a, b Attach) float64 {
 // With an oracle attached the search is the many-to-many bucket kernel over
 // just the attachment endpoints instead of a full one-to-all scan.
 func (g *Graph) DistAttachMany(a Attach, bs []Attach) []float64 {
-	return g.distAttachBatch(a, math.Inf(1), bs, nil)
-}
-
-// DistAttachManyCk is DistAttachMany with a cooperative checkpoint; once it
-// trips, every candidate distance is reported as +Inf (no partial values).
-// ck may be nil.
-func (g *Graph) DistAttachManyCk(a Attach, bs []Attach, ck *Checkpoint) []float64 {
-	return g.distAttachBatch(a, math.Inf(1), bs, ck)
+	return g.distAttachBatch(g.oracle, a, math.Inf(1), bs, nil)
 }
 
 // DistAttachWithin returns dist_RN(a, c) for each candidate c, reported
@@ -276,22 +269,34 @@ func (g *Graph) DistAttachManyCk(a Attach, bs []Attach, ck *Checkpoint) []float6
 // uses it to materialize the POI balls ⊙(o_i, r_min), and the query
 // refinement uses it to materialize answer balls ⊙(o_i, r).
 func (g *Graph) DistAttachWithin(a Attach, bound float64, cands []Attach) []float64 {
-	return g.distAttachBatch(a, bound, cands, nil)
+	return g.distAttachBatch(g.oracle, a, bound, cands, nil)
 }
 
 // DistAttachWithinCk is DistAttachWithin with a cooperative checkpoint;
 // once it trips, every candidate distance is reported as +Inf (no partial
 // values). ck may be nil.
 func (g *Graph) DistAttachWithinCk(a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
-	return g.distAttachBatch(a, bound, cands, ck)
+	return g.distAttachBatch(g.oracle, a, bound, cands, ck)
+}
+
+// DistAttachWithinBaseCk is DistAttachWithinCk answered by the static
+// oracle the delta-overlay wraps, that is for the base G0 (base.go), one
+// base call instead of the overlay's composition; with no overlay active
+// it is DistAttachWithinCk itself. a and every candidate must lie on edges
+// of G0, and the caller must know G0's answer to be G's: the overlay's
+// composed answer is the minimum of this one and paths through an old
+// portal, so where those are all beyond bound the two agree bit for bit.
+func (g *Graph) DistAttachWithinBaseCk(a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
+	return g.distAttachBatch(g.baseOracle(), a, bound, cands, ck)
 }
 
 // distAttachBatch is the shared implementation of DistAttachMany
 // (bound = +Inf) and DistAttachWithin (finite bound): distances from a to
-// each candidate, with values beyond the bound clamped to +Inf. An aborted
+// each candidate through oracle o (a bounded search of the graph when o is
+// nil), with values beyond the bound clamped to +Inf. An aborted
 // (checkpoint-tripped) batch reports every candidate as +Inf so no caller
 // ever consumes a distance from an interrupted search.
-func (g *Graph) distAttachBatch(a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
+func (g *Graph) distAttachBatch(o DistanceOracle, a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
 	out := make([]float64, len(cands))
 	if ck.Stopped() {
 		for i := range out {
@@ -302,7 +307,7 @@ func (g *Graph) distAttachBatch(a Attach, bound float64, cands []Attach, ck *Che
 	au, av, dau, dav := g.attachEnds(a)
 	seeds := []Seed{{au, dau}, {av, dav}}
 
-	if g.oracle != nil {
+	if o != nil {
 		// Query only the candidates' edge endpoints, deduplicated, through
 		// the oracle's many-to-many kernel.
 		targets := make([]VertexID, 0, 2*len(cands))
@@ -311,10 +316,10 @@ func (g *Graph) distAttachBatch(a Attach, bound float64, cands []Attach, ck *Che
 			targets = append(targets, cu, cv)
 		}
 		var vd []float64
-		if co, ok := g.oracle.(CheckedOracle); ok && ck != nil {
+		if co, ok := o.(CheckedOracle); ok && ck != nil {
 			vd = co.SeedDistancesCk(seeds, targets, bound, ck)
 		} else {
-			vd = g.oracle.SeedDistances(seeds, targets, bound)
+			vd = o.SeedDistances(seeds, targets, bound)
 		}
 		if ck.Stopped() {
 			for i := range out {

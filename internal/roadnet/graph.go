@@ -42,8 +42,9 @@ type Graph struct {
 	adj        [][]halfEdge
 	edges      []Edge
 	grid       *edgeGrid      // lazily built by SnapPoint
-	gridBuilds int            // full grid (re)builds — churn regression signal
+	gridBuilds int            // full grid (re)builds; mutations must not force one
 	oracle     DistanceOracle // optional fast exact-distance backend (see oracle.go)
+	base       baseMark       // G0 and its old portals (see base.go)
 }
 
 // NewGraph returns an empty road network with capacity hints.
@@ -91,14 +92,16 @@ func (g *Graph) AddEdge(u, v VertexID) EdgeID {
 	if ov != nil {
 		ov.noteAddEdge(u, v, w)
 	}
+	g.noteBaseEdge(u, v)
 	g.gridInsertEdge(id)
 	return id
 }
 
 // Clone returns a deep copy of the graph's topology and geometry. The
-// snap grid and the distance oracle are deliberately not carried over —
-// the clone rebuilds its grid lazily and gets its own oracle — so the
-// copy shares no mutable state with the original. Background
+// snap grid, the distance oracle and the base mark are deliberately not
+// carried over — the clone rebuilds its grid lazily and gets its own
+// oracle, which marks its base — so the copy shares no mutable state with
+// the original. Background
 // re-contraction clones the graph off-lock and rebuilds against the copy
 // while the original keeps serving.
 func (g *Graph) Clone() *Graph {
@@ -283,7 +286,8 @@ func (g *Graph) attachEnds(a Attach) (u, v VertexID, du, dv float64) {
 // shorter than the current vertex count — a pivot row computed before
 // vertices were appended — carries no information about the missing
 // endpoints, which read as +Inf; callers relying on such stale tables as
-// lower bounds must gate on the road-delta being empty (the engine does).
+// lower bounds must not trust them on new edges (the engine gives objects
+// there no pivot vector).
 func (g *Graph) DistToVertexVia(a Attach, dist []float64) float64 {
 	u, v, du, dv := g.attachEnds(a)
 	x, y := math.Inf(1), math.Inf(1)

@@ -181,10 +181,6 @@ func (g *Graph) gridInsertEdge(id EdgeID) {
 	})
 }
 
-// GridBuilds reports how many times the snap grid has been built from
-// scratch — the churn benchmark asserts mutations stop forcing rebuilds.
-func (g *Graph) GridBuilds() int { return g.gridBuilds }
-
 // SnapPoint returns the attachment on the road segment nearest to p. The
 // second return value is false only for a graph with no edges.
 func (g *Graph) SnapPoint(p geo.Point) (Attach, bool) {

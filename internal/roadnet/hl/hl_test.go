@@ -264,9 +264,9 @@ func TestLabelAPIWithoutOracle(t *testing.T) {
 }
 
 // TestHLSurvivesMutation ensures structural edits keep an attached HL
-// oracle serving through the delta-overlay, while the label fast paths
-// (which assume frozen topology) switch themselves off until the next
-// re-contraction.
+// oracle serving through the delta-overlay, and its labels keep answering
+// for the base graph: a point on the new edge gets an empty label, since
+// the base has no distance to it.
 func TestHLSurvivesMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGraph(t, rng, 20, 1.0, true)
@@ -281,10 +281,14 @@ func TestHLSurvivesMutation(t *testing.T) {
 	if g.Oracle() == nil {
 		t.Fatal("AddVertex must keep the oracle attached via the overlay")
 	}
-	if g.HasLabels() {
-		t.Fatal("label fast path must deactivate once the overlay wraps the oracle")
+	if !g.HasLabels() {
+		t.Fatal("the base's labels must stay available once the overlay wraps the oracle")
 	}
-	g.AddEdge(v, 0)
+	e := g.AddEdge(v, 0)
+	var lbl roadnet.HubLabel
+	if !g.AttachLabel(g.AttachAt(e, 0.5), &lbl) || lbl.Len() != 0 {
+		t.Fatalf("a point on a new edge got a %d-entry base label", lbl.Len())
+	}
 	d := g.Dijkstra(0)
 	want := g.Vertex(0).Dist(g.Vertex(v))
 	if d[v] > want {

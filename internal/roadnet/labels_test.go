@@ -138,8 +138,9 @@ func TestLabelTableRowKernel(t *testing.T) {
 }
 
 // TestLabelTableWithoutLabels pins the degradation: no table without a
-// label oracle, and a table stops being valid once a mutation wraps its
-// oracle in the delta-overlay.
+// label oracle. A table stays valid for the base graph once a mutation
+// wraps its oracle in the delta-overlay, and stops being valid once
+// another oracle is attached.
 func TestLabelTableWithoutLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, plain := twinPair(t, rng, 30, "hl")
@@ -156,8 +157,12 @@ func TestLabelTableWithoutLabels(t *testing.T) {
 		t.Fatal("fresh table must be valid and report its size")
 	}
 	g.AddVertex(geo.Pt(500, 500))
+	if !table.ValidFor(g, 1) {
+		t.Fatal("table must stay valid for the base once the overlay wraps its oracle")
+	}
+	g.SetDistanceOracle(nil)
 	if table.ValidFor(g, 1) {
-		t.Fatal("table must be invalid once the overlay wraps its oracle")
+		t.Fatal("table must be invalid once its oracle is detached")
 	}
 }
 

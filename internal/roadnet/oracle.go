@@ -5,7 +5,8 @@ package roadnet
 // (DistAttach, DistAttachMany, DistAttachWithin) and the full one-to-all
 // scans (Dijkstra, DijkstraMulti) delegate to it instead of running plain
 // Dijkstra searches. An oracle answers for the graph snapshot it was built
-// from; any structural mutation (AddVertex, AddEdge) detaches it.
+// from; a structural mutation (AddVertex, AddEdge) wraps it in the
+// delta-overlay, which keeps answers exact for the mutated graph.
 //
 // The contraction-hierarchy implementation lives in internal/roadnet/ch;
 // it cannot be referenced from here (it imports this package), which is
@@ -41,12 +42,16 @@ type CheckedOracle interface {
 	OneToAllCk(sources []Seed, ck *Checkpoint) []float64
 }
 
-// SetDistanceOracle attaches (or, with nil, detaches) a distance oracle.
-// The oracle must answer for this graph's current topology; it is detached
-// automatically if the graph mutates afterwards. Attach before building
-// indexes so pivot-table construction reuses it too. Not safe to call
-// concurrently with queries — attach once, then share the graph.
-func (g *Graph) SetDistanceOracle(o DistanceOracle) { g.oracle = o }
+// SetDistanceOracle attaches (or, with nil, detaches) a distance oracle and
+// marks the graph's base (MarkBase). The oracle must answer for this
+// graph's current topology; later mutations wrap it in the delta-overlay
+// (overlay.go). Attach before building indexes so pivot-table
+// construction reuses it too. Not safe to call concurrently with queries —
+// attach once, then share the graph.
+func (g *Graph) SetDistanceOracle(o DistanceOracle) {
+	g.oracle = o
+	g.MarkBase()
+}
 
 // Oracle returns the attached distance oracle, or nil.
 func (g *Graph) Oracle() DistanceOracle { return g.oracle }

@@ -42,10 +42,10 @@ import (
 // base-oracle many-to-many calls plus O(k²) portal arithmetic, and a
 // composed OneToAll at most two base sweeps. The overlay implements
 // CheckedOracle so cancellation and work budgets thread through to the
-// base calls, but deliberately not LabelOracle: label attach assumes frozen
-// topology, so those callers degrade to the composed (still exact, still
-// oracle-backed) SeedDistances and OneToAll until the next re-contraction
-// swaps in a fresh static oracle.
+// base calls, but not LabelOracle: labels answer for G0 only. The graph
+// hands the base's labels out as such (labelOracle, base.go), and callers
+// use them where the clearance rule makes G0 and G agree, composing
+// through the overlay everywhere else.
 type overlayOracle struct {
 	base     DistanceOracle
 	baseN    int // |V(G0)|: vertices the base oracle answers for
@@ -431,6 +431,16 @@ func (g *Graph) OverlayStats() OverlayStats {
 		Portals:  len(ov.portals),
 		Queries:  ov.queries.Load(),
 	}
+}
+
+// baseOracle returns the oracle that answers for the graph's base: the
+// static oracle the delta-overlay wraps, or the attached one (nil for
+// none) when no overlay is active.
+func (g *Graph) baseOracle() DistanceOracle {
+	if ov, ok := g.oracle.(*overlayOracle); ok {
+		return ov.base
+	}
+	return g.oracle
 }
 
 // ensureOverlay wraps the attached static oracle in a delta-overlay the

@@ -217,7 +217,7 @@ func TestOverlayCheckpointAbort(t *testing.T) {
 	}
 
 	a := g.AttachVertex(v)
-	out := g.DistAttachManyCk(a, []roadnet.Attach{{Edge: 0, T: 0.5}}, ck)
+	out := g.DistAttachWithinCk(a, math.Inf(1), []roadnet.Attach{{Edge: 0, T: 0.5}}, ck)
 	if !math.IsInf(out[0], 1) {
 		t.Fatalf("aborted attach batch leaked finite distance %v", out[0])
 	}

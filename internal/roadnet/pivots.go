@@ -8,8 +8,8 @@ import (
 // PivotTable stores exact shortest-path distances from h pivot vertices to
 // every vertex of the road network (Section 4.1: each POI and each user
 // keeps its distances dist_RN(·, rp_k) to the road-network pivots). The
-// table supports the triangle-inequality lower/upper distance bounds of
-// Lemma 5 and Eq. (16)/(17).
+// table supports the triangle-inequality lower distance bounds of Lemma 5
+// and Eq. (16)/(17).
 type PivotTable struct {
 	pivots []VertexID
 	dist   [][]float64 // dist[k][v] = dist_RN(rp_k, v)
@@ -36,23 +36,11 @@ func (t *PivotTable) NumPivots() int { return len(t.pivots) }
 // Pivots returns the pivot vertex ids.
 func (t *PivotTable) Pivots() []VertexID { return t.pivots }
 
-// VertexDist returns dist_RN(rp_k, v).
-func (t *PivotTable) VertexDist(k int, v VertexID) float64 {
-	t.check(k)
-	return t.dist[k][v]
-}
-
 // Row returns the full distance array of pivot k. Callers must treat it as
 // read-only.
 func (t *PivotTable) Row(k int) []float64 {
 	t.check(k)
 	return t.dist[k]
-}
-
-// AttachDist returns dist_RN(a, rp_k) for an attachment point a.
-func (t *PivotTable) AttachDist(g *Graph, k int, a Attach) float64 {
-	t.check(k)
-	return g.DistToVertexVia(a, t.dist[k])
 }
 
 // AttachDistAll returns dist_RN(a, rp_k) for every pivot k, in pivot order.
@@ -83,23 +71,6 @@ func LowerBound(da, db []float64) float64 {
 		}
 	}
 	return lb
-}
-
-// UpperBound returns a triangle-inequality upper bound on dist_RN between
-// two objects given their pivot-distance vectors:
-//
-//	ub = min_k (da[k] + db[k]).
-func UpperBound(da, db []float64) float64 {
-	if len(da) != len(db) {
-		panic(fmt.Sprintf("roadnet: pivot vector length mismatch %d != %d", len(da), len(db)))
-	}
-	ub := math.Inf(1)
-	for k := range da {
-		if s := da[k] + db[k]; s < ub {
-			ub = s
-		}
-	}
-	return ub
 }
 
 func (t *PivotTable) check(k int) {

@@ -711,6 +711,7 @@ func TestStatszSharedWork(t *testing.T) {
 		t.Errorf("memory block has a zero headline: %s", m["memory"])
 	}
 
+	held := mj.POILabelBytes
 	if _, err := db.AddRoadEdge(0, 5); err != nil {
 		t.Fatal(err)
 	}
@@ -718,8 +719,8 @@ func TestStatszSharedWork(t *testing.T) {
 	if err := json.Unmarshal(m["memory"], &mj); err != nil {
 		t.Fatal(err)
 	}
-	if mj.POILabelBytes != 0 {
-		t.Errorf("memory.poi_label_bytes = %d after AddRoadEdge, want 0", mj.POILabelBytes)
+	if mj.POILabelBytes != held {
+		t.Errorf("memory.poi_label_bytes = %d after AddRoadEdge, want %d: the table answers for the base graph", mj.POILabelBytes, held)
 	}
 }
 

@@ -239,14 +239,14 @@ func TestSharedWorkRaceStress(t *testing.T) {
 	}
 	compareAnswers(t, par, seq, q, "quiesced")
 
-	// A road edge installs the delta-overlay, which exposes no labels:
-	// AddRoadEdge must release the POI label table, and answers through
-	// the overlay still agree.
+	// A road edge installs the delta-overlay; the POI label table keeps
+	// answering for the base graph under the clearance rule, and answers
+	// still agree.
 	for _, db := range []*DB{par, seq} {
 		if _, err := db.AddRoadEdge(0, db.Network().NumIntersections()-1); err != nil {
 			t.Fatal(err)
 		}
-		checkPOILabelTable(t, db, false, "after AddRoadEdge")
+		checkPOILabelTable(t, db, true, "after AddRoadEdge")
 	}
 	compareAnswers(t, par, seq, q, "post-road-edge")
 }
