@@ -314,9 +314,10 @@ type Stats struct {
 	// refinement had already taken in this query: each reused that ball's
 	// outcome instead of refining it again.
 	AnchorsSameBall int
-	// AnchorsNearPortal counts the anchors whose road ball came within the
-	// radius of a road edge appended since the last Compact, so their ball
-	// was priced through the delta-overlay rather than the static oracle.
+	// AnchorsNearPortal counts the anchors lying within the query radius
+	// (straight-line) of a vertex that a road edge appended since the last
+	// Compact touches: their ball was priced through the delta-overlay
+	// rather than the static oracle.
 	AnchorsNearPortal int
 	// CacheHit is set when the answer came from the answer cache; the cost
 	// counters (CPUTime, PageReads) are zeroed on hits so harnesses never

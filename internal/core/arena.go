@@ -15,9 +15,7 @@ import (
 // allocates nothing per anchor and nothing per user evaluation:
 //
 //   - atts/out back the attachment lists and distance outputs of makeMOf
-//     and the anchor order, clr the ball members' clearances while road
-//     edges are pending (pending.go), rows the label-table row lists
-//     (poiRows),
+//     and the anchor order, rows the label-table row lists (poiRows),
 //   - lbl is the source attachment-label scratch the label kernel merges
 //     from,
 //   - kws is the ball keyword set,
@@ -36,7 +34,6 @@ import (
 type refineArena struct {
 	atts  []roadnet.Attach
 	out   []float64
-	clr   []float64
 	rows  []int32
 	lbl   roadnet.HubLabel
 	kws   TopicSet
@@ -91,12 +88,6 @@ func (a *refineArena) attachBuf(n int) []roadnet.Attach {
 func (a *refineArena) floatBuf(n int) []float64 {
 	a.out = grow(a, a.out, n, 8)
 	return a.out
-}
-
-// clearBuf returns a length-n float64 buffer distinct from floatBuf's.
-func (a *refineArena) clearBuf(n int) []float64 {
-	a.clr = grow(a, a.clr, n, 8)
-	return a.clr
 }
 
 // rowBuf returns a length-n row-index buffer.

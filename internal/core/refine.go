@@ -172,7 +172,7 @@ func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.C
 			return ballMax(ds.Road.DistAttachWithinCk(ds.Users[u].At, bound(), ballAtts, ck))
 		}
 	}
-	out, clr := ar.floatBuf(len(ball)), ar.clearBuf(len(ball))
+	out, clr := ar.floatBuf(len(ball)), make([]float64, len(ball))
 	for i, at := range ballAtts {
 		clr[i] = e.clearance(at)
 	}
