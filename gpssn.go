@@ -109,8 +109,7 @@ type Config struct {
 	LeafSize, Fanout int
 	// MaxEntries is the R*-tree node capacity of I_R; default 16.
 	MaxEntries int
-	// PageSize and PoolPages configure the simulated page store used for
-	// the I/O metric; defaults 4096 and 128.
+	// Deprecated: no effect; kept because benchmark/probes.go reads it
 	PageSize, PoolPages int
 	// Seed drives pivot selection.
 	Seed int64
@@ -201,7 +200,6 @@ func DefaultConfig() Config {
 		RoadPivots: 5, SocialPivots: 5,
 		RMin: 0.5, RMax: 4,
 		LeafSize: 64, Fanout: 8, MaxEntries: 16,
-		PageSize: 4096, PoolPages: 128,
 		DistanceOracle: "hl",
 	}
 }
@@ -228,12 +226,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxEntries == 0 {
 		c.MaxEntries = d.MaxEntries
-	}
-	if c.PageSize == 0 {
-		c.PageSize = d.PageSize
-	}
-	if c.PoolPages == 0 {
-		c.PoolPages = d.PoolPages
 	}
 	if c.DistanceOracle == "" {
 		c.DistanceOracle = d.DistanceOracle
@@ -304,8 +296,9 @@ type Answer struct {
 type Stats struct {
 	// CPUTime is the wall time of the query.
 	CPUTime time.Duration
-	// PageReads is the number of simulated index page accesses (the
-	// paper's I/O metric, cold cache per query).
+	// PageReads is the paper's I/O metric: the number of I_R and I_S
+	// nodes the query read. A node fills one page and each query starts
+	// cold, so every node read is one page read.
 	PageReads int64
 	// CandidateUsers survive the I_S traversal and the hop filter;
 	// CandidateAnchors entered the anchor stream refinement drains.
@@ -332,7 +325,7 @@ type Stats struct {
 //
 // A DB is safe for concurrent use: any number of goroutines may call
 // Query and QueryTopK simultaneously — each query runs with fully
-// isolated per-query state (stats, simulated page-I/O accounting, trace).
+// isolated per-query state (stats, page-read counters, trace).
 // Dynamic updates (AddPOI, AddUser, AddFriendship, AddRoadVertex,
 // AddRoadEdge) take an exclusive lock, so they serialize against
 // in-flight queries and each other; queries observe either the state
@@ -512,7 +505,6 @@ func buildDB(net *Network, c Config) (*DB, error) {
 		RoadPivots: c.RoadPivots, SocialPivots: c.SocialPivots,
 		RMin: c.RMin, RMax: c.RMax,
 		LeafSize: c.LeafSize, Fanout: c.Fanout, MaxEntries: c.MaxEntries,
-		PageSize: c.PageSize, PoolPages: c.PoolPages,
 		Seed: c.Seed, Parallelism: c.Parallelism,
 	})
 	if err != nil {

@@ -89,8 +89,6 @@ type Options struct {
 	RMin, RMax float64
 	// LeafSize and Fanout shape I_S; MaxEntries is I_R's node capacity.
 	LeafSize, Fanout, MaxEntries int
-	// PageSize and PoolPages configure the simulated page store.
-	PageSize, PoolPages int
 	// Seed drives pivot selection (road Seed+1, social Seed+2).
 	Seed int64
 	// Parallelism is core.Options.Parallelism.
@@ -110,7 +108,7 @@ func Engine(ds *model.Dataset, o Options) (*core.Engine, error) {
 	socialPivots := pivot.RandomSocial(ds.Social, o.SocialPivots, o.Seed+2)
 	road, err := index.BuildRoad(ds, index.RoadConfig{
 		Pivots: roadPivots, RMin: o.RMin, RMax: o.RMax,
-		MaxEntries: o.MaxEntries, PageSize: o.PageSize, PoolPages: o.PoolPages,
+		MaxEntries: o.MaxEntries,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("building road index: %w", err)
@@ -118,7 +116,6 @@ func Engine(ds *model.Dataset, o Options) (*core.Engine, error) {
 	social, err := index.BuildSocial(ds, index.SocialConfig{
 		RoadPivots: road.Pivots, SocialPivots: socialPivots,
 		LeafSize: o.LeafSize, Fanout: o.Fanout,
-		PageSize: o.PageSize, PoolPages: o.PoolPages,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("building social index: %w", err)

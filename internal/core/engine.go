@@ -15,7 +15,6 @@ import (
 	"gpssn/internal/failpoint"
 	"gpssn/internal/index"
 	"gpssn/internal/model"
-	"gpssn/internal/pagesim"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/socialnet"
 )
@@ -237,15 +236,19 @@ type Stats struct {
 	CacheHit bool
 }
 
-// qctx is the per-query mutable state: stats, page-I/O trackers with their
-// private cold buffer pools, and the trace buffer. One qctx belongs to one
-// query; nothing in it is shared, which is what makes concurrent queries
-// against a single Engine safe and their I/O accounting exact.
+// qctx is the per-query mutable state: stats, the index node counters
+// and the trace buffer. One qctx belongs to one query; nothing in it is
+// shared, which is what makes concurrent queries against a single Engine
+// safe and their I/O accounting exact.
 type qctx struct {
-	st     *Stats
-	road   *pagesim.Tracker
-	social *pagesim.Tracker
-	trace  *bytes.Buffer
+	st *Stats
+	// roadNodes and socialNodes count the I_R and I_S nodes the query
+	// reads. A node fills one page, each query starts cold and reads a
+	// node at most once, so their sum is the query's page reads. The
+	// social half writes socialNodes, the anchor stream roadNodes under
+	// orderMu (docs/CONCURRENCY.md §2).
+	roadNodes, socialNodes int64
+	trace                  *bytes.Buffer
 
 	// Cancellation/budget state (see cancel.go). ctx is the caller's
 	// context (context.Background() from the legacy entry points), ck the
@@ -263,15 +266,9 @@ type qctx struct {
 	panicked atomic.Pointer[PanicError]
 }
 
-// newQctx allocates a query context with fresh cold-cache trackers (the
-// same per-query I/O semantics the engine previously obtained by resetting
-// the shared stores).
+// newQctx allocates a query context.
 func (e *Engine) newQctx(st *Stats) *qctx {
-	q := &qctx{
-		st:     st,
-		road:   e.Road.Store.NewTracker(),
-		social: e.Social.Store.NewTracker(),
-	}
+	q := &qctx{st: st}
 	if e.Opts.Trace != nil {
 		q.trace = &bytes.Buffer{}
 	}
@@ -294,7 +291,7 @@ func tracef(buf *bytes.Buffer, format string, args ...interface{}) {
 // piece (so traces of concurrent queries do not interleave line by line).
 func (e *Engine) finish(q *qctx, start time.Time, p Params) {
 	q.st.CPUTime = time.Since(start)
-	q.st.PageReads = q.road.Reads() + q.social.Reads()
+	q.st.PageReads = q.roadNodes + q.socialNodes
 	q.st.SettledWork = q.ck.Spent()
 	q.st.PairsTotalLog2 = pairsTotalLog2(len(e.DS.Users)-1, p.Tau-1, len(e.DS.POIs))
 	if q.trace != nil && e.Opts.Trace != nil {
@@ -407,9 +404,8 @@ func (e *Engine) parallelism() int {
 // claim would otherwise do after the join. At Parallelism ≥ 2 the social
 // half runs on its own goroutine; at 1 both run inline, social half
 // first. The two share no state: the social half writes only the SN*
-// counters and CandUsers and reads pages through q.social, the road side
-// only the RN* counters and reads pages through q.road
-// (docs/CONCURRENCY.md §3).
+// counters, CandUsers and q.socialNodes, the road side only the RN*
+// counters and q.roadNodes (docs/CONCURRENCY.md §3).
 func (e *Engine) front(uq socialnet.UserID, p Params, keeper *sharedKeeper, q *qctx, ar, rar *refineArena) *anchorOrder {
 	var socialTrace *bytes.Buffer
 	if q.trace != nil {
@@ -454,8 +450,8 @@ func (e *Engine) front(uq socialnet.UserID, p Params, keeper *sharedKeeper, q *q
 // level with the node rules (Lemmas 8, 9) and the leaf user tests (Lemmas
 // 3, 4), then the exact user filter of line 29 — hop distance within τ-1
 // of u_q — and the friendship graph over the survivors, built in ar.cg.
-// It needs nothing from the road side. It writes only the SN* counters and
-// CandUsers, reads pages through q.social only, and traces into trace
+// It needs nothing from the road side. It writes only the SN* counters,
+// CandUsers and q.socialNodes, and traces into trace
 // (nil when tracing is off).
 func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineArena, trace *bytes.Buffer) {
 	// Deterministic invariant-panic injection for the robustness matrix,
@@ -485,7 +481,7 @@ func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineAr
 	// from processed leaves. Delta users (appended after the index build)
 	// are scanned up front.
 	sNodes := []*index.SNode{e.Social.Root}
-	e.Social.AccessTracked(e.Social.Root, q.social)
+	q.socialNodes++
 	users := e.scanDeltaUsers(uq, p, uqRow, nil)
 
 	// Top-down sweep (Algorithm 2 lines 4-10). A cancelled sweep just
@@ -515,7 +511,7 @@ func (e *Engine) socialHalf(uq socialnet.UserID, p Params, q *qctx, ar *refineAr
 						}
 					}
 				}
-				e.Social.AccessTracked(c, q.social)
+				q.socialNodes++
 				nextNodes = append(nextNodes, c)
 			}
 		}

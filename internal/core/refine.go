@@ -502,8 +502,8 @@ type anchorOrder struct {
 }
 
 // newAnchorOrder builds the anchor stream over I_R for issuer uq: the root
-// (its page read through q.road) and the delta POIs, which have no keyword
-// distance row and no pivot bound and so enter at key 0. Expanding a node
+// (its page read, counted in q.roadNodes) and the delta POIs, which have
+// no keyword distance row and no pivot bound and so enter at key 0. Expanding a node
 // applies, under the bound the claim passed, Lemma 6 then Lemma 7 to each
 // child — a survivor's page is read and it enters keyed by Eq. 17 — or, at
 // a leaf, Lemma 1 then Lemma 5 to each POI, and writes the RN* counters.
@@ -619,13 +619,13 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 					key = boundKey(lb)
 				}
 			}
-			e.Road.AccessTracked(child, q.road)
+			q.roadNodes++
 			o.push(anchorEntry{key: key, node: child})
 		}
 	}
 
 	root := e.Road.Tree.Root()
-	e.Road.AccessTracked(root, q.road)
+	q.roadNodes++
 	o.push(anchorEntry{node: root})
 	for id := e.dyn.indexedPOIs; id < len(ds.POIs); id++ {
 		o.entered++

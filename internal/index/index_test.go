@@ -240,22 +240,6 @@ func TestKeywordDistMatchesBall(t *testing.T) {
 	}
 }
 
-func TestRoadIndexAccessCountsIO(t *testing.T) {
-	ds := dataset(t)
-	ix := buildRoad(t, ds)
-	ix.Store.ResetStats()
-	ix.Store.DropPool()
-	ix.Access(ix.Tree.Root())
-	if ix.Store.Reads() == 0 {
-		t.Error("accessing the root should cost at least one page read")
-	}
-	ix.Store.ResetStats()
-	ix.Access(ix.Tree.Root())
-	if ix.Store.Reads() != 0 {
-		t.Error("second access should hit the warm pool")
-	}
-}
-
 func TestRoadIndexMetaForeignNodePanics(t *testing.T) {
 	ds := dataset(t)
 	ix := buildRoad(t, ds)
@@ -487,21 +471,6 @@ func TestSocialIndexHeight(t *testing.T) {
 	}
 	if ix.Root.Level != ix.Height()-1 {
 		t.Errorf("root level %d inconsistent with height %d", ix.Root.Level, ix.Height())
-	}
-}
-
-func TestSocialIndexIOAccounting(t *testing.T) {
-	ds := dataset(t)
-	road := buildRoad(t, ds)
-	ix := buildSocial(t, ds, road)
-	ix.Store.ResetStats()
-	ix.Store.DropPool()
-	ix.Access(ix.Root)
-	for _, c := range ix.Root.Children {
-		ix.Access(c)
-	}
-	if ix.Store.Reads() == 0 {
-		t.Error("cold traversal should cost page reads")
 	}
 }
 

@@ -3,9 +3,9 @@
 // keyword sets of every road ball up to r_max) and pivot-distance bounds;
 // and I_S, a
 // partition tree over the social network whose nodes carry
-// interest-vector MBRs and social pivot hop bounds. Both indexes register
-// their nodes with a pagesim.Store so query traversals are charged page
-// I/O the way the paper measures it.
+// interest-vector MBRs and social pivot hop bounds. A node of either
+// index stands for one disk page: the query engine counts the nodes a
+// query reads as its page I/O (docs/ALGORITHMS.md "I/O accounting").
 package index
 
 import (
@@ -14,7 +14,6 @@ import (
 
 	"gpssn/internal/geo"
 	"gpssn/internal/model"
-	"gpssn/internal/pagesim"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/rtree"
 )
@@ -28,8 +27,7 @@ type RoadConfig struct {
 	RMin, RMax float64
 	// MaxEntries is the R*-tree node capacity (default 16).
 	MaxEntries int
-	// PageSize and PoolPages configure the simulated page store (defaults
-	// 4096 bytes and 128 pages).
+	// Deprecated: no effect; kept because benchmark/probes.go sets it
 	PageSize, PoolPages int
 }
 
@@ -37,19 +35,11 @@ func (c RoadConfig) withDefaults() RoadConfig {
 	if c.MaxEntries == 0 {
 		c.MaxEntries = 16
 	}
-	if c.PageSize == 0 {
-		c.PageSize = 4096
-	}
-	if c.PoolPages == 0 {
-		c.PoolPages = 128
-	}
 	return c
 }
 
 // RoadNodeMeta carries the Section 4.1 augmentation of one I_R node.
 type RoadNodeMeta struct {
-	// Obj is the node's identity in the page store.
-	Obj pagesim.ObjectID
 	// KwMin[f] is the minimum of KeywordDist(o)[f] over the subtree's
 	// POIs o, so {f : KwMin[f] ≤ r} holds the keywords of every member's
 	// radius-r road ball (Lemma 6).
@@ -66,7 +56,6 @@ type RoadIndex struct {
 	DS     *model.Dataset
 	Tree   *rtree.Tree
 	Pivots *roadnet.PivotTable
-	Store  *pagesim.Store
 	RMin   float64
 	RMax   float64
 
@@ -94,11 +83,10 @@ func BuildRoad(ds *model.Dataset, cfg RoadConfig) (*RoadIndex, error) {
 	c := cfg.withDefaults()
 
 	idx := &RoadIndex{
-		DS:    ds,
-		RMin:  c.RMin,
-		RMax:  c.RMax,
-		Store: pagesim.NewStore(c.PageSize, c.PoolPages),
-		meta:  map[*rtree.Node]*RoadNodeMeta{},
+		DS:   ds,
+		RMin: c.RMin,
+		RMax: c.RMax,
+		meta: map[*rtree.Node]*RoadNodeMeta{},
 	}
 	idx.Pivots = roadnet.BuildPivotTable(ds.Road, c.Pivots)
 
@@ -112,7 +100,6 @@ func BuildRoad(ds *model.Dataset, cfg RoadConfig) (*RoadIndex, error) {
 
 	idx.buildPOIAggregates()
 	idx.buildNodeMeta(idx.Tree.Root())
-	idx.placeNodes()
 	return idx, nil
 }
 
@@ -245,28 +232,6 @@ func minInto(dst, src []float32) {
 	}
 }
 
-// placeNodes registers each node with the page store in breadth-first
-// order. The classic R-tree I/O model applies: one node occupies exactly
-// one disk page (node capacity is chosen so a node fits a page), so a node
-// access costs one page read on a pool miss.
-func (ix *RoadIndex) placeNodes() {
-	var next pagesim.ObjectID
-	queue := []*rtree.Node{ix.Tree.Root()}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		m := ix.meta[n]
-		m.Obj = next
-		next++
-		if !n.IsLeaf() {
-			for _, e := range n.Entries() {
-				queue = append(queue, e.Child)
-			}
-		}
-		ix.Store.Place(m.Obj, ix.Store.PageSize())
-	}
-}
-
 // Meta returns the augmentation of a node. It panics for foreign nodes.
 func (ix *RoadIndex) Meta(n *rtree.Node) *RoadNodeMeta {
 	m, ok := ix.meta[n]
@@ -274,17 +239,6 @@ func (ix *RoadIndex) Meta(n *rtree.Node) *RoadNodeMeta {
 		panic("index: node does not belong to this road index")
 	}
 	return m
-}
-
-// Access charges the node's page I/O to the store's shared counters (call
-// once per node visit). Not safe for concurrent use; the query engine uses
-// AccessTracked instead.
-func (ix *RoadIndex) Access(n *rtree.Node) { ix.Store.Access(ix.Meta(n).Obj) }
-
-// AccessTracked charges the node's page I/O to a per-query tracker. Safe
-// for concurrent use with distinct trackers once the index is built.
-func (ix *RoadIndex) AccessTracked(n *rtree.Node, t *pagesim.Tracker) {
-	ix.Store.AccessTracked(ix.Meta(n).Obj, t)
 }
 
 // POIDist returns the pivot distance vector of a POI (read-only).

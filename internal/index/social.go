@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"gpssn/internal/model"
-	"gpssn/internal/pagesim"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/socialnet"
 )
@@ -21,7 +20,7 @@ type SocialConfig struct {
 	LeafSize int
 	// Fanout is the non-leaf branching factor (default 8).
 	Fanout int
-	// PageSize and PoolPages configure the page store (defaults 4096/128).
+	// Deprecated: no effect; kept because benchmark/probes.go sets it
 	PageSize, PoolPages int
 }
 
@@ -32,12 +31,6 @@ func (c SocialConfig) withDefaults() SocialConfig {
 	if c.Fanout == 0 {
 		c.Fanout = 8
 	}
-	if c.PageSize == 0 {
-		c.PageSize = 4096
-	}
-	if c.PoolPages == 0 {
-		c.PoolPages = 128
-	}
 	return c
 }
 
@@ -46,7 +39,6 @@ func (c SocialConfig) withDefaults() SocialConfig {
 // Section 4.1 aggregates the traversal reads: the interest MBR [LbW, UbW]
 // of Eqs. (9)-(10) and the social pivot hop bounds of Eqs. (11)-(12).
 type SNode struct {
-	Obj      pagesim.ObjectID
 	Level    int // 0 for leaves
 	Children []*SNode
 	Users    []socialnet.UserID
@@ -73,7 +65,6 @@ type SocialIndex struct {
 	Root       *SNode
 	HopPivots  *socialnet.HopPivotTable
 	RoadPivots *roadnet.PivotTable
-	Store      *pagesim.Store
 
 	cfg    SocialConfig
 	pos    []int32   // user → leaf position
@@ -99,7 +90,6 @@ func BuildSocial(ds *model.Dataset, cfg SocialConfig) (*SocialIndex, error) {
 	ix := &SocialIndex{
 		DS:         ds,
 		RoadPivots: cfg.RoadPivots,
-		Store:      pagesim.NewStore(c.PageSize, c.PoolPages),
 		cfg:        c,
 	}
 	ix.HopPivots = socialnet.BuildHopPivotTable(ds.Social, c.SocialPivots)
@@ -153,7 +143,6 @@ func BuildSocial(ds *model.Dataset, cfg SocialConfig) (*SocialIndex, error) {
 	}
 	ix.Root = nodes[0]
 	ix.height = ix.Root.Level + 1
-	ix.placeNodes()
 	return ix, nil
 }
 
@@ -281,34 +270,6 @@ func (ix *SocialIndex) computeParentAggregates(n *SNode) {
 			}
 		}
 	}
-}
-
-// placeNodes registers nodes with the page store in BFS order, one page
-// per node (the classic node-fits-a-page I/O model the paper's page-access
-// counts assume).
-func (ix *SocialIndex) placeNodes() {
-	var next pagesim.ObjectID
-	queue := []*SNode{ix.Root}
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		n.Obj = next
-		next++
-		if !n.IsLeaf() {
-			queue = append(queue, n.Children...)
-		}
-		ix.Store.Place(n.Obj, ix.Store.PageSize())
-	}
-}
-
-// Access charges a node visit to the page store's shared counters. Not
-// safe for concurrent use; the query engine uses AccessTracked instead.
-func (ix *SocialIndex) Access(n *SNode) { ix.Store.Access(n.Obj) }
-
-// AccessTracked charges a node visit to a per-query tracker. Safe for
-// concurrent use with distinct trackers once the index is built.
-func (ix *SocialIndex) AccessTracked(n *SNode, t *pagesim.Tracker) {
-	ix.Store.AccessTracked(n.Obj, t)
 }
 
 // UserHops returns the social pivot hop vector of an indexed user
