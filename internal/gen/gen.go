@@ -192,12 +192,14 @@ func genRoadNetwork(rng *rand.Rand, nv int) *roadnet.Graph {
 	side := math.Sqrt(float64(nv)) // unit density: 1 vertex per unit area
 	g := roadnet.NewGraph(nv, nv*3)
 	pts := make([]geo.Point, nv)
-	tree := rtree.New(rtree.Options{MaxEntries: 16})
+	items := make([]rtree.Item, nv)
 	for i := 0; i < nv; i++ {
 		pts[i] = geo.Pt(rng.Float64()*side, rng.Float64()*side)
 		g.AddVertex(pts[i])
-		tree.InsertPoint(pts[i], int32(i))
+		items[i] = rtree.Item{Rect: geo.RectFromPoint(pts[i]), ID: int32(i)}
 	}
+	tree := rtree.New(rtree.Options{MaxEntries: 16})
+	tree.BulkLoad(items)
 
 	// Candidate edges: each vertex to its 3 nearest neighbours, proposed in
 	// increasing length order so short local roads win.

@@ -111,14 +111,6 @@ func (r Rect) Area() float64 {
 	return r.Width() * r.Height()
 }
 
-// Margin returns half the perimeter of r (the R*-tree "margin" metric).
-func (r Rect) Margin() float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	return r.Width() + r.Height()
-}
-
 // Center returns the center point of r.
 func (r Rect) Center() Point {
 	return Point{(r.Min.X + r.Max.X) / 2, (r.Min.Y + r.Max.Y) / 2}
@@ -146,22 +138,6 @@ func (r Rect) Intersects(s Rect) bool {
 		r.Min.Y <= s.Max.Y && s.Min.Y <= r.Max.Y
 }
 
-// Intersection returns the overlapping region of r and s, which is empty
-// when they do not intersect.
-func (r Rect) Intersection(s Rect) Rect {
-	out := Rect{
-		Min: Point{math.Max(r.Min.X, s.Min.X), math.Max(r.Min.Y, s.Min.Y)},
-		Max: Point{math.Min(r.Max.X, s.Max.X), math.Min(r.Max.Y, s.Max.Y)},
-	}
-	if out.IsEmpty() {
-		return EmptyRect()
-	}
-	return out
-}
-
-// OverlapArea returns the area of the intersection of r and s.
-func (r Rect) OverlapArea(s Rect) float64 { return r.Intersection(s).Area() }
-
 // Union returns the smallest rectangle containing both r and s.
 func (r Rect) Union(s Rect) Rect {
 	if r.IsEmpty() {
@@ -181,11 +157,6 @@ func (r Rect) ExtendPoint(p Point) Rect {
 	return r.Union(RectFromPoint(p))
 }
 
-// Enlargement returns the increase in area required for r to absorb s.
-func (r Rect) Enlargement(s Rect) float64 {
-	return r.Union(s).Area() - r.Area()
-}
-
 // MinDistPoint returns the minimum Euclidean distance from p to any point
 // of r (zero when p is inside r). This is the classic MINDIST metric used
 // for R-tree best-first search.
@@ -203,56 +174,6 @@ func (r Rect) MinDist2Point(p Point) float64 {
 	return dx*dx + dy*dy
 }
 
-// MaxDistPoint returns the maximum Euclidean distance from p to any point
-// of r (the MAXDIST metric, attained at a corner).
-func (r Rect) MaxDistPoint(p Point) float64 {
-	if r.IsEmpty() {
-		return 0
-	}
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
-	return math.Hypot(dx, dy)
-}
-
-// MinDistRect returns the minimum Euclidean distance between any point of r
-// and any point of s (zero when they intersect). This is the
-// mindist(e_Ri, e_Rj) used by Lemma 7 of the paper.
-func (r Rect) MinDistRect(s Rect) float64 {
-	if r.IsEmpty() || s.IsEmpty() {
-		return math.Inf(1)
-	}
-	dx := gapDist(r.Min.X, r.Max.X, s.Min.X, s.Max.X)
-	dy := gapDist(r.Min.Y, r.Max.Y, s.Min.Y, s.Max.Y)
-	return math.Hypot(dx, dy)
-}
-
-// MaxDistRect returns the maximum Euclidean distance between any point of r
-// and any point of s.
-func (r Rect) MaxDistRect(s Rect) float64 {
-	if r.IsEmpty() || s.IsEmpty() {
-		return 0
-	}
-	dx := math.Max(math.Abs(r.Max.X-s.Min.X), math.Abs(s.Max.X-r.Min.X))
-	dy := math.Max(math.Abs(r.Max.Y-s.Min.Y), math.Abs(s.Max.Y-r.Min.Y))
-	return math.Hypot(dx, dy)
-}
-
-// Expand returns r grown by d on every side. A negative d shrinks r and may
-// produce an empty rectangle.
-func (r Rect) Expand(d float64) Rect {
-	if r.IsEmpty() {
-		return r
-	}
-	out := Rect{
-		Min: Point{r.Min.X - d, r.Min.Y - d},
-		Max: Point{r.Max.X + d, r.Max.Y + d},
-	}
-	if out.IsEmpty() {
-		return EmptyRect()
-	}
-	return out
-}
-
 // axisDist returns the distance from coordinate v to the interval [lo, hi].
 func axisDist(v, lo, hi float64) float64 {
 	switch {
@@ -260,19 +181,6 @@ func axisDist(v, lo, hi float64) float64 {
 		return lo - v
 	case v > hi:
 		return v - hi
-	default:
-		return 0
-	}
-}
-
-// gapDist returns the gap between intervals [a0,a1] and [b0,b1] (zero when
-// they overlap).
-func gapDist(a0, a1, b0, b1 float64) float64 {
-	switch {
-	case a1 < b0:
-		return b0 - a1
-	case b1 < a0:
-		return a0 - b1
 	default:
 		return 0
 	}

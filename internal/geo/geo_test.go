@@ -100,9 +100,6 @@ func TestRectBasics(t *testing.T) {
 	if got := r.Area(); !almostEq(got, 8) {
 		t.Errorf("Area = %v", got)
 	}
-	if got := r.Margin(); !almostEq(got, 6) {
-		t.Errorf("Margin = %v", got)
-	}
 	if got := r.Center(); got != Pt(2, 1) {
 		t.Errorf("Center = %v", got)
 	}
@@ -127,76 +124,21 @@ func TestRectContainsRect(t *testing.T) {
 	}
 }
 
-func TestRectIntersection(t *testing.T) {
-	a := Rect{Pt(0, 0), Pt(4, 4)}
-	b := Rect{Pt(2, 2), Pt(6, 6)}
-	got := a.Intersection(b)
-	want := Rect{Pt(2, 2), Pt(4, 4)}
-	if got != want {
-		t.Errorf("Intersection = %v, want %v", got, want)
-	}
-	if !almostEq(a.OverlapArea(b), 4) {
-		t.Errorf("OverlapArea = %v", a.OverlapArea(b))
-	}
-	c := Rect{Pt(5, 5), Pt(6, 6)}
-	if !a.Intersection(c).IsEmpty() {
-		t.Error("disjoint intersection should be empty")
-	}
-}
-
 func TestRectMinMaxDistPoint(t *testing.T) {
 	r := Rect{Pt(0, 0), Pt(2, 2)}
 	tests := []struct {
-		p        Point
-		min, max float64
+		p   Point
+		min float64
 	}{
-		{Pt(1, 1), 0, math.Sqrt(2)},
-		{Pt(3, 1), 1, math.Hypot(3, 1)},
-		{Pt(5, 6), 5, math.Hypot(5, 6)},
-		{Pt(-1, -1), math.Sqrt2, math.Hypot(3, 3)},
+		{Pt(1, 1), 0},
+		{Pt(3, 1), 1},
+		{Pt(5, 6), 5},
+		{Pt(-1, -1), math.Sqrt2},
 	}
 	for _, tc := range tests {
 		if got := r.MinDistPoint(tc.p); !almostEq(got, tc.min) {
 			t.Errorf("MinDistPoint(%v) = %v, want %v", tc.p, got, tc.min)
 		}
-		if got := r.MaxDistPoint(tc.p); !almostEq(got, tc.max) {
-			t.Errorf("MaxDistPoint(%v) = %v, want %v", tc.p, got, tc.max)
-		}
-	}
-}
-
-func TestRectMinDistRect(t *testing.T) {
-	a := Rect{Pt(0, 0), Pt(1, 1)}
-	b := Rect{Pt(3, 0), Pt(4, 1)}
-	if got := a.MinDistRect(b); !almostEq(got, 2) {
-		t.Errorf("MinDistRect = %v, want 2", got)
-	}
-	c := Rect{Pt(3, 5), Pt(4, 6)}
-	if got := a.MinDistRect(c); !almostEq(got, math.Hypot(2, 4)) {
-		t.Errorf("diagonal MinDistRect = %v", got)
-	}
-	d := Rect{Pt(0.5, 0.5), Pt(2, 2)}
-	if got := a.MinDistRect(d); got != 0 {
-		t.Errorf("overlapping MinDistRect = %v, want 0", got)
-	}
-}
-
-func TestRectMaxDistRect(t *testing.T) {
-	a := Rect{Pt(0, 0), Pt(1, 1)}
-	b := Rect{Pt(2, 2), Pt(3, 3)}
-	if got := a.MaxDistRect(b); !almostEq(got, math.Hypot(3, 3)) {
-		t.Errorf("MaxDistRect = %v", got)
-	}
-}
-
-func TestRectExpand(t *testing.T) {
-	r := Rect{Pt(1, 1), Pt(2, 2)}
-	e := r.Expand(1)
-	if e != (Rect{Pt(0, 0), Pt(3, 3)}) {
-		t.Errorf("Expand = %v", e)
-	}
-	if !r.Expand(-1).IsEmpty() {
-		t.Error("over-shrunk rect should be empty")
 	}
 }
 
@@ -216,42 +158,22 @@ func TestRectUnionProperties(t *testing.T) {
 	}
 }
 
-// Property: MinDistPoint <= Dist(center) <= MaxDistPoint.
+// Property: MinDistPoint <= Dist(corner) for every corner, and <=
+// Dist(center).
 func TestRectDistOrderingProperty(t *testing.T) {
 	f := func(ax, ay, bx, by, px, py float64) bool {
 		ax, ay, bx, by, px, py = clampF(ax), clampF(ay), clampF(bx), clampF(by), clampF(px), clampF(py)
 		r := RectOf(Pt(ax, ay), Pt(bx, by))
 		p := Pt(px, py)
-		min, max := r.MinDistPoint(p), r.MaxDistPoint(p)
-		c := r.Center().Dist(p)
-		return min <= c+1e-9 && c <= max+1e-9
+		min := r.MinDistPoint(p)
+		for _, q := range []Point{r.Center(), r.Min, r.Max, Pt(r.Min.X, r.Max.Y), Pt(r.Max.X, r.Min.Y)} {
+			if min > q.Dist(p)+1e-9 {
+				return false
+			}
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: MINDIST between rects is a lower bound on center distance.
-func TestMinDistRectLowerBoundProperty(t *testing.T) {
-	f := func(ax, ay, bx, by, cx, cy, dx, dy float64) bool {
-		ax, ay, bx, by = clampF(ax), clampF(ay), clampF(bx), clampF(by)
-		cx, cy, dx, dy = clampF(cx), clampF(cy), clampF(dx), clampF(dy)
-		a := RectOf(Pt(ax, ay), Pt(bx, by))
-		b := RectOf(Pt(cx, cy), Pt(dx, dy))
-		return a.MinDistRect(b) <= a.Center().Dist(b.Center())+1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestEnlargement(t *testing.T) {
-	a := Rect{Pt(0, 0), Pt(2, 2)}
-	b := Rect{Pt(1, 1), Pt(3, 3)}
-	if got := a.Enlargement(b); !almostEq(got, 5) {
-		t.Errorf("Enlargement = %v, want 5", got)
-	}
-	if got := a.Enlargement(Rect{Pt(0.5, 0.5), Pt(1, 1)}); got != 0 {
-		t.Errorf("contained enlargement = %v, want 0", got)
 	}
 }

@@ -50,9 +50,6 @@ func (s Segment) DistPoint(p Point) float64 {
 // Bounds returns the MBR of s.
 func (s Segment) Bounds() Rect { return RectOf(s.A, s.B) }
 
-// Midpoint returns the midpoint of s.
-func (s Segment) Midpoint() Point { return s.At(0.5) }
-
 // Intersects reports whether segments s and t share at least one point.
 // It is used by the road-network generator to keep the graph planar
 // (no edge crossings except at shared endpoints).

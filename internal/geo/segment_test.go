@@ -28,9 +28,6 @@ func TestSegmentLengthAt(t *testing.T) {
 	if got := s.At(2); got != Pt(4, 0) {
 		t.Errorf("At(2) = %v, want clamp to B", got)
 	}
-	if got := s.Midpoint(); got != Pt(2, 0) {
-		t.Errorf("Midpoint = %v", got)
-	}
 }
 
 func TestSegmentProject(t *testing.T) {

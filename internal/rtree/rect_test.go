@@ -24,10 +24,11 @@ func randRects(n int, seed int64) []geo.Rect {
 
 func TestRectItemsSearch(t *testing.T) {
 	rects := randRects(500, 51)
-	tr := New(Options{MaxEntries: 8})
+	items := make([]Item, len(rects))
 	for i, r := range rects {
-		tr.Insert(Item{Rect: r, ID: int32(i)})
+		items[i] = Item{Rect: r, ID: int32(i)}
 	}
+	tr := load(Options{MaxEntries: 8}, items)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -42,31 +43,12 @@ func TestRectItemsSearch(t *testing.T) {
 			}
 		}
 		got := map[int32]bool{}
-		for _, it := range tr.SearchAll(q) {
+		for _, it := range searchAll(tr, q) {
 			got[it.ID] = true
 		}
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: %d hits, want %d", trial, len(got), len(want))
 		}
-	}
-}
-
-func TestRectItemsDelete(t *testing.T) {
-	rects := randRects(200, 53)
-	tr := New(Options{MaxEntries: 6})
-	for i, r := range rects {
-		tr.Insert(Item{Rect: r, ID: int32(i)})
-	}
-	for i := 0; i < len(rects); i += 2 {
-		if !tr.Delete(rects[i], int32(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after deletes: %v", err)
-	}
-	if tr.Len() != 100 {
-		t.Errorf("Len = %d", tr.Len())
 	}
 }
 
@@ -85,17 +67,17 @@ func TestBulkLoadRects(t *testing.T) {
 			want++
 		}
 	}
-	if got := len(tr.SearchAll(q)); got != want {
+	if got := len(searchAll(tr, q)); got != want {
 		t.Errorf("bulk rect search = %d, want %d", got, want)
 	}
 }
 
 // Mixed degenerate and extended rectangles in one tree.
 func TestMixedPointAndRectItems(t *testing.T) {
-	tr := New(Options{MaxEntries: 5})
 	rng := rand.New(rand.NewSource(55))
 	n := 300
 	boxes := make([]geo.Rect, n)
+	items := make([]Item, n)
 	for i := 0; i < n; i++ {
 		p := geo.Pt(rng.Float64()*100, rng.Float64()*100)
 		if i%2 == 0 {
@@ -103,8 +85,9 @@ func TestMixedPointAndRectItems(t *testing.T) {
 		} else {
 			boxes[i] = geo.Rect{Min: p, Max: geo.Pt(p.X+5, p.Y+5)}
 		}
-		tr.Insert(Item{Rect: boxes[i], ID: int32(i)})
+		items[i] = Item{Rect: boxes[i], ID: int32(i)}
 	}
+	tr := load(Options{MaxEntries: 5}, items)
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("invariants: %v", err)
 	}
@@ -115,7 +98,7 @@ func TestMixedPointAndRectItems(t *testing.T) {
 			want++
 		}
 	}
-	if got := len(tr.SearchAll(q)); got != want {
+	if got := len(searchAll(tr, q)); got != want {
 		t.Errorf("mixed search = %d, want %d", got, want)
 	}
 }
