@@ -147,13 +147,6 @@ func GetEnv(spec EnvSpec) (*Env, error) {
 	return env, nil
 }
 
-// DropEnvCache clears the environment cache (tests use it to bound memory).
-func DropEnvCache() {
-	envMu.Lock()
-	defer envMu.Unlock()
-	envCache = map[EnvSpec]*Env{}
-}
-
 func buildEnv(spec EnvSpec) (*Env, error) {
 	start := time.Now()
 	ds, err := Dataset(spec)

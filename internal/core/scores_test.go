@@ -29,8 +29,8 @@ func TestTopicSetBasics(t *testing.T) {
 	if s.Vocabulary() != 70 {
 		t.Errorf("Vocabulary = %d", s.Vocabulary())
 	}
-	if s.SizeBytes() != 16 {
-		t.Errorf("SizeBytes = %d, want 16", s.SizeBytes())
+	if len(s.Words()) != 2 {
+		t.Errorf("len(Words) = %d, want 2", len(s.Words()))
 	}
 }
 

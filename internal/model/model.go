@@ -7,7 +7,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 
 	"gpssn/internal/geo"
 	"gpssn/internal/roadnet"
@@ -173,12 +172,4 @@ func (d *Dataset) Stats() Stats {
 func (s Stats) String() string {
 	return fmt.Sprintf("%s: |V(Gs)|=%d deg(Gs)=%.1f |V(Gr)|=%d deg(Gr)=%.1f n=%d d=%d avgKw=%.1f",
 		s.Name, s.SocialUsers, s.SocialDeg, s.RoadVerts, s.RoadDeg, s.NumPOIs, s.NumTopics, s.AvgKeywords)
-}
-
-// SortedKeywords returns the POI's keywords in ascending order without
-// mutating the POI (several index builders want canonical order).
-func (p *POI) SortedKeywords() []int {
-	ks := append([]int(nil), p.Keywords...)
-	sort.Ints(ks)
-	return ks
 }

@@ -122,17 +122,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestSortedKeywords(t *testing.T) {
-	p := &POI{Keywords: []int{3, 1, 2}}
-	got := p.SortedKeywords()
-	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Errorf("SortedKeywords = %v", got)
-	}
-	if p.Keywords[0] != 3 {
-		t.Error("SortedKeywords must not mutate the POI")
-	}
-}
-
 func TestSaveLoadRoundTrip(t *testing.T) {
 	d := tinyDataset()
 	var buf bytes.Buffer

@@ -29,14 +29,11 @@ import (
 	"gpssn/internal/roadnet"
 )
 
-// Options tunes preprocessing. The zero value picks sensible defaults.
-type Options struct {
-	// WitnessSettleLimit caps the number of vertices a witness search may
-	// settle. A smaller cap speeds preprocessing but may insert redundant
-	// shortcuts (never incorrect ones: a missed witness only means an
-	// unnecessary shortcut). Default 250.
-	WitnessSettleLimit int
-}
+// witnessSettleLimit caps the number of vertices a witness search may
+// settle. A smaller cap speeds preprocessing but may insert redundant
+// shortcuts (never incorrect ones: a missed witness only means an
+// unnecessary shortcut).
+const witnessSettleLimit = 250
 
 // Oracle is an immutable contraction hierarchy over a road-network
 // snapshot. Build once, then query concurrently.
@@ -49,9 +46,6 @@ type Oracle struct {
 	shortcuts  int
 	pool       sync.Pool // *scratch (query.go)
 }
-
-// NumShortcuts reports how many shortcut edges preprocessing added.
-func (o *Oracle) NumShortcuts() int { return o.shortcuts }
 
 // MemoryBytes reports the resident size of the hierarchy (rank array,
 // rank order, both CSR adjacencies) for capacity telemetry.
@@ -96,25 +90,18 @@ type arc struct {
 	w  float64
 }
 
-// Build preprocesses g into a contraction hierarchy with default options.
-func Build(g *roadnet.Graph) *Oracle { return BuildWithOptions(g, Options{}) }
-
-// BuildWithOptions preprocesses g into a contraction hierarchy.
-func BuildWithOptions(g *roadnet.Graph, opt Options) *Oracle {
-	if opt.WitnessSettleLimit <= 0 {
-		opt.WitnessSettleLimit = 250
-	}
+// Build preprocesses g into a contraction hierarchy.
+func Build(g *roadnet.Graph) *Oracle {
 	n := g.NumVertices()
 	b := &builder{
-		n:           n,
-		adj:         make([][]arc, n),
-		contracted:  make([]bool, n),
-		rank:        make([]int32, n),
-		delNbrs:     make([]int32, n),
-		settleLimit: opt.WitnessSettleLimit,
-		wDist:       make([]float64, n),
-		wVer:        make([]uint32, n),
-		tVer:        make([]uint32, n),
+		n:          n,
+		adj:        make([][]arc, n),
+		contracted: make([]bool, n),
+		rank:       make([]int32, n),
+		delNbrs:    make([]int32, n),
+		wDist:      make([]float64, n),
+		wVer:       make([]uint32, n),
+		tVer:       make([]uint32, n),
 	}
 	for v := 0; v < n; v++ {
 		vid := roadnet.VertexID(v)
@@ -128,12 +115,11 @@ func BuildWithOptions(g *roadnet.Graph, opt Options) *Oracle {
 }
 
 type builder struct {
-	n           int
-	adj         [][]arc // current graph incl. shortcuts; min weight per pair
-	contracted  []bool
-	rank        []int32
-	delNbrs     []int32 // deleted-neighbours term of the priority
-	settleLimit int
+	n          int
+	adj        [][]arc // current graph incl. shortcuts; min weight per pair
+	contracted []bool
+	rank       []int32
+	delNbrs    []int32 // deleted-neighbours term of the priority
 
 	// witness-search scratch, epoch-stamped so each search starts clean
 	// without an O(n) reset.
@@ -268,7 +254,7 @@ func (b *builder) simulate(v int32, collect *[]shortcut) (needed, deg int) {
 }
 
 // witnessSearch runs a bounded Dijkstra from src on the remaining graph
-// with `excluded` removed, settling at most settleLimit vertices, ignoring
+// with `excluded` removed, settling at most witnessSettleLimit vertices, ignoring
 // labels beyond bound, and stopping as soon as every target is settled.
 // Results are read back via witnessDist. Stopping early only means fewer
 // witnesses found, which yields extra (redundant, never incorrect)
@@ -302,7 +288,7 @@ func (b *builder) witnessSearch(src, excluded int32, bound float64, targets []ar
 	b.wVer[src] = ep
 	h.push(src, 0)
 	settled := 0
-	for h.len() > 0 && settled < b.settleLimit {
+	for h.len() > 0 && settled < witnessSettleLimit {
 		v, d := h.pop()
 		if d > b.wDist[v] {
 			continue

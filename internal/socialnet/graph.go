@@ -136,13 +136,6 @@ func (g *Graph) HopsWithin(src UserID, maxHops int32, hops []int32, reached []Us
 	return reached
 }
 
-// HopDist returns the hop distance between u and v (Unreachable when they
-// are in different components).
-func (g *Graph) HopDist(u, v UserID) int32 {
-	g.check(v)
-	return g.BFSHops(u)[v]
-}
-
 // WithinHops returns all users at hop distance <= maxHops from src,
 // including src itself (hop 0).
 func (g *Graph) WithinHops(src UserID, maxHops int32) []UserID {

@@ -112,11 +112,8 @@ func TestBFSHopsDisconnected(t *testing.T) {
 	if hops[2] != Unreachable || hops[3] != Unreachable {
 		t.Errorf("cross-component hops = %v", hops)
 	}
-	if g.HopDist(0, 3) != Unreachable {
-		t.Error("HopDist across components should be Unreachable")
-	}
-	if g.HopDist(0, 1) != 1 {
-		t.Error("HopDist(0,1) should be 1")
+	if hops[1] != 1 {
+		t.Errorf("hops[1] = %d, want 1", hops[1])
 	}
 }
 

@@ -54,9 +54,6 @@ func (s Set) Vocabulary() int { return s.d }
 // every bit at or above d clear. Read-only: it is the set's own storage.
 func (s Set) Words() []uint64 { return s.words }
 
-// SizeBytes returns the payload size, used for page-layout accounting.
-func (s Set) SizeBytes() int { return len(s.words) * 8 }
-
 // Clear removes every topic, keeping the allocation — scratch sets in
 // per-worker arenas are reused across anchors this way.
 func (s Set) Clear() {

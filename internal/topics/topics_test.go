@@ -19,8 +19,8 @@ func TestBasics(t *testing.T) {
 	if !NewSet(3).IsEmpty() {
 		t.Error("fresh set should be empty")
 	}
-	if s.Vocabulary() != 70 || s.SizeBytes() != 16 {
-		t.Errorf("Vocabulary=%d SizeBytes=%d", s.Vocabulary(), s.SizeBytes())
+	if s.Vocabulary() != 70 || len(s.Words()) != 2 {
+		t.Errorf("Vocabulary=%d words=%d", s.Vocabulary(), len(s.Words()))
 	}
 }
 
