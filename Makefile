@@ -8,7 +8,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet lint build test tie-check race examples kernel-bench figures-smoke docs-lint serve-smoke fuzz-smoke snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
+.PHONY: check fmt vet lint build test tie-check race examples kernel-bench figures-smoke digest-compare docs-lint serve-smoke fuzz-smoke fuzz-engine snapshot-matrix churn-suite crash-suite bench-check bench bench-scale
 
 check: fmt vet lint build test tie-check race examples kernel-bench figures-smoke bench-check
 
@@ -81,6 +81,22 @@ figures-smoke:
 	$(GO) run ./cmd/gpssn-bench -exp digest -scale 0.01 -queries 3 > $$d/b && \
 	out=$$(./scripts/digest-diff.sh $$d/a $$d/b) && test -z "$$out" || { echo "figures-smoke: digest self-diff:"; echo "$$out"; exit 1; }
 
+# The answer digest of the parent commit (HEAD^) against this tree's:
+# both gpssn-bench binaries run the same digest, and scripts/digest-diff.sh
+# -v prints every answer that differs (exit 1) and every counter that
+# moved. The parent is extracted with git archive into
+# a temporary directory, so no worktree is left registered. A few seconds
+# after the two builds; CI runs it on every push.
+DIGEST_ARGS = -exp digest -scale 0.25 -queries 30 -parallelism 1
+digest-compare:
+	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/base" && \
+	git archive HEAD^ | tar -x -C "$$d/base" && \
+	(cd "$$d/base" && $(GO) build -o "$$d/bench-base" ./cmd/gpssn-bench) && \
+	$(GO) build -o "$$d/bench-head" ./cmd/gpssn-bench && \
+	"$$d/bench-base" $(DIGEST_ARGS) > "$$d/base.digest" && \
+	"$$d/bench-head" $(DIGEST_ARGS) > "$$d/head.digest" && \
+	./scripts/digest-diff.sh -v "$$d/base.digest" "$$d/head.digest"
+
 # Broken relative links (file or heading anchor) in the markdown docs
 # fail the build; CI runs this in the lint job.
 docs-lint:
@@ -102,6 +118,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesBaseline$$' -fuzztime $(FUZZTIME) ./internal/core
+
+# The engine-vs-Baseline fuzz target on its own, for longer: the tied
+# datasets it builds are where an unsound prune hides, and 30 s explores
+# little of them. CI runs this in the robustness job.
+fuzz-engine:
+	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesBaseline$$' -fuzztime 3m ./internal/core
 
 # The snapshot round-trip and corruption/torn-write matrix on its own —
 # the recovery gates the robustness PR promises (docs/ROBUSTNESS.md §4).

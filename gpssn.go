@@ -107,7 +107,7 @@ type Config struct {
 	RMin, RMax float64
 	// LeafSize and Fanout shape the social index I_S; defaults 64 and 8.
 	LeafSize, Fanout int
-	// MaxEntries is the R*-tree node capacity of I_R; default 16.
+	// MaxEntries is the node capacity of I_R's R-tree; default 16.
 	MaxEntries int
 	// Deprecated: no effect; kept because benchmark/probes.go reads it
 	PageSize, PoolPages int

@@ -119,7 +119,9 @@ func TestLabelEvalZeroAllocsWithArena(t *testing.T) {
 }
 
 // TestQueryAllocsDropWithArena pins the whole-query allocation count: a
-// warm sequential query on this dataset allocates 213 objects (218 with
+// warm sequential query on this dataset allocates 151 objects (165 with
+// two page-simulator buffer pools per query charging every node read, 213
+// with earlier refinement and anchor-stream code, 218 with
 // the in-traversal δ update's per-pivot bound slice and top-k threshold
 // tracker, 224 with a per-query map of probed anchors, sort.Slice and an
 // eagerly sorted anchor list as well, 535 when the group search built maps
@@ -127,7 +129,7 @@ func TestLabelEvalZeroAllocsWithArena(t *testing.T) {
 // seed pair per computed label as well, 669 with a per-query label cache
 // as well, 788 when anchorDists and every ball rebuilt and sorted their
 // target labels, 1,048 when every anchor and evaluation also allocated its
-// own scratch), and the ceiling of 213 + 10% fails the test if scratch
+// own scratch), and the ceiling of 151 + 10% fails the test if scratch
 // stops coming from the arena or the label table stops being read.
 func TestQueryAllocsDropWithArena(t *testing.T) {
 	if raceBuild() {
@@ -147,7 +149,7 @@ func TestQueryAllocsDropWithArena(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	const ceiling = 234
+	const ceiling = 166
 	if allocs > ceiling {
 		t.Errorf("query allocates %.0f objects, ceiling %d", allocs, ceiling)
 	}

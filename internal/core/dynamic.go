@@ -270,7 +270,7 @@ func (e *Engine) scanDeltaUsers(uq socialnet.UserID, p Params, uqRow topicRow, c
 }
 
 // deltaBallMembers returns the delta POIs within Euclidean radius of a
-// point (the R*-tree only covers the indexed prefix).
+// point (the R-tree only covers the indexed prefix).
 func (e *Engine) deltaBallMembers(anchor model.POIID, radius float64) []model.POIID {
 	var out []model.POIID
 	loc := e.DS.POIs[anchor].Loc

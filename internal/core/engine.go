@@ -246,7 +246,7 @@ type qctx struct {
 	// reads. A node fills one page, each query starts cold and reads a
 	// node at most once, so their sum is the query's page reads. The
 	// social half writes socialNodes, the anchor stream roadNodes under
-	// orderMu (docs/CONCURRENCY.md §2).
+	// orderMu (docs/CONCURRENCY.md §2 and §3).
 	roadNodes, socialNodes int64
 	trace                  *bytes.Buffer
 

@@ -1,7 +1,7 @@
 // Package geo provides the 2D geometric primitives used throughout the
 // GP-SSN system: points, axis-aligned rectangles (minimum bounding
-// rectangles), and the distance functions required by the R*-tree and the
-// pruning rules of the paper (Euclidean point/rect and rect/rect distances).
+// rectangles), and the distance functions required by the R-tree and the
+// pruning rules of the paper (Euclidean point and point/rect distances).
 //
 // All coordinates are float64 in an abstract planar coordinate system; the
 // road-network generator decides the units (the paper's radius parameter r
@@ -87,14 +87,6 @@ func (r Rect) String() string {
 // IsEmpty reports whether r contains no points.
 func (r Rect) IsEmpty() bool {
 	return r.Min.X > r.Max.X || r.Min.Y > r.Max.Y
-}
-
-// Valid reports whether r is a well-formed (possibly degenerate, non-empty)
-// rectangle.
-func (r Rect) Valid() bool {
-	return r.Min.X <= r.Max.X && r.Min.Y <= r.Max.Y &&
-		!math.IsNaN(r.Min.X) && !math.IsNaN(r.Min.Y) &&
-		!math.IsNaN(r.Max.X) && !math.IsNaN(r.Max.Y)
 }
 
 // Width returns the extent of r along the X axis.

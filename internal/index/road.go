@@ -1,5 +1,5 @@
 // Package index implements the two GP-SSN indexes of Section 4: I_R, an
-// R*-tree over POIs augmented with nearest-keyword road distances (the
+// R-tree over POIs augmented with nearest-keyword road distances (the
 // keyword sets of every road ball up to r_max) and pivot-distance bounds;
 // and I_S, a
 // partition tree over the social network whose nodes carry
@@ -25,7 +25,7 @@ type RoadConfig struct {
 	// RMin and RMax bound the query radius r the index will serve; the
 	// keyword distances are kept up to RMax.
 	RMin, RMax float64
-	// MaxEntries is the R*-tree node capacity (default 16).
+	// MaxEntries is the R-tree node capacity (default 16).
 	MaxEntries int
 	// Deprecated: no effect; kept because benchmark/probes.go sets it
 	PageSize, PoolPages int
@@ -90,7 +90,7 @@ func BuildRoad(ds *model.Dataset, cfg RoadConfig) (*RoadIndex, error) {
 	}
 	idx.Pivots = roadnet.BuildPivotTable(ds.Road, c.Pivots)
 
-	// Bulk-load the R*-tree over POI locations.
+	// Bulk-load the R-tree over POI locations.
 	idx.Tree = rtree.New(rtree.Options{MaxEntries: c.MaxEntries})
 	items := make([]rtree.Item, len(ds.POIs))
 	for i := range ds.POIs {
