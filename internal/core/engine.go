@@ -245,8 +245,9 @@ type qctx struct {
 	// roadNodes and socialNodes count the I_R and I_S nodes the query
 	// reads. A node fills one page, each query starts cold and reads a
 	// node at most once, so their sum is the query's page reads. The
-	// social half writes socialNodes, the anchor stream roadNodes under
-	// orderMu (docs/CONCURRENCY.md §2 and §3).
+	// social half writes socialNodes; the front's road side and then the
+	// anchor stream, under orderMu, write roadNodes (docs/CONCURRENCY.md
+	// §2 and §3).
 	roadNodes, socialNodes int64
 	trace                  *bytes.Buffer
 

@@ -503,10 +503,11 @@ type anchorOrder struct {
 
 // newAnchorOrder builds the anchor stream over I_R for issuer uq: the root
 // (its page read, counted in q.roadNodes) and the delta POIs, which have
-// no keyword distance row and no pivot bound and so enter at key 0. Expanding a node
-// applies, under the bound the claim passed, Lemma 6 then Lemma 7 to each
-// child — a survivor's page is read and it enters keyed by Eq. 17 — or, at
-// a leaf, Lemma 1 then Lemma 5 to each POI, and writes the RN* counters.
+// no keyword distance row and no pivot bound and so enter at key 0.
+// Expanding a node applies, under the bound the claim passed, Lemma 6 then
+// Lemma 7 to each child — a survivor's page is read and it enters keyed by
+// Eq. 17 — or, at a leaf, Lemma 1 then Lemma 5 to each POI, and writes
+// the RN* counters.
 // Under the engine's POI label table an anchor enters keyed by its Lemma 5
 // bound and is resolved at the front with one row merge against u_q's
 // label, which lives in ar for the query. Without the table (no label
