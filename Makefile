@@ -81,21 +81,27 @@ figures-smoke:
 	$(GO) run ./cmd/gpssn-bench -exp digest -scale 0.01 -queries 3 > $$d/b && \
 	out=$$(./scripts/digest-diff.sh $$d/a $$d/b) && test -z "$$out" || { echo "figures-smoke: digest self-diff:"; echo "$$out"; exit 1; }
 
-# The answer digest of the parent commit (HEAD^) against this tree's:
-# both gpssn-bench binaries run the same digest, and scripts/digest-diff.sh
-# -v prints every answer that differs (exit 1) and every counter that
-# moved. The parent is extracted with git archive into
-# a temporary directory, so no worktree is left registered. A few seconds
-# after the two builds; CI runs it on every push.
-DIGEST_ARGS = -exp digest -scale 0.25 -queries 30 -parallelism 1
+# The answer digest of the parent commit (HEAD^) against this tree's, at
+# -parallelism 1 and at 2: both gpssn-bench binaries run the same digest,
+# and scripts/digest-diff.sh -v prints every answer that differs and every
+# counter that moved. The exit status comes from the answers at both
+# settings; counters never fail it (at 2 the RN counters follow when the
+# keeper's bound falls, so they are listed for reading only). The parent
+# is extracted with git archive into a temporary directory, so no
+# worktree is left registered. Under a minute after the two builds; CI
+# runs it on every push.
+DIGEST_ARGS = -exp digest -scale 0.25 -queries 30
 digest-compare:
 	@d=$$(mktemp -d) && trap 'rm -rf "$$d"' EXIT && mkdir "$$d/base" && \
 	git archive HEAD^ | tar -x -C "$$d/base" && \
 	(cd "$$d/base" && $(GO) build -o "$$d/bench-base" ./cmd/gpssn-bench) && \
 	$(GO) build -o "$$d/bench-head" ./cmd/gpssn-bench && \
-	"$$d/bench-base" $(DIGEST_ARGS) > "$$d/base.digest" && \
-	"$$d/bench-head" $(DIGEST_ARGS) > "$$d/head.digest" && \
-	./scripts/digest-diff.sh -v "$$d/base.digest" "$$d/head.digest"
+	status=0 && for p in 1 2; do \
+		echo "# digest-compare at -parallelism $$p"; \
+		"$$d/bench-base" $(DIGEST_ARGS) -parallelism $$p > "$$d/base.digest" && \
+		"$$d/bench-head" $(DIGEST_ARGS) -parallelism $$p > "$$d/head.digest" || exit 1; \
+		./scripts/digest-diff.sh -v "$$d/base.digest" "$$d/head.digest" || status=1; \
+	done; exit $$status
 
 # Broken relative links (file or heading anchor) in the markdown docs
 # fail the build; CI runs this in the lint job.

@@ -7,6 +7,7 @@
 //	gpssn-bench -exp all -scale 0.1 > results.txt
 //	gpssn-bench -list
 //	gpssn-bench -exp digest -scale 1 -queries 64 -parallelism 2 > change.digest
+//	gpssn-bench -exp fig7a,fig8 -scale 0.25 -parallelism 1   # reproducible counters
 //
 // Scale 1.0 reproduces the paper's dataset sizes (30K road vertices, 30K
 // users, 10K POIs for the synthetic sweeps; Table 2 sizes for the real-like
@@ -32,7 +33,7 @@ func main() {
 		seed    = flag.Int64("seed", 1, "generation seed")
 		samples = flag.Int("samples", 20, "Baseline estimator samples (paper: 100)")
 		jsonOut = flag.String("jsonout", "", "file for the JSON report of JSON-capable experiments (scale1m)")
-		par     = flag.Int("parallelism", 1, "engine worker count for -exp digest (1 or 2)")
+		par     = flag.Int("parallelism", 0, "engine worker count for every experiment (0 = GOMAXPROCS; the digest runs at least 1)")
 		list    = flag.Bool("list", false, "list experiments and exit")
 	)
 	flag.Parse()

@@ -126,15 +126,18 @@ type Config struct {
 	// and AnchorsSameBall counters may vary from run to run.
 	Parallelism int
 	// DistanceOracle selects the exact road-distance backend. "hl" (the
-	// default) builds a contraction hierarchy at Open time and extracts
-	// hub labels from it, turning point-to-point dist_RN evaluations into
-	// sub-µs sorted-array merges and switching refinement to the batched
-	// label kernel; "ch" stops at the contraction hierarchy (about 4x
-	// cheaper preprocessing, slower queries — the benchmark's
-	// roadnet.{hl,ch}.* and core.query_ms / core.query_ch_ms metrics
-	// measure both); "dijkstra" keeps the plain heap searches. All three
-	// are exact and return identical answers; see docs/ALGORITHMS.md and
-	// the ablation-oracle experiment.
+	// default) builds a contraction hierarchy at Open time, extracts hub
+	// labels from it and keeps only the labels, turning point-to-point
+	// dist_RN evaluations into sub-µs sorted-array merges and switching
+	// refinement to the batched label kernel; "ch" stops at the
+	// contraction hierarchy (about 4x cheaper preprocessing, slower
+	// queries — the benchmark's roadnet.{hl,ch}.* and core.query_ms /
+	// core.query_ch_ms metrics measure both); "dijkstra" keeps the plain
+	// bounded searches. Each oracle answers pairs only: the one-to-all
+	// searches of the pivot-table build run plain Dijkstra under all
+	// three, and a snapshot holds only the chosen oracle's section. All
+	// three are exact and return identical answers; see docs/ALGORITHMS.md
+	// and the ablation-oracle experiment.
 	//
 	// All three backends return identical answers, so a failure to build
 	// the requested one is not fatal: Open falls back down the chain

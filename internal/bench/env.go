@@ -75,8 +75,8 @@ type EnvSpec struct {
 	// as in gpssn.DefaultConfig), "ch" or "dijkstra". All are exact; the
 	// ablation-oracle experiment compares hl with dijkstra.
 	DistanceOracle string
-	// Parallelism is core.Options.Parallelism (0 = GOMAXPROCS). Only the
-	// digest sets it.
+	// Parallelism is core.Options.Parallelism (0 = GOMAXPROCS), from
+	// RunConfig.Parallelism.
 	Parallelism int
 }
 

@@ -27,8 +27,11 @@ type RunConfig struct {
 	// support machine-readable output (scale1m) also write a JSON report.
 	// Stdout carries the human tables either way.
 	JSONOut string
-	// Parallelism is the engine's worker count for the digest (1 or 2;
-	// 0 means 1). The figures run at the engine default.
+	// Parallelism is the engine's worker count for every experiment
+	// (core.Options.Parallelism: 0 = GOMAXPROCS); the digest takes
+	// max(Parallelism, 1). Above 1 the RN* columns and I/O means follow
+	// when the keeper's bound falls, so only Parallelism 1 reproduces them
+	// between runs.
 	Parallelism int
 }
 
@@ -114,7 +117,7 @@ var allKinds = []DatasetKind{BriCal, GowCol, UNI, ZIPF}
 var synthKinds = []DatasetKind{UNI, ZIPF}
 
 func specFor(kind DatasetKind, cfg RunConfig) EnvSpec {
-	return EnvSpec{Kind: kind, Scale: cfg.Scale, Seed: cfg.Seed}
+	return EnvSpec{Kind: kind, Scale: cfg.Scale, Seed: cfg.Seed, Parallelism: cfg.Parallelism}
 }
 
 func runTable2(w io.Writer, cfg RunConfig) error {
@@ -147,10 +150,11 @@ type aggKey struct {
 	scale   float64
 	queries int
 	seed    int64
+	par     int
 }
 
 func pruningAgg(kind DatasetKind, cfg RunConfig) (Agg, error) {
-	key := aggKey{kind, cfg.Scale, cfg.Queries, cfg.Seed}
+	key := aggKey{kind, cfg.Scale, cfg.Queries, cfg.Seed, cfg.Parallelism}
 	aggMu.Lock()
 	if agg, ok := aggCache[key]; ok {
 		aggMu.Unlock()

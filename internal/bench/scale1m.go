@@ -96,7 +96,7 @@ func runScale1m(w io.Writer, cfg RunConfig) error {
 		report.AvgLabelSize, report.MaxLabelSize, hlo.MemoryBytes()>>20)
 
 	start = time.Now()
-	engine, err := build.Engine(ds, build.Options{RoadPivots: 5, SocialPivots: 5, RMin: 0.5, RMax: 4, Seed: cfg.Seed})
+	engine, err := build.Engine(ds, build.Options{RoadPivots: 5, SocialPivots: 5, RMin: 0.5, RMax: 4, Seed: cfg.Seed, Parallelism: cfg.Parallelism})
 	if err != nil {
 		return err
 	}

@@ -15,7 +15,8 @@ import (
 // allocates nothing per anchor and nothing per user evaluation:
 //
 //   - atts/out back the attachment lists and distance outputs of makeMOf
-//     and the anchor order, rows the label-table row lists (poiRows),
+//     and the anchor order, rows the label-table row lists
+//     (prepareBallLabels and the anchor order),
 //   - lbl is the source attachment-label scratch the label kernel merges
 //     from,
 //   - kws is the ball keyword set,

@@ -89,8 +89,8 @@ type Engine struct {
 	// oracle serves the base, appended to by AddPOI under mu's write side,
 	// and kept across road mutations (its distances are checked by the
 	// clearance rule, pending.go); queries read it under the read side
-	// through poiRows, which checks it still answers for the base's oracle
-	// and the current POI count.
+	// through labelTable, which checks it still answers for the base's
+	// oracle and the current POI count.
 	poiLabels *roadnet.LabelTable
 }
 
@@ -109,30 +109,18 @@ func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialInd
 	return e
 }
 
-// poiRows resolves POI ids to rows of a label table for the ball label
-// kernel: the engine's own table when it is valid, otherwise the same rows
-// built on the spot for just these POIs — an engine wired before its oracle
-// was attached, or one sharing its dataset with an engine that has since
-// appended a POI. A nil table means no label oracle is attached; callers
-// then search the graph instead. rows is arena scratch.
-func (e *Engine) poiRows(ids []model.POIID, ar *refineArena) (*roadnet.LabelTable, []int32) {
-	ds := e.DS
-	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
-		rows := ar.rowBuf(len(ids))
-		for i, id := range ids {
-			rows[i] = int32(id)
-		}
-		return t, rows
+// labelTable returns the engine's POI label table when it is valid — it
+// answers for the base's oracle and has a row for every POI — and nil
+// otherwise: no label oracle, an engine wired before its oracle was
+// attached, or one sharing its dataset with an engine that has since
+// appended a POI. It is the one predicate that picks the kernel of every
+// user-POI pair a query prices, in the anchor stream and in M(u) alike:
+// row merges with the table, DistAttachWithinCk without.
+func (e *Engine) labelTable() *roadnet.LabelTable {
+	if t := e.poiLabels; t.ValidFor(e.DS.Road, len(e.DS.POIs)) {
+		return t
 	}
-	if !ds.Road.HasLabels() {
-		return nil, nil
-	}
-	rows, atts := ar.rowBuf(len(ids)), ar.attachBuf(len(ids))
-	for i, id := range ids {
-		atts[i] = ds.POIs[id].At
-		rows[i] = int32(i)
-	}
-	return ds.Road.NewLabelTable(atts), rows
+	return nil
 }
 
 // POILabels returns the engine's POI label table, nil when none is held
@@ -190,9 +178,8 @@ type Stats struct {
 	CandUsers   int
 	CandAnchors int
 	// AnchorDistances counts the exact dist_RN(u_q, anchor) values the
-	// anchor stream computed: every anchor that entered it without the POI
-	// label table, only those reaching its front with it (≤ CandAnchors
-	// either way).
+	// anchor stream computed: one per anchor that reached its front, under
+	// every oracle (≤ CandAnchors).
 	AnchorDistances int
 	// AnchorsThetaFailed counts the anchors refinement popped and built a
 	// road ball for whose ball u_q does not θ-match: work the matching

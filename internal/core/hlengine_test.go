@@ -56,9 +56,10 @@ func TestEngineMatchesBaselineUnderHL(t *testing.T) {
 
 // TestPOILabelTableFallback covers the readers' validity check: an engine
 // whose table cannot answer — wired before the oracle was attached, or left
-// behind when a second engine over the same dataset appended a POI — builds
-// the label rows it needs on demand and returns the same top-k, bit for
-// bit, as the engine that holds a valid table.
+// behind when a second engine over the same dataset appended a POI — prices
+// every pair through DistAttachWithinCk (labelTable) and returns the same
+// top-k as the engine that holds a valid table: bit for bit on this
+// dataset, where no cost sums differently under the two kernels.
 func TestPOILabelTableFallback(t *testing.T) {
 	ds := smallDataset(t, 31)
 	early := buildEngine(t, ds, Options{Parallelism: 1})

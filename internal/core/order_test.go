@@ -10,6 +10,7 @@ import (
 
 	"gpssn/internal/gen"
 	"gpssn/internal/model"
+	"gpssn/internal/roadnet/ch"
 	"gpssn/internal/roadnet/hl"
 	"gpssn/internal/socialnet"
 )
@@ -141,9 +142,10 @@ func TestAnchorHeapOrder(t *testing.T) {
 }
 
 // TestAnchorDistancesCounted checks Stats.AnchorDistances on a generated
-// dataset: with the POI label table the order resolves at most every
-// candidate anchor and, summed over the issuers, strictly fewer; without a
-// label oracle every candidate's distance comes from the one sweep.
+// dataset under plain Dijkstra and hub labels: the order resolves at most
+// every candidate anchor per query and, summed over the issuers, strictly
+// fewer — every oracle resolves lazily, at the stream's front — and the
+// two oracles return the same answers.
 func TestAnchorDistancesCounted(t *testing.T) {
 	ds, err := gen.Synthetic(gen.Config{
 		Name: "anchor-order", Seed: 34,
@@ -155,46 +157,124 @@ func TestAnchorDistancesCounted(t *testing.T) {
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0.3, R: 1, Metric: MetricDotProduct}
 	issuers := []socialnet.UserID{3, 41, 88, 150, 207, 290, 333, 398}
 
-	plain := buildEngine(t, ds, Options{Parallelism: 1})
 	want := make([]Result, len(issuers))
-	for i, uq := range issuers {
-		res, st, err := plain.Query(uq, p)
-		if err != nil {
-			t.Fatal(err)
+	for _, oracle := range []string{"dijkstra", "hl"} {
+		if oracle == "hl" {
+			ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+			defer ds.Road.SetDistanceOracle(nil)
 		}
-		if st.AnchorDistances != st.CandAnchors {
-			t.Errorf("dijkstra, issuer %d: %d anchor distances for %d candidate anchors", uq, st.AnchorDistances, st.CandAnchors)
+		e := buildEngine(t, ds, Options{Parallelism: 1})
+		var dists, cands int
+		for i, uq := range issuers {
+			res, st, err := e.Query(uq, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.AnchorDistances > st.CandAnchors {
+				t.Errorf("%s, issuer %d: %d anchor distances for %d candidate anchors", oracle, uq, st.AnchorDistances, st.CandAnchors)
+			}
+			if oracle == "dijkstra" {
+				want[i] = res
+			} else if res.Found != want[i].Found || res.Anchor != want[i].Anchor || !sameDist(res.MaxDist, want[i].MaxDist) {
+				t.Errorf("hl, issuer %d: %+v, dijkstra %+v", uq, res, want[i])
+			}
+			dists += st.AnchorDistances
+			cands += st.CandAnchors
 		}
-		want[i] = res
+		if dists >= cands {
+			t.Errorf("%s: %d anchor distances for %d candidate anchors in sum; the order is not lazy", oracle, dists, cands)
+		}
+		t.Logf("%s: %d anchor distances for %d candidate anchors", oracle, dists, cands)
+	}
+}
+
+// TestAnchorKeyIsMShare is the one-kernel-per-pair gate: the key the
+// anchor stream resolves anchor a to equals makeMOf({a})(u_q) bit for bit,
+// under hub labels, CH and plain Dijkstra, and under hub labels with road
+// edges pending, where both sides of the clearance rule must be taken —
+// pairs it vouches the label sum for and pairs it sends through the
+// delta-overlay.
+func TestAnchorKeyIsMShare(t *testing.T) {
+	p := Params{Gamma: 0.2, Tau: 3, Theta: 0, R: 2, Metric: MetricDotProduct}
+	for _, oracle := range []string{"hl", "ch", "dijkstra"} {
+		for seed := int64(1); seed <= 3; seed++ {
+			ds := smallDataset(t, seed)
+			switch oracle {
+			case "hl":
+				ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+			case "ch":
+				ds.Road.SetDistanceOracle(ch.Build(ds.Road))
+			}
+			e := buildEngine(t, ds, Options{Parallelism: 1})
+			if (e.labelTable() != nil) != (oracle == "hl") {
+				t.Fatalf("%s: label table %v", oracle, e.labelTable() != nil)
+			}
+			for _, uq := range []socialnet.UserID{0, 7, 33} {
+				checkKeysAreMShares(t, fmt.Sprintf("%s seed %d uq %d", oracle, seed, uq), e, uq, p)
+			}
+		}
 	}
 
-	ds.Road.SetDistanceOracle(hl.Build(ds.Road))
-	defer ds.Road.SetDistanceOracle(nil)
-	e := buildEngine(t, ds, Options{Parallelism: 1})
-	var dists, cands int
-	for i, uq := range issuers {
-		res, st, err := e.Query(uq, p)
-		if err != nil {
-			t.Fatal(err)
+	_, e, issuers := pendingTwin(t, 1)
+	ds := e.DS
+	var vouched, composed int
+	for _, uq := range issuers[:6] {
+		for _, id := range checkKeysAreMShares(t, fmt.Sprintf("pending uq %d", uq), e, uq, p) {
+			ar := e.acquireArena()
+			lbl := e.userLabelWith(uq, ar)
+			uqAt, at := ds.Users[uq].At, ds.POIs[id].At
+			d := ds.Road.RowDistsCk(lbl, uqAt, e.labelTable(), []int32{int32(id)}, math.Inf(1), ar.floatBuf(1), nil)[0]
+			if labelExact(d, math.Inf(1), e.clearance(uqAt)+e.clearance(at)) {
+				vouched++
+			} else {
+				composed++
+			}
+			e.releaseArena(ar)
 		}
-		if st.AnchorDistances > st.CandAnchors {
-			t.Errorf("hl, issuer %d: %d anchor distances for %d candidate anchors", uq, st.AnchorDistances, st.CandAnchors)
-		}
-		if res.Found != want[i].Found || res.Anchor != want[i].Anchor || !sameDist(res.MaxDist, want[i].MaxDist) {
-			t.Errorf("hl, issuer %d: %+v, dijkstra %+v", uq, res, want[i])
-		}
-		dists += st.AnchorDistances
-		cands += st.CandAnchors
 	}
-	if dists >= cands {
-		t.Errorf("hl: %d anchor distances for %d candidate anchors in sum; the order is not lazy", dists, cands)
+	if vouched == 0 || composed == 0 {
+		t.Fatalf("pending: %d pairs vouched for by the clearance rule, %d composed through the overlay: both sides must be taken", vouched, composed)
 	}
-	t.Logf("hl: %d anchor distances for %d candidate anchors", dists, cands)
+	t.Logf("pending: %d pairs vouched for, %d composed through the overlay", vouched, composed)
+}
+
+// checkKeysAreMShares drains uq's anchor stream unbounded and checks that
+// each popped anchor's key is bit for bit its M(u_q) over the ball {a}
+// (TestAnchorKeyIsMShare). It returns the popped anchors.
+func checkKeysAreMShares(t *testing.T, name string, e *Engine, uq socialnet.UserID, p Params) []model.POIID {
+	t.Helper()
+	var st Stats
+	q := e.newQctx(&st)
+	ar, mar := e.acquireArena(), e.acquireArena()
+	defer e.releaseArena(ar)
+	defer e.releaseArena(mar)
+	o := e.newAnchorOrder(uq, p, q, ar)
+	var popped []model.POIID
+	for {
+		ac, ok := o.next(math.Inf(1))
+		if !ok {
+			break
+		}
+		m := e.makeMOf([]model.POIID{ac.id}, nil, nil, mar)(uq)
+		if math.Float64bits(ac.key) != math.Float64bits(m) {
+			t.Fatalf("%s: anchor %d keyed %v (%#x), its M(u_q) share is %v (%#x)",
+				name, ac.id, ac.key, math.Float64bits(ac.key), m, math.Float64bits(m))
+		}
+		popped = append(popped, ac.id)
+	}
+	e.closeAnchorOrder(o, &st)
+	if len(popped) == 0 {
+		t.Fatalf("%s: the stream popped no anchor", name)
+	}
+	if st.AnchorDistances != len(popped) {
+		t.Fatalf("%s: %d anchor distances for %d popped anchors", name, st.AnchorDistances, len(popped))
+	}
+	return popped
 }
 
 // TestAnchorStreamEagerOrder drains the engine's anchor stream, from the
-// I_R root, on generated datasets under the plain graph (anchors enter
-// resolved) and hub labels (resolved at the front), unbounded and at the
+// I_R root, on generated datasets under the plain graph (anchors resolved
+// by DistAttachWithinCk) and hub labels (by row merges), unbounded and at the
 // query's answer cost. The pops must come in (duq, id) order with exact
 // keys, and must be exactly the POIs Lemma 1 keeps whose distance from
 // u_q is finite and within the bound (up to the pivot bounds' slack at

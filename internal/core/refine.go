@@ -108,17 +108,17 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // makeMOf builds the M(u) evaluator for one anchor ball:
 // M(u) = max over ball POIs o of dist_RN(u, o).
 //
-// Under a hub-label oracle it returns the batched label kernel: the ball
-// members' label rows are flattened once (prepareBallLabels), and each
-// evaluation is a single simultaneous merge of the user's attachment label
-// against them (roadnet.LabelDists) — no per-pair graph search, no O(V)
-// state. Under every other oracle (CH, plain Dijkstra) each evaluation is
-// one bounded source-to-ball call, DistAttachWithinCk: the bucket
-// many-to-many under CH, a bounded search that stops once the ball is
-// settled under Dijkstra. Both kernels are all-or-nothing on a checkpoint
-// trip, and each oracle has exactly one of them — no cached alternative
-// whose use depends on timing — so a user's M(u) is summed one way per
-// oracle.
+// With the engine's own POI label table (labelTable) it returns the
+// batched label kernel: the ball members' label rows are flattened once
+// (prepareBallLabels), and each evaluation is a single simultaneous merge
+// of the user's attachment label against them (roadnet.LabelDists) — no
+// per-pair graph search, no O(V) state. Any other engine (CH, plain
+// Dijkstra, or hub labels with no valid table) runs each evaluation as one
+// bounded source-to-ball call, DistAttachWithinCk: the bucket many-to-many
+// under CH, a bounded search that stops once the ball is settled under
+// Dijkstra. Both kernels are all-or-nothing on a checkpoint trip, and each
+// engine has exactly one of them — no cached alternative whose use depends
+// on timing — so a user's M(u) is summed one way per engine.
 //
 // While road edges are pending the labels answer for the base graph, and
 // the clearance rule (pending.go) checks every member's label distance:
@@ -201,13 +201,17 @@ func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.C
 	}
 }
 
-// prepareBallLabels flattens the ball members' label rows into the ball's
-// merge-ready target set; nil under non-label oracles (the seam makeMOf
-// uses to pick its strategy).
+// prepareBallLabels flattens the ball members' rows of the engine's label
+// table into the ball's merge-ready target set; nil without a valid table
+// (labelTable, the seam makeMOf uses to pick its kernel).
 func (e *Engine) prepareBallLabels(ball []model.POIID, ar *refineArena) *roadnet.TargetLabels {
-	t, rows := e.poiRows(ball, ar)
+	t := e.labelTable()
 	if t == nil {
 		return nil
+	}
+	rows := ar.rowBuf(len(ball))
+	for i, id := range ball {
+		rows[i] = int32(id)
 	}
 	return t.Flatten(rows)
 }
@@ -508,15 +512,15 @@ type anchorOrder struct {
 // Lemma 7 to each child — a survivor's page is read and it enters keyed by
 // Eq. 17 — or, at a leaf, Lemma 1 then Lemma 5 to each POI, and writes
 // the RN* counters.
-// Under the engine's POI label table an anchor enters keyed by its Lemma 5
-// bound and is resolved at the front with one row merge against u_q's
-// label, which lives in ar for the query. Without the table (no label
-// oracle, an engine sharing its dataset) it enters resolved, keyed by its
-// exact distance from one one-to-all sweep from u_q, run at the first push
-// (anchorDists). While road edges are pending, the bounds and the keyword
-// rules take the clearance rule (pending.go), and a row merge the rule
-// cannot vouch for is resolved through the delta-overlay instead, as
-// makeMOf prices the same pair. DisableIndexPruning keys every node 0 and skips
+// Every anchor enters unresolved, keyed by its Lemma 5 bound, and is
+// resolved at the front by the kernel makeMOf prices the same pair with,
+// so its key equals its share of M(u_q) bit for bit: under the engine's
+// own POI label table (labelTable) one row merge against u_q's label,
+// which lives in ar for the query; under any other engine one
+// DistAttachWithinCk call. While road edges are pending, the bounds and
+// the keyword rules take the clearance rule (pending.go), and a row merge
+// the rule cannot vouch for is resolved through the delta-overlay
+// instead, as makeMOf does. DisableIndexPruning keys every node 0 and skips
 // Lemmas 6 and 7; DisableDistancePruning, or an issuer with no pivot
 // vector (a delta user on a new road edge), keys every node and
 // unresolved anchor 0 and skips Lemmas 5 and 7.
@@ -532,31 +536,22 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 	}
 	o := &anchorOrder{h: ar.anchs[:0], ar: ar, ck: q.ck}
 
-	var pushAnchor func(id model.POIID, lb float64)
-	if t := e.poiLabels; t.ValidFor(ds.Road, len(ds.POIs)) {
-		lbl := e.userLabelWith(uq, ar)
-		row, out := ar.rowBuf(1), ar.floatBuf(1)
-		o.resolve = func(id model.POIID) float64 {
+	t := e.labelTable()
+	var lbl *roadnet.HubLabel
+	if t != nil {
+		lbl = e.userLabelWith(uq, ar)
+	}
+	row, out, atts := ar.rowBuf(1), ar.floatBuf(1), ar.attachBuf(1)
+	o.resolve = func(id model.POIID) float64 {
+		atts[0] = ds.POIs[id].At
+		if t != nil {
 			row[0] = int32(id)
 			d := ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, q.ck)[0]
-			if at := ds.POIs[id].At; pend && !labelExact(d, math.Inf(1), uqE+e.clearance(at)) {
-				// The same overlay call makeMOf prices this pair with.
-				return ds.Road.DistAttachWithinCk(uqAt, math.Inf(1), []roadnet.Attach{at}, q.ck)[0]
+			if !pend || labelExact(d, math.Inf(1), uqE+e.clearance(atts[0])) {
+				return d
 			}
-			return d
 		}
-		pushAnchor = func(id model.POIID, lb float64) {
-			o.push(anchorEntry{key: boundKey(lb), id: id})
-		}
-	} else {
-		var duq func(model.POIID) float64
-		pushAnchor = func(id model.POIID, _ float64) {
-			if duq == nil {
-				duq = e.anchorDists(uq, q.ck)
-			}
-			o.push(anchorEntry{key: duq(id), id: id, resolved: true})
-			o.resolved++
-		}
+		return ds.Road.DistAttachWithinCk(uqAt, math.Inf(1), atts, q.ck)[0]
 	}
 	o.expand = func(n *rtree.Node, bound float64) {
 		if n.IsLeaf() {
@@ -588,7 +583,7 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 					continue
 				}
 				o.entered++
-				pushAnchor(id, lb)
+				o.push(anchorEntry{key: boundKey(lb), id: id})
 			}
 			return
 		}
@@ -630,7 +625,7 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 	o.push(anchorEntry{node: root})
 	for id := e.dyn.indexedPOIs; id < len(ds.POIs); id++ {
 		o.entered++
-		pushAnchor(model.POIID(id), 0)
+		o.push(anchorEntry{id: model.POIID(id)})
 	}
 	return o
 }
@@ -826,32 +821,4 @@ func (e *Engine) ball(anchor model.POIID, radius float64, ck *roadnet.Checkpoint
 		ball = append(ball, anchor)
 	}
 	return ball, !far
-}
-
-// anchorDists returns exact dist_RN(u_q, ·) over the anchors, the anchor
-// stream's keys when the engine has no POI label table of its own: one
-// uncached one-to-all sweep from u_q, the right kernel for one source
-// against every anchor the stream may take in. It applies the same-edge
-// direct route, so the value is the true network distance and hence a
-// sound lower bound on any group cost the anchor can produce (the anchor
-// is in its own ball). A tripped checkpoint yields +Inf for every anchor.
-func (e *Engine) anchorDists(uq socialnet.UserID, ck *roadnet.Checkpoint) func(model.POIID) float64 {
-	ds := e.DS
-	uqAt := ds.Users[uq].At
-	edge := ds.Road.EdgeAt(uqAt.Edge)
-	uqDist := ds.Road.DijkstraMultiCk([]roadnet.Seed{
-		{Vertex: edge.U, Dist: uqAt.T * edge.Weight},
-		{Vertex: edge.V, Dist: (1 - uqAt.T) * edge.Weight},
-	}, ck)
-	tripped := ck.Stopped()
-	return func(a model.POIID) float64 {
-		at := ds.POIs[a].At
-		d := ds.Road.DistToVertexVia(at, uqDist) // all-+Inf once tripped
-		if uqAt.Edge == at.Edge && !tripped {
-			if direct := math.Abs(uqAt.T-at.T) * edge.Weight; direct < d {
-				d = direct
-			}
-		}
-		return d
-	}
 }

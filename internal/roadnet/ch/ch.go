@@ -6,21 +6,21 @@
 // (edge-difference plus deleted-neighbours heuristic, with lazy priority
 // re-evaluation), inserting a shortcut (u,w) of weight d(u,v)+d(v,w)
 // whenever removing v would break a shortest path that a bounded witness
-// search cannot re-certify. The result is stored as two CSR adjacency
-// arrays per vertex: "up" edges lead to higher-ranked endpoints and serve
-// the bidirectional queries, "down" edges lead to lower-ranked endpoints
-// and serve the PHAST-style one-to-all sweep.
+// search cannot re-certify. The result is stored as one CSR adjacency:
+// each vertex keeps its "up" edges, those to higher-ranked endpoints,
+// which is all the upward searches of a query walk.
 //
-// Queries (query.go) implement the roadnet.DistanceOracle interface: a
-// bucket-based many-to-many kernel with stall-on-demand for the bounded
-// attachment-distance shapes, and a PHAST sweep for full distance arrays.
-// All query state is pooled and epoch-stamped, so the oracle is safe for
-// concurrent use by parallel refinement workers.
+// Queries (query.go) implement the roadnet.DistanceOracle interface with
+// a bucket-based many-to-many kernel with stall-on-demand for the bounded
+// attachment-distance shapes. All query state is pooled and
+// epoch-stamped, so the oracle is safe for concurrent use by parallel
+// refinement workers.
 //
-// Package hl extracts hub labels from a built Oracle for even faster
-// point-to-point distances; the facade's fallback chain (hl → ch →
-// dijkstra, docs/ROBUSTNESS.md §6) degrades through this package when
-// label extraction is unavailable.
+// Package hl extracts hub labels from a built Oracle (its rank order and
+// up-arcs) for even faster point-to-point distances, and keeps nothing of
+// it; the facade's fallback chain (hl → ch → dijkstra, docs/ROBUSTNESS.md
+// §6) degrades through this package when label extraction is
+// unavailable.
 package ch
 
 import (
@@ -38,37 +38,32 @@ const witnessSettleLimit = 250
 // Oracle is an immutable contraction hierarchy over a road-network
 // snapshot. Build once, then query concurrently.
 type Oracle struct {
-	n          int
-	rank       []int32 // contraction order; higher = more important
-	up         csr     // edges to higher-ranked endpoints
-	down       csr     // edges to lower-ranked endpoints
-	byRankDesc []int32 // vertices sorted by descending rank (PHAST order)
-	shortcuts  int
-	pool       sync.Pool // *scratch (query.go)
+	n    int
+	rank []int32   // contraction order; higher = more important
+	up   csr       // edges to higher-ranked endpoints
+	pool sync.Pool // *scratch (query.go)
 }
 
-// MemoryBytes reports the resident size of the hierarchy (rank array,
-// rank order, both CSR adjacencies) for capacity telemetry.
+// MemoryBytes reports the resident size of the hierarchy (rank array and
+// up-edge CSR) for capacity telemetry.
 func (o *Oracle) MemoryBytes() int64 {
-	csrBytes := func(c *csr) int64 {
-		return int64(len(c.off))*4 + int64(len(c.to))*4 + int64(len(c.w))*8
-	}
-	return int64(len(o.rank))*4 + int64(len(o.byRankDesc))*4 + csrBytes(&o.up) + csrBytes(&o.down)
+	return int64(len(o.rank))*4 + int64(len(o.up.off))*4 + int64(len(o.up.to))*4 + int64(len(o.up.w))*8
 }
 
 // NumVertices reports the size of the graph snapshot the oracle covers.
 func (o *Oracle) NumVertices() int { return o.n }
 
-// Rank returns v's contraction rank (higher = contracted later = more
-// important). Hub-label construction consumes it.
-func (o *Oracle) Rank(v int32) int32 { return o.rank[v] }
-
-// VerticesByRankDesc returns the vertices in descending rank order. The
-// slice is owned by the oracle — callers must treat it as read-only. It is
-// the processing order for hub-label extraction (internal/roadnet/hl),
-// which needs every higher-ranked label finished before a vertex is
-// labelled.
-func (o *Oracle) VerticesByRankDesc() []int32 { return o.byRankDesc }
+// VerticesByRankDesc returns the vertices in descending rank order, in a
+// fresh slice the caller owns. It is the processing order for hub-label
+// extraction (internal/roadnet/hl), which needs every higher-ranked label
+// finished before a vertex is labelled.
+func (o *Oracle) VerticesByRankDesc() []int32 {
+	byRank := make([]int32, o.n)
+	for v, r := range o.rank {
+		byRank[o.n-1-int(r)] = int32(v)
+	}
+	return byRank
+}
 
 // UpArcs returns the up-edge adjacency of v (arcs to higher-ranked
 // endpoints, shortcuts included) as parallel read-only slices.
@@ -110,8 +105,8 @@ func Build(g *roadnet.Graph) *Oracle {
 			return true
 		})
 	}
-	shortcuts := b.contractAll()
-	return b.finish(shortcuts)
+	b.contractAll()
+	return b.finish()
 }
 
 type builder struct {
@@ -156,15 +151,13 @@ func (b *builder) addArc(from, to int32, wt float64) {
 	b.adj[from] = append(b.adj[from], arc{to: to, w: wt})
 }
 
-// contractAll runs the lazy-update contraction loop and returns the number
-// of shortcuts inserted.
-func (b *builder) contractAll() int {
+// contractAll runs the lazy-update contraction loop.
+func (b *builder) contractAll() {
 	pq := heap64{}
 	for v := 0; v < b.n; v++ {
 		pq.push(int32(v), b.priority(int32(v)))
 	}
 	next := int32(0)
-	shortcuts := 0
 	for pq.len() > 0 {
 		v, _ := pq.pop()
 		if b.contracted[v] {
@@ -183,10 +176,9 @@ func (b *builder) contractAll() int {
 			pq.push(v, cur)
 			continue
 		}
-		shortcuts += b.contract(v, next)
+		b.contract(v, next)
 		next++
 	}
-	return shortcuts
 }
 
 // priority is the importance heuristic: 2·edgeDifference + deletedNeighbours.
@@ -200,7 +192,7 @@ func (b *builder) priority(v int32) float64 {
 // contract removes v from the remaining graph, materializing the shortcuts
 // collected in scBuf by the immediately preceding simulate call, and
 // assigns v the next rank.
-func (b *builder) contract(v, rank int32) int {
+func (b *builder) contract(v, rank int32) {
 	for _, sc := range b.scBuf {
 		b.addArc(sc.u, sc.w, sc.wt)
 		b.addArc(sc.w, sc.u, sc.wt)
@@ -212,7 +204,6 @@ func (b *builder) contract(v, rank int32) int {
 			b.delNbrs[a.to]++
 		}
 	}
-	return len(b.scBuf)
 }
 
 // simulate determines which shortcuts contracting v would require, using a
@@ -326,50 +317,30 @@ func (b *builder) witnessDist(v int32) (float64, bool) {
 	return b.wDist[v], true
 }
 
-// finish freezes the contracted graph into the up/down CSR arrays.
-func (b *builder) finish(shortcuts int) *Oracle {
-	o := &Oracle{
-		n:         b.n,
-		rank:      b.rank,
-		shortcuts: shortcuts,
-	}
-	upDeg := make([]int32, b.n+1)
-	downDeg := make([]int32, b.n+1)
+// finish freezes the contracted graph into the up-edge CSR: the arcs
+// leading to higher-ranked endpoints. The down arcs are each some up arc
+// seen from the other end, and no query walks them.
+func (b *builder) finish() *Oracle {
+	o := &Oracle{n: b.n, rank: b.rank}
+	off := make([]int32, b.n+1)
 	for v := 0; v < b.n; v++ {
 		for _, a := range b.adj[v] {
 			if b.rank[a.to] > b.rank[v] {
-				upDeg[v+1]++
-			} else {
-				downDeg[v+1]++
+				off[v+1]++
 			}
 		}
 	}
 	for v := 0; v < b.n; v++ {
-		upDeg[v+1] += upDeg[v]
-		downDeg[v+1] += downDeg[v]
+		off[v+1] += off[v]
 	}
-	o.up = csr{off: upDeg, to: make([]int32, upDeg[b.n]), w: make([]float64, upDeg[b.n])}
-	o.down = csr{off: downDeg, to: make([]int32, downDeg[b.n]), w: make([]float64, downDeg[b.n])}
-	upPos := make([]int32, b.n)
-	downPos := make([]int32, b.n)
-	copy(upPos, upDeg[:b.n])
-	copy(downPos, downDeg[:b.n])
+	o.up = csr{off: off, to: make([]int32, 0, off[b.n]), w: make([]float64, 0, off[b.n])}
 	for v := 0; v < b.n; v++ {
 		for _, a := range b.adj[v] {
-			if b.rank[a.to] > b.rank[int32(v)] {
-				o.up.to[upPos[v]] = a.to
-				o.up.w[upPos[v]] = a.w
-				upPos[v]++
-			} else {
-				o.down.to[downPos[v]] = a.to
-				o.down.w[downPos[v]] = a.w
-				downPos[v]++
+			if b.rank[a.to] > b.rank[v] {
+				o.up.to = append(o.up.to, a.to)
+				o.up.w = append(o.up.w, a.w)
 			}
 		}
-	}
-	o.byRankDesc = make([]int32, b.n)
-	for v := 0; v < b.n; v++ {
-		o.byRankDesc[b.n-1-int(b.rank[v])] = int32(v)
 	}
 	return o
 }

@@ -69,18 +69,6 @@ func TestOracleMatchesDijkstra(t *testing.T) {
 				o := Build(g)
 				n := g.NumVertices()
 
-				// OneToAll vs plain DijkstraMulti (oracle detached).
-				for trial := 0; trial < 4; trial++ {
-					src := roadnet.VertexID(rng.Intn(n))
-					want := g.Dijkstra(src)
-					got := o.OneToAll([]roadnet.Seed{{Vertex: src}})
-					for v := 0; v < n; v++ {
-						if !near(want[v], got[v]) {
-							t.Fatalf("seed %d OneToAll(%d)[%d] = %v, want %v", seed, src, v, got[v], want[v])
-						}
-					}
-				}
-
 				// SeedDistances (bounded and unbounded) vs ground truth.
 				for trial := 0; trial < 4; trial++ {
 					src := roadnet.VertexID(rng.Intn(n))
@@ -157,7 +145,8 @@ func TestGraphDelegation(t *testing.T) {
 
 // TestOracleExactOnIntegerWeights pins bit-exact equality where float
 // association order cannot interfere: on a grid whose edge weights are
-// exactly representable, CH must reproduce Dijkstra bit for bit.
+// exactly representable, the CH's many-to-many kernel over every vertex
+// must reproduce Dijkstra bit for bit.
 func TestOracleExactOnIntegerWeights(t *testing.T) {
 	const side = 8
 	g := roadnet.NewGraph(side*side, 2*side*side)
@@ -178,12 +167,16 @@ func TestOracleExactOnIntegerWeights(t *testing.T) {
 		}
 	}
 	o := Build(g)
+	targets := make([]roadnet.VertexID, side*side)
+	for v := range targets {
+		targets[v] = roadnet.VertexID(v)
+	}
 	for src := 0; src < side*side; src += 5 {
 		want := g.Dijkstra(roadnet.VertexID(src))
-		got := o.OneToAll([]roadnet.Seed{{Vertex: roadnet.VertexID(src)}})
+		got := o.SeedDistances([]roadnet.Seed{{Vertex: roadnet.VertexID(src)}}, targets, math.Inf(1))
 		for v := range want {
 			if want[v] != got[v] {
-				t.Fatalf("grid OneToAll(%d)[%d] = %v, want %v (must be bit-exact)", src, v, got[v], want[v])
+				t.Fatalf("grid SeedDistances(%d)[%d] = %v, want %v (must be bit-exact)", src, v, got[v], want[v])
 			}
 		}
 	}
@@ -209,12 +202,9 @@ func TestOracleSurvivesMutation(t *testing.T) {
 	g.AddEdge(v, 0)
 	// The new vertex must be reachable through the composed oracle at the
 	// exact new-edge distance — a stale oracle would report +Inf.
-	d := g.Dijkstra(0)
-	if len(d) != g.NumVertices() {
-		t.Fatalf("one-to-all length %d, want %d", len(d), g.NumVertices())
-	}
+	d := g.Oracle().SeedDistances([]roadnet.Seed{{Vertex: 0}}, []roadnet.VertexID{v}, math.Inf(1))[0]
 	want := g.Vertex(0).Dist(g.Vertex(v))
-	if d[v] > want {
-		t.Fatalf("composed distance to new vertex %v, want <= direct edge %v", d[v], want)
+	if d > want {
+		t.Fatalf("composed distance to new vertex %v, want <= direct edge %v", d, want)
 	}
 }

@@ -7,47 +7,41 @@ import (
 	"gpssn/internal/snap"
 )
 
-// Encode serializes the oracle into a snapshot section payload. The layout
-// is the in-memory representation verbatim (rank array plus the two CSR
-// adjacencies); byRankDesc is derived on decode.
+// Encode serializes the oracle into a snapshot section payload: the
+// in-memory representation verbatim, the vertex count, the rank array and
+// the up-edge CSR.
+//
+// An earlier layout also carried a shortcut count after n and a down-edge
+// CSR at the end. Decode never misreads one: it takes the shortcut count
+// for the rank array's length prefix, so the rank array is either the
+// wrong length or starts with n, out of range either way.
 func (o *Oracle) Encode(e *snap.Enc) {
 	e.U32(uint32(o.n))
-	e.U32(uint32(o.shortcuts))
 	e.I32s(o.rank)
-	encodeCSR(e, &o.up)
-	encodeCSR(e, &o.down)
-}
-
-func encodeCSR(e *snap.Enc, c *csr) {
-	e.I32s(c.off)
-	e.I32s(c.to)
-	e.F64s(c.w)
+	e.I32s(o.up.off)
+	e.I32s(o.up.to)
+	e.F64s(o.up.w)
 }
 
 // Decode reconstructs an oracle from a payload written by Encode,
 // validating every structural invariant queries rely on: the rank array is
-// a permutation, both CSRs are well-formed with in-range endpoints and
-// finite non-negative weights, up-arcs lead strictly upward in rank and
-// down-arcs strictly downward. A snapshot that decodes cleanly therefore
+// a permutation, the CSR is well-formed with in-range endpoints and finite
+// non-negative weights, and its arcs lead strictly upward in rank. A
+// snapshot that decodes cleanly therefore
 // answers exactly like the oracle that was saved; anything less fails with
 // an error so the caller rebuilds from the road graph instead.
 func Decode(d *snap.Dec) (*Oracle, error) {
 	n := int(int32(d.U32()))
-	shortcuts := int(int32(d.U32()))
 	rank := d.I32s()
 	up, errUp := decodeCSR(d, n)
-	down, errDown := decodeCSR(d, n)
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
 	if errUp != nil {
 		return nil, fmt.Errorf("ch: up adjacency: %w", errUp)
 	}
-	if errDown != nil {
-		return nil, fmt.Errorf("ch: down adjacency: %w", errDown)
-	}
-	if n < 0 || shortcuts < 0 {
-		return nil, fmt.Errorf("ch: negative size (n=%d shortcuts=%d)", n, shortcuts)
+	if n < 0 {
+		return nil, fmt.Errorf("ch: negative size (n=%d)", n)
 	}
 	if len(rank) != n {
 		return nil, fmt.Errorf("ch: rank array has %d entries, want %d", len(rank), n)
@@ -65,18 +59,8 @@ func Decode(d *snap.Dec) (*Oracle, error) {
 				return nil, fmt.Errorf("ch: up-arc %d->%d does not increase rank", v, up.to[i])
 			}
 		}
-		for i := down.off[v]; i < down.off[v+1]; i++ {
-			if rank[down.to[i]] > rank[v] {
-				return nil, fmt.Errorf("ch: down-arc %d->%d increases rank", v, down.to[i])
-			}
-		}
 	}
-	o := &Oracle{n: n, rank: rank, up: up, down: down, shortcuts: shortcuts}
-	o.byRankDesc = make([]int32, n)
-	for v := 0; v < n; v++ {
-		o.byRankDesc[n-1-int(rank[v])] = int32(v)
-	}
-	return o, nil
+	return &Oracle{n: n, rank: rank, up: up}, nil
 }
 
 func decodeCSR(d *snap.Dec, n int) (csr, error) {

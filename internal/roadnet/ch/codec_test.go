@@ -63,10 +63,9 @@ func TestCodecRejectsTruncation(t *testing.T) {
 func corruptAndDecode(t *testing.T, o *Oracle, mutate func(c *Oracle)) error {
 	t.Helper()
 	c := &Oracle{
-		n: o.n, shortcuts: o.shortcuts,
+		n:    o.n,
 		rank: append([]int32(nil), o.rank...),
 		up:   csr{off: append([]int32(nil), o.up.off...), to: append([]int32(nil), o.up.to...), w: append([]float64(nil), o.up.w...)},
-		down: csr{off: append([]int32(nil), o.down.off...), to: append([]int32(nil), o.down.to...), w: append([]float64(nil), o.down.w...)},
 	}
 	mutate(c)
 	_, err := Decode(&snap.Dec{B: encodeOracle(t, c)})
@@ -87,7 +86,7 @@ func TestCodecRejectsStructuralDamage(t *testing.T) {
 		{"rank-out-of-range", func(c *Oracle) { c.rank[0] = int32(c.n) }, "not a permutation"},
 		{"offsets-not-monotone", func(c *Oracle) { c.up.off[1] = c.up.off[len(c.up.off)-1] + 1 }, "not monotone"},
 		{"arc-endpoint-wild", func(c *Oracle) { c.up.to[0] = int32(c.n) }, "out of range"},
-		{"weight-negative", func(c *Oracle) { c.down.w[0] = -1 }, "finite non-negative"},
+		{"weight-negative", func(c *Oracle) { c.up.w[len(c.up.w)-1] = -1 }, "finite non-negative"},
 		{"weight-nan", func(c *Oracle) { c.up.w[0] = nan() }, "finite non-negative"},
 		{"arc-arrays-inconsistent", func(c *Oracle) { c.up.to = c.up.to[:len(c.up.to)-1] }, "inconsistent"},
 	}
@@ -116,7 +115,6 @@ func TestCodecRejectsStructuralDamage(t *testing.T) {
 func TestCodecCountOverflowTyped(t *testing.T) {
 	var e snap.Enc
 	e.U32(2)          // n
-	e.U32(0)          // shortcuts
 	e.U32(2)          // rank length prefix...
 	e.U32(0)          // rank[0]
 	e.U32(1)          // rank[1]
@@ -140,6 +138,34 @@ func TestCodecCountOverflowTyped(t *testing.T) {
 	dd.I64s()
 	if err := dd.Err(); !errors.Is(err, snap.ErrCountOverflow) {
 		t.Fatalf("I64s with 2^62 declared entries: err = %v, want ErrCountOverflow", err)
+	}
+}
+
+// TestCodecRejectsOldLayout: a payload in the earlier layout — a
+// shortcut count after n and a down-edge CSR after the up one — never
+// decodes, whatever the shortcut count, including the one that makes the
+// rank array's length come out right, and on an empty graph.
+func TestCodecRejectsOldLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(74))
+	for _, g := range []*roadnet.Graph{randomGraph(t, rng, 40, 1.2, true), roadnet.NewGraph(0, 0)} {
+		o := Build(g)
+		for _, shortcuts := range []int{0, 1, o.n, o.n + 1, 7 * o.n} {
+			var e snap.Enc
+			e.U32(uint32(o.n))
+			e.U32(uint32(shortcuts))
+			e.I32s(o.rank)
+			e.I32s(o.up.off)
+			e.I32s(o.up.to)
+			e.F64s(o.up.w)
+			// A down CSR of the right shape: every vertex without arcs.
+			e.I32s(make([]int32, o.n+1))
+			e.I32s(nil)
+			e.F64s(nil)
+			d := &snap.Dec{B: e.B}
+			if _, err := Decode(d); err == nil && d.Done() {
+				t.Fatalf("n=%d shortcuts=%d: old layout decoded cleanly", o.n, shortcuts)
+			}
+		}
 	}
 }
 

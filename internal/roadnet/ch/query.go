@@ -145,7 +145,7 @@ func (o *Oracle) upwardSearch(sc *scratch, dist []float64, ver []uint32, epoch *
 }
 
 // ckStride is the settled-vertex batch size between checkpoint charges in
-// the upward searches and the PHAST sweep.
+// the upward searches.
 const ckStride = 256
 
 // SeedDistances implements roadnet.DistanceOracle with the bucket-based
@@ -238,111 +238,6 @@ func (o *Oracle) seedDistances(sources []roadnet.Seed, targets []roadnet.VertexI
 			res[i] = d
 		}
 	}
-	return res
-}
-
-// OneToAll implements roadnet.DistanceOracle with a PHAST-style sweep
-// (Delling et al., "PHAST: Hardware-Accelerated Shortest Path Trees"):
-// an upward Dijkstra from the seeds writes labels straight into the result
-// array, then one linear pass over the vertices in descending rank relaxes
-// each vertex's down-edges. Stalled labels may be non-optimal, but the
-// sweep repairs every vertex via its shortest path's apex, whose label is
-// always exact.
-func (o *Oracle) OneToAll(sources []roadnet.Seed) []float64 {
-	return o.oneToAll(sources, nil)
-}
-
-// OneToAllCk implements roadnet.CheckedOracle: both the upward search and
-// the downward sweep charge processed vertices to ck and abort once it
-// trips, at which point the result is unspecified and the caller must
-// discard it (ck.Stopped()).
-func (o *Oracle) OneToAllCk(sources []roadnet.Seed, ck *roadnet.Checkpoint) []float64 {
-	return o.oneToAll(sources, ck)
-}
-
-func (o *Oracle) oneToAll(sources []roadnet.Seed, ck *roadnet.Checkpoint) []float64 {
-	inf := math.Inf(1)
-	res := make([]float64, o.n)
-	for i := range res {
-		res[i] = inf
-	}
-	if o.n == 0 || len(sources) == 0 {
-		return res
-	}
-	sc := o.getScratch()
-	h := &sc.heap
-	h.reset()
-	for _, s := range sources {
-		v := int32(s.Vertex)
-		if s.Dist < res[v] {
-			res[v] = s.Dist
-			h.push(v, s.Dist)
-		}
-	}
-	sinceCheck := 0
-	for h.len() > 0 {
-		v, d := h.pop()
-		if d > res[v] {
-			continue
-		}
-		if ck != nil {
-			if sinceCheck++; sinceCheck >= ckStride {
-				if ck.Spend(sinceCheck) {
-					o.putScratch(sc)
-					return res
-				}
-				sinceCheck = 0
-			}
-		}
-		stalled := false
-		for i := o.up.off[v]; i < o.up.off[v+1]; i++ {
-			if res[o.up.to[i]]+o.up.w[i] < d {
-				stalled = true
-				break
-			}
-		}
-		if stalled {
-			continue
-		}
-		for i := o.up.off[v]; i < o.up.off[v+1]; i++ {
-			w := o.up.to[i]
-			if nd := d + o.up.w[i]; nd < res[w] {
-				res[w] = nd
-				h.push(w, nd)
-			}
-		}
-	}
-	ck.Spend(sinceCheck)
-	o.putScratch(sc)
-	if ck.Stopped() {
-		return res
-	}
-
-	// Downward sweep in descending rank: when v is processed every
-	// down-edge into it (necessarily from a higher-ranked vertex) has
-	// already been relaxed, so res[v] is final.
-	sinceCheck = 0
-	for _, v := range o.byRankDesc {
-		if ck != nil {
-			if sinceCheck++; sinceCheck >= ckStride {
-				if ck.Spend(sinceCheck) {
-					return res
-				}
-				sinceCheck = 0
-			}
-		}
-		d := res[v]
-		if math.IsInf(d, 1) {
-			continue
-		}
-		for i := o.down.off[v]; i < o.down.off[v+1]; i++ {
-			w := o.down.to[i]
-			if nd := d + o.down.w[i]; nd < res[w] {
-				res[w] = nd
-			}
-		}
-	}
-	ck.Spend(sinceCheck)
 	return res
 }
 

@@ -71,9 +71,9 @@ func (g *Graph) Dijkstra(src VertexID) []float64 {
 }
 
 // DijkstraMulti returns shortest-path distances from the nearest seed to
-// every vertex. Unreachable vertices get +Inf. When a distance oracle is
-// attached the scan is answered by its one-to-all kernel (a PHAST-style
-// sweep for the CH oracle) instead of a heap-driven search.
+// every vertex. Unreachable vertices get +Inf. It always searches the
+// graph's own adjacency, which holds every pending edge, so the result is
+// exact whatever oracle is attached.
 func (g *Graph) DijkstraMulti(seeds []Seed) []float64 {
 	return g.DijkstraMultiCk(seeds, nil)
 }
@@ -97,20 +97,6 @@ func (g *Graph) DijkstraMultiCk(seeds []Seed, ck *Checkpoint) []float64 {
 	}
 	if ck.Stopped() {
 		return dist
-	}
-	if g.oracle != nil {
-		var res []float64
-		if co, ok := g.oracle.(CheckedOracle); ok && ck != nil {
-			res = co.OneToAllCk(seeds, ck)
-		} else {
-			res = g.oracle.OneToAll(seeds)
-		}
-		if ck.Stopped() {
-			for i := range res {
-				res[i] = math.Inf(1)
-			}
-		}
-		return res
 	}
 	h := acquireHeap()
 	for _, s := range seeds {

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"gpssn/internal/roadnet"
-	"gpssn/internal/roadnet/ch"
 	"gpssn/internal/snap"
 )
 
@@ -27,7 +26,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	g := randomGraph(t, rng, 120, 1.5, true)
 	o := Build(g)
-	got, err := Decode(&snap.Dec{B: encodeOracle(t, o)}, o.CH())
+	got, err := Decode(&snap.Dec{B: encodeOracle(t, o)})
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
@@ -54,7 +53,7 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	b := encodeOracle(t, o)
 	for cut := 0; cut < len(b); cut += 7 {
 		d := &snap.Dec{B: b[:cut]}
-		dec, err := Decode(d, o.CH())
+		dec, err := Decode(d)
 		if err == nil && d.Done() {
 			t.Fatalf("truncation at %d/%d decoded cleanly: %+v", cut, len(b), dec)
 		}
@@ -64,13 +63,14 @@ func TestCodecRejectsTruncation(t *testing.T) {
 func corruptAndDecode(t *testing.T, o *Oracle, mutate func(c *Oracle)) error {
 	t.Helper()
 	c := &Oracle{
-		cho: o.cho, n: o.n,
+		n:    o.n,
+		pos:  append([]int32(nil), o.pos...),
 		off:  append([]int64(nil), o.off...),
 		hub:  append([]int32(nil), o.hub...),
 		dist: append([]float64(nil), o.dist...),
 	}
 	mutate(c)
-	_, err := Decode(&snap.Dec{B: encodeOracle(t, c)}, o.CH())
+	_, err := Decode(&snap.Dec{B: encodeOracle(t, c)})
 	return err
 }
 
@@ -84,6 +84,9 @@ func TestCodecRejectsStructuralDamage(t *testing.T) {
 		mutate func(c *Oracle)
 		want   string
 	}{
+		{"pos-not-permutation", func(c *Oracle) { c.pos[3] = c.pos[4] }, "not a permutation"},
+		{"pos-out-of-range", func(c *Oracle) { c.pos[0] = int32(c.n) }, "not a permutation"},
+		{"pos-wrong-length", func(c *Oracle) { c.pos = c.pos[:c.n-1] }, "position map"},
 		{"offsets-not-monotone", func(c *Oracle) { c.off[1] = c.off[len(c.off)-1] + 1 }, "not monotone"},
 		{"offsets-wrong-origin", func(c *Oracle) {
 			for i := range c.off {
@@ -106,13 +109,23 @@ func TestCodecRejectsStructuralDamage(t *testing.T) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
 		}
 	}
-	// A decode against the wrong CH (different vertex count) is stale.
-	small := ch.Build(randomGraph(t, rng, 10, 1.0, true))
-	if _, err := Decode(&snap.Dec{B: encodeOracle(t, o)}, small); err == nil {
-		t.Error("labels decoded against a CH for a different graph")
-	}
-	if _, err := Decode(&snap.Dec{B: encodeOracle(t, o)}, nil); err == nil {
-		t.Error("labels decoded without a contraction hierarchy")
+}
+
+// TestCodecRejectsOldLayout: a payload in the earlier layout, which had
+// no position map and took it from a CH section, never decodes.
+func TestCodecRejectsOldLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(85))
+	for _, g := range []*roadnet.Graph{randomGraph(t, rng, 40, 1.2, true), roadnet.NewGraph(0, 0)} {
+		o := Build(g)
+		var e snap.Enc
+		e.U32(uint32(o.n))
+		e.I64s(o.off)
+		e.I32s(o.hub)
+		e.F64s(o.dist)
+		d := &snap.Dec{B: e.B}
+		if _, err := Decode(d); err == nil && d.Done() {
+			t.Fatalf("n=%d: old layout decoded cleanly", o.n)
+		}
 	}
 }
 
@@ -125,8 +138,9 @@ func TestCodecCountOverflowTyped(t *testing.T) {
 	o := Build(randomGraph(t, rng, 10, 1.0, true))
 	var e snap.Enc
 	e.U32(uint32(o.n))
+	e.I32s(o.pos)
 	e.U64(1 << 62) // off declared length: overflows MaxInt/8
-	_, err := Decode(&snap.Dec{B: e.B}, o.CH())
+	_, err := Decode(&snap.Dec{B: e.B})
 	if !errors.Is(err, snap.ErrCountOverflow) {
 		t.Fatalf("2^62 offsets: err = %v, want errors.Is ErrCountOverflow", err)
 	}

@@ -45,10 +45,9 @@
 // 20 of an int32 offset overflow, and the codec guards the conversion
 // explicitly instead of truncating (see codec.go).
 //
-// The oracle keeps the CH it was built from: one-to-all scans still run
-// the CH's PHAST sweep (a label-based one-to-all would cost Σ|label| per
-// query and lose to PHAST's linear pass), while point-to-point and
-// many-to-many shapes use the labels.
+// The oracle keeps nothing of the CH it was extracted from: the labels and
+// the position map answer every pair, and the snapshot section carries
+// both (codec.go).
 package hl
 
 import (
@@ -65,8 +64,7 @@ import (
 // once, then query concurrently; queries allocate nothing beyond the
 // pooled merge buffers.
 type Oracle struct {
-	cho *ch.Oracle
-	n   int
+	n int
 
 	// Labels in CSR form, laid out and numbered in rank space: the label
 	// of the vertex at rank position p occupies [off[p], off[p+1]) in
@@ -84,13 +82,14 @@ type Oracle struct {
 // Build contracts g and extracts hub labels from the hierarchy.
 func Build(g *roadnet.Graph) *Oracle { return FromCH(ch.Build(g)) }
 
-// FromCH extracts hub labels from an already-built contraction hierarchy.
+// FromCH extracts hub labels from an already-built contraction hierarchy,
+// reading its rank order and up-arcs and keeping no reference to it.
 // Construction streams: vertices are processed in rank-position order and
 // their pruned labels appended directly to the CSR, which the pruning
 // lookups of later vertices then read back — no per-vertex slice table.
 func FromCH(c *ch.Oracle) *Oracle {
 	n := c.NumVertices()
-	o := &Oracle{cho: c, n: n}
+	o := &Oracle{n: n}
 	byRank := c.VerticesByRankDesc()
 	o.pos = make([]int32, n)
 	for p, v := range byRank {
@@ -176,9 +175,6 @@ func prunable(cand []labEntry, hH []int32, hD []float64, d float64) bool {
 	}
 	return false
 }
-
-// CH returns the contraction hierarchy the labels were extracted from.
-func (o *Oracle) CH() *ch.Oracle { return o.cho }
 
 // NumVertices reports the size of the covered graph snapshot.
 func (o *Oracle) NumVertices() int { return o.n }
@@ -403,19 +399,6 @@ func (o *Oracle) seedDistances(sources []roadnet.Seed, targets []roadnet.VertexI
 	ck.Spend(spent)
 	o.putScratch(sc)
 	return res
-}
-
-// OneToAll implements roadnet.DistanceOracle by delegating to the CH's
-// PHAST sweep: a label-based one-to-all would pay Σ|label(v)| merge work
-// per query, strictly worse than PHAST's single linear pass.
-func (o *Oracle) OneToAll(sources []roadnet.Seed) []float64 {
-	return o.cho.OneToAll(sources)
-}
-
-// OneToAllCk implements roadnet.CheckedOracle by delegating to the CH's
-// checked PHAST sweep.
-func (o *Oracle) OneToAllCk(sources []roadnet.Seed, ck *roadnet.Checkpoint) []float64 {
-	return o.cho.OneToAllCk(sources, ck)
 }
 
 var (

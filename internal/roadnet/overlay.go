@@ -39,13 +39,12 @@ import (
 //     most once.
 //
 // Queries stay oracle-class: a composed SeedDistances costs at most two
-// base-oracle many-to-many calls plus O(k²) portal arithmetic, and a
-// composed OneToAll at most two base sweeps. The overlay implements
-// CheckedOracle so cancellation and work budgets thread through to the
-// base calls, but not LabelOracle: labels answer for G0 only. The graph
-// hands the base's labels out as such (labelOracle, base.go), and callers
-// use them where the clearance rule makes G0 and G agree, composing
-// through the overlay everywhere else.
+// base-oracle many-to-many calls plus O(k²) portal arithmetic. The overlay
+// implements CheckedOracle so cancellation and work budgets thread
+// through to the base calls, but not LabelOracle: labels answer for G0
+// only. The graph hands the base's labels out as such (labelOracle,
+// base.go), and callers use them where the clearance rule makes G0 and G
+// agree, composing through the overlay everywhere else.
 type overlayOracle struct {
 	base     DistanceOracle
 	baseN    int // |V(G0)|: vertices the base oracle answers for
@@ -298,83 +297,6 @@ func (o *overlayOracle) seedDistances(sources []Seed, targets []VertexID, bound 
 	return out
 }
 
-// OneToAll implements DistanceOracle: exact distances from the seeds to
-// every vertex of the mutated graph (length baseN+newVerts, matching the
-// graph's current vertex count — DijkstraMultiCk returns it unchanged).
-func (o *overlayOracle) OneToAll(sources []Seed) []float64 {
-	return o.oneToAll(sources, nil)
-}
-
-// OneToAllCk implements CheckedOracle; ck is never nil on this path.
-func (o *overlayOracle) OneToAllCk(sources []Seed, ck *Checkpoint) []float64 {
-	return o.oneToAll(sources, ck)
-}
-
-func (o *overlayOracle) oneToAll(sources []Seed, ck *Checkpoint) []float64 {
-	o.queries.Add(1)
-	n := o.baseN + o.newVerts
-	oldSeeds, entry := o.splitSeeds(sources)
-
-	var baseRes []float64
-	if len(oldSeeds) > 0 {
-		baseRes = o.baseOneToAll(oldSeeds, ck)
-		if ck.Stopped() {
-			return make([]float64, n)
-		}
-		for i, p := range o.portals {
-			if int(p) < o.baseN && baseRes[p] < entry[i] {
-				entry[i] = baseRes[p]
-			}
-		}
-	}
-	if ck.Spend(len(o.portals)) {
-		return make([]float64, n)
-	}
-	arr := o.arrive(entry)
-
-	// Exit sweep — only from old portals the patch actually improved;
-	// when none improved the second sweep cannot beat the first anywhere.
-	seeds2 := make([]Seed, 0, len(o.portals))
-	for i, p := range o.portals {
-		if int(p) >= o.baseN || math.IsInf(arr[i], 1) {
-			continue
-		}
-		if baseRes == nil || arr[i] < baseRes[p] {
-			seeds2 = append(seeds2, Seed{Vertex: p, Dist: arr[i]})
-		}
-	}
-
-	var res []float64
-	switch {
-	case len(seeds2) == 0 && baseRes != nil:
-		res = baseRes
-	case len(seeds2) == 0:
-		res = make([]float64, o.baseN)
-		for i := range res {
-			res[i] = math.Inf(1)
-		}
-	default:
-		res = o.baseOneToAll(seeds2, ck)
-		if ck.Stopped() {
-			return make([]float64, n)
-		}
-		if baseRes != nil {
-			for i, d := range baseRes {
-				if d < res[i] {
-					res[i] = d
-				}
-			}
-		}
-	}
-
-	out := make([]float64, n)
-	copy(out, res)
-	for i := o.baseN; i < n; i++ {
-		out[i] = arr[o.idx[VertexID(i)]]
-	}
-	return out
-}
-
 // baseSeedDistances threads the checkpoint through when the base oracle
 // supports it; a plain call otherwise (the checkpoint still gates the
 // overlay's own composition steps).
@@ -383,13 +305,6 @@ func (o *overlayOracle) baseSeedDistances(sources []Seed, targets []VertexID, bo
 		return co.SeedDistancesCk(sources, targets, bound, ck)
 	}
 	return o.base.SeedDistances(sources, targets, bound)
-}
-
-func (o *overlayOracle) baseOneToAll(sources []Seed, ck *Checkpoint) []float64 {
-	if co, ok := o.base.(CheckedOracle); ok && ck != nil {
-		return co.OneToAllCk(sources, ck)
-	}
-	return o.base.OneToAll(sources)
 }
 
 // MemoryBytes forwards the base oracle's accounting plus the patch

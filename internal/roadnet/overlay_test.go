@@ -6,8 +6,7 @@ package roadnet_test
 // every mutation. The twin's plain Dijkstra over the mutated adjacency
 // is exact by construction, so any divergence is an overlay bug. Runs
 // against both oracle families (CH and hub labels) because the overlay
-// composes through their many-to-many and one-to-all kernels
-// differently.
+// composes through their many-to-many kernels differently.
 
 import (
 	"fmt"
@@ -93,17 +92,19 @@ func compareAll(t *testing.T, rng *rand.Rand, g, twin *roadnet.Graph, tag string
 		return seeds
 	}
 
-	// One-to-all from mixed old/new seeds.
+	// Mixed old/new seeds to every vertex through the composed
+	// many-to-many kernel, against the twin's one-to-all search.
+	all := make([]roadnet.VertexID, n)
+	for v := range all {
+		all[v] = roadnet.VertexID(v)
+	}
 	for trial := 0; trial < 3; trial++ {
 		seeds := randSeeds()
-		got := g.DijkstraMulti(seeds)
+		got := g.Oracle().SeedDistances(seeds, all, math.Inf(1))
 		want := twin.DijkstraMulti(seeds)
-		if len(got) != n {
-			t.Fatalf("%s: one-to-all length %d, want %d", tag, len(got), n)
-		}
 		for v := range want {
 			if !almostEq(got[v], want[v]) {
-				t.Fatalf("%s: one-to-all seeds=%v vertex %d: got %v want %v", tag, seeds, v, got[v], want[v])
+				t.Fatalf("%s: seeds=%v vertex %d: got %v want %v", tag, seeds, v, got[v], want[v])
 			}
 		}
 	}
@@ -195,8 +196,8 @@ func TestOverlayExactUnderChurn(t *testing.T) {
 }
 
 // TestOverlayCheckpointAbort verifies the all-or-nothing abort contract
-// survives composition: a cancelled checkpoint yields all-+Inf results
-// of the correct (post-mutation) length, never partial distances.
+// survives composition: a cancelled checkpoint yields all-+Inf results,
+// never partial distances.
 func TestOverlayCheckpointAbort(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	g, _ := twinPair(t, rng, 30, "ch")
@@ -206,16 +207,6 @@ func TestOverlayCheckpointAbort(t *testing.T) {
 	done := make(chan struct{})
 	close(done)
 	ck := roadnet.NewCheckpoint(done, func() error { return fmt.Errorf("cancelled") }, 0)
-	res := g.DijkstraMultiCk([]roadnet.Seed{{Vertex: v, Dist: 0}}, ck)
-	if len(res) != g.NumVertices() {
-		t.Fatalf("aborted one-to-all length %d, want %d", len(res), g.NumVertices())
-	}
-	for i, d := range res {
-		if !math.IsInf(d, 1) {
-			t.Fatalf("aborted one-to-all leaked finite distance %v at %d", d, i)
-		}
-	}
-
 	a := g.AttachVertex(v)
 	out := g.DistAttachWithinCk(a, math.Inf(1), []roadnet.Attach{{Edge: 0, T: 0.5}}, ck)
 	if !math.IsInf(out[0], 1) {
@@ -234,16 +225,12 @@ func TestOverlayIsolatedVertex(t *testing.T) {
 	if g.Oracle() == nil {
 		t.Fatal("AddVertex detached the oracle")
 	}
-	res := g.Dijkstra(0)
-	if len(res) != g.NumVertices() {
-		t.Fatalf("one-to-all length %d, want %d", len(res), g.NumVertices())
+	o := g.Oracle()
+	if d := o.SeedDistances([]roadnet.Seed{{Vertex: 0}}, []roadnet.VertexID{v1}, math.Inf(1))[0]; !math.IsInf(d, 1) {
+		t.Fatalf("isolated vertex reachable: %v", d)
 	}
-	if !math.IsInf(res[v1], 1) {
-		t.Fatalf("isolated vertex reachable: %v", res[v1])
-	}
-	self := g.DijkstraMulti([]roadnet.Seed{{Vertex: v1, Dist: 2.5}})
-	if self[v1] != 2.5 {
-		t.Fatalf("isolated self-distance %v, want 2.5", self[v1])
+	if d := o.SeedDistances([]roadnet.Seed{{Vertex: v1, Dist: 2.5}}, []roadnet.VertexID{v1, 0}, math.Inf(1)); d[0] != 2.5 || !math.IsInf(d[1], 1) {
+		t.Fatalf("isolated vertex: self-distance %v (want 2.5), to vertex 0 %v (want +Inf)", d[0], d[1])
 	}
 }
 

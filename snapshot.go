@@ -18,12 +18,13 @@ import (
 )
 
 // Snapshots persist a built DB — dataset plus the expensive derived
-// distance oracles — into a single file, so reopening skips the
-// contraction-hierarchy and hub-label preprocessing. The format
+// distance oracle it runs — into a single file, so reopening skips the
+// contraction-hierarchy or hub-label preprocessing. The format
 // (docs/ROBUSTNESS.md) is a magic+version header followed by
-// length-prefixed, CRC64-checksummed sections: the dataset, then the CH
-// and HL oracles, each oracle payload prefixed with a fingerprint of the
-// road topology it answers for. Sections are independent failure domains:
+// length-prefixed, CRC64-checksummed sections: the dataset, the WAL
+// checkpoint, then the attached oracle's own section — CHOR for a CH,
+// HLBL for hub labels, which stand alone — prefixed with a fingerprint of
+// the road topology it answers for. Sections are independent failure domains:
 // damage to an oracle section is repaired by rebuilding that oracle from
 // the dataset (reported via Health, not an error), while a snapshot whose
 // header or dataset section is unusable fails with ErrSnapshotCorrupt —
@@ -118,31 +119,19 @@ func (db *DB) Snapshot(path string) (err error) {
 	// this is exactly the newest update dsBuf contains.
 	applied := db.appliedLSN
 	fp := roadFingerprint(db.net.ds.Road)
-	var chPayload, hlPayload []byte
+	var oracleTag string
+	var oracle snap.Enc
+	oracle.U64(fp)
 	switch o := db.net.ds.Road.Oracle().(type) {
 	case *hl.Oracle:
-		var ec snap.Enc
-		ec.U64(fp)
-		o.CH().Encode(&ec)
-		chPayload = ec.B
-		var eh snap.Enc
-		eh.U64(fp)
-		o.Encode(&eh)
-		hlPayload = eh.B
-		if err := ec.Err(); err != nil {
-			return fmt.Errorf("gpssn: snapshot: %w", err)
-		}
-		if err := eh.Err(); err != nil {
-			return fmt.Errorf("gpssn: snapshot: %w", err)
-		}
+		oracleTag = secHL
+		o.Encode(&oracle)
 	case *ch.Oracle:
-		var ec snap.Enc
-		ec.U64(fp)
-		o.Encode(&ec)
-		chPayload = ec.B
-		if err := ec.Err(); err != nil {
-			return fmt.Errorf("gpssn: snapshot: %w", err)
-		}
+		oracleTag = secCH
+		o.Encode(&oracle)
+	}
+	if err := oracle.Err(); err != nil {
+		return fmt.Errorf("gpssn: snapshot: %w", err)
 	}
 
 	if err := failpoint.Error("snapshot.create"); err != nil {
@@ -172,13 +161,8 @@ func (db *DB) Snapshot(path string) (err error) {
 	if err = w.Section(secWAL, ew.B); err != nil {
 		return fmt.Errorf("gpssn: snapshot: %w", err)
 	}
-	if chPayload != nil {
-		if err = w.Section(secCH, chPayload); err != nil {
-			return fmt.Errorf("gpssn: snapshot: %w", err)
-		}
-	}
-	if hlPayload != nil {
-		if err = w.Section(secHL, hlPayload); err != nil {
+	if oracleTag != "" {
+		if err = w.Section(oracleTag, oracle.B); err != nil {
 			return fmt.Errorf("gpssn: snapshot: %w", err)
 		}
 	}
@@ -277,21 +261,21 @@ func OpenSnapshot(path string, cfg Config) (*DB, error) {
 	// back to rebuilding from the dataset via the regular fallback chain.
 	health := Health{OracleRequested: c.DistanceOracle}
 	attached := false
+	var restored roadnet.DistanceOracle
 	switch c.DistanceOracle {
 	case "hl":
-		if cho := decodeCHSection(byTag[secCH], fp, &notes); cho != nil {
-			if hlo := decodeHLSection(byTag[secHL], fp, cho, &notes); hlo != nil {
-				ds.Road.SetDistanceOracle(hlo)
-				health.OracleActive = "hl"
-				attached = true
-			}
+		if o := decodeOracleSection(byTag[secHL], "HL", fp, hl.Decode, &notes); o != nil {
+			restored = o
 		}
 	case "ch":
-		if cho := decodeCHSection(byTag[secCH], fp, &notes); cho != nil {
-			ds.Road.SetDistanceOracle(cho)
-			health.OracleActive = "ch"
-			attached = true
+		if o := decodeOracleSection(byTag[secCH], "CH", fp, ch.Decode, &notes); o != nil {
+			restored = o
 		}
+	}
+	if restored != nil {
+		ds.Road.SetDistanceOracle(restored)
+		health.OracleActive = c.DistanceOracle
+		attached = true
 	}
 	if !attached {
 		health, err = attachOracle(ds, c)
@@ -332,48 +316,26 @@ func OpenSnapshot(path string, cfg Config) (*DB, error) {
 	return db, nil
 }
 
-// decodeCHSection restores a contraction hierarchy from its section, or
-// returns nil (with a note) when the section is absent, stale, or does
-// not decode to a structurally valid oracle.
-func decodeCHSection(payload []byte, fp uint64, notes *[]string) *ch.Oracle {
+// decodeOracleSection restores an oracle from its section (name is "CH"
+// or "HL" for the notes), or returns nil (with a note) when the section is
+// absent — as a CH section is from an hl snapshot — stale, or does not
+// decode to a structurally valid oracle.
+func decodeOracleSection[T any](payload []byte, name string, fp uint64, decode func(*snap.Dec) (*T, error), notes *[]string) *T {
 	if payload == nil {
-		*notes = append(*notes, "no CH section; rebuilding oracle from dataset")
+		*notes = append(*notes, fmt.Sprintf("no %s section; rebuilding oracle from dataset", name))
 		return nil
 	}
 	d := &snap.Dec{B: payload}
 	if got := d.U64(); got != fp {
-		*notes = append(*notes, "CH section was built for a different road graph; rebuilding")
+		*notes = append(*notes, fmt.Sprintf("%s section was built for a different road graph; rebuilding", name))
 		return nil
 	}
-	o, err := ch.Decode(d)
+	o, err := decode(d)
 	if err == nil && !d.Done() {
 		err = fmt.Errorf("trailing bytes after oracle payload")
 	}
 	if err != nil {
-		*notes = append(*notes, fmt.Sprintf("CH section invalid (%v); rebuilding", err))
-		return nil
-	}
-	return o
-}
-
-// decodeHLSection restores hub labels over an already-restored CH, under
-// the same contract as decodeCHSection.
-func decodeHLSection(payload []byte, fp uint64, cho *ch.Oracle, notes *[]string) *hl.Oracle {
-	if payload == nil {
-		*notes = append(*notes, "no HL section; rebuilding oracle from dataset")
-		return nil
-	}
-	d := &snap.Dec{B: payload}
-	if got := d.U64(); got != fp {
-		*notes = append(*notes, "HL section was built for a different road graph; rebuilding")
-		return nil
-	}
-	o, err := hl.Decode(d, cho)
-	if err == nil && !d.Done() {
-		err = fmt.Errorf("trailing bytes after label payload")
-	}
-	if err != nil {
-		*notes = append(*notes, fmt.Sprintf("HL section invalid (%v); rebuilding", err))
+		*notes = append(*notes, fmt.Sprintf("%s section invalid (%v); rebuilding", name, err))
 		return nil
 	}
 	return o

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"gpssn/internal/failpoint"
+	"gpssn/internal/snap"
 )
 
 // snapQueries is the query set every snapshot equality gate runs.
@@ -88,9 +90,38 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotCrossOracleRestore opens an hl-written snapshot as ch and
-// dijkstra (both sections are in the file or derivable), and a ch-written
-// snapshot as hl (labels absent → rebuilt, noted in Health).
+// TestSnapshotSectionsPerOracle pins what a snapshot holds: the dataset,
+// the WAL checkpoint and the one oracle section of the DB's own oracle —
+// an hl snapshot's labels stand alone, with no CH beside them.
+func TestSnapshotSectionsPerOracle(t *testing.T) {
+	want := map[string][]string{
+		"hl":       {secDataset, secWAL, secHL},
+		"ch":       {secDataset, secWAL, secCH},
+		"dijkstra": {secDataset, secWAL},
+	}
+	for oracle, tags := range want {
+		f, err := os.Open(snapshotOf(t, openWithOracle(t, 1, false, oracle, 1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		secs, err := snap.Read(f)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: %v", oracle, err)
+		}
+		var got []string
+		for _, sec := range secs {
+			got = append(got, sec.Tag)
+		}
+		if !slices.Equal(got, tags) {
+			t.Errorf("%s snapshot sections %v, want %v", oracle, got, tags)
+		}
+	}
+}
+
+// TestSnapshotCrossOracleRestore opens an hl-written snapshot as ch (its
+// labels stand alone, so the CH is absent → rebuilt, noted in Health), and
+// a ch-written snapshot as hl (labels absent → rebuilt, noted in Health).
 func TestSnapshotCrossOracleRestore(t *testing.T) {
 	hlDB := openWithOracle(t, 1, false, "hl", 1)
 	path := snapshotOf(t, hlDB)
@@ -98,6 +129,9 @@ func TestSnapshotCrossOracleRestore(t *testing.T) {
 	chDB := openSnap(t, path, "ch", 1)
 	if h := chDB.Health(); h.OracleActive != "ch" || h.Degraded {
 		t.Fatalf("ch restore health: %+v", h)
+	}
+	if len(chDB.Health().Notes) == 0 {
+		t.Fatal("rebuilding the CH absent from an hl snapshot left no Health note")
 	}
 	baseline := openWithOracle(t, 1, false, "ch", 1)
 	requireIdenticalAnswers(t, baseline, chDB, "hl-snapshot-as-ch")
@@ -128,36 +162,42 @@ func TestSnapshotCrossOracleRestore(t *testing.T) {
 // TestSnapshotCorruptionMatrix damages each oracle section every way the
 // failpoint layer can (I/O error, torn write, bit flip) and requires: no
 // panic, open succeeds, the damage is noted in Health, and the recovered
-// DB answers exactly like a cleanly-built baseline.
+// DB answers exactly like a cleanly-built baseline. Each section is
+// damaged in the snapshot of the oracle that writes it: CHOR in a ch
+// one, HLBL in an hl one.
 func TestSnapshotCorruptionMatrix(t *testing.T) {
-	baseline := openWithOracle(t, 1, false, "hl", 1)
+	baselines := map[string]*DB{
+		"ch": openWithOracle(t, 1, false, "ch", 1),
+		"hl": openWithOracle(t, 1, false, "hl", 1),
+	}
 	cases := []struct {
-		name string
-		site string
-		f    failpoint.Failure
+		name   string
+		oracle string
+		site   string
+		f      failpoint.Failure
 	}{
-		{"torn-ch", "snap.section." + secCH, failpoint.Failure{Mode: failpoint.ModeShortWrite, N: 40}},
-		{"torn-hl", "snap.section." + secHL, failpoint.Failure{Mode: failpoint.ModeShortWrite, N: 11}},
-		{"bitflip-ch", "snap.section." + secCH, failpoint.Failure{Mode: failpoint.ModeBitFlip, N: 1337}},
-		{"bitflip-hl", "snap.section." + secHL, failpoint.Failure{Mode: failpoint.ModeBitFlip, N: 4242}},
+		{"torn-ch", "ch", "snap.section." + secCH, failpoint.Failure{Mode: failpoint.ModeShortWrite, N: 40}},
+		{"torn-hl", "hl", "snap.section." + secHL, failpoint.Failure{Mode: failpoint.ModeShortWrite, N: 11}},
+		{"bitflip-ch", "ch", "snap.section." + secCH, failpoint.Failure{Mode: failpoint.ModeBitFlip, N: 1337}},
+		{"bitflip-hl", "hl", "snap.section." + secHL, failpoint.Failure{Mode: failpoint.ModeBitFlip, N: 4242}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			defer failpoint.Reset()
-			db := openWithOracle(t, 1, false, "hl", 1)
+			db := openWithOracle(t, 1, false, tc.oracle, 1)
 			failpoint.Arm(tc.site, tc.f)
 			path := snapshotOf(t, db)
 			failpoint.Reset()
 
-			re := openSnap(t, path, "hl", 1)
+			re := openSnap(t, path, tc.oracle, 1)
 			h := re.Health()
 			if len(h.Notes) == 0 {
 				t.Fatalf("%s: damaged snapshot recovered without a Health note", tc.name)
 			}
-			if h.OracleActive != "hl" {
-				t.Fatalf("%s: recovery ended on %q, want rebuilt hl", tc.name, h.OracleActive)
+			if h.OracleActive != tc.oracle {
+				t.Fatalf("%s: recovery ended on %q, want rebuilt %s", tc.name, h.OracleActive, tc.oracle)
 			}
-			requireIdenticalAnswers(t, baseline, re, tc.name)
+			requireIdenticalAnswers(t, baselines[tc.oracle], re, tc.name)
 		})
 	}
 }
