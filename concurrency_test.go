@@ -146,22 +146,20 @@ func TestDBConcurrentMixedLoad(t *testing.T) {
 }
 
 // TestDBParallelismDeterministic pins the facade-level determinism
-// guarantee: Parallelism 1 and Parallelism 8 DBs over identical networks
-// return deep-equal answers for both Query and QueryTopK. Each DB gets a
-// network of its own: a second Open over one network attaches a new
-// oracle to its road graph, which leaves the first DB's POI label table
-// behind and its pairs priced by the other kernel.
+// guarantee: Parallelism 1 and Parallelism 8 DBs over the same network
+// return deep-equal answers for both Query and QueryTopK.
 func TestDBParallelismDeterministic(t *testing.T) {
+	net := stressNetwork(t)
 	cfg := Config{RoadPivots: 3, SocialPivots: 3, LeafSize: 16, Fanout: 4}
 	cfgSeq := cfg
 	cfgSeq.Parallelism = 1
 	cfgPar := cfg
 	cfgPar.Parallelism = 8
-	seq, err := Open(stressNetwork(t), cfgSeq)
+	seq, err := Open(net, cfgSeq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := Open(stressNetwork(t), cfgPar)
+	par, err := Open(net, cfgPar)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -452,9 +452,11 @@ func (db *DB) MemoryStats() MemoryStats {
 }
 
 // attachOracle walks the fallback chain for the configured backend and
-// attaches the first oracle that builds, reporting what happened through
-// the returned Health and logging each fallback. With Config.StrictOracle
-// a build failure becomes an error instead of a fallback.
+// attaches the first oracle that builds, or keeps the one the network's
+// road graph already serves for its current topology, so DBs opened over
+// one network share it. It reports what happened through the returned
+// Health and logs each fallback. With Config.StrictOracle a build
+// failure becomes an error instead of a fallback.
 func attachOracle(ds *model.Dataset, c Config) (Health, error) {
 	active, notes, err := build.AttachOracle(ds.Road, c.DistanceOracle, c.StrictOracle)
 	for _, n := range notes {

@@ -41,15 +41,9 @@ func TestHarnessMatchesProduct(t *testing.T) {
 		if h := db.Health(); h.OracleActive != "hl" {
 			t.Fatalf("%s: product oracle %q, want hl", kind, h.OracleActive)
 		}
-		// A dataset of its own: a second Open over ds would attach a new
-		// oracle and leave db's POI label table behind.
-		seqDS, err := bench.Dataset(env.Spec)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg := DefaultConfig()
 		cfg.Parallelism = 1
-		seqDB, err := Open(&Network{ds: seqDS}, cfg)
+		seqDB, err := Open(&Network{ds: ds}, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -55,16 +55,38 @@ func buildOracle(g *roadnet.Graph, kind string) (o roadnet.DistanceOracle, err e
 	return nil, nil
 }
 
+// serving reports whether g already serves a static oracle of the given
+// kind for its current topology: attached and not yet wrapped in the
+// delta-overlay (the graph's first mutation wraps it), with no edge
+// pending against an older base.
+func serving(g *roadnet.Graph, kind string) bool {
+	if g.PendingEdges() > 0 {
+		return false
+	}
+	switch g.Oracle().(type) {
+	case *hl.Oracle:
+		return kind == "hl"
+	case *ch.Oracle:
+		return kind == "ch"
+	}
+	return false
+}
+
 // AttachOracle walks the fallback chain for the requested backend and
-// attaches the first oracle that builds. It returns the backend now
-// serving and one note per fallback taken; with strict set, a build
-// failure is returned as an error instead of a fallback.
+// attaches the first oracle that builds. A backend the graph already
+// serves is kept rather than rebuilt, so engines opened over one graph
+// share its oracle and their POI label tables stay valid. It returns the
+// backend now serving and one note per fallback taken; with strict set, a
+// build failure is returned as an error instead of a fallback.
 func AttachOracle(g *roadnet.Graph, kind string, strict bool) (active string, notes []string, err error) {
 	chain := oracleChain(kind)
 	if chain == nil {
 		return "", nil, fmt.Errorf("unknown DistanceOracle %q (want \"ch\", \"hl\" or \"dijkstra\")", kind)
 	}
 	for _, k := range chain {
+		if serving(g, k) {
+			return k, notes, nil
+		}
 		o, err := buildOracle(g, k)
 		if err != nil {
 			if strict {

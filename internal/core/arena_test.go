@@ -17,12 +17,19 @@ import (
 // memory, it never changes a computed value.
 func sameResults(t *testing.T, label string, got, want []Result) {
 	t.Helper()
+	compareResults(t, label, got, want, func(a, b float64) bool { return a == b })
+}
+
+// compareResults compares two top-k answer lists: found flags, anchors,
+// groups and balls exactly, costs by sameCost.
+func compareResults(t *testing.T, label string, got, want []Result, sameCost func(a, b float64) bool) {
+	t.Helper()
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d results, want %d", label, len(got), len(want))
 	}
 	for i := range want {
 		g, w := got[i], want[i]
-		if g.Found != w.Found || g.Anchor != w.Anchor || g.MaxDist != w.MaxDist {
+		if g.Found != w.Found || g.Anchor != w.Anchor || !sameCost(g.MaxDist, w.MaxDist) {
 			t.Fatalf("%s: result %d = {found %v anchor %d cost %v}, want {found %v anchor %d cost %v}",
 				label, i, g.Found, g.Anchor, g.MaxDist, w.Found, w.Anchor, w.MaxDist)
 		}
