@@ -40,7 +40,7 @@ test:
 # so a tie that flips with worker timing fails here instead of passing
 # one run in N by luck.
 tie-check:
-	$(GO) test -count=10 -timeout 10m -run '^(TestSharedWorkEquality|TestSharedWorkCancellation|TestOracleEqualityQueries|TestHLOracleEqualityQueries|TestSharedWorkRaceStress|TestRoadChurnEqualityGates)$$' .
+	$(GO) test -count=10 -timeout 10m -run '^(TestParallelTwinEquality|TestParallelTwinCancellation|TestOracleEqualityQueries|TestHLOracleEqualityQueries|TestParallelTwinRaceStress|TestRoadChurnEqualityGates)$$' .
 
 race:
 	$(GO) test -race -short -timeout 10m ./...
@@ -115,13 +115,15 @@ serve-smoke:
 	./scripts/serve-smoke.sh
 
 # Short native-fuzz runs over the hostile-input surfaces (CSV import,
-# snapshot decode, WAL replay) and the engine against the brute-force
-# Baseline on tied datasets. ~30s each; CI runs this on every push, and
+# snapshot decode, WAL framing, the records WAL replay decodes and
+# commits) and the engine against the brute-force Baseline on tied
+# datasets. ~30s each; CI runs this on every push, and
 # longer local runs just raise FUZZTIME. See docs/ROBUSTNESS.md §5.
 FUZZTIME ?= 30s
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzImportCSV$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotDecode$$' -fuzztime $(FUZZTIME) .
+	$(GO) test -run '^$$' -fuzz '^FuzzReplayRecord$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz '^FuzzEngineMatchesBaseline$$' -fuzztime $(FUZZTIME) ./internal/core
 

@@ -1,6 +1,7 @@
 package gpssn
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -132,22 +133,41 @@ func (b *Builder) SetName(name string) *Builder {
 	return b
 }
 
+// fail records err, if any, for Build to report, prefixed by what (a
+// format with args) names, and reports whether there was one.
+func (b *Builder) fail(err error, what string, args ...any) bool {
+	if err != nil {
+		b.errs = append(b.errs, fmt.Errorf("gpssn: %s: %w", fmt.Sprintf(what, args...), err))
+	}
+	return err != nil
+}
+
+// snap checks (x, y) and snaps it onto the nearest road segment, recording
+// an error when the point is unusable or no road exists yet.
+func (b *Builder) snap(x, y float64, what string, id int) (roadnet.Attach, geo.Point) {
+	if b.fail(model.CheckPoint(x, y), "%s %d", what, id) {
+		return roadnet.Attach{}, geo.Point{}
+	}
+	at, ok := b.road.SnapPoint(geo.Pt(x, y))
+	if !ok {
+		b.fail(errors.New("added before any road exists"), "%s %d", what, id)
+		return at, geo.Point{}
+	}
+	return at, b.road.Location(at)
+}
+
 // AddIntersection adds a road-network vertex and returns its id.
 func (b *Builder) AddIntersection(x, y float64) int {
+	b.fail(model.CheckPoint(x, y), "intersection %d", b.road.NumVertices())
 	return int(b.road.AddVertex(geo.Pt(x, y)))
 }
 
-// AddRoad adds a road segment between two intersections.
+// AddRoad adds a road segment between two intersections. Parallel roads
+// are allowed.
 func (b *Builder) AddRoad(a, c int) *Builder {
-	if a < 0 || a >= b.road.NumVertices() || c < 0 || c >= b.road.NumVertices() {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: road endpoints %d-%d out of range", a, c))
-		return b
+	if !b.fail(model.CheckEnds("road", a, c, b.road.NumVertices()), "AddRoad") {
+		b.road.AddEdge(roadnet.VertexID(a), roadnet.VertexID(c))
 	}
-	if a == c {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: self-loop road at %d", a))
-		return b
-	}
-	b.road.AddEdge(roadnet.VertexID(a), roadnet.VertexID(c))
 	return b
 }
 
@@ -155,24 +175,12 @@ func (b *Builder) AddRoad(a, c int) *Builder {
 // with the given keywords. It returns the POI id.
 func (b *Builder) AddPOI(x, y float64, keywords ...int) int {
 	id := len(b.pois)
-	at, ok := b.road.SnapPoint(geo.Pt(x, y))
-	if !ok {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: POI %d added before any road exists", id))
-		b.pois = append(b.pois, model.POI{ID: model.POIID(id), Keywords: append([]int(nil), keywords...)})
-		return id
-	}
-	if len(keywords) == 0 {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: POI %d needs at least one keyword", id))
-	}
-	for _, k := range keywords {
-		if k < 0 || k >= b.topics {
-			b.errs = append(b.errs, fmt.Errorf("gpssn: POI %d keyword %d outside vocabulary [0,%d)", id, k, b.topics))
-		}
-	}
+	at, loc := b.snap(x, y, "POI", id)
+	b.fail(model.CheckKeywords(keywords, b.topics), "POI %d", id)
 	b.pois = append(b.pois, model.POI{
 		ID:       model.POIID(id),
 		At:       at,
-		Loc:      b.road.Location(at),
+		Loc:      loc,
 		Keywords: append([]int(nil), keywords...),
 	})
 	return id
@@ -183,24 +191,12 @@ func (b *Builder) AddPOI(x, y float64, keywords ...int) int {
 // in [0,1]. It returns the user id.
 func (b *Builder) AddUser(x, y float64, interests []float64) int {
 	id := len(b.users)
-	at, ok := b.road.SnapPoint(geo.Pt(x, y))
-	if !ok {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: user %d added before any road exists", id))
-		b.users = append(b.users, model.User{ID: socialnet.UserID(id), Interests: append([]float64(nil), interests...)})
-		return id
-	}
-	if len(interests) != b.topics {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: user %d has %d interests, want %d", id, len(interests), b.topics))
-	}
-	for f, p := range interests {
-		if p < 0 || p > 1 {
-			b.errs = append(b.errs, fmt.Errorf("gpssn: user %d interest %d = %v outside [0,1]", id, f, p))
-		}
-	}
+	at, loc := b.snap(x, y, "user", id)
+	b.fail(model.CheckInterests(interests, b.topics), "user %d", id)
 	b.users = append(b.users, model.User{
 		ID:        socialnet.UserID(id),
 		At:        at,
-		Loc:       b.road.Location(at),
+		Loc:       loc,
 		Interests: append([]float64(nil), interests...),
 	})
 	return id
@@ -208,15 +204,9 @@ func (b *Builder) AddUser(x, y float64, interests []float64) int {
 
 // AddFriendship records a friendship between two users added earlier.
 func (b *Builder) AddFriendship(a, c int) *Builder {
-	if a < 0 || a >= len(b.users) || c < 0 || c >= len(b.users) {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: friendship %d-%d references unknown user", a, c))
-		return b
+	if !b.fail(model.CheckEnds("friendship", a, c, len(b.users)), "AddFriendship") {
+		b.friends = append(b.friends, [2]int{a, c})
 	}
-	if a == c {
-		b.errs = append(b.errs, fmt.Errorf("gpssn: self-friendship at %d", a))
-		return b
-	}
-	b.friends = append(b.friends, [2]int{a, c})
 	return b
 }
 

@@ -2,6 +2,7 @@ package gpssn
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -310,5 +311,62 @@ func TestAnswerCacheDisabledByDefault(t *testing.T) {
 	q := Query{GroupSize: 2, Gamma: 0.1, Theta: 0.1, Radius: 1.5}
 	if _, _, err := db.Query(0, q); err != nil && !errors.Is(err, ErrNoAnswer) {
 		t.Fatal(err)
+	}
+}
+
+// TestQueryIsTopOne pins the one query path: Query is QueryTopK at k = 1.
+// A DB asked through Query and a twin asked through QueryTopK(·, 1) agree
+// in answers and Stats, and each entry point then hits the cache entry
+// the other filled, with the same answer.
+func TestQueryIsTopOne(t *testing.T) {
+	cfg := walConfig(t)
+	cfg.WALPath = ""
+	cfg.CacheSize = 256
+	byQuery, err := Open(churnNetwork(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	byTopK, err := Open(churnNetwork(t), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	noTime := func(st *Stats) Stats {
+		c := *st
+		c.CPUTime, c.Raw.CPUTime = 0, 0
+		return c
+	}
+	found := 0
+	for _, q := range walQueries {
+		for user := 0; user < 60; user += 3 {
+			ans, st, err := byQuery.Query(user, q)
+			top, tst, terr := byTopK.QueryTopK(user, q, 1)
+			if terr != nil || st.CacheHit || tst.CacheHit {
+				t.Fatalf("user %d: QueryTopK err=%v, hits %v/%v", user, terr, st.CacheHit, tst.CacheHit)
+			}
+			if noTime(st) != noTime(tst) {
+				t.Fatalf("user %d: Stats differ:\n Query     %+v\n QueryTopK %+v", user, *st, *tst)
+			}
+			if err != nil {
+				if !errors.Is(err, ErrNoAnswer) || len(top) != 0 {
+					t.Fatalf("user %d: Query err=%v, QueryTopK %d answers", user, err, len(top))
+				}
+			} else if len(top) != 1 || !reflect.DeepEqual(*ans, top[0]) {
+				t.Fatalf("user %d: Query %+v, QueryTopK %+v", user, *ans, top)
+			} else {
+				found++
+			}
+			// Each entry point hits the entry the other one filled.
+			hitTop, hst, _ := byQuery.QueryTopK(user, q, 1)
+			hitAns, ast, herr := byTopK.Query(user, q)
+			if !hst.CacheHit || !ast.CacheHit {
+				t.Fatalf("user %d: cross hits %v/%v, want both", user, hst.CacheHit, ast.CacheHit)
+			}
+			if (herr == nil) != (len(hitTop) == 1) || herr == nil && !reflect.DeepEqual(*hitAns, hitTop[0]) {
+				t.Fatalf("user %d: cached Query %+v (err %v), cached QueryTopK %+v", user, hitAns, herr, hitTop)
+			}
+		}
+	}
+	if found == 0 {
+		t.Fatal("no query found an answer")
 	}
 }

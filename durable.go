@@ -7,67 +7,59 @@ import (
 	"gpssn/internal/wal"
 )
 
-// Durability: when Config.WALPath is set, every successful dynamic update
-// is framed as a WAL record and appended — and fsynced per Config.WALSync
-// — *before* it is applied to the in-memory state (append-before-apply,
-// under the same db.upd/db.mu critical section as the apply, so LSN order
-// is apply order). Open and OpenSnapshot replay the surviving log on top
-// of the loaded base state; because each record stores the mutation's
-// *inputs* and every apply step is deterministic given the state it runs
-// against, replay in LSN order reconstructs the exact pre-crash state —
-// gated bit-identical against a never-crashed twin by the crash matrix in
-// wal_crash_test.go. Snapshot doubles as the checkpoint: it persists the
-// applied LSN, then truncates the log. docs/ROBUSTNESS.md §7 is the full
-// contract.
+// Durability: when Config.WALPath is set, commit (dynamic.go) appends
+// every update that passed its check to the log as one record — fsynced
+// per Config.WALSync — *before* applying it, under the same db.upd/db.mu
+// critical section, so LSN order is apply order; a rejected update never
+// reaches the log. Open and OpenSnapshot replay the surviving log on top
+// of the loaded base state: each record is decoded into the mutation it
+// was made from and committed again, through the same check and apply.
+// Because a record stores the mutation's *inputs* and every apply is
+// deterministic given the state it runs against, replay in LSN order
+// reconstructs the exact pre-crash state — gated bit-identical against a
+// never-crashed twin by the crash matrix in wal_crash_test.go. Snapshot
+// doubles as the checkpoint: it persists the applied LSN, then truncates
+// the log. docs/ROBUSTNESS.md §8 is the full contract.
 
-// Record payload codecs. Payloads reuse the snapshot codec (little-endian,
-// length-prefixed slices) and store exactly the public mutation's
-// arguments: replay re-enters the same validate+apply path the original
-// call took, so derived state (snapped locations, assigned ids, overlay
-// patches) is recomputed, not trusted from disk.
+// Record payloads reuse the snapshot codec (little-endian, length-prefixed
+// slices) and store exactly the public mutation's arguments; derived
+// state (snapped locations, assigned ids, overlay patches) is recomputed
+// on replay, not trusted from disk. The bytes of each kind are pinned by
+// TestWALRecordGolden: logs written by earlier versions must still replay.
 
-func encodeAddPOI(x, y float64, keywords []int) []byte {
+func (m *addPOI) record() (wal.Kind, []byte) {
 	var e snap.Enc
-	e.F64(x)
-	e.F64(y)
-	ks := make([]int32, len(keywords))
-	for i, k := range keywords {
+	e.F64(m.x)
+	e.F64(m.y)
+	ks := make([]int32, len(m.keywords))
+	for i, k := range m.keywords {
 		ks[i] = int32(k)
 	}
 	e.I32s(ks)
-	return e.B
+	return wal.KindAddPOI, e.B
 }
 
-func decodeAddPOI(p []byte) (x, y float64, keywords []int, err error) {
-	d := &snap.Dec{B: p}
-	x, y = d.F64(), d.F64()
-	ks := d.I32s()
-	if err := payloadErr(d); err != nil {
-		return 0, 0, nil, err
-	}
-	keywords = make([]int, len(ks))
-	for i, k := range ks {
-		keywords[i] = int(k)
-	}
-	return x, y, keywords, nil
-}
-
-func encodeAddUser(x, y float64, interests []float64) []byte {
+func (m *addUser) record() (wal.Kind, []byte) {
 	var e snap.Enc
-	e.F64(x)
-	e.F64(y)
-	e.F64s(interests)
-	return e.B
+	e.F64(m.x)
+	e.F64(m.y)
+	e.F64s(m.interests)
+	return wal.KindAddUser, e.B
 }
 
-func decodeAddUser(p []byte) (x, y float64, interests []float64, err error) {
-	d := &snap.Dec{B: p}
-	x, y = d.F64(), d.F64()
-	interests = d.F64s()
-	if err := payloadErr(d); err != nil {
-		return 0, 0, nil, err
-	}
-	return x, y, interests, nil
+func (m *addFriendship) record() (wal.Kind, []byte) {
+	return wal.KindAddFriendship, encodePair(m.a, m.b)
+}
+
+func (m *addRoadVertex) record() (wal.Kind, []byte) {
+	var e snap.Enc
+	e.F64(m.x)
+	e.F64(m.y)
+	return wal.KindAddRoadVertex, e.B
+}
+
+func (m *addRoadEdge) record() (wal.Kind, []byte) {
+	return wal.KindAddRoadEdge, encodePair(m.u, m.v)
 }
 
 func encodePair(a, b int) []byte {
@@ -77,29 +69,38 @@ func encodePair(a, b int) []byte {
 	return e.B
 }
 
-func decodePair(p []byte) (a, b int, err error) {
-	d := &snap.Dec{B: p}
-	a, b = int(d.U64()), int(d.U64())
-	if err := payloadErr(d); err != nil {
-		return 0, 0, err
+// decodeMutation is the inverse of record: the mutation a record of this
+// kind and payload was made from.
+func decodeMutation(kind wal.Kind, payload []byte) (mutation, error) {
+	d := &snap.Dec{B: payload}
+	var m mutation
+	switch kind {
+	case wal.KindAddPOI:
+		x, y, ks := d.F64(), d.F64(), d.I32s()
+		keywords := make([]int, len(ks))
+		for i, k := range ks {
+			keywords[i] = int(k)
+		}
+		m = &addPOI{x: x, y: y, keywords: keywords}
+	case wal.KindAddUser:
+		x, y := d.F64(), d.F64()
+		m = &addUser{x: x, y: y, interests: d.F64s()}
+	case wal.KindAddFriendship:
+		a, b := d.U64(), d.U64()
+		m = &addFriendship{a: int(a), b: int(b)}
+	case wal.KindAddRoadVertex:
+		x, y := d.F64(), d.F64()
+		m = &addRoadVertex{x: x, y: y}
+	case wal.KindAddRoadEdge:
+		u, v := d.U64(), d.U64()
+		m = &addRoadEdge{u: int(u), v: int(v)}
+	default:
+		return nil, fmt.Errorf("unknown record kind %d", kind)
 	}
-	return a, b, nil
-}
-
-func encodePoint(x, y float64) []byte {
-	var e snap.Enc
-	e.F64(x)
-	e.F64(y)
-	return e.B
-}
-
-func decodePoint(p []byte) (x, y float64, err error) {
-	d := &snap.Dec{B: p}
-	x, y = d.F64(), d.F64()
 	if err := payloadErr(d); err != nil {
-		return 0, 0, err
+		return nil, err
 	}
-	return x, y, nil
+	return m, nil
 }
 
 // payloadErr finishes a payload decode: a decoder error or trailing bytes
@@ -161,62 +162,16 @@ func (db *DB) openWAL(c Config, base uint64) error {
 	return nil
 }
 
-// replayRecord re-runs one logged mutation through the same checked apply
-// path the original call took. Any failure means the log and the base
-// state do not belong together.
+// replayRecord re-runs one logged mutation through commit, the path the
+// original call took. Any failure means the log and the base state do not
+// belong together.
 func (db *DB) replayRecord(rec wal.Record) error {
-	switch rec.Kind {
-	case wal.KindAddPOI:
-		x, y, kws, err := decodeAddPOI(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if err := db.checkAddPOI(x, y, kws); err != nil {
-			return err
-		}
-		_, err = db.applyAddPOI(x, y, kws)
-		return err
-	case wal.KindAddUser:
-		x, y, in, err := decodeAddUser(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if err := db.checkAddUser(x, y, in); err != nil {
-			return err
-		}
-		_, err = db.applyAddUser(x, y, in)
-		return err
-	case wal.KindAddFriendship:
-		a, b, err := decodePair(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if err := db.checkAddFriendship(a, b); err != nil {
-			return err
-		}
-		return db.applyAddFriendship(a, b)
-	case wal.KindAddRoadVertex:
-		x, y, err := decodePoint(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if err := db.checkAddRoadVertex(x, y); err != nil {
-			return err
-		}
-		_, err = db.applyAddRoadVertex(x, y)
-		return err
-	case wal.KindAddRoadEdge:
-		u, v, err := decodePair(rec.Payload)
-		if err != nil {
-			return err
-		}
-		if err := db.checkAddRoadEdge(u, v); err != nil {
-			return err
-		}
-		_, err = db.applyAddRoadEdge(u, v)
+	m, err := decodeMutation(rec.Kind, rec.Payload)
+	if err != nil {
 		return err
 	}
-	return fmt.Errorf("unknown record kind %d", rec.Kind)
+	_, err = db.commit(m)
+	return err
 }
 
 // walAppend frames and appends one record ahead of its apply. Called with

@@ -1,8 +1,8 @@
 package gpssn
 
 import (
+	"errors"
 	"fmt"
-	"math"
 
 	"gpssn/internal/geo"
 	"gpssn/internal/model"
@@ -10,19 +10,6 @@ import (
 	"gpssn/internal/socialnet"
 	"gpssn/internal/wal"
 )
-
-// finite reports whether every coordinate is an ordinary float within
-// model.MaxCoord: NaN, ±Inf, and over-magnitude coordinates would silently
-// corrupt the snapping search and every downstream distance, so the facade
-// rejects them up front.
-func finite(vs ...float64) bool {
-	for _, v := range vs {
-		if !model.CoordOK(v) {
-			return false
-		}
-	}
-	return true
-}
 
 // Dynamic updates. A DB accepts new POIs, users, friendships, road
 // vertices, and road edges after Open. Object additions live in a small
@@ -33,9 +20,27 @@ func finite(vs ...float64) bool {
 // oracle in the background to absorb everything and restore full pruning
 // power.
 //
-// Locking: every updater takes db.upd (the update-class lock) first,
-// then db.mu exclusively. Queries take only db.mu's read side, so an
-// update serializes against in-flight queries and other updates, and a
+// One write path. Each mutator builds one mutation value of its kind and
+// hands it to commit, which every update — live or replayed from the WAL
+// (durable.go) — goes through:
+//
+//   - check decides every rejection a caller can cause, against the
+//     state the update will apply to, and snaps a new object's location
+//     once. The rules it applies are internal/model's, the same ones the
+//     engine, the Builder and Dataset.Validate call. A rejected update
+//     writes nothing to the WAL and changes no state. A no-op (a
+//     duplicate friendship) is refused here too, as errUnchanged, and
+//     never logged.
+//   - record is the WAL record of the mutation's inputs; commit appends
+//     it, durably per Config.WALSync, before anything is applied.
+//   - apply changes the engine and invalidates what the kind can affect;
+//     it is deterministic given the state it runs against, so replaying
+//     the record reproduces it. If it fails anyway, commit rolls the
+//     record back.
+//
+// Locking: commit takes db.upd (the update-class lock) first, then db.mu
+// exclusively. Queries take only db.mu's read side, so an update
+// serializes against in-flight queries and other updates, and a
 // concurrent query sees the network either entirely before or entirely
 // after an update. Compact holds db.upd for its whole (possibly long)
 // rebuild but db.mu only for two short critical sections — updates wait,
@@ -44,40 +49,45 @@ func finite(vs ...float64) bool {
 // Invalidation is per update kind: a change that provably cannot affect
 // any cached answer (an isolated road vertex, a duplicate friendship)
 // flushes nothing.
-//
-// Durability (durable.go): with Config.WALPath set, each mutator splits
-// into a check step (all validation and every precondition that could
-// fail, run first — a rejected call touches neither the WAL nor any
-// state), a WAL append of the mutation's arguments, and an apply step
-// (deterministic given the state it runs against, shared verbatim with
-// crash-recovery replay). No-ops — a duplicate friendship — are detected
-// in the check step and never logged.
 
-// AddPOI adds a POI at (x, y) — snapped onto the nearest road segment —
-// with the given keywords, and returns its id. The POI is queryable
-// immediately. Safe for concurrent use; blocks until in-flight queries
-// drain.
-func (db *DB) AddPOI(x, y float64, keywords ...int) (int, error) {
-	id, err := db.addPOI(x, y, keywords)
+// mutation is one dynamic update of one kind; see the comment above.
+type mutation interface {
+	check(db *DB) error
+	record() (wal.Kind, []byte)
+	apply(db *DB) (int, error)
+}
+
+// errUnchanged is the check error of an update that would change nothing
+// (a friendship already present). The mutator reports it as a no-op; on
+// replay it means the log does not pair with the base state.
+var errUnchanged = errors.New("gpssn: update changes nothing: already present")
+
+// update commits m and, when it changed the state, runs the
+// auto-maintenance triggers outside both locks.
+func (db *DB) update(m mutation) (int, error) {
+	id, err := db.commit(m)
 	if err == nil {
 		db.maybeMaintain()
 	}
 	return id, err
 }
 
-func (db *DB) addPOI(x, y float64, keywords []int) (int, error) {
+// commit is the write path: check, append, apply, under db.upd then
+// db.mu. It returns apply's id. WAL replay calls it before the log is
+// attached, where the append and the commit mark are no-ops.
+func (db *DB) commit(m mutation) (int, error) {
 	db.upd.Lock()
 	defer db.upd.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if err := db.checkAddPOI(x, y, keywords); err != nil {
+	if err := m.check(db); err != nil {
 		return 0, err
 	}
-	lsn, err := db.walAppend(wal.KindAddPOI, encodeAddPOI(x, y, keywords))
+	lsn, err := db.walAppend(m.record())
 	if err != nil {
 		return 0, err
 	}
-	id, err := db.applyAddPOI(x, y, keywords)
+	id, err := m.apply(db)
 	if err != nil {
 		db.walRollback(lsn)
 		return 0, err
@@ -86,35 +96,57 @@ func (db *DB) addPOI(x, y float64, keywords []int) (int, error) {
 	return id, nil
 }
 
-func (db *DB) checkAddPOI(x, y float64, keywords []int) error {
-	if !finite(x, y) {
-		return invalidf("POI coordinates (%v, %v) must be finite", x, y)
-	}
-	if len(keywords) == 0 {
-		return invalidf("POI needs at least one keyword")
-	}
-	for _, k := range keywords {
-		if k < 0 || k >= db.net.ds.NumTopics {
-			return invalidf("POI keyword %d outside vocabulary [0,%d)", k, db.net.ds.NumTopics)
-		}
-	}
-	if _, ok := db.net.ds.Road.SnapPoint(geo.Pt(x, y)); !ok {
-		return fmt.Errorf("gpssn: no road to snap the POI onto")
+// invalid wraps a failed update rule of internal/model as ErrInvalidInput,
+// naming what was being added; nil stays nil.
+func invalid(what string, err error) error {
+	if err != nil {
+		return invalidf("%s: %w", what, err)
 	}
 	return nil
 }
 
-func (db *DB) applyAddPOI(x, y float64, keywords []int) (int, error) {
+// place checks a new object's location and then its content rule
+// (content), and snaps the location onto the nearest road segment.
+func (db *DB) place(what string, x, y float64, content error) (roadnet.Attach, error) {
+	if err := invalid(what, model.CheckPoint(x, y)); err != nil {
+		return roadnet.Attach{}, err
+	}
+	if err := invalid(what, content); err != nil {
+		return roadnet.Attach{}, err
+	}
 	at, ok := db.net.ds.Road.SnapPoint(geo.Pt(x, y))
 	if !ok {
-		return 0, fmt.Errorf("gpssn: no road to snap the POI onto")
+		return at, fmt.Errorf("gpssn: no road to snap the %s onto", what)
 	}
+	return at, nil
+}
+
+// AddPOI adds a POI at (x, y) — snapped onto the nearest road segment —
+// with the given keywords, and returns its id. The POI is queryable
+// immediately. Safe for concurrent use; blocks until in-flight queries
+// drain.
+func (db *DB) AddPOI(x, y float64, keywords ...int) (int, error) {
+	return db.update(&addPOI{x: x, y: y, keywords: keywords})
+}
+
+type addPOI struct {
+	x, y     float64
+	keywords []int
+	at       roadnet.Attach // set by check
+}
+
+func (m *addPOI) check(db *DB) (err error) {
+	m.at, err = db.place("POI", m.x, m.y, model.CheckKeywords(m.keywords, db.net.ds.NumTopics))
+	return err
+}
+
+func (m *addPOI) apply(db *DB) (int, error) {
 	id := len(db.net.ds.POIs)
 	p := model.POI{
 		ID:       model.POIID(id),
-		At:       at,
-		Loc:      db.net.ds.Road.Location(at),
-		Keywords: append([]int(nil), keywords...),
+		At:       m.at,
+		Loc:      db.net.ds.Road.Location(m.at),
+		Keywords: append([]int(nil), m.keywords...),
 	}
 	if err := db.engine.AddPOI(p); err != nil {
 		return 0, err
@@ -128,60 +160,27 @@ func (db *DB) applyAddPOI(x, y float64, keywords []int) (int, error) {
 // user eligible for groups of size > 1. Safe for concurrent use; blocks
 // until in-flight queries drain.
 func (db *DB) AddUser(x, y float64, interests []float64) (int, error) {
-	id, err := db.addUser(x, y, interests)
-	if err == nil {
-		db.maybeMaintain()
-	}
-	return id, err
+	return db.update(&addUser{x: x, y: y, interests: interests})
 }
 
-func (db *DB) addUser(x, y float64, interests []float64) (int, error) {
-	db.upd.Lock()
-	defer db.upd.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkAddUser(x, y, interests); err != nil {
-		return 0, err
-	}
-	lsn, err := db.walAppend(wal.KindAddUser, encodeAddUser(x, y, interests))
-	if err != nil {
-		return 0, err
-	}
-	id, err := db.applyAddUser(x, y, interests)
-	if err != nil {
-		db.walRollback(lsn)
-		return 0, err
-	}
-	db.walCommit(lsn)
-	return id, nil
+type addUser struct {
+	x, y      float64
+	interests []float64
+	at        roadnet.Attach // set by check
 }
 
-func (db *DB) checkAddUser(x, y float64, interests []float64) error {
-	if !finite(x, y) {
-		return invalidf("user coordinates (%v, %v) must be finite", x, y)
-	}
-	for f, p := range interests {
-		if math.IsNaN(p) || p < 0 || p > 1 {
-			return invalidf("user interest %d = %v outside [0,1]", f, p)
-		}
-	}
-	if _, ok := db.net.ds.Road.SnapPoint(geo.Pt(x, y)); !ok {
-		return fmt.Errorf("gpssn: no road to snap the user onto")
-	}
-	return nil
+func (m *addUser) check(db *DB) (err error) {
+	m.at, err = db.place("user", m.x, m.y, model.CheckInterests(m.interests, db.net.ds.NumTopics))
+	return err
 }
 
-func (db *DB) applyAddUser(x, y float64, interests []float64) (int, error) {
-	at, ok := db.net.ds.Road.SnapPoint(geo.Pt(x, y))
-	if !ok {
-		return 0, fmt.Errorf("gpssn: no road to snap the user onto")
-	}
+func (m *addUser) apply(db *DB) (int, error) {
 	id := len(db.net.ds.Users)
 	u := model.User{
 		ID:        socialnet.UserID(id),
-		At:        at,
-		Loc:       db.net.ds.Road.Location(at),
-		Interests: append([]float64(nil), interests...),
+		At:        m.at,
+		Loc:       db.net.ds.Road.Location(m.at),
+		Interests: append([]float64(nil), m.interests...),
 	}
 	if err := db.engine.AddUser(u); err != nil {
 		return 0, err
@@ -198,60 +197,31 @@ func (db *DB) applyAddUser(x, y float64, interests []float64) (int, error) {
 // error matching ErrInvalidInput (they used to panic). Safe for
 // concurrent use; blocks until in-flight queries drain.
 func (db *DB) AddFriendship(a, b int) (bool, error) {
-	added, err := db.addFriendship(a, b)
-	if err == nil && added {
-		db.maybeMaintain()
+	_, err := db.update(&addFriendship{a: a, b: b})
+	if errors.Is(err, errUnchanged) {
+		return false, nil
 	}
-	return added, err
+	return err == nil, err
 }
 
-func (db *DB) addFriendship(a, b int) (bool, error) {
-	db.upd.Lock()
-	defer db.upd.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkAddFriendship(a, b); err != nil {
-		return false, err
-	}
-	if db.net.ds.Social.AreFriends(socialnet.UserID(a), socialnet.UserID(b)) {
-		return false, nil // no-op: nothing to make durable
-	}
-	lsn, err := db.walAppend(wal.KindAddFriendship, encodePair(a, b))
-	if err != nil {
-		return false, err
-	}
-	if err := db.applyAddFriendship(a, b); err != nil {
-		db.walRollback(lsn)
-		return false, err
-	}
-	db.walCommit(lsn)
-	return true, nil
-}
+type addFriendship struct{ a, b int }
 
-func (db *DB) checkAddFriendship(a, b int) error {
-	n := len(db.net.ds.Users)
-	if a < 0 || a >= n || b < 0 || b >= n {
-		return invalidf("friendship %d-%d out of range [0,%d)", a, b, n)
-	}
-	if a == b {
-		return invalidf("self-friendship at user %d", a)
-	}
-	return nil
-}
-
-func (db *DB) applyAddFriendship(a, b int) error {
-	added, err := db.engine.AddFriendship(socialnet.UserID(a), socialnet.UserID(b))
-	if err != nil {
+func (m *addFriendship) check(db *DB) error {
+	if err := invalid("AddFriendship", model.CheckEnds("friendship", m.a, m.b, len(db.net.ds.Users))); err != nil {
 		return err
 	}
-	if !added {
-		// The caller pre-checked AreFriends, so this only happens when a
-		// WAL is replayed against a base state that already holds the
-		// friendship — a log/state mismatch, not a no-op.
-		return fmt.Errorf("gpssn: friendship %d-%d already present", a, b)
+	if db.net.ds.Social.AreFriends(socialnet.UserID(m.a), socialnet.UserID(m.b)) {
+		return errUnchanged
+	}
+	return nil
+}
+
+func (m *addFriendship) apply(db *DB) (int, error) {
+	if _, err := db.engine.AddFriendship(socialnet.UserID(m.a), socialnet.UserID(m.b)); err != nil {
+		return 0, err
 	}
 	db.cache.invalidate()
-	return nil
+	return 0, nil
 }
 
 // AddRoadVertex adds a road intersection at (x, y) and returns its id.
@@ -260,47 +230,18 @@ func (db *DB) applyAddFriendship(a, b int) error {
 // nothing — no cached answer, no memoized work, no pruning state. Safe
 // for concurrent use; blocks until in-flight queries drain.
 func (db *DB) AddRoadVertex(x, y float64) (int, error) {
-	id, err := db.addRoadVertex(x, y)
-	if err == nil {
-		db.maybeMaintain()
-	}
-	return id, err
+	return db.update(&addRoadVertex{x: x, y: y})
 }
 
-func (db *DB) addRoadVertex(x, y float64) (int, error) {
-	db.upd.Lock()
-	defer db.upd.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkAddRoadVertex(x, y); err != nil {
-		return 0, err
-	}
-	lsn, err := db.walAppend(wal.KindAddRoadVertex, encodePoint(x, y))
-	if err != nil {
-		return 0, err
-	}
-	id, err := db.applyAddRoadVertex(x, y)
-	if err != nil {
-		db.walRollback(lsn)
-		return 0, err
-	}
-	db.walCommit(lsn)
-	return id, nil
+type addRoadVertex struct{ x, y float64 }
+
+func (m *addRoadVertex) check(*DB) error {
+	return invalid("road vertex", model.CheckPoint(m.x, m.y))
 }
 
-func (db *DB) checkAddRoadVertex(x, y float64) error {
-	if !finite(x, y) {
-		return invalidf("road vertex coordinates (%v, %v) must be finite", x, y)
-	}
-	return nil
-}
-
-func (db *DB) applyAddRoadVertex(x, y float64) (int, error) {
-	v, err := db.engine.AddRoadVertex(geo.Pt(x, y))
-	if err != nil {
-		return 0, err
-	}
-	return int(v), nil
+func (m *addRoadVertex) apply(db *DB) (int, error) {
+	v, err := db.engine.AddRoadVertex(geo.Pt(m.x, m.y))
+	return int(v), err
 }
 
 // AddRoadEdge adds a road segment between two existing intersections,
@@ -317,50 +258,24 @@ func (db *DB) applyAddRoadVertex(x, y float64) (int, error) {
 // re-contract the oracle and re-arm pivot-based distance pruning. Safe
 // for concurrent use; blocks until in-flight queries drain.
 func (db *DB) AddRoadEdge(u, v int) (int, error) {
-	id, err := db.addRoadEdge(u, v)
-	if err == nil {
-		db.maybeMaintain()
-	}
-	return id, err
+	return db.update(&addRoadEdge{u: u, v: v})
 }
 
-func (db *DB) addRoadEdge(u, v int) (int, error) {
-	db.upd.Lock()
-	defer db.upd.Unlock()
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if err := db.checkAddRoadEdge(u, v); err != nil {
-		return 0, err
-	}
-	lsn, err := db.walAppend(wal.KindAddRoadEdge, encodePair(u, v))
-	if err != nil {
-		return 0, err
-	}
-	id, err := db.applyAddRoadEdge(u, v)
-	if err != nil {
-		db.walRollback(lsn)
-		return 0, err
-	}
-	db.walCommit(lsn)
-	return id, nil
-}
+type addRoadEdge struct{ u, v int }
 
-func (db *DB) checkAddRoadEdge(u, v int) error {
-	n := db.net.ds.Road.NumVertices()
-	if u < 0 || u >= n || v < 0 || v >= n {
-		return invalidf("road edge %d-%d out of range [0,%d)", u, v, n)
+func (m *addRoadEdge) check(db *DB) error {
+	road := db.net.ds.Road
+	if err := invalid("AddRoadEdge", model.CheckEnds("road edge", m.u, m.v, road.NumVertices())); err != nil {
+		return err
 	}
-	if u == v {
-		return invalidf("self-loop road edge at vertex %d", u)
-	}
-	if db.net.ds.Road.HasEdge(roadnet.VertexID(u), roadnet.VertexID(v)) {
-		return invalidf("duplicate road edge %d-%d", u, v)
+	if road.HasEdge(roadnet.VertexID(m.u), roadnet.VertexID(m.v)) {
+		return invalidf("duplicate road edge %d-%d", m.u, m.v)
 	}
 	return nil
 }
 
-func (db *DB) applyAddRoadEdge(u, v int) (int, error) {
-	id, err := db.engine.AddRoadEdge(roadnet.VertexID(u), roadnet.VertexID(v))
+func (m *addRoadEdge) apply(db *DB) (int, error) {
+	id, err := db.engine.AddRoadEdge(roadnet.VertexID(m.u), roadnet.VertexID(m.v))
 	if err != nil {
 		return 0, err
 	}

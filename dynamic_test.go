@@ -103,19 +103,18 @@ func TestDynamicFacadeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.AddPOI(0, 0); err == nil {
-		t.Error("POI without keywords should fail")
-	}
-	if _, err := db.AddPOI(0, 0, 99); err == nil {
-		t.Error("out-of-vocabulary keyword should fail")
-	}
-	if _, err := db.AddUser(0, 0, []float64{0.5}); err == nil {
-		t.Error("short interest vector should fail")
-	}
-	if _, err := db.AddFriendship(0, 0); err == nil {
-		t.Error("self-friendship should fail")
-	}
-	if _, err := db.AddFriendship(0, 999); err == nil {
-		t.Error("unknown user should fail")
+	for _, c := range []struct {
+		name string
+		call func() error
+	}{
+		{"POI without keywords", func() error { _, err := db.AddPOI(0, 0); return err }},
+		{"out-of-vocabulary keyword", func() error { _, err := db.AddPOI(0, 0, 99); return err }},
+		{"short interest vector", func() error { _, err := db.AddUser(0, 0, []float64{0.5}); return err }},
+		{"self-friendship", func() error { _, err := db.AddFriendship(0, 0); return err }},
+		{"unknown user", func() error { _, err := db.AddFriendship(0, 999); return err }},
+	} {
+		if err := c.call(); !errors.Is(err, ErrInvalidInput) {
+			t.Errorf("%s: err=%v, want ErrInvalidInput", c.name, err)
+		}
 	}
 }

@@ -620,45 +620,15 @@ func (db *DB) Query(user int, q Query) (*Answer, *Stats, error) {
 // errors.Is, with the partial Stats gathered so far. Cancelled and
 // budget-truncated outcomes are never written to the answer cache, so a
 // cancelled query cannot poison later ones.
-func (db *DB) QueryCtx(ctx context.Context, user int, q Query) (ans *Answer, st *Stats, err error) {
-	// The recovery boundary: an internal invariant panic anywhere below —
-	// including one captured from a refinement worker goroutine — becomes
-	// a typed *InternalError instead of crashing the caller's process.
-	defer db.guard("Query", user, q, &err)
-	// Check before taking the read lock: Compact can hold the write lock
-	// for seconds, and an already-dead context must fail in microseconds.
-	if err := core.ContextError(ctx); err != nil {
-		return nil, &Stats{}, err
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if err := q.validate(user, len(db.net.ds.Users)); err != nil {
-		return nil, nil, err
-	}
-	key := cacheKey{user: user, q: q, k: 1}
-	if answers, stats, found, ok := db.cache.get(key); ok {
-		markCacheHit(&stats)
-		if !found {
-			return nil, &stats, fmt.Errorf("user %d: %w", user, ErrNoAnswer)
-		}
-		return &answers[0], &stats, nil
-	}
-	res, raw, err := db.engine.QueryCtx(ctx, socialnet.UserID(user), q.params())
-	st = statsFrom(raw)
+func (db *DB) QueryCtx(ctx context.Context, user int, q Query) (*Answer, *Stats, error) {
+	answers, st, err := db.query(ctx, "Query", user, q, 1)
 	if err != nil {
-		return nil, st, engineErr(err)
+		return nil, st, err
 	}
-	if !res.Found {
-		if !raw.Truncated {
-			db.cache.put(key, nil, *st, false)
-		}
+	if len(answers) == 0 {
 		return nil, st, fmt.Errorf("user %d: %w", user, ErrNoAnswer)
 	}
-	a := answerFrom(res, raw.Truncated)
-	if !raw.Truncated {
-		db.cache.put(key, []Answer{a}, *st, true)
-	}
-	return &a, st, nil
+	return &answers[0], st, nil
 }
 
 // QueryTopK returns up to k answers with distinct anchor POIs, cheapest
@@ -672,8 +642,20 @@ func (db *DB) QueryTopK(user int, q Query, k int) ([]Answer, *Stats, error) {
 
 // QueryTopKCtx is QueryTopK with cooperative cancellation, under the same
 // contract as QueryCtx.
-func (db *DB) QueryTopKCtx(ctx context.Context, user int, q Query, k int) (answers []Answer, st *Stats, err error) {
-	defer db.guard("QueryTopK", user, q, &err)
+func (db *DB) QueryTopKCtx(ctx context.Context, user int, q Query, k int) ([]Answer, *Stats, error) {
+	return db.query(ctx, "QueryTopK", user, q, k)
+}
+
+// query is the one query path: Query is its k = 1 case (the engine's
+// top-1 is exactly its Query), so both share the cache key {user, q, 1}.
+// op names the entry point in an *InternalError.
+func (db *DB) query(ctx context.Context, op string, user int, q Query, k int) (answers []Answer, st *Stats, err error) {
+	// The recovery boundary: an internal invariant panic anywhere below —
+	// including one captured from a refinement worker goroutine — becomes
+	// a typed *InternalError instead of crashing the caller's process.
+	defer db.guard(op, user, q, &err)
+	// Check before taking the read lock: Compact can hold the write lock
+	// for seconds, and an already-dead context must fail in microseconds.
 	if err := core.ContextError(ctx); err != nil {
 		return nil, &Stats{}, err
 	}

@@ -68,13 +68,8 @@ func (e *Engine) AddPOI(p model.POI) error {
 	if int(p.ID) != len(e.DS.POIs) {
 		return fmt.Errorf("core: new POI id %d must be %d", p.ID, len(e.DS.POIs))
 	}
-	if len(p.Keywords) == 0 {
-		return fmt.Errorf("core: POI needs at least one keyword")
-	}
-	for _, k := range p.Keywords {
-		if k < 0 || k >= e.DS.NumTopics {
-			return fmt.Errorf("core: keyword %d outside vocabulary [0,%d)", k, e.DS.NumTopics)
-		}
+	if err := model.CheckKeywords(p.Keywords, e.DS.NumTopics); err != nil {
+		return fmt.Errorf("core: POI %d: %w", p.ID, err)
 	}
 	e.DS.POIs = append(e.DS.POIs, p)
 	// The new POI can join indexed anchors' balls: widen their keyword
@@ -99,15 +94,8 @@ func (e *Engine) AddUser(u model.User) error {
 	if int(u.ID) != len(e.DS.Users) {
 		return fmt.Errorf("core: new user id %d must be %d", u.ID, len(e.DS.Users))
 	}
-	if len(u.Interests) != e.DS.NumTopics {
-		return fmt.Errorf("core: interest vector length %d, want %d", len(u.Interests), e.DS.NumTopics)
-	}
-	for _, p := range u.Interests {
-		// The negated form also rejects NaN, which would otherwise slip
-		// through both comparisons and poison interest-score pruning.
-		if !(p >= 0 && p <= 1) {
-			return fmt.Errorf("core: interest %v outside [0,1]", p)
-		}
+	if err := model.CheckInterests(u.Interests, e.DS.NumTopics); err != nil {
+		return fmt.Errorf("core: user %d: %w", u.ID, err)
 	}
 	if got := e.topics.rows(); got != int(u.ID) {
 		return fmt.Errorf("core: user topic table has %d rows, new user %d would not sit at its id", got, u.ID)
@@ -128,12 +116,8 @@ func (e *Engine) AddUser(u model.User) error {
 func (e *Engine) AddFriendship(a, b socialnet.UserID) (bool, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.DS.Social.NumUsers()
-	if a < 0 || int(a) >= n || b < 0 || int(b) >= n {
-		return false, fmt.Errorf("core: friendship %d-%d out of range [0,%d)", a, b, n)
-	}
-	if a == b {
-		return false, fmt.Errorf("core: self-friendship at %d", a)
+	if err := model.CheckEnds("friendship", int(a), int(b), e.DS.Social.NumUsers()); err != nil {
+		return false, fmt.Errorf("core: %w", err)
 	}
 	if !e.DS.Social.AddFriendship(a, b) {
 		return false, nil
@@ -161,8 +145,8 @@ func (e *Engine) touch(u socialnet.UserID) {
 func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !model.CoordOK(p.X) || !model.CoordOK(p.Y) {
-		return 0, fmt.Errorf("core: road vertex coordinate (%v, %v) outside the finite range", p.X, p.Y)
+	if err := model.CheckPoint(p.X, p.Y); err != nil {
+		return 0, fmt.Errorf("core: road vertex: %w", err)
 	}
 	v := e.DS.Road.AddVertex(p)
 	e.dyn.roadVerts++
@@ -179,12 +163,8 @@ func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	n := e.DS.Road.NumVertices()
-	if u < 0 || int(u) >= n || v < 0 || int(v) >= n {
-		return 0, fmt.Errorf("core: road edge %d-%d out of range [0,%d)", u, v, n)
-	}
-	if u == v {
-		return 0, fmt.Errorf("core: self-loop road edge at vertex %d", u)
+	if err := model.CheckEnds("road edge", int(u), int(v), e.DS.Road.NumVertices()); err != nil {
+		return 0, fmt.Errorf("core: %w", err)
 	}
 	if e.DS.Road.HasEdge(u, v) {
 		return 0, fmt.Errorf("core: duplicate road edge %d-%d", u, v)

@@ -18,7 +18,7 @@ import (
 // itself, so dist(u, anchor) = M(u) = the tied cost, and once another tied
 // anchor has set the keeper's bound to that cost the pivot lower bound must
 // not prune the companion. Over the dataset and index of
-// TestSharedWorkEquality (the facade's Open with 3 road and 3 social pivots
+// TestParallelTwinEquality (the facade's Open with 3 road and 3 social pivots
 // over hub labels), every (user, POI) pair is checked with the bound set to
 // the exact distance the refinement kernel computes. With a bare
 // LowerBound > bound this fires on 187 pairs, the lower bound landing up to

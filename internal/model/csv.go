@@ -12,13 +12,6 @@ import (
 	"gpssn/internal/socialnet"
 )
 
-// finiteCoords rejects NaN/Inf and over-magnitude coordinates: they parse
-// fine but would corrupt snapping and every downstream distance (beyond
-// MaxCoord, squared distances overflow to +Inf).
-func finiteCoords(x, y float64) bool {
-	return CoordOK(x) && CoordOK(y)
-}
-
 // CSVInput bundles the readers for LoadCSV. The formats mirror the public
 // dumps the paper used (SNAP edge lists for Brightkite/Gowalla, the
 // DIMACS/Utah road files for California/Colorado):
@@ -68,8 +61,8 @@ func LoadCSV(in CSVInput) (*Dataset, error) {
 		if err1 != nil || err2 != nil || err3 != nil {
 			return nil, fmt.Errorf("model: road vertex row %d: bad numbers", i+1)
 		}
-		if !finiteCoords(x, y) {
-			return nil, fmt.Errorf("model: road vertex row %d: coordinates must be finite", i+1)
+		if err := CheckPoint(x, y); err != nil {
+			return nil, fmt.Errorf("model: road vertex row %d: %w", i+1, err)
 		}
 		if _, dup := verts[id]; dup {
 			return nil, fmt.Errorf("model: duplicate road vertex id %d", id)
@@ -144,7 +137,7 @@ func LoadCSV(in CSVInput) (*Dataset, error) {
 		seenU[id] = true
 		x, err1 := strconv.ParseFloat(row[1], 64)
 		y, err2 := strconv.ParseFloat(row[2], 64)
-		if err1 != nil || err2 != nil || !finiteCoords(x, y) {
+		if err1 != nil || err2 != nil || CheckPoint(x, y) != nil {
 			return nil, fmt.Errorf("model: user row %d: bad coordinates", i+1)
 		}
 		w := make([]float64, d)
@@ -213,7 +206,7 @@ func LoadCSV(in CSVInput) (*Dataset, error) {
 		seenP[id] = true
 		x, err1 := strconv.ParseFloat(row[1], 64)
 		y, err2 := strconv.ParseFloat(row[2], 64)
-		if err1 != nil || err2 != nil || !finiteCoords(x, y) {
+		if err1 != nil || err2 != nil || CheckPoint(x, y) != nil {
 			return nil, fmt.Errorf("model: POI row %d: bad coordinates", i+1)
 		}
 		var kws []int

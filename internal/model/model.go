@@ -6,6 +6,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 
 	"gpssn/internal/geo"
@@ -19,10 +20,61 @@ import (
 // NaN and ±Inf.
 const MaxCoord = 1e150
 
-// CoordOK reports whether v is usable as a coordinate: finite and within
-// ±MaxCoord. The negated-comparison form also rejects NaN.
-func CoordOK(v float64) bool {
-	return v >= -MaxCoord && v <= MaxCoord
+// The update rules below are defined once and called by every entry point
+// that adds an object or an edge: Dataset.Validate, the engine's dynamic
+// updates, the facade's mutators and its Builder. Each returns nil or an
+// error that names the rule; callers add what was being added. Range tests
+// are written in negated form so that NaN, for which every comparison is
+// false, fails them.
+
+// CheckPoint rejects a location unless both coordinates are finite and
+// within ±MaxCoord.
+func CheckPoint(x, y float64) error {
+	if !(x >= -MaxCoord && x <= MaxCoord && y >= -MaxCoord && y <= MaxCoord) {
+		return fmt.Errorf("coordinates (%v, %v) must be finite and within ±%g", x, y, float64(MaxCoord))
+	}
+	return nil
+}
+
+// CheckInterests rejects an interest vector unless it holds one
+// probability in [0,1] per topic.
+func CheckInterests(w []float64, topics int) error {
+	if len(w) != topics {
+		return fmt.Errorf("interest vector length %d, want %d", len(w), topics)
+	}
+	for f, p := range w {
+		if !(p >= 0 && p <= 1) {
+			return fmt.Errorf("interest %d = %v outside [0,1]", f, p)
+		}
+	}
+	return nil
+}
+
+// CheckKeywords rejects a POI keyword list unless it is non-empty and
+// every keyword lies in the vocabulary [0, topics).
+func CheckKeywords(ks []int, topics int) error {
+	if len(ks) == 0 {
+		return errors.New("needs at least one keyword")
+	}
+	for _, k := range ks {
+		if k < 0 || k >= topics {
+			return fmt.Errorf("keyword %d outside vocabulary [0,%d)", k, topics)
+		}
+	}
+	return nil
+}
+
+// CheckEnds rejects the ends a, b of a new edge (a friendship or a road
+// segment, named by what) over n vertices unless both are in range and
+// distinct.
+func CheckEnds(what string, a, b, n int) error {
+	if a < 0 || a >= n || b < 0 || b >= n {
+		return fmt.Errorf("%s %d-%d out of range [0,%d)", what, a, b, n)
+	}
+	if a == b {
+		return fmt.Errorf("self-loop %s at %d", what, a)
+	}
+	return nil
 }
 
 // POIID identifies a point of interest; it is the POI's index in
@@ -77,23 +129,16 @@ func (d *Dataset) Validate() error {
 	}
 	for v := 0; v < d.Road.NumVertices(); v++ {
 		p := d.Road.Vertex(roadnet.VertexID(v))
-		if !CoordOK(p.X) || !CoordOK(p.Y) {
-			return fmt.Errorf("model: road vertex %d at unusable (%v, %v)", v, p.X, p.Y)
+		if err := CheckPoint(p.X, p.Y); err != nil {
+			return fmt.Errorf("model: road vertex %d: %w", v, err)
 		}
 	}
 	for i, u := range d.Users {
 		if int(u.ID) != i {
 			return fmt.Errorf("model: user at position %d has id %d", i, u.ID)
 		}
-		if len(u.Interests) != d.NumTopics {
-			return fmt.Errorf("model: user %d has %d interests, want %d", i, len(u.Interests), d.NumTopics)
-		}
-		for f, p := range u.Interests {
-			// The negated form also rejects NaN (both plain comparisons
-			// are false for it).
-			if !(p >= 0 && p <= 1) {
-				return fmt.Errorf("model: user %d interest %d = %v outside [0,1]", i, f, p)
-			}
+		if err := CheckInterests(u.Interests, d.NumTopics); err != nil {
+			return fmt.Errorf("model: user %d: %w", i, err)
 		}
 		if err := d.checkAttach(u.At); err != nil {
 			return fmt.Errorf("model: user %d: %w", i, err)
@@ -103,13 +148,8 @@ func (d *Dataset) Validate() error {
 		if int(p.ID) != i {
 			return fmt.Errorf("model: POI at position %d has id %d", i, p.ID)
 		}
-		if len(p.Keywords) == 0 {
-			return fmt.Errorf("model: POI %d has no keywords", i)
-		}
-		for _, k := range p.Keywords {
-			if k < 0 || k >= d.NumTopics {
-				return fmt.Errorf("model: POI %d keyword %d outside vocabulary [0,%d)", i, k, d.NumTopics)
-			}
+		if err := CheckKeywords(p.Keywords, d.NumTopics); err != nil {
+			return fmt.Errorf("model: POI %d: %w", i, err)
 		}
 		if err := d.checkAttach(p.At); err != nil {
 			return fmt.Errorf("model: POI %d: %w", i, err)

@@ -649,12 +649,13 @@ func TestStatszWAL(t *testing.T) {
 	}
 }
 
-// TestStatszSharedWork checks the /statsz shape after real queries:
+// TestStatszShape checks the /statsz shape after real queries:
 // the flight snapshot and the memory block are present with the label
 // store, POI label table and heap accounted for, no key of the removed
 // gather window or label memo remains, and the POI label table's bytes
-// drop to 0 once a road mutation puts the overlay in front of the labels.
-func TestStatszSharedWork(t *testing.T) {
+// stay as they were after a road mutation (the table answers for the
+// base graph).
+func TestStatszShape(t *testing.T) {
 	db := testDB(t, gpssn.Config{})
 	srv := New(db, Config{})
 	ts := httptest.NewServer(srv.Handler())

@@ -100,17 +100,14 @@ func openTwins(t *testing.T, cfg Config, p int) (par, seq *DB) {
 	return par, seq
 }
 
-// The three SharedWork gates are named for the cross-query memo they
-// used to compare against a memo-off twin; the engine keeps no state
-// across queries any more, so each now checks a DB against its
-// Parallelism 1 twin. The names stay because `make tie-check` and CI run
-// them by name.
+// The three ParallelTwin gates check a DB against its independently built
+// Parallelism 1 twin; `make tie-check` and CI run them by name.
 
-// TestSharedWorkEquality is the tie gate for intra-query parallelism:
+// TestParallelTwinEquality is the tie gate for intra-query parallelism:
 // answers at Parallelism 1 and 8 are bit-identical to an independently
 // built sequential twin under every distance oracle, before and after a
 // dynamic-update-plus-Compact cycle.
-func TestSharedWorkEquality(t *testing.T) {
+func TestParallelTwinEquality(t *testing.T) {
 	for _, oracle := range []string{"hl", "ch", "dijkstra"} {
 		for _, p := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/P%d", oracle, p), func(t *testing.T) {
@@ -124,11 +121,11 @@ func TestSharedWorkEquality(t *testing.T) {
 	}
 }
 
-// TestSharedWorkCancellation checks that cancelled and budget-starved
+// TestParallelTwinCancellation checks that cancelled and budget-starved
 // queries on the parallel DB fail or truncate cleanly and leave nothing
 // behind: an unconstrained re-query still matches the sequential twin
 // exactly.
-func TestSharedWorkCancellation(t *testing.T) {
+func TestParallelTwinCancellation(t *testing.T) {
 	par, seq := openTwins(t, Config{}, 8)
 	q := Query{GroupSize: 2, Gamma: 0.2, Theta: 0.3, Radius: 2}
 
@@ -155,13 +152,13 @@ func TestSharedWorkCancellation(t *testing.T) {
 	compareAnswers(t, par, seq, q, "post-cancel")
 }
 
-// TestSharedWorkRaceStress is the -race satellite: concurrent queriers
+// TestParallelTwinRaceStress is the -race satellite: concurrent queriers
 // hammer a Parallelism 8 DB while an updater interleaves AddPOI, AddUser,
 // AddFriendship and a mid-flight Compact. Mid-flight answers must be
 // well-formed; once quiesced, the sequential twin receiving the identical
 // update stream must agree bit-for-bit, and a road edge must release the
 // POI label table.
-func TestSharedWorkRaceStress(t *testing.T) {
+func TestParallelTwinRaceStress(t *testing.T) {
 	par, seq := openTwins(t, Config{}, 8)
 	q := Query{GroupSize: 2, Gamma: 0.2, Theta: 0.3, Radius: 2}
 	users := []int{0, 5, 11, 23, 37, 52}

@@ -1,14 +1,17 @@
 package gpssn
 
 import (
+	"encoding/hex"
 	"errors"
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"gpssn/internal/socialnet"
+	"gpssn/internal/wal"
 )
 
 // walConfig is the durability test configuration: small pivots for fast
@@ -172,6 +175,13 @@ func TestWALRejectionAtomicity(t *testing.T) {
 
 	walBefore := db.WALStats()
 	labelsBefore := db.MemoryStats().POILabelBytes
+	// Interest vectors of the wrong length and with a NaN entry: the
+	// engine also refuses these, but only the facade's check may, before
+	// anything is logged.
+	topics := db.Network().NumTopics()
+	long := make([]float64, topics+1)
+	withNaN := make([]float64, topics)
+	withNaN[topics-1] = math.NaN()
 
 	rejections := []struct {
 		name string
@@ -182,6 +192,9 @@ func TestWALRejectionAtomicity(t *testing.T) {
 		{"AddPOI/nan", func() error { _, err := db.AddPOI(math.NaN(), 0, 0); return err }},
 		{"AddUser/interest", func() error { _, err := db.AddUser(0.1, 0.1, []float64{2}); return err }},
 		{"AddUser/inf", func() error { _, err := db.AddUser(math.Inf(1), 0, nil); return err }},
+		{"AddUser/short", func() error { _, err := db.AddUser(0.1, 0.1, []float64{0.5}); return err }},
+		{"AddUser/long", func() error { _, err := db.AddUser(0.1, 0.1, long); return err }},
+		{"AddUser/naninterest", func() error { _, err := db.AddUser(0.1, 0.1, withNaN); return err }},
 		{"AddFriendship/self", func() error { _, err := db.AddFriendship(4, 4); return err }},
 		{"AddFriendship/range", func() error { _, err := db.AddFriendship(0, 1e6); return err }},
 		{"AddRoadVertex/nan", func() error { _, err := db.AddRoadVertex(math.NaN(), 0); return err }},
@@ -197,7 +210,7 @@ func TestWALRejectionAtomicity(t *testing.T) {
 		if err := rj.call(); !errors.Is(err, ErrInvalidInput) {
 			t.Fatalf("%s: err=%v, want ErrInvalidInput", rj.name, err)
 		}
-		if st := db.WALStats(); st.LastLSN != walBefore.LastLSN || st.Appends != walBefore.Appends {
+		if st := db.WALStats(); st.LastLSN != walBefore.LastLSN || st.Appends != walBefore.Appends || st.Fsyncs != walBefore.Fsyncs {
 			t.Fatalf("%s: rejection appended to the WAL: before=%+v after=%+v", rj.name, walBefore, st)
 		}
 		if labels := db.MemoryStats().POILabelBytes; labels != labelsBefore {
@@ -375,5 +388,72 @@ func waitMaintenance(t *testing.T, db *DB) {
 			t.Fatal("maintenance pass never finished")
 		}
 		time.Sleep(2 * time.Millisecond)
+	}
+}
+
+// TestWALRecordGolden pins the record of every mutation kind to the bytes
+// earlier versions wrote, and checks that decoding each record gives back
+// the mutation it was made from: logs written before must still replay.
+func TestWALRecordGolden(t *testing.T) {
+	for _, c := range []struct {
+		m    mutation
+		kind wal.Kind
+		hex  string
+	}{
+		{&addPOI{x: 1.5, y: -2.25, keywords: []int{0, 3, 7}}, wal.KindAddPOI,
+			"000000000000f83f00000000000002c003000000000000000300000007000000"},
+		{&addUser{x: 0.25, y: 0.75, interests: []float64{0, 0.5, 1}}, wal.KindAddUser,
+			"000000000000d03f000000000000e83f030000000000000000000000000000000000e03f000000000000f03f"},
+		{&addFriendship{a: 3, b: 9}, wal.KindAddFriendship, "03000000000000000900000000000000"},
+		{&addRoadVertex{x: -1, y: 2.5}, wal.KindAddRoadVertex, "000000000000f0bf0000000000000440"},
+		{&addRoadEdge{u: 4, v: 11}, wal.KindAddRoadEdge, "04000000000000000b00000000000000"},
+	} {
+		kind, payload := c.m.record()
+		if kind != c.kind || hex.EncodeToString(payload) != c.hex {
+			t.Errorf("%T: record %s %x, want %s %s", c.m, kind, payload, c.kind, c.hex)
+			continue
+		}
+		back, err := decodeMutation(kind, payload)
+		if err != nil {
+			t.Errorf("%s: decode: %v", kind, err)
+			continue
+		}
+		if !reflect.DeepEqual(back, c.m) {
+			t.Errorf("%s: decoded %+v, want %+v", kind, back, c.m)
+		}
+	}
+}
+
+// TestWALReplayRefusesBadRecords checks that a record whose checksum holds
+// but whose kind or payload this version never writes fails the open as
+// ErrWALCorrupt instead of being skipped or half-applied.
+func TestWALReplayRefusesBadRecords(t *testing.T) {
+	_, poi := (&addPOI{x: 0.5, y: 0.5, keywords: []int{0}}).record()
+	for _, c := range []struct {
+		name    string
+		kind    wal.Kind
+		payload []byte
+	}{
+		{"truncated", wal.KindAddPOI, poi[:len(poi)-1]},
+		{"trailing", wal.KindAddRoadEdge, append(encodePair(0, 1), 0)},
+		{"empty", wal.KindAddUser, nil},
+		{"unknown-kind", wal.Kind(200), poi},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := walConfig(t)
+			l, _, err := wal.Open(cfg.WALPath, 1, wal.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := l.Append(c.kind, c.payload); err != nil {
+				t.Fatal(err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(churnNetwork(t), cfg); !errors.Is(err, ErrWALCorrupt) {
+				t.Fatalf("Open: err=%v, want ErrWALCorrupt", err)
+			}
+		})
 	}
 }
