@@ -138,12 +138,13 @@ fuzz-engine:
 snapshot-matrix:
 	$(GO) test -run 'TestSnapshot|TestOpenSnapshot' -count=1 -v .
 
-# The road-churn suite under -race: delta-overlay equality gates across
-# all oracle backends (pre/during/post background Compact), the
-# concurrent-mutation interleavings, and the rebuild-failure fallback
+# The road-churn suite under -race: road-insert equality gates across
+# all oracle backends (pre/during/post background Compact), two DBs over
+# one network, the concurrent-mutation interleavings, the rebuild-failure
+# fallback, and the hub-label update's all-pairs property test
 # (docs/CONCURRENCY.md §7, docs/ROBUSTNESS.md §6).
 churn-suite:
-	$(GO) test -race -run 'TestRoadChurn|TestDBConcurrentRoadChurn|TestCompact|TestRoadOverlay|TestRoadMutation|TestAddFriendshipInvalid|TestDuplicateFriendship|TestOverlay' -count=1 -v . ./internal/roadnet/
+	$(GO) test -race -run 'TestRoadChurn|TestDBConcurrentRoadChurn|TestCompact|TestRoadOverlay|TestRoadMutation|TestRoadInsert|TestAddFriendshipInvalid|TestDuplicateFriendship|TestOverlay|TestLabelsExactUnderInserts|TestPendantTouchesNoOldLabel' -count=1 -v . ./internal/roadnet/ ./internal/roadnet/hl/
 
 # The WAL crash matrix and durability gates on their own: kill points and
 # corruption modes in the write path (torn tails, short writes, bit flips,

@@ -34,10 +34,10 @@ func churnNetwork(t testing.TB) *Network {
 }
 
 // compareVsFreshTwin is the churn equality gate: every query answer of the
-// live DB — whose oracle is the delta-overlay composition over the
-// pre-churn static base — must match a DB freshly Opened over a clone of
-// the mutated dataset, whose oracle was contracted from scratch on the
-// final topology. Group, POI set, and anchor must agree exactly; the cost
+// live DB — whose hub labels road inserts updated in place, or whose CH a
+// new edge detached — must match a DB freshly Opened over a clone of the
+// mutated dataset, whose oracle was built from scratch on the final
+// topology. Group, POI set, and anchor must agree exactly; the cost
 // up to floating-point association order (sameCost), because shortcut
 // weights are build-time sums. It also cross-checks found/cost against the
 // brute-force Baseline.
@@ -77,7 +77,7 @@ func compareVsFreshTwin(t *testing.T, db *DB, label string) {
 				continue
 			}
 			if !sameAnswer(liveAns, twinAns) {
-				t.Fatalf("%s user=%d q=%+v:\n live (overlay) %s maxdist=%x\n twin (rebuilt) %s maxdist=%x",
+				t.Fatalf("%s user=%d q=%+v:\n live %s maxdist=%x\n twin (rebuilt) %s maxdist=%x",
 					label, user, q, answerKey(liveAns), liveAns.MaxDistance,
 					answerKey(twinAns), twinAns.MaxDistance)
 			}
@@ -151,10 +151,10 @@ func churnScript(t *testing.T, db *DB, rounds int) {
 
 func socialVertex(i, n int) int { return (i*13 + 7) % n }
 
-// TestRoadChurnEqualityGates is the tentpole equality gate for the
-// delta-overlay: under a mixed churn script the live DB must keep agreeing
-// with a freshly rebuilt twin and with the brute-force Baseline, for every
-// oracle backend, before, during, and after a background Compact.
+// TestRoadChurnEqualityGates is the equality gate for road inserts: under a
+// mixed churn script the live DB must keep agreeing with a freshly rebuilt
+// twin and with the brute-force Baseline, for every oracle backend,
+// before, during, and after a background Compact.
 func TestRoadChurnEqualityGates(t *testing.T) {
 	for _, kind := range []string{"hl", "ch", "dijkstra"} {
 		for _, par := range []int{1, 8} {
@@ -178,9 +178,9 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 	}
 
 	// The POI label table's lifecycle rides the same script: built at Open
-	// under hl, one row per AddPOI, kept across road mutations (it answers
-	// for the base graph), rebuilt by Compact and by OpenSnapshot; never
-	// held under ch/dijkstra.
+	// under hl, one row per AddPOI, kept across pendant road edges and
+	// rebuilt by one that changes a label, rebuilt by Compact and by
+	// OpenSnapshot; never held under ch/dijkstra.
 	labels := kind == "hl"
 	checkPOILabelTable(t, db, labels, kind+"/open")
 	// Three POIs at the home of the user farthest from every existing POI:
@@ -203,8 +203,11 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 	if kind != "dijkstra" {
 		ov := db.RoadOverlayStats()
 		if !ov.Active || ov.NewEdges == 0 {
-			t.Fatalf("overlay should be active after road churn: %+v", ov)
+			t.Fatalf("insert counters should be running after road churn: %+v", ov)
 		}
+	}
+	if h := db.Health(); kind == "ch" && (h.OracleActive != "dijkstra" || !strings.Contains(strings.Join(h.Notes, "\n"), "detached the ch oracle")) {
+		t.Fatalf("a road edge must detach the CH with a Health note: %+v", h)
 	}
 	checkPOILabelTable(t, db, labels, kind+"/pre-compact")
 	compareVsFreshTwin(t, db, kind+"/pre-compact")
@@ -223,7 +226,10 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 		t.Fatalf("Compact: %v", err)
 	}
 	if ov := db.RoadOverlayStats(); ov.Active {
-		t.Fatalf("Compact should drain the overlay: %+v", ov)
+		t.Fatalf("Compact should zero the insert counters: %+v", ov)
+	}
+	if h := db.Health(); h.OracleActive != kind {
+		t.Fatalf("Compact should restore the %s oracle, Health says %q", kind, h.OracleActive)
 	}
 	checkPOILabelTable(t, db, labels, kind+"/post-compact")
 	compareVsFreshTwin(t, db, kind+"/post-compact")
@@ -239,8 +245,8 @@ func testRoadChurnEqualityGates(t *testing.T, kind string, par int) {
 	checkPOILabelTable(t, re, labels, kind+"/reopened")
 	compareVsFreshTwin(t, re, kind+"/reopened")
 
-	// Churn again on the compacted world: the overlay must re-arm
-	// over the freshly contracted base and stay exact.
+	// Churn again on the compacted world: the rebuilt oracle must follow
+	// the inserts and stay exact.
 	churnScript(t, db, 2)
 	checkPOILabelTable(t, db, labels, kind+"/post-compact-churn")
 	compareVsFreshTwin(t, db, kind+"/post-compact-churn")
@@ -423,9 +429,9 @@ func TestRoadMutationValidation(t *testing.T) {
 	}
 }
 
-// TestRoadOverlayStatsLifecycle walks the overlay through its lifecycle:
-// inactive on a fresh DB, active with accurate counters under churn, and
-// drained (inactive again) by Compact.
+// TestRoadOverlayStatsLifecycle walks the insert counters through their
+// lifecycle: inactive on a fresh DB, active with accurate counters under
+// churn, and zeroed (inactive again) by Compact.
 func TestRoadOverlayStatsLifecycle(t *testing.T) {
 	net := churnNetwork(t)
 	cfg := DefaultConfig()
@@ -436,26 +442,24 @@ func TestRoadOverlayStatsLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	if ov := db.RoadOverlayStats(); ov.Active {
-		t.Fatalf("fresh DB should have no overlay: %+v", ov)
+		t.Fatalf("fresh DB should count no insert: %+v", ov)
 	}
-	n0 := db.Network().Dataset().Road.NumVertices()
 	v, err := db.AddRoadVertex(0.5, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ov := db.RoadOverlayStats()
-	if !ov.Active || ov.BaseN != n0 || ov.NewVerts != 1 || ov.NewEdges != 0 {
-		t.Fatalf("after AddRoadVertex: %+v (want BaseN=%d NewVerts=1)", ov, n0)
+	if !ov.Active || ov.NewVerts != 1 || ov.NewEdges != 0 || ov.Portals != 1 {
+		t.Fatalf("after AddRoadVertex: %+v (want NewVerts=1 Portals=1)", ov)
 	}
 	if _, err := db.AddRoadEdge(0, v); err != nil {
 		t.Fatal(err)
 	}
 	ov = db.RoadOverlayStats()
-	if ov.NewEdges != 1 || ov.Portals < 2 {
-		t.Fatalf("after AddRoadEdge: %+v (want NewEdges=1, Portals>=2)", ov)
+	if ov.NewEdges != 1 || ov.Portals != 2 {
+		t.Fatalf("after AddRoadEdge: %+v (want NewEdges=1, Portals=2)", ov)
 	}
-	// The issuer living nearest the new edge's old end: the clearance rule
-	// sends the distances around it through the overlay.
+	// The issuer living nearest the new edge's old end.
 	road := db.Network().Dataset().Road
 	p0, issuer := road.Vertex(0), 0
 	for u := 1; u < db.Network().NumUsers(); u++ {
@@ -467,20 +471,17 @@ func TestRoadOverlayStatsLifecycle(t *testing.T) {
 	if _, _, err := db.Query(issuer, q); err != nil && !errors.Is(err, ErrNoAnswer) {
 		t.Fatal(err)
 	}
-	if ov = db.RoadOverlayStats(); ov.Queries == 0 {
-		t.Error("overlay served no composed queries")
-	}
 	if err := db.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	if ov = db.RoadOverlayStats(); ov.Active {
-		t.Fatalf("Compact should detach the overlay: %+v", ov)
+		t.Fatalf("Compact should zero the insert counters: %+v", ov)
 	}
 }
 
 // TestCompactBackgroundFailure pins the rebuild-failure fallback
 // (docs/ROBUSTNESS.md): when the background re-contraction fails, Compact
-// returns the error, the previous engine — overlay included — keeps
+// returns the error, the previous engine — updated labels included — keeps
 // serving exact answers, Rebuilding is cleared, and the failure is
 // recorded as a Health note.
 func TestCompactBackgroundFailure(t *testing.T) {
@@ -524,7 +525,7 @@ func TestCompactBackgroundFailure(t *testing.T) {
 		t.Errorf("failed Compact changed pending updates: %d -> %d", pending, got)
 	}
 	if ov := db.RoadOverlayStats(); !ov.Active {
-		t.Error("failed Compact detached the overlay")
+		t.Error("failed Compact zeroed the insert counters")
 	}
 	// The previous engine must keep serving exactly.
 	compareVsFreshTwin(t, db, "after-failed-compact")
@@ -534,7 +535,7 @@ func TestCompactBackgroundFailure(t *testing.T) {
 		t.Fatalf("recovery Compact: %v", err)
 	}
 	if ov := db.RoadOverlayStats(); ov.Active {
-		t.Error("recovery Compact did not drain the overlay")
+		t.Error("recovery Compact did not zero the insert counters")
 	}
 }
 
@@ -603,8 +604,8 @@ func TestCompactRebuildingObserved(t *testing.T) {
 	}
 }
 
-// TestDBConcurrentRoadChurn is the -race interleaving suite for the
-// delta-overlay: many goroutines query while one mutates the road network
+// TestDBConcurrentRoadChurn is the -race interleaving suite for road
+// inserts: many goroutines query while one mutates the road network
 // (vertices and edges), one adds POIs, and a background Compact swaps the
 // engine mid-flight. Answers must stay well-formed throughout; afterwards
 // every worker must have drained and the quiesced DB must agree with a

@@ -53,7 +53,7 @@ func main() {
 		walFlush = flag.Duration("wal-flush", 0, "group-commit window for -wal-sync batch (0 = the library default)")
 		walAuto  = flag.Int64("wal-auto-checkpoint-bytes", 64<<20, "checkpoint in the background once the log exceeds this many bytes (0 disables)")
 		ckptPath = flag.String("checkpoint", "", "checkpoint snapshot path for auto- and shutdown checkpoints (default: <wal>.ckpt)")
-		portals  = flag.Int("overlay-compact-portals", 0, "auto-Compact in the background once the road delta-overlay exceeds this many portals (0 disables)")
+		portals  = flag.Int("overlay-compact-portals", 0, "auto-Compact in the background once road inserts touch more than this many vertices (RoadOverlayStats().Portals; 0 disables)")
 	)
 	flag.Parse()
 	logger := log.New(os.Stderr, "gpssn-serve: ", log.LstdFlags)

@@ -23,7 +23,7 @@ import (
 
 // Record payloads reuse the snapshot codec (little-endian, length-prefixed
 // slices) and store exactly the public mutation's arguments; derived
-// state (snapped locations, assigned ids, overlay patches) is recomputed
+// state (snapped locations, assigned ids, label updates) is recomputed
 // on replay, not trusted from disk. The bytes of each kind are pinned by
 // TestWALRecordGolden: logs written by earlier versions must still replay.
 
@@ -295,10 +295,9 @@ func (db *DB) Close() error {
 // runs the needed work in the background so the mutating caller never
 // blocks on a re-contraction or a checkpoint.
 //
-//   - Config.OverlayCompactPortals: the road delta-overlay's portal patch
-//     costs Portals² per composed distance, so when the portal count
-//     crosses the bound, Compact re-contracts the oracle and drains the
-//     overlay (the ROADMAP's "overlay compaction thresholds" item).
+//   - Config.OverlayCompactPortals: when the road insert count Portals
+//     (RoadOverlayStats) crosses the bound, Compact rebuilds the indexes
+//     and re-minimises the hub labels the inserts grew.
 //   - Config.WALAutoCheckpointBytes: when the log outgrows the bound, a
 //     checkpoint to Config.CheckpointPath absorbs it and truncates.
 //
@@ -356,5 +355,5 @@ func (db *DB) walSize() int64 {
 
 // Maintaining reports whether a background auto-maintenance pass
 // (auto-Compact or auto-checkpoint) is in flight. Tests and the serving
-// layer use it to wait for the overlay to drain.
+// layer use it to wait for an auto-Compact to finish.
 func (db *DB) Maintaining() bool { return db.maintaining.Load() }

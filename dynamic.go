@@ -14,11 +14,11 @@ import (
 // Dynamic updates. A DB accepts new POIs, users, friendships, road
 // vertices, and road edges after Open. Object additions live in a small
 // delta that queries scan exactly (the main+delta design); road
-// mutations keep the distance oracle attached through a delta-overlay
-// (internal/roadnet/overlay.go) so queries stay oracle-class and exact
-// under write traffic. Compact rebuilds the indexes and re-contracts the
-// oracle in the background to absorb everything and restore full pruning
-// power.
+// mutations keep hub labels exact in place (internal/roadnet/hl) and
+// bring the engine's distance-derived state up to date, so queries stay
+// oracle-class and exact under write traffic. Compact rebuilds the
+// indexes and the oracle in the background to fold the delta in and
+// re-minimise the labels.
 //
 // One write path. Each mutator builds one mutation value of its kind and
 // hands it to commit, which every update — live or replayed from the WAL
@@ -245,18 +245,19 @@ func (m *addRoadVertex) apply(db *DB) (int, error) {
 }
 
 // AddRoadEdge adds a road segment between two existing intersections,
-// weighted by their Euclidean distance, and returns its id. The distance
-// oracle stays attached — a delta-overlay composes exact answers over
-// the mutated topology at oracle speed — so queries never fall back to
-// plain Dijkstra under write traffic. Self-loops, out-of-range
-// endpoints, and duplicate edges return an error matching
-// ErrInvalidInput (the internal roadnet panic is reserved for misuse of
-// the internal API). The answer cache is flushed: a new segment can
-// shorten any distance. Call Compact
-// periodically under sustained churn — or set
-// Config.OverlayCompactPortals to have it triggered automatically — to
-// re-contract the oracle and re-arm pivot-based distance pruning. Safe
-// for concurrent use; blocks until in-flight queries drain.
+// weighted by their Euclidean distance, and returns its id. Hub labels
+// are updated in place and stay exact, and the engine brings its pivot
+// bounds, keyword rows and POI label table up to date, so pruning stays
+// live; a pendant vertex (a new end with no other edge) changes none of
+// them. A "ch" oracle cannot follow the insert: the first new edge
+// detaches it, plain Dijkstra serves until Compact, and Health says so.
+// Self-loops, out-of-range endpoints, and duplicate edges return an
+// error matching ErrInvalidInput (the internal roadnet panic is reserved
+// for misuse of the internal API). The answer cache is flushed: a new
+// segment can shorten any distance. Call Compact periodically under
+// sustained churn — or set Config.OverlayCompactPortals to have it
+// triggered automatically — to re-minimise the labels. Safe for
+// concurrent use; blocks until in-flight queries drain.
 func (db *DB) AddRoadEdge(u, v int) (int, error) {
 	return db.update(&addRoadEdge{u: u, v: v})
 }
@@ -279,20 +280,25 @@ func (m *addRoadEdge) apply(db *DB) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	if db.net.ds.Road.Oracle() == nil && db.health.OracleActive != "dijkstra" {
+		db.health.Notes = append(db.health.Notes, fmt.Sprintf(
+			"road edge %d detached the %s oracle, which has no update; plain Dijkstra serves until Compact", id, db.health.OracleActive))
+		db.health.OracleActive = "dijkstra"
+	}
 	db.cache.invalidate()
 	return int(id), nil
 }
 
-// RoadOverlayStats describes the delta-overlay currently composing road
-// distances, if any: how many vertices/edges have been appended since
-// the static oracle was built, the portal count (the patch matrix is
-// Portals², so this is the number to watch under sustained churn), and
-// how many composed queries it has served. Active is false when the
-// oracle is static (no road mutation since Open or the last Compact).
+// RoadOverlayStats counts the road inserts since the oracle was built
+// (Open or the last Compact): vertices and edges appended, and Portals,
+// the new vertices plus the distinct older vertices new edges touch, the
+// number Config.OverlayCompactPortals watches. Active is false with no
+// insert since, or when no oracle was built (the "dijkstra" backend).
+// The name is historical: no overlay composes distances any more.
 // gpssn-serve surfaces it under /statsz.
 type RoadOverlayStats = roadnet.OverlayStats
 
-// RoadOverlayStats snapshots the road delta-overlay state. Safe for
+// RoadOverlayStats snapshots the road insert counters. Safe for
 // concurrent use.
 func (db *DB) RoadOverlayStats() RoadOverlayStats {
 	db.mu.RLock()
@@ -325,12 +331,12 @@ func cloneDataset(ds *model.Dataset) *model.Dataset {
 	}
 }
 
-// Compact rebuilds the indexes over the grown dataset and re-contracts
-// the distance oracle, absorbing all dynamic updates (the road
-// delta-overlay drains into the fresh static oracle) and restoring full
-// pruning power. The rebuild runs in the background against a cloned
-// topology: queries keep being answered by the live engine for its whole
-// duration — exactly, through the overlay — and only the final swap
+// Compact rebuilds the indexes and the distance oracle over the grown
+// dataset, folding every dynamic update into the indexes, re-minimising
+// the hub labels road inserts grew, and restoring full pruning power.
+// The rebuild runs in the background against a cloned topology: queries
+// keep being answered exactly by the live engine for its whole duration,
+// and only the final swap
 // takes the exclusive lock, briefly. Other updates block until the
 // rebuild finishes (they would invalidate the clone). Health().Rebuilding
 // is set while the rebuild is in flight; on failure the live engine

@@ -42,8 +42,8 @@
 // A DB is safe for concurrent use: queries run in parallel and dynamic
 // updates (AddPOI, AddUser, AddFriendship, AddRoadVertex, AddRoadEdge,
 // Compact) serialize against them (docs/CONCURRENCY.md). Road mutations
-// keep the distance oracle attached through an exact delta-overlay, and
-// Compact re-contracts it in the background without blocking queries.
+// keep the hub labels exact in place, and Compact rebuilds them in the
+// background without blocking queries.
 // DB.Health reports the active distance oracle and any degradation.
 //
 // # Error contract
@@ -180,9 +180,10 @@ type Config struct {
 	// records start past the base state's applied LSN.
 	CheckpointPath string
 	// OverlayCompactPortals, when > 0, auto-runs the background Compact
-	// once the road delta-overlay's portal patch exceeds this many portals
-	// (the patch costs Portals² per composed distance, so this bounds the
-	// per-query overlay overhead). 0 leaves compaction to explicit calls.
+	// once RoadOverlayStats().Portals — new road vertices plus the older
+	// vertices new road edges touch — exceeds it, which re-minimises the
+	// hub labels road inserts grew and folds the delta objects into the
+	// indexes. 0 leaves compaction to explicit calls.
 	OverlayCompactPortals int
 	// Logf, when set, receives diagnostic log lines (oracle fallbacks,
 	// snapshot-recovery notes). nil discards them; the same information is
@@ -310,11 +311,6 @@ type Stats struct {
 	// refinement had already taken in this query: each reused that ball's
 	// outcome instead of refining it again.
 	AnchorsSameBall int
-	// AnchorsNearPortal counts the anchors lying within the query radius
-	// (straight-line) of a vertex that a road edge appended since the last
-	// Compact touches: their ball was priced through the delta-overlay
-	// rather than the static oracle.
-	AnchorsNearPortal int
 	// CacheHit is set when the answer came from the answer cache; the cost
 	// counters (CPUTime, PageReads) are zeroed on hits so harnesses never
 	// mistake a cache lookup for query work.
@@ -386,8 +382,8 @@ type Health struct {
 	// OracleRequested in the chain hl → ch → dijkstra.
 	Degraded bool
 	// Rebuilding is set while a background Compact re-contraction is in
-	// flight. Queries keep serving exactly (road mutations compose
-	// through the delta-overlay); further updates block until it clears.
+	// flight. Queries keep serving exactly; further updates block until
+	// it clears.
 	Rebuilding bool
 	// Notes records, in order, every fallback and recovery event since the
 	// DB was opened (oracle build failures, snapshot sections rebuilt).
@@ -573,13 +569,12 @@ func (q Query) params() core.Params {
 // statsFrom lifts the engine's raw counters into the public Stats.
 func statsFrom(raw core.Stats) *Stats {
 	return &Stats{
-		CPUTime:           raw.CPUTime,
-		PageReads:         raw.PageReads,
-		CandidateUsers:    raw.CandUsers,
-		CandidateAnchors:  raw.CandAnchors,
-		AnchorsSameBall:   raw.AnchorsSameBall,
-		AnchorsNearPortal: raw.AnchorsNearPortal,
-		Raw:               raw,
+		CPUTime:          raw.CPUTime,
+		PageReads:        raw.PageReads,
+		CandidateUsers:   raw.CandUsers,
+		CandidateAnchors: raw.CandAnchors,
+		AnchorsSameBall:  raw.AnchorsSameBall,
+		Raw:              raw,
 	}
 }
 

@@ -55,14 +55,10 @@ func buildOracle(g *roadnet.Graph, kind string) (o roadnet.DistanceOracle, err e
 	return nil, nil
 }
 
-// serving reports whether g already serves a static oracle of the given
-// kind for its current topology: attached and not yet wrapped in the
-// delta-overlay (the graph's first mutation wraps it), with no edge
-// pending against an older base.
+// serving reports whether g already serves an oracle of the given kind.
+// An attached oracle answers for the graph's current topology: hub labels
+// follow its road inserts, and a CH is detached by the first new edge.
 func serving(g *roadnet.Graph, kind string) bool {
-	if g.PendingEdges() > 0 {
-		return false
-	}
 	switch g.Oracle().(type) {
 	case *hl.Oracle:
 		return kind == "hl"

@@ -231,8 +231,8 @@ func TestArenaByteAccounting(t *testing.T) {
 // TestEngineMemoryStats checks the engine-level rollup: oracle bytes only
 // when an oracle reports them, arena bytes after a query warmed the pool,
 // the POI label table's bytes exactly while an engine holds one — built
-// under hub labels, grown by AddPOI, released by a road mutation, absent
-// under plain Dijkstra.
+// under hub labels, grown by AddPOI, kept by a road insert, absent under
+// plain Dijkstra.
 func TestEngineMemoryStats(t *testing.T) {
 	ds := smallDataset(t, 27)
 	e := buildEngine(t, ds, Options{})
@@ -275,8 +275,8 @@ func TestEngineMemoryStats(t *testing.T) {
 	if _, err := labelled.AddRoadEdge(0, roadnet.VertexID(ds.Road.NumVertices()-1)); err != nil {
 		t.Fatal(err)
 	}
-	if got := labelled.MemoryStats().POILabelBytes; got != grown {
-		t.Errorf("POILabelBytes = %d after AddRoadEdge, want %d (table kept for the base graph)", got, grown)
+	if got, tab := labelled.MemoryStats().POILabelBytes, labelled.POILabels(); got != tab.MemoryBytes() || tab.NumRows() != len(ds.POIs) {
+		t.Errorf("POILabelBytes = %d after AddRoadEdge, want the table's %d with a row per POI", got, tab.MemoryBytes())
 	}
 	if ms.ArenaBytes != e.ArenaBytes() {
 		t.Errorf("MemoryStats.ArenaBytes %d != ArenaBytes() %d", ms.ArenaBytes, e.ArenaBytes())

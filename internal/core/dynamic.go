@@ -17,11 +17,12 @@ import (
 // sound). Friendship edges added between already-indexed users would make
 // the stored hop-pivot bounds overestimate (new edges only shorten
 // distances), so both endpoints are marked "touched" and excluded from
-// pivot-based social pruning. Road edges appended later leave the road
-// indexes and the POI label table answering for the base graph; the
-// clearance rule (pending.go) says per object where that is still exact.
-// Compact (rebuild the indexes over the grown dataset) restores full
-// pruning power; the facade exposes it.
+// pivot-based social pruning. A road edge keeps everything exact: the
+// oracle updates itself (roadnet.Graph.AddEdge), and AddRoadEdge brings
+// the state derived from road distances — pivot rows and vectors, keyword
+// rows, node bounds, the POI label table — up to date. Compact (rebuild
+// the indexes over the grown dataset) folds the delta into the indexes;
+// the facade exposes it.
 
 // dynamicState tracks the delta boundaries; zero value = no delta.
 type dynamicState struct {
@@ -33,22 +34,27 @@ type dynamicState struct {
 	touched   []int32
 	roadVerts int // road vertices appended since construction
 	roadEdges int // road edges appended since construction
-	// clean is set when the road graph had no pending edge at
-	// construction: the indexes then answer for its base G0, and the
-	// clearance rule applies (pending.go).
-	clean bool
+	// roadCovered is the road graph's edge count the derived road state
+	// answers for (roadCurrent).
+	roadCovered int
 }
 
-// initDynamic records the indexed prefix sizes at engine construction and
-// marks the road graph's base, unless edges are already pending on it.
+// initDynamic records the indexed prefix sizes at engine construction.
 func (e *Engine) initDynamic() {
-	e.DS.Road.MarkBase()
 	e.dyn = dynamicState{
 		indexedUsers: len(e.DS.Users),
 		indexedPOIs:  len(e.DS.POIs),
-		clean:        e.DS.Road.PendingEdges() == 0,
+		roadCovered:  e.DS.Road.NumEdges(),
 	}
 }
+
+// roadCurrent reports whether the state this engine derived from road
+// distances covers every edge of the road graph. An edge added through
+// another engine over the same dataset leaves it behind for good: the
+// pivot bounds, the keyword rows and the POI label table are then off
+// (userRDOf, keywordRowsComplete, labelTable), and every distance comes
+// from the oracle, which the graph keeps exact.
+func (e *Engine) roadCurrent() bool { return e.dyn.roadCovered == e.DS.Road.NumEdges() }
 
 // PendingUpdates returns how many delta objects await compaction.
 func (e *Engine) PendingUpdates() int {
@@ -75,10 +81,10 @@ func (e *Engine) AddPOI(p model.POI) error {
 	// The new POI can join indexed anchors' balls: widen their keyword
 	// distances so Lemmas 1/6 stay sound.
 	e.Road.AddPOI(p.ID)
-	// The new POI's id is its row (empty when it sits on a new road edge).
-	// A table that no longer matches (another engine over the same dataset
-	// moved the oracle or the POI count) can never catch up, so it is
-	// dropped and readers build rows on demand.
+	// The new POI's id is its row. A table that no longer matches
+	// (another engine over the same dataset moved the oracle or the POI
+	// count) can never catch up, so it is dropped and readers build rows
+	// on demand.
 	if e.poiLabels.ValidFor(e.DS.Road, len(e.DS.POIs)-1) {
 		e.poiLabels.Append(e.DS.Road, p.At)
 	} else {
@@ -154,33 +160,43 @@ func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 }
 
 // AddRoadEdge appends a road segment between two existing intersections.
-// Distances can only shrink, and the delta-overlay keeps the attached
-// oracle exact (roadnet.Graph.AddEdge). What the engine derived from the
-// base graph — pivot lower bounds, keyword rows, the POI label table —
-// keeps answering for the base; the clearance rule (pending.go) decides
-// per object where that is still exact in the grown graph, until the
-// next compaction.
+// Distances can only shrink. The graph keeps its oracle exact
+// (roadnet.Graph.AddEdge), and the engine brings what it derived from
+// road distances up to date from the older vertices whose pivot distance
+// fell and the POIs near the edge (index.RoadIndex.AddRoadEdge): nothing
+// for a pendant vertex. The POI label table is rebuilt when the edge
+// changed a label it was built from (LabelTable.ValidFor).
 func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := model.CheckEnds("road edge", int(u), int(v), e.DS.Road.NumVertices()); err != nil {
+	g := e.DS.Road
+	if err := model.CheckEnds("road edge", int(u), int(v), g.NumVertices()); err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}
-	if e.DS.Road.HasEdge(u, v) {
+	if g.HasEdge(u, v) {
 		return 0, fmt.Errorf("core: duplicate road edge %d-%d", u, v)
 	}
-	id := e.DS.Road.AddEdge(u, v)
+	current, tableValid := e.roadCurrent(), e.labelTable() != nil
+	id := g.AddEdge(u, v)
 	e.dyn.roadEdges++
+	if !current {
+		return id, nil
+	}
+	e.Social.AddRoadEdge(e.Road.AddRoadEdge(id))
+	if tableValid && !e.poiLabels.ValidFor(g, len(e.DS.POIs)) {
+		e.poiLabels = g.NewLabelTable(poiAttachments(e.DS))
+	}
+	e.dyn.roadCovered = g.NumEdges()
 	return id, nil
 }
 
 // keywordRowsComplete reports whether the index's keyword distance rows
-// account for every POI of the dataset (Lemmas 1/6): AddPOI widens the
-// rows, but a POI appended through another engine over the same dataset
-// does not, and Compact rebuilds them. Pending road edges are the
-// clearance rule's business, per anchor and per node.
+// account for every POI of the dataset and every road edge (Lemmas 1/6):
+// AddPOI widens the rows and AddRoadEdge lowers them, but a POI or an edge
+// appended through another engine over the same dataset does not, and
+// Compact rebuilds them.
 func (e *Engine) keywordRowsComplete() bool {
-	return e.Road.KeywordPOIs() == len(e.DS.POIs)
+	return e.Road.KeywordPOIs() == len(e.DS.POIs) && e.roadCurrent()
 }
 
 // pivotPruningSafe reports whether u is indexed and its stored hop-pivot
@@ -205,32 +221,28 @@ func (e *Engine) hopUnsafe(n *index.SNode) bool {
 }
 
 // userRDOf returns the road pivot distance vector of any user, computing
-// it on the fly for delta users; nil for a delta user on a new road edge,
-// whose distances to the pivots the stored rows cannot give (its lower
-// bounds are 0).
+// it on the fly for delta users; nil when the engine's road state is not
+// current (roadCurrent), which turns the pivot bounds off.
 func (e *Engine) userRDOf(u socialnet.UserID) []float64 {
+	if !e.roadCurrent() {
+		return nil
+	}
 	if int(u) < e.dyn.indexedUsers {
 		return e.Social.UserRoadDist(u)
 	}
-	return e.deltaRD(e.DS.Users[u].At)
+	return e.Road.Pivots.AttachDistAll(e.DS.Road, e.DS.Users[u].At)
 }
 
 // poiRDOf returns the road pivot distance vector of any POI, computing it
 // on the fly for delta POIs; nil as for userRDOf.
 func (e *Engine) poiRDOf(id model.POIID) []float64 {
+	if !e.roadCurrent() {
+		return nil
+	}
 	if int(id) < e.dyn.indexedPOIs {
 		return e.Road.POIDist(id)
 	}
-	return e.deltaRD(e.DS.POIs[id].At)
-}
-
-// deltaRD is a delta object's pivot vector from the pivot rows, or nil on
-// a new road edge.
-func (e *Engine) deltaRD(at roadnet.Attach) []float64 {
-	if e.DS.Road.NewEdge(at.Edge) {
-		return nil
-	}
-	return e.Road.Pivots.AttachDistAll(e.DS.Road, at)
+	return e.Road.Pivots.AttachDistAll(e.DS.Road, e.DS.POIs[id].At)
 }
 
 // scanDeltaUsers appends the interest-compatible delta users to cand;

@@ -84,13 +84,11 @@ type Engine struct {
 	// refuses a user another engine's append left it no row for.
 	topics *userTopics
 
-	// poiLabels is the forward table of POI attachment hub labels of the
-	// road graph's base: row i is POI i's label. Built here when a label
-	// oracle serves the base, appended to by AddPOI under mu's write side,
-	// and kept across road mutations (its distances are checked by the
-	// clearance rule, pending.go); queries read it under the read side
-	// through labelTable, which checks it still answers for the base's
-	// oracle and the current POI count.
+	// poiLabels is the forward table of POI attachment hub labels: row i
+	// is POI i's label. Built here when a label oracle is attached,
+	// appended to by AddPOI and rebuilt by an AddRoadEdge that changed its
+	// labels, under mu's write side; queries read it under the read side
+	// through labelTable, which checks it is still valid.
 	poiLabels *roadnet.LabelTable
 }
 
@@ -100,24 +98,30 @@ func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialInd
 	e.initDynamic()
 	e.topics = newUserTopics(ds, social)
 	if ds.Road.HasLabels() {
-		atts := make([]roadnet.Attach, len(ds.POIs))
-		for i := range ds.POIs {
-			atts[i] = ds.POIs[i].At
-		}
-		e.poiLabels = ds.Road.NewLabelTable(atts)
+		e.poiLabels = ds.Road.NewLabelTable(poiAttachments(ds))
 	}
 	return e
 }
 
+// poiAttachments lists every POI's attachment in id order.
+func poiAttachments(ds *model.Dataset) []roadnet.Attach {
+	atts := make([]roadnet.Attach, len(ds.POIs))
+	for i := range ds.POIs {
+		atts[i] = ds.POIs[i].At
+	}
+	return atts
+}
+
 // labelTable returns the engine's POI label table when it is valid — it
-// answers for the base's oracle and has a row for every POI — and nil
+// answers for the attached oracle's current labels and has a row for
+// every POI — and the engine's road state is current (roadCurrent); nil
 // otherwise: no label oracle, an engine wired before its oracle was
 // attached, or one sharing its dataset with an engine that has since
-// appended a POI. It is the one predicate that picks the kernel of every
-// user-POI pair a query prices, in the anchor stream and in M(u) alike:
-// row merges with the table, DistAttachWithinCk without.
+// appended a POI or a road edge. It is the one predicate that picks the
+// kernel of every user-POI pair a query prices, in the anchor stream and
+// in M(u) alike: row merges with the table, DistAttachWithinCk without.
 func (e *Engine) labelTable() *roadnet.LabelTable {
-	if t := e.poiLabels; t.ValidFor(e.DS.Road, len(e.DS.POIs)) {
+	if t := e.poiLabels; t.ValidFor(e.DS.Road, len(e.DS.POIs)) && e.roadCurrent() {
 		return t
 	}
 	return nil
@@ -195,11 +199,6 @@ type Stats struct {
 	// replays that ball's outcome instead of refining it again. The two
 	// counters above count replays too.
 	AnchorsSameBall int
-	// AnchorsNearPortal counts the anchors refinement popped whose ball
-	// came within the radius of an old portal while road edges were
-	// pending, so the clearance rule sent it down the delta-overlay path
-	// instead of the base oracle's (pending.go).
-	AnchorsNearPortal int
 	// MEvaluations counts the M(u) evaluations the companion search ran:
 	// one per user it reached that passed θ and the pivot test (u_q's own,
 	// and the greedy seeding's, excluded).
@@ -631,10 +630,10 @@ func (s Stats) Summary() string {
 	rnTotal := s.RNIndexPruned + s.RNObjPruned
 	return fmt.Sprintf(
 		"cpu=%v io=%d | users: %d pruned of %d (index %d, object %d) -> %d candidates | "+
-			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d repeating a ball, %d near a pending road edge, %d failed θ on their ball, %d short of companions | "+
+			"POIs: %d pruned of %d (index %d, object %d) -> %d anchors, %d repeating a ball, %d failed θ on their ball, %d short of companions | "+
 			"M(u) evaluations %d | pairs evaluated %d",
 		s.CPUTime, s.PageReads,
 		snTotal, s.SNUsersTotal, s.SNIndexPruned, s.SNObjPruned, s.CandUsers,
 		rnTotal, s.RNPOIsTotal, s.RNIndexPruned, s.RNObjPruned, s.CandAnchors,
-		s.AnchorsSameBall, s.AnchorsNearPortal, s.AnchorsThetaFailed, s.AnchorsReachFailed, s.MEvaluations, s.PairsEvaluated)
+		s.AnchorsSameBall, s.AnchorsThetaFailed, s.AnchorsReachFailed, s.MEvaluations, s.PairsEvaluated)
 }

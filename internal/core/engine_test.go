@@ -441,7 +441,7 @@ func TestStatsSummary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := st.Summary()
-	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "repeating a ball", "near a pending road edge", "failed θ", "short of companions", "M(u) evaluations", "pairs evaluated"} {
+	for _, want := range []string{"cpu=", "io=", "candidates", "anchors", "repeating a ball", "failed θ", "short of companions", "M(u) evaluations", "pairs evaluated"} {
 		if !strings.Contains(sum, want) {
 			t.Errorf("Summary missing %q: %s", want, sum)
 		}

@@ -24,9 +24,9 @@ func ballTruth(ds *model.Dataset, u socialnet.UserID, ball []model.POIID) float6
 func sameDist(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, b) }
 
 // TestMOfOneDistancePath pins the bounded source-to-ball evaluator on every
-// backend that uses it — plain Dijkstra, CH, and the road delta overlay
-// (hub labels plus one AddRoadEdge: the base's labels where the clearance
-// rule vouches for them, the overlay elsewhere): unbounded it
+// backend that uses it — plain Dijkstra, CH, and hub labels under an engine
+// that another engine's AddRoadEdge left without its label table (the
+// subtest keeps its earlier name, "overlay"): unbounded it
 // equals the per-pair DistAttach maximum; under a keeper a cost exactly at
 // the bound is kept and the same cost one ulp beyond it is +Inf; and a
 // tripped checkpoint prices every user +Inf.
@@ -43,11 +43,12 @@ func TestMOfOneDistancePath(t *testing.T) {
 		{"overlay", func(ds *model.Dataset) *Engine {
 			ds.Road.SetDistanceOracle(hl.Build(ds.Road))
 			e := buildEngine(t, ds, Options{})
-			if _, err := e.AddRoadEdge(0, roadnet.VertexID(ds.Road.NumVertices()-1)); err != nil {
+			other := buildEngine(t, ds, Options{})
+			if _, err := other.AddRoadEdge(0, roadnet.VertexID(ds.Road.NumVertices()-1)); err != nil {
 				t.Fatal(err)
 			}
-			if !ds.Road.OverlayStats().Active || !ds.Road.HasLabels() {
-				t.Fatal("AddRoadEdge did not leave the overlay attached over the base's labels")
+			if !ds.Road.HasLabels() || e.labelTable() != nil {
+				t.Fatal("another engine's AddRoadEdge must keep the labels attached and drop this engine's table")
 			}
 			return e
 		}},

@@ -190,10 +190,10 @@ func TestAnchorDistancesCounted(t *testing.T) {
 
 // TestAnchorKeyIsMShare is the one-kernel-per-pair gate: the key the
 // anchor stream resolves anchor a to equals makeMOf({a})(u_q) bit for bit,
-// under hub labels, CH and plain Dijkstra, and under hub labels with road
-// edges pending, where both sides of the clearance rule must be taken —
-// pairs it vouches the label sum for and pairs it sends through the
-// delta-overlay.
+// under hub labels, CH and plain Dijkstra, and after road inserts both for
+// the engine that made them (row merges with its label table) and for a
+// second engine over the same dataset they left behind (no table: one
+// DistAttachWithinCk call per pair).
 func TestAnchorKeyIsMShare(t *testing.T) {
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0, R: 2, Metric: MetricDotProduct}
 	for _, oracle := range []string{"hl", "ch", "dijkstra"} {
@@ -215,27 +215,17 @@ func TestAnchorKeyIsMShare(t *testing.T) {
 		}
 	}
 
-	_, e, issuers := pendingTwin(t, 1)
-	ds := e.DS
-	var vouched, composed int
+	ds, issuers := insertDataset(t)
+	stale := buildEngine(t, ds, Options{Parallelism: 1})
+	e := buildEngine(t, ds, Options{Parallelism: 1})
+	addPendingEdges(t, e, issuers[:6])
+	if stale.roadCurrent() || stale.labelTable() != nil {
+		t.Fatal("an engine another engine's road edges left behind must drop its label table")
+	}
 	for _, uq := range issuers[:6] {
-		for _, id := range checkKeysAreMShares(t, fmt.Sprintf("pending uq %d", uq), e, uq, p) {
-			ar := e.acquireArena()
-			lbl := e.userLabelWith(uq, ar)
-			uqAt, at := ds.Users[uq].At, ds.POIs[id].At
-			d := ds.Road.RowDistsCk(lbl, uqAt, e.labelTable(), []int32{int32(id)}, math.Inf(1), ar.floatBuf(1), nil)[0]
-			if labelExact(d, math.Inf(1), e.clearance(uqAt)+e.clearance(at)) {
-				vouched++
-			} else {
-				composed++
-			}
-			e.releaseArena(ar)
-		}
+		checkKeysAreMShares(t, fmt.Sprintf("inserted uq %d", uq), e, uq, p)
+		checkKeysAreMShares(t, fmt.Sprintf("left behind uq %d", uq), stale, uq, p)
 	}
-	if vouched == 0 || composed == 0 {
-		t.Fatalf("pending: %d pairs vouched for by the clearance rule, %d composed through the overlay: both sides must be taken", vouched, composed)
-	}
-	t.Logf("pending: %d pairs vouched for, %d composed through the overlay", vouched, composed)
 }
 
 // checkKeysAreMShares drains uq's anchor stream unbounded and checks that

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"testing"
 
 	"gpssn/internal/gen"
@@ -53,7 +52,7 @@ func TestCompanionPruneKeepsExactTies(t *testing.T) {
 		dist := e.makeMOf([]model.POIID{anchor}, nil, nil, ar)
 		for u := range ds.Users {
 			d := dist(socialnet.UserID(u))
-			if e.companionPruned(socialnet.UserID(u), anchorRD, math.Inf(1), d) {
+			if e.companionPruned(socialnet.UserID(u), anchorRD, d) {
 				t.Errorf("user %d, anchor %d: pruned at bound = exact dist %x", u, a, d)
 			}
 		}

@@ -26,7 +26,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 	uqRow := e.topics.user(uq)
 	const probeAnchors = 3
 	nn := e.Road.Tree.Nearest(ds.Users[uq].Loc, probeAnchors)
-	kwRows, pend := e.keywordRowsComplete(), e.roadPending()
+	kwRows := e.keywordRowsComplete()
 	// At most 2·probeAnchors anchors are tried, so a scan beats a set.
 	tried := make([]model.POIID, 0, 2*probeAnchors)
 	tryAnchor := func(anchor model.POIID) {
@@ -37,7 +37,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 		// Lemma 1 before the ball: the bound is u_q's score over a
 		// superset of the ball's keywords, so a failing anchor's ball
 		// would fail the θ-test below.
-		if e.lemma1(anchor, p, uqRow, kwRows, pend) {
+		if e.lemma1(anchor, p, uqRow, kwRows) {
 			return
 		}
 		ball := e.ballAround(anchor, p.R, q.ck)
@@ -120,15 +120,9 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // engine has exactly one of them — no cached alternative whose use depends
 // on timing — so a user's M(u) is summed one way per engine.
 //
-// While road edges are pending the labels answer for the base graph, and
-// the clearance rule (pending.go) checks every member's label distance:
-// one beyond the bound and provably so in G makes M(u) +Inf, and the
-// members it cannot vouch for are priced through the delta-overlay
-// (DistAttachWithinCk) in one call. A finite distance of a (user, POI)
-// pair is its label sum exactly when the unbounded label distance passes
-// the test, which no bound changes, so each pair is still summed one way —
-// the same way the anchor stream resolves it (newAnchorOrder), so u_q's
-// distance to an anchor agrees bit for bit with its share of M(u_q).
+// Each pair is summed the same way the anchor stream resolves it
+// (newAnchorOrder), so u_q's distance to an anchor agrees bit for bit with
+// its share of M(u_q).
 //
 // With a keeper, evaluations are clamped at the current shared bound: a
 // ball POI beyond the bound proves M(u) > bound, so the user cannot be in
@@ -154,9 +148,7 @@ func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.C
 		}
 		return keeper.Bound()
 	}
-	tl := e.prepareBallLabels(ball, ar)
-	pend := e.roadPending()
-	if tl != nil && !pend {
+	if tl := e.prepareBallLabels(ball, ar); tl != nil {
 		out := ar.floatBuf(len(ball))
 		return func(u socialnet.UserID) float64 {
 			lbl := e.userLabelWith(u, ar)
@@ -167,37 +159,8 @@ func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.C
 	for i, o := range ball {
 		ballAtts[i] = ds.POIs[o].At
 	}
-	if tl == nil {
-		return func(u socialnet.UserID) float64 {
-			return ballMax(ds.Road.DistAttachWithinCk(ds.Users[u].At, bound(), ballAtts, ck))
-		}
-	}
-	out, clr := ar.floatBuf(len(ball)), make([]float64, len(ball))
-	for i, at := range ballAtts {
-		clr[i] = e.clearance(at)
-	}
 	return func(u socialnet.UserID) float64 {
-		at, b := ds.Users[u].At, bound()
-		ds.Road.LabelDistsCk(e.userLabelWith(u, ar), at, tl, b, out, ck)
-		eu := e.clearance(at)
-		var miss []int
-		for i, d := range out {
-			if !labelExact(d, b, eu+clr[i]) {
-				miss = append(miss, i)
-			} else if math.IsInf(d, 1) {
-				return d
-			}
-		}
-		if miss != nil {
-			atts := make([]roadnet.Attach, len(miss))
-			for j, i := range miss {
-				atts[j] = ballAtts[i]
-			}
-			for j, d := range ds.Road.DistAttachWithinCk(at, b, atts, ck) {
-				out[miss[j]] = d
-			}
-		}
-		return ballMax(out)
+		return ballMax(ds.Road.DistAttachWithinCk(ds.Users[u].At, bound(), ballAtts, ck))
 	}
 }
 
@@ -263,7 +226,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 	classes := &qar.classes
 	classes.reset(qar)
 	defer classes.release()
-	var pairs, thetaFailed, reachFailed, mEvals, sameBall, nearPortal atomic.Int64
+	var pairs, thetaFailed, reachFailed, mEvals, sameBall atomic.Int64
 
 	// refineBall is the work after the ball: the θ-test, M(u_q), the
 	// companions and the group search. It adds what it finds to the
@@ -311,13 +274,10 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 		// besides u_q (companions). Each is pivot-tested and evaluated the
 		// first time the search reaches it. Without τ-1 of them the anchor
 		// is dead.
-		anchorRD, anchorE := e.poiRDOf(ac.id), math.Inf(1)
-		if e.roadPending() {
-			anchorE = e.clearance(ds.POIs[ac.id].At)
-		}
+		anchorRD := e.poiRDOf(ac.id)
 		evals := 0
 		comps := ar.companions(cg, ut, p, kws, mUq, keeper, func(u socialnet.UserID) float64 {
-			if e.companionPruned(u, anchorRD, anchorE, keeper.Bound()) {
+			if e.companionPruned(u, anchorRD, keeper.Bound()) {
 				return math.Inf(1)
 			}
 			evals++
@@ -353,10 +313,7 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 	}
 
 	processAnchor := func(ac anchorEntry, ar *refineArena) {
-		ball, near := e.ball(ac.id, p.R, q.ck)
-		if near {
-			nearPortal.Add(1)
-		}
+		ball := e.ballAround(ac.id, p.R, q.ck)
 		// A trip during ball construction leaves a degenerate ball; bail
 		// before any result can be built on the wrong R set.
 		if q.ck.Stopped() {
@@ -440,9 +397,8 @@ func (e *Engine) refine(uq socialnet.UserID, p Params, qar *refineArena, keeper 
 	q.rethrow()
 	e.closeAnchorOrder(order, st)
 	st.AnchorsSameBall = int(sameBall.Load())
-	st.AnchorsNearPortal = int(nearPortal.Load())
-	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d same ball=%d near portal=%d",
-		order.expanded, order.entered, order.resolved, order.pops, st.AnchorsSameBall, st.AnchorsNearPortal)
+	q.tracef("anchor stream: nodes expanded=%d anchors entered=%d resolved=%d popped=%d same ball=%d",
+		order.expanded, order.entered, order.resolved, order.pops, st.AnchorsSameBall)
 
 	st.PairsEvaluated = pairs.Load()
 	st.AnchorsThetaFailed = int(thetaFailed.Load())
@@ -517,23 +473,16 @@ type anchorOrder struct {
 // so its key equals its share of M(u_q) bit for bit: under the engine's
 // own POI label table (labelTable) one row merge against u_q's label,
 // which lives in ar for the query; under any other engine one
-// DistAttachWithinCk call. While road edges are pending, the bounds and
-// the keyword rules take the clearance rule (pending.go), and a row merge
-// the rule cannot vouch for is resolved through the delta-overlay
-// instead, as makeMOf does. DisableIndexPruning keys every node 0 and skips
-// Lemmas 6 and 7; DisableDistancePruning, or an issuer with no pivot
-// vector (a delta user on a new road edge), keys every node and
-// unresolved anchor 0 and skips Lemmas 5 and 7.
+// DistAttachWithinCk call. DisableIndexPruning keys every node 0 and
+// skips Lemmas 6 and 7; DisableDistancePruning, or an issuer with no pivot
+// vector (the engine's road state is not current, roadCurrent), keys every
+// node and unresolved anchor 0 and skips Lemmas 5 and 7.
 func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) *anchorOrder {
 	ds, st := e.DS, q.st
 	uqRow, uqRD, uqAt := e.topics.user(uq), e.userRDOf(uq), ds.Users[uq].At
-	kwRows, pend := e.keywordRowsComplete(), e.roadPending()
+	kwRows := e.keywordRowsComplete()
 	distLB := !e.Opts.DisableDistancePruning && uqRD != nil
 	nodeRules := !e.Opts.DisableIndexPruning
-	uqE := math.Inf(1)
-	if pend {
-		uqE = e.clearance(uqAt)
-	}
 	o := &anchorOrder{h: ar.anchs[:0], ar: ar, ck: q.ck}
 
 	t := e.labelTable()
@@ -546,10 +495,7 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 		atts[0] = ds.POIs[id].At
 		if t != nil {
 			row[0] = int32(id)
-			d := ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, q.ck)[0]
-			if !pend || labelExact(d, math.Inf(1), uqE+e.clearance(atts[0])) {
-				return d
-			}
+			return ds.Road.RowDistsCk(lbl, uqAt, t, row, math.Inf(1), out, q.ck)[0]
 		}
 		return ds.Road.DistAttachWithinCk(uqAt, math.Inf(1), atts, q.ck)[0]
 	}
@@ -563,13 +509,10 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 				// them. Matching: Lemma 1, u_q's score over a superset of
 				// the radius-r ball's keywords. Distance: Lemma 5, the
 				// pivot lower bound against the keeper's bound.
-				matchPrune := e.lemma1(id, p, uqRow, kwRows, pend)
+				matchPrune := e.lemma1(id, p, uqRow, kwRows)
 				lb, distPrune := 0.0, false
 				if distLB {
 					lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
-					if uqE < lb {
-						lb = min(lb, uqE+e.clearance(ds.POIs[id].At))
-					}
 					distPrune = prunes(lb, bound)
 				}
 				if matchPrune {
@@ -592,11 +535,8 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 			m := e.Road.Meta(child)
 			key := 0.0
 			if nodeRules {
-				// Lemma 6: matching score pruning for index nodes, for a
-				// node whose every POI is far enough from the old
-				// portals that its balls are the base graph's.
-				if kwRows && uqRow.matchUb(m.KwMin, p.R) < p.Theta &&
-					(!pend || farFromPortals(e.rectClearance(ent.Rect), p.R)) {
+				// Lemma 6: matching score pruning for index nodes.
+				if kwRows && uqRow.matchUb(m.KwMin, p.R) < p.Theta {
 					st.RNIndexPruned += m.POICount
 					st.RNIndexPrunedMatch += m.POICount
 					continue
@@ -604,9 +544,6 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 				// Lemma 7 / Eq. 17: distance lower bound vs the bound.
 				if distLB {
 					lb := nodeDistLb(uqRD, m.LbDist, m.UbDist)
-					if uqE < lb {
-						lb = min(lb, uqE+e.rectClearance(ent.Rect))
-					}
 					if prunes(lb, bound) {
 						st.RNIndexPruned += m.POICount
 						st.RNIndexPrunedDist += m.POICount
@@ -742,72 +679,39 @@ func (o *anchorOrder) down(i int) {
 // bound beyond the keeper's rules u out. The lower bound is a derived
 // float (|d(u,p) − d(a,p)| over two independently rounded sums) and can
 // exceed an exact tied cost by an ulp, hence prunes rather than a bare >.
-// While road edges are pending the stored rows answer for the base graph,
-// and the bound is capped at E(u) + anchorE, the anchor's clearance
-// (+Inf with none pending; pending.go). A user or anchor without a pivot
-// vector (a delta object on a new road edge) is never pruned.
-func (e *Engine) companionPruned(u socialnet.UserID, anchorRD []float64, anchorE, bound float64) bool {
+// A user or anchor without a pivot vector (the engine's road state is not
+// current) is never pruned.
+func (e *Engine) companionPruned(u socialnet.UserID, anchorRD []float64, bound float64) bool {
 	rd := e.userRDOf(u)
 	if rd == nil || anchorRD == nil {
 		return false
 	}
-	lb := roadnet.LowerBound(rd, anchorRD)
-	if anchorE < lb {
-		lb = min(lb, anchorE+e.clearance(e.DS.Users[u].At))
-	}
-	return prunes(lb, bound)
+	return prunes(roadnet.LowerBound(rd, anchorRD), bound)
 }
 
 // lemma1 reports whether Lemma 1 prunes anchor id: u_q's score over the
 // superset of its radius-r ball's keywords the rows hold falls below θ.
-// The rows must account for every POI (kwRows), and while road edges are
-// pending (pend) the anchor must be far enough from the old portals that
-// its ball is the base graph's (pending.go).
-func (e *Engine) lemma1(id model.POIID, p Params, uqRow topicRow, kwRows, pend bool) bool {
-	return kwRows && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta &&
-		(!pend || farFromPortals(e.clearance(e.DS.POIs[id].At), p.R))
+// The rows must account for every POI and road edge (kwRows).
+func (e *Engine) lemma1(id model.POIID, p Params, uqRow topicRow, kwRows bool) bool {
+	return kwRows && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta
 }
 
-// ballAround returns the POIs within road distance radius of the anchor
-// (always including the anchor itself); see ball.
-func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Checkpoint) []model.POIID {
-	b, _ := e.ball(anchor, radius, ck)
-	return b
-}
-
-// ball returns the POIs within road distance radius of the anchor (always
-// including the anchor itself), and whether road edges are pending within
-// reach of it. An anchor farther than radius from every old portal has the
-// same ball in the grown graph as in the base (pending.go): no member can
-// sit on a new edge, and one base-oracle call prices the rest, bit for bit
-// what the delta-overlay would return. A near one is priced through the
-// overlay. With a tripped checkpoint the checked distance batch reports
-// +Inf for everything, so the ball degenerates to {anchor} — harmless,
-// because a cancelled query errors out and a budget-tripped one can no
-// longer admit results (every M(u) on the degenerate ball that involves a
-// road search is +Inf too).
-func (e *Engine) ball(anchor model.POIID, radius float64, ck *roadnet.Checkpoint) (ball []model.POIID, near bool) {
+// ballAround returns the POIs within road distance radius of the anchor (always
+// including the anchor itself): the POIs within Euclidean radius, priced
+// in one DistAttachWithinCk call. With a tripped checkpoint the checked
+// distance batch reports +Inf for everything, so the ball degenerates to
+// {anchor} — harmless, because a cancelled query errors out and a
+// budget-tripped one can no longer admit results (every M(u) on the
+// degenerate ball that involves a road search is +Inf too).
+func (e *Engine) ballAround(anchor model.POIID, radius float64, ck *roadnet.Checkpoint) (ball []model.POIID) {
 	ds := e.DS
 	pre := e.Road.EuclidBall(ds.POIs[anchor].Loc, radius)
 	pre = append(pre, e.deltaBallMembers(anchor, radius)...)
-	at := ds.POIs[anchor].At
-	far := true
-	if e.roadPending() {
-		far = farFromPortals(e.clearance(at), radius)
-		if far {
-			pre = slices.DeleteFunc(pre, func(id model.POIID) bool { return ds.Road.NewEdge(ds.POIs[id].At.Edge) })
-		}
-	}
 	atts := make([]roadnet.Attach, len(pre))
 	for i, id := range pre {
 		atts[i] = ds.POIs[id].At
 	}
-	var dists []float64
-	if far {
-		dists = ds.Road.DistAttachWithinBaseCk(at, radius, atts, ck)
-	} else {
-		dists = ds.Road.DistAttachWithinCk(at, radius, atts, ck)
-	}
+	dists := ds.Road.DistAttachWithinCk(ds.POIs[anchor].At, radius, atts, ck)
 	seenAnchor := false
 	for i, id := range pre {
 		if !math.IsInf(dists[i], 1) {
@@ -820,5 +724,5 @@ func (e *Engine) ball(anchor model.POIID, radius float64, ck *roadnet.Checkpoint
 	if !seenAnchor {
 		ball = append(ball, anchor)
 	}
-	return ball, !far
+	return ball
 }

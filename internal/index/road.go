@@ -122,22 +122,83 @@ func (ix *RoadIndex) buildPOIAggregates() {
 	}
 	var atts []roadnet.Attach
 	for i := range ds.POIs {
-		p := &ds.POIs[i]
-		ix.poiDist[i] = ix.Pivots.AttachDistAll(ds.Road, p.At)
-		near := ix.euclidBall(p.Loc, ix.RMax)
-		atts = atts[:0]
-		for _, j := range near {
-			atts = append(atts, ds.POIs[j].At)
+		ix.poiDist[i] = ix.Pivots.AttachDistAll(ds.Road, ds.POIs[i].At)
+		atts = ix.lowerKeywordRow(i, atts)
+	}
+}
+
+// lowerKeywordRow lowers POI i's keyword row to the road distances of the
+// POIs within Euclidean RMax of it: one bounded search over them, through
+// the same kernel ballAround uses. atts is scratch, returned for reuse.
+func (ix *RoadIndex) lowerKeywordRow(i int, atts []roadnet.Attach) []roadnet.Attach {
+	ds, d := ix.DS, ix.DS.NumTopics
+	p := &ds.POIs[i]
+	near := ix.euclidBall(p.Loc, ix.RMax)
+	atts = atts[:0]
+	for _, j := range near {
+		atts = append(atts, ds.POIs[j].At)
+	}
+	dists := ds.Road.DistAttachWithin(p.At, ix.RMax, atts)
+	row := ix.kwDist[i*d : (i+1)*d]
+	for c, j := range near {
+		dist := dists[c]
+		if j == i {
+			dist = 0
 		}
-		dists := ds.Road.DistAttachWithin(p.At, ix.RMax, atts)
-		row := ix.kwDist[i*d : (i+1)*d]
-		for c, j := range near {
-			dist := dists[c]
-			if j == i {
-				dist = 0
+		lowerRow(row, ds.POIs[j].Keywords, dist)
+	}
+	return atts
+}
+
+// AddRoadEdge brings I_R up to date after the road graph gained edge id,
+// and returns the vertices whose distance to some pivot fell (I_S's
+// AddRoadEdge takes them). The pivot rows, which I_S shares, run one
+// decrease-only search per pivot. A pendant edge (an end with no other
+// edge) shortens no path between older points and changes nothing else.
+// Otherwise an indexed POI on an edge touching a vertex whose pivot
+// distance fell gets its pivot vector recomputed, and the keyword row of
+// every indexed POI within Euclidean RMax of either end is lowered by a
+// new bounded search: a road path through the edge that is no longer than
+// RMax reaches an end first, at least that far in a straight line. The
+// node bounds are then recomputed over the rows. Not safe concurrently
+// with queries.
+func (ix *RoadIndex) AddRoadEdge(id roadnet.EdgeID) []roadnet.VertexID {
+	g := ix.DS.Road
+	fell := ix.Pivots.AddEdge(g, id)
+	e := g.EdgeAt(id)
+	if g.Degree(e.U) == 1 || g.Degree(e.V) == 1 {
+		return nil
+	}
+	touched := touching(g, fell)
+	for i := range ix.poiDist {
+		if at := ix.DS.POIs[i].At; touched(at) {
+			ix.poiDist[i] = ix.Pivots.AttachDistAll(g, at)
+		}
+	}
+	var atts []roadnet.Attach
+	seen := map[int]bool{}
+	for _, end := range [2]roadnet.VertexID{e.U, e.V} {
+		for _, i := range ix.euclidBall(g.Vertex(end), ix.RMax*(1+1e-9)) {
+			if !seen[i] {
+				seen[i] = true
+				atts = ix.lowerKeywordRow(i, atts)
 			}
-			lowerRow(row, ds.POIs[j].Keywords, dist)
 		}
+	}
+	ix.buildNodeMeta(ix.Tree.Root())
+	return fell
+}
+
+// touching returns whether an attachment lies on an edge with an end
+// among vs.
+func touching(g *roadnet.Graph, vs []roadnet.VertexID) func(roadnet.Attach) bool {
+	set := make(map[roadnet.VertexID]bool, len(vs))
+	for _, v := range vs {
+		set[v] = true
+	}
+	return func(a roadnet.Attach) bool {
+		e := g.EdgeAt(a.Edge)
+		return set[e.U] || set[e.V]
 	}
 }
 

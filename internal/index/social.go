@@ -283,6 +283,23 @@ func (ix *SocialIndex) UserRoadDist(u socialnet.UserID) []float64 {
 	return ix.rd[i : i+ix.h : i+ix.h]
 }
 
+// AddRoadEdge recomputes the road pivot vector of every indexed user on an
+// edge touching a vertex in fell, the vertices whose pivot distance the
+// road graph's new edge lowered (RoadIndex.AddRoadEdge, which brings the
+// shared pivot rows up to date first). Not safe concurrently with queries.
+func (ix *SocialIndex) AddRoadEdge(fell []roadnet.VertexID) {
+	if len(fell) == 0 {
+		return
+	}
+	g := ix.DS.Road
+	touched := touching(g, fell)
+	for u, p := range ix.pos {
+		if at := ix.DS.Users[u].At; touched(at) {
+			copy(ix.rd[int(p)*ix.h:], ix.RoadPivots.AttachDistAll(g, at))
+		}
+	}
+}
+
 // Pos returns the leaf position of an indexed user.
 func (ix *SocialIndex) Pos(u socialnet.UserID) int { return int(ix.pos[u]) }
 

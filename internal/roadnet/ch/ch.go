@@ -121,7 +121,7 @@ type builder struct {
 	wDist  []float64
 	wVer   []uint32
 	wEpoch uint32
-	wHeap  heap64
+	wHeap  roadnet.DistHeap
 	// target stamps let a witness search stop as soon as every remaining
 	// neighbour pair is settled instead of running to the settle limit.
 	tVer   []uint32
@@ -153,13 +153,14 @@ func (b *builder) addArc(from, to int32, wt float64) {
 
 // contractAll runs the lazy-update contraction loop.
 func (b *builder) contractAll() {
-	pq := heap64{}
+	pq := roadnet.DistHeap{}
 	for v := 0; v < b.n; v++ {
-		pq.push(int32(v), b.priority(int32(v)))
+		pq.Push(roadnet.VertexID(v), b.priority(int32(v)))
 	}
 	next := int32(0)
-	for pq.len() > 0 {
-		v, _ := pq.pop()
+	for pq.Len() > 0 {
+		pv, _ := pq.Pop()
+		v := int32(pv)
 		if b.contracted[v] {
 			continue
 		}
@@ -172,8 +173,8 @@ func (b *builder) contractAll() {
 		b.scBuf = b.scBuf[:0]
 		needed, deg := b.simulate(v, &b.scBuf)
 		cur := 2*float64(needed-deg) + float64(b.delNbrs[v])
-		if pq.len() > 0 && cur > pq.topKey()+1e-12 {
-			pq.push(v, cur)
+		if pq.Len() > 0 && cur > pq.TopKey()+1e-12 {
+			pq.Push(pv, cur)
 			continue
 		}
 		b.contract(v, next)
@@ -274,13 +275,14 @@ func (b *builder) witnessSearch(src, excluded int32, bound float64, targets []ar
 	}
 	ep := b.wEpoch
 	h := &b.wHeap
-	h.reset()
+	h.Reset()
 	b.wDist[src] = 0
 	b.wVer[src] = ep
-	h.push(src, 0)
+	h.Push(roadnet.VertexID(src), 0)
 	settled := 0
-	for h.len() > 0 && settled < witnessSettleLimit {
-		v, d := h.pop()
+	for h.Len() > 0 && settled < witnessSettleLimit {
+		pv, d := h.Pop()
+		v := int32(pv)
 		if d > b.wDist[v] {
 			continue
 		}
@@ -303,7 +305,7 @@ func (b *builder) witnessSearch(src, excluded int32, bound float64, targets []ar
 			if b.wVer[a.to] != ep || nd < b.wDist[a.to] {
 				b.wVer[a.to] = ep
 				b.wDist[a.to] = nd
-				h.push(a.to, nd)
+				h.Push(roadnet.VertexID(a.to), nd)
 			}
 		}
 	}
@@ -343,55 +345,4 @@ func (b *builder) finish() *Oracle {
 		}
 	}
 	return o
-}
-
-// heap64 is a typed binary min-heap of (vertex, key) pairs, mirroring
-// roadnet's distHeap to avoid container/heap interface allocations.
-type heap64 struct {
-	v []int32
-	d []float64
-}
-
-func (h *heap64) len() int        { return len(h.v) }
-func (h *heap64) reset()          { h.v, h.d = h.v[:0], h.d[:0] }
-func (h *heap64) topKey() float64 { return h.d[0] }
-
-func (h *heap64) push(v int32, d float64) {
-	h.v = append(h.v, v)
-	h.d = append(h.d, d)
-	i := len(h.v) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.d[p] <= h.d[i] {
-			break
-		}
-		h.v[p], h.v[i] = h.v[i], h.v[p]
-		h.d[p], h.d[i] = h.d[i], h.d[p]
-		i = p
-	}
-}
-
-func (h *heap64) pop() (int32, float64) {
-	v, d := h.v[0], h.d[0]
-	last := len(h.v) - 1
-	h.v[0], h.d[0] = h.v[last], h.d[last]
-	h.v, h.d = h.v[:last], h.d[:last]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h.d) && h.d[l] < h.d[s] {
-			s = l
-		}
-		if r < len(h.d) && h.d[r] < h.d[s] {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h.v[s], h.v[i] = h.v[i], h.v[s]
-		h.d[s], h.d[i] = h.d[i], h.d[s]
-		i = s
-	}
-	return v, d
 }

@@ -21,7 +21,7 @@ type scratch struct {
 	bVer   []uint32
 	bEpoch uint32
 
-	heap heap64
+	heap roadnet.DistHeap
 
 	bktHead  []int32 // per-vertex head index into entries, or -1
 	bktVer   []uint32
@@ -62,7 +62,7 @@ func (o *Oracle) getScratch() *scratch {
 }
 
 func (o *Oracle) putScratch(sc *scratch) {
-	sc.heap.reset()
+	sc.heap.Reset()
 	sc.entries = sc.entries[:0]
 	sc.slots = sc.slots[:0]
 	o.pool.Put(sc)
@@ -96,18 +96,19 @@ func bump(epoch *uint32, ver []uint32) uint32 {
 func (o *Oracle) upwardSearch(sc *scratch, dist []float64, ver []uint32, epoch *uint32, seeds []roadnet.Seed, bound float64, ck *roadnet.Checkpoint, onSettle func(v int32, d float64)) {
 	ep := bump(epoch, ver)
 	h := &sc.heap
-	h.reset()
+	h.Reset()
 	for _, s := range seeds {
 		v := int32(s.Vertex)
 		if s.Dist <= bound && (ver[v] != ep || s.Dist < dist[v]) {
 			ver[v] = ep
 			dist[v] = s.Dist
-			h.push(v, s.Dist)
+			h.Push(s.Vertex, s.Dist)
 		}
 	}
 	sinceCheck := 0
-	for h.len() > 0 {
-		v, d := h.pop()
+	for h.Len() > 0 {
+		pv, d := h.Pop()
+		v := int32(pv)
 		if d > dist[v] {
 			continue // stale entry
 		}
@@ -137,7 +138,7 @@ func (o *Oracle) upwardSearch(sc *scratch, dist []float64, ver []uint32, epoch *
 			if nd <= bound && (ver[w] != ep || nd < dist[w]) {
 				ver[w] = ep
 				dist[w] = nd
-				h.push(w, nd)
+				h.Push(roadnet.VertexID(w), nd)
 			}
 		}
 	}

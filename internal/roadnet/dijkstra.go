@@ -5,17 +5,27 @@ import (
 	"math"
 )
 
-// distHeap is a typed binary min-heap of (vertex, dist) pairs. A typed heap
-// avoids the interface allocations of container/heap in this hot path; the
-// road network runs thousands of Dijkstra searches during index builds.
-type distHeap struct {
+// DistHeap is a typed binary min-heap of (vertex, dist) pairs. A typed heap
+// avoids the interface allocations of container/heap in these hot paths:
+// the road network runs thousands of Dijkstra searches during index
+// builds, and the CH build and query (internal/roadnet/ch) and the
+// hub-label update (internal/roadnet/hl) use it too.
+type DistHeap struct {
 	v []VertexID
 	d []float64
 }
 
-func (h *distHeap) len() int { return len(h.v) }
+// Len returns the number of queued entries.
+func (h *DistHeap) Len() int { return len(h.v) }
 
-func (h *distHeap) push(v VertexID, d float64) {
+// Reset empties the heap, keeping capacity.
+func (h *DistHeap) Reset() { h.v, h.d = h.v[:0], h.d[:0] }
+
+// TopKey returns the smallest queued distance.
+func (h *DistHeap) TopKey() float64 { return h.d[0] }
+
+// Push queues v at distance d.
+func (h *DistHeap) Push(v VertexID, d float64) {
 	h.v = append(h.v, v)
 	h.d = append(h.d, d)
 	i := len(h.v) - 1
@@ -30,7 +40,8 @@ func (h *distHeap) push(v VertexID, d float64) {
 	}
 }
 
-func (h *distHeap) pop() (VertexID, float64) {
+// Pop removes and returns the entry with the smallest distance.
+func (h *DistHeap) Pop() (VertexID, float64) {
 	v, d := h.v[0], h.d[0]
 	last := len(h.v) - 1
 	h.v[0], h.d[0] = h.v[last], h.d[last]
@@ -72,8 +83,8 @@ func (g *Graph) Dijkstra(src VertexID) []float64 {
 
 // DijkstraMulti returns shortest-path distances from the nearest seed to
 // every vertex. Unreachable vertices get +Inf. It always searches the
-// graph's own adjacency, which holds every pending edge, so the result is
-// exact whatever oracle is attached.
+// graph's own adjacency, so the result is exact whatever oracle is
+// attached.
 func (g *Graph) DijkstraMulti(seeds []Seed) []float64 {
 	return g.DijkstraMultiCk(seeds, nil)
 }
@@ -102,13 +113,13 @@ func (g *Graph) DijkstraMultiCk(seeds []Seed, ck *Checkpoint) []float64 {
 	for _, s := range seeds {
 		if s.Dist < dist[s.Vertex] {
 			dist[s.Vertex] = s.Dist
-			h.push(s.Vertex, s.Dist)
+			h.Push(s.Vertex, s.Dist)
 		}
 	}
 	aborted := false
 	sinceCheck := 0
-	for h.len() > 0 {
-		v, d := h.pop()
+	for h.Len() > 0 {
+		v, d := h.Pop()
 		if d > dist[v] {
 			continue // stale entry
 		}
@@ -123,7 +134,7 @@ func (g *Graph) DijkstraMultiCk(seeds []Seed, ck *Checkpoint) []float64 {
 			nd := d + he.weight
 			if nd < dist[he.to] {
 				dist[he.to] = nd
-				h.push(he.to, nd)
+				h.Push(he.to, nd)
 			}
 		}
 	}
@@ -164,13 +175,13 @@ func (g *Graph) boundedSearch(sc *searchScratch, seeds []Seed, targets []VertexI
 	for _, s := range seeds {
 		if s.Dist <= bound && s.Dist < sc.dist[s.Vertex] {
 			sc.set(s.Vertex, s.Dist)
-			h.push(s.Vertex, s.Dist)
+			h.Push(s.Vertex, s.Dist)
 		}
 	}
 	settled := 0
 	sinceCheck := 0
-	for h.len() > 0 {
-		v, d := h.pop()
+	for h.Len() > 0 {
+		v, d := h.Pop()
 		if d > sc.dist[v] {
 			continue // stale entry
 		}
@@ -198,7 +209,7 @@ func (g *Graph) boundedSearch(sc *searchScratch, seeds []Seed, targets []VertexI
 			nd := d + he.weight
 			if nd <= bound && nd < sc.dist[he.to] {
 				sc.set(he.to, nd)
-				h.push(he.to, nd)
+				h.Push(he.to, nd)
 			}
 		}
 	}
@@ -245,7 +256,7 @@ func (g *Graph) DistAttach(a, b Attach) float64 {
 // With an oracle attached the search is the many-to-many bucket kernel over
 // just the attachment endpoints instead of a full one-to-all scan.
 func (g *Graph) DistAttachMany(a Attach, bs []Attach) []float64 {
-	return g.distAttachBatch(g.oracle, a, math.Inf(1), bs, nil)
+	return g.distAttachBatch(a, math.Inf(1), bs, nil)
 }
 
 // DistAttachWithin returns dist_RN(a, c) for each candidate c, reported
@@ -255,34 +266,23 @@ func (g *Graph) DistAttachMany(a Attach, bs []Attach) []float64 {
 // uses it to materialize the POI balls ⊙(o_i, r_min), and the query
 // refinement uses it to materialize answer balls ⊙(o_i, r).
 func (g *Graph) DistAttachWithin(a Attach, bound float64, cands []Attach) []float64 {
-	return g.distAttachBatch(g.oracle, a, bound, cands, nil)
+	return g.distAttachBatch(a, bound, cands, nil)
 }
 
 // DistAttachWithinCk is DistAttachWithin with a cooperative checkpoint;
 // once it trips, every candidate distance is reported as +Inf (no partial
 // values). ck may be nil.
 func (g *Graph) DistAttachWithinCk(a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
-	return g.distAttachBatch(g.oracle, a, bound, cands, ck)
-}
-
-// DistAttachWithinBaseCk is DistAttachWithinCk answered by the static
-// oracle the delta-overlay wraps, that is for the base G0 (base.go), one
-// base call instead of the overlay's composition; with no overlay active
-// it is DistAttachWithinCk itself. a and every candidate must lie on edges
-// of G0, and the caller must know G0's answer to be G's: the overlay's
-// composed answer is the minimum of this one and paths through an old
-// portal, so where those are all beyond bound the two agree bit for bit.
-func (g *Graph) DistAttachWithinBaseCk(a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
-	return g.distAttachBatch(g.baseOracle(), a, bound, cands, ck)
+	return g.distAttachBatch(a, bound, cands, ck)
 }
 
 // distAttachBatch is the shared implementation of DistAttachMany
 // (bound = +Inf) and DistAttachWithin (finite bound): distances from a to
-// each candidate through oracle o (a bounded search of the graph when o is
-// nil), with values beyond the bound clamped to +Inf. An aborted
+// each candidate through the attached oracle (a bounded search of the
+// graph without one), with values beyond the bound clamped to +Inf. An aborted
 // (checkpoint-tripped) batch reports every candidate as +Inf so no caller
 // ever consumes a distance from an interrupted search.
-func (g *Graph) distAttachBatch(o DistanceOracle, a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
+func (g *Graph) distAttachBatch(a Attach, bound float64, cands []Attach, ck *Checkpoint) []float64 {
 	out := make([]float64, len(cands))
 	if ck.Stopped() {
 		for i := range out {
@@ -293,7 +293,7 @@ func (g *Graph) distAttachBatch(o DistanceOracle, a Attach, bound float64, cands
 	au, av, dau, dav := g.attachEnds(a)
 	seeds := []Seed{{au, dau}, {av, dav}}
 
-	if o != nil {
+	if o := g.oracle; o != nil {
 		// Query only the candidates' edge endpoints, deduplicated, through
 		// the oracle's many-to-many kernel.
 		targets := make([]VertexID, 0, 2*len(cands))
@@ -377,10 +377,10 @@ func (g *Graph) ShortestPath(src, dst VertexID) (float64, []VertexID) {
 		prev[i] = -1
 	}
 	dist[src] = 0
-	h := &distHeap{}
-	h.push(src, 0)
-	for h.len() > 0 {
-		v, d := h.pop()
+	h := &DistHeap{}
+	h.Push(src, 0)
+	for h.Len() > 0 {
+		v, d := h.Pop()
 		if d > dist[v] {
 			continue
 		}
@@ -392,7 +392,7 @@ func (g *Graph) ShortestPath(src, dst VertexID) (float64, []VertexID) {
 			if nd < dist[he.to] {
 				dist[he.to] = nd
 				prev[he.to] = v
-				h.push(he.to, nd)
+				h.Push(he.to, nd)
 			}
 		}
 	}

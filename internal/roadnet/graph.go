@@ -44,7 +44,10 @@ type Graph struct {
 	grid       *edgeGrid      // lazily built by SnapPoint
 	gridBuilds int            // full grid (re)builds; mutations must not force one
 	oracle     DistanceOracle // optional fast exact-distance backend (see oracle.go)
-	base       baseMark       // G0 and its old portals (see base.go)
+	inserts    insertStats    // road inserts since the oracle was attached
+	// labelVersion counts the edge inserts that changed the attached
+	// oracle's labels of earlier edges (DynamicOracle.AddEdge).
+	labelVersion uint64
 }
 
 // NewGraph returns an empty road network with capacity hints.
@@ -57,16 +60,12 @@ func NewGraph(vertexHint, edgeHint int) *Graph {
 }
 
 // AddVertex adds an intersection at p and returns its id. An attached
-// distance oracle stays attached: it is wrapped in a delta-overlay (see
-// overlay.go) that keeps answers exact over the mutated topology. The
-// snap grid indexes edges only, so it is untouched.
+// DynamicOracle gives it a label; the snap grid indexes edges only, so it
+// is untouched.
 func (g *Graph) AddVertex(p geo.Point) VertexID {
-	ov := g.ensureOverlay()
 	g.pts = append(g.pts, p)
 	g.adj = append(g.adj, nil)
-	if ov != nil {
-		ov.noteAddVertex()
-	}
+	g.noteVertex()
 	return VertexID(len(g.pts) - 1)
 }
 
@@ -75,35 +74,31 @@ func (g *Graph) AddVertex(p geo.Point) VertexID {
 // rejected with a panic since road networks never contain them — callers
 // holding untrusted input validate first (the facade road-mutation
 // boundary returns typed errors; ImportCSV rejects with row numbers).
-// An attached distance oracle stays attached through the delta-overlay,
-// and the snap grid absorbs the new segment incrementally.
+// An attached DynamicOracle updates its labels, any other oracle is
+// detached (plain Dijkstra is exact over the grown graph), and the snap
+// grid absorbs the new segment incrementally.
 func (g *Graph) AddEdge(u, v VertexID) EdgeID {
 	if u == v {
 		panic(fmt.Sprintf("roadnet: self-loop at vertex %d", u))
 	}
 	g.checkVertex(u)
 	g.checkVertex(v)
-	ov := g.ensureOverlay()
 	w := g.pts[u].Dist(g.pts[v])
 	id := EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
 	g.adj[u] = append(g.adj[u], halfEdge{to: v, weight: w, edge: id})
 	g.adj[v] = append(g.adj[v], halfEdge{to: u, weight: w, edge: id})
-	if ov != nil {
-		ov.noteAddEdge(u, v, w)
-	}
-	g.noteBaseEdge(u, v)
+	g.noteEdge(u, v, w)
 	g.gridInsertEdge(id)
 	return id
 }
 
 // Clone returns a deep copy of the graph's topology and geometry. The
-// snap grid, the distance oracle and the base mark are deliberately not
-// carried over — the clone rebuilds its grid lazily and gets its own
-// oracle, which marks its base — so the copy shares no mutable state with
-// the original. Background
-// re-contraction clones the graph off-lock and rebuilds against the copy
-// while the original keeps serving.
+// snap grid, the distance oracle and the insert counters are deliberately
+// not carried over — the clone rebuilds its grid lazily and gets its own
+// oracle — so the copy shares no mutable state with the original.
+// Background re-contraction clones the graph off-lock and rebuilds
+// against the copy while the original keeps serving.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		pts:   append([]geo.Point(nil), g.pts...),
@@ -285,9 +280,7 @@ func (g *Graph) attachEnds(a Attach) (u, v VertexID, du, dv float64) {
 // dist (for example a pivot row or a Dijkstra result array). A table
 // shorter than the current vertex count — a pivot row computed before
 // vertices were appended — carries no information about the missing
-// endpoints, which read as +Inf; callers relying on such stale tables as
-// lower bounds must not trust them on new edges (the engine gives objects
-// there no pivot vector).
+// endpoints, which read as +Inf.
 func (g *Graph) DistToVertexVia(a Attach, dist []float64) float64 {
 	u, v, du, dv := g.attachEnds(a)
 	x, y := math.Inf(1), math.Inf(1)

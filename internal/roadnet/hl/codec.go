@@ -16,16 +16,31 @@ import (
 // wrapped prefix; the snapshot writer checks Enc.Err before framing the
 // section.
 //
+// The labels are written back to back in position order, so a store road
+// inserts have left dead entries in is written without them.
+//
 // An earlier layout had no position map (it was derived from a CH
 // section). Decode never misreads one: it takes the first four bytes of
 // the uint64 offset count, n+1, for the map's length, which fails the
 // length check.
 func (o *Oracle) Encode(e *snap.Enc) {
+	off := make([]int64, o.n+1)
+	for p := range o.n {
+		off[p+1] = off[p] + o.off[2*p+1] - o.off[2*p]
+	}
+	hub, dist := o.hub, o.dist
+	if o.live != len(o.hub) {
+		hub, dist = make([]int32, 0, o.live), make([]float64, 0, o.live)
+		for p := range o.n {
+			hH, hD := o.labelAt(int32(p))
+			hub, dist = append(hub, hH...), append(dist, hD...)
+		}
+	}
 	e.U32(uint32(o.n))
 	e.I32s(o.pos)
-	e.I64s(o.off)
-	e.I32s(o.hub)
-	e.F64s(o.dist)
+	e.I64s(off)
+	e.I32s(hub)
+	e.F64s(dist)
 }
 
 // Decode reconstructs a label oracle from a payload written by Encode,
@@ -79,8 +94,9 @@ func Decode(d *snap.Dec) (*Oracle, error) {
 	if int(off[n]) != len(hub) || len(hub) != len(dist) {
 		return nil, fmt.Errorf("hl: label arrays inconsistent (off=%d hub=%d dist=%d)", off[n], len(hub), len(dist))
 	}
-	o := &Oracle{n: n, pos: pos, off: off, hub: hub, dist: dist}
+	o := &Oracle{n: n, pos: pos, off: make([]int64, 2*n), hub: hub, dist: dist, live: len(hub)}
 	for p := 0; p < n; p++ {
+		o.off[2*p], o.off[2*p+1] = off[p], off[p+1]
 		lo, hi := off[p], off[p+1]
 		if lo == hi {
 			return nil, fmt.Errorf("hl: rank position %d has an empty label (self-entry missing)", p)

@@ -60,17 +60,31 @@ func TestCodecRejectsTruncation(t *testing.T) {
 	}
 }
 
-func corruptAndDecode(t *testing.T, o *Oracle, mutate func(c *Oracle)) error {
+// wire is the encoded layout of a label store: the position map, n+1
+// compact offsets and the labels back to back.
+type wire struct {
+	n    int
+	pos  []int32
+	off  []int64
+	hub  []int32
+	dist []float64
+}
+
+func corruptAndDecode(t *testing.T, o *Oracle, mutate func(c *wire)) error {
 	t.Helper()
-	c := &Oracle{
-		n:    o.n,
-		pos:  append([]int32(nil), o.pos...),
-		off:  append([]int64(nil), o.off...),
-		hub:  append([]int32(nil), o.hub...),
-		dist: append([]float64(nil), o.dist...),
+	d := &snap.Dec{B: encodeOracle(t, o)}
+	c := &wire{n: int(d.U32()), pos: d.I32s(), off: d.I64s(), hub: d.I32s(), dist: d.F64s()}
+	if err := d.Err(); err != nil {
+		t.Fatal(err)
 	}
 	mutate(c)
-	_, err := Decode(&snap.Dec{B: encodeOracle(t, c)})
+	var e snap.Enc
+	e.U32(uint32(c.n))
+	e.I32s(c.pos)
+	e.I64s(c.off)
+	e.I32s(c.hub)
+	e.F64s(c.dist)
+	_, err := Decode(&snap.Dec{B: e.B})
 	return err
 }
 
@@ -81,23 +95,23 @@ func TestCodecRejectsStructuralDamage(t *testing.T) {
 	o := Build(randomGraph(t, rng, 60, 1.4, true))
 	cases := []struct {
 		name   string
-		mutate func(c *Oracle)
+		mutate func(c *wire)
 		want   string
 	}{
-		{"pos-not-permutation", func(c *Oracle) { c.pos[3] = c.pos[4] }, "not a permutation"},
-		{"pos-out-of-range", func(c *Oracle) { c.pos[0] = int32(c.n) }, "not a permutation"},
-		{"pos-wrong-length", func(c *Oracle) { c.pos = c.pos[:c.n-1] }, "position map"},
-		{"offsets-not-monotone", func(c *Oracle) { c.off[1] = c.off[len(c.off)-1] + 1 }, "not monotone"},
-		{"offsets-wrong-origin", func(c *Oracle) {
+		{"pos-not-permutation", func(c *wire) { c.pos[3] = c.pos[4] }, "not a permutation"},
+		{"pos-out-of-range", func(c *wire) { c.pos[0] = int32(c.n) }, "not a permutation"},
+		{"pos-wrong-length", func(c *wire) { c.pos = c.pos[:c.n-1] }, "position map"},
+		{"offsets-not-monotone", func(c *wire) { c.off[1] = c.off[len(c.off)-1] + 1 }, "not monotone"},
+		{"offsets-wrong-origin", func(c *wire) {
 			for i := range c.off {
 				c.off[i]++
 			}
 		}, "start at 0"},
-		{"arrays-inconsistent", func(c *Oracle) { c.hub = c.hub[:len(c.hub)-1] }, "inconsistent"},
-		{"self-entry-missing", func(c *Oracle) { c.hub[c.off[2]-1] = 0 }, ""},
-		{"self-entry-nonzero-dist", func(c *Oracle) { c.dist[c.off[1]-1] = 0.5 }, "self-entry"},
-		{"hub-above-own-rank", func(c *Oracle) { c.hub[c.off[1]-1] = int32(c.n) }, "rank space"},
-		{"distance-negative", func(c *Oracle) { c.dist[c.off[c.n-1]] = -1 }, "finite non-negative"},
+		{"arrays-inconsistent", func(c *wire) { c.hub = c.hub[:len(c.hub)-1] }, "inconsistent"},
+		{"self-entry-missing", func(c *wire) { c.hub[c.off[2]-1] = 0 }, ""},
+		{"self-entry-nonzero-dist", func(c *wire) { c.dist[c.off[1]-1] = 0.5 }, "self-entry"},
+		{"hub-above-own-rank", func(c *wire) { c.hub[c.off[1]-1] = int32(c.n) }, "rank space"},
+		{"distance-negative", func(c *wire) { c.dist[c.off[c.n-1]] = -1 }, "finite non-negative"},
 	}
 	for _, tc := range cases {
 		err := corruptAndDecode(t, o, tc.mutate)
@@ -119,7 +133,11 @@ func TestCodecRejectsOldLayout(t *testing.T) {
 		o := Build(g)
 		var e snap.Enc
 		e.U32(uint32(o.n))
-		e.I64s(o.off)
+		off := make([]int64, o.n+1)
+		for p := range o.n {
+			off[p+1] = o.off[2*p+1]
+		}
+		e.I64s(off)
 		e.I32s(o.hub)
 		e.F64s(o.dist)
 		d := &snap.Dec{B: e.B}

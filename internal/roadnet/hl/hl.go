@@ -48,6 +48,9 @@
 // The oracle keeps nothing of the CH it was extracted from: the labels and
 // the position map answer every pair, and the snapshot section carries
 // both (codec.go).
+//
+// The labels stay exact as the graph grows: AddVertex and AddEdge update
+// them in place (update.go), and a rebuild re-minimises them.
 package hl
 
 import (
@@ -60,23 +63,28 @@ import (
 	"gpssn/internal/roadnet/ch"
 )
 
-// Oracle is an immutable hub labeling over a road-network snapshot. Build
-// once, then query concurrently; queries allocate nothing beyond the
-// pooled merge buffers.
+// Oracle is a hub labeling over a road network. Build once, then query
+// concurrently; queries allocate nothing beyond the pooled merge buffers.
+// AddVertex and AddEdge keep it exact as the graph grows; they must not
+// run concurrently with queries.
 type Oracle struct {
 	n int
 
-	// Labels in CSR form, laid out and numbered in rank space: the label
-	// of the vertex at rank position p occupies [off[p], off[p+1]) in
-	// hub/dist, sorted by ascending rank-space hub id (so its self-entry,
-	// id p, is last). pos maps a graph vertex id to its rank position.
+	// Labels numbered in rank space: the label of the vertex at rank
+	// position p occupies [off[2p], off[2p+1]) in hub/dist, sorted by
+	// ascending rank-space hub id (so its self-entry, id p, is last). A
+	// built or decoded store lays the labels out back to back in position
+	// order; a label AddEdge grows is rewritten at the end, leaving dead
+	// entries behind. pos maps a graph vertex id to its rank position.
 	pos  []int32
 	off  []int64
 	hub  []int32
 	dist []float64
 
+	live     int // entries in labels (len(hub) less the dead ones)
 	maxLabel int
 	pool     sync.Pool // *scratch
+	upd      update    // AddEdge's search state
 }
 
 // Build contracts g and extracts hub labels from the hierarchy.
@@ -95,7 +103,7 @@ func FromCH(c *ch.Oracle) *Oracle {
 	for p, v := range byRank {
 		o.pos[v] = int32(p)
 	}
-	o.off = make([]int64, n+1)
+	o.off = make([]int64, 2*n)
 	o.hub = make([]int32, 0, 8*n)
 	o.dist = make([]float64, 0, 8*n)
 	var cand []labEntry
@@ -129,6 +137,7 @@ func FromCH(c *ch.Oracle) *Oracle {
 		// Bootstrap pruning: drop entries a finished higher label already
 		// certifies a strictly shorter path for, appending survivors
 		// straight onto the CSR.
+		o.off[2*p] = int64(len(o.hub))
 		for _, e := range dedup {
 			if e.hub != int32(p) {
 				hH, hD := o.labelAt(e.hub)
@@ -139,12 +148,11 @@ func FromCH(c *ch.Oracle) *Oracle {
 			o.hub = append(o.hub, e.hub)
 			o.dist = append(o.dist, e.d)
 		}
-		o.off[p+1] = int64(len(o.hub))
-		if size := int(o.off[p+1] - o.off[p]); size > o.maxLabel {
-			o.maxLabel = size
-		}
+		o.off[2*p+1] = int64(len(o.hub))
+		o.maxLabel = max(o.maxLabel, int(o.off[2*p+1]-o.off[2*p]))
 		cand = dedup
 	}
+	o.live = len(o.hub)
 	return o
 }
 
@@ -180,21 +188,22 @@ func prunable(cand []labEntry, hH []int32, hD []float64, d float64) bool {
 func (o *Oracle) NumVertices() int { return o.n }
 
 // NumLabelEntries reports the total (hub, dist) pair count across labels.
-func (o *Oracle) NumLabelEntries() int { return len(o.hub) }
+func (o *Oracle) NumLabelEntries() int { return o.live }
 
 // AvgLabelSize reports the mean label length.
 func (o *Oracle) AvgLabelSize() float64 {
 	if o.n == 0 {
 		return 0
 	}
-	return float64(len(o.hub)) / float64(o.n)
+	return float64(o.live) / float64(o.n)
 }
 
 // MaxLabelSize reports the longest label.
 func (o *Oracle) MaxLabelSize() int { return o.maxLabel }
 
 // MemoryBytes reports the resident size of the label store (offsets,
-// position map, hubs, distances) for capacity telemetry.
+// position map, hubs and distances, dead entries included) for capacity
+// telemetry.
 func (o *Oracle) MemoryBytes() int64 {
 	return int64(len(o.off))*8 + int64(len(o.pos))*4 + int64(len(o.hub))*4 + int64(len(o.dist))*8
 }
@@ -206,7 +215,7 @@ func (o *Oracle) label(v int32) (hubs []int32, dist []float64) {
 
 // labelAt returns the entries of the vertex at rank position p.
 func (o *Oracle) labelAt(p int32) (hubs []int32, dist []float64) {
-	lo, hi := o.off[p], o.off[p+1]
+	lo, hi := o.off[2*p], o.off[2*p+1]
 	return o.hub[lo:hi], o.dist[lo:hi]
 }
 

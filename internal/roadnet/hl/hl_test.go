@@ -252,9 +252,8 @@ func TestLabelAPIWithoutOracle(t *testing.T) {
 }
 
 // TestHLSurvivesMutation ensures structural edits keep an attached HL
-// oracle serving through the delta-overlay, and its labels keep answering
-// for the base graph: a point on the new edge gets an empty label, since
-// the base has no distance to it.
+// oracle attached with its labels exact: a point on the new edge gets a
+// label, and the new vertex is at the new edge's length.
 func TestHLSurvivesMutation(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGraph(t, rng, 20, 1.0, true)
@@ -266,21 +265,17 @@ func TestHLSurvivesMutation(t *testing.T) {
 		t.Fatal("HL oracle must expose labels pre-mutation")
 	}
 	v := g.AddVertex(geo.Pt(200, 200))
-	if g.Oracle() == nil {
-		t.Fatal("AddVertex must keep the oracle attached via the overlay")
-	}
-	if !g.HasLabels() {
-		t.Fatal("the base's labels must stay available once the overlay wraps the oracle")
+	if g.Oracle() == nil || !g.HasLabels() {
+		t.Fatal("AddVertex must keep the labels attached")
 	}
 	e := g.AddEdge(v, 0)
 	var lbl roadnet.HubLabel
-	if !g.AttachLabel(g.AttachAt(e, 0.5), &lbl) || lbl.Len() != 0 {
-		t.Fatalf("a point on a new edge got a %d-entry base label", lbl.Len())
+	if !g.AttachLabel(g.AttachAt(e, 0.5), &lbl) || lbl.Len() == 0 {
+		t.Fatalf("a point on a new edge got a %d-entry label", lbl.Len())
 	}
 	d := g.Oracle().SeedDistances([]roadnet.Seed{{Vertex: 0}}, []roadnet.VertexID{v}, math.Inf(1))[0]
-	want := g.Vertex(0).Dist(g.Vertex(v))
-	if d > want {
-		t.Fatalf("composed distance to new vertex %v, want <= direct edge %v", d, want)
+	if want := g.Vertex(0).Dist(g.Vertex(v)); d != want {
+		t.Fatalf("distance to new vertex %v, want the direct edge %v", d, want)
 	}
 }
 

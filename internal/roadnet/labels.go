@@ -68,25 +68,20 @@ type LabelOracle interface {
 	SeedLabel(seeds []Seed, dst *HubLabel)
 }
 
-// labelOracle returns the label oracle of the graph's base G0: the
-// attached oracle, or the static one the delta-overlay wraps; nil when it
-// exposes no labels. Labels, label tables and their kernels therefore
-// answer for G0 (base.go): exact in the mutated graph wherever the
-// clearance rule says so, and the caller's to check.
+// labelOracle returns the attached oracle when it exposes labels, nil
+// otherwise.
 func (g *Graph) labelOracle() LabelOracle {
-	lo, _ := g.baseOracle().(LabelOracle)
+	lo, _ := g.oracle.(LabelOracle)
 	return lo
 }
 
-// HasLabels reports whether hub labels of the base G0 are available (the
-// batched label kernel below): the attached oracle, or the one the
-// delta-overlay wraps, exposes them.
+// HasLabels reports whether hub labels are available (the batched label
+// kernel below): the attached oracle exposes them.
 func (g *Graph) HasLabels() bool { return g.labelOracle() != nil }
 
-// AttachLabel writes the G0 hub label of attachment a into dst: the merged
-// label of a's two edge endpoints offset by the along-edge distances,
-// empty when a lies on a new edge. It reports false (leaving dst
-// untouched) when no label oracle serves G0.
+// AttachLabel writes the hub label of attachment a into dst: the merged
+// label of a's two edge endpoints offset by the along-edge distances. It
+// reports false (leaving dst untouched) when no label oracle is attached.
 func (g *Graph) AttachLabel(a Attach, dst *HubLabel) bool {
 	lo := g.labelOracle()
 	if lo == nil {
@@ -96,45 +91,40 @@ func (g *Graph) AttachLabel(a Attach, dst *HubLabel) bool {
 	return true
 }
 
-// seedAttach writes the merged label of a's two edge endpoints into dst,
-// or an empty label when a lies on a new edge: G0 has no distance to it,
-// and an empty row merges to +Inf against every label. The seeds live in
-// dst's own scratch: a slice literal would escape through the interface
-// call and cost an allocation per label.
+// seedAttach writes the merged label of a's two edge endpoints into dst.
+// The seeds live in dst's own scratch: a slice literal would escape
+// through the interface call and cost an allocation per label.
 func (g *Graph) seedAttach(lo LabelOracle, a Attach, dst *HubLabel) {
-	if g.NewEdge(a.Edge) {
-		dst.Reset()
-		return
-	}
 	u, v, du, dv := g.attachEnds(a)
 	dst.seeds = [2]Seed{{Vertex: u, Dist: du}, {Vertex: v, Dist: dv}}
 	lo.SeedLabel(dst.seeds[:], dst)
 }
 
-// LabelTable is a forward table of attachment hub labels of the base G0:
-// row i is the merged hub label of the i-th attachment (hubs strictly
-// ascending; empty for an attachment on a new edge), stored CSR. It is the prepared target side of both refinement kernels: RowDistsCk
-// merges one source label against individual rows, and Flatten turns a row
-// subset into the hub-sorted TargetLabels that LabelDists walks once per
-// source. Rows are only ever appended; a table answers for the oracle it was
-// built from (ValidFor). Reads are safe concurrently with each other, not
-// with Append.
+// LabelTable is a forward table of attachment hub labels: row i is the
+// merged hub label of the i-th attachment (hubs strictly ascending),
+// stored CSR. It is the prepared target side of both refinement kernels:
+// RowDistsCk merges one source label against individual rows, and Flatten
+// turns a row subset into the hub-sorted TargetLabels that LabelDists
+// walks once per source. Rows are only ever appended; a table answers for
+// the labels it was built from (ValidFor). Reads are safe concurrently
+// with each other, not with Append.
 type LabelTable struct {
-	oracle LabelOracle
-	atts   []Attach
-	off    []int64 // row i is hubs/dist[off[i]:off[i+1]]; len(atts)+1
-	hubs   []int32
-	dist   []float64
+	oracle  LabelOracle
+	version uint64 // the graph's labelVersion the rows were built at
+	atts    []Attach
+	off     []int64 // row i is hubs/dist[off[i]:off[i+1]]; len(atts)+1
+	hubs    []int32
+	dist    []float64
 }
 
 // NewLabelTable builds the label rows of atts (copied), or returns nil when
-// no label oracle serves G0.
+// no label oracle is attached.
 func (g *Graph) NewLabelTable(atts []Attach) *LabelTable {
 	lo := g.labelOracle()
 	if lo == nil {
 		return nil
 	}
-	t := &LabelTable{oracle: lo, atts: make([]Attach, 0, len(atts)), off: make([]int64, 1, len(atts)+1)}
+	t := &LabelTable{oracle: lo, version: g.labelVersion, atts: make([]Attach, 0, len(atts)), off: make([]int64, 1, len(atts)+1)}
 	lbl := AcquireLabel()
 	for _, a := range atts {
 		t.appendRow(g, a, lbl)
@@ -146,8 +136,8 @@ func (g *Graph) NewLabelTable(atts []Attach) *LabelTable {
 	return t
 }
 
-// Append adds the label row of a as row NumRows(). g's base must still be
-// served by the table's oracle (ValidFor).
+// Append adds the label row of a as row NumRows(). The table must still
+// be valid for g (ValidFor).
 func (t *LabelTable) Append(g *Graph, a Attach) {
 	lbl := AcquireLabel()
 	t.appendRow(g, a, lbl)
@@ -174,11 +164,11 @@ func (t *LabelTable) MemoryBytes() int64 {
 }
 
 // ValidFor reports whether the table can answer for g's attachments
-// 0..rows-1: it was built from the label oracle serving g's base G0 right
-// now — attached, or wrapped by the delta-overlay — and has exactly that
-// many rows. A nil table is never valid.
+// 0..rows-1: it was built from the label oracle attached to g right now,
+// no road insert has changed a label of an earlier edge since, and it has
+// exactly that many rows. A nil table is never valid.
 func (t *LabelTable) ValidFor(g *Graph, rows int) bool {
-	return t != nil && t.oracle == g.labelOracle() && len(t.atts) == rows
+	return t != nil && t.oracle == g.labelOracle() && t.version == g.labelVersion && len(t.atts) == rows
 }
 
 // CheckInvariants validates the CSR structure: one offset per row plus the
@@ -310,8 +300,8 @@ func (t *LabelTable) Flatten(rows []int32) *TargetLabels {
 }
 
 // PrepareTargetLabels precomputes the merged label structure for a batch of
-// target attachments — their G0 label rows, flattened — or nil when no
-// label oracle serves G0. The attachment slice is copied.
+// target attachments — their label rows, flattened — or nil when no label
+// oracle is attached. The attachment slice is copied.
 func (g *Graph) PrepareTargetLabels(atts []Attach) *TargetLabels {
 	t := g.NewLabelTable(atts)
 	if t == nil {

@@ -6,9 +6,9 @@ package roadnet
 // running bounded Dijkstra searches. It answers pairs and batches of pairs
 // only: the full one-to-all scans (Dijkstra, DijkstraMulti) always run the
 // graph's own heap search, whose only callers build pivot tables and the
-// brute-force baseline. An oracle answers for the graph snapshot it was
-// built from; a structural mutation (AddVertex, AddEdge) wraps it in the
-// delta-overlay, which keeps answers exact for the mutated graph.
+// brute-force baseline. An oracle answers for the graph it was built from;
+// one that implements DynamicOracle follows the graph's road inserts and
+// stays attached, any other is detached by the first new edge.
 //
 // The contraction-hierarchy implementation lives in internal/roadnet/ch;
 // it cannot be referenced from here (it imports this package), which is
@@ -38,16 +38,100 @@ type CheckedOracle interface {
 	SeedDistancesCk(sources []Seed, targets []VertexID, bound float64, ck *Checkpoint) []float64
 }
 
+// DynamicOracle is a DistanceOracle that stays exact as the graph grows
+// (the hub labels of internal/roadnet/hl). The graph calls AddVertex after
+// appending a vertex and AddEdge after appending the edge a–b of weight w;
+// AddEdge reports whether it changed what the oracle says about the
+// graph's earlier edges, which leaves label tables built from it stale
+// (LabelTable.ValidFor). Neither runs concurrently with queries.
+type DynamicOracle interface {
+	DistanceOracle
+	AddVertex()
+	AddEdge(g *Graph, a, b VertexID, w float64) (stale bool)
+}
+
 // SetDistanceOracle attaches (or, with nil, detaches) a distance oracle and
-// marks the graph's base (MarkBase). The oracle must answer for this
-// graph's current topology; later mutations wrap it in the delta-overlay
-// (overlay.go). Attach before building indexes so pivot-table
-// construction reuses it too. Not safe to call concurrently with queries —
-// attach once, then share the graph.
+// zeroes the insert counters (OverlayStats). The oracle must answer for
+// this graph's current topology. Attach before building indexes so
+// pivot-table construction reuses it too. Not safe to call concurrently
+// with queries — attach once, then share the graph.
 func (g *Graph) SetDistanceOracle(o DistanceOracle) {
 	g.oracle = o
-	g.MarkBase()
+	g.inserts = insertStats{tracked: o != nil, baseN: len(g.pts)}
 }
 
 // Oracle returns the attached distance oracle, or nil.
 func (g *Graph) Oracle() DistanceOracle { return g.oracle }
+
+// insertStats counts the road inserts since an oracle was attached.
+type insertStats struct {
+	tracked bool // an oracle was attached (it may have been detached since)
+	baseN   int  // vertices when it was attached
+	verts   int
+	edges   int
+	oldEnds map[VertexID]struct{} // old vertices a new edge touches
+}
+
+// OverlayStats counts the road inserts a graph has taken since its oracle
+// was attached, surfaced through DB.RoadOverlayStats and the serve
+// /statsz endpoint. The name is historical: inserts update the oracle in
+// place, and Portals is the number that tells a background Compact, which
+// re-minimises the labels, when to run.
+type OverlayStats struct {
+	Active   bool // a road vertex or edge was added since the oracle was attached
+	NewVerts int  // vertices appended since
+	NewEdges int  // edges appended since
+	Portals  int  // new vertices plus the distinct older vertices new edges touch
+}
+
+// OverlayStats reports the inserts since the oracle was attached, or a
+// zero value when none ever was.
+func (g *Graph) OverlayStats() OverlayStats {
+	s := g.inserts
+	if !s.tracked {
+		return OverlayStats{}
+	}
+	return OverlayStats{
+		Active:   s.verts+s.edges > 0,
+		NewVerts: s.verts,
+		NewEdges: s.edges,
+		Portals:  s.verts + len(s.oldEnds),
+	}
+}
+
+// noteVertex and noteEdge update the counters and the attached oracle
+// after an insert: a DynamicOracle follows it, any other oracle is
+// detached by the first new edge, and plain Dijkstra serves from then on.
+func (g *Graph) noteVertex() {
+	if o, ok := g.oracle.(DynamicOracle); ok {
+		o.AddVertex()
+	}
+	if g.inserts.tracked {
+		g.inserts.verts++
+	}
+}
+
+func (g *Graph) noteEdge(u, v VertexID, w float64) {
+	switch o := g.oracle.(type) {
+	case nil:
+	case DynamicOracle:
+		if o.AddEdge(g, u, v, w) {
+			g.labelVersion++
+		}
+	default:
+		g.oracle = nil
+	}
+	s := &g.inserts
+	if !s.tracked {
+		return
+	}
+	s.edges++
+	for _, x := range [2]VertexID{u, v} {
+		if int(x) < s.baseN {
+			if s.oldEnds == nil {
+				s.oldEnds = make(map[VertexID]struct{})
+			}
+			s.oldEnds[x] = struct{}{}
+		}
+	}
+}

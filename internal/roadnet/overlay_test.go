@@ -1,12 +1,12 @@
 package roadnet_test
 
-// Randomized twin test for the delta-overlay: a graph with a static
-// oracle attached and an identical twin with no oracle receive the same
-// mutation script, and every distance shape must agree bit-for-bit after
-// every mutation. The twin's plain Dijkstra over the mutated adjacency
-// is exact by construction, so any divergence is an overlay bug. Runs
-// against both oracle families (CH and hub labels) because the overlay
-// composes through their many-to-many kernels differently.
+// Randomized twin test for road inserts: a graph with an oracle attached
+// and an identical twin with no oracle receive the same mutation script,
+// and every distance shape must agree after every mutation. The twin's
+// plain Dijkstra over the mutated adjacency is exact by construction, so
+// any divergence is an update bug. Runs against both oracle families: hub
+// labels update in place, and a CH is detached by the first new edge, so
+// plain Dijkstra must take over.
 
 import (
 	"fmt"
@@ -64,7 +64,7 @@ func twinPair(t *testing.T, rng *rand.Rand, n int, kind string) (withOracle, pla
 // almostEq compares distances up to the last-ulp association wobble
 // between oracle shortcut sums and plain Dijkstra sums (a CH shortcut's
 // weight is a build-time sum, so the same route can differ by one ulp).
-// Any real overlay bug — a wrong path, a missed portal — is off by the
+// Any real update bug — a wrong path, a missed label entry — is off by the
 // length of a road segment, not 1e-12 relative.
 func almostEq(a, b float64) bool {
 	if a == b || (math.IsInf(a, 1) && math.IsInf(b, 1)) {
@@ -74,8 +74,8 @@ func almostEq(a, b float64) bool {
 	return diff <= 1e-9*math.Max(math.Abs(a), math.Abs(b))
 }
 
-// compareAll checks every distance shape between the oracle-composed
-// graph and its plain twin.
+// compareAll checks every distance shape between the oracle-backed graph
+// and its plain twin.
 func compareAll(t *testing.T, rng *rand.Rand, g, twin *roadnet.Graph, tag string) {
 	t.Helper()
 	n := g.NumVertices()
@@ -92,13 +92,13 @@ func compareAll(t *testing.T, rng *rand.Rand, g, twin *roadnet.Graph, tag string
 		return seeds
 	}
 
-	// Mixed old/new seeds to every vertex through the composed
+	// Mixed old/new seeds to every vertex through the oracle's
 	// many-to-many kernel, against the twin's one-to-all search.
 	all := make([]roadnet.VertexID, n)
 	for v := range all {
 		all[v] = roadnet.VertexID(v)
 	}
-	for trial := 0; trial < 3; trial++ {
+	for trial := 0; g.Oracle() != nil && trial < 3; trial++ {
 		seeds := randSeeds()
 		got := g.Oracle().SeedDistances(seeds, all, math.Inf(1))
 		want := twin.DijkstraMulti(seeds)
@@ -143,11 +143,8 @@ func TestOverlayExactUnderChurn(t *testing.T) {
 		t.Run(kind, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
 			g, twin := twinPair(t, rng, 40, kind)
-			if !g.OverlayStats().Active {
-				// No mutation yet: the static oracle should still be naked.
-				if s := g.OverlayStats(); s.Active {
-					t.Fatalf("overlay active before any mutation: %+v", s)
-				}
+			if s := g.OverlayStats(); s.Active {
+				t.Fatalf("inserts counted before any mutation: %+v", s)
 			}
 			compareAll(t, rng, g, twin, "pre-mutation")
 
@@ -183,49 +180,53 @@ func TestOverlayExactUnderChurn(t *testing.T) {
 
 			s := g.OverlayStats()
 			if !s.Active || s.NewEdges == 0 || s.Portals == 0 {
-				t.Fatalf("overlay stats not tracking churn: %+v", s)
+				t.Fatalf("insert counters not tracking churn: %+v", s)
 			}
-			if s.BaseN != 40 {
-				t.Fatalf("overlay baseN = %d, want 40", s.BaseN)
-			}
-			if s.Queries == 0 {
-				t.Fatalf("overlay served no composed queries")
+			if _, labels := g.Oracle().(*hl.Oracle); labels != (kind == "hl") || (kind == "ch") != (g.Oracle() == nil) {
+				t.Fatalf("%s: oracle after churn %T: hub labels must stay attached, a CH detached", kind, g.Oracle())
 			}
 		})
 	}
 }
 
 // TestOverlayCheckpointAbort verifies the all-or-nothing abort contract
-// survives composition: a cancelled checkpoint yields all-+Inf results,
-// never partial distances.
+// survives road inserts under both oracles (hub labels updated in place,
+// a CH detached for plain Dijkstra): a cancelled checkpoint yields
+// all-+Inf results, never partial distances.
 func TestOverlayCheckpointAbort(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g, _ := twinPair(t, rng, 30, "ch")
-	v := g.AddVertex(geo.Pt(50, 50))
-	g.AddEdge(v, 3)
+	for _, kind := range []string{"hl", "ch"} {
+		rng := rand.New(rand.NewSource(11))
+		g, _ := twinPair(t, rng, 30, kind)
+		v := g.AddVertex(geo.Pt(50, 50))
+		g.AddEdge(v, 3)
 
-	done := make(chan struct{})
-	close(done)
-	ck := roadnet.NewCheckpoint(done, func() error { return fmt.Errorf("cancelled") }, 0)
-	a := g.AttachVertex(v)
-	out := g.DistAttachWithinCk(a, math.Inf(1), []roadnet.Attach{{Edge: 0, T: 0.5}}, ck)
-	if !math.IsInf(out[0], 1) {
-		t.Fatalf("aborted attach batch leaked finite distance %v", out[0])
+		done := make(chan struct{})
+		close(done)
+		ck := roadnet.NewCheckpoint(done, func() error { return fmt.Errorf("cancelled") }, 0)
+		a := g.AttachVertex(v)
+		out := g.DistAttachWithinCk(a, math.Inf(1), []roadnet.Attach{{Edge: 0, T: 0.5}}, ck)
+		if !math.IsInf(out[0], 1) {
+			t.Fatalf("%s: aborted attach batch leaked finite distance %v", kind, out[0])
+		}
 	}
 }
 
 // TestOverlayIsolatedVertex: a freshly added vertex with no edges is
-// reachable only from itself; the overlay must not panic or invent
-// paths, and the static oracle must stay attached.
+// reachable only from itself; the hub labels must not panic or invent
+// paths, must stay attached, and must grow by the one self-entry.
 func TestOverlayIsolatedVertex(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, twin := twinPair(t, rng, 20, "hl")
+	before := g.Oracle().(*hl.Oracle).NumLabelEntries()
 	v1 := g.AddVertex(geo.Pt(500, 500))
 	twin.AddVertex(geo.Pt(500, 500))
 	if g.Oracle() == nil {
 		t.Fatal("AddVertex detached the oracle")
 	}
 	o := g.Oracle()
+	if got := o.(*hl.Oracle).NumLabelEntries(); got != before+1 {
+		t.Fatalf("an isolated vertex added %d label entries, want 1", got-before)
+	}
 	if d := o.SeedDistances([]roadnet.Seed{{Vertex: 0}}, []roadnet.VertexID{v1}, math.Inf(1))[0]; !math.IsInf(d, 1) {
 		t.Fatalf("isolated vertex reachable: %v", d)
 	}

@@ -30,6 +30,50 @@ func BuildPivotTable(g *Graph, pivots []VertexID) *PivotTable {
 	return t
 }
 
+// AddEdge brings the rows up to date after g gained edge id: each row
+// grows to g's vertex count (+Inf for vertices appended since), then one
+// decrease-only Dijkstra per pivot from the edge's ends lowers the
+// distances the edge shortens, which are exactly the vertices it reaches.
+// It returns those vertices, less an end the edge is the only one of: no
+// object sat on an edge at it before. For a pendant vertex, whose only
+// edge shortens no path between older vertices, that is none.
+func (t *PivotTable) AddEdge(g *Graph, id EdgeID) []VertexID {
+	e := g.EdgeAt(id)
+	var fell []VertexID
+	seen := make(map[VertexID]bool)
+	h := acquireHeap()
+	for k, row := range t.dist {
+		for len(row) < g.NumVertices() {
+			row = append(row, math.Inf(1))
+		}
+		t.dist[k] = row
+		for _, ends := range [2][2]VertexID{{e.U, e.V}, {e.V, e.U}} {
+			if d := row[ends[0]] + e.Weight; d < row[ends[1]] {
+				row[ends[1]] = d
+				h.Push(ends[1], d)
+			}
+		}
+		for h.Len() > 0 {
+			x, d := h.Pop()
+			if d > row[x] {
+				continue
+			}
+			if !seen[x] && ((x != e.U && x != e.V) || g.Degree(x) > 1) {
+				seen[x] = true
+				fell = append(fell, x)
+			}
+			for _, he := range g.adj[x] {
+				if nd := d + he.weight; nd < row[he.to] {
+					row[he.to] = nd
+					h.Push(he.to, nd)
+				}
+			}
+		}
+	}
+	releaseHeap(h)
+	return fell
+}
+
 // NumPivots returns h, the number of road-network pivots.
 func (t *PivotTable) NumPivots() int { return len(t.pivots) }
 

@@ -19,7 +19,7 @@ import (
 type searchScratch struct {
 	dist    []float64
 	touched []VertexID
-	heap    distHeap
+	heap    DistHeap
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchScratch) }}
@@ -54,20 +54,18 @@ func (sc *searchScratch) release() {
 		sc.dist[v] = inf
 	}
 	sc.touched = sc.touched[:0]
-	sc.heap.v = sc.heap.v[:0]
-	sc.heap.d = sc.heap.d[:0]
+	sc.heap.Reset()
 	searchPool.Put(sc)
 }
 
 // heapPool recycles heap backing slices for the full (one-to-all) searches,
 // whose result array is returned to the caller and therefore cannot be
 // pooled itself.
-var heapPool = sync.Pool{New: func() any { return new(distHeap) }}
+var heapPool = sync.Pool{New: func() any { return new(DistHeap) }}
 
-func acquireHeap() *distHeap { return heapPool.Get().(*distHeap) }
+func acquireHeap() *DistHeap { return heapPool.Get().(*DistHeap) }
 
-func releaseHeap(h *distHeap) {
-	h.v = h.v[:0]
-	h.d = h.d[:0]
+func releaseHeap(h *DistHeap) {
+	h.Reset()
 	heapPool.Put(h)
 }

@@ -57,8 +57,8 @@ type metricsSnapshot struct {
 	FlightWaiters    int `json:"flight_waiters"`
 	FlightMaxWaiters int `json:"flight_max_waiters_one_key"`
 
-	// Road delta-overlay state; omitted while the oracle is static (no
-	// road mutation since Open or the last Compact).
+	// Road insert counters; omitted with no road insert since Open or
+	// the last Compact.
 	RoadOverlay *roadOverlayJSON `json:"road_overlay,omitempty"`
 
 	// True while a background Compact re-contraction is in flight.
@@ -76,7 +76,7 @@ type metricsSnapshot struct {
 // memory actually lives. oracle_bytes is the capacity-planning headline
 // (the preprocessed label store dominates at scale); arena_bytes is the
 // engine's recycled scratch; poi_label_bytes is the POI label table (0
-// without hub labels or while road deltas are pending); the heap fields
+// without hub labels); the heap fields
 // are the runtime's own view for cross-checking against RSS.
 type memoryJSON struct {
 	OracleBytes   int64  `json:"oracle_bytes"`
@@ -88,15 +88,13 @@ type memoryJSON struct {
 }
 
 // roadOverlayJSON mirrors gpssn.RoadOverlayStats for /statsz: how far the
-// road network has grown past the static oracle and how big the portal
-// patch has become — the number an operator watches to schedule Compact
-// under sustained write traffic.
+// road network has grown since the oracle was built — the portal count is
+// the number an operator watches to schedule Compact, which re-minimises
+// the hub labels, under sustained write traffic.
 type roadOverlayJSON struct {
-	BaseVertices int   `json:"base_vertices"`
-	NewVertices  int   `json:"new_vertices"`
-	NewEdges     int   `json:"new_edges"`
-	Portals      int   `json:"portals"`
-	Queries      int64 `json:"composed_queries_total"`
+	NewVertices int `json:"new_vertices"`
+	NewEdges    int `json:"new_edges"`
+	Portals     int `json:"portals"`
 }
 
 // walJSON mirrors gpssn.WALStats for /statsz: durability state under write

@@ -240,11 +240,9 @@ func (s *Server) snapshot() metricsSnapshot {
 	}
 	if ov := s.db.RoadOverlayStats(); ov.Active {
 		snap.RoadOverlay = &roadOverlayJSON{
-			BaseVertices: ov.BaseN,
-			NewVertices:  ov.NewVerts,
-			NewEdges:     ov.NewEdges,
-			Portals:      ov.Portals,
-			Queries:      ov.Queries,
+			NewVertices: ov.NewVerts,
+			NewEdges:    ov.NewEdges,
+			Portals:     ov.Portals,
 		}
 	}
 	snap.Rebuilding = s.db.Health().Rebuilding

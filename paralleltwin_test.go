@@ -236,9 +236,8 @@ func TestParallelTwinRaceStress(t *testing.T) {
 	}
 	compareAnswers(t, par, seq, q, "quiesced")
 
-	// A road edge installs the delta-overlay; the POI label table keeps
-	// answering for the base graph under the clearance rule, and answers
-	// still agree.
+	// A road edge updates the hub labels in place; the POI label table is
+	// kept or rebuilt with them, and answers still agree.
 	for _, db := range []*DB{par, seq} {
 		if _, err := db.AddRoadEdge(0, db.Network().NumIntersections()-1); err != nil {
 			t.Fatal(err)

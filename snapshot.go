@@ -98,13 +98,12 @@ func roadFingerprint(g *roadnet.Graph) uint64 {
 //
 // Pending dynamic updates fold into the snapshot by construction: the
 // dataset section serializes the *current* network — delta POIs, users,
-// friendships, road vertices and edges included — and the oracle sections
-// are written only when the attached oracle is a static CH/HL built for
-// exactly that topology. Under road churn the oracle is the delta-overlay
-// (which is not persistable and whose static core describes a stale
-// graph), so no oracle section is written and reopening rebuilds from the
-// folded dataset; snapshot_fold_test.go gates that a post-churn
-// snapshot→reopen answers bit-identically to the live DB.
+// friendships, road vertices and edges included — and the attached
+// oracle answers for exactly that topology: hub labels follow road
+// inserts in place and are written with them, and a CH a new edge has
+// detached writes no section, so reopening rebuilds it from the folded
+// dataset. snapshot_fold_test.go gates that a post-churn snapshot→reopen
+// answers bit-identically to the live DB.
 func (db *DB) Snapshot(path string) (err error) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()

@@ -8,9 +8,10 @@ import (
 
 // Satellite gate: a Snapshot taken while road deltas are pending must fold
 // them into the persisted dataset. The reopened DB answers bit-identically
-// to the live churned DB, and it does so from a *static* oracle — the
-// dataset section serialized the grown graph, so the reopen rebuilds over
-// the full topology and no overlay survives the round trip.
+// to the live churned DB: the dataset section serialized the grown graph,
+// the hub labels travel with the road inserts folded in (a CH a new edge
+// detached is rebuilt over the full topology), and the reopened DB counts
+// no insert.
 func TestSnapshotFoldsPendingDeltas(t *testing.T) {
 	for _, kind := range []string{"hl", "ch", "dijkstra"} {
 		for _, par := range []int{1, 8} {
@@ -29,7 +30,7 @@ func TestSnapshotFoldsPendingDeltas(t *testing.T) {
 				churnScript(t, db, 3)
 				if kind != "dijkstra" {
 					if ov := db.RoadOverlayStats(); !ov.Active {
-						t.Fatalf("churn should leave the overlay active: %+v", ov)
+						t.Fatalf("churn should leave the insert counters running: %+v", ov)
 					}
 				}
 				if db.PendingUpdates() == 0 {
@@ -46,7 +47,7 @@ func TestSnapshotFoldsPendingDeltas(t *testing.T) {
 					t.Fatalf("OpenSnapshot: %v", err)
 				}
 				if ov := re.RoadOverlayStats(); ov.Active {
-					t.Fatalf("reopened DB should have a static oracle, got overlay %+v", ov)
+					t.Fatalf("reopened DB should count no insert, got %+v", ov)
 				}
 				if re.PendingUpdates() != 0 {
 					t.Fatalf("reopened DB reports %d pending updates, want 0", re.PendingUpdates())

@@ -311,7 +311,7 @@ func TestWALAutoCheckpoint(t *testing.T) {
 
 // TestOverlayAutoCompact: with OverlayCompactPortals set, sustained road
 // churn triggers the background Compact on its own; queries keep
-// answering throughout and the overlay drains.
+// answering throughout and the insert counters drain.
 func TestOverlayAutoCompact(t *testing.T) {
 	net := churnNetwork(t)
 	cfg := DefaultConfig()
@@ -340,7 +340,7 @@ func TestOverlayAutoCompact(t *testing.T) {
 		}
 	}
 	if !drained {
-		t.Fatalf("overlay never drained under OverlayCompactPortals: %+v", db.RoadOverlayStats())
+		t.Fatalf("insert counters never drained under OverlayCompactPortals: %+v", db.RoadOverlayStats())
 	}
 	compareVsFreshTwin(t, db, "auto-compact")
 }
