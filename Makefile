@@ -140,11 +140,12 @@ snapshot-matrix:
 
 # The road-churn suite under -race: road-insert equality gates across
 # all oracle backends (pre/during/post background Compact), two DBs over
-# one network, the concurrent-mutation interleavings, the rebuild-failure
+# one network (read-only while both are open: updates through one refused
+# beside the other's queries), the concurrent-mutation interleavings, the rebuild-failure
 # fallback, and the hub-label update's all-pairs property test
 # (docs/CONCURRENCY.md §7, docs/ROBUSTNESS.md §6).
 churn-suite:
-	$(GO) test -race -run 'TestRoadChurn|TestDBConcurrentRoadChurn|TestCompact|TestRoadOverlay|TestRoadMutation|TestRoadInsert|TestAddFriendshipInvalid|TestDuplicateFriendship|TestOverlay|TestLabelsExactUnderInserts|TestPendantTouchesNoOldLabel' -count=1 -v . ./internal/roadnet/ ./internal/roadnet/hl/
+	$(GO) test -race -run 'TestRoadChurn|TestDBConcurrentRoadChurn|TestCompact|TestRoadOverlay|TestRoadMutation|TestRoadInsert|TestAddFriendshipInvalid|TestDuplicateFriendship|TestOverlay|TestLabelsExactUnderInserts|TestPendantTouchesNoOldLabel|TestSharedNetworkIsReadOnly|TestSharedNetworkKeepsOracle' -count=1 -v . ./internal/roadnet/ ./internal/roadnet/hl/
 
 # The WAL crash matrix and durability gates on their own: kill points and
 # corruption modes in the write path (torn tails, short writes, bit flips,

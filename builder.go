@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"sync"
 
 	"gpssn/internal/geo"
 	"gpssn/internal/model"
@@ -11,17 +12,30 @@ import (
 	"gpssn/internal/socialnet"
 )
 
-// Network is an immutable spatial-social network ready for indexing:
-// construct one with a Builder, a generator, or Load.
+// Network is a spatial-social network ready for indexing: construct one
+// with a Builder, a generator, or Load.
 //
 // A built Network never mutates itself, so its accessors are safe to
-// call from any number of goroutines. The one exception is a Network
-// owned by an open DB: dynamic updates (DB.AddPOI, DB.AddUser,
-// DB.AddFriendship) grow the underlying user and POI sets, so accessors
-// racing with those updates must be coordinated by the caller (or simply
-// issued through the DB, whose lock orders them).
+// call from any number of goroutines. A network has one writer, the one
+// DB open over it: its updates grow the users, POIs, friendships and
+// roads, so accessors racing with them must be coordinated by the caller
+// (or issued through the DB, whose lock orders them). While two or more
+// DBs are open over it, a Network is read-only: every update through them
+// fails with ErrSharedNetwork before it reaches the WAL, and so does an
+// Open that would replay a WAL or attach another oracle than theirs.
+// DB.Compact moves a DB onto a private copy it may write.
 type Network struct {
 	ds *model.Dataset
+
+	mu  sync.RWMutex // orders updates against Open and closed DBs' reads
+	dbs int          // DBs open over the network, guarded by mu
+}
+
+// release hands back one DB's count: Close, Compact's swap, a failed Open.
+func (n *Network) release() {
+	n.mu.Lock()
+	n.dbs--
+	n.mu.Unlock()
 }
 
 // NumUsers returns |V(G_s)|.

@@ -150,6 +150,8 @@ func TestOracleConfigValidation(t *testing.T) {
 	if !db.net.ds.Road.HasLabels() {
 		t.Fatal("default config did not attach the hub-label oracle")
 	}
+	// Another oracle only once no DB is open over the network.
+	db.Close()
 	cfg.DistanceOracle = "ch"
 	db, err = Open(net, cfg)
 	if err != nil {
@@ -158,6 +160,7 @@ func TestOracleConfigValidation(t *testing.T) {
 	if db.net.ds.Road.Oracle() == nil || db.net.ds.Road.HasLabels() {
 		t.Fatal("ch config must attach the label-free CH oracle")
 	}
+	db.Close()
 	cfg.DistanceOracle = "dijkstra"
 	db, err = Open(net, cfg)
 	if err != nil {

@@ -1,6 +1,7 @@
 package gpssn
 
 import (
+	"errors"
 	"fmt"
 
 	"gpssn/internal/snap"
@@ -143,6 +144,9 @@ func (db *DB) openWAL(c Config, base uint64) error {
 		}
 		if err := db.replayRecord(rec); err != nil {
 			l.Close()
+			if errors.Is(err, ErrSharedNetwork) {
+				return err
+			}
 			return &WALError{Path: c.WALPath, LSN: rec.LSN,
 				Reason: fmt.Sprintf("replaying %s: %v (log does not pair with this base state?)", rec.Kind, err)}
 		}
@@ -265,9 +269,10 @@ func (db *DB) Checkpoint(path string) error { return db.Snapshot(path) }
 
 // Close shuts down the DB's background half: it waits out any in-flight
 // auto-maintenance pass, permanently disables further ones, and closes
-// the write-ahead log (flushing outstanding batched appends). After
-// Close, queries keep working but dynamic updates on a WAL-backed DB
-// fail — there is no log left to make them durable. Idempotent.
+// the write-ahead log (flushing outstanding batched appends), and the DB
+// stops counting as open over its network. After Close, updates and
+// Compact fail with ErrSharedNetwork; queries and Snapshot keep working
+// while no other DB is open over the network. Idempotent.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -281,6 +286,8 @@ func (db *DB) Close() error {
 	defer db.upd.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.net.release()
+	db.released = true
 	if db.wal == nil {
 		return nil
 	}

@@ -38,13 +38,17 @@ import (
 //     the record reproduces it. If it fails anyway, commit rolls the
 //     record back.
 //
+// One writer per network: commit refuses an update unless its DB is the
+// one DB open over its Network (ErrSharedNetwork), before the check, so
+// no engine ever sees a change another engine made.
+//
 // Locking: commit takes db.upd (the update-class lock) first, then db.mu
-// exclusively. Queries take only db.mu's read side, so an update
-// serializes against in-flight queries and other updates, and a
-// concurrent query sees the network either entirely before or entirely
-// after an update. Compact holds db.upd for its whole (possibly long)
-// rebuild but db.mu only for two short critical sections — updates wait,
-// queries do not (docs/CONCURRENCY.md).
+// exclusively, then the network's lock. Queries take only db.mu's read
+// side, so an update serializes against in-flight queries and other
+// updates, and a concurrent query sees the network either entirely before
+// or entirely after an update. Compact holds db.upd for its whole
+// (possibly long) rebuild but db.mu only for two short critical sections
+// — updates wait, queries do not (docs/CONCURRENCY.md).
 //
 // Invalidation is per update kind: a change that provably cannot affect
 // any cached answer (an isolated road vertex, a duplicate friendship)
@@ -72,14 +76,20 @@ func (db *DB) update(m mutation) (int, error) {
 	return id, err
 }
 
-// commit is the write path: check, append, apply, under db.upd then
-// db.mu. It returns apply's id. WAL replay calls it before the log is
-// attached, where the append and the commit mark are no-ops.
+// commit is the write path: check, append, apply, under db.upd, db.mu
+// and the network's lock. It returns apply's id. WAL replay calls it
+// before the log is attached, where the append and the commit mark are
+// no-ops.
 func (db *DB) commit(m mutation) (int, error) {
 	db.upd.Lock()
 	defer db.upd.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
+	db.net.mu.Lock()
+	defer db.net.mu.Unlock()
+	if db.released || db.net.dbs > 1 {
+		return 0, fmt.Errorf("%w: this DB is closed or another is open over its network; Compact moves a DB onto a private copy", ErrSharedNetwork)
+	}
 	if err := m.check(db); err != nil {
 		return 0, err
 	}
@@ -298,59 +308,67 @@ func (m *addRoadEdge) apply(db *DB) (int, error) {
 // gpssn-serve surfaces it under /statsz.
 type RoadOverlayStats = roadnet.OverlayStats
 
-// RoadOverlayStats snapshots the road insert counters. Safe for
-// concurrent use.
+// RoadOverlayStats snapshots the road insert counters; zero for a closed
+// DB while another DB is open over its network. Safe for concurrent use.
 func (db *DB) RoadOverlayStats() RoadOverlayStats {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	if db.rlock() != nil {
+		return RoadOverlayStats{}
+	}
+	defer db.runlock()
 	return db.net.ds.Road.OverlayStats()
 }
 
-// PendingUpdates returns how many dynamic updates await compaction. Safe
-// for concurrent use.
+// PendingUpdates returns how many dynamic updates await compaction; 0 for
+// a closed DB while another DB is open over its network. Safe for
+// concurrent use.
 func (db *DB) PendingUpdates() int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	if db.rlock() != nil {
+		return 0
+	}
+	defer db.runlock()
 	return db.engine.PendingUpdates()
 }
 
-// cloneDataset copies the dataset for an off-lock rebuild. The road
-// graph is deep-cloned (Open attaches a fresh oracle to it, which must
-// not race queries reading the live one); the social graph and the
-// user/POI slices are shared — db.upd blocks every mutation for the
-// duration of the rebuild, and capping the slice headers keeps
-// post-swap appends from aliasing the old dataset.
+// cloneDataset copies the dataset for an off-lock rebuild, sharing no
+// mutable state with it: both graphs are cloned, and the user and POI
+// slices, whose elements never change, are shared under capped headers,
+// so post-swap appends never alias the old dataset.
 func cloneDataset(ds *model.Dataset) *model.Dataset {
 	return &model.Dataset{
 		Name:      ds.Name,
 		Road:      ds.Road.Clone(),
-		Social:    ds.Social,
+		Social:    ds.Social.Clone(),
 		Users:     ds.Users[:len(ds.Users):len(ds.Users)],
 		POIs:      ds.POIs[:len(ds.POIs):len(ds.POIs)],
 		NumTopics: ds.NumTopics,
 	}
 }
 
-// Compact rebuilds the indexes and the distance oracle over the grown
-// dataset, folding every dynamic update into the indexes, re-minimising
-// the hub labels road inserts grew, and restoring full pruning power.
-// The rebuild runs in the background against a cloned topology: queries
-// keep being answered exactly by the live engine for its whole duration,
-// and only the final swap
-// takes the exclusive lock, briefly. Other updates block until the
-// rebuild finishes (they would invalidate the clone). Health().Rebuilding
-// is set while the rebuild is in flight; on failure the live engine
-// keeps serving unchanged and the error is also recorded as a Health
-// note. Safe for concurrent use.
+// Compact rebuilds the indexes and the distance oracle over a private
+// copy of the grown dataset, folding every dynamic update into the
+// indexes, re-minimising the hub labels road inserts grew, and restoring
+// full pruning power. The rebuild runs in the background against the
+// copy: queries keep being answered exactly by the live engine for its
+// whole duration, and only the final swap takes the exclusive lock,
+// briefly. Other updates block until the rebuild finishes (they would
+// invalidate the copy). Health().Rebuilding is set while the rebuild is
+// in flight; on failure the live engine keeps serving unchanged and the
+// error is also recorded as a Health note. The swap leaves the old
+// network unchanged, so a DB that shared it may write again. Safe for
+// concurrent use; fails with ErrSharedNetwork after Close.
 func (db *DB) Compact() error {
 	db.upd.Lock()
 	defer db.upd.Unlock()
+	if db.released { // set under db.upd
+		return fmt.Errorf("gpssn: compaction: %w: this DB is closed", ErrSharedNetwork)
+	}
 
-	// Short critical section 1: clone the topology and mark rebuilding.
+	// Short critical section 1: mark rebuilding. db.upd keeps every
+	// update out, so the copy is taken outside db.mu.
 	db.mu.Lock()
-	snap := cloneDataset(db.net.ds)
 	db.health.Rebuilding = true
 	db.mu.Unlock()
+	snap := cloneDataset(db.net.ds)
 
 	// Off-lock rebuild. db.upd guarantees the clone cannot go stale: no
 	// mutation can land between the clone and the swap. The rebuild runs
@@ -372,6 +390,7 @@ func (db *DB) Compact() error {
 			fmt.Sprintf("background re-contraction failed (%v); previous engine kept serving", err))
 		return fmt.Errorf("gpssn: compaction failed: %w", err)
 	}
+	db.net.release()
 	db.net = freshNet
 	db.engine = fresh.engine
 	db.health.OracleRequested = fresh.health.OracleRequested

@@ -38,6 +38,11 @@ var ErrSnapshotCorrupt = errors.New("gpssn: snapshot corrupt")
 // silently is the one thing a WAL exists to prevent.
 var ErrWALCorrupt = errors.New("gpssn: wal corrupt")
 
+// ErrSharedNetwork is matched (errors.Is) by the error of an update
+// through a DB that is not the one DB open over its Network (see
+// Network), and of a closed DB's query while another DB is open.
+var ErrSharedNetwork = errors.New("gpssn: network shared by another DB")
+
 // ErrInternal is matched (errors.Is) by the error a query returns when an
 // internal invariant was violated (a bug in this library, never the
 // caller's fault). The query fails instead of crashing the process; the

@@ -50,12 +50,12 @@
 //
 // Every error returned by the public API matches exactly one of the
 // sentinels ErrInvalidInput, ErrNoAnswer, ErrCancelled,
-// ErrDeadlineExceeded, ErrSnapshotCorrupt, or ErrInternal via
-// errors.Is, so callers branch on failure class without string
-// matching; inspect structured detail (SnapshotError, InternalError)
-// with errors.As. The full taxonomy, and the guarantee that a DB never
-// panics the caller's process and never serves a wrong answer, is
-// docs/ROBUSTNESS.md. The HTTP serving layer (cmd/gpssn-serve,
+// ErrDeadlineExceeded, ErrSnapshotCorrupt, ErrWALCorrupt,
+// ErrSharedNetwork, or ErrInternal via errors.Is, so callers branch on
+// failure class without string matching; inspect structured detail
+// (SnapshotError, InternalError) with errors.As. The full taxonomy, and
+// the guarantee that a DB never panics the caller's process and never
+// serves a wrong answer, is docs/ROBUSTNESS.md. The HTTP serving layer (cmd/gpssn-serve,
 // docs/SERVING.md) maps this contract one-to-one onto status codes.
 package gpssn
 
@@ -70,7 +70,6 @@ import (
 
 	"gpssn/internal/build"
 	"gpssn/internal/core"
-	"gpssn/internal/model"
 	"gpssn/internal/socialnet"
 	"gpssn/internal/wal"
 )
@@ -363,6 +362,8 @@ type DB struct {
 	maintaining atomic.Bool
 	closed      atomic.Bool
 
+	released bool // Close released the DB's count on net; set under upd and mu
+
 	// BuildTime is how long index construction took. It is written by Open
 	// and Compact; read it only when no Compact can be running.
 	BuildTime time.Duration
@@ -432,9 +433,11 @@ type MemoryStats struct {
 
 // MemoryStats snapshots the DB's memory accounting.
 func (db *DB) MemoryStats() MemoryStats {
-	db.mu.RLock()
-	es := db.engine.MemoryStats()
-	db.mu.RUnlock()
+	var es core.MemoryStats
+	if db.rlock() == nil { // a closed DB beside an open one reports the heap only
+		es = db.engine.MemoryStats()
+		db.runlock()
+	}
 	var m runtime.MemStats
 	runtime.ReadMemStats(&m)
 	return MemoryStats{
@@ -449,12 +452,19 @@ func (db *DB) MemoryStats() MemoryStats {
 
 // attachOracle walks the fallback chain for the configured backend and
 // attaches the first oracle that builds, or keeps the one the network's
-// road graph already serves for its current topology, so DBs opened over
-// one network share it. It reports what happened through the returned
-// Health and logs each fallback. With Config.StrictOracle a build
-// failure becomes an error instead of a fallback.
-func attachOracle(ds *model.Dataset, c Config) (Health, error) {
-	active, notes, err := build.AttachOracle(ds.Road, c.DistanceOracle, c.StrictOracle)
+// road graph already serves for its current topology. It reports what
+// happened through the returned Health and logs each fallback. With
+// Config.StrictOracle a build failure becomes an error instead of a
+// fallback. Beside open DBs it attaches nothing: the backend must be the
+// one they share. Called with net.mu held.
+func attachOracle(net *Network, c Config) (Health, error) {
+	if active := build.Serving(net.ds.Road); net.dbs > 0 {
+		if active != c.DistanceOracle {
+			return Health{}, fmt.Errorf("%w: its open DBs share the %s oracle, not %q", ErrSharedNetwork, active, c.DistanceOracle)
+		}
+		return Health{OracleRequested: active, OracleActive: active}, nil
+	}
+	active, notes, err := build.AttachOracle(net.ds.Road, c.DistanceOracle, c.StrictOracle)
 	for _, n := range notes {
 		c.logf("gpssn: %s", n)
 	}
@@ -465,7 +475,8 @@ func attachOracle(ds *model.Dataset, c Config) (Health, error) {
 }
 
 // Open builds the I_R and I_S indexes over the network and returns a
-// queryable DB.
+// queryable DB, open over the network until Close or Compact. DBs open
+// over one network share it and its oracle (see Network).
 func Open(net *Network, cfg Config) (*DB, error) {
 	if net == nil || net.ds == nil {
 		return nil, fmt.Errorf("gpssn: nil network")
@@ -476,13 +487,20 @@ func Open(net *Network, cfg Config) (*DB, error) {
 	// Attach the distance oracle before anything touches road distances so
 	// pivot selection and pivot-table construction run through it too. A
 	// backend that fails to build degrades down the chain (see Health)
-	// rather than failing the open, unless StrictOracle is set.
-	health, err := attachOracle(net.ds, c)
+	// rather than failing the open, unless StrictOracle is set. Counting
+	// the DB under the same lock lets an update in flight finish first.
+	net.mu.Lock()
+	health, err := attachOracle(net, c)
+	if err == nil {
+		net.dbs++
+	}
+	net.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	db, err := buildDB(net, c)
 	if err != nil {
+		net.release()
 		return nil, err
 	}
 	db.health = health
@@ -491,6 +509,7 @@ func Open(net *Network, cfg Config) (*DB, error) {
 	// brings the network's state forward to the last surviving record.
 	if c.WALPath != "" {
 		if err := db.openWAL(c, 0); err != nil {
+			net.release()
 			return nil, err
 		}
 	}
@@ -521,13 +540,35 @@ func buildDB(net *Network, c Config) (*DB, error) {
 // Network returns the underlying network. Its accessors are safe to call
 // concurrently with queries; coordinate externally before mixing them with
 // dynamic updates (updates grow the user and POI sets the accessors read).
-// Compact swaps in a rebuilt network, so re-fetch rather than holding the
-// pointer across one — a stale pointer stays readable but stops seeing
-// later updates.
+// Compact swaps in a rebuilt private copy, so re-fetch rather than holding
+// the pointer across one — the old network stays readable, unchanged, but
+// stops seeing later updates.
 func (db *DB) Network() *Network {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
 	return db.net
+}
+
+// rlock takes db.mu's read side for a read of the network, and for a
+// closed DB the network's too: a closed DB reads the network only while
+// no DB is open over it. runlock releases both.
+func (db *DB) rlock() error {
+	db.mu.RLock()
+	if db.released {
+		db.net.mu.RLock()
+		if db.net.dbs > 0 {
+			db.runlock()
+			return fmt.Errorf("%w: this DB is closed and another is open over its network", ErrSharedNetwork)
+		}
+	}
+	return nil
+}
+
+func (db *DB) runlock() {
+	if db.released {
+		db.net.mu.RUnlock()
+	}
+	db.mu.RUnlock()
 }
 
 // validate rejects malformed query input with an ErrInvalidInput-matching
@@ -654,8 +695,10 @@ func (db *DB) query(ctx context.Context, op string, user int, q Query, k int) (a
 	if err := core.ContextError(ctx); err != nil {
 		return nil, &Stats{}, err
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	if err := db.rlock(); err != nil {
+		return nil, &Stats{}, err
+	}
+	defer db.runlock()
 	if err := q.validate(user, len(db.net.ds.Users)); err != nil {
 		return nil, nil, err
 	}

@@ -34,7 +34,8 @@ func TestHarnessMatchesProduct(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := Open(&Network{ds: ds}, DefaultConfig())
+		net := &Network{ds: ds}
+		db, err := Open(net, DefaultConfig())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +44,7 @@ func TestHarnessMatchesProduct(t *testing.T) {
 		}
 		cfg := DefaultConfig()
 		cfg.Parallelism = 1
-		seqDB, err := Open(&Network{ds: ds}, cfg)
+		seqDB, err := Open(net, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

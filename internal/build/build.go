@@ -55,32 +55,32 @@ func buildOracle(g *roadnet.Graph, kind string) (o roadnet.DistanceOracle, err e
 	return nil, nil
 }
 
-// serving reports whether g already serves an oracle of the given kind.
-// An attached oracle answers for the graph's current topology: hub labels
-// follow its road inserts, and a CH is detached by the first new edge.
-func serving(g *roadnet.Graph, kind string) bool {
+// Serving returns the backend g serves: "hl", "ch", or "dijkstra" when
+// no oracle is attached. An attached oracle answers for the graph's
+// current topology: hub labels follow its road inserts, and a CH is
+// detached by the first new edge.
+func Serving(g *roadnet.Graph) string {
 	switch g.Oracle().(type) {
 	case *hl.Oracle:
-		return kind == "hl"
+		return "hl"
 	case *ch.Oracle:
-		return kind == "ch"
+		return "ch"
 	}
-	return false
+	return "dijkstra"
 }
 
 // AttachOracle walks the fallback chain for the requested backend and
-// attaches the first oracle that builds. A backend the graph already
-// serves is kept rather than rebuilt, so engines opened over one graph
-// share its oracle and their POI label tables stay valid. It returns the
-// backend now serving and one note per fallback taken; with strict set, a
-// build failure is returned as an error instead of a fallback.
+// attaches the first oracle that builds. An hl or ch oracle the graph
+// already serves is kept rather than rebuilt. It returns the backend now
+// serving and one note per fallback taken; with strict set, a build
+// failure is returned as an error instead of a fallback.
 func AttachOracle(g *roadnet.Graph, kind string, strict bool) (active string, notes []string, err error) {
 	chain := oracleChain(kind)
 	if chain == nil {
 		return "", nil, fmt.Errorf("unknown DistanceOracle %q (want \"ch\", \"hl\" or \"dijkstra\")", kind)
 	}
 	for _, k := range chain {
-		if serving(g, k) {
+		if k != "dijkstra" && Serving(g) == k {
 			return k, notes, nil
 		}
 		o, err := buildOracle(g, k)

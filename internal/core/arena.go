@@ -230,7 +230,7 @@ type MemoryStats struct {
 	// ArenaBytes is the total retained by the refinement arenas.
 	ArenaBytes int64
 	// POILabelBytes is the resident size of the POI label table (0 without
-	// a label oracle, and after a road mutation released the table).
+	// a label oracle).
 	POILabelBytes int64
 }
 

@@ -51,9 +51,6 @@ type Budget struct {
 	MaxRefinedAnchors int
 }
 
-// IsZero reports whether the budget imposes no limit at all.
-func (b Budget) IsZero() bool { return b.MaxSettledVertices == 0 && b.MaxRefinedAnchors == 0 }
-
 // arm equips the query context with a cooperative checkpoint when the
 // caller supplied a cancellable/deadlined context or a search budget; with
 // neither, q.ck stays nil and every checked code path collapses to the

@@ -22,7 +22,8 @@ import (
 // the state derived from road distances — pivot rows and vectors, keyword
 // rows, node bounds, the POI label table — up to date. Compact (rebuild
 // the indexes over the grown dataset) folds the delta into the indexes;
-// the facade exposes it.
+// the facade exposes it. Every update reaches the dataset through the one
+// engine over it, its one writer; engines sharing a dataset only query it.
 
 // dynamicState tracks the delta boundaries; zero value = no delta.
 type dynamicState struct {
@@ -34,9 +35,6 @@ type dynamicState struct {
 	touched   []int32
 	roadVerts int // road vertices appended since construction
 	roadEdges int // road edges appended since construction
-	// roadCovered is the road graph's edge count the derived road state
-	// answers for (roadCurrent).
-	roadCovered int
 }
 
 // initDynamic records the indexed prefix sizes at engine construction.
@@ -44,17 +42,8 @@ func (e *Engine) initDynamic() {
 	e.dyn = dynamicState{
 		indexedUsers: len(e.DS.Users),
 		indexedPOIs:  len(e.DS.POIs),
-		roadCovered:  e.DS.Road.NumEdges(),
 	}
 }
-
-// roadCurrent reports whether the state this engine derived from road
-// distances covers every edge of the road graph. An edge added through
-// another engine over the same dataset leaves it behind for good: the
-// pivot bounds, the keyword rows and the POI label table are then off
-// (userRDOf, keywordRowsComplete, labelTable), and every distance comes
-// from the oracle, which the graph keeps exact.
-func (e *Engine) roadCurrent() bool { return e.dyn.roadCovered == e.DS.Road.NumEdges() }
 
 // PendingUpdates returns how many delta objects await compaction.
 func (e *Engine) PendingUpdates() int {
@@ -81,14 +70,9 @@ func (e *Engine) AddPOI(p model.POI) error {
 	// The new POI can join indexed anchors' balls: widen their keyword
 	// distances so Lemmas 1/6 stay sound.
 	e.Road.AddPOI(p.ID)
-	// The new POI's id is its row. A table that no longer matches
-	// (another engine over the same dataset moved the oracle or the POI
-	// count) can never catch up, so it is dropped and readers build rows
-	// on demand.
-	if e.poiLabels.ValidFor(e.DS.Road, len(e.DS.POIs)-1) {
+	// The new POI's id is its row.
+	if e.poiLabels != nil {
 		e.poiLabels.Append(e.DS.Road, p.At)
-	} else {
-		e.poiLabels = nil
 	}
 	return nil
 }
@@ -102,9 +86,6 @@ func (e *Engine) AddUser(u model.User) error {
 	}
 	if err := model.CheckInterests(u.Interests, e.DS.NumTopics); err != nil {
 		return fmt.Errorf("core: user %d: %w", u.ID, err)
-	}
-	if got := e.topics.rows(); got != int(u.ID) {
-		return fmt.Errorf("core: user topic table has %d rows, new user %d would not sit at its id", got, u.ID)
 	}
 	e.DS.Users = append(e.DS.Users, u)
 	e.topics.add(u.Interests)
@@ -165,7 +146,7 @@ func (e *Engine) AddRoadVertex(p geo.Point) (roadnet.VertexID, error) {
 // road distances up to date from the older vertices whose pivot distance
 // fell and the POIs near the edge (index.RoadIndex.AddRoadEdge): nothing
 // for a pendant vertex. The POI label table is rebuilt when the edge
-// changed a label it was built from (LabelTable.ValidFor).
+// changed a label it was built from (Graph.AddEdge).
 func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -176,27 +157,13 @@ func (e *Engine) AddRoadEdge(u, v roadnet.VertexID) (roadnet.EdgeID, error) {
 	if g.HasEdge(u, v) {
 		return 0, fmt.Errorf("core: duplicate road edge %d-%d", u, v)
 	}
-	current, tableValid := e.roadCurrent(), e.labelTable() != nil
-	id := g.AddEdge(u, v)
+	id, stale := g.AddEdge(u, v)
 	e.dyn.roadEdges++
-	if !current {
-		return id, nil
-	}
 	e.Social.AddRoadEdge(e.Road.AddRoadEdge(id))
-	if tableValid && !e.poiLabels.ValidFor(g, len(e.DS.POIs)) {
+	if stale && e.poiLabels != nil {
 		e.poiLabels = g.NewLabelTable(poiAttachments(e.DS))
 	}
-	e.dyn.roadCovered = g.NumEdges()
 	return id, nil
-}
-
-// keywordRowsComplete reports whether the index's keyword distance rows
-// account for every POI of the dataset and every road edge (Lemmas 1/6):
-// AddPOI widens the rows and AddRoadEdge lowers them, but a POI or an edge
-// appended through another engine over the same dataset does not, and
-// Compact rebuilds them.
-func (e *Engine) keywordRowsComplete() bool {
-	return e.Road.KeywordPOIs() == len(e.DS.POIs) && e.roadCurrent()
 }
 
 // pivotPruningSafe reports whether u is indexed and its stored hop-pivot
@@ -221,12 +188,8 @@ func (e *Engine) hopUnsafe(n *index.SNode) bool {
 }
 
 // userRDOf returns the road pivot distance vector of any user, computing
-// it on the fly for delta users; nil when the engine's road state is not
-// current (roadCurrent), which turns the pivot bounds off.
+// it on the fly for delta users.
 func (e *Engine) userRDOf(u socialnet.UserID) []float64 {
-	if !e.roadCurrent() {
-		return nil
-	}
 	if int(u) < e.dyn.indexedUsers {
 		return e.Social.UserRoadDist(u)
 	}
@@ -234,11 +197,8 @@ func (e *Engine) userRDOf(u socialnet.UserID) []float64 {
 }
 
 // poiRDOf returns the road pivot distance vector of any POI, computing it
-// on the fly for delta POIs; nil as for userRDOf.
+// on the fly for delta POIs.
 func (e *Engine) poiRDOf(id model.POIID) []float64 {
-	if !e.roadCurrent() {
-		return nil
-	}
 	if int(id) < e.dyn.indexedPOIs {
 		return e.Road.POIDist(id)
 	}

@@ -193,27 +193,6 @@ func TestDynamicValidation(t *testing.T) {
 	}
 }
 
-// TestAddUserRejectsForeignDelta pins the user topic table's row = id
-// invariant: once another engine over the same dataset has appended a
-// user, this engine's table has no row for it, so its own AddUser must
-// fail instead of filing the next user's interests under the wrong row.
-func TestAddUserRejectsForeignDelta(t *testing.T) {
-	ds := smallDataset(t, 57)
-	a, b := buildEngine(t, ds, Options{}), buildEngine(t, ds, Options{})
-	u := ds.Users[0]
-	u.ID = socialnet.UserID(len(ds.Users))
-	if err := a.AddUser(u); err != nil {
-		t.Fatal(err)
-	}
-	u.ID++
-	if err := b.AddUser(u); err == nil {
-		t.Fatal("an engine whose table lacks the first delta user accepted the second")
-	}
-	if b.topics.rows() != len(ds.Users)-1 || len(ds.Users) != int(u.ID) {
-		t.Fatalf("the rejected AddUser changed state: %d rows, %d users", b.topics.rows(), len(ds.Users))
-	}
-}
-
 // TestAddPOIKeepsKeywordPruningSound pins Lemmas 1/6 under AddPOI: a POI
 // appended after the build can carry a topic into the road ball of an
 // indexed anchor whose stored keyword bound lacks it, and the anchor must
@@ -276,34 +255,6 @@ func TestAddPOIKeepsKeywordPruningSound(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// A POI appended through another engine over the same dataset widens
-// that engine's keyword rows only; this engine must stop trusting its own
-// rows (keywordRowsComplete) rather than drop an anchor the POI now serves.
-// The case is TestAddPOIKeepsKeywordPruningSound's first failure at the
-// commit before AddPOI widened the rows.
-func TestForeignAddPOIDisablesKeywordPruning(t *testing.T) {
-	ds := smallDataset(t, 1)
-	a, b := buildEngine(t, ds, Options{}), buildEngine(t, ds, Options{})
-	at := ds.Road.AttachAt(ds.POIs[0].At.Edge, 0)
-	np := model.POI{ID: model.POIID(len(ds.POIs)), At: at, Loc: ds.Road.Location(at), Keywords: []int{0}}
-	if err := a.AddPOI(np); err != nil {
-		t.Fatal(err)
-	}
-	if b.keywordRowsComplete() {
-		t.Fatal("b trusts keyword rows that miss a's appended POI")
-	}
-	p := Params{Gamma: 0, Tau: 1, Theta: 0.9, R: 2, Metric: MetricDotProduct}
-	got, _, err := b.Query(3, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := (&Baseline{DS: ds}).Query(3, p)
-	if got.Found != want.Found || got.MaxDist != want.MaxDist || got.Anchor != want.Anchor {
-		t.Fatalf("got found=%v cost=%v anchor=%d, Baseline found=%v cost=%v anchor=%d",
-			got.Found, got.MaxDist, got.Anchor, want.Found, want.MaxDist, want.Anchor)
 	}
 }
 

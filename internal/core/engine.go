@@ -79,16 +79,16 @@ type Engine struct {
 	// topics is the user topic table every interest and matching score
 	// reads (usertopics.go): built here over the dataset's users, indexed
 	// ones in I_S leaf order, and appended to by AddUser under mu's write
-	// side. It covers exactly the users this engine has seen, so users
-	// must be appended through the engine that queries them; AddUser
-	// refuses a user another engine's append left it no row for.
+	// side, so row i is user i's as long as every user is appended through
+	// this engine, the dataset's one writer.
 	topics *userTopics
 
 	// poiLabels is the forward table of POI attachment hub labels: row i
-	// is POI i's label. Built here when a label oracle is attached,
-	// appended to by AddPOI and rebuilt by an AddRoadEdge that changed its
-	// labels, under mu's write side; queries read it under the read side
-	// through labelTable, which checks it is still valid.
+	// is POI i's label. Built here when a label oracle is attached (nil
+	// for the engine's lifetime otherwise), appended to by AddPOI and
+	// rebuilt by an AddRoadEdge that changed its labels, under mu's write
+	// side. It picks the kernel of every pair a query prices: row merges
+	// with the table, DistAttachWithinCk without.
 	poiLabels *roadnet.LabelTable
 }
 
@@ -97,9 +97,7 @@ func NewEngine(ds *model.Dataset, road *index.RoadIndex, social *index.SocialInd
 	e := &Engine{DS: ds, Road: road, Social: social, Opts: opts}
 	e.initDynamic()
 	e.topics = newUserTopics(ds, social)
-	if ds.Road.HasLabels() {
-		e.poiLabels = ds.Road.NewLabelTable(poiAttachments(ds))
-	}
+	e.poiLabels = ds.Road.NewLabelTable(poiAttachments(ds))
 	return e
 }
 
@@ -112,25 +110,9 @@ func poiAttachments(ds *model.Dataset) []roadnet.Attach {
 	return atts
 }
 
-// labelTable returns the engine's POI label table when it is valid — it
-// answers for the attached oracle's current labels and has a row for
-// every POI — and the engine's road state is current (roadCurrent); nil
-// otherwise: no label oracle, an engine wired before its oracle was
-// attached, or one sharing its dataset with an engine that has since
-// appended a POI or a road edge. It is the one predicate that picks the
-// kernel of every user-POI pair a query prices, in the anchor stream and
-// in M(u) alike: row merges with the table, DistAttachWithinCk without.
-func (e *Engine) labelTable() *roadnet.LabelTable {
-	if t := e.poiLabels; t.ValidFor(e.DS.Road, len(e.DS.POIs)) && e.roadCurrent() {
-		return t
-	}
-	return nil
-}
-
-// POILabels returns the engine's POI label table, nil when none is held
-// (no label oracle, or dropped when another engine's update left it
-// behind). For telemetry and tests; the table must not be read
-// concurrently with updates.
+// POILabels returns the engine's POI label table, nil when no label
+// oracle was attached when the engine was built. For telemetry and tests;
+// the table must not be read concurrently with updates.
 func (e *Engine) POILabels() *roadnet.LabelTable {
 	e.mu.RLock()
 	defer e.mu.RUnlock()

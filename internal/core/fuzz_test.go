@@ -273,12 +273,12 @@ func mutateRoad(t *testing.T, e *Engine, uq socialnet.UserID, kind uint8) {
 // Baseline's top-k rank by rank, and Parallelism 4 must return
 // bit-identical answers (found, cost bits, anchor, S and R) to
 // Parallelism 1. Each engine runs over its own copy of the dataset and
-// takes the road edge through itself: an engine another engine's road
-// edge left behind prices pairs without its label table, which is exact
-// but not bit for bit (TestRoadInsertThroughAnotherDB in the root package
-// gates that case against Baseline). The seed corpus under testdata/fuzz covers the oracle
-// gates' datasets and both road mutations, so the plain test run replays
-// it; `make fuzz-smoke` explores further.
+// takes the road edge through itself: a dataset has one writer, the one
+// engine over it (the facade refuses updates on a network two DBs share,
+// TestSharedNetworkIsReadOnly in the root package). The seed corpus under
+// testdata/fuzz covers the oracle gates' datasets and both road
+// mutations, so the plain test run replays it; `make fuzz-smoke` explores
+// further.
 func FuzzEngineMatchesBaseline(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, ties uint8, gamma, theta, r float64, tau, k, metric uint8, issuer uint16, road uint8) {
 		ds := tiedDataset(t, seed, ties)

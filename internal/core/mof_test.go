@@ -25,8 +25,7 @@ func sameDist(a, b float64) bool { return math.Abs(a-b) <= 1e-9*math.Max(1, b) }
 
 // TestMOfOneDistancePath pins the bounded source-to-ball evaluator on every
 // backend that uses it — plain Dijkstra, CH, and hub labels under an engine
-// that another engine's AddRoadEdge left without its label table (the
-// subtest keeps its earlier name, "overlay"): unbounded it
+// wired before they were attached, which holds no label table: unbounded it
 // equals the per-pair DistAttach maximum; under a keeper a cost exactly at
 // the bound is kept and the same cost one ulp beyond it is +Inf; and a
 // tripped checkpoint prices every user +Inf.
@@ -40,15 +39,11 @@ func TestMOfOneDistancePath(t *testing.T) {
 			ds.Road.SetDistanceOracle(ch.Build(ds.Road))
 			return buildEngine(t, ds, Options{})
 		}},
-		{"overlay", func(ds *model.Dataset) *Engine {
-			ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+		{"hl-wired-early", func(ds *model.Dataset) *Engine {
 			e := buildEngine(t, ds, Options{})
-			other := buildEngine(t, ds, Options{})
-			if _, err := other.AddRoadEdge(0, roadnet.VertexID(ds.Road.NumVertices()-1)); err != nil {
-				t.Fatal(err)
-			}
-			if !ds.Road.HasLabels() || e.labelTable() != nil {
-				t.Fatal("another engine's AddRoadEdge must keep the labels attached and drop this engine's table")
+			ds.Road.SetDistanceOracle(hl.Build(ds.Road))
+			if e.poiLabels != nil {
+				t.Fatal("an engine wired before the labels were attached holds a label table")
 			}
 			return e
 		}},

@@ -190,10 +190,8 @@ func TestAnchorDistancesCounted(t *testing.T) {
 
 // TestAnchorKeyIsMShare is the one-kernel-per-pair gate: the key the
 // anchor stream resolves anchor a to equals makeMOf({a})(u_q) bit for bit,
-// under hub labels, CH and plain Dijkstra, and after road inserts both for
-// the engine that made them (row merges with its label table) and for a
-// second engine over the same dataset they left behind (no table: one
-// DistAttachWithinCk call per pair).
+// under hub labels, CH and plain Dijkstra, and after road inserts (row
+// merges with the label table the engine keeps current).
 func TestAnchorKeyIsMShare(t *testing.T) {
 	p := Params{Gamma: 0.2, Tau: 3, Theta: 0, R: 2, Metric: MetricDotProduct}
 	for _, oracle := range []string{"hl", "ch", "dijkstra"} {
@@ -206,8 +204,8 @@ func TestAnchorKeyIsMShare(t *testing.T) {
 				ds.Road.SetDistanceOracle(ch.Build(ds.Road))
 			}
 			e := buildEngine(t, ds, Options{Parallelism: 1})
-			if (e.labelTable() != nil) != (oracle == "hl") {
-				t.Fatalf("%s: label table %v", oracle, e.labelTable() != nil)
+			if (e.poiLabels != nil) != (oracle == "hl") {
+				t.Fatalf("%s: label table %v", oracle, e.poiLabels != nil)
 			}
 			for _, uq := range []socialnet.UserID{0, 7, 33} {
 				checkKeysAreMShares(t, fmt.Sprintf("%s seed %d uq %d", oracle, seed, uq), e, uq, p)
@@ -215,16 +213,9 @@ func TestAnchorKeyIsMShare(t *testing.T) {
 		}
 	}
 
-	ds, issuers := insertDataset(t)
-	stale := buildEngine(t, ds, Options{Parallelism: 1})
-	e := buildEngine(t, ds, Options{Parallelism: 1})
-	addPendingEdges(t, e, issuers[:6])
-	if stale.roadCurrent() || stale.labelTable() != nil {
-		t.Fatal("an engine another engine's road edges left behind must drop its label table")
-	}
+	_, e, issuers := pendingTwin(t, 1)
 	for _, uq := range issuers[:6] {
 		checkKeysAreMShares(t, fmt.Sprintf("inserted uq %d", uq), e, uq, p)
-		checkKeysAreMShares(t, fmt.Sprintf("left behind uq %d", uq), stale, uq, p)
 	}
 }
 

@@ -26,7 +26,6 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 	uqRow := e.topics.user(uq)
 	const probeAnchors = 3
 	nn := e.Road.Tree.Nearest(ds.Users[uq].Loc, probeAnchors)
-	kwRows := e.keywordRowsComplete()
 	// At most 2·probeAnchors anchors are tried, so a scan beats a set.
 	tried := make([]model.POIID, 0, 2*probeAnchors)
 	tryAnchor := func(anchor model.POIID) {
@@ -37,7 +36,7 @@ func (e *Engine) probe(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) 
 		// Lemma 1 before the ball: the bound is u_q's score over a
 		// superset of the ball's keywords, so a failing anchor's ball
 		// would fail the θ-test below.
-		if e.lemma1(anchor, p, uqRow, kwRows) {
+		if e.lemma1(anchor, p, uqRow) {
 			return
 		}
 		ball := e.ballAround(anchor, p.R, q.ck)
@@ -108,12 +107,12 @@ func ballKeywords(ds *model.Dataset, ball []model.POIID, ar *refineArena) TopicS
 // makeMOf builds the M(u) evaluator for one anchor ball:
 // M(u) = max over ball POIs o of dist_RN(u, o).
 //
-// With the engine's own POI label table (labelTable) it returns the
+// With the engine's own POI label table (poiLabels) it returns the
 // batched label kernel: the ball members' label rows are flattened once
 // (prepareBallLabels), and each evaluation is a single simultaneous merge
 // of the user's attachment label against them (roadnet.LabelDists) — no
 // per-pair graph search, no O(V) state. Any other engine (CH, plain
-// Dijkstra, or hub labels with no valid table) runs each evaluation as one
+// Dijkstra, or hub labels with no table) runs each evaluation as one
 // bounded source-to-ball call, DistAttachWithinCk: the bucket many-to-many
 // under CH, a bounded search that stops once the ball is settled under
 // Dijkstra. Both kernels are all-or-nothing on a checkpoint trip, and each
@@ -165,10 +164,10 @@ func (e *Engine) makeMOf(ball []model.POIID, keeper *sharedKeeper, ck *roadnet.C
 }
 
 // prepareBallLabels flattens the ball members' rows of the engine's label
-// table into the ball's merge-ready target set; nil without a valid table
-// (labelTable, the seam makeMOf uses to pick its kernel).
+// table into the ball's merge-ready target set; nil without a table
+// (poiLabels, the seam makeMOf uses to pick its kernel).
 func (e *Engine) prepareBallLabels(ball []model.POIID, ar *refineArena) *roadnet.TargetLabels {
-	t := e.labelTable()
+	t := e.poiLabels
 	if t == nil {
 		return nil
 	}
@@ -471,21 +470,19 @@ type anchorOrder struct {
 // Every anchor enters unresolved, keyed by its Lemma 5 bound, and is
 // resolved at the front by the kernel makeMOf prices the same pair with,
 // so its key equals its share of M(u_q) bit for bit: under the engine's
-// own POI label table (labelTable) one row merge against u_q's label,
+// own POI label table (poiLabels) one row merge against u_q's label,
 // which lives in ar for the query; under any other engine one
 // DistAttachWithinCk call. DisableIndexPruning keys every node 0 and
-// skips Lemmas 6 and 7; DisableDistancePruning, or an issuer with no pivot
-// vector (the engine's road state is not current, roadCurrent), keys every
-// node and unresolved anchor 0 and skips Lemmas 5 and 7.
+// skips Lemmas 6 and 7; DisableDistancePruning keys every node and
+// unresolved anchor 0 and skips Lemmas 5 and 7.
 func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refineArena) *anchorOrder {
 	ds, st := e.DS, q.st
 	uqRow, uqRD, uqAt := e.topics.user(uq), e.userRDOf(uq), ds.Users[uq].At
-	kwRows := e.keywordRowsComplete()
-	distLB := !e.Opts.DisableDistancePruning && uqRD != nil
+	distLB := !e.Opts.DisableDistancePruning
 	nodeRules := !e.Opts.DisableIndexPruning
 	o := &anchorOrder{h: ar.anchs[:0], ar: ar, ck: q.ck}
 
-	t := e.labelTable()
+	t := e.poiLabels
 	var lbl *roadnet.HubLabel
 	if t != nil {
 		lbl = e.userLabelWith(uq, ar)
@@ -509,7 +506,7 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 				// them. Matching: Lemma 1, u_q's score over a superset of
 				// the radius-r ball's keywords. Distance: Lemma 5, the
 				// pivot lower bound against the keeper's bound.
-				matchPrune := e.lemma1(id, p, uqRow, kwRows)
+				matchPrune := e.lemma1(id, p, uqRow)
 				lb, distPrune := 0.0, false
 				if distLB {
 					lb = roadnet.LowerBound(uqRD, e.Road.POIDist(id))
@@ -536,7 +533,7 @@ func (e *Engine) newAnchorOrder(uq socialnet.UserID, p Params, q *qctx, ar *refi
 			key := 0.0
 			if nodeRules {
 				// Lemma 6: matching score pruning for index nodes.
-				if kwRows && uqRow.matchUb(m.KwMin, p.R) < p.Theta {
+				if uqRow.matchUb(m.KwMin, p.R) < p.Theta {
 					st.RNIndexPruned += m.POICount
 					st.RNIndexPrunedMatch += m.POICount
 					continue
@@ -679,21 +676,14 @@ func (o *anchorOrder) down(i int) {
 // bound beyond the keeper's rules u out. The lower bound is a derived
 // float (|d(u,p) − d(a,p)| over two independently rounded sums) and can
 // exceed an exact tied cost by an ulp, hence prunes rather than a bare >.
-// A user or anchor without a pivot vector (the engine's road state is not
-// current) is never pruned.
 func (e *Engine) companionPruned(u socialnet.UserID, anchorRD []float64, bound float64) bool {
-	rd := e.userRDOf(u)
-	if rd == nil || anchorRD == nil {
-		return false
-	}
-	return prunes(roadnet.LowerBound(rd, anchorRD), bound)
+	return prunes(roadnet.LowerBound(e.userRDOf(u), anchorRD), bound)
 }
 
 // lemma1 reports whether Lemma 1 prunes anchor id: u_q's score over the
 // superset of its radius-r ball's keywords the rows hold falls below θ.
-// The rows must account for every POI and road edge (kwRows).
-func (e *Engine) lemma1(id model.POIID, p Params, uqRow topicRow, kwRows bool) bool {
-	return kwRows && uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta
+func (e *Engine) lemma1(id model.POIID, p Params, uqRow topicRow) bool {
+	return uqRow.matchUb(e.Road.KeywordDist(id), p.R) < p.Theta
 }
 
 // ballAround returns the POIs within road distance radius of the anchor (always

@@ -69,9 +69,9 @@ func addPendingEdges(t *testing.T, e *Engine, near []socialnet.UserID) {
 			t.Fatal(err)
 		}
 	}
-	if s := g.OverlayStats(); s.NewEdges != len(near) || !g.HasLabels() || !e.roadCurrent() || e.labelTable() == nil {
-		t.Fatalf("after %d road edges: counters %+v, labels %v, road state current %v, label table %v",
-			len(near), s, g.HasLabels(), e.roadCurrent(), e.labelTable() != nil)
+	if s := g.OverlayStats(); s.NewEdges != len(near) || !g.HasLabels() || e.poiLabels == nil {
+		t.Fatalf("after %d road edges: counters %+v, labels %v, label table %v",
+			len(near), s, g.HasLabels(), e.poiLabels != nil)
 	}
 }
 
@@ -175,7 +175,7 @@ func TestObjectsOnNewRoadEdge(t *testing.T) {
 	if e.poiRDOf(poi.ID) == nil || e.userRDOf(user.ID) == nil {
 		t.Fatal("an object on a new road edge has no pivot vector")
 	}
-	tab := e.labelTable()
+	tab := e.poiLabels
 	if tab == nil {
 		t.Fatal("adding objects on a new road edge dropped the label table")
 	}

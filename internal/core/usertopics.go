@@ -75,9 +75,6 @@ func newUserTopics(ds *model.Dataset, social *index.SocialIndex) *userTopics {
 	return t
 }
 
-// rows returns the number of rows.
-func (t *userTopics) rows() int { return len(t.off) - 1 }
-
 // add appends a row for interest vector w (length d).
 func (t *userTopics) add(w []float64) {
 	for k := 0; k < t.w; k++ {

@@ -141,8 +141,8 @@ func TestUserTopicsMatchDense(t *testing.T) {
 		}
 	}
 	ut := e.topics
-	if ut.rows() != len(ds.Users) {
-		t.Fatalf("table has %d rows for %d users", ut.rows(), len(ds.Users))
+	if rows := len(ut.off) - 1; rows != len(ds.Users) {
+		t.Fatalf("table has %d rows for %d users", rows, len(ds.Users))
 	}
 	sets := randomSets(rng, ds.NumTopics)
 	for u := range ds.Users {

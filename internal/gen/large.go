@@ -94,7 +94,7 @@ func genLatticeRoad(rng *rand.Rand, nv int) (*roadnet.Graph, *lattice) {
 		))
 		lat.rowEdge[i] = -1
 		if c > 0 {
-			lat.rowEdge[i] = g.AddEdge(roadnet.VertexID(i-1), roadnet.VertexID(i))
+			lat.rowEdge[i], _ = g.AddEdge(roadnet.VertexID(i-1), roadnet.VertexID(i))
 		}
 	}
 	for r := 1; r < rows; r++ {

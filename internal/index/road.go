@@ -63,9 +63,6 @@ type RoadIndex struct {
 	// kwDist is the dense n×d slab of nearest-keyword road distances, row
 	// o at [o·d, (o+1)·d); see KeywordDist.
 	kwDist []float32
-	// kwPOIs is the number of dataset POIs the rows account for: the
-	// build's, then each one AddPOI widened the rows for, in id order.
-	kwPOIs int
 	meta   map[*rtree.Node]*RoadNodeMeta
 }
 
@@ -116,7 +113,6 @@ func (ix *RoadIndex) buildPOIAggregates() {
 	n, d := len(ds.POIs), ds.NumTopics
 	ix.poiDist = make([][]float64, n)
 	ix.kwDist = make([]float32, n*d)
-	ix.kwPOIs = n
 	for i := range ix.kwDist {
 		ix.kwDist[i] = float32(math.Inf(1))
 	}
@@ -316,11 +312,6 @@ func (ix *RoadIndex) KeywordDist(o model.POIID) []float32 {
 	return ix.kwDist[int(o)*d : (int(o)+1)*d]
 }
 
-// KeywordPOIs returns how many of the dataset's POIs the keyword rows
-// account for. While it is below the dataset's POI count, a POI appended
-// without AddPOI may sit in a ball the rows know nothing of.
-func (ix *RoadIndex) KeywordPOIs() int { return ix.kwPOIs }
-
 // AddPOI widens the keyword rows for POI id, appended to the dataset after
 // the build, so the rows keep covering every road ball it can join: for
 // each indexed POI o within Euclidean RMax of it, and each of its
@@ -328,14 +319,9 @@ func (ix *RoadIndex) KeywordPOIs() int { return ix.kwPOIs }
 // the two. Road distance dominates Euclidean (edge weights are Euclidean
 // lengths), and a ball admits an appended POI only within that Euclidean
 // distance, so every row stays a superset; the node minima are lowered
-// with the rows they cover. The caller appends POIs in id order under the
-// same exclusive lock that keeps queries out; an id out of that order
-// widens nothing, and KeywordPOIs then stays behind the dataset for good.
+// with the rows they cover. The caller appends every POI through here,
+// under the same exclusive lock that keeps queries out.
 func (ix *RoadIndex) AddPOI(id model.POIID) {
-	if int(id) != ix.kwPOIs {
-		return
-	}
-	ix.kwPOIs++
 	p := &ix.DS.POIs[id]
 	ix.widen(ix.Tree.Root(), p)
 }

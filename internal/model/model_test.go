@@ -23,14 +23,10 @@ func tinyDataset() *Dataset {
 	for i, c := range coords {
 		v[i] = road.AddVertex(c)
 	}
-	edges := []roadnet.EdgeID{
-		road.AddEdge(v[0], v[1]),
-		road.AddEdge(v[1], v[2]),
-		road.AddEdge(v[3], v[4]),
-		road.AddEdge(v[4], v[5]),
-		road.AddEdge(v[0], v[3]),
-		road.AddEdge(v[1], v[4]),
-		road.AddEdge(v[2], v[5]),
+	var edges []roadnet.EdgeID
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {3, 4}, {4, 5}, {0, 3}, {1, 4}, {2, 5}} {
+		id, _ := road.AddEdge(v[e[0]], v[e[1]])
+		edges = append(edges, id)
 	}
 
 	social := socialnet.NewGraph(5)

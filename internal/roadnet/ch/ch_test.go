@@ -196,7 +196,7 @@ func TestOracleSurvivesMutation(t *testing.T) {
 	if g.Oracle() == nil {
 		t.Fatal("AddVertex must keep the CH attached")
 	}
-	e := g.AddEdge(v, 0)
+	e, _ := g.AddEdge(v, 0)
 	if g.Oracle() != nil {
 		t.Fatal("a new edge must detach the CH")
 	}

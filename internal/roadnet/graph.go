@@ -45,9 +45,6 @@ type Graph struct {
 	gridBuilds int            // full grid (re)builds; mutations must not force one
 	oracle     DistanceOracle // optional fast exact-distance backend (see oracle.go)
 	inserts    insertStats    // road inserts since the oracle was attached
-	// labelVersion counts the edge inserts that changed the attached
-	// oracle's labels of earlier edges (DynamicOracle.AddEdge).
-	labelVersion uint64
 }
 
 // NewGraph returns an empty road network with capacity hints.
@@ -76,21 +73,24 @@ func (g *Graph) AddVertex(p geo.Point) VertexID {
 // boundary returns typed errors; ImportCSV rejects with row numbers).
 // An attached DynamicOracle updates its labels, any other oracle is
 // detached (plain Dijkstra is exact over the grown graph), and the snap
-// grid absorbs the new segment incrementally.
-func (g *Graph) AddEdge(u, v VertexID) EdgeID {
+// grid absorbs the new segment incrementally. stale is the
+// DynamicOracle's report that the insert changed a label of a vertex that
+// had an edge before, which leaves a LabelTable built from the labels
+// stale; false under any other oracle.
+func (g *Graph) AddEdge(u, v VertexID) (id EdgeID, stale bool) {
 	if u == v {
 		panic(fmt.Sprintf("roadnet: self-loop at vertex %d", u))
 	}
 	g.checkVertex(u)
 	g.checkVertex(v)
 	w := g.pts[u].Dist(g.pts[v])
-	id := EdgeID(len(g.edges))
+	id = EdgeID(len(g.edges))
 	g.edges = append(g.edges, Edge{U: u, V: v, Weight: w})
 	g.adj[u] = append(g.adj[u], halfEdge{to: v, weight: w, edge: id})
 	g.adj[v] = append(g.adj[v], halfEdge{to: u, weight: w, edge: id})
-	g.noteEdge(u, v, w)
+	stale = g.noteEdge(u, v, w)
 	g.gridInsertEdge(id)
-	return id
+	return id, stale
 }
 
 // Clone returns a deep copy of the graph's topology and geometry. The

@@ -35,7 +35,7 @@ func TestAddVertexEdge(t *testing.T) {
 	g := NewGraph(0, 0)
 	a := g.AddVertex(geo.Pt(0, 0))
 	b := g.AddVertex(geo.Pt(3, 4))
-	e := g.AddEdge(a, b)
+	e, _ := g.AddEdge(a, b)
 	if g.NumVertices() != 2 || g.NumEdges() != 1 {
 		t.Fatalf("counts: %d vertices, %d edges", g.NumVertices(), g.NumEdges())
 	}
@@ -152,7 +152,7 @@ func TestDistAttachSameEdge(t *testing.T) {
 	g := NewGraph(0, 0)
 	a := g.AddVertex(geo.Pt(0, 0))
 	b := g.AddVertex(geo.Pt(10, 0))
-	e := g.AddEdge(a, b)
+	e, _ := g.AddEdge(a, b)
 	p := g.AttachAt(e, 0.2)
 	q := g.AttachAt(e, 0.7)
 	if d := g.DistAttach(p, q); math.Abs(d-5) > 1e-9 {
@@ -172,7 +172,7 @@ func TestDistAttachSameEdgeDetour(t *testing.T) {
 	a := g.AddVertex(geo.Pt(0, 0))
 	b := g.AddVertex(geo.Pt(10, 0))
 	c := g.AddVertex(geo.Pt(5, 1))
-	ab := g.AddEdge(a, b)
+	ab, _ := g.AddEdge(a, b)
 	g.AddEdge(a, c)
 	g.AddEdge(c, b)
 	p := g.AttachAt(ab, 0.0)

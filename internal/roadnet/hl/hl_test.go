@@ -268,7 +268,7 @@ func TestHLSurvivesMutation(t *testing.T) {
 	if g.Oracle() == nil || !g.HasLabels() {
 		t.Fatal("AddVertex must keep the labels attached")
 	}
-	e := g.AddEdge(v, 0)
+	e, _ := g.AddEdge(v, 0)
 	var lbl roadnet.HubLabel
 	if !g.AttachLabel(g.AttachAt(e, 0.5), &lbl) || lbl.Len() == 0 {
 		t.Fatalf("a point on a new edge got a %d-entry label", lbl.Len())

@@ -135,14 +135,13 @@ func TestLabelsExactUnderInserts(t *testing.T) {
 
 // TestPendantTouchesNoOldLabel: a pendant vertex gets the label of its
 // neighbour shifted by the edge, plus its self-entry, and no other label
-// changes, so a label table built before stays valid.
+// changes, so the insert reports label tables built before as current; a
+// shortening chord reports them stale.
 func TestPendantTouchesNoOldLabel(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGraph(t, rng, 50, 1.2, true)
 	o := Build(g)
 	g.SetDistanceOracle(o)
-	atts := []roadnet.Attach{g.AttachAt(0, 0.5), g.AttachAt(3, 0.25)}
-	table := g.NewLabelTable(atts)
 	before := o.NumLabelEntries()
 	u := roadnet.VertexID(7)
 	hubs, _ := o.label(int32(u))
@@ -151,12 +150,11 @@ func TestPendantTouchesNoOldLabel(t *testing.T) {
 	if got := o.NumLabelEntries(); got != before+1 {
 		t.Fatalf("AddVertex added %d entries, want 1", got-before)
 	}
-	g.AddEdge(u, v)
+	if _, stale := g.AddEdge(u, v); stale {
+		t.Fatal("a pendant edge reported label tables stale")
+	}
 	if got := o.NumLabelEntries(); got != before+1+size {
 		t.Fatalf("pendant label has %d entries, want %d", got-before, size+1)
-	}
-	if !table.ValidFor(g, len(atts)) {
-		t.Fatal("a pendant edge left a label table stale")
 	}
 	// A chord that shortens paths between older vertices does not.
 	for {
@@ -167,10 +165,71 @@ func TestPendantTouchesNoOldLabel(t *testing.T) {
 		if d := g.Dijkstra(a)[b]; d <= g.Vertex(a).Dist(g.Vertex(b))*1.5 {
 			continue
 		}
-		g.AddEdge(a, b)
+		if _, stale := g.AddEdge(a, b); !stale {
+			t.Fatal("a shortening chord reported label tables current")
+		}
 		break
 	}
-	if table.ValidFor(g, len(atts)) {
-		t.Fatal("a shortening chord left a label table valid")
+}
+
+// TestPendantSecondPassWritesNothing pins the pass AddEdge skips: after a
+// pendant insert, resuming every hub of the new vertex's label from its
+// neighbour, as the second pass would, writes nothing and changes no byte
+// of the encoded store.
+func TestPendantSecondPassWritesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	g := randomGraph(t, rng, 80, 1.2, true)
+	o := Build(g)
+	g.SetDistanceOracle(o)
+	for i := 0; i < 200; i++ {
+		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
+		v := g.AddVertex(g.Vertex(u).Add(geo.Pt(rng.Float64()*2-1, rng.Float64()*2-1)))
+		id, stale := g.AddEdge(u, v)
+		if stale {
+			t.Fatalf("pendant %d: reported label tables stale", i)
+		}
+		w := g.EdgeAt(id).Weight
+		var before snap.Enc
+		o.Encode(&before)
+		hubs, dist := o.label(int32(v))
+		hubs, dist = append([]int32(nil), hubs...), append([]float64(nil), dist...)
+		for k, h := range hubs {
+			if o.resume(g, h, u, dist[k]+w, u, v) {
+				t.Fatalf("pendant %d: the skipped search of hub %d reported a stale label", i, h)
+			}
+		}
+		var after snap.Enc
+		o.Encode(&after)
+		if string(before.B) != string(after.B) {
+			t.Fatalf("pendant %d: the skipped searches changed the store", i)
+		}
+	}
+	checkAllPairs(t, g, o, "after pendants")
+}
+
+// TestIsolatedVertexJoins covers the other edge whose end had no edge
+// before: a vertex isolated when the labels were built keeps the rank the
+// build gave it, possibly above its new neighbour's, and its own search
+// must still run. Every pair stays exact with the isolated end on either
+// side of the edge.
+func TestIsolatedVertexJoins(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		g := randomGraph(t, rng, 40, 1.0, true)
+		var isolated []roadnet.VertexID
+		for i := 0; i < 12; i++ {
+			isolated = append(isolated, g.AddVertex(geo.Pt(rng.Float64()*100, rng.Float64()*100)))
+		}
+		o := Build(g)
+		g.SetDistanceOracle(o)
+		for i, b := range isolated {
+			a := roadnet.VertexID(rng.Intn(40))
+			if i%2 == 0 {
+				g.AddEdge(a, b)
+			} else {
+				g.AddEdge(b, a)
+			}
+			checkAllPairs(t, g, o, fmt.Sprintf("seed %d isolated %d joined %d", seed, b, a))
+		}
 	}
 }

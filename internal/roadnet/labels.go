@@ -18,7 +18,7 @@ type HubLabel struct {
 	Hubs []int32
 	Dist []float64
 
-	seeds [2]Seed // seedAttach's scratch (see there)
+	seeds [2]Seed // AttachLabel's scratch (see there)
 }
 
 // Len returns the number of (hub, distance) entries.
@@ -82,22 +82,17 @@ func (g *Graph) HasLabels() bool { return g.labelOracle() != nil }
 // AttachLabel writes the hub label of attachment a into dst: the merged
 // label of a's two edge endpoints offset by the along-edge distances. It
 // reports false (leaving dst untouched) when no label oracle is attached.
+// The seeds live in dst's own scratch: a slice literal would escape
+// through the interface call and cost an allocation per label.
 func (g *Graph) AttachLabel(a Attach, dst *HubLabel) bool {
 	lo := g.labelOracle()
 	if lo == nil {
 		return false
 	}
-	g.seedAttach(lo, a, dst)
-	return true
-}
-
-// seedAttach writes the merged label of a's two edge endpoints into dst.
-// The seeds live in dst's own scratch: a slice literal would escape
-// through the interface call and cost an allocation per label.
-func (g *Graph) seedAttach(lo LabelOracle, a Attach, dst *HubLabel) {
 	u, v, du, dv := g.attachEnds(a)
 	dst.seeds = [2]Seed{{Vertex: u, Dist: du}, {Vertex: v, Dist: dv}}
 	lo.SeedLabel(dst.seeds[:], dst)
+	return true
 }
 
 // LabelTable is a forward table of attachment hub labels: row i is the
@@ -106,50 +101,42 @@ func (g *Graph) seedAttach(lo LabelOracle, a Attach, dst *HubLabel) {
 // RowDistsCk merges one source label against individual rows, and Flatten
 // turns a row subset into the hub-sorted TargetLabels that LabelDists
 // walks once per source. Rows are only ever appended; a table answers for
-// the labels it was built from (ValidFor). Reads are safe concurrently
-// with each other, not with Append.
+// the labels it was built from, until a road insert reports them stale
+// (Graph.AddEdge). Reads are safe concurrently with each other, not
+// with Append.
 type LabelTable struct {
-	oracle  LabelOracle
-	version uint64 // the graph's labelVersion the rows were built at
-	atts    []Attach
-	off     []int64 // row i is hubs/dist[off[i]:off[i+1]]; len(atts)+1
-	hubs    []int32
-	dist    []float64
+	atts []Attach
+	off  []int64 // row i is hubs/dist[off[i]:off[i+1]]; len(atts)+1
+	hubs []int32
+	dist []float64
 }
 
 // NewLabelTable builds the label rows of atts (copied), or returns nil when
 // no label oracle is attached.
 func (g *Graph) NewLabelTable(atts []Attach) *LabelTable {
-	lo := g.labelOracle()
-	if lo == nil {
+	if !g.HasLabels() {
 		return nil
 	}
-	t := &LabelTable{oracle: lo, version: g.labelVersion, atts: make([]Attach, 0, len(atts)), off: make([]int64, 1, len(atts)+1)}
-	lbl := AcquireLabel()
+	t := &LabelTable{atts: make([]Attach, 0, len(atts)), off: make([]int64, 1, len(atts)+1)}
 	for _, a := range atts {
-		t.appendRow(g, a, lbl)
+		t.Append(g, a)
 	}
-	ReleaseLabel(lbl)
 	// Exact-size the entry arrays: the table lives as long as its engine.
 	t.hubs = append([]int32(nil), t.hubs...)
 	t.dist = append([]float64(nil), t.dist...)
 	return t
 }
 
-// Append adds the label row of a as row NumRows(). The table must still
-// be valid for g (ValidFor).
+// Append adds the label row of a as row NumRows(). g must still serve the
+// labels the table was built from.
 func (t *LabelTable) Append(g *Graph, a Attach) {
 	lbl := AcquireLabel()
-	t.appendRow(g, a, lbl)
-	ReleaseLabel(lbl)
-}
-
-func (t *LabelTable) appendRow(g *Graph, a Attach, lbl *HubLabel) {
-	g.seedAttach(t.oracle, a, lbl)
+	g.AttachLabel(a, lbl)
 	t.atts = append(t.atts, a)
 	t.hubs = append(t.hubs, lbl.Hubs...)
 	t.dist = append(t.dist, lbl.Dist...)
 	t.off = append(t.off, int64(len(t.hubs)))
+	ReleaseLabel(lbl)
 }
 
 // NumRows returns the number of attachments in the table.
@@ -161,14 +148,6 @@ func (t *LabelTable) MemoryBytes() int64 {
 		return 0
 	}
 	return int64(cap(t.atts))*16 + int64(cap(t.off))*8 + int64(cap(t.hubs))*4 + int64(cap(t.dist))*8
-}
-
-// ValidFor reports whether the table can answer for g's attachments
-// 0..rows-1: it was built from the label oracle attached to g right now,
-// no road insert has changed a label of an earlier edge since, and it has
-// exactly that many rows. A nil table is never valid.
-func (t *LabelTable) ValidFor(g *Graph, rows int) bool {
-	return t != nil && t.oracle == g.labelOracle() && t.version == g.labelVersion && len(t.atts) == rows
 }
 
 // CheckInvariants validates the CSR structure: one offset per row plus the

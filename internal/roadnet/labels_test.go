@@ -71,7 +71,7 @@ func TestLabelTableRowKernel(t *testing.T) {
 				t.Fatalf("seed %d: after append: %v", seed, err)
 			}
 		}
-		if table.NumRows() != len(atts) || !table.ValidFor(g, len(atts)) || table.ValidFor(g, len(atts)-1) {
+		if table.NumRows() != len(atts) {
 			t.Fatalf("seed %d: table has %d rows for %d attachments", seed, table.NumRows(), len(atts))
 		}
 
@@ -138,9 +138,7 @@ func TestLabelTableRowKernel(t *testing.T) {
 }
 
 // TestLabelTableWithoutLabels pins the degradation: no table without a
-// label oracle. A table stays valid for the base graph once a mutation
-// wraps its oracle in the delta-overlay, and stops being valid once
-// another oracle is attached.
+// label oracle, and a nil table holds no memory.
 func TestLabelTableWithoutLabels(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g, plain := twinPair(t, rng, 30, "hl")
@@ -149,20 +147,11 @@ func TestLabelTableWithoutLabels(t *testing.T) {
 		t.Fatal("NewLabelTable must return nil without a label oracle")
 	}
 	var none *roadnet.LabelTable
-	if none.ValidFor(g, 0) || none.MemoryBytes() != 0 {
-		t.Fatal("a nil table is never valid and holds no memory")
+	if none.MemoryBytes() != 0 {
+		t.Fatal("a nil table holds no memory")
 	}
-	table := g.NewLabelTable(at)
-	if !table.ValidFor(g, 1) || table.MemoryBytes() <= 0 {
-		t.Fatal("fresh table must be valid and report its size")
-	}
-	g.AddVertex(geo.Pt(500, 500))
-	if !table.ValidFor(g, 1) {
-		t.Fatal("table must stay valid for the base once the overlay wraps its oracle")
-	}
-	g.SetDistanceOracle(nil)
-	if table.ValidFor(g, 1) {
-		t.Fatal("table must be invalid once its oracle is detached")
+	if table := g.NewLabelTable(at); table.NumRows() != 1 || table.MemoryBytes() <= 0 {
+		t.Fatal("fresh table must hold its row and report its size")
 	}
 }
 

@@ -43,7 +43,7 @@ type CheckedOracle interface {
 // appending a vertex and AddEdge after appending the edge a–b of weight w;
 // AddEdge reports whether it changed what the oracle says about the
 // graph's earlier edges, which leaves label tables built from it stale
-// (LabelTable.ValidFor). Neither runs concurrently with queries.
+// (Graph.AddEdge). Neither runs concurrently with queries.
 type DynamicOracle interface {
 	DistanceOracle
 	AddVertex()
@@ -102,6 +102,7 @@ func (g *Graph) OverlayStats() OverlayStats {
 // noteVertex and noteEdge update the counters and the attached oracle
 // after an insert: a DynamicOracle follows it, any other oracle is
 // detached by the first new edge, and plain Dijkstra serves from then on.
+// noteEdge returns the DynamicOracle's stale report.
 func (g *Graph) noteVertex() {
 	if o, ok := g.oracle.(DynamicOracle); ok {
 		o.AddVertex()
@@ -111,19 +112,17 @@ func (g *Graph) noteVertex() {
 	}
 }
 
-func (g *Graph) noteEdge(u, v VertexID, w float64) {
+func (g *Graph) noteEdge(u, v VertexID, w float64) (stale bool) {
 	switch o := g.oracle.(type) {
 	case nil:
 	case DynamicOracle:
-		if o.AddEdge(g, u, v, w) {
-			g.labelVersion++
-		}
+		stale = o.AddEdge(g, u, v, w)
 	default:
 		g.oracle = nil
 	}
 	s := &g.inserts
 	if !s.tracked {
-		return
+		return stale
 	}
 	s.edges++
 	for _, x := range [2]VertexID{u, v} {
@@ -134,4 +133,5 @@ func (g *Graph) noteEdge(u, v VertexID, w float64) {
 			s.oldEnds[x] = struct{}{}
 		}
 	}
+	return stale
 }

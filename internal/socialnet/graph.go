@@ -51,6 +51,17 @@ func (g *Graph) AddFriendship(u, v UserID) bool {
 	return true
 }
 
+// Clone returns a copy that shares no mutable state with g: the user
+// slice is copied and each friend list is shared under a capped header,
+// so an edge either graph adds later reallocates that list for itself.
+func (g *Graph) Clone() *Graph {
+	adj := make([][]UserID, len(g.adj))
+	for u, fs := range g.adj {
+		adj[u] = fs[:len(fs):len(fs)]
+	}
+	return &Graph{adj: adj, numEdges: g.numEdges}
+}
+
 // AreFriends reports whether u and v share an edge.
 func (g *Graph) AreFriends(u, v UserID) bool {
 	g.check(u)

@@ -2,14 +2,11 @@ package gpssn
 
 import (
 	"errors"
-	"fmt"
 	"runtime/debug"
 	"testing"
 
-	"gpssn/internal/core"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/roadnet/hl"
-	"gpssn/internal/socialnet"
 )
 
 // TestIsolatedRoadVerticesCostOneEntry: an isolated road vertex costs its
@@ -69,11 +66,10 @@ func raceBuild() bool {
 	return false
 }
 
-// TestRoadInsertThroughAnotherDB: two DBs over one network share its hub
-// labels. A chord DB A adds updates them, and DB B, whose pivot rows,
-// keyword rows and POI label table never saw it, turns those off and
-// answers from the labels alone: exact, equal to Baseline, under every
-// oracle.
+// TestRoadInsertThroughAnotherDB: while DB B is open over A's network, A's
+// chord is refused with ErrSharedNetwork and changes nothing; once B is
+// closed, A takes it, and its answers equal Baseline's on the grown
+// network under every oracle.
 func TestRoadInsertThroughAnotherDB(t *testing.T) {
 	for _, kind := range []string{"hl", "ch", "dijkstra"} {
 		t.Run(kind, func(t *testing.T) {
@@ -101,35 +97,17 @@ func TestRoadInsertThroughAnotherDB(t *testing.T) {
 					}
 				}
 			}
+			edges := road.NumEdges()
+			if _, err := a.AddRoadEdge(bu, bv); !errors.Is(err, ErrSharedNetwork) || road.NumEdges() != edges {
+				t.Fatalf("chord through A beside open B: %v, %d edges (had %d)", err, road.NumEdges(), edges)
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := a.AddRoadEdge(bu, bv); err != nil {
 				t.Fatal(err)
 			}
-			baseline := &core.Baseline{DS: net.Dataset()}
-			for _, q := range []Query{
-				{GroupSize: 2, Gamma: 0.2, Theta: 0.3, Radius: 2},
-				{GroupSize: 3, Gamma: 0.3, Theta: 0.4, Radius: 2.5},
-			} {
-				for user := 0; user < net.NumUsers(); user += 4 {
-					label := fmt.Sprintf("%s user=%d q=%+v", kind, user, q)
-					p := core.Params{Gamma: q.Gamma, Tau: q.GroupSize, Theta: q.Theta, R: q.Radius}
-					want, _ := baseline.Query(socialnet.UserID(user), p)
-					for name, db := range map[string]*DB{"A": a, "B": b} {
-						ans, _, err := db.Query(user, q)
-						if errors.Is(err, ErrNoAnswer) {
-							if want.Found {
-								t.Fatalf("%s: DB %s found nothing, Baseline cost %v", label, name, want.MaxDist)
-							}
-							continue
-						}
-						if err != nil {
-							t.Fatalf("%s: DB %s: %v", label, name, err)
-						}
-						if !want.Found || !sameCost(ans.MaxDistance, want.MaxDist) {
-							t.Fatalf("%s: DB %s cost %v, Baseline %+v", label, name, ans.MaxDistance, want)
-						}
-					}
-				}
-			}
+			checkBaseline(t, a, kind)
 		})
 	}
 }

@@ -105,8 +105,10 @@ func roadFingerprint(g *roadnet.Graph) uint64 {
 // dataset. snapshot_fold_test.go gates that a post-churn snapshot→reopen
 // answers bit-identically to the live DB.
 func (db *DB) Snapshot(path string) (err error) {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	if err := db.rlock(); err != nil {
+		return err
+	}
+	defer db.runlock()
 
 	// Serialize fully in memory first: nothing touches the filesystem
 	// until every byte that will be written is known good.
@@ -277,7 +279,7 @@ func OpenSnapshot(path string, cfg Config) (*DB, error) {
 		attached = true
 	}
 	if !attached {
-		health, err = attachOracle(ds, c)
+		health, err = attachOracle(net, c)
 		if err != nil {
 			return nil, err
 		}
@@ -292,6 +294,7 @@ func OpenSnapshot(path string, cfg Config) (*DB, error) {
 		return nil, err
 	}
 	db.health = health
+	net.dbs = 1 // the network is this DB's alone
 
 	// The checkpoint LSN this snapshot was cut at (0 for snapshots from
 	// before the WAL existed, or written without one). With a WAL
