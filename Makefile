@@ -145,7 +145,7 @@ snapshot-matrix:
 # fallback, and the hub-label update's all-pairs property test
 # (docs/CONCURRENCY.md §7, docs/ROBUSTNESS.md §6).
 churn-suite:
-	$(GO) test -race -run 'TestRoadChurn|TestDBConcurrentRoadChurn|TestCompact|TestRoadOverlay|TestRoadMutation|TestRoadInsert|TestAddFriendshipInvalid|TestDuplicateFriendship|TestOverlay|TestLabelsExactUnderInserts|TestPendantTouchesNoOldLabel|TestSharedNetworkIsReadOnly|TestSharedNetworkKeepsOracle' -count=1 -v . ./internal/roadnet/ ./internal/roadnet/hl/
+	$(GO) test -race -run 'TestRoadChurn|TestDBConcurrentRoadChurn|TestCompact|TestRoadOverlay|TestRoadMutation|TestRoadInsert|TestAddFriendshipInvalid|TestDuplicateFriendship|TestOverlay|TestLabelsExactUnderInserts|TestPendantTouchesNoOldLabel|TestSharedNetwork|TestClosedDBRefusesChangedNetwork' -count=1 -v . ./internal/roadnet/ ./internal/roadnet/hl/
 
 # The WAL crash matrix and durability gates on their own: kill points and
 # corruption modes in the write path (torn tails, short writes, bit flips,

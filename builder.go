@@ -15,27 +15,27 @@ import (
 // Network is a spatial-social network ready for indexing: construct one
 // with a Builder, a generator, or Load.
 //
-// A built Network never mutates itself, so its accessors are safe to
-// call from any number of goroutines. A network has one writer, the one
-// DB open over it: its updates grow the users, POIs, friendships and
-// roads, so accessors racing with them must be coordinated by the caller
-// (or issued through the DB, whose lock orders them). While two or more
-// DBs are open over it, a Network is read-only: every update through them
-// fails with ErrSharedNetwork before it reaches the WAL, and so does an
-// Open that would replay a WAL or attach another oracle than theirs.
-// DB.Compact moves a DB onto a private copy it may write.
+// Its accessors are safe from any number of goroutines, but a Network has
+// one writer, the one DB open over it, whose updates the caller must order
+// against them (or read through the DB). While two or more DBs are open
+// over it, it is read-only (ErrSharedNetwork), and a closed DB reads it
+// only while no DB is open over it and none has changed it since the
+// close. DB.Compact moves a DB onto a private copy it may write.
 type Network struct {
 	ds *model.Dataset
 
 	mu  sync.RWMutex // orders updates against Open and closed DBs' reads
 	dbs int          // DBs open over the network, guarded by mu
+	gen uint64       // bumped by every update and oracle swap, guarded by mu
 }
 
-// release hands back one DB's count: Close, Compact's swap, a failed Open.
-func (n *Network) release() {
+// release hands back one DB's count (Close, Compact's swap, a failed
+// Open) and returns the network's generation at that moment.
+func (n *Network) release() uint64 {
 	n.mu.Lock()
+	defer n.mu.Unlock()
 	n.dbs--
-	n.mu.Unlock()
+	return n.gen
 }
 
 // NumUsers returns |V(G_s)|.

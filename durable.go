@@ -271,8 +271,8 @@ func (db *DB) Checkpoint(path string) error { return db.Snapshot(path) }
 // auto-maintenance pass, permanently disables further ones, and closes
 // the write-ahead log (flushing outstanding batched appends), and the DB
 // stops counting as open over its network. After Close, updates and
-// Compact fail with ErrSharedNetwork; queries and Snapshot keep working
-// while no other DB is open over the network. Idempotent.
+// Compact fail with ErrSharedNetwork; queries and Snapshot work while no
+// other DB is open over the network and none has changed it. Idempotent.
 func (db *DB) Close() error {
 	if db.closed.Swap(true) {
 		return nil
@@ -286,7 +286,7 @@ func (db *DB) Close() error {
 	defer db.upd.Unlock()
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.net.release()
+	db.closedGen = db.net.release()
 	db.released = true
 	if db.wal == nil {
 		return nil

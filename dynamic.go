@@ -38,10 +38,6 @@ import (
 //     the record reproduces it. If it fails anyway, commit rolls the
 //     record back.
 //
-// One writer per network: commit refuses an update unless its DB is the
-// one DB open over its Network (ErrSharedNetwork), before the check, so
-// no engine ever sees a change another engine made.
-//
 // Locking: commit takes db.upd (the update-class lock) first, then db.mu
 // exclusively, then the network's lock. Queries take only db.mu's read
 // side, so an update serializes against in-flight queries and other
@@ -103,6 +99,7 @@ func (db *DB) commit(m mutation) (int, error) {
 		return 0, err
 	}
 	db.walCommit(lsn)
+	db.net.gen++
 	return id, nil
 }
 
@@ -308,8 +305,8 @@ func (m *addRoadEdge) apply(db *DB) (int, error) {
 // gpssn-serve surfaces it under /statsz.
 type RoadOverlayStats = roadnet.OverlayStats
 
-// RoadOverlayStats snapshots the road insert counters; zero for a closed
-// DB while another DB is open over its network. Safe for concurrent use.
+// RoadOverlayStats snapshots the road insert counters (zero where a
+// closed DB's reads are refused). Safe for concurrent use.
 func (db *DB) RoadOverlayStats() RoadOverlayStats {
 	if db.rlock() != nil {
 		return RoadOverlayStats{}
@@ -318,9 +315,8 @@ func (db *DB) RoadOverlayStats() RoadOverlayStats {
 	return db.net.ds.Road.OverlayStats()
 }
 
-// PendingUpdates returns how many dynamic updates await compaction; 0 for
-// a closed DB while another DB is open over its network. Safe for
-// concurrent use.
+// PendingUpdates returns how many dynamic updates await compaction (0
+// where a closed DB's reads are refused). Safe for concurrent use.
 func (db *DB) PendingUpdates() int {
 	if db.rlock() != nil {
 		return 0

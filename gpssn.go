@@ -64,6 +64,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -362,7 +363,8 @@ type DB struct {
 	maintaining atomic.Bool
 	closed      atomic.Bool
 
-	released bool // Close released the DB's count on net; set under upd and mu
+	released  bool   // Close released the DB's count on net; set under upd and mu
+	closedGen uint64 // net.gen at that release
 
 	// BuildTime is how long index construction took. It is written by Open
 	// and Compact; read it only when no Compact can be running.
@@ -450,26 +452,34 @@ func (db *DB) MemoryStats() MemoryStats {
 	}
 }
 
-// attachOracle walks the fallback chain for the configured backend and
-// attaches the first oracle that builds, or keeps the one the network's
-// road graph already serves for its current topology. It reports what
-// happened through the returned Health and logs each fallback. With
-// Config.StrictOracle a build failure becomes an error instead of a
-// fallback. Beside open DBs it attaches nothing: the backend must be the
-// one they share. Called with net.mu held.
+// attachOracle attaches the first oracle on the configured backend's
+// fallback chain that builds (an error instead, with StrictOracle), or
+// keeps the one the road graph serves; a swap bumps the network's
+// generation. Beside open DBs it shares their backend if it is on the
+// chain. It reports through Health and logs each fallback. Called with
+// net.mu held.
 func attachOracle(net *Network, c Config) (Health, error) {
-	if active := build.Serving(net.ds.Road); net.dbs > 0 {
-		if active != c.DistanceOracle {
-			return Health{}, fmt.Errorf("%w: its open DBs share the %s oracle, not %q", ErrSharedNetwork, active, c.DistanceOracle)
-		}
-		return Health{OracleRequested: active, OracleActive: active}, nil
+	chain, err := build.Chain(c.DistanceOracle)
+	if err != nil {
+		return Health{}, fmt.Errorf("gpssn: %w", err)
 	}
+	if net.dbs > 0 {
+		active := build.Serving(net.ds.Road)
+		if !slices.Contains(chain, active) {
+			return Health{}, fmt.Errorf("%w: its open DBs share the %s oracle, not one %q falls back to", ErrSharedNetwork, active, c.DistanceOracle)
+		}
+		return Health{OracleRequested: c.DistanceOracle, OracleActive: active, Degraded: active != c.DistanceOracle}, nil
+	}
+	before := net.ds.Road.Oracle()
 	active, notes, err := build.AttachOracle(net.ds.Road, c.DistanceOracle, c.StrictOracle)
 	for _, n := range notes {
 		c.logf("gpssn: %s", n)
 	}
 	if err != nil {
 		return Health{}, fmt.Errorf("gpssn: %w", err)
+	}
+	if net.ds.Road.Oracle() != before {
+		net.gen++
 	}
 	return Health{OracleRequested: c.DistanceOracle, OracleActive: active, Degraded: len(notes) > 0, Notes: notes}, nil
 }
@@ -549,16 +559,16 @@ func (db *DB) Network() *Network {
 	return db.net
 }
 
-// rlock takes db.mu's read side for a read of the network, and for a
-// closed DB the network's too: a closed DB reads the network only while
-// no DB is open over it. runlock releases both.
+// rlock takes db.mu's read side, and for a closed DB the network's too: a
+// closed DB reads only while no DB is open over the network and its
+// generation is still the one Close saw. runlock releases both.
 func (db *DB) rlock() error {
 	db.mu.RLock()
 	if db.released {
 		db.net.mu.RLock()
-		if db.net.dbs > 0 {
+		if db.net.dbs > 0 || db.net.gen != db.closedGen {
 			db.runlock()
-			return fmt.Errorf("%w: this DB is closed and another is open over its network", ErrSharedNetwork)
+			return fmt.Errorf("%w: this DB is closed, and another is open over its network or changed it", ErrSharedNetwork)
 		}
 	}
 	return nil

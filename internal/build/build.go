@@ -19,19 +19,19 @@ import (
 	"gpssn/internal/roadnet/hl"
 )
 
-// oracleChain returns the fallback order for a requested backend, or nil
+// Chain returns the fallback order for a requested backend, or an error
 // for an unknown one. Plain Dijkstra terminates every chain: it needs no
 // preprocessing, so it cannot fail to build.
-func oracleChain(kind string) []string {
+func Chain(kind string) ([]string, error) {
 	switch kind {
 	case "hl":
-		return []string{"hl", "ch", "dijkstra"}
+		return []string{"hl", "ch", "dijkstra"}, nil
 	case "ch":
-		return []string{"ch", "dijkstra"}
+		return []string{"ch", "dijkstra"}, nil
 	case "dijkstra":
-		return []string{"dijkstra"}
+		return []string{"dijkstra"}, nil
 	}
-	return nil
+	return nil, fmt.Errorf("unknown DistanceOracle %q (want \"ch\", \"hl\" or \"dijkstra\")", kind)
 }
 
 // buildOracle builds one oracle backend, converting a build panic — or an
@@ -75,9 +75,9 @@ func Serving(g *roadnet.Graph) string {
 // serving and one note per fallback taken; with strict set, a build
 // failure is returned as an error instead of a fallback.
 func AttachOracle(g *roadnet.Graph, kind string, strict bool) (active string, notes []string, err error) {
-	chain := oracleChain(kind)
-	if chain == nil {
-		return "", nil, fmt.Errorf("unknown DistanceOracle %q (want \"ch\", \"hl\" or \"dijkstra\")", kind)
+	chain, err := Chain(kind)
+	if err != nil {
+		return "", nil, err
 	}
 	for _, k := range chain {
 		if k != "dijkstra" && Serving(g) == k {

@@ -73,10 +73,9 @@ func (g *Graph) AddVertex(p geo.Point) VertexID {
 // boundary returns typed errors; ImportCSV rejects with row numbers).
 // An attached DynamicOracle updates its labels, any other oracle is
 // detached (plain Dijkstra is exact over the grown graph), and the snap
-// grid absorbs the new segment incrementally. stale is the
-// DynamicOracle's report that the insert changed a label of a vertex that
-// had an edge before, which leaves a LabelTable built from the labels
-// stale; false under any other oracle.
+// grid absorbs the new segment incrementally. stale reports that a
+// DynamicOracle changed a label of an earlier edge's vertex, which leaves
+// LabelTables built from it stale.
 func (g *Graph) AddEdge(u, v VertexID) (id EdgeID, stale bool) {
 	if u == v {
 		panic(fmt.Sprintf("roadnet: self-loop at vertex %d", u))

@@ -18,9 +18,7 @@ import (
 //     d + w. It visits only vertices ranked below h, and at each settled
 //     vertex v with distance δ it stops if the current labels already
 //     give Query(h, v) ≤ δ; otherwise it writes (h, δ) into L(v) and
-//     goes on. Then the same from b's side; when b had no edge before,
-//     only b's own entry: the others are L(a)'s shifted by w, and their
-//     searches would stop at a at once (docs/ALGORITHMS.md).
+//     goes on. Then the same from b's side.
 //
 // Every entry stays the length of a real path, so no query can fall below
 // the true distance; the search restores the entries the pairs whose
@@ -64,9 +62,6 @@ func (o *Oracle) AddEdge(g *roadnet.Graph, a, b roadnet.VertexID, w float64) (st
 	}
 	for _, e := range [2][2]roadnet.VertexID{{a, b}, {b, a}} {
 		hubs, dist := o.label(int32(e[0]))
-		if e[0] == b && g.Degree(b) == 1 {
-			hubs, dist = hubs[len(hubs)-1:], dist[len(dist)-1:] // the self-entry
-		}
 		u.hubs = append(u.hubs[:0], hubs...)
 		u.hd = append(u.hd[:0], dist...)
 		for i, h := range u.hubs {

@@ -172,46 +172,10 @@ func TestPendantTouchesNoOldLabel(t *testing.T) {
 	}
 }
 
-// TestPendantSecondPassWritesNothing pins the pass AddEdge skips: after a
-// pendant insert, resuming every hub of the new vertex's label from its
-// neighbour, as the second pass would, writes nothing and changes no byte
-// of the encoded store.
-func TestPendantSecondPassWritesNothing(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	g := randomGraph(t, rng, 80, 1.2, true)
-	o := Build(g)
-	g.SetDistanceOracle(o)
-	for i := 0; i < 200; i++ {
-		u := roadnet.VertexID(rng.Intn(g.NumVertices()))
-		v := g.AddVertex(g.Vertex(u).Add(geo.Pt(rng.Float64()*2-1, rng.Float64()*2-1)))
-		id, stale := g.AddEdge(u, v)
-		if stale {
-			t.Fatalf("pendant %d: reported label tables stale", i)
-		}
-		w := g.EdgeAt(id).Weight
-		var before snap.Enc
-		o.Encode(&before)
-		hubs, dist := o.label(int32(v))
-		hubs, dist = append([]int32(nil), hubs...), append([]float64(nil), dist...)
-		for k, h := range hubs {
-			if o.resume(g, h, u, dist[k]+w, u, v) {
-				t.Fatalf("pendant %d: the skipped search of hub %d reported a stale label", i, h)
-			}
-		}
-		var after snap.Enc
-		o.Encode(&after)
-		if string(before.B) != string(after.B) {
-			t.Fatalf("pendant %d: the skipped searches changed the store", i)
-		}
-	}
-	checkAllPairs(t, g, o, "after pendants")
-}
-
 // TestIsolatedVertexJoins covers the other edge whose end had no edge
 // before: a vertex isolated when the labels were built keeps the rank the
-// build gave it, possibly above its new neighbour's, and its own search
-// must still run. Every pair stays exact with the isolated end on either
-// side of the edge.
+// build gave it, possibly above its new neighbour's. Every pair stays
+// exact with the isolated end on either side of the edge.
 func TestIsolatedVertexJoins(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rng := rand.New(rand.NewSource(seed))

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"testing"
 
 	"gpssn/internal/core"
+	"gpssn/internal/failpoint"
 	"gpssn/internal/roadnet"
 	"gpssn/internal/socialnet"
 )
@@ -184,10 +186,11 @@ func answerBits(t *testing.T, db *DB) string {
 }
 
 // TestSharedNetworkKeepsOracle: an Open over a network a live hl DB serves
-// fails with ErrSharedNetwork when it asks for another backend, instead of
-// attaching its own oracle under the live DB; the live DB's oracle, POI
-// label table and answer bits stay as they were. Asking for the backend
-// the network serves shares it.
+// fails with ErrSharedNetwork when it asks for a backend whose fallback
+// chain misses hl, instead of attaching its own oracle under the live DB;
+// the live DB's oracle, POI label table and answer bits stay as they were.
+// Asking for the backend the network serves, or one whose chain reaches
+// it, shares it; an unknown backend fails as unknown.
 func TestSharedNetworkKeepsOracle(t *testing.T) {
 	net := churnNetwork(t)
 	cfg := DefaultConfig()
@@ -224,6 +227,111 @@ func TestSharedNetworkKeepsOracle(t *testing.T) {
 	}
 	if got := answerBits(t, b); got != want {
 		t.Fatalf("the second hl DB's answers differ:\n%s\nwant\n%s", got, want)
+	}
+	bogus := cfg
+	bogus.DistanceOracle = "bogus"
+	if _, err := Open(net, bogus); err == nil || errors.Is(err, ErrSharedNetwork) {
+		t.Errorf("Open with an unknown oracle beside live DBs: %v, want the unknown-oracle error", err)
+	}
+
+	// Beside open DBs an Open shares their backend whenever a fresh Open
+	// of its own config could have ended on it down the fallback chain,
+	// reported as degraded: a second Open with the first's config after
+	// the first's hl build failed over to ch, and a ch Open after a road
+	// edge detached the live DB's CH.
+	t.Cleanup(failpoint.Reset)
+	failpoint.Arm("oracle.build.hl", failpoint.Failure{Mode: failpoint.ModeError, Err: errors.New("injected"), Count: 1})
+	net = churnNetwork(t)
+	a, err = Open(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h := a.Health(); h.OracleActive != "ch" {
+		t.Fatalf("the first Open serves %q, want the ch fallback", h.OracleActive)
+	}
+	b, err = Open(net, cfg)
+	if err != nil {
+		t.Fatalf("a second Open with the first's config: %v", err)
+	}
+	if h := b.Health(); h.OracleRequested != "hl" || h.OracleActive != "ch" || !h.Degraded {
+		t.Fatalf("the second Open's health: %+v, want hl requested, ch shared, degraded", h)
+	}
+	if got, want := answerBits(t, b), answerBits(t, a); got != want {
+		t.Fatalf("the DB sharing the fallback answers differently:\n%s\nwant\n%s", got, want)
+	}
+
+	cfg.DistanceOracle = "ch"
+	net = churnNetwork(t)
+	c, err := Open(net, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := oneOfEachUpdate(t, net)["AddRoadEdge"](c); err != nil {
+		t.Fatal(err)
+	}
+	if h := c.Health(); h.OracleActive != "dijkstra" {
+		t.Fatalf("after a road edge the ch DB serves %q, want dijkstra", h.OracleActive)
+	}
+	d, err := Open(net, cfg)
+	if err != nil {
+		t.Fatalf("a ch Open beside a DB whose CH a road edge detached: %v", err)
+	}
+	if h := d.Health(); h.OracleActive != "dijkstra" || !h.Degraded {
+		t.Fatalf("its health: %+v, want dijkstra shared, degraded", h)
+	}
+	checkBaseline(t, d, "ch Open sharing dijkstra")
+}
+
+// TestClosedDBRefusesChangedNetwork: a closed DB reads its network only as
+// Close left it. Once another DB has opened over the network and changed
+// it, by any one update or by attaching another oracle, the closed DB's
+// queries and Snapshot fail with ErrSharedNetwork, also after that DB
+// closed: its indexes, pivot vectors, keyword rows, topic table and label
+// table describe the old network. A DB that only read in between changes
+// nothing, and the closed DB still answers as Baseline does.
+func TestClosedDBRefusesChangedNetwork(t *testing.T) {
+	cfg := walConfig(t)
+	cfg.WALPath = ""
+	for _, change := range []string{"AddUser", "AddFriendship", "AddPOI", "AddRoadVertex", "AddRoadEdge", "ch", "dijkstra", "read-only"} {
+		t.Run(change, func(t *testing.T) {
+			net := churnNetwork(t)
+			a, err := Open(net, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Close(); err != nil {
+				t.Fatal(err)
+			}
+			update := oneOfEachUpdate(t, net)[change]
+			bcfg := cfg
+			if update == nil && change != "read-only" {
+				bcfg.DistanceOracle = change
+			}
+			b, err := Open(net, bcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if update != nil {
+				if err := update(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := b.Close(); err != nil {
+				t.Fatal(err)
+			}
+			_, _, qerr := a.Query(0, walQueries[0])
+			serr := a.Snapshot(filepath.Join(t.TempDir(), "closed.snap"))
+			if change == "read-only" {
+				if qerr != nil && !errors.Is(qerr, ErrNoAnswer) || serr != nil {
+					t.Fatalf("closed DB after a read-only DB came and went: query %v, snapshot %v", qerr, serr)
+				}
+				checkBaseline(t, a, "closed DB")
+				return
+			}
+			if !errors.Is(qerr, ErrSharedNetwork) || !errors.Is(serr, ErrSharedNetwork) {
+				t.Fatalf("closed DB after %s through another DB: query %v, snapshot %v, want ErrSharedNetwork", change, qerr, serr)
+			}
+		})
 	}
 }
 
